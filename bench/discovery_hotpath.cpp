@@ -8,7 +8,11 @@
 // the per-benchmark cycle attribution (sweep vs line-size vs amount vs
 // sharing vs bandwidth vs compute vs rest), chase-memo hit counts, the
 // stage-graph critical path (serial cycles / critical-path cycles = the
-// speedup available from benchmark-level concurrency alone), and the host
+// speedup available from benchmark-level concurrency alone), the caller
+// share of each parallel run (the fraction of its shared-executor tasks
+// that ran on the thread that submitted them: near 1 means its chase
+// batches found no other thread to run on, and exactly 1 that the run fell
+// back to one thread whatever its thread knobs said), and the host
 // description — so the next algorithmic target stays visible and the
 // parallel-speedup column is interpretable (a single-core container
 // measures ~1.0 by construction).
@@ -45,6 +49,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/output/json_output.hpp"
+#include "exec/executor.hpp"
 #include "fleet/fleet.hpp"
 #include "runtime/kernels.hpp"
 #include "sim/registry.hpp"
@@ -59,6 +64,9 @@ struct ModelResult {
   double serial_s = 0.0;     ///< compiled engine, all thread knobs = 1
   double parallel_s = 0.0;   ///< compiled engine, bench/sweep_threads = M/N
   double reference_s = 0.0;  ///< reference engine, all thread knobs = 1
+  /// Share of the parallel run's shared-executor tasks run by the thread
+  /// that submitted them (slot 0); 1 when nothing fanned out at all.
+  double caller_share = 1.0;
   bool identical = false;    ///< all measured engines agree byte-for-byte
   std::uint32_t widenings = 0;
   std::uint64_t sweep_cycles = 0;
@@ -189,8 +197,8 @@ int main(int argc, char** argv) {
 
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",
-                      "avail x", "reference [s]", "identical", "widen",
-                      "sweep %", "line %", "memo"});
+                      "caller", "avail x", "reference [s]", "identical",
+                      "widen", "sweep %", "line %", "memo"});
   bool all_identical = true;
   double total_serial = 0.0;
   std::map<std::string, StageAggregate> stages;
@@ -201,9 +209,18 @@ int main(int argc, char** argv) {
     core::TopologyReport report;
     const std::string serial = timed_discovery(
         model, runtime::PChaseEngine::kCompiled, 1, 1, r.serial_s, &report);
+    const exec::ExecutorStats exec_before = exec::shared_executor().stats();
     const std::string parallel =
         timed_discovery(model, runtime::PChaseEngine::kCompiled, bench_threads,
                         sweep_threads, r.parallel_s);
+    const exec::ExecutorStats exec_after = exec::shared_executor().stats();
+    const std::uint64_t tasks = exec_after.tasks - exec_before.tasks;
+    if (tasks > 0) {
+      r.caller_share =
+          static_cast<double>(exec_after.caller_tasks -
+                              exec_before.caller_tasks) /
+          static_cast<double>(tasks);
+    }
     r.identical = serial == parallel;
     if (!skip_reference) {
       const std::string reference = timed_discovery(
@@ -230,12 +247,13 @@ int main(int argc, char** argv) {
     total_serial += r.serial_s;
     results.push_back(r);
 
-    char serial_s[32], parallel_s[32], speedup[32], avail[16], reference_s[32],
-        widen[16], sweep_pct[16], line_pct[16], memo[16];
+    char serial_s[32], parallel_s[32], speedup[32], caller[16], avail[16],
+        reference_s[32], widen[16], sweep_pct[16], line_pct[16], memo[16];
     std::snprintf(serial_s, sizeof serial_s, "%.3f", r.serial_s);
     std::snprintf(parallel_s, sizeof parallel_s, "%.3f", r.parallel_s);
     std::snprintf(speedup, sizeof speedup, "%.2f",
                   r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
+    std::snprintf(caller, sizeof caller, "%.2f", r.caller_share);
     std::snprintf(avail, sizeof avail, "%.2f", r.available_speedup());
     std::snprintf(reference_s, sizeof reference_s, "%.3f", r.reference_s);
     std::snprintf(widen, sizeof widen, "%u", r.widenings);
@@ -245,7 +263,7 @@ int main(int argc, char** argv) {
                   cycle_pct(r.line_size_cycles, r.total_cycles));
     std::snprintf(memo, sizeof memo, "%llu",
                   static_cast<unsigned long long>(r.memo_hits));
-    table.add_row({model, serial_s, parallel_s, speedup, avail,
+    table.add_row({model, serial_s, parallel_s, speedup, caller, avail,
                    skip_reference ? "-" : reference_s,
                    r.identical ? "yes" : "NO", widen, sweep_pct, line_pct,
                    memo});
@@ -309,6 +327,7 @@ int main(int argc, char** argv) {
     entry.emplace_back("parallel_seconds", r.parallel_s);
     entry.emplace_back(
         "parallel_speedup", r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
+    entry.emplace_back("parallel_caller_share", r.caller_share);
     if (!skip_reference) {
       entry.emplace_back("reference_seconds", r.reference_s);
     }

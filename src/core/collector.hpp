@@ -56,9 +56,9 @@ struct DiscoverOptions {
   /// so it is not part of fleet::DiscoveryJob::key(). Off means each warm
   /// chain runs as one serial unit.
   bool subsweep_chunking = true;
-  /// Executor for bench_threads > 1; nullptr = exec::shared_executor().
-  /// Tests inject a dedicated pool to force real stage interleaving
-  /// regardless of the host's core count.
+  /// Executor the stage graph and its stages' chase batches run on;
+  /// nullptr = exec::shared_executor(). Tests inject a dedicated pool to
+  /// force real stage interleaving regardless of the host's core count.
   exec::Executor* bench_executor = nullptr;
   /// Cooperative wall-clock budget, checked before every stage of the graph
   /// (see core/cancel.hpp); expiry raises TimeoutError out of discover().

@@ -1,9 +1,9 @@
 #include "core/pipeline/runner.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include "common/fault.hpp"
@@ -77,6 +77,11 @@ struct GraphRun {
       record.pool.reset_ns += obs::monotonic_ns() - reset_start;
     }
     record.pool.replica_cache = &replicas;
+    // Chase batches run on the graph's executor, so a worker with no ready
+    // stage can help its siblings' batches. Left null, a batch that fans
+    // out resolves the shared executor itself; a serial discovery never
+    // touches it and its process stays single-threaded.
+    record.pool.executor = options.bench_executor;
     record.pool.warm_chunk_points = options.subsweep_chunking ? 8 : 0;
     StageContext ctx{substrate, options, state, record.pool};
     graph.stages[i].run(ctx);
@@ -87,8 +92,8 @@ struct GraphRun {
     // Recycle the substrate and the stage's chase replicas; the pool's memo
     // stays live as upstream for dependent stages.
     replicas.release(std::move(substrate));
-    for (sim::Gpu& replica : record.pool.replicas) {
-      replicas.release(std::move(replica));
+    for (std::optional<sim::Gpu>& replica : record.pool.replicas) {
+      if (replica) replicas.release(std::move(*replica));
     }
     record.pool.replicas.clear();
     const std::uint64_t wall_ns = obs::monotonic_ns() - start_ns;
@@ -117,10 +122,13 @@ void run_serial(GraphRun& run, const std::vector<std::vector<std::size_t>>& deps
 }
 
 /// Dependency-aware worker-pool scheduling: workers pull the ready stage
-/// with the lowest declaration index. Waiting workers are parked on a
-/// condition variable; stage completion wakes them. Progress is guaranteed
-/// even on a pool-less executor (parallel_for then runs the first worker
-/// loop inline on the caller, which drains the whole graph serially).
+/// with the lowest declaration index. A worker with no ready stage waits in
+/// Executor::help_until, running tasks of queued chase batches (its sibling
+/// stages', or any other discovery's on the same executor) until a stage is
+/// ready or the graph drained; stage completion wakes it through the
+/// executor, after the graph mutex is released. Progress is guaranteed even
+/// on a pool-less executor (parallel_for then runs the first worker loop
+/// inline on the caller, which drains the whole graph serially).
 void run_concurrent(GraphRun& run,
                     const std::vector<std::vector<std::size_t>>& deps,
                     std::uint32_t bench_threads, exec::Executor& executor) {
@@ -128,7 +136,6 @@ void run_concurrent(GraphRun& run,
   std::vector<std::size_t> remaining(n);
   std::vector<std::vector<std::size_t>> dependents(n);
   std::mutex mutex;
-  std::condition_variable wake;
   std::set<std::size_t> ready;
   std::size_t unfinished = n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -136,11 +143,20 @@ void run_concurrent(GraphRun& run,
     for (const std::size_t d : deps[i]) dependents[d].push_back(i);
     if (remaining[i] == 0) ready.insert(i);
   }
+  const auto runnable = [&] { return !ready.empty() || unfinished == 0; };
 
   const auto worker = [&](std::size_t, std::uint32_t) {
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-      wake.wait(lock, [&] { return !ready.empty() || unfinished == 0; });
+      if (!runnable()) {
+        lock.unlock();
+        executor.help_until([&] {
+          const std::lock_guard<std::mutex> guard(mutex);
+          return runnable();
+        });
+        lock.lock();
+        continue;  // another worker may have taken the ready stage
+      }
       if (ready.empty()) return;  // drained
       const std::size_t i = *ready.begin();
       ready.erase(ready.begin());
@@ -161,7 +177,13 @@ void run_concurrent(GraphRun& run,
         if (--remaining[dependent] == 0) ready.insert(dependent);
       }
       --unfinished;
-      wake.notify_all();
+      // This worker takes the next ready stage itself; waiters are woken for
+      // the surplus, or to return once the graph drained.
+      if (ready.size() > 1 || unfinished == 0) {
+        lock.unlock();
+        executor.wake_helpers();
+        lock.lock();
+      }
     }
   };
 

@@ -6,10 +6,13 @@
 // bench_threads > 1, min(bench_threads, stage count) workers — the calling
 // thread included — pull ready stages (all dependencies completed, lowest
 // declaration index first) from a shared queue on the process-wide executor
-// (src/exec/). Nested parallelism composes: a stage's own chase batches
-// (sweep_threads) fan over the same pool, and a fleet sweep fans whole
-// graphs of different GPUs over it, so one executor interleaves stages
-// across benchmarks and across GPUs.
+// (src/exec/, or DiscoverOptions::bench_executor). Nested parallelism
+// composes: a stage's own chase batches (sweep_threads) fan over the same
+// executor, and a fleet sweep fans whole graphs of different GPUs over it,
+// so one executor interleaves stages across benchmarks and across GPUs. A
+// worker with no ready stage never parks while a queued chase batch has
+// claimable work: it waits in Executor::help_until, running chase tasks
+// until a stage is ready or the graph drained.
 //
 // Determinism: the report is byte-identical for every bench_threads x
 // sweep_threads combination (see stage.hpp for the three rules). Failure

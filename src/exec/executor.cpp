@@ -22,9 +22,12 @@ std::uint64_t now_ns() {
           .count());
 }
 
-/// > 0 while the current thread is inside a drain() task — a parallel_for
-/// issued from there is a nested submission.
-thread_local std::uint32_t t_drain_depth = 0;
+/// Task-nesting depth of the task running on this thread: 0 outside any
+/// task, and a task of a batch submitted at depth d runs at d + 1 on
+/// whichever thread executes it. A parallel_for issued at depth > 0 is a
+/// nested submission, and a help_until() waiter only joins batches
+/// submitted at its own depth or deeper.
+thread_local std::uint32_t t_depth = 0;
 
 /// Relaxed monotonic counters behind Executor::stats(); one instance per
 /// Executor, shared with every Batch it runs.
@@ -51,13 +54,14 @@ struct Counters {
 struct Batch {
   std::size_t count = 0;
   const IndexedTask* task = nullptr;
-  std::uint32_t max_joiners = 0;  ///< pool threads allowed (caller excluded)
+  std::uint32_t max_joiners = 0;  ///< joiners allowed (caller excluded)
+  std::uint32_t depth = 0;        ///< submitter's t_depth
   Counters* counters = nullptr;
   std::uint64_t enqueue_ns = 0;  ///< submission time (pooled batches only)
 
   std::atomic<std::size_t> next{0};   ///< index claim cursor
   std::atomic<std::size_t> done{0};   ///< finished tasks
-  std::uint32_t joiners = 0;          ///< pool threads that joined (queue lock)
+  std::uint32_t joiners = 0;          ///< participants that joined (queue lock)
   std::atomic<std::uint32_t> slots{1};  ///< slot 0 is reserved for the caller
 
   std::mutex error_mutex;
@@ -81,7 +85,8 @@ void drain(Batch& batch, std::uint32_t slot) {
         batch.next.fetch_add(1, std::memory_order_relaxed);
     if (index >= batch.count) return;
     const std::uint64_t begin_ns = now_ns();
-    ++t_drain_depth;
+    const std::uint32_t outer_depth = t_depth;
+    t_depth = batch.depth + 1;
     try {
       (*batch.task)(index, slot);
     } catch (...) {
@@ -92,7 +97,7 @@ void drain(Batch& batch, std::uint32_t slot) {
         batch.error = std::current_exception();
       }
     }
-    --t_drain_depth;
+    t_depth = outer_depth;
     const std::uint64_t busy_ns = now_ns() - begin_ns;
     Counters& counters = *batch.counters;
     counters.tasks.fetch_add(1, std::memory_order_relaxed);
@@ -115,46 +120,67 @@ void drain(Batch& batch, std::uint32_t slot) {
 
 struct Executor::Impl {
   std::mutex queue_mutex;
+  /// Wakes pool threads and helping waiters alike: on a batch push and on
+  /// wake_helpers() (which shutdown uses too).
   std::condition_variable queue_cv;
   std::deque<std::shared_ptr<Batch>> queue;  // batches with claimable work
-  bool stop = false;
+  /// Bumped by wake_helpers(), so a waiter that evaluated its predicate just
+  /// before the bump re-checks it instead of sleeping through the wake.
+  std::uint64_t wake_generation = 0;
+  std::atomic<bool> stop{false};  ///< pool threads help until this is set
   std::vector<std::thread> threads;
   Counters counters;
   std::uint64_t start_ns = now_ns();
 
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(queue_mutex);
-    while (true) {
-      std::shared_ptr<Batch> batch;
-      for (auto it = queue.begin(); it != queue.end();) {
-        if ((*it)->exhausted()) {
-          it = queue.erase(it);
-          continue;
-        }
-        if ((*it)->joiners < (*it)->max_joiners) {
-          batch = *it;
-          ++batch->joiners;
-          break;
-        }
-        ++it;
-      }
-      if (!batch) {
-        if (stop) return;
-        queue_cv.wait(lock);
+  /// Joins the first queued batch that still admits a joiner and was
+  /// submitted at task-nesting depth @p min_depth or deeper, dropping
+  /// exhausted batches on the way. Requires queue_mutex.
+  std::shared_ptr<Batch> claim(std::uint32_t min_depth) {
+    for (auto it = queue.begin(); it != queue.end();) {
+      Batch& batch = **it;
+      if (batch.exhausted()) {
+        it = queue.erase(it);
         continue;
       }
+      if (batch.joiners < batch.max_joiners && batch.depth >= min_depth) {
+        ++batch.joiners;
+        return *it;
+      }
+      ++it;
+    }
+    return nullptr;
+  }
+
+  /// Runs a claimed batch on the next free slot until it is drained.
+  void join(Batch& batch) {
+    // Enqueue-to-join latency: how long the submitted batch waited for this
+    // participant. Observed live into the metrics registry (when enabled)
+    // so queue pressure is visible per run, not just cumulatively.
+    const std::uint64_t wait_ns = now_ns() - batch.enqueue_ns;
+    counters.queue_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
+    obs::Metrics::instance().observe("exec.queue_wait_ns",
+                                     static_cast<double>(wait_ns));
+    drain(batch, batch.slots.fetch_add(1, std::memory_order_relaxed));
+  }
+
+  /// Executor::help_until(); a pool thread runs it until shutdown, at
+  /// depth 0, so it may join every batch.
+  void help_until(const std::function<bool()>& done) {
+    std::unique_lock<std::mutex> lock(queue_mutex);
+    while (true) {
+      const std::uint64_t seen = wake_generation;
       lock.unlock();
-      // Enqueue-to-join latency: how long the submitted batch waited for
-      // this worker. Observed live into the metrics registry (when enabled)
-      // so queue pressure is visible per run, not just cumulatively.
-      const std::uint64_t wait_ns = now_ns() - batch->enqueue_ns;
-      counters.queue_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-      obs::Metrics::instance().observe("exec.queue_wait_ns",
-                                       static_cast<double>(wait_ns));
-      const std::uint32_t slot =
-          batch->slots.fetch_add(1, std::memory_order_relaxed);
-      drain(*batch, slot);
+      if (done()) return;
       lock.lock();
+      if (const std::shared_ptr<Batch> batch = claim(t_depth)) {
+        lock.unlock();
+        join(*batch);
+        lock.lock();
+      } else if (wake_generation == seen) {
+        // No wake since @p done was evaluated, and a batch push needs
+        // queue_mutex, which this thread holds until the wait releases it.
+        queue_cv.wait(lock);
+      }
     }
   }
 };
@@ -162,16 +188,14 @@ struct Executor::Impl {
 Executor::Executor(std::uint32_t pool_threads) : impl_(new Impl) {
   impl_->threads.reserve(pool_threads);
   for (std::uint32_t i = 0; i < pool_threads; ++i) {
-    impl_->threads.emplace_back([this] { impl_->worker_loop(); });
+    impl_->threads.emplace_back(
+        [this] { impl_->help_until([this] { return impl_->stop.load(); }); });
   }
 }
 
 Executor::~Executor() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->queue_mutex);
-    impl_->stop = true;
-  }
-  impl_->queue_cv.notify_all();
+  impl_->stop = true;
+  wake_helpers();
   for (auto& thread : impl_->threads) thread.join();
 }
 
@@ -208,13 +232,14 @@ void Executor::parallel_for(std::size_t count, std::uint32_t max_workers,
   if (max_workers == 0) max_workers = pool_threads() + 1;
 
   impl_->counters.batches.fetch_add(1, std::memory_order_relaxed);
-  if (t_drain_depth > 0) {
+  if (t_depth > 0) {
     impl_->counters.nested_batches.fetch_add(1, std::memory_order_relaxed);
   }
 
   const auto batch = std::make_shared<Batch>();
   batch->count = count;
   batch->task = &task;
+  batch->depth = t_depth;
   batch->counters = &impl_->counters;
   // The caller is always a participant; only the surplus comes from the
   // pool, and never more joiners than there are work items beyond the
@@ -253,6 +278,18 @@ void Executor::parallel_for(std::size_t count, std::uint32_t max_workers,
     }
   }
   if (batch->error) std::rethrow_exception(batch->error);
+}
+
+void Executor::help_until(const std::function<bool()>& done) {
+  impl_->help_until(done);
+}
+
+void Executor::wake_helpers() {
+  {
+    std::lock_guard<std::mutex> lock(impl_->queue_mutex);
+    ++impl_->wake_generation;
+  }
+  impl_->queue_cv.notify_all();
 }
 
 Executor& shared_executor() {

@@ -8,6 +8,25 @@
 #include "obs/trace.hpp"
 
 namespace mt4g::runtime {
+namespace {
+
+/// Forks a fresh replica of @p owner, traced as a replica.fork span and
+/// timed into replica.fork_ns. The fork seed is irrelevant: every user
+/// resets the replica before use.
+sim::Gpu fork_replica(const sim::Gpu& owner) {
+  const obs::SpanGuard span("replica.fork");
+  const bool timed = obs::metrics_enabled();
+  const std::uint64_t start_ns = timed ? obs::monotonic_ns() : 0;
+  sim::Gpu replica = owner.fork(owner.seed());
+  if (timed) {
+    obs::Metrics::instance().observe(
+        "replica.fork_ns",
+        static_cast<double>(obs::monotonic_ns() - start_ns));
+  }
+  return replica;
+}
+
+}  // namespace
 
 sim::Gpu ReplicaCache::acquire(const sim::Gpu& owner) {
   {
@@ -22,17 +41,7 @@ sim::Gpu ReplicaCache::acquire(const sim::Gpu& owner) {
       return replica;
     }
   }
-  // The fork seed is irrelevant: every user resets the replica before use.
-  const obs::SpanGuard span("replica.fork");
-  const bool timed = obs::metrics_enabled();
-  const std::uint64_t start_ns = timed ? obs::monotonic_ns() : 0;
-  sim::Gpu replica = owner.fork(owner.seed());
-  if (timed) {
-    obs::Metrics::instance().observe(
-        "replica.fork_ns",
-        static_cast<double>(obs::monotonic_ns() - start_ns));
-  }
-  return replica;
+  return fork_replica(owner);
 }
 
 void ReplicaCache::release(sim::Gpu&& replica) {
@@ -373,27 +382,21 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       units.push_back(std::move(unit));
     }
 
-    // One replica per participant slot; never more participants than units.
+    // At most one participant per unit. A slot's replica is acquired when
+    // the slot runs its first unit, so a participant the executor never
+    // delivered costs no fork; the slot table is sized up front so slots
+    // only ever touch their own entry.
     const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         std::max<std::uint32_t>(options.threads, 1), units.size()));
-    while (pool.replicas.size() < workers) {
-      // The fork seed is irrelevant: every unit re-seeds its replica below.
-      // (ReplicaCache::acquire books its own replica.fork span when it has
-      // to fork instead of recycling.)
-      if (pool.replica_cache) {
-        pool.replicas.push_back(pool.replica_cache->acquire(gpu));
-      } else {
-        const obs::SpanGuard fork_span("replica.fork");
-        const bool timed = obs::metrics_enabled();
-        const std::uint64_t fork_start = timed ? obs::monotonic_ns() : 0;
-        pool.replicas.push_back(gpu.fork(gpu.seed()));
-        if (timed) {
-          obs::Metrics::instance().observe(
-              "replica.fork_ns",
-              static_cast<double>(obs::monotonic_ns() - fork_start));
-        }
+    if (pool.replicas.size() < workers) pool.replicas.resize(workers);
+    const auto slot_replica = [&](std::uint32_t slot) -> sim::Gpu& {
+      std::optional<sim::Gpu>& replica = pool.replicas[slot];
+      if (!replica) {
+        replica.emplace(pool.replica_cache ? pool.replica_cache->acquire(gpu)
+                                           : fork_replica(gpu));
       }
-    }
+      return *replica;
+    };
 
     // Per-slot scratch, merged single-threaded at the join.
     std::vector<std::uint64_t> warm_full(pending.size(), 0);
@@ -403,7 +406,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
 
     const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
       const Unit& unit = units[u];
-      sim::Gpu& replica = pool.replicas[slot];
+      sim::Gpu& replica = slot_replica(slot);
       {
         const obs::SpanGuard reset_span("replica.reset");
         const std::uint64_t reset_start = obs::monotonic_ns();
@@ -480,8 +483,9 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     if (workers == 1) {
       for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
     } else {
-      exec::Executor& executor =
-          options.executor ? *options.executor : exec::shared_executor();
+      exec::Executor& executor = options.executor ? *options.executor
+                                 : pool.executor  ? *pool.executor
+                                                  : exec::shared_executor();
       executor.parallel_for(units.size(), workers, run_unit);
     }
     for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -176,7 +177,10 @@ struct WarmStateEntry {
 /// which keep the owner's seed, count as the same owning Gpu).
 struct ReplicaPool {
   std::uint64_t epoch = 0;
-  std::vector<sim::Gpu> replicas;
+  /// One replica per executor slot, acquired (ReplicaCache or fork) when
+  /// the slot runs its first unit: replicas exist only for slots that ran,
+  /// never for participants a batch was allowed but did not get.
+  std::vector<std::optional<sim::Gpu>> replicas;
   /// spec-seed hash -> (spec, result) entries; collisions resolved by the
   /// full spec comparison.
   std::unordered_map<std::uint64_t,
@@ -195,6 +199,11 @@ struct ReplicaPool {
   /// forked, and the stage runner returns them after the pool's stage
   /// completes. nullptr = fork directly (the pre-graph behaviour).
   ReplicaCache* replica_cache = nullptr;
+  /// Executor of this pool's batches when ChaseBatchOptions::executor is
+  /// unset; nullptr = exec::shared_executor(), resolved only by a batch that
+  /// fans out. The stage runner sets it to DiscoverOptions::bench_executor,
+  /// the executor its graph runs on, so idle stage workers can help.
+  exec::Executor* executor = nullptr;
   /// Warm-state ledger: per warm key, one numeric record per distinct walk
   /// length ever completed, sorted ascending by steps (snapshots attach to
   /// whichever records fit the byte budget). Booking prices a chase at the
@@ -238,7 +247,8 @@ struct ChaseBatchOptions {
   /// Total parallelism including the calling thread; 1 = serial reference
   /// (strict spec order, no executor involved).
   std::uint32_t threads = 1;
-  /// Executor to fan out on when threads > 1; nullptr = shared_executor().
+  /// Executor to fan out on when threads > 1; nullptr = the pool's
+  /// executor, else shared_executor().
   exec::Executor* executor = nullptr;
   /// Optional replica + memo cache reused across calls (see ReplicaPool).
   ReplicaPool* pool = nullptr;

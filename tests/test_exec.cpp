@@ -1,13 +1,19 @@
 // Shared-executor tests: completeness, serial ordering, slot disjointness,
-// exception policy and nesting — the properties the sweep engine and the
-// fleet scheduler build their determinism on.
+// exception policy, nesting and helping waits — the properties the sweep
+// engine, the stage graph and the fleet scheduler build their determinism
+// on.
 #include "exec/executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <future>
 #include <latch>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,6 +144,181 @@ TEST(ExecutorStats, NestedBatchesAreCounted) {
   EXPECT_EQ(after.batches - before.batches, 3u);
   EXPECT_EQ(after.nested_batches - before.nested_batches, 2u);
   EXPECT_EQ(after.tasks - before.tasks, 10u);
+}
+
+// --- Helping waits. -----------------------------------------------------------
+
+/// Holds the calling task until @p n tasks have arrived (or 10 s passed), so
+/// a batch of n such tasks needs n distinct participants to finish promptly.
+void rendezvous(std::atomic<int>& arrived, int n) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (arrived.load() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ExecutorHelping, WaiterRunsTasksOfAnotherThreadsBatch) {
+  // Three rendezvous tasks, three participants allowed: the submitter, the
+  // one pool thread and this waiter. Each task holds its participant, so
+  // the waiter must run one of them for the batch to finish promptly.
+  Executor executor(1);
+  const auto waiter = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> batch_done{false};
+  std::vector<std::thread::id> ran_on(3);
+  std::thread submitter([&] {
+    executor.parallel_for(3, 3, [&](std::size_t i, std::uint32_t) {
+      ran_on[i] = std::this_thread::get_id();
+      rendezvous(arrived, 3);
+    });
+    batch_done = true;
+    executor.wake_helpers();
+  });
+  executor.help_until([&] { return batch_done.load(); });
+  EXPECT_TRUE(batch_done.load()) << "returned before the predicate held";
+  submitter.join();
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), waiter), 1);
+}
+
+TEST(ExecutorHelping, WakeWithNothingQueuedReleasesTheWaiter) {
+  Executor executor(1);
+  std::atomic<bool> flag{false};
+  auto waiting = std::async(std::launch::async, [&] {
+    executor.help_until([&] { return flag.load(); });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let it block
+  flag = true;
+  executor.wake_helpers();
+  const bool woke =
+      waiting.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(woke) << "wake_helpers() did not wake the waiter";
+  // A batch push wakes waiters too, so a failed wake cannot hang the test.
+  if (!woke) executor.parallel_for(2, 2, [](std::size_t, std::uint32_t) {});
+}
+
+TEST(ExecutorHelping, WaiterJoinsOnlyBatchesAtItsOwnDepthOrDeeper) {
+  // The caller (slot 0) and the pool thread (slot 1) each hold one task of
+  // an outer batch; the caller then waits inside its task, at depth 1. A
+  // batch submitted from top level (depth 0) is enclosing work it must
+  // leave alone; a batch the pool thread submits from its task (depth 1)
+  // needs two participants, and the waiter is the only free thread.
+  Executor executor(1);
+  const auto waiter = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> top_level_on_waiter{0};
+  std::atomic<int> nested_on_waiter{0};
+  executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t slot) {
+    rendezvous(arrived, 2);
+    if (slot == 0) {
+      executor.help_until([&] { return done.load(); });
+      return;
+    }
+    std::thread top_level([&] {
+      executor.parallel_for(4, 4, [&](std::size_t, std::uint32_t) {
+        if (std::this_thread::get_id() == waiter) top_level_on_waiter += 1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      });
+    });
+    top_level.join();
+    std::atomic<int> nested_arrived{0};
+    executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t) {
+      if (std::this_thread::get_id() == waiter) nested_on_waiter += 1;
+      rendezvous(nested_arrived, 2);
+    });
+    done = true;
+    executor.wake_helpers();
+  });
+  EXPECT_EQ(top_level_on_waiter.load(), 0) << "joined an enclosing batch";
+  EXPECT_EQ(nested_on_waiter.load(), 1) << "left a nested batch unhelped";
+}
+
+thread_local bool t_helper = false;  ///< set on help_until() test threads
+
+TEST(ExecutorHelping, SlotsStayBelowMaxWorkersAndExclusiveWhileHelpersJoin) {
+  Executor executor(2);
+  constexpr std::uint32_t kMaxWorkers = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> helpers;
+  for (int h = 0; h < 3; ++h) {
+    helpers.emplace_back([&] {
+      t_helper = true;
+      executor.help_until([&] { return stop.load(); });
+    });
+  }
+  std::vector<std::atomic<int>> in_flight(kMaxWorkers);
+  std::atomic<bool> overlap{false};
+  std::atomic<bool> out_of_range{false};
+  std::atomic<int> helper_tasks{0};
+  const auto check_slot = [&](std::uint32_t slot) {
+    if (slot >= kMaxWorkers) {
+      out_of_range = true;
+      return false;
+    }
+    if (in_flight[slot].fetch_add(1) != 0) overlap = true;
+    if (t_helper) helper_tasks.fetch_add(1);
+    return true;
+  };
+  // A rendezvous round needs all four participants; two pool threads at
+  // most, so at least one helper joins. Then plain rounds under contention.
+  std::atomic<int> arrived{0};
+  executor.parallel_for(kMaxWorkers, kMaxWorkers,
+                        [&](std::size_t, std::uint32_t slot) {
+                          const bool counted = check_slot(slot);
+                          rendezvous(arrived, kMaxWorkers);
+                          if (counted) in_flight[slot].fetch_sub(1);
+                        });
+  for (int round = 0; round < 20; ++round) {
+    executor.parallel_for(64, kMaxWorkers, [&](std::size_t, std::uint32_t slot) {
+      if (!check_slot(slot)) return;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      in_flight[slot].fetch_sub(1);
+    });
+  }
+  stop = true;
+  executor.wake_helpers();
+  for (auto& helper : helpers) helper.join();
+  EXPECT_FALSE(out_of_range) << "a slot reached max_workers";
+  EXPECT_FALSE(overlap) << "two tasks ran concurrently on one slot";
+  EXPECT_GE(helper_tasks.load(), 1) << "no helper joined a batch";
+}
+
+TEST(ExecutorHelping, ExceptionOnAHelperSurfacesAsLowestIndexError) {
+  // As above, the waiter runs exactly one of three rendezvous tasks. Its
+  // task throws, and so does index 2 wherever it runs: the batch rethrows
+  // the lower of the two indices.
+  Executor executor(1);
+  const auto waiter = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<bool> batch_done{false};
+  std::atomic<std::size_t> waiter_index{SIZE_MAX};
+  const ExecutorStats before = executor.stats();
+  std::string error;
+  std::thread submitter([&] {
+    try {
+      executor.parallel_for(3, 3, [&](std::size_t i, std::uint32_t) {
+        rendezvous(arrived, 3);
+        const bool on_waiter = std::this_thread::get_id() == waiter;
+        if (on_waiter) waiter_index = i;
+        if (on_waiter || i == 2) {
+          throw std::runtime_error("boom " + std::to_string(i));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    batch_done = true;
+    executor.wake_helpers();
+  });
+  executor.help_until([&] { return batch_done.load(); });
+  submitter.join();
+  ASSERT_NE(waiter_index.load(), SIZE_MAX) << "the waiter never joined";
+  EXPECT_EQ(error,
+            "boom " + std::to_string(std::min<std::size_t>(waiter_index, 2)));
+  EXPECT_EQ(executor.stats().tasks_failed - before.tasks_failed,
+            waiter_index == 2 ? 1u : 2u);
 }
 
 TEST(Executor, SharedExecutorIsAProcessSingleton) {

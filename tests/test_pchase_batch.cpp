@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/units.hpp"
 #include "core/target.hpp"
 #include "exec/executor.hpp"
@@ -144,12 +146,38 @@ TEST(PChaseBatch, StaleReplicaPoolIsRefreshedAfterCacheRebuild) {
   options.pool = &pool;
   (void)run_pchase_batch(gpu, configs, options);
   ASSERT_FALSE(pool.replicas.empty());
-  EXPECT_EQ(pool.replicas[0].l2_fetch_granularity(),
+  ASSERT_TRUE(pool.replicas[0].has_value());
+  EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(),
             gpu.l2_fetch_granularity());
 
   gpu.set_l2_fetch_granularity(64);
   (void)run_pchase_batch(gpu, configs, options);
-  EXPECT_EQ(pool.replicas[0].l2_fetch_granularity(), 64u);
+  ASSERT_TRUE(pool.replicas[0].has_value());
+  EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(), 64u);
+}
+
+TEST(PChaseBatch, ReplicasAreAcquiredPerWorkingSlot) {
+  // 100 cold chases are 100 units, and threads = 8 allows eight
+  // participants. A pool-less executor runs every unit on the caller's
+  // slot, so that slot is the only one that may hold a replica.
+  exec::Executor inline_only(0);
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  auto configs = sweep_configs(gpu, 100);
+  for (PChaseConfig& config : configs) config.warmup = false;
+
+  ReplicaPool pool;
+  PChaseBatchOptions options;
+  options.threads = 8;
+  options.executor = &inline_only;
+  options.pool = &pool;
+  const auto results = run_pchase_batch(gpu, configs, options);
+  EXPECT_EQ(std::count_if(pool.replicas.begin(), pool.replicas.end(),
+                          [](const auto& replica) { return replica.has_value(); }),
+            1);
+
+  PChaseBatchOptions serial;
+  serial.threads = 1;
+  EXPECT_TRUE(equal_results(run_pchase_batch(gpu, configs, serial), results));
 }
 
 std::vector<ChaseSpec> multi_phase_specs(sim::Gpu& gpu) {

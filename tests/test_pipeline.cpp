@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "common/units.hpp"
@@ -187,9 +189,16 @@ TEST(StageGraphDeterminism, ReportsByteIdenticalAcrossThreadCombinations) {
     const std::string reference = discover_json(model, 1, 1, nullptr);
     for (const std::uint32_t bench : {1u, 4u, 8u}) {
       for (const std::uint32_t sweep : {1u, 8u}) {
+        const exec::ExecutorStats before = pool.stats();
         EXPECT_EQ(discover_json(model, bench, sweep, &pool), reference)
             << model << " diverges at bench_threads=" << bench
             << " sweep_threads=" << sweep;
+        if (sweep > 1) {
+          // The chase batches ran on the injected pool too: it executed
+          // more tasks than the graph has stage workers.
+          EXPECT_GT(pool.stats().tasks - before.tasks, bench)
+              << model << " bench_threads=" << bench;
+        }
       }
     }
   }
@@ -197,12 +206,66 @@ TEST(StageGraphDeterminism, ReportsByteIdenticalAcrossThreadCombinations) {
 
 TEST(StageGraphDeterminism, RealModelsByteIdenticalSerialVsConcurrent) {
   // Two real registry models (one per vendor) at the extreme combination.
+  // Eight stage workers hold the caller and all seven pool threads, so
+  // every chase task a joiner ran beyond the seven worker tasks was run by
+  // a stage worker helping while it had no ready stage: the byte check
+  // covers helped chases.
   exec::Executor pool(7);
   for (const std::string model : {"P6000", "MI300X"}) {
-    EXPECT_EQ(discover_json(model, 8, 8, &pool),
-              discover_json(model, 1, 1, nullptr))
-        << model;
+    const std::string serial = discover_json(model, 1, 1, nullptr);
+    const exec::ExecutorStats before = pool.stats();
+    EXPECT_EQ(discover_json(model, 8, 8, &pool), serial) << model;
+    EXPECT_GT(pool.stats().pool_tasks - before.pool_tasks, 7u)
+        << model << ": no stage worker helped a chase batch";
   }
+}
+
+TEST(StageGraphExecutor, IdleStageWorkersHelpChaseBatches) {
+  // MI100's CU-pair batch holds 7,140 chases. On a host with up to four
+  // hardware threads the four stage workers occupy the whole shared pool,
+  // so only workers helping while they have no ready stage can take chases
+  // off the submitter; parked workers would leave it nearly all of them.
+  exec::Executor& executor = exec::shared_executor();
+  if (executor.pool_threads() == 0) {
+    GTEST_SKIP() << "the shared executor has no pool threads";
+  }
+  sim::Gpu gpu(sim::registry_get("MI100"), 42);
+  DiscoverOptions options;
+  options.bench_threads = 4;
+  options.sweep_threads = 4;
+  const exec::ExecutorStats before = executor.stats();
+  (void)discover(gpu, options);
+  const exec::ExecutorStats after = executor.stats();
+  const std::uint64_t tasks = after.tasks - before.tasks;
+  const std::uint64_t joined = after.pool_tasks - before.pool_tasks;
+  ASSERT_GT(tasks, 7140u);
+  EXPECT_GE(joined * 10, tasks)
+      << joined << " of " << tasks << " tasks ran on joined participants";
+}
+
+/// Threads of this process, from /proc/self/status; -1 if unreadable.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(StageGraphExecutor, SerialDiscoveryStartsNoPoolThreads) {
+  // Fleet worker processes discover serially; they must stay
+  // single-threaded, as no executor is needed there. The threadsafe style
+  // re-executes this binary for the child, so its shared executor is
+  // unstarted whatever earlier tests in this process did.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        sim::Gpu gpu(sim::registry_get("TestGPU-AMD"), 42);
+        (void)discover(gpu);
+        std::exit(process_threads() == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(StageGraphDeterminism, MemoHitsAndAttributionStable) {
