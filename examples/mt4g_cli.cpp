@@ -46,11 +46,12 @@ using namespace mt4g;
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
+  out << content;
+  out.close();  // a full disk or file-size limit surfaces at the flush
   if (!out) {
     std::fprintf(stderr, "mt4g: cannot write %s\n", path.c_str());
     return false;
   }
-  out << content;
   return true;
 }
 
@@ -389,8 +390,9 @@ const char kFleetUsage[] =
     "                               for 10 periods is presumed dead\n"
     "  --journal FILE               append every completed job to FILE\n"
     "                               (fsync'd line JSON) so a killed run can\n"
-    "                               be resumed; without --resume an existing\n"
-    "                               journal is started over\n"
+    "                               be resumed, in-process or --procs alike;\n"
+    "                               truncated first unless --resume. A\n"
+    "                               failing journal warns, never stops a run\n"
     "  --resume                     load --journal FILE first and only run\n"
     "                               the jobs it does not already answer; the\n"
     "                               final report is byte-identical to an\n"
@@ -414,8 +416,9 @@ const char kFleetUsage[] =
     "                               expiry counts as a transient failure\n"
     "  --retry-backoff-ms N         base of the exponential backoff between\n"
     "                               attempts, capped at 1000 ms (default 0)\n"
-    "  --fail-fast                  stop claiming jobs after the first failed\n"
-    "                               job; unclaimed jobs report as skipped\n"
+    "  --fail-fast                  start no attempt after the first failed\n"
+    "                               job (in-process or --procs); the jobs\n"
+    "                               left report as skipped\n"
     "  --keep-going                 run every job despite failures (default)\n"
     "  --fault-plan FILE            arm the deterministic fault-injection\n"
     "                               plan in FILE (JSON; see README \"Failure\n"
@@ -436,7 +439,8 @@ const char kFleetUsage[] =
 
 int run_fleet(const char* argv0, int argc, char** argv) {
   fleet::SweepPlan plan;
-  fleet::SchedulerOptions scheduler;
+  fleet::SupervisorOptions fleet_options;
+  fleet_options.procs = 0;  // in-process threads unless --procs N
   std::string cache_path;    // empty = derive from out dir
   std::string baseline_dir;
   std::string model_dir;
@@ -450,7 +454,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   std::uint32_t bench_threads = 1;
   bool subsweep_chunking = true;
   std::uint32_t retries = 2;
-  std::uint32_t procs = 0;  // 0 = in-process threads, >= 1 = worker processes
   std::uint32_t worker_heartbeat_ms = 500;
   std::string journal_path;
   bool resume = false;
@@ -490,9 +493,9 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     } else if (arg == "--first-seed") {
       plan.first_seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--workers") {
-      scheduler.workers = count_value(0);
+      fleet_options.workers = count_value(0);
     } else if (arg == "--procs") {
-      procs = count_value(0);
+      fleet_options.procs = count_value(0);
     } else if (arg == "--worker-heartbeat-ms") {
       worker_heartbeat_ms = count_value(1);
     } else if (arg == "--journal") {
@@ -518,13 +521,13 @@ int run_fleet(const char* argv0, int argc, char** argv) {
                      "mt4g fleet: --job-timeout expects seconds > 0\n");
         return 2;
       }
-      scheduler.retry.timeout_seconds = seconds;
+      fleet_options.retry.timeout_seconds = seconds;
     } else if (arg == "--retry-backoff-ms") {
-      scheduler.retry.backoff_base_ms = count_value(0);
+      fleet_options.retry.backoff_base_ms = count_value(0);
     } else if (arg == "--fail-fast") {
-      scheduler.fail_fast = true;
+      fleet_options.fail_fast = true;
     } else if (arg == "--keep-going") {
-      scheduler.fail_fast = false;
+      fleet_options.fail_fast = false;
     } else if (arg == "--fault-plan") {
       fault_plan_path = value();
     } else if (arg == "--model-dir") {
@@ -559,7 +562,7 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     std::fprintf(stderr, "mt4g fleet: --resume needs --journal FILE\n");
     return 2;
   }
-  scheduler.retry.max_attempts = retries + 1;
+  fleet_options.retry.max_attempts = retries + 1;
 
   // Armed for the whole sweep (and disarmed on every exit path): chaos runs
   // exercise the same binary, the same code paths, the same flags.
@@ -610,11 +613,11 @@ int run_fleet(const char* argv0, int argc, char** argv) {
       std::fprintf(stderr, "mt4g fleet: %s — rebuilding cache\n",
                    cache->load_error().c_str());
     }
-    scheduler.cache = &*cache;
+    fleet_options.cache = &*cache;
   }
   if (!quiet) {
-    scheduler.on_result = [](const fleet::JobResult& result, std::size_t done,
-                             std::size_t total) {
+    fleet_options.on_result = [](const fleet::JobResult& result,
+                                 std::size_t done, std::size_t total) {
       const char* verdict = result.ok         ? "ok"
                             : result.skipped  ? "SKIPPED"
                             : result.crashed  ? "CRASHED"
@@ -645,104 +648,52 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   }
 
   fleet::FleetProgress fleet_progress;
-  scheduler.progress = &fleet_progress;
+  fleet_options.progress = &fleet_progress;
   ObsSession obs_session(trace_path, metrics_path);
 
   const std::vector<fleet::DiscoveryJob> jobs = fleet::expand_jobs(plan);
 
-  // Journal bookkeeping: --resume replays the journal's outcomes into
-  // prefilled result slots; without --resume an existing journal restarts.
+  // --resume replays the journal's outcomes into prefilled result slots;
+  // without it the journal starts over.
   std::vector<fleet::JobResult> prefilled;
-  std::vector<std::size_t> pending_indices;
   std::optional<fleet::RunJournal> journal;
   if (!journal_path.empty()) {
-    std::map<std::string, fleet::JournalEntry> journaled;
-    if (resume) {
-      try {
-        journaled = fleet::load_journal(journal_path);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mt4g fleet: %s\n", e.what());
-        return 1;
-      }
-    } else {
-      std::error_code remove_ec;
-      std::filesystem::remove(journal_path, remove_ec);
-    }
-    pending_indices = fleet::apply_journal(jobs, journaled, prefilled);
     try {
-      journal.emplace(fleet::RunJournal::open(journal_path));
+      if (resume) {
+        fleet::apply_journal(jobs, fleet::load_journal(journal_path),
+                             prefilled);
+      }
+      journal.emplace(fleet::RunJournal::open(journal_path, !resume));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "mt4g fleet: %s\n", e.what());
       return 1;
     }
-  } else {
-    pending_indices = fleet::apply_journal(jobs, {}, prefilled);
+    fleet_options.journal = &*journal;
   }
 
   // First SIGINT/SIGTERM = graceful stop; second = immediate death.
-  scheduler.cancel = &g_cancel;
+  fleet_options.cancel = &g_cancel;
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
+  // Under --procs, supervised worker processes run the attempts: crash
+  // containment and heartbeat liveness (README "Distributed fleet").
+  fleet_options.worker_argv = {argv0, "fleet-worker", "--heartbeat-ms",
+                               std::to_string(worker_heartbeat_ms)};
+  if (!fault_plan_path.empty()) {
+    fleet_options.worker_argv.push_back("--fault-plan");
+    fleet_options.worker_argv.push_back(fault_plan_path);
+  }
+  fleet_options.heartbeat_timeout_seconds =
+      std::max(2.0, 10.0 * worker_heartbeat_ms / 1000.0);
   std::vector<fleet::JobResult> results;
   {
     std::optional<ProgressHeartbeat> heartbeat;
-    if (progress) {
-      fleet_progress.total.store(jobs.size(), std::memory_order_relaxed);
-      heartbeat.emplace(fleet_progress);
-    }
-    if (procs > 0) {
-      // Supervised worker processes: same jobs, same retry budget, plus
-      // crash containment and heartbeat liveness (README "Distributed
-      // fleet").
-      fleet::SupervisorOptions super;
-      super.procs = procs;
-      super.worker_argv = {argv0, "fleet-worker", "--heartbeat-ms",
-                           std::to_string(worker_heartbeat_ms)};
-      if (!fault_plan_path.empty()) {
-        super.worker_argv.push_back("--fault-plan");
-        super.worker_argv.push_back(fault_plan_path);
-      }
-      super.cache = scheduler.cache;
-      super.journal = journal ? &*journal : nullptr;
-      super.on_result = scheduler.on_result;
-      super.progress = scheduler.progress;
-      super.retry = scheduler.retry;
-      super.cancel = &g_cancel;
-      super.heartbeat_timeout_seconds =
-          std::max(2.0, 10.0 * worker_heartbeat_ms / 1000.0);
-      results = fleet::run_supervised(jobs, super, std::move(prefilled));
-    } else if (!journal_path.empty()) {
-      // In-process sweep with a journal: run only the pending subset, append
-      // each final outcome, and merge back into the prefilled slots so the
-      // result vector keeps job order.
-      std::vector<fleet::DiscoveryJob> pending_jobs;
-      pending_jobs.reserve(pending_indices.size());
-      for (const std::size_t index : pending_indices) {
-        pending_jobs.push_back(jobs[index]);
-      }
-      fleet::SchedulerOptions journaling = scheduler;
-      if (journal) {
-        journaling.on_result = [&](const fleet::JobResult& result,
-                                   std::size_t done, std::size_t total) {
-          try {
-            if (!result.skipped) journal->append(result);
-          } catch (const std::exception& e) {
-            // A dead journal downgrades crash-safety, not the sweep itself.
-            std::fprintf(stderr, "mt4g fleet: %s\n", e.what());
-          }
-          if (scheduler.on_result) scheduler.on_result(result, done, total);
-        };
-      }
-      std::vector<fleet::JobResult> pending_results =
-          fleet::run_sweep(pending_jobs, journaling);
-      results = std::move(prefilled);
-      for (std::size_t i = 0; i < pending_indices.size(); ++i) {
-        results[pending_indices[i]] = std::move(pending_results[i]);
-      }
-    } else {
-      results = fleet::run_sweep(jobs, scheduler);
-    }
+    if (progress) heartbeat.emplace(fleet_progress);
+    results = fleet_options.procs > 0
+                  ? fleet::run_supervised(jobs, fleet_options,
+                                          std::move(prefilled))
+                  : fleet::run_sweep(jobs, fleet_options, std::move(prefilled));
   }
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -750,6 +701,11 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     std::fprintf(stderr,
                  "fleet: cancelled — queued jobs skipped, journal and cache "
                  "flushed\n");
+  }
+  if (journal && !journal->error().empty()) {
+    std::fprintf(stderr,
+                 "mt4g fleet: %s — jobs settled after it are not journaled\n",
+                 journal->error().c_str());
   }
   if (!obs_session.finish()) return 1;
   const fleet::FleetReport report = fleet::aggregate(results);

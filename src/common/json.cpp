@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -49,14 +50,19 @@ void Value::set(const std::string& key, Value value) {
 
 namespace {
 
-std::string format_double(double v) {
+std::string format_double(double v, bool exact) {
   if (std::isnan(v)) return "null";
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
   char buf[64];
-  // %.10g round-trips the values we emit (latencies, bandwidths, confidences)
-  // without trailing noise digits.
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  std::string s(buf);
+  std::string s;
+  if (exact) {
+    s.assign(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);  // shortest
+  } else {
+    // %.10g round-trips the values we emit (latencies, bandwidths,
+    // confidences) without trailing noise digits.
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    s = buf;
+  }
   // Ensure a JSON reader sees a float, not an int, for double-typed fields.
   if (s.find_first_of(".eE") == std::string::npos) s += ".0";
   return s;
@@ -64,7 +70,8 @@ std::string format_double(double v) {
 
 }  // namespace
 
-void Value::dump_impl(std::string& out, int indent, int depth) const {
+void Value::dump_impl(std::string& out, int indent, int depth,
+                      bool exact) const {
   const bool compact = indent < 0;
   const std::string pad(
       compact ? 0 : static_cast<std::size_t>(indent) * depth, ' ');
@@ -78,7 +85,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
   } else if (is_int()) {
     out += std::to_string(as_int());
   } else if (is_double()) {
-    out += format_double(std::get<double>(data_));
+    out += format_double(std::get<double>(data_), exact);
   } else if (is_string()) {
     out += '"' + escape(as_string()) + '"';
   } else if (is_array()) {
@@ -91,7 +98,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
     out += newline;
     for (std::size_t i = 0; i < arr.size(); ++i) {
       out += pad_in;
-      arr[i].dump_impl(out, indent, depth + 1);
+      arr[i].dump_impl(out, indent, depth + 1, exact);
       if (i + 1 < arr.size()) out += ',';
       out += newline;
     }
@@ -107,7 +114,7 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
     for (std::size_t i = 0; i < obj.size(); ++i) {
       out += pad_in + '"' + escape(obj[i].first) + "\":";
       if (!compact) out += ' ';
-      obj[i].second.dump_impl(out, indent, depth + 1);
+      obj[i].second.dump_impl(out, indent, depth + 1, exact);
       if (i + 1 < obj.size()) out += ',';
       out += newline;
     }
@@ -115,9 +122,9 @@ void Value::dump_impl(std::string& out, int indent, int depth) const {
   }
 }
 
-std::string Value::dump(int indent) const {
+std::string Value::dump(int indent, bool exact) const {
   std::string out;
-  dump_impl(out, indent, 0);
+  dump_impl(out, indent, 0, exact);
   return out;
 }
 

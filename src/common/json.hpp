@@ -66,11 +66,13 @@ class Value {
   /// Serialises with 2-space indentation and '\n' line ends. A negative
   /// indent emits the compact single-line form (no whitespace at all) — the
   /// shape line-delimited protocols (fleet worker pipes, run journals) need,
-  /// where '\n' may only ever terminate a record.
-  std::string dump(int indent = 2) const;
+  /// where '\n' may only ever terminate a record. @p exact writes each
+  /// double in the shortest form that parses back to the same bits, for
+  /// records a program reads back instead of a person.
+  std::string dump(int indent = 2, bool exact = false) const;
 
  private:
-  void dump_impl(std::string& out, int indent, int depth) const;
+  void dump_impl(std::string& out, int indent, int depth, bool exact) const;
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array,
                Object>

@@ -11,15 +11,18 @@
 //   std::cout << fleet::to_markdown(fleet::aggregate(results));
 //   cache.save();
 //
-// Crash-isolated (supervised worker processes + resumable journal):
-//   fleet::SupervisorOptions super;
-//   super.procs = 4;
-//   super.worker_argv = {argv0, "fleet-worker"};
-//   auto journal = fleet::RunJournal::open("run.journal");
-//   super.journal = &journal;
-//   auto prefilled = std::vector<fleet::JobResult>{};
+// Resumable, optionally crash-isolated: one options value drives either
+// runner, and the journal works in both.
+//   fleet::SupervisorOptions options;  // SchedulerOptions + the worker pool
+//   options.procs = 4;
+//   options.worker_argv = {argv0, "fleet-worker"};
+//   std::vector<fleet::JobResult> prefilled;
 //   fleet::apply_journal(jobs, fleet::load_journal("run.journal"), prefilled);
-//   const auto results = fleet::run_supervised(jobs, super, prefilled);
+//   auto journal = fleet::RunJournal::open("run.journal");
+//   options.journal = &journal;
+//   const auto results =
+//       isolate ? fleet::run_supervised(jobs, options, std::move(prefilled))
+//               : fleet::run_sweep(jobs, options, std::move(prefilled));
 #pragma once
 
 #include "fleet/aggregate.hpp"  // IWYU pragma: export

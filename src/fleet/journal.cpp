@@ -25,20 +25,25 @@ std::string errno_text() { return std::strerror(errno); }
 RunJournal::~RunJournal() { close(); }
 
 RunJournal::RunJournal(RunJournal&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      path_(std::move(other.path_)),
+      error_(std::move(other.error_)) {}
 
 RunJournal& RunJournal::operator=(RunJournal&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
+    error_ = std::move(other.error_);
   }
   return *this;
 }
 
-RunJournal RunJournal::open(const std::string& path) {
+RunJournal RunJournal::open(const std::string& path, bool truncate) {
   RunJournal journal;
-  journal.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  journal.fd_ = ::open(path.c_str(),
+                       O_WRONLY | O_CREAT | O_APPEND | (truncate ? O_TRUNC : 0),
+                       0644);
   if (journal.fd_ < 0) {
     throw std::runtime_error("journal: cannot open '" + path +
                              "': " + errno_text());
@@ -48,7 +53,8 @@ RunJournal RunJournal::open(const std::string& path) {
 }
 
 void RunJournal::append(const JobResult& result) {
-  if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
+  if (!error_.empty()) throw std::runtime_error(error_);
+  if (fd_ < 0) fail("journal: append on a closed journal");
   json::Object record;
   record.emplace_back("v", 1);
   record.emplace_back("key", result.job.key());
@@ -57,7 +63,8 @@ void RunJournal::append(const JobResult& result) {
   } else {
     record.emplace_back("error", result.error);
   }
-  const std::string line = json::Value(std::move(record)).dump(-1) + "\n";
+  const std::string line =
+      json::Value(std::move(record)).dump(-1, /*exact=*/true) + "\n";
   // One full-line write; O_APPEND makes it atomic with respect to our own
   // earlier records, and the fsync pins it before the coordinator proceeds —
   // the invariant the torn-tail-tolerant loader depends on.
@@ -67,15 +74,18 @@ void RunJournal::append(const JobResult& result) {
         ::write(fd_, line.data() + written, line.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error("journal: write to '" + path_ +
-                               "' failed: " + errno_text());
+      fail("journal: write to '" + path_ + "' failed: " + errno_text());
     }
     written += static_cast<std::size_t>(n);
   }
   if (::fsync(fd_) != 0) {
-    throw std::runtime_error("journal: fsync of '" + path_ +
-                             "' failed: " + errno_text());
+    fail("journal: fsync of '" + path_ + "' failed: " + errno_text());
   }
+}
+
+void RunJournal::fail(const std::string& message) {
+  error_ = message;
+  throw std::runtime_error(error_);
 }
 
 void RunJournal::close() {
@@ -127,7 +137,7 @@ std::map<std::string, JournalEntry> load_journal(const std::string& path) {
     const json::Value* error = doc.find("error");
     if (report != nullptr && report->is_object()) {
       try {
-        entry.report = core::from_json_string(report->dump());
+        entry.report = core::from_json_string(report->dump(-1, /*exact=*/true));
         entry.ok = true;
       } catch (const std::exception&) {
         // A structurally intact record with an unreadable report can only be

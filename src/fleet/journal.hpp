@@ -38,7 +38,8 @@ struct JournalEntry {
 
 /// Append side. Opens the file O_APPEND|O_CREAT and fsyncs after every
 /// record, so a record is either fully durable or a droppable torn tail —
-/// never silently half-trusted.
+/// never silently half-trusted. The first failed append is the journal's
+/// last: a later record behind a torn one would make the file unreadable.
 class RunJournal {
  public:
   RunJournal() = default;
@@ -48,9 +49,11 @@ class RunJournal {
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
 
-  /// Opens @p path for appending (creating it if needed).
+  /// Opens @p path for appending (creating it if needed). @p truncate
+  /// starts the journal over: the file is emptied in place (O_TRUNC), so a
+  /// symlink or device at @p path stays what it is.
   /// @throws std::runtime_error when the file cannot be opened.
-  static RunJournal open(const std::string& path);
+  static RunJournal open(const std::string& path, bool truncate = false);
 
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
@@ -59,14 +62,22 @@ class RunJournal {
   /// journaled too — --resume must not re-burn a retry budget the previous
   /// run already exhausted. Skipped/cancelled jobs are NOT journaled: a
   /// resumed run should attempt them.
-  /// @throws std::runtime_error when the write or fsync fails.
+  /// @throws std::runtime_error when the journal is closed, or when this or
+  /// an earlier write or fsync failed (the first failure is kept in error()).
   void append(const JobResult& result);
+
+  /// Why the first failed append failed; empty while every append so far
+  /// is durable.
+  const std::string& error() const { return error_; }
 
   void close();
 
  private:
+  [[noreturn]] void fail(const std::string& message);
+
   int fd_ = -1;
   std::string path_;
+  std::string error_;
 };
 
 /// Loads every intact record of a journal file; keyed by job key, later

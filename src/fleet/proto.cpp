@@ -48,7 +48,7 @@ std::uint64_t parse_u64(const std::string& text, int base, const char* what) {
 
 /// Dumps @p message as one protocol line: compact JSON + terminating newline.
 std::string line(json::Object message) {
-  return json::Value(std::move(message)).dump(-1) + "\n";
+  return json::Value(std::move(message)).dump(-1, /*exact=*/true) + "\n";
 }
 
 /// Shared head of parse_worker_command / parse_worker_message: JSON-parses
@@ -126,10 +126,8 @@ json::Value job_to_json(const DiscoveryJob& job) {
   doc.emplace_back("spec_hash", spec_hash == 0 ? "-" : hex16(spec_hash));
   if (job.spec) {
     // The canonical spec travels as an opaque STRING, not a JSON subtree:
-    // spec doubles are written in exact to_chars form, and embedding them as
-    // values would re-render them through the line serialiser's %.10g —
-    // corrupting the spec by an ulp and shifting every derived quantity the
-    // worker computes from it. Strings pass through the dump byte-exactly.
+    // the worker reads back exactly the text spec files and content hashes
+    // use. Strings pass through the dump byte-exactly.
     doc.emplace_back("spec", sim::spec_to_json(*job.spec));
   } else {
     doc.emplace_back("spec", nullptr);
@@ -366,7 +364,7 @@ std::optional<WorkerMessage> parse_worker_message(const std::string& text,
     return std::nullopt;
   }
   try {
-    message.report = core::from_json_string(report->dump());
+    message.report = core::from_json_string(report->dump(-1, /*exact=*/true));
   } catch (const std::exception& e) {
     if (reason) {
       *reason = std::string("done record carries an unreadable report: ") +

@@ -2,8 +2,9 @@
 //
 // A coordinator (supervise.hpp) and its worker processes (worker.hpp) speak
 // newline-terminated, single-line JSON records — one record per line, never a
-// newline inside a record (json::Value::dump(-1) compact form; strings escape
-// control characters). The protocol is deliberately tiny:
+// newline inside a record (json::Value::dump(-1, exact) compact form; strings
+// escape control characters, and doubles are exact, so a report crosses the
+// pipe bit for bit). The protocol is deliberately tiny:
 //
 //   coordinator -> worker
 //     {"type":"job","index":N,"attempt":A,"timeout":S,"job":{...}}
@@ -17,9 +18,8 @@
 //      "timed_out":B,"permanent":B,"wall":S}
 //
 // Jobs travel fully by value — the assignment embeds the resolved GpuSpec as
-// a STRING holding its canonical spec JSON (exact to_chars doubles, immune
-// to the line serialiser's %.10g) — so a worker needs no registry lookup and
-// a custom --model-spec sweep shards exactly like a built-in one.
+// a STRING holding its canonical spec JSON — so a worker needs no registry
+// lookup and a custom --model-spec sweep shards exactly like a built-in one.
 //
 // Robustness contract: parse_worker_message() never throws on hostile input.
 // A truncated, garbage, or type-confused worker line returns nullopt with a

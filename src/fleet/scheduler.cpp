@@ -1,38 +1,18 @@
 #include "fleet/scheduler.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
 #include <thread>
 
-#include "common/fault.hpp"
-#include "core/cancel.hpp"
 #include "exec/executor.hpp"
-#include "obs/metrics.hpp"
+#include "fleet/coordinator.hpp"
 #include "obs/trace.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::fleet {
-namespace {
-
-/// Deterministic backoff before retry attempt @p attempt (2-based):
-/// min(cap, base << (attempt - 2)) milliseconds; base 0 = immediate.
-std::uint32_t backoff_ms(const RetryPolicy& retry, std::uint32_t attempt) {
-  if (retry.backoff_base_ms == 0 || attempt < 2) return 0;
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt - 2, 31);
-  const std::uint64_t wait =
-      static_cast<std::uint64_t>(retry.backoff_base_ms) << shift;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(wait, retry.backoff_cap_ms));
-}
-
-}  // namespace
 
 std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
-                                 const SchedulerOptions& options) {
-  std::vector<JobResult> results(jobs.size());
-  if (jobs.empty()) return results;
+                                 const SchedulerOptions& options,
+                                 std::vector<JobResult> prefilled) {
+  Coordinator coordinator(jobs, options, std::move(prefilled));
 
   std::uint32_t workers = options.workers;
   if (workers == 0) {
@@ -45,173 +25,28 @@ std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
   // just keeps the first claimed jobs from serialising on the init lock.
   (void)sim::registry_all_names();
 
-  if (options.progress) {
-    options.progress->total.store(jobs.size(), std::memory_order_relaxed);
-  }
-
-  const std::uint32_t max_attempts =
-      std::max<std::uint32_t>(options.retry.max_attempts, 1);
-
-  std::size_t done = 0;  // guarded by callback_mutex
-  std::mutex callback_mutex;
-  // Set by the first definitive failure under fail_fast; jobs claimed after
-  // that finish as skipped results instead of running.
-  std::atomic<bool> abort{false};
-
-  const auto finish = [&](JobResult& result) {
-    if (options.progress) {
-      if (result.from_cache) {
-        options.progress->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (result.skipped) {
-        options.progress->skipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (!result.ok) {
-        options.progress->failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      options.progress->done.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics& metrics = obs::Metrics::instance();
-      metrics.add("fleet.jobs_done");
-      if (result.from_cache) metrics.add("fleet.cache_hits");
-      if (result.skipped) {
-        metrics.add("fleet.jobs_skipped");
-      } else if (!result.ok) {
-        metrics.add("fleet.jobs_failed");
-      }
-      // A job that needed more than one attempt finished degraded even when
-      // it ultimately succeeded — the signal an operator alerts on.
-      if (result.retried || result.timed_out) {
-        metrics.add("fleet.jobs_degraded");
-      }
-    }
-    if (options.on_result) {
-      // The finished count is bumped under the same lock as the callback so
-      // `done` values arrive strictly in order (1, 2, ..., total).
-      std::lock_guard<std::mutex> lock(callback_mutex);
-      options.on_result(result, ++done, jobs.size());
-    }
-  };
-
-  const auto run_one = [&](std::size_t index, std::uint32_t) {
-    JobResult& result = results[index];
-    result.job = jobs[index];
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      result.skipped = true;
-      result.error = "skipped: sweep cancelled";
-      finish(result);
-      return;
-    }
-    if (options.fail_fast && abort.load(std::memory_order_relaxed)) {
-      result.skipped = true;
-      result.error = "skipped: fail-fast abort after an earlier job failed";
-      finish(result);
-      return;
-    }
-    // Span names allocate; skip the key() format entirely when not tracing.
-    const obs::SpanGuard job_span(
-        "fleet.job:",
-        obs::tracing_enabled() ? jobs[index].key() : std::string());
-    const auto start = std::chrono::steady_clock::now();
-
-    try {
-      if (options.cache) {
-        if (auto cached = options.cache->get(result.job)) {
-          result.report = std::move(*cached);
-          result.ok = true;
-          result.from_cache = true;
-        }
-      }
-    } catch (...) {
-      // A broken cache degrades to a recompute, never fails the job.
-    }
-
-    if (!result.from_cache) {
-      for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        if (attempt > 1) {
-          result.retried = true;
-          if (options.progress) {
-            options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (obs::metrics_enabled()) {
-            obs::Metrics::instance().add("fleet.retries");
-          }
-          const std::uint32_t wait_ms = backoff_ms(options.retry, attempt);
-          if (wait_ms > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
-          }
-        }
-        result.attempts = attempt;
-        result.timed_out = false;  // only the final attempt's verdict counts
-        try {
-          const obs::SpanGuard attempt_span(
-              "fleet.attempt:",
-              obs::tracing_enabled()
-                  ? jobs[index].key() + "#" + std::to_string(attempt)
-                  : std::string());
-          if (fault::faults_enabled()) {
-            fault::Injector::instance().at(fault::kSiteJobAttempt,
-                                           jobs[index].key());
-          }
-          // Each attempt runs the job value untouched except for a fresh
-          // deadline — run_job builds a new Gpu from the spec, so attempt N
-          // reproduces attempt 1 exactly and retries stay byte-identical.
-          DiscoveryJob attempt_job = result.job;
-          attempt_job.options.deadline =
-              core::Deadline::after(options.retry.timeout_seconds);
-          result.report = run_job(attempt_job);
-          result.ok = true;
-          result.error.clear();
-          break;
-        } catch (const core::TimeoutError& e) {
-          result.error = e.what();
-          result.timed_out = true;
-          if (options.progress) {
-            options.progress->timeouts.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          }
-          if (obs::metrics_enabled()) {
-            obs::Metrics::instance().add("fleet.timeouts");
-          }
-        } catch (const std::invalid_argument& e) {
-          // Permanent: a malformed job (unknown MIG profile, bad cache
-          // config) yields the same error every attempt — fail immediately.
-          result.error = e.what();
-          break;
-        } catch (const std::out_of_range& e) {
-          result.error = e.what();  // permanent: unknown model
-          break;
-        } catch (const std::exception& e) {
-          result.error = e.what();  // transient: retryable
-        } catch (...) {
-          result.error = "unknown error";
-        }
-      }
-      if (result.ok && options.cache) {
-        try {
-          options.cache->put(result.job, result.report);
-        } catch (...) {
-          // Cache write problems never demote a successful discovery.
-        }
-      }
-    }
-
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (!result.ok && options.fail_fast) {
-      abort.store(true, std::memory_order_relaxed);
-    }
-    finish(result);
-  };
-
   // The shared executor runs the fan-out: workers == 1 degenerates to the
   // serial in-order loop on this thread (same code path, same result
   // layout), and a job's own nested parallelism (sweep_threads > 1 inside
   // discovery) composes on the same pool without spawning extra threads.
-  exec::shared_executor().parallel_for(jobs.size(), workers, run_one);
-  return results;
+  exec::shared_executor().parallel_for(
+      jobs.size(), workers, [&](std::size_t index, std::uint32_t) {
+        // Span names allocate; skip the key() format when not tracing.
+        const obs::SpanGuard job_span(
+            "fleet.job:",
+            obs::tracing_enabled() ? jobs[index].key() : std::string());
+        if (coordinator.settle_early(index)) return;
+        for (;;) {
+          const std::uint32_t attempt = coordinator.start_attempt(index);
+          const auto backoff = coordinator.end_attempt(
+              index, run_attempt(jobs[index], options.retry.timeout_seconds,
+                                 attempt));
+          if (!backoff) return;
+          std::this_thread::sleep_for(*backoff);
+          if (coordinator.stopping()) return coordinator.skip(index);
+        }
+      });
+  return coordinator.take_results();
 }
 
 }  // namespace mt4g::fleet

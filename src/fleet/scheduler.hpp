@@ -1,28 +1,26 @@
-// Worker-pool discovery scheduler.
+// Fleet sweeps: job results, the retry policy, and the in-process runner.
 //
-// run_sweep() fans a job list out across the process-wide executor
-// (exec::shared_executor) and returns one JobResult per job, in job order —
-// the result vector is identical for any worker count, because each worker
-// writes into the slot of the job index it claimed (there is no
-// completion-order dependence). Jobs whose DiscoverOptions request
-// intra-benchmark sweep parallelism (sweep_threads > 1) nest on the same
-// executor without spawning additional threads.
+// run_sweep() and run_supervised() (supervise.hpp) share one coordinator, so
+// the policy below holds in both; they differ only in who runs an attempt.
+// Here a thread of the process-wide executor (exec::shared_executor) runs it
+// and sleeps through the backoff before a retry; jobs whose DiscoverOptions
+// request sweep_threads > 1 nest on the same executor. Each job writes into
+// its own result slot, so results come back in job order, identical for any
+// worker count.
 //
 // Failure model (see README "Failure model"):
-//  * A job that throws is captured as a failed JobResult; the sweep always
-//    runs to completion unless fail_fast is set (then unclaimed jobs are
-//    recorded as skipped — never silently dropped).
+//  * A job that throws is captured as a failed JobResult. The sweep runs to
+//    completion unless cancelled or fail_fast trips; then no further attempt
+//    starts and the jobs left are recorded as skipped, never dropped.
 //  * Transient errors are retried up to RetryPolicy::max_attempts with a
 //    deterministic exponential backoff. std::invalid_argument and
-//    std::out_of_range are permanent (a wrong model name never heals) and
-//    fail immediately.
-//  * RetryPolicy::timeout_seconds arms a per-attempt wall-clock deadline,
-//    checked cooperatively before every stage of the discovery graph; an
-//    expired deadline fails the attempt with TimeoutError (retryable,
-//    counted in JobResult::timed_out / FleetProgress::timeouts).
-//  * Every attempt runs a fresh Gpu from the job spec, so a retried job
-//    produces the byte-identical report of a clean run — retries never
-//    perturb the determinism contract (gated by tests/test_fleet_retry.cpp).
+//    std::out_of_range are permanent (a wrong model name never heals).
+//  * RetryPolicy::timeout_seconds arms a per-attempt deadline, checked
+//    before every stage of the discovery graph; expiry is a retryable
+//    TimeoutError (JobResult::timed_out, FleetProgress::timeouts).
+//  * Every attempt runs a fresh Gpu from the job spec, so a retried job's
+//    report is byte-identical to a clean run's (tests/test_fleet_retry.cpp).
+//  * A failing journal never stops a sweep; RunJournal::error() says why.
 #pragma once
 
 #include <atomic>
@@ -37,6 +35,8 @@
 
 namespace mt4g::fleet {
 
+class RunJournal;
+
 /// Live progress counters of a running sweep. All atomics: safe to poll from
 /// a heartbeat thread while workers update them (mt4g_cli fleet --progress).
 struct FleetProgress {
@@ -46,7 +46,7 @@ struct FleetProgress {
   std::atomic<std::size_t> failed{0};      ///< jobs whose final attempt failed
   std::atomic<std::size_t> retries{0};     ///< extra attempts after failures
   std::atomic<std::size_t> timeouts{0};    ///< attempts killed by the deadline
-  std::atomic<std::size_t> skipped{0};     ///< jobs dropped by fail-fast
+  std::atomic<std::size_t> skipped{0};     ///< jobs skipped by a stop
   /// Worker-process deaths absorbed by the supervisor (run_supervised only:
   /// in-process sweeps cannot survive a crash to count it).
   std::atomic<std::size_t> worker_crashes{0};
@@ -59,11 +59,11 @@ struct JobResult {
   bool from_cache = false;      ///< served by the ResultCache, not discovery
   std::string error;            ///< last attempt's exception message when !ok
   core::TopologyReport report;  ///< valid only when ok
-  double wall_seconds = 0.0;    ///< host time this job took on its worker
-  std::uint32_t attempts = 0;   ///< attempts actually made (0 = cache/skip)
+  double wall_seconds = 0.0;    ///< host time this job's attempts took
+  std::uint32_t attempts = 0;   ///< attempts actually made
   bool retried = false;         ///< more than one attempt was made
   bool timed_out = false;       ///< final attempt hit the wall-clock deadline
-  bool skipped = false;         ///< never attempted (fail-fast abort)
+  bool skipped = false;         ///< the run stopped before its next attempt
   /// Worker processes that died (crash, kill, missed heartbeat, garbage on
   /// the pipe) while running this job. Only run_supervised() can set it —
   /// each crash consumes one attempt from the same retry budget exceptions
@@ -93,13 +93,16 @@ struct RetryPolicy {
 };
 
 struct SchedulerOptions {
-  /// Concurrent jobs (the calling thread included);
+  /// Concurrent jobs of run_sweep() (the calling thread included);
   /// 0 = std::thread::hardware_concurrency() (min 1), 1 = serial in order.
   std::uint32_t workers = 0;
   /// Optional shared result cache probed before and filled after each run.
   ResultCache* cache = nullptr;
-  /// Progress callback, invoked once per finished job from worker threads but
-  /// never concurrently (serialised internally). @p done counts finished
+  /// Optional crash-safe progress log: every settled job, except skipped and
+  /// from_journal ones, is appended + fsync'd before on_result sees it.
+  RunJournal* journal = nullptr;
+  /// Progress callback, invoked once per finished job from a pool thread or
+  /// the supervising thread, never concurrently. @p done counts finished
   /// jobs including this one, @p total is the sweep size.
   std::function<void(const JobResult& result, std::size_t done,
                      std::size_t total)>
@@ -109,22 +112,23 @@ struct SchedulerOptions {
   FleetProgress* progress = nullptr;
   /// Retry / timeout / backoff applied to every job.
   RetryPolicy retry;
-  /// Stop claiming new jobs after the first definitive failure; jobs not yet
-  /// started finish as JobResult::skipped. Which jobs were already in flight
-  /// when the failure landed depends on scheduling — fail-fast trades the
+  /// Start no attempt after the first definitive failure; jobs left finish
+  /// as JobResult::skipped. Which jobs were already in flight when the
+  /// failure landed depends on scheduling — fail-fast trades the
   /// run-to-completion guarantee for latency, and is therefore the only
   /// scheduler mode whose result vector is not schedule-independent.
   bool fail_fast = false;
   /// Cooperative cancellation (SIGINT/SIGTERM): when the pointee turns true
-  /// the scheduler stops claiming jobs and records the rest as skipped, like
-  /// fail_fast but caller-triggered. In-flight jobs finish (in-process) or
-  /// are reaped (supervised). nullptr = never cancelled.
+  /// no further attempt starts and the jobs left are recorded as skipped,
+  /// like fail_fast but caller-triggered. nullptr = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Runs every job and returns results in job order. Never throws for
-/// per-job failures; see JobResult::ok / error.
+/// Runs every job and returns results in job order. @p prefilled (from
+/// apply_journal) may carry final results flagged from_journal: reported,
+/// not re-run. Never throws for per-job failures; see JobResult::ok / error.
 std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
-                                 const SchedulerOptions& options = {});
+                                 const SchedulerOptions& options = {},
+                                 std::vector<JobResult> prefilled = {});
 
 }  // namespace mt4g::fleet

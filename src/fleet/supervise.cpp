@@ -9,29 +9,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "fleet/coordinator.hpp"
 #include "fleet/proto.hpp"
 
 namespace mt4g::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Same deterministic backoff the in-process scheduler applies between
-/// attempts (scheduler.cpp): min(cap, base << (attempt - 2)) ms.
-std::uint32_t backoff_ms(const RetryPolicy& retry, std::uint32_t attempt) {
-  if (retry.backoff_base_ms == 0 || attempt < 2) return 0;
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt - 2, 31);
-  const std::uint64_t wait =
-      static_cast<std::uint64_t>(retry.backoff_base_ms) << shift;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(wait, retry.backoff_cap_ms));
-}
 
 /// One supervised worker process and the coordinator's view of it.
 struct Worker {
@@ -41,7 +30,6 @@ struct Worker {
   std::string buffer;  ///< partial line carried between reads
   bool ready = false;  ///< handshake line seen
   bool busy = false;
-  bool shutting_down = false;  ///< shutdown sent; EOF is the expected end
   std::size_t job_index = 0;   ///< valid while busy
   Clock::time_point last_activity;  ///< any complete line bumps this
 };
@@ -64,29 +52,20 @@ std::string describe_exit(int status) {
   return "ended with status " + std::to_string(status);
 }
 
-/// Forks + execs one worker with its stdio wired to fresh pipes. All
-/// coordinator-side descriptors are close-on-exec, so workers never inherit
-/// each other's pipe ends (a crashed sibling must produce a clean EOF).
-bool spawn_worker(const std::vector<std::string>& argv, Worker& worker,
-                  std::string& error) {
+/// Forks + execs one worker with its stdio wired to fresh pipes; false when
+/// no pipe or process could be made. All coordinator-side descriptors are
+/// close-on-exec, so workers never inherit each other's pipe ends (a crashed
+/// sibling must produce a clean EOF).
+bool spawn_worker(const std::vector<std::string>& argv, Worker& worker) {
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
-  if (::pipe2(to_child, O_CLOEXEC) != 0 ||
-      ::pipe2(from_child, O_CLOEXEC) != 0) {
-    error = std::string("pipe: ") + std::strerror(errno);
-    close_fd(to_child[0]);
-    close_fd(to_child[1]);
-    close_fd(from_child[0]);
-    close_fd(from_child[1]);
-    return false;
-  }
-  const pid_t pid = ::fork();
+  const pid_t pid = ::pipe2(to_child, O_CLOEXEC) == 0 &&
+                            ::pipe2(from_child, O_CLOEXEC) == 0
+                        ? ::fork()
+                        : -1;
   if (pid < 0) {
-    error = std::string("fork: ") + std::strerror(errno);
-    close_fd(to_child[0]);
-    close_fd(to_child[1]);
-    close_fd(from_child[0]);
-    close_fd(from_child[1]);
+    for (int& fd : to_child) close_fd(fd);
+    for (int& fd : from_child) close_fd(fd);
     return false;
   }
   if (pid == 0) {
@@ -109,10 +88,6 @@ bool spawn_worker(const std::vector<std::string>& argv, Worker& worker,
   worker.pid = pid;
   worker.stdin_fd = to_child[1];
   worker.stdout_fd = from_child[0];
-  worker.buffer.clear();
-  worker.ready = false;
-  worker.busy = false;
-  worker.shutting_down = false;
   worker.last_activity = Clock::now();
   return true;
 }
@@ -160,6 +135,38 @@ class IgnoreSigpipe {
   struct sigaction saved_ {};
 };
 
+/// The live worker processes. The destructor asks every worker to shut down
+/// (shutdown line + stdin EOF), gives the pool a moment, then kills and
+/// reaps whatever is left — on every way out of run_supervised().
+struct WorkerPool {
+  std::vector<Worker> workers;
+
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  ~WorkerPool() {
+    for (Worker& worker : workers) {
+      if (worker.stdin_fd >= 0) write_all(worker.stdin_fd, encode_shutdown());
+      close_fd(worker.stdin_fd);
+    }
+    const Clock::time_point patience =
+        Clock::now() + std::chrono::milliseconds(2000);
+    for (Worker& worker : workers) {
+      while (worker.pid >= 0 && Clock::now() < patience) {
+        const pid_t rc = ::waitpid(worker.pid, nullptr, WNOHANG);
+        if (rc == worker.pid || (rc < 0 && errno == ECHILD)) {
+          worker.pid = -1;  // exited on its own
+        } else {
+          ::poll(nullptr, 0, 10);
+        }
+      }
+      kill_and_reap(worker);
+      close_fd(worker.stdout_fd);
+    }
+  }
+};
+
 struct QueueItem {
   std::size_t index = 0;
   Clock::time_point not_before;  ///< retry backoff gate
@@ -173,147 +180,49 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
   if (options.worker_argv.empty()) {
     throw std::invalid_argument("run_supervised: worker_argv is empty");
   }
-  std::vector<JobResult> results = std::move(prefilled);
-  results.resize(jobs.size());
-  if (jobs.empty()) return results;
+  Coordinator coordinator(jobs, options, std::move(prefilled));
 
   const std::uint32_t procs = std::max<std::uint32_t>(options.procs, 1);
-  const std::uint32_t max_attempts =
-      std::max<std::uint32_t>(options.retry.max_attempts, 1);
   // Idle deaths (a worker that dies before ever being assigned work) signal
   // a broken worker command, not a broken job; after this many the pool is
   // declared unusable instead of fork-looping forever.
   const std::uint32_t max_idle_deaths = 3 * procs;
 
-  if (options.progress) {
-    options.progress->total.store(jobs.size(), std::memory_order_relaxed);
-  }
-
-  IgnoreSigpipe sigpipe_guard;
-
-  std::size_t finished = 0;   // results that reached their final state
-  std::size_t reported = 0;   // on_result sequence number
-  std::vector<std::uint32_t> attempts_used(jobs.size(), 0);
-  std::vector<std::uint32_t> crashes(jobs.size(), 0);
-
-  const auto finish = [&](std::size_t index) {
-    JobResult& result = results[index];
-    ++finished;
-    if (options.progress) {
-      if (result.from_cache) {
-        options.progress->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (result.skipped) {
-        options.progress->skipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (!result.ok) {
-        options.progress->failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      options.progress->done.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics& metrics = obs::Metrics::instance();
-      metrics.add("fleet.jobs_done");
-      if (result.from_cache) metrics.add("fleet.cache_hits");
-      if (result.skipped) {
-        metrics.add("fleet.jobs_skipped");
-      } else if (!result.ok) {
-        metrics.add("fleet.jobs_failed");
-      }
-      if (result.retried || result.timed_out || result.worker_crashes > 0) {
-        metrics.add("fleet.jobs_degraded");
-      }
-    }
-    if (result.ok && !result.from_cache && !result.from_journal &&
-        options.cache) {
-      try {
-        options.cache->put(result.job, result.report);
-      } catch (...) {
-        // Cache write problems never demote a successful discovery.
-      }
-    }
-    // Journal before reporting: once the callback (or a later assignment)
-    // observes this outcome it must already be durable. Skipped jobs are
-    // deliberately not journaled — a resumed run should attempt them.
-    if (options.journal && !result.from_journal && !result.skipped) {
-      options.journal->append(result);
-    }
-    if (options.on_result) {
-      options.on_result(result, ++reported, jobs.size());
-    }
-  };
-
-  // Seed the queue: journaled results replay, cache hits answer immediately,
-  // the rest queue for the workers in job order.
+  // Journal replays and cache hits settle at once; the rest queue for the
+  // workers in job order.
   std::deque<QueueItem> queue;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    results[i].job = jobs[i];
-    if (results[i].from_journal) {
-      finish(i);
-      continue;
-    }
-    try {
-      if (options.cache) {
-        if (auto cached = options.cache->get(jobs[i])) {
-          results[i].report = std::move(*cached);
-          results[i].ok = true;
-          results[i].from_cache = true;
-          finish(i);
-          continue;
-        }
-      }
-    } catch (...) {
-      // A broken cache degrades to a recompute, never fails the job.
-    }
-    queue.push_back({i, Clock::now()});
+    if (!coordinator.settle_early(i)) queue.push_back({i, Clock::now()});
   }
-
-  std::vector<Worker> workers;
-  bool spawn_allowed = true;
-  std::uint32_t idle_deaths = 0;
-  bool cancelled = false;
-
-  const auto busy_count = [&] {
-    return static_cast<std::size_t>(
-        std::count_if(workers.begin(), workers.end(),
-                      [](const Worker& w) { return w.busy; }));
+  const auto requeue = [&](std::size_t index,
+                           std::optional<std::chrono::milliseconds> backoff) {
+    if (backoff) queue.push_back({index, Clock::now() + *backoff});
   };
 
-  // A worker died or was executed. Contains the orphaned job (if any) under
-  // the retry budget and drops the worker from the pool.
+  IgnoreSigpipe sigpipe_guard;  // outlives the pool: its teardown writes
+  WorkerPool pool;
+  std::vector<Worker>& workers = pool.workers;
+  bool spawn_allowed = true;
+  std::uint32_t idle_deaths = 0;
+
+  // A worker died or was executed. Its job, if it held one, ends the attempt
+  // as a crash under the retry budget; the worker leaves the pool.
   const auto contain_death = [&](std::size_t worker_pos,
                                  const std::string& how) {
     Worker worker = std::move(workers[worker_pos]);
     workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(worker_pos));
     const std::string verdict = kill_and_reap(worker);
-    if (worker.shutting_down) return;
     if (!worker.busy) {
       ++idle_deaths;
       if (idle_deaths >= max_idle_deaths) spawn_allowed = false;
       return;
     }
-    const std::size_t index = worker.job_index;
-    ++crashes[index];
-    results[index].worker_crashes = crashes[index];
-    if (options.progress) {
-      options.progress->worker_crashes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics::instance().add("fleet.worker_crashes");
-    }
-    if (attempts_used[index] < max_attempts) {
-      const std::uint32_t wait =
-          backoff_ms(options.retry, attempts_used[index] + 1);
-      queue.push_back({index, Clock::now() + std::chrono::milliseconds(wait)});
-      return;
-    }
-    JobResult& result = results[index];
-    result.ok = false;
-    result.crashed = true;
-    result.attempts = attempts_used[index];
-    result.retried = attempts_used[index] > 1;
-    result.error = "worker crashed (" + how + "; " + verdict +
-                   ") while running the job";
-    finish(index);
+    AttemptOutcome crash;
+    crash.crashed = true;
+    crash.error =
+        "worker crashed (" + how + "; " + verdict + ") while running the job";
+    requeue(worker.job_index,
+            coordinator.end_attempt(worker.job_index, std::move(crash)));
   };
 
   // One worker -> coordinator record. False = protocol violation (the caller
@@ -338,36 +247,16 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
         message->key != jobs[worker.job_index].key()) {
       return false;  // a result for a job this worker does not hold
     }
-    const std::size_t index = worker.job_index;
     worker.busy = false;
-    JobResult& result = results[index];
-    result.attempts = attempts_used[index];
-    result.retried = attempts_used[index] > 1;
-    result.wall_seconds += message->wall_seconds;
-    if (message->type == WorkerMessage::Type::kDone) {
-      result.ok = true;
-      result.error.clear();
-      result.timed_out = false;
-      result.report = std::move(message->report);
-      finish(index);
-      return true;
-    }
-    result.ok = false;
-    result.error = message->error;
-    result.timed_out = message->timed_out;
-    if (message->timed_out) {
-      if (options.progress) {
-        options.progress->timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (obs::metrics_enabled()) obs::Metrics::instance().add("fleet.timeouts");
-    }
-    if (!message->permanent && attempts_used[index] < max_attempts) {
-      const std::uint32_t wait =
-          backoff_ms(options.retry, attempts_used[index] + 1);
-      queue.push_back({index, Clock::now() + std::chrono::milliseconds(wait)});
-      return true;
-    }
-    finish(index);
+    AttemptOutcome outcome;
+    outcome.ok = message->type == WorkerMessage::Type::kDone;
+    outcome.report = std::move(message->report);
+    outcome.error = std::move(message->error);
+    outcome.timed_out = message->timed_out;
+    outcome.permanent = message->permanent;
+    outcome.wall_seconds = message->wall_seconds;
+    requeue(worker.job_index,
+            coordinator.end_attempt(worker.job_index, std::move(outcome)));
     return true;
   };
 
@@ -386,26 +275,17 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     return true;
   };
 
-  while (finished < jobs.size()) {
-    // Graceful stop: drop the queue as skipped; in-flight jobs run out.
-    if (!cancelled && options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      cancelled = true;
-      for (const QueueItem& item : queue) {
-        JobResult& result = results[item.index];
-        result.skipped = true;
-        result.attempts = attempts_used[item.index];
-        result.error = "skipped: sweep cancelled";
-        finish(item.index);
-      }
+  while (!coordinator.all_settled()) {
+    // Graceful stop: drop the queue as skipped; in-flight attempts run out.
+    if (coordinator.stopping()) {
+      for (const QueueItem& item : queue) coordinator.skip(item.index);
       queue.clear();
     }
 
     // Keep the pool at strength while there is queued work.
     while (spawn_allowed && !queue.empty() && workers.size() < procs) {
       Worker worker;
-      std::string error;
-      if (!spawn_worker(options.worker_argv, worker, error)) {
+      if (!spawn_worker(options.worker_argv, worker)) {
         ++idle_deaths;
         if (idle_deaths >= max_idle_deaths) spawn_allowed = false;
         break;
@@ -416,13 +296,12 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     // No pool and no way to build one: fail what remains, loudly.
     if (!queue.empty() && workers.empty() && !spawn_allowed) {
       for (const QueueItem& item : queue) {
-        JobResult& result = results[item.index];
-        result.ok = false;
-        result.attempts = attempts_used[item.index];
-        result.error =
+        AttemptOutcome unusable;
+        unusable.permanent = true;
+        unusable.error =
             "worker pool unusable: workers died or failed to spawn " +
             std::to_string(idle_deaths) + " times before taking a job";
-        finish(item.index);
+        coordinator.end_attempt(item.index, std::move(unusable));
       }
       queue.clear();
       continue;
@@ -432,25 +311,18 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers.size() && !queue.empty(); ++w) {
       Worker& worker = workers[w];
-      if (!worker.ready || worker.busy || worker.shutting_down) continue;
+      if (!worker.ready || worker.busy) continue;
       const auto item = std::find_if(
           queue.begin(), queue.end(),
           [&](const QueueItem& q) { return q.not_before <= now; });
       if (item == queue.end()) break;
       const std::size_t index = item->index;
       queue.erase(item);
-      ++attempts_used[index];
-      if (attempts_used[index] > 1) {
-        if (options.progress) {
-          options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (obs::metrics_enabled()) obs::Metrics::instance().add("fleet.retries");
-      }
       worker.busy = true;
       worker.job_index = index;
-      const std::string assignment =
-          encode_job_assignment(jobs[index], index, attempts_used[index],
-                                options.retry.timeout_seconds);
+      const std::string assignment = encode_job_assignment(
+          jobs[index], index, coordinator.start_attempt(index),
+          options.retry.timeout_seconds);
       if (!write_all(worker.stdin_fd, assignment)) {
         // Died between poll and write: EOF handling would find it anyway,
         // but the failed write already proves it.
@@ -459,7 +331,7 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
       }
     }
 
-    if (finished >= jobs.size()) break;
+    if (coordinator.all_settled()) break;
     if (workers.empty()) continue;  // spawn failed; retry the outer loop
 
     // Wait for worker records; cap the wait so backoff gates, liveness
@@ -518,37 +390,7 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     }
   }
 
-  // Orderly teardown: ask nicely (shutdown line + stdin EOF), give the pool
-  // a moment, then make it final.
-  for (Worker& worker : workers) {
-    worker.shutting_down = true;
-    if (worker.stdin_fd >= 0) {
-      write_all(worker.stdin_fd, encode_shutdown());
-      close_fd(worker.stdin_fd);
-    }
-  }
-  const Clock::time_point patience =
-      Clock::now() + std::chrono::milliseconds(2000);
-  for (Worker& worker : workers) {
-    bool reaped = false;
-    while (Clock::now() < patience) {
-      int status = 0;
-      const pid_t rc = ::waitpid(worker.pid, &status, WNOHANG);
-      if (rc == worker.pid || (rc < 0 && errno == ECHILD)) {
-        reaped = true;
-        break;
-      }
-      ::poll(nullptr, 0, 10);
-    }
-    if (!reaped) {
-      kill_and_reap(worker);
-    } else {
-      worker.pid = -1;
-      close_fd(worker.stdin_fd);
-      close_fd(worker.stdout_fd);
-    }
-  }
-  return results;
+  return coordinator.take_results();
 }
 
 }  // namespace mt4g::fleet

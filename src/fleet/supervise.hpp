@@ -1,67 +1,37 @@
 // Process-isolated fleet supervisor — crash containment for discovery sweeps.
 //
-// run_supervised() is the multi-process sibling of run_sweep(): it spawns
-// SupervisorOptions::procs worker processes (worker_argv, normally the same
-// binary's hidden `fleet-worker` entry), assigns jobs over the proto.hpp
-// line protocol, and folds every way a worker can die — nonzero exit, fatal
-// signal, EOF mid-job, garbage on the pipe, missed heartbeat — into the SAME
-// bounded retry budget exceptions and timeouts use. An orphaned job re-enters
-// the queue on a respawned worker; a job that keeps killing its workers fails
-// with JobResult::crashed after RetryPolicy::max_attempts, and the sweep
-// carries on. A broken worker can never take the coordinator down.
+// run_supervised() runs run_sweep()'s coordinator (scheduler.hpp), but each
+// attempt runs in one of SupervisorOptions::procs worker processes
+// (worker_argv, normally the binary's hidden `fleet-worker` entry) over the
+// proto.hpp line protocol, and a retry re-enters the queue behind its
+// backoff gate. Every way a worker can die — nonzero exit, fatal signal, EOF
+// mid-job, garbage on the pipe, missed heartbeat — ends the attempt as a
+// crash under the SAME retry budget; a job that keeps killing its workers
+// fails with JobResult::crashed, and the sweep carries on. Every worker is
+// reaped on every way out, an exception from on_result included.
 //
 // Determinism contract (gated by tests/test_fleet_supervise.cpp): results
-// are slot-indexed by job order, workers make exactly one attempt per
-// assignment, and every attempt rebuilds its Gpu from the job spec — so the
-// result vector, and hence the aggregate report, is byte-identical for every
+// are slot-indexed by job order and every attempt rebuilds its Gpu from the
+// job spec, so the aggregate report is byte-identical for every
 // procs × sweep_threads combination, crash-healed runs included.
-//
-// Crash-safe progress: with SupervisorOptions::journal armed, every final
-// job outcome is fsync'd to the run journal before the sweep proceeds; after
-// a coordinator kill -9, --resume prefills journaled jobs (journal.hpp) and
-// run_supervised() only schedules the remainder.
-//
-// Graceful stop: when *cancel turns true (the CLI's SIGINT/SIGTERM handler)
-// the coordinator stops assigning, lets in-flight jobs finish, records the
-// queue as skipped, reaps every worker, and returns — journal and cache
-// flushed as usual, so a cancelled run resumes cleanly too.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "fleet/cache.hpp"
 #include "fleet/job.hpp"
-#include "fleet/journal.hpp"
 #include "fleet/scheduler.hpp"
 
 namespace mt4g::fleet {
 
-struct SupervisorOptions {
+/// SchedulerOptions plus the worker pool. run_supervised() ignores
+/// `workers`: its concurrency is `procs`.
+struct SupervisorOptions : SchedulerOptions {
   /// Worker processes to keep alive while work remains; min 1.
   std::uint32_t procs = 2;
   /// Worker command line, argv[0] first (e.g. {"./mt4g_cli", "fleet-worker"}).
   std::vector<std::string> worker_argv;
-  /// Optional shared result cache — probed before jobs are queued and filled
-  /// as reports come back. Only the coordinator touches it; workers stay
-  /// cache-blind, so concurrent-process safety is the cache file's problem
-  /// exactly once (see cache.hpp locking).
-  ResultCache* cache = nullptr;
-  /// Optional crash-safe progress log; every final outcome is appended +
-  /// fsync'd before the next assignment.
-  RunJournal* journal = nullptr;
-  /// Per finished job, from the coordinator thread, in completion order.
-  std::function<void(const JobResult& result, std::size_t done,
-                     std::size_t total)>
-      on_result;
-  FleetProgress* progress = nullptr;
-  /// One budget for exceptions, timeouts, AND worker deaths.
-  RetryPolicy retry;
-  /// Graceful-stop flag (see file comment). nullptr = never cancelled.
-  const std::atomic<bool>* cancel = nullptr;
   /// A worker silent for longer than this (no line of any kind; heartbeats
   /// count) is presumed dead: killed, reaped, and its job crash-contained.
   /// <= 0 disables the liveness check. Must comfortably exceed the worker's
@@ -70,10 +40,9 @@ struct SupervisorOptions {
 };
 
 /// Runs every job across supervised worker processes; results in job order.
-/// @p prefilled (from apply_journal) may carry already-final results flagged
-/// from_journal — those are reported but not re-run or re-journaled. Never
-/// throws for per-job failures; throws std::invalid_argument for an unusable
-/// configuration (empty worker_argv).
+/// @p prefilled is as for run_sweep(). Never throws for per-job failures;
+/// throws std::invalid_argument for an unusable configuration (empty
+/// worker_argv).
 std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
                                       const SupervisorOptions& options,
                                       std::vector<JobResult> prefilled = {});

@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "common/fault.hpp"
-#include "core/cancel.hpp"
+#include "fleet/coordinator.hpp"
 #include "fleet/proto.hpp"
 
 namespace mt4g::fleet {
@@ -105,13 +105,6 @@ int run_worker_loop(std::istream& in, std::ostream& out,
     if (command->type == WorkerCommand::Type::kShutdown) return 0;
 
     const std::string key = command->job.key();
-    const auto start = std::chrono::steady_clock::now();
-    const auto wall = [&] {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-
     if (fault::faults_enabled()) {
       fault::Injector& injector = fault::Injector::instance();
       // Re-align this process's occurrence counters with the job's global
@@ -139,42 +132,21 @@ int run_worker_loop(std::istream& in, std::ostream& out,
             actions.message.empty()
                 ? "injected fault at fleet.worker.job key=" + key
                 : actions.message,
-            /*timed_out=*/false, /*permanent=*/false, wall()));
+            /*timed_out=*/false, /*permanent=*/false, /*wall_seconds=*/0.0));
         continue;
       }
     }
 
-    // Exactly one attempt; the classification mirrors the in-process
-    // scheduler so the coordinator can apply one retry policy to both modes.
-    try {
-      if (fault::faults_enabled()) {
-        fault::Injector::instance().at(fault::kSiteJobAttempt, key);
-      }
-      DiscoveryJob job = command->job;
-      job.options.deadline = core::Deadline::after(command->timeout_seconds);
-      const core::TopologyReport report = run_job(job);
-      writer.write(encode_done(command->index, key, report, wall()));
-    } catch (const core::TimeoutError& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/true, /*permanent=*/false,
-                                 wall()));
-    } catch (const std::invalid_argument& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/true,
-                                 wall()));
-    } catch (const std::out_of_range& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/true,
-                                 wall()));
-    } catch (const std::exception& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/false,
-                                 wall()));
-    } catch (...) {
-      writer.write(encode_failed(command->index, key, "unknown error",
-                                 /*timed_out=*/false, /*permanent=*/false,
-                                 wall()));
-    }
+    // Exactly one attempt, classified by the same run_attempt() an
+    // in-process sweep uses; the coordinator owns the retry budget.
+    const AttemptOutcome outcome = run_attempt(
+        command->job, command->timeout_seconds, command->attempt);
+    writer.write(outcome.ok ? encode_done(command->index, key, outcome.report,
+                                          outcome.wall_seconds)
+                            : encode_failed(command->index, key, outcome.error,
+                                            outcome.timed_out,
+                                            outcome.permanent,
+                                            outcome.wall_seconds));
   }
   return 0;  // EOF between jobs: the coordinator went away; exit quietly
 }

@@ -1,11 +1,12 @@
 // Fleet worker process — the child half of the supervised fleet.
 //
 // run_worker_loop() is the body of the hidden `mt4g_cli fleet-worker`
-// subcommand: it reads job assignments from stdin (proto.hpp line protocol),
-// executes each with the same retry-classification the in-process scheduler
-// uses — except a worker makes exactly ONE attempt per assignment and reports
-// the classified outcome, so the coordinator owns the single retry budget
-// that covers exceptions, timeouts, and process crashes alike.
+// subcommand: it reads job assignments from stdin (proto.hpp line protocol)
+// and runs each as exactly ONE attempt through run_attempt(), the attempt
+// function an in-process sweep's pool threads call (coordinator.hpp). It
+// reports the classified outcome and decides nothing else: the coordinator
+// in run_supervised() owns the single retry budget that covers exceptions,
+// timeouts, and process crashes alike, and the cache, journal and metrics.
 //
 // Liveness: a background thread emits a heartbeat line every
 // WorkerConfig::heartbeat_ms while the loop runs, so the supervisor can tell

@@ -149,6 +149,20 @@ TEST(FleetProto, MessageLinesRoundTrip) {
   EXPECT_FALSE(message->permanent);
 }
 
+TEST(FleetProto, DoneRecordsCarryReportDoublesBitForBit) {
+  // The aggregate sums and compares report doubles, so a report that crossed
+  // the pipe must equal the worker's in memory, not only once printed.
+  const DiscoveryJob job = resolved_job();
+  core::TopologyReport report = run_job(job);
+  report.simulated_seconds = 1.0 / 3.0;  // more digits than %.10g keeps
+  const std::string done = encode_done(0, job.key(), report, 0.0);
+  std::string reason;
+  const auto message =
+      parse_worker_message(done.substr(0, done.size() - 1), &reason);
+  ASSERT_TRUE(message.has_value()) << reason;
+  EXPECT_EQ(message->report.simulated_seconds, 1.0 / 3.0);
+}
+
 TEST(FleetProto, HostileWorkerLinesNeverThrow) {
   // The supervisor feeds every line a worker emits through this parser; any
   // of these crashing the coordinator would defeat process isolation.

@@ -77,6 +77,21 @@ TEST(RunJournal, OkAndFailedRecordsRoundTrip) {
   EXPECT_EQ(failed_it->second.error, "injected fault: gave up");
 }
 
+TEST(RunJournal, ReplayedReportsKeepTheirDoublesBitForBit) {
+  TempFile file("journal_exact.jsonl");
+  auto results = run_sweep({test_jobs()[0]});
+  ASSERT_TRUE(results[0].ok) << results[0].error;
+  results[0].report.simulated_seconds = 1.0 / 3.0;  // beyond %.10g
+  {
+    RunJournal journal = RunJournal::open(file.path());
+    journal.append(results[0]);
+  }
+  const auto loaded = load_journal(file.path());
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.begin()->second.report.simulated_seconds, 1.0 / 3.0)
+      << "a resumed aggregate sums the replayed doubles";
+}
+
 TEST(RunJournal, MissingFileIsAnEmptyJournal) {
   EXPECT_TRUE(load_journal(temp_path("no_such_journal.jsonl")).empty());
 }

@@ -1,15 +1,22 @@
 // Process-isolated supervisor (fleet/supervise.hpp), driven against the real
 // worker binary (`mt4g_cli fleet-worker`): byte-identical results across the
 // procs x sweep_threads grid, crash containment folded into the retry
-// budget, crash-exhaustion reporting, garbage-worker containment, and the
-// supervised journal's no-duplicate-append discipline.
+// budget, crash-exhaustion reporting, garbage-worker containment, the
+// supervised journal's no-duplicate-append discipline, one retry / fail-fast
+// policy for both runners, worker reaping on every exit path, and the CLI's
+// journal truncation and failed-write exit status.
 //
 // The worker binary is resolved as ./mt4g_cli relative to the ctest working
 // directory (the build tree, where examples/ binaries land). When it is not
 // there — e.g. a bare library build — the process-spawning tests skip.
+#include <sys/wait.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,6 +278,154 @@ TEST(FleetSupervise, JournalRecordsEveryOutcomeExactlyOnce) {
   }
   EXPECT_EQ(count_lines(), jobs.size())
       << "replayed results must not be re-journaled";
+}
+
+TEST(FleetSupervise, OnePolicyTwoExecutorsSettleJobsAlike) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  DiscoveryJob bad_profile;
+  bad_profile.model = "TestGPU-NV";
+  bad_profile.mig_profile = "no-such-profile";  // std::invalid_argument
+  DiscoveryJob unknown_model;
+  unknown_model.model = "NoSuchGPU";  // std::out_of_range
+  struct Scenario {
+    const char* name;
+    std::vector<DiscoveryJob> jobs;
+    const char* failing;  ///< every attempt of a job whose key has it throws
+    std::uint32_t max_attempts;
+    bool fail_fast;
+    std::size_t failed;
+    std::size_t skipped;
+  };
+  const Scenario scenarios[] = {
+      {"exhausted retries", test_jobs(), "model=", 2, false, 4, 0},
+      {"permanent error", {bad_profile, unknown_model}, "no-such-key", 4,
+       false, 2, 0},
+      {"fail-fast", test_jobs(), "model=TestGPU-NV", 1, true, 1, 3},
+  };
+  TempFile plan_file("parity_plan.json");
+  for (const Scenario& scenario : scenarios) {
+    {
+      std::ofstream out(plan_file.path());
+      out << R"({"version": 1, "rules": [{"site": "fleet.job.attempt",)"
+          << R"( "kind": "throw", "count": 0, "match": ")" << scenario.failing
+          << R"("}]})";
+    }
+    SupervisorOptions options = supervised(1);
+    options.worker_argv.push_back("--fault-plan");
+    options.worker_argv.push_back(plan_file.path());
+    options.workers = 1;
+    options.retry.max_attempts = scenario.max_attempts;
+    options.fail_fast = scenario.fail_fast;
+    std::vector<JobResult> in_process;
+    {
+      ScopedFaultPlan armed(load_fault_plan_file(plan_file.path()));
+      in_process = run_sweep(scenario.jobs, options);
+    }
+    const auto supervised_results = run_supervised(scenario.jobs, options);
+    ASSERT_EQ(supervised_results.size(), in_process.size()) << scenario.name;
+    std::size_t failed = 0;
+    std::size_t skipped = 0;
+    for (std::size_t i = 0; i < in_process.size(); ++i) {
+      const JobResult& a = in_process[i];
+      const JobResult& b = supervised_results[i];
+      const std::string where = std::string(scenario.name) + ": " + a.job.key();
+      EXPECT_EQ(a.ok, b.ok) << where;
+      EXPECT_EQ(a.skipped, b.skipped) << where;
+      EXPECT_EQ(a.attempts, b.attempts) << where;
+      EXPECT_EQ(a.retried, b.retried) << where;
+      EXPECT_EQ(a.timed_out, b.timed_out) << where;
+      EXPECT_EQ(a.error, b.error) << where;
+      failed += !b.ok && !b.skipped;
+      skipped += b.skipped;
+    }
+    EXPECT_EQ(failed, scenario.failed) << scenario.name;
+    EXPECT_EQ(skipped, scenario.skipped) << scenario.name;
+  }
+}
+
+TEST(FleetSupervise, FailingJournalOrCallbackStillReapsEveryWorker) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  const auto jobs = test_jobs();
+  const auto no_children_left = [] {
+    errno = 0;
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+  };
+
+  // A closed journal throws on every append: the sweep warns through
+  // RunJournal::error() and carries on.
+  RunJournal closed;
+  SupervisorOptions options = supervised(2);
+  options.journal = &closed;
+  std::vector<JobResult> results;
+  ASSERT_NO_THROW(results = run_supervised(jobs, options));
+  ASSERT_EQ(results.size(), jobs.size());
+  for (const auto& result : results) EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_FALSE(closed.error().empty());
+  EXPECT_TRUE(no_children_left()) << "a worker outlived run_supervised";
+
+  // A throwing callback leaves run_supervised early; the pool goes with it.
+  SupervisorOptions throwing = supervised(2);
+  throwing.on_result = [](const JobResult&, std::size_t, std::size_t) {
+    throw std::runtime_error("on_result failed");
+  };
+  EXPECT_THROW(run_supervised(jobs, throwing), std::runtime_error);
+  EXPECT_TRUE(no_children_left()) << "a worker outlived run_supervised";
+}
+
+/// A scratch directory for one CLI run, removed again afterwards.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_(testing::TempDir() + "mt4g_" + name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+TEST(FleetCli, JournalWithoutResumeTruncatesInPlace) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempDir dir("journal_symlink");
+  const std::string target = dir.path() + "/target.jsonl";
+  const std::string link = dir.path() + "/run.jsonl";
+  {
+    std::ofstream out(target);
+    out << "left over from an earlier run\n";
+  }
+  std::filesystem::create_symlink(target, link);
+  const std::string command =
+      std::string(kWorkerBinary) +
+      " fleet --models TestGPU-NV --no-mig --cache none --quiet --journal " +
+      link + " --out " + dir.path() + " > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  EXPECT_TRUE(std::filesystem::is_symlink(link))
+      << "starting a journal over must not replace what sits at its path";
+  std::ifstream in(target);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, 1u);
+  EXPECT_EQ(load_journal(target).size(), 1u);
+}
+
+TEST(FleetCli, FailedReportWritesExitNonzero) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempDir dir("write_limit");
+  // No file may grow past 0 bytes, and writes past the limit fail with
+  // EFBIG instead of killing the process.
+  const auto under_size_limit = [&](const std::string& args) {
+    const std::string command = "sh -c 'trap \"\" XFSZ; ulimit -f 0; exec " +
+                                std::string(kWorkerBinary) + " " + args +
+                                " --out " + dir.path() + "' > /dev/null 2>&1";
+    return std::system(command.c_str());
+  };
+  EXPECT_NE(under_size_limit("--gpu TestGPU-NV -q -j"), 0);
+  EXPECT_NE(under_size_limit("fleet --models TestGPU-NV --no-mig --cache none "
+                             "--quiet"),
+            0);
 }
 
 }  // namespace
