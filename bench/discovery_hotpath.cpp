@@ -8,8 +8,9 @@
 // the per-benchmark cycle attribution (sweep vs line-size vs amount vs
 // sharing vs bandwidth vs compute vs rest), chase-memo hit counts, the
 // stage-graph critical path (serial cycles / critical-path cycles = the
-// speedup available from benchmark-level concurrency alone), the caller
-// share of each parallel run (the fraction of its shared-executor tasks
+// speedup available from benchmark-level concurrency alone), each stage's
+// wall time in the serial and in the parallel run, the caller share of
+// each parallel run (the fraction of its shared-executor tasks
 // that ran on the thread that submitted them: near 1 means its chase
 // batches found no other thread to run on, and exactly 1 that the run fell
 // back to one thread whatever its thread knobs said), and the host
@@ -143,6 +144,9 @@ struct StageAggregate {
   std::uint64_t cycles = 0;
   double wall_seconds = 0.0;
   double reset_seconds = 0.0;  ///< replica/substrate reset share of wall
+  /// Wall time of the stage in the parallel run, where run-ahead and
+  /// helping shorten it; the fields above come from the serial run.
+  double parallel_wall_seconds = 0.0;
 };
 
 /// UTC timestamp like 2026-08-07T12:34:56Z for the BENCH meta block.
@@ -207,12 +211,13 @@ int main(int argc, char** argv) {
     ModelResult r;
     r.model = model;
     core::TopologyReport report;
+    core::TopologyReport parallel_report;
     const std::string serial = timed_discovery(
         model, runtime::PChaseEngine::kCompiled, 1, 1, r.serial_s, &report);
     const exec::ExecutorStats exec_before = exec::shared_executor().stats();
-    const std::string parallel =
-        timed_discovery(model, runtime::PChaseEngine::kCompiled, bench_threads,
-                        sweep_threads, r.parallel_s);
+    const std::string parallel = timed_discovery(
+        model, runtime::PChaseEngine::kCompiled, bench_threads, sweep_threads,
+        r.parallel_s, &parallel_report);
     const exec::ExecutorStats exec_after = exec::shared_executor().stats();
     const std::uint64_t tasks = exec_after.tasks - exec_before.tasks;
     if (tasks > 0) {
@@ -242,6 +247,9 @@ int main(int argc, char** argv) {
       aggregate.cycles += stage.cycles;
       aggregate.wall_seconds += stage.wall_seconds;
       aggregate.reset_seconds += stage.reset_seconds;
+    }
+    for (const auto& stage : parallel_report.stage_cycles) {
+      stages[stage.stage].parallel_wall_seconds += stage.wall_seconds;
     }
     all_identical = all_identical && r.identical;
     total_serial += r.serial_s;
@@ -384,6 +392,8 @@ int main(int argc, char** argv) {
     entry.emplace_back("cycles", static_cast<std::int64_t>(aggregate.cycles));
     entry.emplace_back("wall_seconds", aggregate.wall_seconds);
     entry.emplace_back("reset_seconds", aggregate.reset_seconds);
+    entry.emplace_back("parallel_wall_seconds",
+                       aggregate.parallel_wall_seconds);
     entry.emplace_back("cycle_fraction",
                        stage_cycles_total > 0
                            ? static_cast<double>(aggregate.cycles) /

@@ -854,20 +854,30 @@ int main(int argc, char** argv) {
   discover_options.bench_threads = options.bench_threads;
   discover_options.subsweep_chunking = options.subsweep_chunking;
 
-  const sim::GpuSpec spec =
-      core::apply_cache_config(*model, options.cache_config);
-  sim::Gpu gpu(spec, options.seed);
+  // A spec can validate and still describe a GPU the simulator cannot
+  // build or discover (e.g. more SMs than memory holds): fail like a fleet
+  // job does instead of letting the exception abort the process.
+  std::optional<core::TopologyReport> discovered;
+  try {
+    const sim::GpuSpec spec =
+        core::apply_cache_config(*model, options.cache_config);
+    sim::Gpu gpu(spec, options.seed);
 
-  if (!options.quiet) {
-    std::fprintf(stderr, "mt4g: analysing %s (%s, %s, seed %llu)...\n",
-                 gpu_name.c_str(),
-                 sim::vendor_name(spec.vendor).c_str(),
-                 options.cache_config.c_str(),
-                 static_cast<unsigned long long>(options.seed));
+    if (!options.quiet) {
+      std::fprintf(stderr, "mt4g: analysing %s (%s, %s, seed %llu)...\n",
+                   gpu_name.c_str(),
+                   sim::vendor_name(spec.vendor).c_str(),
+                   options.cache_config.c_str(),
+                   static_cast<unsigned long long>(options.seed));
+    }
+    ObsSession obs_session(options.trace_path, options.metrics_path);
+    discovered = core::discover(gpu, discover_options);
+    if (!obs_session.finish()) return 1;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "mt4g: error: %s\n", e.what());
+    return 1;
   }
-  ObsSession obs_session(options.trace_path, options.metrics_path);
-  const core::TopologyReport report = core::discover(gpu, discover_options);
-  if (!obs_session.finish()) return 1;
+  const core::TopologyReport& report = *discovered;
   if (!options.quiet) {
     std::fprintf(stderr, "mt4g: %u benchmarks, %.1f s simulated GPU time\n",
                  report.benchmarks_executed, report.simulated_seconds);

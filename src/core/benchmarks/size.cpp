@@ -1,7 +1,9 @@
 #include "core/benchmarks/size.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -15,6 +17,175 @@
 namespace mt4g::core {
 namespace {
 
+/// Phases 1 and 1b as one serial predicate chain over record-only probes:
+/// the base probe at `lower` (its verdict is ignored: it only yields the
+/// jump threshold), exponential doubling until the median latency jumps,
+/// then binary narrowing of [lo, hi] down to the sweep span. probe() names
+/// the next size to chase; advance() consumes its verdict (true = the
+/// latency jumped).
+struct IntervalSearch {
+  enum class Phase { kBase, kDoubling, kUpper, kNarrowing, kFound, kNoJump };
+  std::uint64_t lower = 0;
+  std::uint64_t upper = 0;
+  std::uint64_t stride = 0;
+  std::uint64_t min_span = 0;  ///< narrowing stops at max(min_span, hi / 16)
+  Phase phase = Phase::kBase;
+  std::uint64_t size = 0;  ///< doubling cursor
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t span = 0;  ///< narrowing target, fixed by the phase-1 hi
+
+  std::optional<std::uint64_t> probe() const {
+    switch (phase) {
+      case Phase::kBase:
+        return lower;
+      case Phase::kDoubling:
+        return size;
+      case Phase::kUpper:
+        return upper;
+      case Phase::kNarrowing:
+        return midpoint();
+      default:
+        return std::nullopt;
+    }
+  }
+
+  void advance(bool jumped) {
+    switch (phase) {
+      case Phase::kBase:
+        lo = lower;
+        size = lower * 2;
+        next_doubling();
+        break;
+      case Phase::kDoubling:
+        if (jumped) {
+          hi = size;
+          narrow();
+        } else {
+          lo = size;
+          size *= 2;
+          next_doubling();
+        }
+        break;
+      case Phase::kUpper:
+        // The doubling overshot `upper`: the bound itself decides.
+        if (jumped) {
+          hi = upper;
+          narrow();
+        } else {
+          phase = Phase::kNoJump;
+        }
+        break;
+      case Phase::kNarrowing:
+        (jumped ? hi : lo) = midpoint();
+        settle();
+        break;
+      default:
+        break;
+    }
+  }
+
+ private:
+  std::uint64_t midpoint() const {
+    return round_down(lo + (hi - lo) / 2, stride);
+  }
+  void next_doubling() {
+    phase = size <= upper ? Phase::kDoubling
+            : lo < upper  ? Phase::kUpper
+                          : Phase::kNoJump;
+  }
+  void narrow() {
+    span = std::max(min_span, hi / 16);
+    phase = Phase::kNarrowing;
+    settle();
+  }
+  void settle() {
+    const std::uint64_t mid = midpoint();
+    if (hi - lo <= span || mid <= lo || mid >= hi) phase = Phase::kFound;
+  }
+};
+
+/// Phase 6 as one serial predicate chain over full-pass `fits` probes:
+/// verify the lower seed, stepping down in doubling steps while it does not
+/// fit; then step the upper seed up in doubling steps while it fits; then
+/// bisect at stride resolution. advance() consumes fits(probe()).
+struct ExactSearch {
+  enum class Phase { kLow, kHigh, kBisect, kFound, kNoFit };
+  std::uint64_t lower = 0;
+  std::uint64_t upper = 0;
+  std::uint64_t stride = 0;
+  std::uint64_t expand = 0;    ///< first expansion step
+  std::uint64_t detected = 0;  ///< K-S estimate
+  std::uint64_t fit_lo = 0;
+  std::uint64_t miss_hi = 0;
+  std::uint64_t step = 0;
+  Phase phase = Phase::kLow;
+
+  std::optional<std::uint64_t> probe() const {
+    switch (phase) {
+      case Phase::kLow:
+        return fit_lo;
+      case Phase::kHigh:
+        return miss_hi;
+      case Phase::kBisect:
+        return midpoint();
+      default:
+        return std::nullopt;
+    }
+  }
+
+  void advance(bool fits) {
+    switch (phase) {
+      case Phase::kLow:
+        if (fits) {
+          if (miss_hi <= fit_lo) {
+            miss_hi = std::max(detected, fit_lo + stride);
+          }
+          step = expand;
+          phase = Phase::kHigh;
+          if (miss_hi >= upper) bisect();
+        } else if (fit_lo > lower) {
+          fit_lo = fit_lo > lower + step ? fit_lo - step : lower;
+          step *= 2;
+        } else {
+          phase = Phase::kNoFit;
+        }
+        break;
+      case Phase::kHigh:
+        if (fits) {
+          miss_hi = std::min(upper, miss_hi + step);
+          step *= 2;
+          if (miss_hi >= upper) bisect();
+        } else {
+          bisect();
+        }
+        break;
+      case Phase::kBisect:
+        (fits ? fit_lo : miss_hi) = midpoint();
+        settle();
+        break;
+      default:
+        break;
+    }
+  }
+
+ private:
+  std::uint64_t midpoint() const {
+    return round_down(fit_lo + (miss_hi - fit_lo) / 2, stride);
+  }
+  void bisect() {
+    phase = Phase::kBisect;
+    settle();
+  }
+  // Invariant from here on: fits(fit_lo) && !fits(miss_hi).
+  void settle() {
+    const std::uint64_t mid = midpoint();
+    if (miss_hi - fit_lo <= stride || mid <= fit_lo || mid >= miss_hi) {
+      phase = Phase::kFound;
+    }
+  }
+};
+
 struct Runner {
   sim::Gpu& gpu;
   const SizeBenchOptions& options;
@@ -27,6 +198,20 @@ struct Runner {
   /// bound seeding; only an approximation of the full-pass predicate, so
   /// phase 6 verifies every seed before trusting it.
   std::map<std::uint64_t, bool> sweep_fits;
+  /// Probes per run-ahead round: the largest full binary tree of chain
+  /// steps (2^levels - 1) that the batch's participants run at once. Below
+  /// three participants this stays 1: no run-ahead.
+  std::size_t ahead_probes = 1;
+
+  Runner(sim::Gpu& gpu_, const SizeBenchOptions& options_,
+         std::uint64_t base_, runtime::ReplicaPool& pool_)
+      : gpu(gpu_), options(options_), base(base_), pool(pool_) {
+    const std::uint32_t participants =
+        runtime::batch_participants(batch_options());
+    while (ahead_probes * 2 + 1 <= participants) {
+      ahead_probes = ahead_probes * 2 + 1;
+    }
+  }
 
   runtime::ChaseBatchOptions batch_options() const {
     runtime::ChaseBatchOptions batch;
@@ -78,6 +263,45 @@ struct Runner {
     const auto result = chase(config_for(array_bytes, /*full_pass=*/true));
     return hit_fraction(result, options.target.element) >= 0.999;
   }
+
+  /// Walks a serial predicate chain (IntervalSearch, ExactSearch) to its
+  /// end, feeding it each probe's @p verdict. Every probe is chased through
+  /// run_chase_batch in serial order; run-ahead only decides whether that
+  /// batch finds the probe already measured.
+  template <class Chain, class Verdict>
+  void walk(Chain& chain, bool full_pass, Verdict&& verdict) {
+    while (const std::optional<std::uint64_t> size = chain.probe()) {
+      if (ahead_probes > 1) run_ahead(chain, full_pass);
+      chain.advance(verdict(*size));
+    }
+  }
+
+  /// Runs the chain's next probes ahead, breadth-first over both verdicts
+  /// of every step: the midpoint, then both quarter points, and so on.
+  /// run_chase_ahead makes this a no-op while the probe needed now still
+  /// waits from an earlier round.
+  template <class Chain>
+  void run_ahead(const Chain& chain, bool full_pass) {
+    std::vector<runtime::ChaseSpec> specs;
+    std::deque<Chain> frontier{chain};
+    while (!frontier.empty() && specs.size() < ahead_probes) {
+      const Chain node = frontier.front();
+      frontier.pop_front();
+      const std::optional<std::uint64_t> size = node.probe();
+      if (!size) continue;
+      const auto spec =
+          runtime::ChaseSpec::plain(config_for(*size, full_pass));
+      if (std::find(specs.begin(), specs.end(), spec) != specs.end()) {
+        continue;
+      }
+      specs.push_back(spec);
+      for (const bool verdict : {true, false}) {
+        frontier.push_back(node);
+        frontier.back().advance(verdict);
+      }
+    }
+    runtime::run_chase_ahead(gpu, specs, batch_options());
+  }
 };
 
 }  // namespace
@@ -92,48 +316,36 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
   const std::uint64_t lower = round_up(options.lower, options.stride);
   const std::uint64_t upper = round_up(options.upper, options.stride);
   runtime::ReplicaPool local_pool;
-  Runner runner{gpu, options, gpu.alloc(upper + options.stride, 256),
-                options.chase_pool ? *options.chase_pool : local_pool};
+  Runner runner(gpu, options, gpu.alloc(upper + options.stride, 256),
+                options.chase_pool ? *options.chase_pool : local_pool);
+  // Run-ahead results the chains never committed die with the benchmark.
+  struct DiscardAhead {
+    runtime::ReplicaPool& pool;
+    ~DiscardAhead() { runtime::discard_chase_ahead(pool); }
+  } discard_ahead{runner.pool};
 
-  // --- Phase 1: exponential doubling until the latency jumps. --------------
-  const double base_latency = runner.median_latency(lower);
-  const double jump_threshold = std::max(base_latency * 1.4,
-                                         base_latency + 10.0);
-  std::uint64_t lo = lower;
-  std::uint64_t hi = 0;
-  for (std::uint64_t size = lower * 2; size <= upper; size *= 2) {
-    if (runner.median_latency(size) > jump_threshold) {
-      hi = size;
-      break;
+  // --- Phases 1 + 1b: exponential doubling until the latency jumps, then
+  // binary-search narrowing to bound the sweep cost. ------------------------
+  IntervalSearch interval{
+      lower, upper, options.stride,
+      static_cast<std::uint64_t>(options.stride) * options.max_sweep_points};
+  std::optional<double> jump_threshold;  // set by the base probe
+  runner.walk(interval, /*full_pass=*/false, [&](std::uint64_t size) {
+    const double latency = runner.median_latency(size);
+    if (!jump_threshold) {
+      jump_threshold = std::max(latency * 1.4, latency + 10.0);
+      return false;
     }
-    lo = size;
+    return latency > *jump_threshold;
+  });
+  if (interval.phase == IntervalSearch::Phase::kNoJump) {
+    out.upper_bound_hit = true;
+    out.cycles = runner.cycles;
+    out.exact_chases = runner.exact_chases;
+    return out;
   }
-  if (hi == 0) {
-    // Check the upper bound itself (the doubling may overshoot it).
-    if (lo < upper && runner.median_latency(upper) > jump_threshold) {
-      hi = upper;
-    } else {
-      out.upper_bound_hit = true;
-      out.cycles = runner.cycles;
-      out.exact_chases = runner.exact_chases;
-      return out;
-    }
-  }
-
-  // --- Phase 1b: binary-search narrowing to bound the sweep cost. ----------
-  const std::uint64_t target_span =
-      std::max<std::uint64_t>(static_cast<std::uint64_t>(options.stride) *
-                                  options.max_sweep_points,
-                              hi / 16);
-  while (hi - lo > target_span) {
-    const std::uint64_t mid = round_down(lo + (hi - lo) / 2, options.stride);
-    if (mid <= lo || mid >= hi) break;
-    if (runner.median_latency(mid) > jump_threshold) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
+  const std::uint64_t lo = interval.lo;
+  const std::uint64_t hi = interval.hi;
 
   // --- Phases 2-4: sweep, outlier screening (with widening), K-S. ----------
   //
@@ -274,68 +486,49 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
     // the nearest measured fitting size at or below the estimate and the
     // nearest measured missing size above it. The seeds come from recorded
     // prefixes, so both are verified with full-pass chases — the expansion
-    // loops below remain as the fallback when a seed lied. Without seeding
-    // (or without usable rows) the walk expands outward in coarse steps
-    // first (the K-S estimate can be off by a sweep step), then bisects at
+    // steps remain as the fallback when a seed lied. Without seeding (or
+    // without usable rows) the walk expands outward in coarse steps first
+    // (the K-S estimate can be off by a sweep step), then bisects at
     // fetch-granularity resolution. The lower expansion must be able to
     // reach `lower` itself — the cache size can coincide with the search
-    // bound (e.g. a 1 KiB cache probed from 1 KiB).
-    const std::uint64_t expand = std::max<std::uint64_t>(
+    // bound (e.g. a 1 KiB cache probed from 1 KiB). Expansion steps double:
+    // when the sweep window missed the boundary entirely (a late phase-1
+    // jump), a fixed coarse step would crawl over the gap chase by chase;
+    // doubling reaches any distance in O(log) chases and the bisection
+    // recovers the precision.
+    ExactSearch exact;
+    exact.lower = lower;
+    exact.upper = upper;
+    exact.stride = options.stride;
+    exact.expand = std::max<std::uint64_t>(
         coarse_step, static_cast<std::uint64_t>(options.stride));
-    std::uint64_t fit_lo = out.detected_bytes;
-    std::uint64_t miss_hi = 0;
+    exact.step = exact.expand;
+    exact.detected = out.detected_bytes;
+    exact.fit_lo = out.detected_bytes;
     if (options.phase6_bounds_from_sweep) {
       std::uint64_t seed_lo = 0;
       for (const auto& [size, prefix_fits] : runner.sweep_fits) {
         if (prefix_fits && size <= out.detected_bytes && size > seed_lo) {
           seed_lo = size;
         } else if (!prefix_fits && size > out.detected_bytes &&
-                   (miss_hi == 0 || size < miss_hi)) {
-          miss_hi = size;
+                   (exact.miss_hi == 0 || size < exact.miss_hi)) {
+          exact.miss_hi = size;
         }
       }
-      if (seed_lo != 0) fit_lo = seed_lo;
+      if (seed_lo != 0) exact.fit_lo = seed_lo;
     }
-    // Expansion steps double: when the sweep window missed the boundary
-    // entirely (a late phase-1 jump), a fixed coarse step would crawl over
-    // the gap chase by chase; doubling reaches any distance in O(log)
-    // chases and the bisection below recovers the precision.
-    bool fit_lo_ok = runner.fits(fit_lo);
-    for (std::uint64_t step = expand; !fit_lo_ok && fit_lo > lower;
-         step *= 2) {
-      fit_lo = fit_lo > lower + step ? fit_lo - step : lower;
-      fit_lo_ok = runner.fits(fit_lo);
-    }
-    if (!fit_lo_ok) {
+    runner.walk(exact, /*full_pass=*/true,
+                [&](std::uint64_t size) { return runner.fits(size); });
+    if (exact.phase == ExactSearch::Phase::kNoFit) {
       // No size fits, down to and including `lower`: the K-S saw a latency
       // cliff of a deeper level (or noise), not this element's boundary.
       // Reporting `lower` would fabricate a fit that was never observed;
       // keep the change-point estimate and flag the condition.
       out.exact_bytes = out.detected_bytes;
       out.exact_fallback = true;
-      out.cycles = runner.cycles;
-      out.exact_chases = runner.exact_chases;
-      return out;
+    } else {
+      out.exact_bytes = exact.fit_lo;
     }
-    if (miss_hi <= fit_lo) {
-      miss_hi = std::max(out.detected_bytes, fit_lo + options.stride);
-    }
-    for (std::uint64_t step = expand; miss_hi < upper && runner.fits(miss_hi);
-         step *= 2) {
-      miss_hi = std::min(upper, miss_hi + step);
-    }
-    // Invariant: fits(fit_lo) && !fits(miss_hi); bisect on stride multiples.
-    while (miss_hi - fit_lo > options.stride) {
-      const std::uint64_t mid =
-          round_down(fit_lo + (miss_hi - fit_lo) / 2, options.stride);
-      if (mid <= fit_lo || mid >= miss_hi) break;
-      if (runner.fits(mid)) {
-        fit_lo = mid;
-      } else {
-        miss_hi = mid;
-      }
-    }
-    out.exact_bytes = fit_lo;
   }
 
   out.cycles = runner.cycles;

@@ -35,6 +35,22 @@
 // the change point — so the expansion loop's extra chases disappear (both
 // seeds are still verified with full-pass chases before the bisection
 // trusts them).
+//
+// Phases 1/1b and 6 are serial predicate chains: each probe depends on the
+// previous verdict, so no batch of them can fan out. With at least three
+// participants available (runtime::batch_participants) the benchmark runs
+// each chain ahead instead: before a probe it has not measured yet, it
+// hands runtime::run_chase_ahead that probe plus every probe the next
+// levels of the chain may need, as many levels as the participants can run
+// at once: the midpoint plus both quarter points at three to six
+// participants, three levels (seven probes) at seven to 14. The needed probe
+// always runs; the others run only on participants idle meanwhile. The
+// commit rule keeps the result serial: every probe is still chased
+// through run_chase_batch in serial order, and one found waiting is booked,
+// memoized and recorded in the warm ledger exactly as if it ran then, so
+// results, cycles and memo statistics equal the serial search. Waiting
+// results the chains did not take are dropped when the benchmark returns.
+// At one or two sweep threads nothing runs ahead.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +84,9 @@ struct SizeBenchOptions {
   /// fewer points than the coarse sweep (whose density feeds the K-S power).
   std::uint32_t refine_sweep_points = 16;
   std::uint32_t max_widenings = 3;       ///< outlier-triggered re-measurements
-  /// Parallelism of the sweep-point measurements, caller included; 1 = the
-  /// serial reference engine. Both produce byte-identical results.
+  /// Parallelism of the sweep-point measurements and of the chains' run-
+  /// ahead, caller included; 1 = the serial reference engine. Both produce
+  /// byte-identical results.
   std::uint32_t sweep_threads = 1;
   /// Executor for sweep_threads > 1; nullptr = exec::shared_executor().
   /// Tests inject a dedicated pool here to force real thread interleaving

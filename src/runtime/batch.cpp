@@ -1,6 +1,7 @@
 #include "runtime/batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 
 #include "common/rng.hpp"
@@ -141,11 +142,87 @@ const PChaseResult* probe_memo(const ReplicaPool& pool, std::uint64_t hash,
   return nullptr;
 }
 
+/// The pool's waiting run-ahead result for @p spec, or ahead.end().
+std::vector<AheadResult>::iterator find_ahead(ReplicaPool& pool,
+                                              const ChaseSpec& spec) {
+  return std::find_if(
+      pool.ahead.begin(), pool.ahead.end(),
+      [&](const AheadResult& waiting) { return waiting.spec == spec; });
+}
+
+/// Drops the waiting run-ahead results from @p from on, counting them as
+/// discarded.
+void drop_ahead(ReplicaPool& pool, std::vector<AheadResult>::iterator from) {
+  const auto count = static_cast<std::uint64_t>(pool.ahead.end() - from);
+  if (count == 0) return;
+  pool.ahead_stats.discarded += count;
+  if (obs::metrics_enabled()) {
+    obs::Metrics::instance().add("chase.ahead_discarded",
+                                 static_cast<double>(count));
+  }
+  pool.ahead.erase(from, pool.ahead.end());
+}
+
+/// Drops pool state measured against an older cache geometry.
+void sync_epoch(ReplicaPool& pool, const sim::Gpu& gpu) {
+  if (pool.epoch != gpu.path_epoch()) {
+    // The owning Gpu rebuilt caches: replicas hold the old geometry, and
+    // memoized results, warm states and run-ahead results were measured
+    // against it.
+    pool.replicas.clear();
+    pool.memo.clear();
+    pool.warm_ledger.clear();
+    pool.warm_state_bytes = 0;
+    drop_ahead(pool, pool.ahead.begin());
+  }
+  pool.epoch = gpu.path_epoch();
+}
+
+exec::Executor& batch_executor(const ChaseBatchOptions& options,
+                               const ReplicaPool* pool) {
+  if (options.executor) return *options.executor;
+  if (pool && pool->executor) return *pool->executor;
+  return exec::shared_executor();
+}
+
+/// Plain warm-up chases share warm walks. Resample chases are excluded by
+/// contract: they exist to be genuinely independent re-measurements and
+/// always run cold.
+bool warm_shareable(const ChaseSpec& spec) {
+  return spec.kind == ChaseKind::kPlain && spec.config.warmup &&
+         spec.config.resample == 0;
+}
+
+WarmKey warm_key_of(const PChaseConfig& config) {
+  return {config.space,    config.flags.bypass_l1, config.base,
+          config.stride_bytes, config.where.sm,    config.where.core};
+}
+
+std::uint64_t walk_steps(const PChaseConfig& config) {
+  return config.array_bytes / config.stride_bytes;
+}
+
 /// Timed-pass length of a plain config (the max_timed_steps cap applied).
 std::uint64_t timed_steps_of(const PChaseConfig& config) {
-  const std::uint64_t steps = config.array_bytes / config.stride_bytes;
+  const std::uint64_t steps = walk_steps(config);
   return config.max_timed_steps != 0 ? std::min(steps, config.max_timed_steps)
                                      : steps;
+}
+
+/// Where a walk of @p steps resumes: the longest ledger walk of @p key with
+/// a snapshot and at most @p steps, or nullptr (walk from cold).
+const WarmStateEntry* resume_point(const ReplicaPool& pool,
+                                   const WarmKey& key, std::uint64_t steps) {
+  const auto ledger = pool.warm_ledger.find(key);
+  if (ledger == pool.warm_ledger.end()) return nullptr;
+  const WarmStateEntry* best = nullptr;
+  for (const WarmStateEntry& e : ledger->second) {
+    if (e.has_state && e.steps <= steps &&
+        (best == nullptr || e.steps > best->steps)) {
+      best = &e;
+    }
+  }
+  return best;
 }
 
 /// Ceiling on the timed-pass length of a chase that may run mid-chunk: its
@@ -202,6 +279,161 @@ void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
   }
 }
 
+/// What one worker slot runs back-to-back on one replica: either a cold
+/// singleton (the classic reset-then-run path) or a chunk of one warm chain
+/// that warms incrementally and snapshot/restores around each bounded timed
+/// pass.
+struct Unit {
+  std::vector<std::size_t> indices;  ///< spec indices, chain order
+  bool chunk = false;
+  const WarmStateEntry* restore = nullptr;  ///< ledger walk to resume from
+  bool save = false;  ///< capture the end-of-warm state of the last member
+};
+
+/// One batch's execution plan and, once run_units() ran it, its outputs.
+/// Every output slot is written by the one unit that owns it, so any
+/// schedule yields the same bytes.
+struct Plan {
+  std::span<const ChaseSpec> specs;
+  std::vector<std::uint64_t> seeds;      ///< per spec: noise seed = memo key
+  std::vector<Unit> units;
+  std::vector<PChaseResult> results;     ///< per spec
+  std::vector<std::uint64_t> warm_full;  ///< per spec: cold-equivalent warm
+  std::vector<WarmStateEntry> saved;     ///< per unit: end state if save
+  std::vector<char> ran;                 ///< per unit
+
+  explicit Plan(std::span<const ChaseSpec> batch)
+      : specs(batch),
+        seeds(batch.size()),
+        results(batch.size()),
+        warm_full(batch.size()) {}
+};
+
+/// Runs plan.units on the pool's slot replicas with at most options.threads
+/// participants. Units from @p needed on are speculative: a participant
+/// that claims one after every needed unit finished skips it.
+void run_units(sim::Gpu& gpu, ReplicaPool& pool,
+               const ChaseBatchOptions& options, Plan& plan,
+               std::size_t needed, const char* chase_span) {
+  const std::vector<Unit>& units = plan.units;
+  plan.saved.resize(units.size());
+  plan.ran.assign(units.size(), 0);
+  if (units.empty()) return;
+  const PChaseEngine engine = pchase_engine();
+
+  // At most one participant per unit. A slot's replica is acquired when
+  // the slot runs its first unit, so a participant the executor never
+  // delivered costs no fork; the slot table is sized up front so slots
+  // only ever touch their own entry.
+  const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      std::max<std::uint32_t>(options.threads, 1), units.size()));
+  if (pool.replicas.size() < workers) pool.replicas.resize(workers);
+  const auto slot_replica = [&](std::uint32_t slot) -> sim::Gpu& {
+    std::optional<sim::Gpu>& replica = pool.replicas[slot];
+    if (!replica) {
+      replica.emplace(pool.replica_cache ? pool.replica_cache->acquire(gpu)
+                                         : fork_replica(gpu));
+    }
+    return *replica;
+  };
+  std::vector<std::uint64_t> slot_reset_ns(workers, 0);
+  std::vector<sim::PathSnapshot> slot_scratch(workers);
+
+  const auto execute = [&](const Unit& unit, std::size_t u,
+                           std::uint32_t slot) {
+    sim::Gpu& replica = slot_replica(slot);
+    {
+      const obs::SpanGuard reset_span("replica.reset");
+      const std::uint64_t reset_start = obs::monotonic_ns();
+      replica.flush_caches();
+      if (!unit.chunk) {
+        // The memo key IS the noise-stream seed (both are the full spec
+        // fold).
+        replica.reseed_noise(plan.seeds[unit.indices.front()]);
+      }
+      const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
+      slot_reset_ns[slot] += reset_ns;
+      if (obs::metrics_enabled()) {
+        obs::Metrics::instance().observe("replica.reset_ns",
+                                         static_cast<double>(reset_ns));
+      }
+    }
+    const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
+    if (!unit.chunk) {
+      const std::size_t index = unit.indices.front();
+      const obs::SpanGuard chase(chase_span);
+      plan.results[index] = run_chase(replica, plan.specs[index]);
+      plan.warm_full[index] = plan.results[index].warm_cycles;
+      return;
+    }
+    // Warm-sharing chunk: one incremental warm walk, many timed passes.
+    const PChaseConfig& head = plan.specs[unit.indices.front()].config;
+    const sim::AccessPath path =
+        replica.compile_path(head.where, head.space, head.flags);
+    std::uint64_t cur_steps = 0;
+    std::uint64_t cum_warm = 0;
+    if (unit.restore != nullptr) {
+      replica.restore_path(path, unit.restore->state);
+      cur_steps = unit.restore->steps;
+      cum_warm = unit.restore->cum_warm_cycles;
+    }
+    for (std::size_t i = 0; i < unit.indices.size(); ++i) {
+      const std::size_t index = unit.indices[i];
+      const PChaseConfig& config = plan.specs[index].config;
+      const std::uint64_t steps = walk_steps(config);
+      if (steps > cur_steps) {
+        cum_warm += replica.run_warm_pass(
+            path, config.base + cur_steps * config.stride_bytes,
+            config.stride_bytes, steps - cur_steps);
+        cur_steps = steps;
+      }
+      plan.warm_full[index] = cum_warm;
+      const bool last = i + 1 == unit.indices.size();
+      if (last && unit.save) {
+        WarmStateEntry& saved = plan.saved[u];
+        saved.steps = cur_steps;
+        saved.cum_warm_cycles = cum_warm;
+        replica.snapshot_path(path, saved.state);
+        saved.has_state = true;
+      }
+      // Re-seeding here puts the timed pass at the exact stream position a
+      // cold run would see: warm-up consumes zero draws.
+      replica.reseed_noise(plan.seeds[index]);
+      PChaseConfig timed = config;
+      timed.warmup = false;
+      const obs::SpanGuard chase(chase_span);
+      if (!last) {
+        // The timed pass only touches sets its address prefix maps to;
+        // snapshotting exactly those makes the restore rewind it fully.
+        replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
+                                     timed_steps_of(config),
+                                     slot_scratch[slot]);
+        plan.results[index] = run_pchase(replica, timed);
+        replica.restore_path(path, slot_scratch[slot]);
+      } else {
+        plan.results[index] = run_pchase(replica, timed);
+      }
+    }
+  };
+
+  std::atomic<std::size_t> needed_left{std::min(needed, units.size())};
+  const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
+    if (u >= needed && needed_left.load() == 0) {
+      return;  // too late to run beside a needed unit
+    }
+    execute(units[u], u, slot);
+    plan.ran[u] = 1;
+    if (u < needed) needed_left.fetch_sub(1);
+  };
+  if (workers == 1) {
+    for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
+  } else {
+    batch_executor(options, &pool).parallel_for(units.size(), workers,
+                                                run_unit);
+  }
+  for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;
+}
+
 }  // namespace
 
 PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
@@ -218,39 +450,98 @@ PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
   return {};
 }
 
+std::uint32_t batch_participants(const ChaseBatchOptions& options) {
+  if (options.threads <= 1) return 1;
+  return std::min(options.threads,
+                  batch_executor(options, options.pool).pool_threads() + 1);
+}
+
+void discard_chase_ahead(ReplicaPool& pool) {
+  drop_ahead(pool, pool.ahead.begin());
+}
+
+void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                     const ChaseBatchOptions& options) {
+  if (specs.empty() || options.pool == nullptr) return;
+  ReplicaPool& pool = *options.pool;
+  sync_epoch(pool, gpu);
+  Plan plan(specs);
+  std::vector<std::size_t> todo;  // specs to run, first occurrences
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    plan.seeds[i] = chase_noise_seed(gpu.seed(), specs[i]);
+    const bool answerable =
+        (options.memoize && probe_memo(pool, plan.seeds[i], specs[i])) ||
+        find_ahead(pool, specs[i]) != pool.ahead.end() ||
+        std::any_of(todo.begin(), todo.end(),
+                    [&](std::size_t j) { return specs[j] == specs[i]; });
+    if (!answerable) todo.push_back(i);
+  }
+  if (todo.empty() || todo.front() != 0) return;  // specs[0] is answerable
+
+  // A new round: waiting results it does not name were moved past.
+  drop_ahead(pool, std::stable_partition(
+                       pool.ahead.begin(), pool.ahead.end(),
+                       [&](const AheadResult& waiting) {
+                         return std::find(specs.begin(), specs.end(),
+                                          waiting.spec) != specs.end();
+                       }));
+
+  const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
+  for (const std::size_t i : todo) {
+    Unit unit;
+    unit.indices.push_back(i);
+    if (compiled && warm_shareable(specs[i])) {
+      unit.chunk = true;
+      unit.save = true;
+      unit.restore = resume_point(pool, warm_key_of(specs[i].config),
+                                  walk_steps(specs[i].config));
+    }
+    plan.units.push_back(std::move(unit));
+  }
+  run_units(gpu, pool, options, plan, /*needed=*/1, "chase.ahead");
+
+  for (std::size_t u = 0; u < plan.units.size(); ++u) {
+    if (!plan.ran[u]) continue;
+    const std::size_t i = plan.units[u].indices.front();
+    AheadResult result;
+    result.spec = specs[i];
+    result.result = std::move(plan.results[i]);
+    result.warm = std::move(plan.saved[u]);
+    result.warm.steps = walk_steps(specs[i].config);
+    result.warm.cum_warm_cycles = plan.warm_full[i];
+    pool.ahead.push_back(std::move(result));
+    ++pool.ahead_stats.ran;
+  }
+}
+
 std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
                                           std::span<const ChaseSpec> specs,
                                           const ChaseBatchOptions& options) {
-  std::vector<PChaseResult> results(specs.size());
-  if (specs.empty()) return results;
+  if (specs.empty()) return {};
   const obs::SpanGuard batch_span("chase.batch");
 
   ReplicaPool local_pool;
   ReplicaPool& pool = options.pool ? *options.pool : local_pool;
-  if (pool.epoch != gpu.path_epoch()) {
-    // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // memoized results / warm states were measured against it.
-    pool.replicas.clear();
-    pool.memo.clear();
-    pool.warm_ledger.clear();
-    pool.warm_state_bytes = 0;
-  }
-  pool.epoch = gpu.path_epoch();
+  sync_epoch(pool, gpu);
+  Plan plan(specs);
+  std::vector<PChaseResult>& results = plan.results;
 
-  // Resolve memo hits and intra-batch duplicates in spec order, before any
-  // chase runs, so which index carries the cycles is a function of the batch
-  // contents alone — never of scheduling.
-  std::vector<std::size_t> pending;          // first occurrences to execute
-  std::vector<std::uint64_t> pending_hash;   // their memo keys
+  // Resolve memo hits, intra-batch duplicates and run-ahead commits in spec
+  // order, before any chase runs, so which index carries the cycles is a
+  // function of the batch contents alone — never of scheduling.
+  std::vector<std::size_t> pending;  // first occurrences: run or committed
   std::vector<std::ptrdiff_t> copy_from(specs.size(), -1);
   // hash -> indices already pending, so duplicate detection stays linear
   // even for the N^2-pair CU-sharing batches.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
+  // Committed run-ahead results: spec index -> end of its warm walk.
+  std::map<std::size_t, WarmStateEntry> committed;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
   {
     const obs::SpanGuard memo_span("memo.resolve");
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
+      plan.seeds[i] = hash;
       if (options.memoize) {
         if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
           results[i] = *hit;
@@ -269,21 +560,29 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         }
         candidates.push_back(i);
       }
+      if (!pool.ahead.empty()) {
+        const auto waiting = find_ahead(pool, specs[i]);
+        if (waiting != pool.ahead.end()) {
+          results[i] = std::move(waiting->result);
+          plan.warm_full[i] = waiting->warm.cum_warm_cycles;
+          committed.emplace(i, std::move(waiting->warm));
+          pool.ahead.erase(waiting);
+        }
+      }
       pending.push_back(i);
-      pending_hash.push_back(hash);
     }
   }
 
   if (!pending.empty()) {
-    const PChaseEngine engine = pchase_engine();
-
     // ---- Warm-chain planning (engine-independent) -------------------------
     // Group warm-compatible plain chases by WarmKey and sort each chain by
     // walk length (ties stay in spec order). Chain membership and order are
     // a pure function of the batch contents, so the booking derived from
-    // them is scheduling-independent.
+    // them is scheduling-independent. Committed run-ahead results are chain
+    // members like any other: they book and enter the ledger, but run in no
+    // unit.
     struct Member {
-      std::size_t k = 0;  ///< index into pending
+      std::size_t index = 0;  ///< spec index
       std::uint64_t steps = 0;
     };
     struct Chain {
@@ -291,20 +590,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       std::size_t save_unit = SIZE_MAX;  ///< unit that captures the end state
     };
     std::map<WarmKey, Chain> chains;
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const ChaseSpec& spec = specs[pending[k]];
-      const PChaseConfig& config = spec.config;
-      // Resample chases are excluded by contract: they exist to be genuinely
-      // independent re-measurements and always run cold.
-      if (spec.kind != ChaseKind::kPlain || !config.warmup ||
-          config.resample != 0) {
-        continue;
-      }
-      const WarmKey key{config.space,       config.flags.bypass_l1,
-                        config.base,        config.stride_bytes,
-                        config.where.sm,    config.where.core};
-      chains[key].members.push_back(
-          {k, config.array_bytes / config.stride_bytes});
+    for (const std::size_t i : pending) {
+      if (!warm_shareable(specs[i])) continue;
+      chains[warm_key_of(specs[i].config)].members.push_back(
+          {i, walk_steps(specs[i].config)});
     }
     for (auto& [key, chain] : chains) {
       std::stable_sort(
@@ -313,182 +602,60 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     }
 
     // ---- Execution units --------------------------------------------------
-    // A unit is what one worker slot runs back-to-back on one replica:
-    // either a cold singleton (the classic reset-then-run path) or a chunk
-    // of one chain that warms incrementally and snapshot/restores around
-    // each bounded timed pass. Splitting chains into chunks is what lets a
-    // single monolithic sweep fan out across --sweep-threads; each chunk
-    // re-warms independently (from the best ledger snapshot), trading some
-    // redundant warm work for parallelism without touching results.
-    struct Unit {
-      std::vector<std::size_t> ks;  ///< pending indices, chain order
-      bool chunk = false;
-      const WarmStateEntry* restore = nullptr;
-      bool save = false;
-    };
-    std::vector<Unit> units;
-    std::vector<char> in_chunk(pending.size(), 0);
-    if (engine == PChaseEngine::kCompiled) {
+    // Splitting chains into chunks is what lets a single monolithic sweep
+    // fan out across --sweep-threads; each chunk re-warms independently
+    // (from the best ledger snapshot), trading some redundant warm work for
+    // parallelism without touching results.
+    std::vector<Unit>& units = plan.units;
+    std::vector<char> in_chunk(specs.size(), 0);
+    if (pchase_engine() == PChaseEngine::kCompiled) {
       for (auto& [key, chain] : chains) {
         const std::size_t first_unit = units.size();
         Unit current;
         current.chunk = true;
         for (const Member& m : chain.members) {
-          current.ks.push_back(m.k);
-          in_chunk[m.k] = 1;
+          if (committed.count(m.index)) continue;
+          current.indices.push_back(m.index);
+          in_chunk[m.index] = 1;
           const bool bounded =
-              timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
+              timed_steps_of(specs[m.index].config) <= kPrefixShareCap;
           // An unbounded (full-pass) timed run dirties state beyond any
           // cheap snapshot, so it closes its chunk as the final member.
           if (!bounded || (pool.warm_chunk_points != 0 &&
-                           current.ks.size() >= pool.warm_chunk_points)) {
+                           current.indices.size() >= pool.warm_chunk_points)) {
             units.push_back(std::move(current));
             current = Unit{};
             current.chunk = true;
           }
         }
-        if (!current.ks.empty()) units.push_back(std::move(current));
+        if (!current.indices.empty()) units.push_back(std::move(current));
         // Resume points: the longest ledger walk not exceeding the chunk's
         // first member. Ledger entries are immutable during execution (the
         // update below happens after the join), so the pointers stay valid.
-        const auto ledger = pool.warm_ledger.find(key);
-        if (ledger != pool.warm_ledger.end()) {
-          for (std::size_t u = first_unit; u < units.size(); ++u) {
-            const std::uint64_t first_steps =
-                specs[pending[units[u].ks.front()]].config.array_bytes /
-                specs[pending[units[u].ks.front()]].config.stride_bytes;
-            const WarmStateEntry* best = nullptr;
-            for (const WarmStateEntry& e : ledger->second) {
-              if (e.has_state && e.steps <= first_steps &&
-                  (best == nullptr || e.steps > best->steps)) {
-                best = &e;
-              }
-            }
-            units[u].restore = best;
-          }
+        for (std::size_t u = first_unit; u < units.size(); ++u) {
+          units[u].restore = resume_point(
+              pool, key, walk_steps(specs[units[u].indices.front()].config));
         }
-        // The last unit reaches the chain's longest walk: capture its warm
-        // state there so the next batch can resume instead of re-warming.
-        units.back().save = true;
-        chain.save_unit = units.size() - 1;
+        // The last unit reaches the chain's longest walk — unless a
+        // committed result does, which brings its own end state: capture
+        // the state there so the next batch can resume instead of
+        // re-warming.
+        if (units.size() > first_unit &&
+            !committed.count(chain.members.back().index)) {
+          units.back().save = true;
+          chain.save_unit = units.size() - 1;
+        }
       }
     }
     // Everything else (non-chain shapes, resamples, the reference engine)
     // runs as a cold singleton.
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (in_chunk[k]) continue;
+    for (const std::size_t i : pending) {
+      if (in_chunk[i] || committed.count(i)) continue;
       Unit unit;
-      unit.ks.push_back(k);
+      unit.indices.push_back(i);
       units.push_back(std::move(unit));
     }
-
-    // At most one participant per unit. A slot's replica is acquired when
-    // the slot runs its first unit, so a participant the executor never
-    // delivered costs no fork; the slot table is sized up front so slots
-    // only ever touch their own entry.
-    const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::max<std::uint32_t>(options.threads, 1), units.size()));
-    if (pool.replicas.size() < workers) pool.replicas.resize(workers);
-    const auto slot_replica = [&](std::uint32_t slot) -> sim::Gpu& {
-      std::optional<sim::Gpu>& replica = pool.replicas[slot];
-      if (!replica) {
-        replica.emplace(pool.replica_cache ? pool.replica_cache->acquire(gpu)
-                                           : fork_replica(gpu));
-      }
-      return *replica;
-    };
-
-    // Per-slot scratch, merged single-threaded at the join.
-    std::vector<std::uint64_t> warm_full(pending.size(), 0);
-    std::vector<WarmStateEntry> saved(units.size());
-    std::vector<std::uint64_t> slot_reset_ns(workers, 0);
-    std::vector<sim::PathSnapshot> slot_scratch(workers);
-
-    const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
-      const Unit& unit = units[u];
-      sim::Gpu& replica = slot_replica(slot);
-      {
-        const obs::SpanGuard reset_span("replica.reset");
-        const std::uint64_t reset_start = obs::monotonic_ns();
-        replica.flush_caches();
-        if (!unit.chunk) {
-          // The memo key IS the noise-stream seed (both are the full spec
-          // fold).
-          replica.reseed_noise(pending_hash[unit.ks.front()]);
-        }
-        const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
-        slot_reset_ns[slot] += reset_ns;
-        if (obs::metrics_enabled()) {
-          obs::Metrics::instance().observe("replica.reset_ns",
-                                           static_cast<double>(reset_ns));
-        }
-      }
-      const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
-      if (!unit.chunk) {
-        const std::size_t index = pending[unit.ks.front()];
-        const obs::SpanGuard chase_span("chase.run");
-        results[index] = run_chase(replica, specs[index]);
-        return;
-      }
-      // Warm-sharing chunk: one incremental warm walk, many timed passes.
-      const PChaseConfig& head = specs[pending[unit.ks.front()]].config;
-      const sim::AccessPath path =
-          replica.compile_path(head.where, head.space, head.flags);
-      std::uint64_t cur_steps = 0;
-      std::uint64_t cum_warm = 0;
-      if (unit.restore != nullptr) {
-        replica.restore_path(path, unit.restore->state);
-        cur_steps = unit.restore->steps;
-        cum_warm = unit.restore->cum_warm_cycles;
-      }
-      for (std::size_t i = 0; i < unit.ks.size(); ++i) {
-        const std::size_t k = unit.ks[i];
-        const std::size_t index = pending[k];
-        const PChaseConfig& config = specs[index].config;
-        const std::uint64_t steps = config.array_bytes / config.stride_bytes;
-        if (steps > cur_steps) {
-          cum_warm += replica.run_warm_pass(
-              path, config.base + cur_steps * config.stride_bytes,
-              config.stride_bytes, steps - cur_steps);
-          cur_steps = steps;
-        }
-        warm_full[k] = cum_warm;
-        const bool last = i + 1 == unit.ks.size();
-        if (last && unit.save) {
-          saved[u].steps = cur_steps;
-          saved[u].cum_warm_cycles = cum_warm;
-          replica.snapshot_path(path, saved[u].state);
-          saved[u].has_state = true;
-        }
-        // Re-seeding here puts the timed pass at the exact stream position a
-        // cold run would see: warm-up consumes zero draws.
-        replica.reseed_noise(pending_hash[k]);
-        PChaseConfig timed = config;
-        timed.warmup = false;
-        const obs::SpanGuard chase_span("chase.run");
-        if (!last) {
-          // The timed pass only touches sets its address prefix maps to;
-          // snapshotting exactly those makes the restore rewind it fully.
-          replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
-                                       timed_steps_of(config),
-                                       slot_scratch[slot]);
-          results[index] = run_pchase(replica, timed);
-          replica.restore_path(path, slot_scratch[slot]);
-        } else {
-          results[index] = run_pchase(replica, timed);
-        }
-      }
-    };
-
-    if (workers == 1) {
-      for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
-    } else {
-      exec::Executor& executor = options.executor ? *options.executor
-                                 : pool.executor  ? *pool.executor
-                                                  : exec::shared_executor();
-      executor.parallel_for(units.size(), workers, run_unit);
-    }
-    for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;
+    run_units(gpu, pool, options, plan, /*needed=*/units.size(), "chase.run");
 
     // ---- Engine-independent booking + ledger update (in chain order) ------
     // Each chain member is charged the incremental warm cost over its
@@ -498,15 +665,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // The rule consumes only cold-equivalent cumulative totals (warm_full)
     // and the ledger's numeric records, both of which are pure functions of
     // the deterministic batch sequence — never of thread count, chunk size,
-    // engine, or scheduling — so reports stay byte-identical across every
-    // execution shape. (Accounting IS chain-aware by design: sharing warm-up
-    // is what removes the warm cycles from the booked critical path.)
+    // engine, scheduling, or whether a member ran here or ahead — so reports
+    // stay byte-identical across every execution shape. (Accounting IS
+    // chain-aware by design: sharing warm-up is what removes the warm
+    // cycles from the booked critical path.)
     for (auto& [key, chain] : chains) {
-      for (const Member& m : chain.members) {
-        if (!in_chunk[m.k]) {
-          warm_full[m.k] = results[pending[m.k]].warm_cycles;
-        }
-      }
       const auto ledger = pool.warm_ledger.find(key);
       for (std::size_t i = 0; i < chain.members.size(); ++i) {
         const Member& m = chain.members[i];
@@ -522,21 +685,25 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         }
         if (i > 0 && chain.members[i - 1].steps >= prior_steps) {
           prior_steps = chain.members[i - 1].steps;
-          prior_cum = warm_full[chain.members[i - 1].k];
+          prior_cum = plan.warm_full[chain.members[i - 1].index];
         }
-        PChaseResult& r = results[pending[m.k]];
+        PChaseResult& r = results[m.index];
         const std::uint64_t timed_cycles = r.total_cycles - r.warm_cycles;
-        r.warm_cycles = warm_full[m.k] - prior_cum;
+        r.warm_cycles = plan.warm_full[m.index] - prior_cum;
         r.total_cycles = r.warm_cycles + timed_cycles;
       }
       const Member& longest = chain.members.back();
       WarmStateEntry entry;
-      entry.steps = longest.steps;
-      entry.cum_warm_cycles = warm_full[longest.k];
-      if (chain.save_unit != SIZE_MAX && saved[chain.save_unit].has_state) {
-        entry.state = std::move(saved[chain.save_unit].state);
+      if (const auto end = committed.find(longest.index);
+          end != committed.end()) {
+        entry = std::move(end->second);
+      } else if (chain.save_unit != SIZE_MAX &&
+                 plan.saved[chain.save_unit].has_state) {
+        entry.state = std::move(plan.saved[chain.save_unit].state);
         entry.has_state = true;
       }
+      entry.steps = longest.steps;
+      entry.cum_warm_cycles = plan.warm_full[longest.index];
       insert_ledger_entry(pool, key, std::move(entry));
     }
 
@@ -550,16 +717,16 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // price a stage's critical-path contribution.
     constexpr std::uint32_t kNominalChunkPoints = 8;
     std::uint64_t batch_serial = 0;
-    std::vector<char> in_chain(pending.size(), 0);
+    std::vector<char> in_chain(specs.size(), 0);
     for (const auto& [key, chain] : chains) {
       std::uint64_t unit_sum = 0;
       std::uint32_t unit_len = 0;
       for (const Member& m : chain.members) {
-        in_chain[m.k] = 1;
-        unit_sum += results[pending[m.k]].total_cycles;
+        in_chain[m.index] = 1;
+        unit_sum += results[m.index].total_cycles;
         ++unit_len;
         const bool bounded =
-            timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
+            timed_steps_of(specs[m.index].config) <= kPrefixShareCap;
         if (!bounded || unit_len >= kNominalChunkPoints) {
           batch_serial = std::max(batch_serial, unit_sum);
           unit_sum = 0;
@@ -569,10 +736,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       batch_serial = std::max(batch_serial, unit_sum);
     }
     std::uint64_t batch_total = 0;
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      batch_total += results[pending[k]].total_cycles;
-      if (!in_chain[k]) {
-        batch_serial = std::max(batch_serial, results[pending[k]].total_cycles);
+    for (const std::size_t i : pending) {
+      batch_total += results[i].total_cycles;
+      if (!in_chain[i]) {
+        batch_serial = std::max(batch_serial, results[i].total_cycles);
       }
     }
     pool.chase_cycles += batch_total;
@@ -580,9 +747,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
 
     if (options.memoize) {
       pool.memo_stats.misses += pending.size();
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        pool.memo[pending_hash[k]].emplace_back(specs[pending[k]],
-                                                results[pending[k]]);
+      for (const std::size_t i : pending) {
+        pool.memo[plan.seeds[i]].emplace_back(specs[i], results[i]);
       }
     }
   }
@@ -594,6 +760,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     results[i].from_cache = true;
     ++pool.memo_stats.hits;
   }
+  pool.ahead_stats.used += committed.size();
   if (obs::metrics_enabled()) {
     obs::Metrics& metrics = obs::Metrics::instance();
     const std::uint64_t hits = pool.memo_stats.hits - memo_hits_before;
@@ -601,8 +768,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     if (options.memoize && !pending.empty()) {
       metrics.add("memo.misses", static_cast<double>(pending.size()));
     }
+    if (!committed.empty()) {
+      metrics.add("chase.ahead_used", static_cast<double>(committed.size()));
+    }
   }
-  return results;
+  return std::move(plan.results);
 }
 
 std::vector<PChaseResult> run_pchase_batch(sim::Gpu& gpu,

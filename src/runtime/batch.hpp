@@ -43,6 +43,17 @@
 // results are byte-identical across thread counts, chunk sizes and the
 // compiled/reference engines; measurements (latencies, timed loads, hit
 // levels) are additionally independent of batch composition and history.
+//
+// That independence is what run-ahead rests on. run_chase_ahead() executes
+// probes a serial search may need next — on participants that would idle
+// otherwise — without booking them: each runs as its own unit, resuming
+// from the ledger as it stands, and leaves its raw measurement, its
+// cold-equivalent warm total and its end-of-warm snapshot in the pool's
+// run-ahead table. The commit rule: a later run_chase_batch() that misses
+// the memo but finds the spec in that table takes the stored result instead
+// of executing it, and books, memoizes and records it in the ledger exactly
+// as if it had just run. Booked cycles, memo stats, the ledger and hence
+// report bytes are those of the serial search; only wall time changes.
 #pragma once
 
 #include <cstdint>
@@ -168,6 +179,24 @@ struct WarmStateEntry {
   bool has_state = false;
 };
 
+/// A probe run_chase_ahead() executed and nobody committed yet: the raw
+/// measurement with nothing booked, and the end of its warm walk (walk
+/// length, cold-equivalent warm total, snapshot) as the ledger will record
+/// it on commit.
+struct AheadResult {
+  ChaseSpec spec;
+  PChaseResult result;
+  WarmStateEntry warm;
+};
+
+/// How run-ahead fared on one pool: every probe that ran is eventually
+/// used (committed by run_chase_batch) or discarded.
+struct ChaseAheadStats {
+  std::uint64_t ran = 0;
+  std::uint64_t used = 0;
+  std::uint64_t discarded = 0;
+};
+
 /// Reusable replicas + chase-result memo for repeated batch calls against
 /// the same owning Gpu. Both are rebuilt automatically when the owning Gpu
 /// invalidated its compiled paths (cache rebuild via
@@ -241,6 +270,10 @@ struct ReplicaPool {
   /// or scheduling.
   std::uint64_t chase_cycles = 0;
   std::uint64_t serial_cycles = 0;
+  /// Run-ahead results waiting for their commit: at most one round of
+  /// run_chase_ahead(), cleared with the memo on an epoch change.
+  std::vector<AheadResult> ahead;
+  ChaseAheadStats ahead_stats;
 };
 
 struct ChaseBatchOptions {
@@ -276,9 +309,36 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);
 /// calling thread is propagated to the worker threads. Results answered from
 /// the memo (or duplicated within the batch) carry from_cache == true and
 /// total_cycles == 0, so cycle tallies never double-book simulated work.
+/// A memo miss waiting in the pool's run-ahead table is committed instead
+/// of executed (see file comment).
 std::vector<PChaseResult> run_chase_batch(
     sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     const ChaseBatchOptions& options = {});
+
+/// Participants a batch run with @p options can actually get: its threads,
+/// capped by the executor's pool threads plus the caller. Resolves the
+/// executor only when threads > 1, so a serial caller never starts the
+/// shared pool.
+std::uint32_t batch_participants(const ChaseBatchOptions& options);
+
+/// Run-ahead (see file comment): executes @p specs without booking them and
+/// leaves their results in options.pool's run-ahead table (no pool: no-op).
+/// specs[0] is the probe the caller needs next and always runs; the rest
+/// are speculative and run only on a participant that claims one while
+/// specs[0] is still running, so speculation spends idle participants and
+/// never delays the caller by more than one probe running beside its own.
+/// If specs[0] is already answerable (memo or a waiting result) nothing
+/// runs: the round that produced it still covers what follows. Otherwise
+/// waiting results of an earlier round that @p specs does not name are
+/// discarded first — a serial search never returns to a probe it moved
+/// past — so the table holds one round at most. Specs the memo answers are
+/// skipped; chases carry "chase.ahead" spans instead of "chase.run".
+void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                     const ChaseBatchOptions& options);
+
+/// Drops every waiting run-ahead result of @p pool, counting each as
+/// discarded (ChaseAheadStats and the chase.ahead_discarded metric).
+void discard_chase_ahead(ReplicaPool& pool);
 
 /// Plain-chase convenience wrapper: wraps each config in ChaseSpec::plain.
 std::vector<PChaseResult> run_pchase_batch(

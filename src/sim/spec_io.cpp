@@ -482,6 +482,12 @@ std::vector<std::string> validate_spec(const GpuSpec& spec) {
       element_error("sector_bytes " + std::to_string(e.sector_bytes) +
                     " does not divide line_bytes " +
                     std::to_string(e.line_bytes));
+    } else if (e.line_bytes / e.sector_bytes > 32) {
+      // SectoredCache keeps a line's valid sectors in one 32-bit mask.
+      element_error("line_bytes " + std::to_string(e.line_bytes) +
+                    " / sector_bytes " + std::to_string(e.sector_bytes) +
+                    " gives " + std::to_string(e.line_bytes / e.sector_bytes) +
+                    " sectors per line; a cache holds at most 32");
     }
     if (e.associativity == 0) {
       element_error("associativity must be >= 1");

@@ -47,6 +47,19 @@ bool equal_results(const std::vector<PChaseResult>& a,
   return true;
 }
 
+/// Numeric ledger records (warm key order, then walk length): what booking
+/// reads.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> ledger_records(
+    const ReplicaPool& pool) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> records;
+  for (const auto& [key, entries] : pool.warm_ledger) {
+    for (const WarmStateEntry& e : entries) {
+      records.emplace_back(e.steps, e.cum_warm_cycles);
+    }
+  }
+  return records;
+}
+
 TEST(PChaseBatch, ByteIdenticalAcrossThreadCounts) {
   exec::Executor pool(3);  // real pool threads even on a single-core host
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
@@ -339,6 +352,110 @@ TEST(PChaseBatch, TimedStepCapDoesNotChangeTheRecordedPrefix) {
   EXPECT_EQ(results[0].timed_loads, 512u);  // 16 KiB / 32 B
   EXPECT_EQ(results[1].timed_loads, 64u);
   EXPECT_LT(results[1].total_cycles, results[0].total_cycles);
+}
+
+TEST(PChaseBatch, RunAheadCommitsExactlyLikeExecution) {
+  // A bisection-like chain of single-spec batches, once executed in place
+  // and once committed from run-ahead rounds (each call names the results
+  // of its round still waiting, so the table holds all of them). Commits
+  // must book, memoize and record exactly like execution.
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  const auto configs = sweep_configs(gpu, 7);  // full timed passes
+  const std::vector<std::size_t> order = {3, 1, 5, 0, 4, 2};
+  ReplicaPool serial_pool;
+  ReplicaPool ahead_pool;
+  ChaseBatchOptions serial_options;
+  serial_options.pool = &serial_pool;
+  ChaseBatchOptions ahead_options;
+  ahead_options.pool = &ahead_pool;
+  const auto spec = [&](std::size_t i) { return ChaseSpec::plain(configs[i]); };
+  const auto commit = [&](std::size_t i) {
+    const ChaseSpec one = spec(i);
+    return run_chase_batch(gpu, std::span(&one, 1), ahead_options)[0];
+  };
+  const auto ahead = [&](std::initializer_list<std::size_t> round) {
+    std::vector<ChaseSpec> specs;
+    for (const std::size_t i : round) specs.push_back(spec(i));
+    run_chase_ahead(gpu, specs, ahead_options);
+  };
+
+  std::vector<PChaseResult> serial;
+  for (const std::size_t i : order) {
+    const ChaseSpec one = spec(i);
+    serial.push_back(run_chase_batch(gpu, std::span(&one, 1),
+                                     serial_options)[0]);
+  }
+  std::vector<PChaseResult> committed;
+  ahead({3});
+  ahead({1, 3});
+  ASSERT_EQ(ahead_pool.ahead.size(), 2u);
+  committed.push_back(commit(3));
+  committed.push_back(commit(1));
+  // The second round resumes from the ledger the first round's commits
+  // left behind.
+  ahead({5});
+  ahead({0, 5});
+  ahead({4, 0, 5});
+  committed.push_back(commit(5));
+  committed.push_back(commit(0));
+  committed.push_back(commit(4));
+  ahead({2});
+  ahead({6, 2});  // a probe the chain never needs
+  committed.push_back(commit(2));
+  discard_chase_ahead(ahead_pool);
+
+  EXPECT_TRUE(equal_results(serial, committed));
+  for (std::size_t k = 0; k < serial.size(); ++k) {
+    EXPECT_EQ(serial[k].warm_cycles, committed[k].warm_cycles) << k;
+    EXPECT_FALSE(committed[k].from_cache) << k;
+  }
+  EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits);
+  EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses);
+  EXPECT_EQ(serial_pool.chase_cycles, ahead_pool.chase_cycles);
+  EXPECT_EQ(serial_pool.serial_cycles, ahead_pool.serial_cycles);
+  EXPECT_EQ(ledger_records(serial_pool), ledger_records(ahead_pool));
+  EXPECT_EQ(ahead_pool.ahead_stats.ran, 7u);
+  EXPECT_EQ(ahead_pool.ahead_stats.used, 6u);
+  EXPECT_EQ(ahead_pool.ahead_stats.discarded, 1u);
+  EXPECT_TRUE(ahead_pool.ahead.empty());
+}
+
+TEST(PChaseBatch, RunAheadIsNeverCommittedAcrossAPathEpochChange) {
+  // A full pass at half-line stride over twice an L2 segment: every line
+  // misses, and whether its second half hits depends on the L2 fetch
+  // granularity — so a stale measurement would show.
+  const sim::GpuSpec& spec = sim::registry_get("TestGPU-NV");
+  const core::Target l2 = core::target_for(spec.vendor, Element::kL2);
+  sim::Gpu gpu(spec, 42);
+  PChaseConfig config;
+  config.space = l2.space;
+  config.flags = l2.flags;
+  config.base = gpu.alloc(64 * KiB, 256);
+  config.array_bytes = 64 * KiB;
+  config.stride_bytes = 32;
+  config.record_count = 128;
+  const ChaseSpec chase = ChaseSpec::plain(config);
+  ReplicaPool pool;
+  ChaseBatchOptions options;
+  options.pool = &pool;
+  run_chase_ahead(gpu, std::span(&chase, 1), options);
+  ASSERT_EQ(pool.ahead.size(), 1u);
+  const PChaseResult stale = pool.ahead.front().result;
+
+  gpu.set_l2_fetch_granularity(64);  // rebuilds the L2: a new path epoch
+  const auto committed = run_chase_batch(gpu, std::span(&chase, 1), options);
+  EXPECT_EQ(pool.ahead_stats.used, 0u);
+  EXPECT_EQ(pool.ahead_stats.discarded, 1u);
+  EXPECT_TRUE(pool.ahead.empty());
+  EXPECT_EQ(pool.memo_stats.misses, 1u);
+
+  // The probe executed again, on the rebuilt L2.
+  sim::Gpu fresh(spec, 42);
+  (void)fresh.alloc(64 * KiB, 256);
+  fresh.set_l2_fetch_granularity(64);
+  const auto reference = run_chase_batch(fresh, std::span(&chase, 1));
+  EXPECT_TRUE(equal_results(committed, reference));
+  EXPECT_NE(stale.served_by.raw(), reference[0].served_by.raw());
 }
 
 TEST(PChaseBatch, PropagatesTheCallersEngineToWorkers) {

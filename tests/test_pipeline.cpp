@@ -188,7 +188,8 @@ TEST(StageGraphDeterminism, ReportsByteIdenticalAcrossThreadCombinations) {
   for (const std::string model : {"TestGPU-NV", "TestGPU-AMD"}) {
     const std::string reference = discover_json(model, 1, 1, nullptr);
     for (const std::uint32_t bench : {1u, 4u, 8u}) {
-      for (const std::uint32_t sweep : {1u, 8u}) {
+      // 3 is the first sweep-thread count at which size chains run ahead.
+      for (const std::uint32_t sweep : {1u, 3u, 8u}) {
         const exec::ExecutorStats before = pool.stats();
         EXPECT_EQ(discover_json(model, bench, sweep, &pool), reference)
             << model << " diverges at bench_threads=" << bench

@@ -5,7 +5,10 @@
 #include <map>
 
 #include "common/units.hpp"
+#include "core/benchmarks/amount.hpp"
 #include "exec/executor.hpp"
+#include "runtime/batch.hpp"
+#include "runtime/device.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::core {
@@ -119,7 +122,8 @@ TEST(SizeBenchmark, SerialAndParallelSweepEnginesAreByteIdentical) {
     return run_size_benchmark(gpu, options);
   };
   const auto serial = run(1);
-  for (const std::uint32_t threads : {2u, 4u, 8u}) {
+  // 3 is the first thread count at which the chains run ahead.
+  for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
     const auto parallel = run(threads);
     EXPECT_EQ(serial.exact_bytes, parallel.exact_bytes);
     EXPECT_EQ(serial.detected_bytes, parallel.detected_bytes);
@@ -130,6 +134,46 @@ TEST(SizeBenchmark, SerialAndParallelSweepEnginesAreByteIdentical) {
     EXPECT_EQ(serial.cycles, parallel.cycles);
     EXPECT_EQ(serial.sweep_cycles, parallel.sweep_cycles);
   }
+}
+
+TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
+  // H100-80's segment search ends in a long chain of full-pass bisection
+  // probes. At four sweep threads on a dedicated pool the chains run ahead
+  // (midpoint plus both quarter points per round); committing in serial
+  // order must leave every field, booked cycles included, and the pool's
+  // accounting as the serial search has them.
+  const sim::GpuSpec& spec = sim::registry_get("H100-80");
+  exec::Executor executor(3);
+  const auto run = [&](std::uint32_t threads, runtime::ReplicaPool& pool) {
+    sim::Gpu gpu(spec, 42);
+    pool.executor = threads > 1 ? &executor : nullptr;
+    return run_l2_segment_benchmark(
+        gpu, runtime::get_device_prop(gpu).l2_cache_size,
+        spec.at(Element::kL2).sector_bytes, {}, threads, &pool);
+  };
+  runtime::ReplicaPool serial_pool;
+  runtime::ReplicaPool ahead_pool;
+  const L2SegmentResult serial = run(1, serial_pool);
+  const L2SegmentResult ahead = run(4, ahead_pool);
+  ASSERT_TRUE(serial.found);
+  EXPECT_EQ(serial.segments, ahead.segments);
+  EXPECT_EQ(serial.segment_bytes, ahead.segment_bytes);
+  EXPECT_EQ(serial.measured_bytes, ahead.measured_bytes);
+  EXPECT_EQ(serial.confidence, ahead.confidence);
+  EXPECT_EQ(serial.cycles, ahead.cycles);
+  EXPECT_EQ(serial.widenings, ahead.widenings);
+  EXPECT_EQ(serial.sweep_cycles, ahead.sweep_cycles);
+  EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits);
+  EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses);
+  EXPECT_EQ(serial_pool.chase_cycles, ahead_pool.chase_cycles);
+  EXPECT_EQ(serial_pool.serial_cycles, ahead_pool.serial_cycles);
+
+  EXPECT_EQ(serial_pool.ahead_stats.ran, 0u);
+  EXPECT_GT(ahead_pool.ahead_stats.used, 0u);
+  EXPECT_GT(ahead_pool.ahead_stats.discarded, 0u);
+  EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
+            ahead_pool.ahead_stats.ran);
+  EXPECT_TRUE(ahead_pool.ahead.empty());  // dropped when the search ended
 }
 
 TEST(SizeBenchmark, IncrementalSweepMeasuresCleanPointsOnce) {

@@ -6,6 +6,12 @@
 // to one on the original — the guarantee that shipping models as specs/*.json
 // changes nothing about the reports.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 
 #include "core/mt4g.hpp"
 #include "core/output/json_output.hpp"
@@ -101,6 +107,51 @@ TEST(SpecIo, ParserReportsMissingRequiredFields) {
     EXPECT_NE(what.find("vendor"), std::string::npos) << what;
     EXPECT_NE(what.find("elements"), std::string::npos) << what;
   }
+}
+
+TEST(SpecIo, ValidateRejectsMoreSectorsPerLineThanACacheHolds) {
+  // 64-byte L2 lines of 1-byte sectors: 64 sectors, beyond the 32-bit
+  // sector mask. The simulator cannot build this cache, so the spec must
+  // not validate.
+  GpuSpec spec = registry_get("TestGPU-NV");
+  spec.elements[Element::kL2].sector_bytes = 1;
+  const std::vector<std::string> problems = validate_spec(spec);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("at most 32"), std::string::npos) << problems[0];
+  EXPECT_NE(problems[0].find("element L2"), std::string::npos) << problems[0];
+
+  spec.elements[Element::kL2].sector_bytes =
+      spec.elements[Element::kL2].line_bytes / 32;
+  EXPECT_TRUE(validate_spec(spec).empty());
+}
+
+TEST(SpecIo, CliFailsCleanlyOnASpecItCannotSimulate) {
+  // Two billion SMs validate, but no host holds their caches: the CLI must
+  // report the simulator's exception and exit 1, not abort on a signal.
+  // (The CLI is resolved as ./mt4g_cli in the ctest working directory.)
+  if (!std::filesystem::exists("./mt4g_cli")) {
+    GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  }
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes need more address space than the "
+                  "limit below allows";
+#endif
+  GpuSpec spec = registry_get("TestGPU-NV");
+  spec.num_sms = 2147483648u;
+  ASSERT_TRUE(validate_spec(spec).empty());
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("mt4g_huge_sms_" + std::to_string(::getpid()) + ".json");
+  std::ofstream(path) << spec_to_json(spec);
+  // The address-space limit makes the allocation fail alike under every
+  // overcommit policy, so the test never holds real memory.
+  const std::string command = "sh -c 'ulimit -v 4194304; exec ./mt4g_cli "
+                              "--model-spec " + path.string() +
+                              " -q' > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  std::filesystem::remove(path);
+  ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 TEST(SpecIo, ParserRejectsMalformedJson) {
