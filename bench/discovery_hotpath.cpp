@@ -5,11 +5,10 @@
 // golden-equivalence checks that all engines produce byte-identical reports
 // at a fixed seed. Writes BENCH_discovery.json, the repo's perf trajectory
 // record for the discovery hot path, including per-model widening counts,
-// the per-benchmark cycle attribution (sweep vs line-size vs amount vs
-// sharing vs bandwidth vs compute vs rest), chase-memo hit counts, the
-// stage-graph critical path (serial cycles / critical-path cycles = the
-// speedup available from benchmark-level concurrency alone), each stage's
-// wall time in the serial and in the parallel run, the caller share of
+// chase-memo hit counts, the stage-graph critical path with Brent's bound
+// on the speedup stage-level concurrency can reach at the run's
+// bench_threads, each stage's cycles and its wall time in the serial and in
+// the parallel run, the caller share of
 // each parallel run (the fraction of its shared-executor tasks
 // that ran on the thread that submitted them: near 1 means its chase
 // batches found no other thread to run on, and exactly 1 that the run fell
@@ -32,9 +31,10 @@
 //   discovery_hotpath --skip-reference       # determinism job: only compare
 //                                            # serial vs parallel discovery
 //
-// Exits 1 when any model's reports diverge between engines and 2 when a
-// time budget is exceeded, so correctness or perf regressions in the hot
-// path fail loudly instead of skewing results silently.
+// Exits 1 when any model's reports diverge between engines or its stage
+// cycles do not sum to its total_cycles, and 2 when a time budget is
+// exceeded, so correctness or perf regressions in the hot path fail loudly
+// instead of skewing results silently.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -70,29 +70,20 @@ struct ModelResult {
   double caller_share = 1.0;
   bool identical = false;    ///< all measured engines agree byte-for-byte
   std::uint32_t widenings = 0;
-  std::uint64_t sweep_cycles = 0;
-  std::uint64_t line_size_cycles = 0;
-  std::uint64_t amount_cycles = 0;
-  std::uint64_t sharing_cycles = 0;
-  std::uint64_t bandwidth_cycles = 0;
-  std::uint64_t compute_cycles = 0;
   std::uint64_t total_cycles = 0;
+  std::uint64_t stage_cycles_sum = 0;  ///< must equal total_cycles
   std::uint64_t critical_path_cycles = 0;
   std::uint64_t memo_hits = 0;
 
-  std::uint64_t rest_cycles() const {
-    const std::uint64_t attributed = sweep_cycles + line_size_cycles +
-                                     amount_cycles + sharing_cycles +
-                                     bandwidth_cycles + compute_cycles;
-    return total_cycles > attributed ? total_cycles - attributed : 0;
-  }
-  /// Speedup available from benchmark-level concurrency alone (the stage
-  /// graph's serial-to-critical-path cycle ratio).
-  double available_speedup() const {
-    return critical_path_cycles > 0
-               ? static_cast<double>(total_cycles) /
-                     static_cast<double>(critical_path_cycles)
-               : 0.0;
+  /// Brent's bound over the stage graph: with P = bench_threads workers a
+  /// greedy schedule finishes within T1 / P + Tinf, so T1 / (T1 / P + Tinf)
+  /// is the speedup stage-level concurrency is guaranteed to reach, with
+  /// T1 = total_cycles and Tinf = critical_path_cycles.
+  double brent_speedup(std::uint32_t bench_threads) const {
+    if (critical_path_cycles == 0) return 0.0;
+    const double t1 = static_cast<double>(total_cycles);
+    return t1 / (t1 / bench_threads +
+                 static_cast<double>(critical_path_cycles));
   }
 };
 
@@ -128,12 +119,6 @@ std::string host_description() {
     }
   }
   return "unknown";
-}
-
-double cycle_pct(std::uint64_t part, std::uint64_t total) {
-  return total > 0
-             ? 100.0 * static_cast<double>(part) / static_cast<double>(total)
-             : 0.0;
 }
 
 /// Per-stage totals across all serial discoveries: simulated cycles next to
@@ -201,9 +186,10 @@ int main(int argc, char** argv) {
 
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",
-                      "caller", "avail x", "reference [s]", "identical",
-                      "widen", "sweep %", "line %", "memo"});
+                      "caller", "brent x", "reference [s]", "identical",
+                      "widen", "memo"});
   bool all_identical = true;
+  bool all_attributed = true;
   double total_serial = 0.0;
   std::map<std::string, StageAggregate> stages;
 
@@ -233,16 +219,11 @@ int main(int argc, char** argv) {
       r.identical = r.identical && serial == reference;
     }
     r.widenings = report.sweep_widenings;
-    r.sweep_cycles = report.sweep_cycles;
-    r.line_size_cycles = report.line_size_cycles;
-    r.amount_cycles = report.amount_cycles;
-    r.sharing_cycles = report.sharing_cycles;
-    r.bandwidth_cycles = report.bandwidth_cycles;
-    r.compute_cycles = report.compute_cycles;
     r.total_cycles = report.total_cycles;
     r.critical_path_cycles = report.critical_path_cycles;
     r.memo_hits = report.chase_memo_hits;
     for (const auto& stage : report.stage_cycles) {
+      r.stage_cycles_sum += stage.cycles;
       StageAggregate& aggregate = stages[stage.stage];
       aggregate.cycles += stage.cycles;
       aggregate.wall_seconds += stage.wall_seconds;
@@ -252,34 +233,38 @@ int main(int argc, char** argv) {
       stages[stage.stage].parallel_wall_seconds += stage.wall_seconds;
     }
     all_identical = all_identical && r.identical;
+    if (r.stage_cycles_sum != r.total_cycles) {
+      std::fprintf(stderr,
+                   "%s: stage cycles sum to %llu, total_cycles is %llu\n",
+                   model.c_str(),
+                   static_cast<unsigned long long>(r.stage_cycles_sum),
+                   static_cast<unsigned long long>(r.total_cycles));
+      all_attributed = false;
+    }
     total_serial += r.serial_s;
     results.push_back(r);
 
-    char serial_s[32], parallel_s[32], speedup[32], caller[16], avail[16],
-        reference_s[32], widen[16], sweep_pct[16], line_pct[16], memo[16];
+    char serial_s[32], parallel_s[32], speedup[32], caller[16], brent[16],
+        reference_s[32], widen[16], memo[16];
     std::snprintf(serial_s, sizeof serial_s, "%.3f", r.serial_s);
     std::snprintf(parallel_s, sizeof parallel_s, "%.3f", r.parallel_s);
     std::snprintf(speedup, sizeof speedup, "%.2f",
                   r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
     std::snprintf(caller, sizeof caller, "%.2f", r.caller_share);
-    std::snprintf(avail, sizeof avail, "%.2f", r.available_speedup());
+    std::snprintf(brent, sizeof brent, "%.2f",
+                  r.brent_speedup(bench_threads));
     std::snprintf(reference_s, sizeof reference_s, "%.3f", r.reference_s);
     std::snprintf(widen, sizeof widen, "%u", r.widenings);
-    std::snprintf(sweep_pct, sizeof sweep_pct, "%.0f",
-                  cycle_pct(r.sweep_cycles, r.total_cycles));
-    std::snprintf(line_pct, sizeof line_pct, "%.0f",
-                  cycle_pct(r.line_size_cycles, r.total_cycles));
     std::snprintf(memo, sizeof memo, "%llu",
                   static_cast<unsigned long long>(r.memo_hits));
-    table.add_row({model, serial_s, parallel_s, speedup, caller, avail,
+    table.add_row({model, serial_s, parallel_s, speedup, caller, brent,
                    skip_reference ? "-" : reference_s,
-                   r.identical ? "yes" : "NO", widen, sweep_pct, line_pct,
-                   memo});
+                   r.identical ? "yes" : "NO", widen, memo});
   }
   std::printf("%s\n", table.str().c_str());
-  // The "par x" and "avail x" columns compare wall times of threaded runs:
-  // with one hardware thread the parallel run degenerates to serial plus
-  // scheduling overhead, so the measured speedup carries no signal.
+  // The "par x" column compares wall times of threaded runs: with one
+  // hardware thread the parallel run degenerates to serial plus scheduling
+  // overhead, so the measured speedup carries no signal.
   if (std::thread::hardware_concurrency() <= 1) {
     std::printf(
         "(single-core host, speedup not meaningful: hardware_concurrency=1, "
@@ -310,7 +295,10 @@ int main(int argc, char** argv) {
                                 ? 100.0 * aggregate.wall_seconds /
                                       stage_wall_total
                                 : 0.0;
-    const double cycles_pct = cycle_pct(aggregate.cycles, stage_cycles_total);
+    const double cycles_pct =
+        stage_cycles_total > 0 ? 100.0 * static_cast<double>(aggregate.cycles) /
+                                     static_cast<double>(stage_cycles_total)
+                               : 0.0;
     char wall_s[32], reset_s[32], wall_p[16], cyc_p[16], divergence[16];
     std::snprintf(wall_s, sizeof wall_s, "%.3f", aggregate.wall_seconds);
     std::snprintf(reset_s, sizeof reset_s, "%.3f", aggregate.reset_seconds);
@@ -341,35 +329,11 @@ int main(int argc, char** argv) {
     }
     entry.emplace_back("identical_reports", r.identical);
     entry.emplace_back("widenings", static_cast<std::int64_t>(r.widenings));
-    entry.emplace_back("sweep_cycles",
-                       static_cast<std::int64_t>(r.sweep_cycles));
-    entry.emplace_back("line_size_cycles",
-                       static_cast<std::int64_t>(r.line_size_cycles));
-    entry.emplace_back("amount_cycles",
-                       static_cast<std::int64_t>(r.amount_cycles));
-    entry.emplace_back("sharing_cycles",
-                       static_cast<std::int64_t>(r.sharing_cycles));
-    entry.emplace_back("bandwidth_cycles",
-                       static_cast<std::int64_t>(r.bandwidth_cycles));
-    entry.emplace_back("compute_cycles",
-                       static_cast<std::int64_t>(r.compute_cycles));
-    entry.emplace_back("rest_cycles",
-                       static_cast<std::int64_t>(r.rest_cycles()));
     entry.emplace_back("total_cycles",
                        static_cast<std::int64_t>(r.total_cycles));
-    entry.emplace_back(
-        "sweep_cycle_fraction",
-        r.total_cycles > 0 ? static_cast<double>(r.sweep_cycles) /
-                                 static_cast<double>(r.total_cycles)
-                           : 0.0);
     entry.emplace_back("critical_path_cycles",
                        static_cast<std::int64_t>(r.critical_path_cycles));
-    entry.emplace_back(
-        "critical_path_fraction",
-        r.total_cycles > 0 ? static_cast<double>(r.critical_path_cycles) /
-                                 static_cast<double>(r.total_cycles)
-                           : 0.0);
-    entry.emplace_back("available_bench_speedup", r.available_speedup());
+    entry.emplace_back("brent_bench_speedup", r.brent_speedup(bench_threads));
     entry.emplace_back("chase_memo_hits",
                        static_cast<std::int64_t>(r.memo_hits));
     per_model.emplace_back(r.model, json::Value(std::move(entry)));
@@ -407,7 +371,7 @@ int main(int argc, char** argv) {
   }
 
   json::Object meta;
-  meta.emplace_back("schema_version", static_cast<std::int64_t>(2));
+  meta.emplace_back("schema_version", static_cast<std::int64_t>(3));
   meta.emplace_back("generated_at", iso_utc_now());
   meta.emplace_back("git_sha", git_sha());
 
@@ -435,6 +399,12 @@ int main(int argc, char** argv) {
                  "FAIL: discovery engines disagree on at least one model's "
                  "report (serial vs concurrent stage graph%s)\n",
                  skip_reference ? "" : " or compiled vs reference");
+    return 1;
+  }
+  if (!all_attributed) {
+    std::fprintf(stderr,
+                 "FAIL: at least one model's stage cycles do not sum to its "
+                 "total_cycles\n");
     return 1;
   }
   if (max_seconds > 0.0 && slowest_serial > max_seconds) {

@@ -4,8 +4,8 @@
 // benchmarks; the L2 benchmarks dominate because they repeatedly fill the
 // large L2 and beyond), and that an L1-only run cuts an A100 analysis from
 // over 12 min to about 1 min. The shape to verify here: NVIDIA runs many
-// more benchmarks and orders of magnitude more simulated GPU time than AMD,
-// the L2-heavy GPUs dominate, and --only L1 collapses the cost.
+// more benchmarks, every NVIDIA GPU costs more simulated GPU time than any
+// AMD GPU, the L2-heavy GPUs dominate, and --only L1 collapses the cost.
 #include <chrono>
 #include <cstdio>
 

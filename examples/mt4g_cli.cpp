@@ -403,9 +403,6 @@ const char kFleetUsage[] =
     "                               discovery stage graph (default 1; both\n"
     "                               knobs leave reports byte-identical, and\n"
     "                               all jobs' stages share one executor)\n"
-    "  --no-subsweep-chunking       run each warm chain as one serial unit\n"
-    "                               instead of batched sub-sweep chunks;\n"
-    "                               report bytes are identical either way\n"
     "  --no-mig                     skip MIG partitions of MIG-capable GPUs\n"
     "  --retries N                  extra attempts per job after a transient\n"
     "                               failure (default 2; malformed jobs never\n"
@@ -452,7 +449,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   bool progress = false;
   std::uint32_t sweep_threads = 1;
   std::uint32_t bench_threads = 1;
-  bool subsweep_chunking = true;
   std::uint32_t retries = 2;
   std::uint32_t worker_heartbeat_ms = 500;
   std::string journal_path;
@@ -491,7 +487,16 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     } else if (arg == "--seeds") {
       plan.seed_count = count_value(1);
     } else if (arg == "--first-seed") {
-      plan.first_seed = std::strtoull(value(), nullptr, 10);
+      const char* text = value();
+      const auto seed = cli::parse_seed(text);
+      if (!seed) {
+        std::fprintf(stderr,
+                     "mt4g fleet: --first-seed expects a decimal integer in "
+                     "[0, 2^64), got '%s'\n",
+                     text);
+        return 2;
+      }
+      plan.first_seed = *seed;
     } else if (arg == "--workers") {
       fleet_options.workers = count_value(0);
     } else if (arg == "--procs") {
@@ -506,8 +511,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
       sweep_threads = count_value(1);
     } else if (arg == "--bench-threads") {
       bench_threads = count_value(1);
-    } else if (arg == "--no-subsweep-chunking") {
-      subsweep_chunking = false;
     } else if (arg == "--no-mig") {
       plan.include_mig = false;
     } else if (arg == "--retries") {
@@ -638,12 +641,11 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     };
   }
 
-  if ((sweep_threads > 1 || bench_threads > 1 || !subsweep_chunking) &&
+  if ((sweep_threads > 1 || bench_threads > 1) &&
       plan.option_variants.empty()) {
     core::DiscoverOptions options;
     options.sweep_threads = sweep_threads;
     options.bench_threads = bench_threads;
-    options.subsweep_chunking = subsweep_chunking;
     plan.option_variants.push_back(options);
   }
 
@@ -852,7 +854,6 @@ int main(int argc, char** argv) {
   discover_options.measure_compute = options.measure_flops;
   discover_options.sweep_threads = options.sweep_threads;
   discover_options.bench_threads = options.bench_threads;
-  discover_options.subsweep_chunking = options.subsweep_chunking;
 
   // A spec can validate and still describe a GPU the simulator cannot
   // build or discover (e.g. more SMs than memory holds): fail like a fleet

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -47,9 +48,9 @@ ParseResult parse(int argc, const char* const* argv) {
       if (auto v = need_value(i, arg)) result.options.model_specs.push_back(*v);
     } else if (arg == "--seed") {
       if (auto v = need_value(i, arg)) {
-        try {
-          result.options.seed = std::stoull(*v);
-        } catch (const std::exception&) {
+        if (const auto seed = parse_seed(*v)) {
+          result.options.seed = *seed;
+        } else {
           result.errors.push_back("invalid --seed value '" + *v + "'");
         }
       }
@@ -73,8 +74,6 @@ ParseResult parse(int argc, const char* const* argv) {
                                   "' (expected 1..1024)");
         }
       }
-    } else if (arg == "--no-subsweep-chunking") {
-      result.options.subsweep_chunking = false;
     } else if (arg == "--cache-config") {
       if (auto v = need_value(i, arg)) {
         if (*v != "PreferL1" && *v != "PreferShared" && *v != "PreferEqual") {
@@ -94,6 +93,15 @@ ParseResult parse(int argc, const char* const* argv) {
     }
   }
   return result;
+}
+
+std::optional<std::uint64_t> parse_seed(const std::string& text) {
+  std::uint64_t seed = 0;
+  const char* end = text.data() + text.size();
+  // from_chars takes no sign, space or base prefix for an unsigned target.
+  const auto [stop, error] = std::from_chars(text.data(), end, seed);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return seed;
 }
 
 std::string usage() {
@@ -118,9 +126,6 @@ Usage: mt4g [options]
   --bench-threads <n>    concurrent benchmarks of the discovery stage graph
                          (default 1; reports are byte-identical for every
                          sweep/bench thread combination)
-  --no-subsweep-chunking run each warm chain (size sweeps, line grids) as one
-                         serial unit instead of batched sub-sweep chunks;
-                         report bytes are identical either way
   --cache-config <mode>  PreferL1 | PreferShared | PreferEqual (default PreferL1)
   --out <dir>            output directory for report files (default .)
   --trace <file>         write a Chrome trace-event JSON (open in Perfetto or

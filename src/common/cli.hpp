@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,9 +29,6 @@ struct Options {
   std::vector<std::string> only;
   std::uint32_t sweep_threads = 1;    ///< --sweep-threads: parallel sweeps
   std::uint32_t bench_threads = 1;    ///< --bench-threads: concurrent stages
-  /// --no-subsweep-chunking: run each warm chain as one serial unit instead
-  /// of batched sub-sweep chunks (execution knob; report bytes identical).
-  bool subsweep_chunking = true;
   std::string cache_config = "PreferL1";  ///< L1/Shared split policy
   std::string output_dir = ".";       ///< where -j/-p/-g/-o files land
   /// --trace FILE: write a Chrome trace-event JSON of the run (Perfetto /
@@ -55,6 +53,10 @@ struct ParseResult {
 
 /// Parses argv. Never exits; callers decide what to do with errors/help.
 ParseResult parse(int argc, const char* const* argv);
+
+/// A seed value: decimal digits only, within 64 bits. Empty, signed,
+/// partly numeric or out-of-range text yields nullopt.
+std::optional<std::uint64_t> parse_seed(const std::string& text);
 
 /// Usage text for --help.
 std::string usage();

@@ -98,7 +98,6 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
   const auto size_result = run_size_benchmark(gpu, size_options);
   out.cycles = size_result.cycles;
   out.widenings = size_result.widenings;
-  out.sweep_cycles = size_result.sweep_cycles;
   if (!size_result.found) return out;
   out.measured_bytes = size_result.exact_bytes;
 

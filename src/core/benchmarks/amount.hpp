@@ -65,7 +65,6 @@ struct L2SegmentResult {
   double confidence = 0.0;  ///< closeness of measured to the aligned fraction
   std::uint64_t cycles = 0;
   std::uint32_t widenings = 0;       ///< from the inner size benchmark
-  std::uint64_t sweep_cycles = 0;    ///< cycles in the inner sweep chases
 };
 
 /// @param sweep_threads parallelism of the inner size benchmark's sweep

@@ -356,7 +356,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
   // is reused. Chases go through run_chase_batch: each runs on a reset
   // replica with a (seed, spec) noise stream, making the series invariant
   // under sweep_threads, and sizes already chased in an earlier phase or
-  // sweep are answered from the chase memo at zero cycles.
+  // sweep are answered from the chase memo without simulating a load.
   //
   // `refreshed` spans the coarse and refinement sweeps: a point re-measured
   // once keeps its bumped resample index, so a later sweep that re-requests
@@ -393,7 +393,6 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
                                                  runner.batch_options());
         for (std::size_t i = 0; i < missing.size(); ++i) {
           runner.cycles += measured[i].total_cycles;
-          result.sweep_cycles += measured[i].total_cycles;
           runner.sweep_fits[missing[i]] =
               hit_fraction(measured[i], options.target.element) >= 0.999;
           if (options.sweep_probe && !measured[i].from_cache) {
@@ -471,7 +470,6 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
     const auto refined = sweep_and_detect(window_lo, window_hi,
                                           options.refine_sweep_points, refine);
     out.widenings += refine.widenings;
-    out.sweep_cycles += refine.sweep_cycles;
     if (refined && refined->index > 0) {
       out.detected_bytes = refine.sweep_sizes[refined->index - 1];
       out.confidence = std::max(out.confidence, refined->confidence);

@@ -28,9 +28,10 @@
 // full pass, which the exact predicate needs.
 //
 // Because chases are pure functions of (seed, spec), the ReplicaPool memo
-// makes repeated specs free: a phase-1 probe that lands on the sweep grid,
-// or a refinement point that coincides with the coarse grid, costs zero
-// cycles the second time. Phase 6 additionally seeds its bisection bounds
+// makes repeated specs free on the host: a phase-1 probe that lands on the
+// sweep grid, or a refinement point that coincides with the coarse grid, is
+// not simulated again (it still books the cycles of the re-run the real
+// tool makes). Phase 6 additionally seeds its bisection bounds
 // from the sweep rows — the nearest measured fitting/missing sizes around
 // the change point — so the expansion loop's extra chases disappear (both
 // seeds are still verified with full-pass chases before the bisection
@@ -46,7 +47,7 @@
 // participants, three levels (seven probes) at seven to 14. The needed probe
 // always runs; the others run only on participants idle meanwhile. The
 // commit rule keeps the result serial: every probe is still chased
-// through run_chase_batch in serial order, and one found waiting is booked,
+// through run_chase_batch in serial order, and one found waiting is
 // memoized and recorded in the warm ledger exactly as if it ran then, so
 // results, cycles and memo statistics equal the serial search. Waiting
 // results the chains did not take are dropped when the benchmark returns.
@@ -124,7 +125,6 @@ struct SizeBenchResult {
   std::vector<std::uint64_t> sweep_sizes;  ///< final sweep (Fig. 2 x-axis)
   std::vector<double> reduced;             ///< Eq.-2 values (Fig. 2 y-axis)
   std::uint64_t cycles = 0;          ///< simulated GPU cycles consumed
-  std::uint64_t sweep_cycles = 0;    ///< cycles spent in sweep-point chases
   /// Full-pass chases the phase-6 exact refinement executed (expansion +
   /// bisection); the bounds-from-sweep seeding exists to shrink this.
   std::uint32_t exact_chases = 0;

@@ -150,18 +150,6 @@ json::Value to_json(const TopologyReport& report) {
   meta.emplace_back("simulated_seconds", report.simulated_seconds);
   meta.emplace_back("sweep_widenings",
                     static_cast<std::int64_t>(report.sweep_widenings));
-  meta.emplace_back("sweep_cycles",
-                    static_cast<std::int64_t>(report.sweep_cycles));
-  meta.emplace_back("line_size_cycles",
-                    static_cast<std::int64_t>(report.line_size_cycles));
-  meta.emplace_back("amount_cycles",
-                    static_cast<std::int64_t>(report.amount_cycles));
-  meta.emplace_back("sharing_cycles",
-                    static_cast<std::int64_t>(report.sharing_cycles));
-  meta.emplace_back("bandwidth_cycles",
-                    static_cast<std::int64_t>(report.bandwidth_cycles));
-  meta.emplace_back("compute_cycles",
-                    static_cast<std::int64_t>(report.compute_cycles));
   meta.emplace_back("total_cycles",
                     static_cast<std::int64_t>(report.total_cycles));
   meta.emplace_back("chase_memo_hits",

@@ -164,18 +164,6 @@ TopologyReport from_json_string(const std::string& text) {
   report.simulated_seconds = number_or(meta, "simulated_seconds", 0);
   report.sweep_widenings =
       static_cast<std::uint32_t>(number_or(meta, "sweep_widenings", 0));
-  report.sweep_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "sweep_cycles", 0));
-  report.line_size_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "line_size_cycles", 0));
-  report.amount_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "amount_cycles", 0));
-  report.sharing_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "sharing_cycles", 0));
-  report.bandwidth_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "bandwidth_cycles", 0));
-  report.compute_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "compute_cycles", 0));
   report.total_cycles =
       static_cast<std::uint64_t>(number_or(meta, "total_cycles", 0));
   report.chase_memo_hits =

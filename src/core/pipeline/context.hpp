@@ -62,15 +62,9 @@ struct GraphState {
 /// Deterministic per-stage accounting, merged in declaration order.
 struct StageBooking {
   std::uint32_t benchmarks = 0;      ///< -> TopologyReport::benchmarks_executed
-  std::uint64_t cycles = 0;          ///< -> total_cycles (incl. kernel cycles)
+  std::uint64_t cycles = 0;          ///< -> stage_cycles, total_cycles
   double seconds = 0.0;              ///< -> simulated_seconds
   std::uint32_t sweep_widenings = 0;
-  std::uint64_t sweep_cycles = 0;
-  std::uint64_t line_size_cycles = 0;
-  std::uint64_t amount_cycles = 0;
-  std::uint64_t sharing_cycles = 0;
-  std::uint64_t bandwidth_cycles = 0;  ///< stream-kernel cycles (from seconds)
-  std::uint64_t compute_cycles = 0;    ///< compute-suite cycles (from seconds)
 };
 
 /// Everything one running stage touches. Created by the runner per stage.
@@ -96,37 +90,13 @@ struct StageContext {
         static_cast<double>(cycles) / (gpu.spec().clock_mhz * 1e6);
   }
 
-  /// Books the sweep-engine telemetry of one size benchmark.
-  void book_sweep(std::uint32_t widenings, std::uint64_t sweep_cycles) {
-    booking.sweep_widenings += widenings;
-    booking.sweep_cycles += sweep_cycles;
-  }
-
-  /// Per-benchmark cycle attribution (called alongside book()).
-  void book_line_size(std::uint64_t cycles) {
-    booking.line_size_cycles += cycles;
-  }
-  void book_amount(std::uint64_t cycles) { booking.amount_cycles += cycles; }
-  void book_sharing(std::uint64_t cycles) { booking.sharing_cycles += cycles; }
-
-  /// Books one kernel benchmark measured in wall seconds (bandwidth streams,
-  /// compute suite). The seconds are converted to cycles at the spec clock
-  /// and attributed like every chase benchmark — previously these stages
-  /// bypassed total_cycles entirely, leaving a blind spot in the
-  /// BENCH_discovery.json breakdown.
-  void book_kernel_seconds(double seconds, std::uint64_t& bucket) {
+  /// Books one kernel benchmark measured in simulated seconds (bandwidth
+  /// streams, compute suite), converted to cycles at the spec clock.
+  void book_kernel_seconds(double seconds) {
     ++booking.benchmarks;
     booking.seconds += seconds;
-    const auto cycles = static_cast<std::uint64_t>(
+    booking.cycles += static_cast<std::uint64_t>(
         seconds * gpu.spec().clock_mhz * 1e6 + 0.5);
-    booking.cycles += cycles;
-    bucket += cycles;
-  }
-  void book_bandwidth_seconds(double seconds) {
-    book_kernel_seconds(seconds, booking.bandwidth_cycles);
-  }
-  void book_compute_seconds(double seconds) {
-    book_kernel_seconds(seconds, booking.compute_cycles);
   }
 };
 

@@ -82,7 +82,6 @@ struct GraphRun {
     // out resolves the shared executor itself; a serial discovery never
     // touches it and its process stays single-threaded.
     record.pool.executor = options.bench_executor;
-    record.pool.warm_chunk_points = options.subsweep_chunking ? 8 : 0;
     StageContext ctx{substrate, options, state, record.pool};
     graph.stages[i].run(ctx);
     record.booking = ctx.booking;
@@ -236,12 +235,6 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
     report.simulated_seconds += booking.seconds;
     report.total_cycles += booking.cycles;
     report.sweep_widenings += booking.sweep_widenings;
-    report.sweep_cycles += booking.sweep_cycles;
-    report.line_size_cycles += booking.line_size_cycles;
-    report.amount_cycles += booking.amount_cycles;
-    report.sharing_cycles += booking.sharing_cycles;
-    report.bandwidth_cycles += booking.bandwidth_cycles;
-    report.compute_cycles += booking.compute_cycles;
     report.chase_memo_hits += record.pool.memo_stats.hits;
     report.chase_memo_misses += record.pool.memo_stats.misses;
     report.stage_cycles.push_back(
@@ -255,14 +248,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
     }
   }
 
-  // Critical path: the longest dependency chain, with each stage priced at
-  // its serial depth — the chase work that cannot fan out across
-  // --sweep-threads (per batch, the most expensive sub-sweep chunk or
-  // singleton; see ReplicaPool::serial_cycles) plus any non-chase cycles
-  // (bandwidth/compute kernels run whole). total_cycles /
-  // critical_path_cycles therefore bounds the discovery-level speedup with
-  // both bench-level (stage graph) and sweep-level (sub-sweep chunk)
-  // parallelism engaged.
+  // Critical path: the longest dependency chain of stage cycles.
   std::vector<std::uint64_t> path(n, 0);
   std::uint64_t critical = 0;
   for (const std::size_t i : order) {
@@ -270,11 +256,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
     for (const std::size_t d : deps[i]) {
       longest_dep = std::max(longest_dep, path[d]);
     }
-    const StageRecord& record = run.records[i];
-    const std::uint64_t chase = record.pool.chase_cycles;
-    const std::uint64_t booked = record.booking.cycles;
-    const std::uint64_t non_chase = booked > chase ? booked - chase : 0;
-    path[i] = longest_dep + record.pool.serial_cycles + non_chase;
+    path[i] = longest_dep + run.records[i].booking.cycles;
     critical = std::max(critical, path[i]);
   }
   report.critical_path_cycles += critical;

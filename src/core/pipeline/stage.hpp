@@ -20,7 +20,7 @@
 //   (2) a stage's chase memo consults only the pools of its completed
 //       (transitive) dependency stages, which finished before it started
 //       under every schedule (runtime::ReplicaPool::upstream);
-//   (3) bookings — benchmark counts, cycle attribution, memo statistics,
+//   (3) bookings — benchmark counts, stage cycles, memo statistics,
 //       series — accumulate per stage and merge into the report in stage
 //       declaration order after the graph has drained.
 #pragma once
@@ -36,7 +36,8 @@ namespace mt4g::core::pipeline {
 
 struct StageContext;
 
-/// What a stage measures; names the attribution bucket its cycles land in.
+/// What a stage measures. Cycles are attributed per stage, never per kind:
+/// a stage's cycles surface as its TopologyReport::stage_cycles entry.
 enum class StageKind : std::uint8_t {
   kFetchGranularity,  ///< stride sweep (paper IV-D)
   kSize,              ///< K-S size workflow (IV-B), incl. the L2 segment run

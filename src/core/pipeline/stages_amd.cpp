@@ -82,7 +82,6 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
              options.chase_pool = &ctx.chase_pool;
              const auto sharing = run_cu_sharing_benchmark(ctx.gpu, options);
              ctx.book(sharing.cycles);
-             ctx.book_sharing(sharing.cycles);
              ctx.state.cu_sharing.available = true;
              ctx.state.cu_sharing.peers = sharing.peers;
              ctx.state.row(Element::kSL1D).shared_with = "CU id";

@@ -93,7 +93,7 @@ SizeBenchResult run_size_stage(StageContext& ctx, sim::Element element,
                                const SizeBenchOptions& options) {
   const SizeBenchResult size = run_size_benchmark(ctx.gpu, options);
   ctx.book(size.cycles);
-  ctx.book_sweep(size.widenings, size.sweep_cycles);
+  ctx.booking.sweep_widenings += size.widenings;
   if (ctx.options.collect_series && !size.sweep_sizes.empty()) {
     ctx.series.push_back(
         SizeSeries{element, size.sweep_sizes, size.reduced, size.exact_bytes});
@@ -174,7 +174,6 @@ void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
                    ctx.gpu,
                    make_line_options(ctx, target, state.size, state.fg));
                ctx.book(line.cycles);
-               ctx.book_line_size(line.cycles);
                row.cache_line = line_size_attribute(line);
              }});
 }
@@ -195,7 +194,6 @@ void add_amount_stage(StageGraph& graph, const FirstLevelPlan& plan) {
                    ctx.gpu,
                    make_amount_options(ctx, target, state.size, state.fg));
                ctx.book(amount.cycles);
-               ctx.book_amount(amount.cycles);
                row.amount = amount.available
                                 ? Attribute::benchmarked(amount.amount)
                                 : Attribute::unavailable(
@@ -212,8 +210,8 @@ void add_bandwidth_stage(StageGraph& graph, const std::string& prefix,
                options.bytes = bytes;
                const auto bw = run_bandwidth_benchmark(ctx.gpu, options);
                // Read and write are two benchmarks sharing one launch.
-               ctx.book_bandwidth_seconds(bw.seconds / 2);
-               ctx.book_bandwidth_seconds(bw.seconds / 2);
+               ctx.book_kernel_seconds(bw.seconds / 2);
+               ctx.book_kernel_seconds(bw.seconds / 2);
                MemoryElementReport& row = ctx.state.row(element);
                row.read_bandwidth =
                    Attribute::benchmarked(bw.read_bytes_per_s);
@@ -261,7 +259,7 @@ void add_compute_stage(StageGraph& graph) {
              {}, /*full_run_only=*/true, [](StageContext& ctx) {
                for (const auto& result : run_compute_suite(ctx.gpu)) {
                  // Each FMA-stream kernel is a short launch.
-                 ctx.book_compute_seconds(0.01);
+                 ctx.book_kernel_seconds(0.01);
                  ctx.compute_throughput.push_back(
                      {sim::dtype_name(result.dtype), result.achieved_ops_per_s,
                       result.best_blocks, result.threads_per_block});

@@ -126,7 +126,6 @@ void add_const_l15_stages(DiscoveryPlan& plan, bool has_const_l1) {
          const auto line = run_line_size_benchmark(
              ctx.gpu, make_line_options(ctx, target, cl15.size, cl15.fg));
          ctx.book(line.cycles);
-         ctx.book_line_size(line.cycles);
          row.cache_line = line_size_attribute(line);
        }});
 }
@@ -172,7 +171,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
              ctx.gpu, api_total, ctx.state.of(Element::kL2).fg, {},
              ctx.options.sweep_threads, &ctx.chase_pool);
          ctx.book(segment.cycles);
-         ctx.book_sweep(segment.widenings, segment.sweep_cycles);
+         ctx.booking.sweep_widenings += segment.widenings;
          MemoryElementReport& row = ctx.state.row(Element::kL2);
          if (segment.found) {
            row.amount =
@@ -192,7 +191,6 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
                                         ctx.state.l2_segment_bytes,
                                         ctx.state.of(Element::kL2).fg));
          ctx.book(line.cycles);
-         ctx.book_line_size(line.cycles);
          ctx.state.row(Element::kL2).cache_line = line_size_attribute(line);
        }});
 
@@ -285,7 +283,6 @@ DiscoveryPlan nvidia_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
            // Each tested pair is one benchmark execution.
            for (std::size_t i = 1; i < sharing.pairs.size(); ++i) ctx.book(0);
            ctx.book(sharing.cycles);
-           ctx.book_sharing(sharing.cycles);
            for (const auto& entry : options.entries) {
              MemoryElementReport& row = ctx.state.row(entry.element);
              const auto group = sharing.group_of(entry.element);

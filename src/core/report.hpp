@@ -172,33 +172,22 @@ struct TopologyReport {
   /// Filled when DiscoverOptions::measure_compute is set.
   std::vector<ComputeThroughputReport> compute_throughput;
   std::uint32_t benchmarks_executed = 0;
-  double simulated_seconds = 0.0;  ///< accumulated simulated GPU time
-  /// Chase-engine telemetry: outlier-triggered widening rounds and the
-  /// per-benchmark cycle attribution (sweep vs line-size vs amount vs
-  /// sharing vs bandwidth vs compute vs rest) across the discovery.
-  /// bench/discovery_hotpath records these per model so the next
-  /// algorithmic target stays visible.
+  /// Modelled GPU time of the discovery (paper Sec. V-A): total_cycles at
+  /// the spec clock, kernel benchmarks at their simulated seconds.
+  double simulated_seconds = 0.0;
+  /// Outlier-triggered widening rounds of the size sweeps.
   std::uint32_t sweep_widenings = 0;
-  std::uint64_t sweep_cycles = 0;      ///< cycles in sweep-point chases
-  std::uint64_t line_size_cycles = 0;  ///< cycles in line-size benchmarks
-  std::uint64_t amount_cycles = 0;     ///< cycles in amount benchmarks
-  std::uint64_t sharing_cycles = 0;    ///< cycles in sharing benchmarks
-  /// Stream-kernel and compute-suite cycles (converted from simulated wall
-  /// seconds at the spec clock). These stages used to bypass total_cycles
-  /// and the attribution entirely, silently shrinking the breakdown.
-  std::uint64_t bandwidth_cycles = 0;
-  std::uint64_t compute_cycles = 0;
-  std::uint64_t total_cycles = 0;      ///< all simulated cycles booked
+  /// Simulated cycles of every benchmark the real tool would run: each chase
+  /// priced as a cold run of its whole warm walk and timed pass, memo hits
+  /// as the re-runs they stand for (see runtime/batch.hpp).
+  std::uint64_t total_cycles = 0;
   /// Chase-memo accounting across all stage pools: specs answered without
   /// simulating a load, and specs that actually ran.
   std::uint64_t chase_memo_hits = 0;
   std::uint64_t chase_memo_misses = 0;
-  /// Per-stage cycles (stage-declaration order) and the longest dependency
-  /// path through them, each stage priced at its serial depth (the chase
-  /// work that cannot fan out across sub-sweep chunks, plus non-chase
-  /// kernels): total_cycles / critical_path_cycles is the speedup available
-  /// from benchmark-level (bench_threads) plus sweep-level (sweep_threads)
-  /// concurrency together.
+  /// The only cycle attribution: per-stage cycles in stage-declaration
+  /// order, summing to total_cycles, and the longest dependency path of
+  /// stage cycles through the stage graph.
   std::vector<StageCycleReport> stage_cycles;
   std::uint64_t critical_path_cycles = 0;
   /// Host wall-clock metrics of this discovery (opt-in, see the struct).

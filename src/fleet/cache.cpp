@@ -20,7 +20,9 @@ namespace {
 
 // v2: job keys gained the spec=<hex16> model-content component, so every v1
 // entry is keyed without the spec identity and must not be served.
-constexpr int kCacheFileVersion = 2;
+// v3: reports price every chase as the real tool would run it (one cost
+// model, no attribution buckets), so v2 entries carry stale meta cycles.
+constexpr int kCacheFileVersion = 3;
 
 /// Advisory exclusive lock on `<target>.lock`, held for a whole load or
 /// save+merge cycle. The sidecar (not the target itself) carries the flock

@@ -38,10 +38,9 @@ struct DiscoveryJob {
 
   /// Canonical identity string: every field in a fixed order with explicit
   /// separators. Two jobs are the same work iff their keys are equal.
-  /// DiscoverOptions::sweep_threads, bench_threads and subsweep_chunking are
-  /// deliberately excluded — they are execution knobs whose report is
-  /// byte-identical for every value, so a cached result answers any
-  /// setting. The trailing spec=<hex16>
+  /// DiscoverOptions::sweep_threads and bench_threads are deliberately
+  /// excluded — they are execution knobs whose report is byte-identical for
+  /// every value, so a cached result answers any setting. The trailing spec=<hex16>
   /// component is the content hash of the model spec the job resolves to.
   std::string key() const;
 

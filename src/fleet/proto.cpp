@@ -109,7 +109,6 @@ json::Value job_to_json(const DiscoveryJob& job) {
   options.emplace_back("records", job.options.record_count);
   options.emplace_back("sweep_threads", job.options.sweep_threads);
   options.emplace_back("bench_threads", job.options.bench_threads);
-  options.emplace_back("chunking", job.options.subsweep_chunking);
 
   json::Object doc;
   doc.emplace_back("model", job.model);
@@ -175,14 +174,6 @@ DiscoveryJob job_from_json(const json::Value& doc) {
   job.options.record_count = count("records");
   job.options.sweep_threads = count("sweep_threads");
   job.options.bench_threads = count("bench_threads");
-  // Execution knob shipped to workers for fidelity, not part of key();
-  // absent in records written before the knob existed -> the default (on).
-  if (const json::Value* chunking = options.find("chunking")) {
-    if (!chunking->is_bool()) {
-      throw std::invalid_argument("job record: options.chunking is not bool");
-    }
-    job.options.subsweep_chunking = chunking->as_bool();
-  }
 
   const std::string hash_text =
       need(doc, "spec_hash", &json::Value::is_string, "string").as_string();

@@ -210,15 +210,14 @@ std::uint64_t timed_steps_of(const PChaseConfig& config) {
 }
 
 /// Where a walk of @p steps resumes: the longest ledger walk of @p key with
-/// a snapshot and at most @p steps, or nullptr (walk from cold).
+/// at most @p steps, or nullptr (walk from cold).
 const WarmStateEntry* resume_point(const ReplicaPool& pool,
                                    const WarmKey& key, std::uint64_t steps) {
   const auto ledger = pool.warm_ledger.find(key);
   if (ledger == pool.warm_ledger.end()) return nullptr;
   const WarmStateEntry* best = nullptr;
   for (const WarmStateEntry& e : ledger->second) {
-    if (e.has_state && e.steps <= steps &&
-        (best == nullptr || e.steps > best->steps)) {
+    if (e.steps <= steps && (best == nullptr || e.steps > best->steps)) {
       best = &e;
     }
   }
@@ -233,48 +232,32 @@ const WarmStateEntry* resume_point(const ReplicaPool& pool,
 /// only as its final member, where no restore-after is needed.
 constexpr std::uint64_t kPrefixShareCap = 4096;
 
-/// Hard cap on numeric walk records per key — a runaway-loop backstop far
-/// above any real sweep grid, not a tuning knob.
+/// Hard cap on snapshots per key — a runaway-loop backstop far above any
+/// real sweep grid, not a tuning knob.
 constexpr std::size_t kWarmLedgerCap = 1024;
 
-/// Records a chain's longest warm walk in the pool ledger. Every distinct
-/// walk length gets a numeric record, kept sorted by steps: the booking
-/// rule prices a chase at the increment over the nearest shorter recorded
-/// walk, so bisection-style access patterns (which revisit mid-range sizes
-/// in non-monotonic order) book small deltas instead of near-full warm
-/// costs. The numeric fields are recorded unconditionally (booking depends
-/// on them and must be engine-independent); the snapshot is dropped when it
-/// would exceed the byte budget, which only costs execution speed, never
-/// correctness.
+/// Records a chain's end-of-warm snapshot in the pool ledger, kept sorted
+/// by walk length. A walk length already recorded keeps its snapshot (the
+/// state is a pure function of the walk), and a snapshot that would exceed
+/// the byte budget is not kept: the ledger only lets later chunks skip warm
+/// work, it never decides a result.
 void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
                          WarmStateEntry&& entry) {
+  const std::uint64_t bytes = entry.state.byte_size();
+  if (pool.warm_state_bytes + bytes > pool.warm_state_budget) return;
   auto& entries = pool.warm_ledger[key];
   const auto at = std::lower_bound(
       entries.begin(), entries.end(), entry.steps,
       [](const WarmStateEntry& e, std::uint64_t steps) {
         return e.steps < steps;
       });
-  WarmStateEntry* slot = nullptr;
-  if (at != entries.end() && at->steps == entry.steps) {
-    slot = &*at;
-  } else {
-    slot = &*entries.emplace(at);
-  }
-  const std::uint64_t old_bytes = slot->has_state ? slot->state.byte_size() : 0;
-  std::uint64_t new_bytes = entry.has_state ? entry.state.byte_size() : 0;
-  if (pool.warm_state_bytes - old_bytes + new_bytes > pool.warm_state_budget) {
-    entry.state = sim::PathSnapshot{};
-    entry.has_state = false;
-    new_bytes = 0;
-  }
-  pool.warm_state_bytes = pool.warm_state_bytes - old_bytes + new_bytes;
-  *slot = std::move(entry);
+  if (at != entries.end() && at->steps == entry.steps) return;
+  pool.warm_state_bytes += bytes;
+  entries.insert(at, std::move(entry));
   if (entries.size() > kWarmLedgerCap) {
-    // Deterministic eviction: drop the second-smallest walk. The floor and
-    // the long walks (where warm deltas are expensive) survive.
-    if (entries[1].has_state) {
-      pool.warm_state_bytes -= entries[1].state.byte_size();
-    }
+    // Drop the second-smallest walk: the floor and the long walks (where
+    // re-warming is expensive) survive.
+    pool.warm_state_bytes -= entries[1].state.byte_size();
     entries.erase(entries.begin() + 1);
   }
 }
@@ -295,18 +278,15 @@ struct Unit {
 /// schedule yields the same bytes.
 struct Plan {
   std::span<const ChaseSpec> specs;
-  std::vector<std::uint64_t> seeds;      ///< per spec: noise seed = memo key
+  std::vector<std::uint64_t> seeds;   ///< per spec: noise seed = memo key
   std::vector<Unit> units;
-  std::vector<PChaseResult> results;     ///< per spec
-  std::vector<std::uint64_t> warm_full;  ///< per spec: cold-equivalent warm
-  std::vector<WarmStateEntry> saved;     ///< per unit: end state if save
-  std::vector<char> ran;                 ///< per unit
+  std::vector<PChaseResult> results;  ///< per spec
+  /// Per unit: the end state of its last member's warm walk, if save.
+  std::vector<std::optional<WarmStateEntry>> saved;
+  std::vector<char> ran;  ///< per unit
 
   explicit Plan(std::span<const ChaseSpec> batch)
-      : specs(batch),
-        seeds(batch.size()),
-        results(batch.size()),
-        warm_full(batch.size()) {}
+      : specs(batch), seeds(batch.size()), results(batch.size()) {}
 };
 
 /// Runs plan.units on the pool's slot replicas with at most options.threads
@@ -363,7 +343,6 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
       const std::size_t index = unit.indices.front();
       const obs::SpanGuard chase(chase_span);
       plan.results[index] = run_chase(replica, plan.specs[index]);
-      plan.warm_full[index] = plan.results[index].warm_cycles;
       return;
     }
     // Warm-sharing chunk: one incremental warm walk, many timed passes.
@@ -387,14 +366,12 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
             config.stride_bytes, steps - cur_steps);
         cur_steps = steps;
       }
-      plan.warm_full[index] = cum_warm;
       const bool last = i + 1 == unit.indices.size();
       if (last && unit.save) {
-        WarmStateEntry& saved = plan.saved[u];
+        WarmStateEntry& saved = plan.saved[u].emplace();
         saved.steps = cur_steps;
         saved.cum_warm_cycles = cum_warm;
         replica.snapshot_path(path, saved.state);
-        saved.has_state = true;
       }
       // Re-seeding here puts the timed pass at the exact stream position a
       // cold run would see: warm-up consumes zero draws.
@@ -402,17 +379,21 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
       PChaseConfig timed = config;
       timed.warmup = false;
       const obs::SpanGuard chase(chase_span);
+      PChaseResult& result = plan.results[index];
       if (!last) {
         // The timed pass only touches sets its address prefix maps to;
         // snapshotting exactly those makes the restore rewind it fully.
         replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
                                      timed_steps_of(config),
                                      slot_scratch[slot]);
-        plan.results[index] = run_pchase(replica, timed);
+        result = run_pchase(replica, timed);
         replica.restore_path(path, slot_scratch[slot]);
       } else {
-        plan.results[index] = run_pchase(replica, timed);
+        result = run_pchase(replica, timed);
       }
+      // The member's walk from cold, however much of it this unit ran.
+      result.warm_cycles = cum_warm;
+      result.total_cycles += cum_warm;
     }
   };
 
@@ -503,13 +484,8 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
     if (!plan.ran[u]) continue;
     const std::size_t i = plan.units[u].indices.front();
-    AheadResult result;
-    result.spec = specs[i];
-    result.result = std::move(plan.results[i]);
-    result.warm = std::move(plan.saved[u]);
-    result.warm.steps = walk_steps(specs[i].config);
-    result.warm.cum_warm_cycles = plan.warm_full[i];
-    pool.ahead.push_back(std::move(result));
+    pool.ahead.push_back({specs[i], std::move(plan.results[i]),
+                          std::move(plan.saved[u])});
     ++pool.ahead_stats.ran;
   }
 }
@@ -527,15 +503,15 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   std::vector<PChaseResult>& results = plan.results;
 
   // Resolve memo hits, intra-batch duplicates and run-ahead commits in spec
-  // order, before any chase runs, so which index carries the cycles is a
-  // function of the batch contents alone — never of scheduling.
+  // order, before any chase runs, so which index counts as the run (and
+  // which as a replay) is a function of the batch contents alone.
   std::vector<std::size_t> pending;  // first occurrences: run or committed
   std::vector<std::ptrdiff_t> copy_from(specs.size(), -1);
   // hash -> indices already pending, so duplicate detection stays linear
   // even for the N^2-pair CU-sharing batches.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
   // Committed run-ahead results: spec index -> end of its warm walk.
-  std::map<std::size_t, WarmStateEntry> committed;
+  std::map<std::size_t, std::optional<WarmStateEntry>> committed;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
   {
     const obs::SpanGuard memo_span("memo.resolve");
@@ -545,7 +521,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       if (options.memoize) {
         if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
           results[i] = *hit;
-          results[i].total_cycles = 0;
           results[i].from_cache = true;
           ++pool.memo_stats.hits;
           continue;
@@ -564,7 +539,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         const auto waiting = find_ahead(pool, specs[i]);
         if (waiting != pool.ahead.end()) {
           results[i] = std::move(waiting->result);
-          plan.warm_full[i] = waiting->warm.cum_warm_cycles;
           committed.emplace(i, std::move(waiting->warm));
           pool.ahead.erase(waiting);
         }
@@ -574,13 +548,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   }
 
   if (!pending.empty()) {
-    // ---- Warm-chain planning (engine-independent) -------------------------
+    // ---- Warm chains (compiled engine) --------------------------------------
     // Group warm-compatible plain chases by WarmKey and sort each chain by
-    // walk length (ties stay in spec order). Chain membership and order are
-    // a pure function of the batch contents, so the booking derived from
-    // them is scheduling-independent. Committed run-ahead results are chain
-    // members like any other: they book and enter the ledger, but run in no
-    // unit.
+    // walk length (ties stay in spec order). Committed run-ahead results
+    // are chain members too: they run in no unit, but a longest member's
+    // end state still enters the ledger.
     struct Member {
       std::size_t index = 0;  ///< spec index
       std::uint64_t steps = 0;
@@ -590,26 +562,22 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       std::size_t save_unit = SIZE_MAX;  ///< unit that captures the end state
     };
     std::map<WarmKey, Chain> chains;
-    for (const std::size_t i : pending) {
-      if (!warm_shareable(specs[i])) continue;
-      chains[warm_key_of(specs[i].config)].members.push_back(
-          {i, walk_steps(specs[i].config)});
-    }
-    for (auto& [key, chain] : chains) {
-      std::stable_sort(
-          chain.members.begin(), chain.members.end(),
-          [](const Member& a, const Member& b) { return a.steps < b.steps; });
-    }
-
-    // ---- Execution units --------------------------------------------------
-    // Splitting chains into chunks is what lets a single monolithic sweep
-    // fan out across --sweep-threads; each chunk re-warms independently
-    // (from the best ledger snapshot), trading some redundant warm work for
-    // parallelism without touching results.
     std::vector<Unit>& units = plan.units;
     std::vector<char> in_chunk(specs.size(), 0);
     if (pchase_engine() == PChaseEngine::kCompiled) {
+      for (const std::size_t i : pending) {
+        if (!warm_shareable(specs[i])) continue;
+        chains[warm_key_of(specs[i].config)].members.push_back(
+            {i, walk_steps(specs[i].config)});
+      }
+      // Splitting chains into chunks is what lets a single monolithic sweep
+      // fan out across --sweep-threads; each chunk re-warms independently
+      // (from the best ledger snapshot), trading some redundant warm work
+      // for parallelism without touching results.
       for (auto& [key, chain] : chains) {
+        std::stable_sort(
+            chain.members.begin(), chain.members.end(),
+            [](const Member& a, const Member& b) { return a.steps < b.steps; });
         const std::size_t first_unit = units.size();
         Unit current;
         current.chunk = true;
@@ -621,8 +589,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
               timed_steps_of(specs[m.index].config) <= kPrefixShareCap;
           // An unbounded (full-pass) timed run dirties state beyond any
           // cheap snapshot, so it closes its chunk as the final member.
-          if (!bounded || (pool.warm_chunk_points != 0 &&
-                           current.indices.size() >= pool.warm_chunk_points)) {
+          if (!bounded ||
+              current.indices.size() >= ReplicaPool::warm_chunk_points) {
             units.push_back(std::move(current));
             current = Unit{};
             current.chunk = true;
@@ -657,93 +625,19 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     }
     run_units(gpu, pool, options, plan, /*needed=*/units.size(), "chase.run");
 
-    // ---- Engine-independent booking + ledger update (in chain order) ------
-    // Each chain member is charged the incremental warm cost over its
-    // predecessor — the previous chain member, or the longest prior ledger
-    // walk not exceeding its own — plus its timed pass: a chain's warm cost
-    // telescopes to its longest walk instead of being paid once per member.
-    // The rule consumes only cold-equivalent cumulative totals (warm_full)
-    // and the ledger's numeric records, both of which are pure functions of
-    // the deterministic batch sequence — never of thread count, chunk size,
-    // engine, scheduling, or whether a member ran here or ahead — so reports
-    // stay byte-identical across every execution shape. (Accounting IS
-    // chain-aware by design: sharing warm-up is what removes the warm
-    // cycles from the booked critical path.)
+    // Each chain's longest walk enters the ledger, in chain order.
     for (auto& [key, chain] : chains) {
-      const auto ledger = pool.warm_ledger.find(key);
-      for (std::size_t i = 0; i < chain.members.size(); ++i) {
-        const Member& m = chain.members[i];
-        std::uint64_t prior_steps = 0;
-        std::uint64_t prior_cum = 0;
-        if (ledger != pool.warm_ledger.end()) {
-          for (const WarmStateEntry& e : ledger->second) {
-            if (e.steps <= m.steps && e.steps >= prior_steps) {
-              prior_steps = e.steps;
-              prior_cum = e.cum_warm_cycles;
-            }
-          }
-        }
-        if (i > 0 && chain.members[i - 1].steps >= prior_steps) {
-          prior_steps = chain.members[i - 1].steps;
-          prior_cum = plan.warm_full[chain.members[i - 1].index];
-        }
-        PChaseResult& r = results[m.index];
-        const std::uint64_t timed_cycles = r.total_cycles - r.warm_cycles;
-        r.warm_cycles = plan.warm_full[m.index] - prior_cum;
-        r.total_cycles = r.warm_cycles + timed_cycles;
-      }
-      const Member& longest = chain.members.back();
-      WarmStateEntry entry;
-      if (const auto end = committed.find(longest.index);
+      std::optional<WarmStateEntry>* end_state = nullptr;
+      if (const auto end = committed.find(chain.members.back().index);
           end != committed.end()) {
-        entry = std::move(end->second);
-      } else if (chain.save_unit != SIZE_MAX &&
-                 plan.saved[chain.save_unit].has_state) {
-        entry.state = std::move(plan.saved[chain.save_unit].state);
-        entry.has_state = true;
+        end_state = &end->second;
+      } else if (chain.save_unit != SIZE_MAX) {
+        end_state = &plan.saved[chain.save_unit];
       }
-      entry.steps = longest.steps;
-      entry.cum_warm_cycles = plan.warm_full[longest.index];
-      insert_ledger_entry(pool, key, std::move(entry));
-    }
-
-    // ---- Serial-depth accounting (engine- and knob-independent) -----------
-    // The batch's Amdahl floor under unbounded sweep threads: chains fan out
-    // in chunks of the NOMINAL size (a constant — warm_chunk_points is an
-    // execution knob and must not move report bytes), everything else is an
-    // independent singleton, and the floor is the most expensive single
-    // unit. Summed over batches (sequential by construction) this gives the
-    // pool's serially-dependent cycle depth, which the stage runner uses to
-    // price a stage's critical-path contribution.
-    constexpr std::uint32_t kNominalChunkPoints = 8;
-    std::uint64_t batch_serial = 0;
-    std::vector<char> in_chain(specs.size(), 0);
-    for (const auto& [key, chain] : chains) {
-      std::uint64_t unit_sum = 0;
-      std::uint32_t unit_len = 0;
-      for (const Member& m : chain.members) {
-        in_chain[m.index] = 1;
-        unit_sum += results[m.index].total_cycles;
-        ++unit_len;
-        const bool bounded =
-            timed_steps_of(specs[m.index].config) <= kPrefixShareCap;
-        if (!bounded || unit_len >= kNominalChunkPoints) {
-          batch_serial = std::max(batch_serial, unit_sum);
-          unit_sum = 0;
-          unit_len = 0;
-        }
-      }
-      batch_serial = std::max(batch_serial, unit_sum);
-    }
-    std::uint64_t batch_total = 0;
-    for (const std::size_t i : pending) {
-      batch_total += results[i].total_cycles;
-      if (!in_chain[i]) {
-        batch_serial = std::max(batch_serial, results[i].total_cycles);
+      if (end_state != nullptr && *end_state) {
+        insert_ledger_entry(pool, key, std::move(**end_state));
       }
     }
-    pool.chase_cycles += batch_total;
-    pool.serial_cycles += batch_serial;
 
     if (options.memoize) {
       pool.memo_stats.misses += pending.size();
@@ -756,7 +650,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (copy_from[i] < 0) continue;
     results[i] = results[static_cast<std::size_t>(copy_from[i])];
-    results[i].total_cycles = 0;
     results[i].from_cache = true;
     ++pool.memo_stats.hits;
   }

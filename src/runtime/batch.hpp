@@ -13,11 +13,11 @@
 // bench/discovery_hotpath and the sweep-engine tests assert.
 //
 // Purity also makes results cacheable: a ReplicaPool carries a memo keyed by
-// the full spec, so a spec measured once costs zero cycles every time it
-// recurs — across widenings of one sweep, across the coarse/refinement
-// sweeps, and across benchmarks sharing the pool. Memo hits and intra-batch
-// duplicates are resolved in spec order before any chase runs, so the
-// accounting (which index carries the cycles) is a function of the batch
+// the full spec, so a spec measured once is answered without simulating a
+// load every time it recurs — across widenings of one sweep, across the
+// coarse/refinement sweeps, and across benchmarks sharing the pool. Memo hits
+// and intra-batch duplicates are resolved in spec order before any chase
+// runs, so which index runs and which replays is a function of the batch
 // contents alone, never of scheduling.
 //
 // The trade-off is explicit: batched chases do NOT share a noise stream with
@@ -32,28 +32,28 @@
 // is an exact extension of a shorter one. The batch planner groups
 // warm-compatible plain chases into chains sorted by walk length, executes
 // each chain as chunked units that warm incrementally (snapshot/restore
-// around each bounded timed pass), and records walk lengths + noise-free
-// warm cycle totals in the pool's WarmStateEntry ledger. Booked cycles
-// follow an engine- and schedule-independent rule: every chain member is
-// charged the incremental warm cost over its predecessor (the previous
-// member, or the longest prior ledger walk) plus its own timed pass, so a
-// chain's warm cost telescopes to its longest walk — sharing removes the
-// repeated warm-up from booked cycles AND from wall-clock. The rule consumes
-// only deterministic cumulative totals, so for a fixed batch sequence the
-// results are byte-identical across thread counts, chunk sizes and the
-// compiled/reference engines; measurements (latencies, timed loads, hit
-// levels) are additionally independent of batch composition and history.
+// around each bounded timed pass), and keeps each chain's end-of-warm
+// snapshot in the pool's warm ledger so a later batch resumes the walk
+// instead of re-warming. All of that only saves host work.
+//
+// The cost rule: every result carries the cycles the real tool would spend
+// on its spec — the whole warm walk from cold (a chunk member or a resumed
+// walk adds the cold cost of the part it skipped, which is exact because
+// warm-up is noise-free), the whole timed pass (see kernels.hpp), and for a
+// memo hit or an in-batch duplicate the cycles of the run it replays. So
+// every result equals an isolated cold run of its spec, in cycles as in
+// measurements, for every thread count, chunking, engine, batch composition
+// and history.
 //
 // That independence is what run-ahead rests on. run_chase_ahead() executes
 // probes a serial search may need next — on participants that would idle
-// otherwise — without booking them: each runs as its own unit, resuming
-// from the ledger as it stands, and leaves its raw measurement, its
-// cold-equivalent warm total and its end-of-warm snapshot in the pool's
-// run-ahead table. The commit rule: a later run_chase_batch() that misses
-// the memo but finds the spec in that table takes the stored result instead
-// of executing it, and books, memoizes and records it in the ledger exactly
-// as if it had just run. Booked cycles, memo stats, the ledger and hence
-// report bytes are those of the serial search; only wall time changes.
+// otherwise — each as its own unit, resuming from the ledger as it stands,
+// and leaves its result and its end-of-warm snapshot in the pool's run-ahead
+// table. The commit rule: a later run_chase_batch() that misses the memo but
+// finds the spec in that table takes the stored result instead of executing
+// it, and memoizes and records it in the ledger exactly as if it had just
+// run. Memo stats, the ledger and hence report bytes are those of the serial
+// search; only wall time changes.
 #pragma once
 
 #include <cstdint>
@@ -135,7 +135,8 @@ struct ChaseSpec {
 PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec);
 
 /// Memo accounting of a ReplicaPool: hits are answered without simulating a
-/// single load (the returned result carries total_cycles == 0).
+/// single load (the returned result carries the cycles of the run it
+/// replays).
 struct ChaseMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  ///< specs that actually ran
@@ -166,27 +167,23 @@ struct WarmKey {
   bool operator<(const WarmKey& other) const { return tie() < other.tie(); }
 };
 
-/// One recorded warm walk of a WarmKey: how many steps were walked, the
-/// noise-free cycle total of walking them from cold, and (compiled engine
-/// only, budget permitting) the sparse cache image at that point so a later
-/// batch can resume the walk instead of re-warming from scratch. The numeric
-/// fields are engine-independent and always recorded — the booking rule
-/// depends on them; the snapshot only accelerates execution.
+/// One resumable warm walk of a WarmKey: how many steps were walked, the
+/// noise-free cycle total of walking them from cold, and the sparse cache
+/// image at that point, so a later chunk can resume the walk instead of
+/// re-warming from scratch and still carry the walk's cold cost.
 struct WarmStateEntry {
   std::uint64_t steps = 0;
   std::uint64_t cum_warm_cycles = 0;
   sim::PathSnapshot state;
-  bool has_state = false;
 };
 
-/// A probe run_chase_ahead() executed and nobody committed yet: the raw
-/// measurement with nothing booked, and the end of its warm walk (walk
-/// length, cold-equivalent warm total, snapshot) as the ledger will record
-/// it on commit.
+/// A probe run_chase_ahead() executed and nobody committed yet: its result,
+/// as run_chase_batch() would return it, and the end of its warm walk as the
+/// ledger will record it on commit (compiled engine, warm-shareable specs).
 struct AheadResult {
   ChaseSpec spec;
   PChaseResult result;
-  WarmStateEntry warm;
+  std::optional<WarmStateEntry> warm;
 };
 
 /// How run-ahead fared on one pool: every probe that ran is eventually
@@ -233,43 +230,26 @@ struct ReplicaPool {
   /// fans out. The stage runner sets it to DiscoverOptions::bench_executor,
   /// the executor its graph runs on, so idle stage workers can help.
   exec::Executor* executor = nullptr;
-  /// Warm-state ledger: per warm key, one numeric record per distinct walk
-  /// length ever completed, sorted ascending by steps (snapshots attach to
-  /// whichever records fit the byte budget). Booking prices a chase at the
-  /// increment over the nearest shorter recorded walk, so even bisection
-  /// patterns that revisit mid-range sizes book small deltas. Read at
-  /// batch-plan time, updated once per batch at the join in deterministic
-  /// chain order, and never consulted across pools (stage-local, so
-  /// bench_threads scheduling cannot influence booking). Cleared with the
-  /// memo on an epoch change.
+  /// Warm-state ledger, a pure execution cache: per warm key, the
+  /// end-of-warm snapshot of each distinct chain-end walk length, sorted
+  /// ascending by steps. A chunk resumes from the longest walk not beyond
+  /// its first member. Read at batch-plan time, updated once per batch at
+  /// the join, and cleared with the memo on an epoch change.
   std::map<WarmKey, std::vector<WarmStateEntry>> warm_ledger;
-  /// Resident bytes of ledger snapshots; inserts that would exceed the
-  /// budget keep their (mandatory) numeric fields but drop the snapshot.
+  /// Resident bytes of ledger snapshots; a snapshot that would exceed the
+  /// budget is not kept.
   std::uint64_t warm_state_bytes = 0;
   std::uint64_t warm_state_budget = 256ULL << 20;
   /// Sub-sweep chunking: how many chases of one warm chain execute per
   /// parallel unit. Each chunk re-warms independently from the best ledger
   /// snapshot and fans out through the batch executor, which is what lets a
-  /// single size sweep parallelize under --sweep-threads. 0 disables
-  /// chunking (a whole chain runs as one serial unit); results are
-  /// byte-identical either way, only wall time changes.
-  std::uint32_t warm_chunk_points = 8;
+  /// single size sweep parallelize under --sweep-threads.
+  static constexpr std::uint32_t warm_chunk_points = 8;
   /// Host nanoseconds spent resetting replicas (cache flush + noise reseed)
   /// across every batch run against this pool. Always accumulated (unlike
   /// the metrics-gated replica.reset_ns observe) so the stage runner can
   /// attribute reset time per stage in the report.
   std::uint64_t reset_ns = 0;
-  /// Booked simulated cycles of every chase executed through this pool
-  /// (memo hits excluded — they book zero), and the serially-dependent
-  /// portion of them: per batch, the most expensive unit under the NOMINAL
-  /// chunking (a constant, independent of warm_chunk_points), summed over
-  /// batches (which run sequentially). serial_cycles is the Amdahl floor of
-  /// the pool's chase work under unbounded sweep threads; the stage runner
-  /// prices a stage's critical-path contribution with it. Both are pure
-  /// functions of the batch sequence — never of threads, chunking, engine,
-  /// or scheduling.
-  std::uint64_t chase_cycles = 0;
-  std::uint64_t serial_cycles = 0;
   /// Run-ahead results waiting for their commit: at most one round of
   /// run_chase_ahead(), cleared with the memo on an epoch change.
   std::vector<AheadResult> ahead;
@@ -285,8 +265,8 @@ struct ChaseBatchOptions {
   exec::Executor* executor = nullptr;
   /// Optional replica + memo cache reused across calls (see ReplicaPool).
   ReplicaPool* pool = nullptr;
-  /// Answer repeated specs from the pool's memo (zero cycles) instead of
-  /// re-running them. Disable for callers that need every spec executed.
+  /// Answer repeated specs from the pool's memo instead of re-running them.
+  /// Disable for callers that need every spec executed.
   bool memoize = true;
 };
 
@@ -308,9 +288,9 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);
 /// results in spec order. The engine (compiled/reference) active on the
 /// calling thread is propagated to the worker threads. Results answered from
 /// the memo (or duplicated within the batch) carry from_cache == true and
-/// total_cycles == 0, so cycle tallies never double-book simulated work.
-/// A memo miss waiting in the pool's run-ahead table is committed instead
-/// of executed (see file comment).
+/// the cycles of the run they replay, as the real tool would run the chase
+/// again. A memo miss waiting in the pool's run-ahead table is committed
+/// instead of executed (see file comment).
 std::vector<PChaseResult> run_chase_batch(
     sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     const ChaseBatchOptions& options = {});
@@ -321,8 +301,8 @@ std::vector<PChaseResult> run_chase_batch(
 /// shared pool.
 std::uint32_t batch_participants(const ChaseBatchOptions& options);
 
-/// Run-ahead (see file comment): executes @p specs without booking them and
-/// leaves their results in options.pool's run-ahead table (no pool: no-op).
+/// Run-ahead (see file comment): executes @p specs and leaves their results
+/// in options.pool's run-ahead table (no pool: no-op).
 /// specs[0] is the probe the caller needs next and always runs; the rest
 /// are speculative and run only on a participant that claims one while
 /// specs[0] is still running, so speculation spends idle participants and

@@ -40,37 +40,50 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
   return gpu.run_warm_pass(path, config.base, config.stride_bytes, steps);
 }
 
+/// Cycles of a whole timed pass of @p full_steps loads when only the first
+/// @p steps ran and cost @p cycles: the unexecuted tail is charged at the
+/// executed loads' mean latency (floor of cycles * full_steps / steps,
+/// computed without overflowing for any pass shorter than 2^32 loads).
+std::uint64_t whole_pass_cycles(std::uint64_t cycles, std::uint64_t steps,
+                                std::uint64_t full_steps) {
+  return cycles / steps * full_steps + cycles % steps * full_steps / steps;
+}
+
 /// The timed pass: records the first record_count latencies and classifies
 /// every executed load by the level that served it. max_timed_steps stops
 /// the walk early for record-only consumers (the recorded prefix is
-/// unaffected: each load depends only on the loads before it).
+/// unaffected: each load depends only on the loads before it); the cycles
+/// still cover the whole pass the real tool would run.
 void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                 PChaseResult& result) {
-  std::uint64_t steps = config.array_bytes / config.stride_bytes;
+  const std::uint64_t full_steps = config.array_bytes / config.stride_bytes;
+  std::uint64_t steps = full_steps;
   if (config.max_timed_steps != 0) {
     steps = std::min(steps, config.max_timed_steps);
   }
   result.timed_loads = steps;
   result.latencies.reserve(
       std::min<std::uint64_t>(steps, config.record_count));
+  std::uint64_t cycles = 0;
   if (t_engine == PChaseEngine::kReference) {
     for (std::uint64_t i = 0; i < steps; ++i) {
       const sim::AccessResult access = gpu.access_traced(
           config.where, config.space, config.base + i * config.stride_bytes,
           config.flags);
-      result.total_cycles += access.latency;
+      cycles += access.latency;
       ++result.served_by[access.served_by];
       if (result.latencies.size() < config.record_count) {
         result.latencies.push_back(access.latency);
       }
     }
-    return;
+  } else {
+    const sim::AccessPath path =
+        gpu.compile_path(config.where, config.space, config.flags);
+    cycles = gpu.run_pass(path, config.base, config.stride_bytes, steps,
+                          &result.served_by, &result.latencies,
+                          config.record_count);
   }
-  const sim::AccessPath path =
-      gpu.compile_path(config.where, config.space, config.flags);
-  result.total_cycles +=
-      gpu.run_pass(path, config.base, config.stride_bytes, steps,
-                   &result.served_by, &result.latencies, config.record_count);
+  result.total_cycles += whole_pass_cycles(cycles, steps, full_steps);
 }
 
 }  // namespace

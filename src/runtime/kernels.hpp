@@ -89,12 +89,11 @@ struct PChaseResult {
   /// A fixed-size per-element array: the timed pass bumps one slot per load,
   /// so this must not be a node-based map.
   sim::ElementCounts served_by;
-  /// Simulated GPU cycles spent (warm-up + timed), for run-time accounting.
-  /// Zero when the result was answered from a chase memo (see from_cache).
-  /// Warm-shared chases in a batch (see run_chase_batch) book only the
-  /// incremental warm cost over their chain predecessor here — a chain's
-  /// warm total telescopes to its longest walk. The accounting is a pure
-  /// function of the batch sequence, never of threads or scheduling.
+  /// Simulated GPU cycles the real tool's kernel would spend: its whole
+  /// warm-up plus its whole timed pass. A pass capped by max_timed_steps
+  /// adds its unexecuted tail at the executed loads' mean latency, in both
+  /// engines. A batch result (see run_chase_batch) carries exactly what a
+  /// cold run of its spec would, however the host produced it.
   std::uint64_t total_cycles = 0;
   /// Warm-up portion of total_cycles. Warm-up is noise-free, so this is a
   /// pure function of the chase config and the replica's prior cache state.

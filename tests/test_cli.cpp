@@ -67,6 +67,15 @@ TEST(Cli, ErrorsOnUnknownAndMissingValue) {
   EXPECT_FALSE(parse_args({"--frobnicate"}).errors.empty());
   EXPECT_FALSE(parse_args({"--gpu"}).errors.empty());
   EXPECT_FALSE(parse_args({"--seed", "NaN"}).errors.empty());
+  // A seed is a whole unsigned decimal: partial, signed, padded, empty and
+  // out-of-range values are errors, never a silently different seed.
+  for (const char* seed :
+       {"12abc", "-1", "+1", "", " 7", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_args({"--seed", seed}).errors.empty())
+        << "'" << seed << "'";
+  }
+  EXPECT_EQ(parse_args({"--seed", "18446744073709551615"}).options.seed,
+            18446744073709551615ull);
 }
 
 TEST(Cli, FlopsFlag) {

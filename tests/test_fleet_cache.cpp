@@ -103,8 +103,8 @@ TEST(FleetCache, CorruptedFileRecoversEmpty) {
       "not json at all {{{",
       "[1, 2, 3]",
       R"({"version": 99, "entries": []})",
-      R"({"version": 2, "entries": [{"hash": "abc"}]})",
-      R"({"version": 2, "entries": [{"hash": "abc", "key": "k",
+      R"({"version": 3, "entries": [{"hash": "abc"}]})",
+      R"({"version": 3, "entries": [{"hash": "abc", "key": "k",
           "report": {"general": "truncated"}}]})",
   };
   for (const char* corruption : corruptions) {

@@ -4,7 +4,7 @@
 // budget, crash-exhaustion reporting, garbage-worker containment, the
 // supervised journal's no-duplicate-append discipline, one retry / fail-fast
 // policy for both runners, worker reaping on every exit path, and the CLI's
-// journal truncation and failed-write exit status.
+// journal truncation, seed validation and failed-write exit status.
 //
 // The worker binary is resolved as ./mt4g_cli relative to the ctest working
 // directory (the build tree, where examples/ binaries land). When it is not
@@ -409,6 +409,21 @@ TEST(FleetCli, JournalWithoutResumeTruncatesInPlace) {
   for (std::string line; std::getline(in, line);) ++lines;
   EXPECT_EQ(lines, 1u);
   EXPECT_EQ(load_journal(target).size(), 1u);
+}
+
+TEST(FleetCli, MalformedFirstSeedExitsTwo) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempDir dir("first_seed");
+  for (const char* seed : {"abc", "12abc", "-1", ""}) {
+    const std::string command =
+        std::string(kWorkerBinary) +
+        " fleet --models TestGPU-NV --no-mig --cache none --quiet "
+        "--first-seed '" +
+        seed + "' --out " + dir.path() + " > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "'" << seed << "'";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << "'" << seed << "'";
+  }
 }
 
 TEST(FleetCli, FailedReportWritesExitNonzero) {

@@ -1,13 +1,14 @@
 // Warm-up state sharing tests: the correctness contract of the chain/chunk
 // execution in runtime/batch.cpp. A warm-shared timed pass (snapshot +
 // incremental warm + restore) must record byte-identical measurements to a
-// cold full chase for every chase shape, for every sweep thread count, with
-// sub-sweep chunking at any granularity (including off), with the snapshot
-// budget at zero, and across batches through the pool's warm-state ledger.
-// Cycle accounting is chain-aware (members book the incremental warm cost)
-// but engine- and schedule-independent: the reference engine replaying the
-// same batch history books identical cycles. Resampled chases must never
-// join a chain: they exist to draw fresh noise.
+// cold full chase for every chase shape, for every sweep thread count, for
+// chains longer than one sub-sweep chunk, with the snapshot budget at zero,
+// and across batches through the pool's warm-state ledger. Cycles follow
+// the one cost rule: every member books its whole warm walk and timed pass
+// as a cold run of its spec would, so the reference engine running each
+// spec alone books identical cycles. Resampled chases must never join a
+// chain: they exist to draw fresh noise.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,10 @@
 namespace mt4g::runtime {
 namespace {
 
+// Chases per chain in chain_specs: three sub-sweep chunks, the last one
+// partial, so every chain crosses two chunk boundaries.
+constexpr std::size_t kChainLength = 2 * ReplicaPool::warm_chunk_points + 4;
+
 // A warm chain the size benchmark would produce: many plain chases on one
 // base/stride (shared WarmKey) with growing array sizes, plus a second
 // stride (a second chain) and bounded timed passes of differing caps.
@@ -28,7 +33,7 @@ std::vector<ChaseSpec> chain_specs(sim::Gpu& gpu) {
   const std::uint64_t base = gpu.alloc(64 * KiB, 256);
   std::vector<ChaseSpec> specs;
   for (const std::uint32_t stride : {32u, 64u}) {
-    for (std::size_t i = 0; i < 12; ++i) {
+    for (std::size_t i = 0; i < kChainLength; ++i) {
       PChaseConfig config;
       config.base = base;
       config.array_bytes = 2 * KiB + i * 768;
@@ -78,8 +83,8 @@ bool equal_results(const std::vector<PChaseResult>& a,
 }
 
 // The cold truth: the reference engine runs every chase as an isolated cold
-// singleton — no snapshots, no incremental warm-up. The chain-aware booking
-// rule applies identically afterwards, so cycles must match too.
+// singleton — no snapshots, no incremental warm-up, no memo — and every
+// batch result must carry exactly its cycles too.
 std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
                                          const std::vector<ChaseSpec>& specs) {
   ScopedPChaseEngine scope(PChaseEngine::kReference);
@@ -94,19 +99,15 @@ TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
   const auto cold = cold_reference(gpu, specs);
 
   exec::Executor executor(7);  // real pool threads on any host
-  for (const std::uint32_t threads : {1u, 8u}) {
-    for (const std::uint32_t chunk : {0u, 3u, 8u}) {
-      ChaseBatchOptions options;
-      options.threads = threads;
-      options.executor = &executor;
-      ReplicaPool pool;
-      pool.warm_chunk_points = chunk;
-      options.pool = &pool;
-      const auto shared = run_chase_batch(gpu, specs, options);
-      EXPECT_TRUE(equal_results(cold, shared))
-          << "threads=" << threads << " chunk=" << chunk
-          << " diverged from the cold reference";
-    }
+  for (const std::uint32_t threads : {1u, 3u, 8u}) {
+    ChaseBatchOptions options;
+    options.threads = threads;
+    options.executor = &executor;
+    ReplicaPool pool;
+    options.pool = &pool;
+    const auto shared = run_chase_batch(gpu, specs, options);
+    EXPECT_TRUE(equal_results(cold, shared))
+        << "threads=" << threads << " diverged from the cold reference";
   }
 }
 
@@ -146,8 +147,8 @@ TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
 }
 
 TEST(WarmSharing, SnapshotBudgetZeroStillMatchesCold) {
-  // With no snapshot budget the ledger keeps only the numeric walk records:
-  // every chunk re-warms from scratch, and results must not move.
+  // With no snapshot budget the ledger keeps nothing: every chunk re-warms
+  // from scratch, and neither measurements nor cycles may move.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   const auto cold = cold_reference(gpu, specs);
@@ -158,27 +159,20 @@ TEST(WarmSharing, SnapshotBudgetZeroStillMatchesCold) {
   options.pool = &pool;
   EXPECT_TRUE(equal_results(cold, run_chase_batch(gpu, specs, options)));
   EXPECT_EQ(pool.warm_state_bytes, 0u);
-  for (const auto& [key, entries] : pool.warm_ledger) {
-    for (const auto& entry : entries) {
-      EXPECT_FALSE(entry.has_state);
-      EXPECT_GT(entry.steps, 0u);
-    }
-  }
+  EXPECT_TRUE(pool.warm_ledger.empty());
 }
 
 TEST(WarmSharing, LedgerResumesAcrossBatchesWithoutChangingResults) {
-  // Batch A records short walks in the pool's ledger; batch B extends the
-  // same WarmKeys to longer walks. Resuming from the ledger must not change
-  // any measurement, must book strictly less warm cost than a fresh pool
-  // (that is the point of the ledger), and the booking must stay
-  // engine-independent: the reference engine replaying the same two-batch
-  // history lands on identical cycles.
+  // Batch A leaves the short walks of each WarmKey in the pool's ledger;
+  // batch B extends the same keys to longer walks and resumes from there.
+  // Resuming must move neither a measurement nor a cycle: batch B books
+  // exactly what a fresh pool and the cold reference book.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   std::vector<ChaseSpec> first;
   std::vector<ChaseSpec> second;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    (i % 12 < 6 ? first : second).push_back(specs[i]);
+    (i % kChainLength < kChainLength / 2 ? first : second).push_back(specs[i]);
   }
 
   ChaseBatchOptions fresh;
@@ -190,33 +184,21 @@ TEST(WarmSharing, LedgerResumesAcrossBatchesWithoutChangingResults) {
   ReplicaPool pool;
   resumed.pool = &pool;
   const auto first_results = run_chase_batch(gpu, first, resumed);
-  EXPECT_FALSE(pool.warm_ledger.empty());
-  const auto after = run_chase_batch(gpu, second, resumed);
-  ASSERT_EQ(alone.size(), after.size());
-  std::uint64_t alone_warm = 0;
-  std::uint64_t after_warm = 0;
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].latencies, alone[i].latencies) << "spec " << i;
-    EXPECT_EQ(after[i].timed_loads, alone[i].timed_loads) << "spec " << i;
-    EXPECT_EQ(after[i].served_by.raw(), alone[i].served_by.raw())
-        << "spec " << i;
-    EXPECT_EQ(after[i].total_cycles - after[i].warm_cycles,
-              alone[i].total_cycles - alone[i].warm_cycles)
-        << "spec " << i;
-    alone_warm += alone[i].warm_cycles;
-    after_warm += after[i].warm_cycles;
+  // One resumable walk per key, shorter than every walk of batch B.
+  ASSERT_EQ(pool.warm_ledger.size(), 2u);
+  for (const auto& [key, entries] : pool.warm_ledger) {
+    ASSERT_EQ(entries.size(), 1u);
+    const auto next = std::find_if(
+        second.begin(), second.end(), [&](const ChaseSpec& spec) {
+          return spec.config.stride_bytes == key.stride_bytes;
+        });
+    ASSERT_NE(next, second.end());
+    EXPECT_LT(entries[0].steps, next->config.array_bytes / key.stride_bytes);
   }
-  EXPECT_LT(after_warm, alone_warm);
-
-  ScopedPChaseEngine scope(PChaseEngine::kReference);
-  ChaseBatchOptions ref_options;
-  ReplicaPool ref_pool;
-  ref_options.pool = &ref_pool;
-  ref_options.memoize = false;
-  const auto ref_first = run_chase_batch(gpu, first, ref_options);
-  const auto ref_after = run_chase_batch(gpu, second, ref_options);
-  EXPECT_TRUE(equal_results(first_results, ref_first));
-  EXPECT_TRUE(equal_results(after, ref_after));
+  const auto after = run_chase_batch(gpu, second, resumed);
+  EXPECT_TRUE(equal_results(after, alone));
+  EXPECT_TRUE(equal_results(first_results, cold_reference(gpu, first)));
+  EXPECT_TRUE(equal_results(after, cold_reference(gpu, second)));
 }
 
 TEST(WarmSharing, LedgerRecordsWalksSortedWithMonotoneWarmCost) {
@@ -267,45 +249,30 @@ TEST(WarmSharing, ResampledChasesDrawFreshNoise) {
   EXPECT_EQ(together[1].total_cycles, alone[0].total_cycles);
 }
 
-TEST(WarmSharing, WarmCyclesTelescopeAlongChains) {
-  // Chain-aware accounting: a chain's first member pays the full cold warm
-  // cost, every later member books only the increment over its predecessor,
-  // and the chain's booked warm total telescopes to the cold warm cost of
-  // its longest walk — sharing removes the repeated warm-up from the booked
-  // cycles. Timed-pass costs stay composition-independent.
+TEST(WarmSharing, ChainMembersBookTheirWholeColdWarmWalk) {
+  // Sharing warm-up saves host work, never modelled cycles: every chain
+  // member books the whole cold warm walk of its spec, as the real tool
+  // warms each array from scratch, so a chain's warm total is the sum of
+  // its members' cold walks, far above its longest walk.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   ChaseBatchOptions options;
   ReplicaPool pool;
   options.pool = &pool;
   const auto results = run_chase_batch(gpu, specs, options);
-  // chain_specs lays out two chains of 12 walks each (one per stride), in
-  // increasing walk length — exactly the chain order the planner derives.
-  for (const std::size_t start : {std::size_t{0}, std::size_t{12}}) {
+  // chain_specs lays out two chains (one per stride), in increasing walk
+  // length — exactly the chain order the planner derives.
+  for (const std::size_t start : {std::size_t{0}, kChainLength}) {
     std::uint64_t chain_warm = 0;
     std::uint64_t longest_cold_warm = 0;
-    for (std::size_t i = start; i < start + 12; ++i) {
-      ChaseBatchOptions single;
-      ReplicaPool single_pool;
-      single.pool = &single_pool;
-      const auto alone =
-          run_chase_batch(gpu, std::vector<ChaseSpec>{specs[i]}, single);
-      if (i == start) {
-        EXPECT_EQ(results[i].warm_cycles, alone[0].warm_cycles)
-            << "chain-first spec " << i << " must pay the full warm cost";
-      } else {
-        EXPECT_LT(results[i].warm_cycles, alone[0].warm_cycles)
-            << "spec " << i;
-      }
+    for (std::size_t i = start; i < start + kChainLength; ++i) {
+      const auto alone = cold_reference(gpu, {specs[i]});
+      EXPECT_TRUE(equal_results({results[i]}, alone)) << "spec " << i;
       EXPECT_GT(results[i].warm_cycles, 0u) << "spec " << i;
-      EXPECT_EQ(results[i].total_cycles - results[i].warm_cycles,
-                alone[0].total_cycles - alone[0].warm_cycles)
-          << "spec " << i;
       chain_warm += results[i].warm_cycles;
       longest_cold_warm = alone[0].warm_cycles;
     }
-    EXPECT_EQ(chain_warm, longest_cold_warm)
-        << "chain warm total must telescope to its longest walk";
+    EXPECT_GT(chain_warm, 2 * longest_cold_warm);
   }
 }
 
