@@ -662,8 +662,15 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   if (!journal_path.empty()) {
     try {
       if (resume) {
-        fleet::apply_journal(jobs, fleet::load_journal(journal_path),
+        std::size_t outdated = 0;
+        fleet::apply_journal(jobs, fleet::load_journal(journal_path, &outdated),
                              prefilled);
+        if (outdated > 0) {
+          std::fprintf(stderr,
+                       "mt4g fleet: journal '%s' holds %zu record(s) of an "
+                       "older format; their jobs rerun\n",
+                       journal_path.c_str(), outdated);
+        }
       }
       journal.emplace(fleet::RunJournal::open(journal_path, !resume));
     } catch (const std::exception& e) {

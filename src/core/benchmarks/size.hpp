@@ -48,8 +48,8 @@
 // always runs; the others run only on participants idle meanwhile. The
 // commit rule keeps the result serial: every probe is still chased
 // through run_chase_batch in serial order, and one found waiting is
-// memoized and recorded in the warm ledger exactly as if it ran then, so
-// results, cycles and memo statistics equal the serial search. Waiting
+// memoized exactly as if it ran then, so results, cycles and memo
+// statistics equal the serial search. Waiting
 // results the chains did not take are dropped when the benchmark returns.
 // At one or two sweep threads nothing runs ahead.
 #pragma once

@@ -22,7 +22,9 @@ namespace {
 // entry is keyed without the spec identity and must not be served.
 // v3: reports price every chase as the real tool would run it (one cost
 // model, no attribution buckets), so v2 entries carry stale meta cycles.
-constexpr int kCacheFileVersion = 3;
+// v4: doubles are stored exactly (shortest round-trip form); v3 files hold
+// them at 10 significant digits.
+constexpr int kCacheFileVersion = 4;
 
 /// Advisory exclusive lock on `<target>.lock`, held for a whole load or
 /// save+merge cycle. The sidecar (not the target itself) carries the flock
@@ -161,7 +163,8 @@ ResultCache::ResultCache(std::string file_path)
     } else {
       try {
         entries_[stored_hash] =
-            Entry{key->as_string(), core::from_json_string(report->dump())};
+            Entry{key->as_string(),
+                  core::from_json_string(report->dump(-1, /*exact=*/true))};
         continue;
       } catch (const std::exception& e) {
         reason = std::string("unreadable report: ") + e.what();
@@ -275,7 +278,7 @@ bool ResultCache::save_as(const std::string& path) const {
             try {
               // Preserve only reports that actually read back — merging an
               // entry the load path would quarantine re-infects the file.
-              (void)core::from_json_string(report->dump());
+              (void)core::from_json_string(report->dump(-1, /*exact=*/true));
             } catch (const std::exception&) {
               continue;
             }
@@ -319,7 +322,8 @@ bool ResultCache::save_as(const std::string& path) const {
   json::Object doc;
   doc.emplace_back("version", kCacheFileVersion);
   doc.emplace_back("entries", std::move(entries));
-  const std::string payload = json::Value(std::move(doc)).dump() + "\n";
+  const std::string payload =
+      json::Value(std::move(doc)).dump(2, /*exact=*/true) + "\n";
 
   // Atomic commit: write everything to a pid-unique temp file in the same
   // directory, then rename over the target — a crash (or an injected torn

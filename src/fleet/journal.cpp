@@ -20,6 +20,10 @@ namespace {
 
 std::string errno_text() { return std::strerror(errno); }
 
+// v2: reports price every chase with the one cost model; a v1 record's
+// `meta` cycles are stale, so its job reruns.
+constexpr int kJournalVersion = 2;
+
 }  // namespace
 
 RunJournal::~RunJournal() { close(); }
@@ -56,7 +60,7 @@ void RunJournal::append(const JobResult& result) {
   if (!error_.empty()) throw std::runtime_error(error_);
   if (fd_ < 0) fail("journal: append on a closed journal");
   json::Object record;
-  record.emplace_back("v", 1);
+  record.emplace_back("v", kJournalVersion);
   record.emplace_back("key", result.job.key());
   if (result.ok) {
     record.emplace_back("report", core::to_json(result.report));
@@ -95,7 +99,8 @@ void RunJournal::close() {
   }
 }
 
-std::map<std::string, JournalEntry> load_journal(const std::string& path) {
+std::map<std::string, JournalEntry> load_journal(const std::string& path,
+                                                std::size_t* outdated) {
   std::map<std::string, JournalEntry> entries;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -126,7 +131,11 @@ std::map<std::string, JournalEntry> load_journal(const std::string& path) {
                                std::to_string(line_no) +
                                " is not a journal record");
     }
-    if (version->as_int() != 1) {
+    if (version->as_int() == 1) {
+      if (outdated != nullptr) ++*outdated;
+      continue;
+    }
+    if (version->as_int() != kJournalVersion) {
       throw std::runtime_error("journal: '" + path + "' line " +
                                std::to_string(line_no) +
                                " has unsupported version " +

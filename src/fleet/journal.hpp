@@ -3,8 +3,8 @@
 // Every job a fleet run completes is appended as one line of compact JSON and
 // fsync'd before the coordinator moves on:
 //
-//   {"v":1,"key":"<job key>","report":{...}}    succeeded job
-//   {"v":1,"key":"<job key>","error":"..."}     job that exhausted retries
+//   {"v":2,"key":"<job key>","report":{...}}    succeeded job
+//   {"v":2,"key":"<job key>","error":"..."}     job that exhausted retries
 //
 // Because records are whole lines committed with fsync, the journal survives
 // a coordinator kill -9 with at most one torn record — the unterminated tail
@@ -15,8 +15,9 @@
 // is byte-identical to an uninterrupted run's.
 //
 // The journal is an ordinary text file: inspectable with grep, mergeable with
-// cat, and format-versioned per record so a future layout can coexist with
-// old tails.
+// cat, and format-versioned per record. v1 records predate the one cost
+// model, so their reports carry stale `meta` cycles: the loader skips them
+// and their jobs rerun.
 #pragma once
 
 #include <map>
@@ -83,10 +84,13 @@ class RunJournal {
 /// Loads every intact record of a journal file; keyed by job key, later
 /// records win (a resumed run re-journals nothing, but concatenated journals
 /// stay well-defined). A missing file is an empty journal; a torn or garbage
-/// trailing line is dropped. Only a line that is valid JSON with the wrong
-/// shape/version is an error — that means a foreign file, not a crash.
+/// trailing line is dropped. v1 records are skipped as if absent and counted
+/// in @p outdated (when non-null). Only a line that is valid JSON with the
+/// wrong shape or a version above 2 is an error — that means a foreign file,
+/// not a crash.
 /// @throws std::runtime_error on unreadable files or foreign content.
-std::map<std::string, JournalEntry> load_journal(const std::string& path);
+std::map<std::string, JournalEntry> load_journal(
+    const std::string& path, std::size_t* outdated = nullptr);
 
 /// Prefills @p results (resized to jobs.size()) with the journaled outcome of
 /// every job whose key appears in @p journaled, marking them from_journal,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <map>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -167,12 +168,9 @@ void drop_ahead(ReplicaPool& pool, std::vector<AheadResult>::iterator from) {
 void sync_epoch(ReplicaPool& pool, const sim::Gpu& gpu) {
   if (pool.epoch != gpu.path_epoch()) {
     // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // memoized results, warm states and run-ahead results were measured
-    // against it.
+    // memoized and run-ahead results were measured against it.
     pool.replicas.clear();
     pool.memo.clear();
-    pool.warm_ledger.clear();
-    pool.warm_state_bytes = 0;
     drop_ahead(pool, pool.ahead.begin());
   }
   pool.epoch = gpu.path_epoch();
@@ -209,21 +207,6 @@ std::uint64_t timed_steps_of(const PChaseConfig& config) {
                                      : steps;
 }
 
-/// Where a walk of @p steps resumes: the longest ledger walk of @p key with
-/// at most @p steps, or nullptr (walk from cold).
-const WarmStateEntry* resume_point(const ReplicaPool& pool,
-                                   const WarmKey& key, std::uint64_t steps) {
-  const auto ledger = pool.warm_ledger.find(key);
-  if (ledger == pool.warm_ledger.end()) return nullptr;
-  const WarmStateEntry* best = nullptr;
-  for (const WarmStateEntry& e : ledger->second) {
-    if (e.steps <= steps && (best == nullptr || e.steps > best->steps)) {
-      best = &e;
-    }
-  }
-  return best;
-}
-
 /// Ceiling on the timed-pass length of a chase that may run mid-chunk: its
 /// cache footprint must be snapshot/restored around the timed pass, and the
 /// prefix snapshot cost is linear in this bound. Record-only chases cap
@@ -232,45 +215,13 @@ const WarmStateEntry* resume_point(const ReplicaPool& pool,
 /// only as its final member, where no restore-after is needed.
 constexpr std::uint64_t kPrefixShareCap = 4096;
 
-/// Hard cap on snapshots per key — a runaway-loop backstop far above any
-/// real sweep grid, not a tuning knob.
-constexpr std::size_t kWarmLedgerCap = 1024;
-
-/// Records a chain's end-of-warm snapshot in the pool ledger, kept sorted
-/// by walk length. A walk length already recorded keeps its snapshot (the
-/// state is a pure function of the walk), and a snapshot that would exceed
-/// the byte budget is not kept: the ledger only lets later chunks skip warm
-/// work, it never decides a result.
-void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
-                         WarmStateEntry&& entry) {
-  const std::uint64_t bytes = entry.state.byte_size();
-  if (pool.warm_state_bytes + bytes > pool.warm_state_budget) return;
-  auto& entries = pool.warm_ledger[key];
-  const auto at = std::lower_bound(
-      entries.begin(), entries.end(), entry.steps,
-      [](const WarmStateEntry& e, std::uint64_t steps) {
-        return e.steps < steps;
-      });
-  if (at != entries.end() && at->steps == entry.steps) return;
-  pool.warm_state_bytes += bytes;
-  entries.insert(at, std::move(entry));
-  if (entries.size() > kWarmLedgerCap) {
-    // Drop the second-smallest walk: the floor and the long walks (where
-    // re-warming is expensive) survive.
-    pool.warm_state_bytes -= entries[1].state.byte_size();
-    entries.erase(entries.begin() + 1);
-  }
-}
-
 /// What one worker slot runs back-to-back on one replica: either a cold
 /// singleton (the classic reset-then-run path) or a chunk of one warm chain
-/// that warms incrementally and snapshot/restores around each bounded timed
-/// pass.
+/// that warms incrementally from cold and snapshot/restores around each
+/// bounded timed pass.
 struct Unit {
   std::vector<std::size_t> indices;  ///< spec indices, chain order
   bool chunk = false;
-  const WarmStateEntry* restore = nullptr;  ///< ledger walk to resume from
-  bool save = false;  ///< capture the end-of-warm state of the last member
 };
 
 /// One batch's execution plan and, once run_units() ran it, its outputs.
@@ -281,8 +232,6 @@ struct Plan {
   std::vector<std::uint64_t> seeds;   ///< per spec: noise seed = memo key
   std::vector<Unit> units;
   std::vector<PChaseResult> results;  ///< per spec
-  /// Per unit: the end state of its last member's warm walk, if save.
-  std::vector<std::optional<WarmStateEntry>> saved;
   std::vector<char> ran;  ///< per unit
 
   explicit Plan(std::span<const ChaseSpec> batch)
@@ -296,7 +245,6 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
                const ChaseBatchOptions& options, Plan& plan,
                std::size_t needed, const char* chase_span) {
   const std::vector<Unit>& units = plan.units;
-  plan.saved.resize(units.size());
   plan.ran.assign(units.size(), 0);
   if (units.empty()) return;
   const PChaseEngine engine = pchase_engine();
@@ -319,8 +267,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
   std::vector<std::uint64_t> slot_reset_ns(workers, 0);
   std::vector<sim::PathSnapshot> slot_scratch(workers);
 
-  const auto execute = [&](const Unit& unit, std::size_t u,
-                           std::uint32_t slot) {
+  const auto execute = [&](const Unit& unit, std::uint32_t slot) {
     sim::Gpu& replica = slot_replica(slot);
     {
       const obs::SpanGuard reset_span("replica.reset");
@@ -351,28 +298,17 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
         replica.compile_path(head.where, head.space, head.flags);
     std::uint64_t cur_steps = 0;
     std::uint64_t cum_warm = 0;
-    if (unit.restore != nullptr) {
-      replica.restore_path(path, unit.restore->state);
-      cur_steps = unit.restore->steps;
-      cum_warm = unit.restore->cum_warm_cycles;
-    }
     for (std::size_t i = 0; i < unit.indices.size(); ++i) {
       const std::size_t index = unit.indices[i];
       const PChaseConfig& config = plan.specs[index].config;
       const std::uint64_t steps = walk_steps(config);
       if (steps > cur_steps) {
-        cum_warm += replica.run_warm_pass(
-            path, config.base + cur_steps * config.stride_bytes,
+        cum_warm += run_warm_walk(
+            replica, path, config.base + cur_steps * config.stride_bytes,
             config.stride_bytes, steps - cur_steps);
         cur_steps = steps;
       }
       const bool last = i + 1 == unit.indices.size();
-      if (last && unit.save) {
-        WarmStateEntry& saved = plan.saved[u].emplace();
-        saved.steps = cur_steps;
-        saved.cum_warm_cycles = cum_warm;
-        replica.snapshot_path(path, saved.state);
-      }
       // Re-seeding here puts the timed pass at the exact stream position a
       // cold run would see: warm-up consumes zero draws.
       replica.reseed_noise(plan.seeds[index]);
@@ -402,7 +338,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
     if (u >= needed && needed_left.load() == 0) {
       return;  // too late to run beside a needed unit
     }
-    execute(units[u], u, slot);
+    execute(units[u], slot);
     plan.ran[u] = 1;
     if (u < needed) needed_left.fetch_sub(1);
   };
@@ -467,16 +403,9 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
                                           waiting.spec) != specs.end();
                        }));
 
-  const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
   for (const std::size_t i : todo) {
     Unit unit;
     unit.indices.push_back(i);
-    if (compiled && warm_shareable(specs[i])) {
-      unit.chunk = true;
-      unit.save = true;
-      unit.restore = resume_point(pool, warm_key_of(specs[i].config),
-                                  walk_steps(specs[i].config));
-    }
     plan.units.push_back(std::move(unit));
   }
   run_units(gpu, pool, options, plan, /*needed=*/1, "chase.ahead");
@@ -484,8 +413,7 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
     if (!plan.ran[u]) continue;
     const std::size_t i = plan.units[u].indices.front();
-    pool.ahead.push_back({specs[i], std::move(plan.results[i]),
-                          std::move(plan.saved[u])});
+    pool.ahead.push_back({specs[i], std::move(plan.results[i])});
     ++pool.ahead_stats.ran;
   }
 }
@@ -510,8 +438,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   // hash -> indices already pending, so duplicate detection stays linear
   // even for the N^2-pair CU-sharing batches.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
-  // Committed run-ahead results: spec index -> end of its warm walk.
-  std::map<std::size_t, std::optional<WarmStateEntry>> committed;
+  std::vector<char> committed(specs.size(), 0);  ///< per spec
+  std::uint64_t commits = 0;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
   {
     const obs::SpanGuard memo_span("memo.resolve");
@@ -539,7 +467,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         const auto waiting = find_ahead(pool, specs[i]);
         if (waiting != pool.ahead.end()) {
           results[i] = std::move(waiting->result);
-          committed.emplace(i, std::move(waiting->warm));
+          committed[i] = 1;
+          ++commits;
           pool.ahead.erase(waiting);
         }
       }
@@ -551,38 +480,31 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // ---- Warm chains (compiled engine) --------------------------------------
     // Group warm-compatible plain chases by WarmKey and sort each chain by
     // walk length (ties stay in spec order). Committed run-ahead results
-    // are chain members too: they run in no unit, but a longest member's
-    // end state still enters the ledger.
+    // run in no unit.
     struct Member {
       std::size_t index = 0;  ///< spec index
       std::uint64_t steps = 0;
     };
-    struct Chain {
-      std::vector<Member> members;
-      std::size_t save_unit = SIZE_MAX;  ///< unit that captures the end state
-    };
-    std::map<WarmKey, Chain> chains;
+    std::map<WarmKey, std::vector<Member>> chains;
     std::vector<Unit>& units = plan.units;
     std::vector<char> in_chunk(specs.size(), 0);
     if (pchase_engine() == PChaseEngine::kCompiled) {
       for (const std::size_t i : pending) {
-        if (!warm_shareable(specs[i])) continue;
-        chains[warm_key_of(specs[i].config)].members.push_back(
+        if (!warm_shareable(specs[i]) || committed[i]) continue;
+        chains[warm_key_of(specs[i].config)].push_back(
             {i, walk_steps(specs[i].config)});
       }
       // Splitting chains into chunks is what lets a single monolithic sweep
-      // fan out across --sweep-threads; each chunk re-warms independently
-      // (from the best ledger snapshot), trading some redundant warm work
-      // for parallelism without touching results.
-      for (auto& [key, chain] : chains) {
+      // fan out across --sweep-threads; each chunk warms independently from
+      // cold, trading some redundant warm work for parallelism without
+      // touching results.
+      for (auto& [key, members] : chains) {
         std::stable_sort(
-            chain.members.begin(), chain.members.end(),
+            members.begin(), members.end(),
             [](const Member& a, const Member& b) { return a.steps < b.steps; });
-        const std::size_t first_unit = units.size();
         Unit current;
         current.chunk = true;
-        for (const Member& m : chain.members) {
-          if (committed.count(m.index)) continue;
+        for (const Member& m : members) {
           current.indices.push_back(m.index);
           in_chunk[m.index] = 1;
           const bool bounded =
@@ -597,47 +519,17 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
           }
         }
         if (!current.indices.empty()) units.push_back(std::move(current));
-        // Resume points: the longest ledger walk not exceeding the chunk's
-        // first member. Ledger entries are immutable during execution (the
-        // update below happens after the join), so the pointers stay valid.
-        for (std::size_t u = first_unit; u < units.size(); ++u) {
-          units[u].restore = resume_point(
-              pool, key, walk_steps(specs[units[u].indices.front()].config));
-        }
-        // The last unit reaches the chain's longest walk — unless a
-        // committed result does, which brings its own end state: capture
-        // the state there so the next batch can resume instead of
-        // re-warming.
-        if (units.size() > first_unit &&
-            !committed.count(chain.members.back().index)) {
-          units.back().save = true;
-          chain.save_unit = units.size() - 1;
-        }
       }
     }
     // Everything else (non-chain shapes, resamples, the reference engine)
     // runs as a cold singleton.
     for (const std::size_t i : pending) {
-      if (in_chunk[i] || committed.count(i)) continue;
+      if (in_chunk[i] || committed[i]) continue;
       Unit unit;
       unit.indices.push_back(i);
       units.push_back(std::move(unit));
     }
     run_units(gpu, pool, options, plan, /*needed=*/units.size(), "chase.run");
-
-    // Each chain's longest walk enters the ledger, in chain order.
-    for (auto& [key, chain] : chains) {
-      std::optional<WarmStateEntry>* end_state = nullptr;
-      if (const auto end = committed.find(chain.members.back().index);
-          end != committed.end()) {
-        end_state = &end->second;
-      } else if (chain.save_unit != SIZE_MAX) {
-        end_state = &plan.saved[chain.save_unit];
-      }
-      if (end_state != nullptr && *end_state) {
-        insert_ledger_entry(pool, key, std::move(**end_state));
-      }
-    }
 
     if (options.memoize) {
       pool.memo_stats.misses += pending.size();
@@ -653,7 +545,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     results[i].from_cache = true;
     ++pool.memo_stats.hits;
   }
-  pool.ahead_stats.used += committed.size();
+  pool.ahead_stats.used += commits;
   if (obs::metrics_enabled()) {
     obs::Metrics& metrics = obs::Metrics::instance();
     const std::uint64_t hits = pool.memo_stats.hits - memo_hits_before;
@@ -661,8 +553,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     if (options.memoize && !pending.empty()) {
       metrics.add("memo.misses", static_cast<double>(pending.size()));
     }
-    if (!committed.empty()) {
-      metrics.add("chase.ahead_used", static_cast<double>(committed.size()));
+    if (commits > 0) {
+      metrics.add("chase.ahead_used", static_cast<double>(commits));
     }
   }
   return std::move(plan.results);

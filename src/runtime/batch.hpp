@@ -30,34 +30,33 @@
 // noise draws (see runtime/kernels.cpp), so the warm state a chase observes
 // is a pure function of its warm walk, and a longer walk of the same WarmKey
 // is an exact extension of a shorter one. The batch planner groups
-// warm-compatible plain chases into chains sorted by walk length, executes
-// each chain as chunked units that warm incrementally (snapshot/restore
-// around each bounded timed pass), and keeps each chain's end-of-warm
-// snapshot in the pool's warm ledger so a later batch resumes the walk
-// instead of re-warming. All of that only saves host work.
+// warm-compatible plain chases into chains sorted by walk length and
+// executes each chain as chunked units that warm incrementally from a
+// flushed replica (snapshot/restore around each bounded timed pass). Every
+// warm walk, and every extension, runs in closed form after at most the
+// line it shares with its prefix (Gpu::run_warm_pass). All of that only
+// saves host work.
 //
 // The cost rule: every result carries the cycles the real tool would spend
-// on its spec — the whole warm walk from cold (a chunk member or a resumed
-// walk adds the cold cost of the part it skipped, which is exact because
-// warm-up is noise-free), the whole timed pass (see kernels.hpp), and for a
-// memo hit or an in-batch duplicate the cycles of the run it replays. So
-// every result equals an isolated cold run of its spec, in cycles as in
+// on its spec — the whole warm walk from cold (a chunk member adds the cold
+// cost of the prefix it did not walk itself, which is exact because warm-up
+// is noise-free), the whole timed pass (see kernels.hpp), and for a memo
+// hit or an in-batch duplicate the cycles of the run it replays. So every
+// result equals an isolated cold run of its spec, in cycles as in
 // measurements, for every thread count, chunking, engine, batch composition
 // and history.
 //
 // That independence is what run-ahead rests on. run_chase_ahead() executes
 // probes a serial search may need next — on participants that would idle
-// otherwise — each as its own unit, resuming from the ledger as it stands,
-// and leaves its result and its end-of-warm snapshot in the pool's run-ahead
-// table. The commit rule: a later run_chase_batch() that misses the memo but
-// finds the spec in that table takes the stored result instead of executing
-// it, and memoizes and records it in the ledger exactly as if it had just
-// run. Memo stats, the ledger and hence report bytes are those of the serial
-// search; only wall time changes.
+// otherwise — each as a cold singleton, and leaves its result in the pool's
+// run-ahead table. The commit rule: a later run_chase_batch() that misses
+// the memo but finds the spec in that table takes the stored result instead
+// of executing it, and memoizes it exactly as if it had just run. Memo stats
+// and hence report bytes are those of the serial search; only wall time
+// changes.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -145,9 +144,8 @@ struct ChaseMemoStats {
 /// Identity of one warm-up walk. Two plain chases with equal WarmKeys warm
 /// the same address sequence through the same cache chain; because a longer
 /// warm walk is an exact extension of a shorter one (the first `steps` loads
-/// are identical) and warm-up consumes no noise draws, the warm state and
-/// noise-free warm cycle total of any walk length can be derived
-/// incrementally from a shorter one. Array size, record budget and the
+/// are identical) and warm-up consumes no noise draws, one replica can warm
+/// a chain's members incrementally, shortest walk first. Array size, record budget and the
 /// timed-pass cap are deliberately absent: those are exactly the fields
 /// chases may differ in while sharing a warm walk. Stride stays in the key —
 /// a different stride is a different address sequence, and sharing across it
@@ -167,23 +165,11 @@ struct WarmKey {
   bool operator<(const WarmKey& other) const { return tie() < other.tie(); }
 };
 
-/// One resumable warm walk of a WarmKey: how many steps were walked, the
-/// noise-free cycle total of walking them from cold, and the sparse cache
-/// image at that point, so a later chunk can resume the walk instead of
-/// re-warming from scratch and still carry the walk's cold cost.
-struct WarmStateEntry {
-  std::uint64_t steps = 0;
-  std::uint64_t cum_warm_cycles = 0;
-  sim::PathSnapshot state;
-};
-
 /// A probe run_chase_ahead() executed and nobody committed yet: its result,
-/// as run_chase_batch() would return it, and the end of its warm walk as the
-/// ledger will record it on commit (compiled engine, warm-shareable specs).
+/// as run_chase_batch() would return it.
 struct AheadResult {
   ChaseSpec spec;
   PChaseResult result;
-  std::optional<WarmStateEntry> warm;
 };
 
 /// How run-ahead fared on one pool: every probe that ran is eventually
@@ -230,20 +216,10 @@ struct ReplicaPool {
   /// fans out. The stage runner sets it to DiscoverOptions::bench_executor,
   /// the executor its graph runs on, so idle stage workers can help.
   exec::Executor* executor = nullptr;
-  /// Warm-state ledger, a pure execution cache: per warm key, the
-  /// end-of-warm snapshot of each distinct chain-end walk length, sorted
-  /// ascending by steps. A chunk resumes from the longest walk not beyond
-  /// its first member. Read at batch-plan time, updated once per batch at
-  /// the join, and cleared with the memo on an epoch change.
-  std::map<WarmKey, std::vector<WarmStateEntry>> warm_ledger;
-  /// Resident bytes of ledger snapshots; a snapshot that would exceed the
-  /// budget is not kept.
-  std::uint64_t warm_state_bytes = 0;
-  std::uint64_t warm_state_budget = 256ULL << 20;
   /// Sub-sweep chunking: how many chases of one warm chain execute per
-  /// parallel unit. Each chunk re-warms independently from the best ledger
-  /// snapshot and fans out through the batch executor, which is what lets a
-  /// single size sweep parallelize under --sweep-threads.
+  /// parallel unit. Each chunk warms independently from cold and fans out
+  /// through the batch executor, which is what lets a single size sweep
+  /// parallelize under --sweep-threads.
   static constexpr std::uint32_t warm_chunk_points = 8;
   /// Host nanoseconds spent resetting replicas (cache flush + noise reseed)
   /// across every batch run against this pool. Always accumulated (unlike

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace mt4g::runtime {
 namespace {
 
@@ -17,12 +19,19 @@ void validate(const PChaseConfig& config) {
   }
 }
 
+void book_warm_loads(std::uint64_t loads, std::uint64_t stepped) {
+  if (!obs::metrics_enabled()) return;
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.add("sim.warm_loads", static_cast<double>(loads));
+  metrics.add("sim.warm_loads_stepped", static_cast<double>(stepped));
+}
+
 /// One untimed pass: loads the whole array to populate the caches. Warm-up
 /// is noise-free in both engines — real MT4G discards warm-up timings, so
 /// only the summed base latency is observable, and consuming zero noise
-/// draws here means a timed pass behaves identically whether its warm state
-/// was walked fresh or restored from a snapshot (the warm-state sharing
-/// engine in run_chase_batch depends on this).
+/// draws here means a timed pass behaves identically however its warm state
+/// was produced (the warm-state sharing engine in run_chase_batch and the
+/// closed-form walk in Gpu::run_warm_pass depend on this).
 std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
                           const sim::Placement& where) {
   const std::uint64_t steps = config.array_bytes / config.stride_bytes;
@@ -33,11 +42,12 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
                                 config.base + i * config.stride_bytes,
                                 config.flags);
     }
+    book_warm_loads(steps, steps);
     return cycles;
   }
   const sim::AccessPath path =
       gpu.compile_path(where, config.space, config.flags);
-  return gpu.run_warm_pass(path, config.base, config.stride_bytes, steps);
+  return run_warm_walk(gpu, path, config.base, config.stride_bytes, steps);
 }
 
 /// Cycles of a whole timed pass of @p full_steps loads when only the first
@@ -94,6 +104,16 @@ void set_pchase_engine(PChaseEngine engine) { t_engine = engine; }
 
 std::uint64_t pchase_steps(const PChaseConfig& config) {
   return config.array_bytes / config.stride_bytes;
+}
+
+std::uint64_t run_warm_walk(sim::Gpu& gpu, const sim::AccessPath& path,
+                            std::uint64_t base, std::uint64_t stride_bytes,
+                            std::uint64_t steps) {
+  const std::uint64_t stepped_before = gpu.warm_loads_stepped();
+  const std::uint64_t cycles =
+      gpu.run_warm_pass(path, base, stride_bytes, steps);
+  book_warm_loads(steps, gpu.warm_loads_stepped() - stepped_before);
+  return cycles;
 }
 
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config) {

@@ -10,6 +10,7 @@
 // oversubscribed sets thrash while the rest keep hitting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,7 @@ struct CacheGeometry {
   std::uint32_t associativity = 8;     ///< ways per set (clamped to fit size)
 
   std::uint64_t num_lines() const { return size_bytes / line_bytes; }
+  bool operator==(const CacheGeometry&) const = default;
 };
 
 /// Result of a single cache probe.
@@ -34,9 +36,8 @@ struct CacheAccess {
 /// Sparse image of a cache's live way state: the captured sets' tags, sector
 /// masks, LRU stamps and hint, plus the LRU clock and counters. Restoring a
 /// snapshot rewinds exactly those sets — the warm-state sharing engine uses
-/// this to hand one warmed replica to many timed passes (capture before the
-/// timed pass, restore after) and to resume an incremental warm-up walk from
-/// a pool-cached state instead of from cold.
+/// this to hand one warmed replica to many bounded timed passes (capture
+/// before the timed pass, restore after).
 struct CacheSnapshot {
   std::vector<std::uint32_t> sets;     ///< distinct captured set indices
   std::vector<std::uint64_t> tags;     ///< sets.size() * ways, row per set
@@ -55,11 +56,18 @@ struct CacheSnapshot {
     hints.clear();
     stamp = hits = misses = 0;
   }
-  /// Approximate heap footprint, for the warm-state pool budget.
-  std::uint64_t byte_size() const {
-    return sets.size() * 8 + tags.size() * 12 + stamps.size() * 8 +
-           hints.size() * 4;
-  }
+};
+
+/// The loads of a warm walk as one cache level sees them: of the
+/// progression base + j * stride (j < count, stride > 0), the first load
+/// into each visited block of 2^granule_shift bytes. Granule shift 0 is
+/// every load (the first level); a level's sector misses are the next
+/// level's stream at granule max(granule, sector size).
+struct WarmStream {
+  std::uint64_t base = 0;
+  std::uint64_t stride = 0;
+  std::uint64_t count = 0;
+  std::uint32_t granule_shift = 0;
 };
 
 /// One physical cache. Addresses are raw byte addresses in the simulated
@@ -81,12 +89,37 @@ class SectoredCache {
   /// Probe without state change (for assertions in tests).
   CacheAccess peek(std::uint64_t address) const;
 
+  /// True when no line between the lines of @p first_address and
+  /// @p last_address has been allocated since the last flush, so a walk
+  /// confined to them can only miss on its first load of each line.
+  bool holds_no_line_of(std::uint64_t first_address,
+                        std::uint64_t last_address) const {
+    return line_of(first_address) > hi_line_ ||
+           line_of(last_address) < lo_line_;
+  }
+
+  /// Whether fill_warm_stream() applies: line and sector sizes are powers
+  /// of two, so the granules of successive levels nest.
+  bool takes_warm_streams() const {
+    return line_shift_ != kNoShift && sector_shift_ != kNoShift;
+  }
+
+  /// Applies @p stream as if access() ran on each of its loads, without
+  /// stepping them. Precondition: takes_warm_streams(), and the cache holds
+  /// no line of the stream (holds_no_line_of its first and last load), so
+  /// every line the stream reaches misses once and then hits until the
+  /// stream leaves it for good. Hits, misses, the LRU clock, touched sets
+  /// and the way state of every touched set end exactly as the per-load
+  /// loop leaves them. Returns the sector misses: the next level's stream
+  /// length.
+  std::uint64_t fill_warm_stream(const WarmStream& stream);
+
   /// Drops all contents.
   void flush();
 
-  /// Captures the live state of every touched set (plus LRU clock and
-  /// counters) into `out`. Only valid between flushes: the touched-set list
-  /// covers exactly the sets dirtied since the last flush.
+  /// Captures the live state of every touched set, in first-touch order
+  /// (plus LRU clock and counters) into `out`. The touched-set list covers
+  /// exactly the sets dirtied since the last flush.
   void snapshot(CacheSnapshot& out) const;
 
   /// Captures the state of the sets that the address sequence
@@ -100,7 +133,8 @@ class SectoredCache {
   /// clock and counters. Sets outside the snapshot are left alone, so the
   /// caller must guarantee everything dirtied since the capture lies inside
   /// the captured set list (true both for a bounded timed pass over a
-  /// snapshotted prefix, and for a freshly flushed cache).
+  /// snapshotted prefix, and for a freshly flushed cache). The allocated
+  /// line range stays as it was: it may over-cover, never under-cover.
   void restore(const CacheSnapshot& snap);
 
   const CacheGeometry& geometry() const { return geometry_; }
@@ -118,12 +152,40 @@ class SectoredCache {
 
   std::uint32_t num_sets() const { return num_sets_; }
 
+  bool operator==(const SectoredCache&) const = default;
+
  private:
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
   static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
   void capture_rows(CacheSnapshot& out) const;
+  void fill_dense_lines(const WarmStream& stream, std::uint64_t last,
+                        std::uint64_t stamp0);
+  void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
+                         std::uint64_t stamp0);
+  void touch(std::uint32_t set) {
+    if (touch_marks_[set] != generation_) {
+      touch_marks_[set] = generation_;
+      touched_.push_back(set);
+    }
+  }
+  /// Way a line miss in the set at row offset @p base evicts: the
+  /// minimum-stamp way, branchlessly (the LRU compare outcome is
+  /// data-dependent and would mispredict). Empty ways carry stamp 0 (stamps
+  /// are zeroed on flush, live stamps start at 1) and the strict < keeps
+  /// the first minimum: the first empty way, else the LRU way.
+  std::size_t victim_way(std::size_t base) const {
+    std::size_t victim = base;
+    std::uint64_t victim_stamp = stamps_[base];
+    for (std::uint32_t w = 1; w < ways_per_set_; ++w) {
+      const std::uint64_t s = stamps_[base + w];
+      const bool less = s < victim_stamp;
+      victim = less ? base + w : victim;
+      victim_stamp = less ? s : victim_stamp;
+    }
+    return victim;
+  }
 
   CacheGeometry geometry_;
   std::uint32_t num_sets_ = 1;
@@ -132,6 +194,11 @@ class SectoredCache {
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  /// Lowest and highest line allocated since the last flush (empty while
+  /// lo > hi): a warm walk beyond them cannot hit, which is what lets
+  /// Gpu::run_warm_pass hand it to fill_warm_stream.
+  std::uint64_t lo_line_ = ~0ULL;
+  std::uint64_t hi_line_ = 0;
   // Way state in structure-of-arrays layout, row-major by set: the tag scan
   // of an 8-way set then touches one cache line instead of four, which is
   // most of access()'s cost. Entry w of set s lives at s * ways_per_set_ + w.
@@ -200,10 +267,7 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
   const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
-  if (touch_marks_[set] != generation_) {
-    touch_marks_[set] = generation_;
-    touched_.push_back(set);
-  }
+  touch(set);
   ++stamp_;
 
   // A p-chase revisits the same line line/stride times in a row, so the way
@@ -237,20 +301,10 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
     }
     return result;
   }
-  // Line miss: allocate over the minimum-stamp way, branchlessly (the LRU
-  // compare outcome is data-dependent and would mispredict). Empty ways
-  // carry stamp 0 (stamps are zeroed on flush, live stamps start at 1) and
-  // the strict < keeps the first minimum, so this selects exactly what the
-  // historical "first empty way, else LRU" rule selected.
-  std::size_t victim = base;
-  std::uint64_t victim_stamp = stamps_[base];
-  for (std::uint32_t w = 1; w < ways_per_set_; ++w) {
-    const std::uint64_t s = stamps_[base + w];
-    const bool less = s < victim_stamp;
-    victim = less ? base + w : victim;
-    victim_stamp = less ? s : victim_stamp;
-  }
+  const std::size_t victim = victim_way(base);
   ++misses_;
+  lo_line_ = std::min(lo_line_, line);
+  hi_line_ = std::max(hi_line_, line);
   tags_[victim] = line;
   masks_[victim] = 1u << sector;
   stamps_[victim] = stamp_;

@@ -1,6 +1,7 @@
 #include "sim/gpu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -309,8 +310,27 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
     throw std::logic_error(
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
+  bool closed_form = stride_bytes != 0;
+  for (std::size_t level = 0; level < path.depth; ++level) {
+    const SectoredCache* cache = path.levels[level].cache;
+    closed_form = closed_form && cache->takes_warm_streams();
+    for (std::size_t other = 0; other < level; ++other) {
+      closed_form = closed_form && path.levels[other].cache != cache;
+    }
+  }
+  const std::uint64_t last = base + (steps == 0 ? 0 : steps - 1) * stride_bytes;
+  const auto fresh = [&](std::uint64_t address) {
+    for (std::size_t level = 0; level < path.depth; ++level) {
+      if (!path.levels[level].cache->holds_no_line_of(address, last)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   std::uint64_t total_cycles = 0;
-  for (std::uint64_t i = 0; i < steps; ++i) {
+  std::uint64_t i = 0;
+  for (; i < steps && !(closed_form && fresh(base + i * stride_bytes)); ++i) {
     const std::uint64_t address = base + i * stride_bytes;
     std::uint32_t base_latency = path.terminal_latency;
     bool hit = false;
@@ -325,7 +345,26 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
     if (!hit && path.terminal_is_dmem) ++dmem_accesses_;
     total_cycles += base_latency;
   }
-  return total_cycles;
+  warm_loads_stepped_ += i;
+  if (i == steps) return total_cycles;
+
+  // The rest of the walk, level by level: each level's sector misses are
+  // the next level's stream, and whatever misses the last level is served
+  // by the terminal.
+  WarmStream stream{base + i * stride_bytes, stride_bytes, steps - i, 0};
+  std::uint64_t reaching = stream.count;
+  for (std::size_t level = 0; level < path.depth; ++level) {
+    SectoredCache& cache = *path.levels[level].cache;
+    const std::uint64_t misses = cache.fill_warm_stream(stream);
+    total_cycles += (reaching - misses) * path.levels[level].latency;
+    reaching = misses;
+    stream.granule_shift = std::max<std::uint32_t>(
+        stream.granule_shift,
+        static_cast<std::uint32_t>(
+            std::countr_zero(cache.geometry().sector_bytes)));
+  }
+  if (path.terminal_is_dmem) dmem_accesses_ += reaching;
+  return total_cycles + reaching * path.terminal_latency;
 }
 
 std::uint32_t Gpu::warm_access(const Placement& where, Space space,
@@ -333,17 +372,6 @@ std::uint32_t Gpu::warm_access(const Placement& where, Space space,
   const AccessPath path = compile_path(where, space, flags);
   return static_cast<std::uint32_t>(
       run_warm_pass(path, address, /*stride_bytes=*/0, /*steps=*/1));
-}
-
-void Gpu::snapshot_path(const AccessPath& path, PathSnapshot& out) const {
-  if (path.epoch != path_epoch_) {
-    throw std::logic_error("gpu: snapshot of a stale AccessPath");
-  }
-  out.depth = path.depth;
-  out.epoch = path.epoch;
-  for (std::size_t level = 0; level < path.depth; ++level) {
-    path.levels[level].cache->snapshot(out.levels[level]);
-  }
 }
 
 void Gpu::snapshot_path_prefix(const AccessPath& path, std::uint64_t base,

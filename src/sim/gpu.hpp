@@ -64,20 +64,15 @@ struct AccessPath {
 };
 
 /// Sparse image of the cache state along one compiled path: one
-/// CacheSnapshot per level. Captured/restored by the warm-state sharing
-/// engine in runtime::run_chase_batch so one warm-up walk can serve many
-/// timed passes. Device-memory access counters are telemetry, not
-/// measurement state, and are deliberately not part of the image.
+/// CacheSnapshot per level. The warm-state sharing engine in
+/// runtime::run_chase_batch captures the footprint of a bounded timed pass
+/// before it runs and restores it after, so one warm walk serves many timed
+/// passes. Device-memory access counters are telemetry, not measurement
+/// state, and are deliberately not part of the image.
 struct PathSnapshot {
   std::array<CacheSnapshot, AccessPath::kMaxLevels> levels;
   std::size_t depth = 0;
   std::uint64_t epoch = 0;  ///< path epoch at capture time
-
-  std::uint64_t byte_size() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < depth; ++i) total += levels[i].byte_size();
-    return total;
-  }
 };
 
 class Gpu {
@@ -184,18 +179,26 @@ class Gpu {
   /// summed latency is the deterministic base-latency total of the walk, a
   /// pure function of (path, base, stride, steps, prior cache state). This
   /// is the warm-up engine: because warm-up consumes zero noise draws, a
-  /// timed pass behaves identically whether its warm state was walked fresh
-  /// or restored from a snapshot.
+  /// timed pass behaves identically however its warm state was produced.
+  ///
+  /// A walk with a positive stride never returns to a line it has left, so
+  /// once its next load lies beyond every line a level has allocated since
+  /// its last flush, every reuse distance is infinite and the rest of the
+  /// walk is arithmetic (SectoredCache::fill_warm_stream, level by level).
+  /// Loads before that point — at most the line a walk extension shares with
+  /// the walk it extends — and walks of stride 0 step one by one.
   std::uint64_t run_warm_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps);
 
   /// Single noise-free load: the reference-engine counterpart of
-  /// run_warm_pass, observationally identical to one warm step.
+  /// run_warm_pass, observationally identical to one warm step. Always
+  /// stepped, so it is also the oracle of the closed form.
   std::uint32_t warm_access(const Placement& where, Space space,
                             std::uint64_t address, AccessFlags flags = {});
 
-  /// Captures the touched-set state of every cache on @p path into @p out.
-  void snapshot_path(const AccessPath& path, PathSnapshot& out) const;
+  /// Warm-walk loads executed one by one so far (the rest were computed in
+  /// closed form); never reset.
+  std::uint64_t warm_loads_stepped() const { return warm_loads_stepped_; }
 
   /// Captures only the sets the address prefix base + i * stride
   /// (i in [0, steps)) maps to at each level — the footprint a bounded timed
@@ -247,6 +250,7 @@ class Gpu {
   std::map<std::uint32_t, SectoredCache> sl1d_;  // keyed by physical CU group
   std::uint64_t heap_top_ = 4096;              // never hand out address 0
   std::uint64_t dmem_accesses_ = 0;
+  std::uint64_t warm_loads_stepped_ = 0;
   std::uint64_t path_epoch_ = 0;               // invalidates compiled paths
 };
 

@@ -98,13 +98,38 @@ TEST(FleetCache, FileRoundTripAcrossInstances) {
   EXPECT_EQ(core::to_json_string(*cached), core::to_json_string(report));
 }
 
+TEST(FleetCache, ReloadedReportsKeepTheirDoublesBitForBit) {
+  // A report served from a reloaded cache must equal the one that was put,
+  // beyond the 10th digit too: through save, load, and the merge of a
+  // second process's save.
+  TempFile file("cache_exact.json");
+  const DiscoveryJob job = synthetic_job();
+  const DiscoveryJob other = synthetic_job(43);
+  core::TopologyReport report = run_job(job);
+  report.simulated_seconds = 1.0 / 3.0;
+  ResultCache merging(file.path());  // loaded before the first save
+  {
+    ResultCache cache(file.path());
+    cache.put(job, report);
+    EXPECT_TRUE(cache.save());
+  }
+  merging.put(other, run_job(other));
+  EXPECT_TRUE(merging.save());  // re-reads and keeps the first entry
+  ResultCache reloaded(file.path());
+  EXPECT_TRUE(reloaded.load_error().empty());
+  const auto cached = reloaded.get(job);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->simulated_seconds, 1.0 / 3.0);
+  EXPECT_EQ(core::to_json_string(*cached), core::to_json_string(report));
+}
+
 TEST(FleetCache, CorruptedFileRecoversEmpty) {
   const char* corruptions[] = {
       "not json at all {{{",
       "[1, 2, 3]",
       R"({"version": 99, "entries": []})",
-      R"({"version": 3, "entries": [{"hash": "abc"}]})",
-      R"({"version": 3, "entries": [{"hash": "abc", "key": "k",
+      R"({"version": 4, "entries": [{"hash": "abc"}]})",
+      R"({"version": 4, "entries": [{"hash": "abc", "key": "k",
           "report": {"general": "truncated"}}]})",
   };
   for (const char* corruption : corruptions) {

@@ -1,6 +1,7 @@
 // Run journal (fleet/journal.hpp): record round-trips, torn-tail tolerance,
 // foreign-file rejection, and the satellite acceptance property — a resumed
 // run's aggregate is byte-identical to the uninterrupted run's.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -92,6 +93,33 @@ TEST(RunJournal, ReplayedReportsKeepTheirDoublesBitForBit) {
       << "a resumed aggregate sums the replayed doubles";
 }
 
+TEST(RunJournal, OutdatedRecordsLeaveTheirJobsPending) {
+  // A v1 record predates the one cost model: replaying its report would
+  // resume with stale meta cycles, so the loader skips it and counts it.
+  TempFile file("journal_v1.jsonl");
+  const auto jobs = test_jobs();
+  const auto results = run_sweep({jobs[1]});
+  {
+    RunJournal journal = RunJournal::open(file.path());
+    journal.append(results[0]);
+  }
+  {
+    std::ofstream out(file.path(), std::ios::app | std::ios::binary);
+    out << R"({"v":1,"key":")" << jobs[0].key()
+        << R"(","error":"written before the cost model changed"})" << "\n";
+  }
+  std::size_t outdated = 0;
+  const auto loaded = load_journal(file.path(), &outdated);
+  EXPECT_EQ(outdated, 1u);
+  EXPECT_EQ(loaded.count(jobs[0].key()), 0u);
+  EXPECT_EQ(loaded.count(jobs[1].key()), 1u);
+  std::vector<JobResult> prefilled;
+  const auto pending = apply_journal(jobs, loaded, prefilled);
+  EXPECT_NE(std::find(pending.begin(), pending.end(), 0u), pending.end())
+      << "the v1 record's job must rerun";
+  EXPECT_TRUE(prefilled[1].from_journal);
+}
+
 TEST(RunJournal, MissingFileIsAnEmptyJournal) {
   EXPECT_TRUE(load_journal(temp_path("no_such_journal.jsonl")).empty());
 }
@@ -132,7 +160,7 @@ TEST(RunJournal, ForeignContentIsAnErrorNotACrashArtifact) {
 
   {
     std::ofstream out(file.path(), std::ios::trunc | std::ios::binary);
-    out << R"({"v":2,"key":"k","error":"future layout"})" << "\n";
+    out << R"({"v":3,"key":"k","error":"future layout"})" << "\n";
   }
   EXPECT_THROW(load_journal(file.path()), std::runtime_error);
 }

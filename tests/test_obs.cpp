@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json_parse.hpp"
+#include "core/collector.hpp"
 #include "core/output/json_output.hpp"
 #include "core/output/report_io.hpp"
 #include "fleet/fleet.hpp"
@@ -250,6 +251,35 @@ TEST(ObsMetrics, CountersGaugesHistogramsAndDelta) {
   EXPECT_DOUBLE_EQ(interval[1].value, 7.0);   // counter: subtracted
   EXPECT_EQ(interval[2].count, 1u);           // histogram: subtracted
   EXPECT_DOUBLE_EQ(interval[2].value, 50.0);
+  metrics.disable();
+}
+
+TEST(ObsMetrics, WarmWalksRunInClosedFormOnEveryBuiltin) {
+  // sim.warm_loads counts the loads warm walks stand for, and
+  // sim.warm_loads_stepped the ones executed one by one. Only the lines a
+  // walk extension shares with its prefix may step, so a closed-form
+  // precondition that silently fails shows up here, not only in wall time.
+  const ObsQuiescent quiescent;
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.enable();
+  const auto counter = [](const std::vector<obs::MetricSample>& samples,
+                          const std::string& name) {
+    for (const obs::MetricSample& sample : samples) {
+      if (sample.name == name) return sample.value;
+    }
+    return 0.0;
+  };
+  for (const std::string& model : sim::registry_all_names()) {
+    const std::vector<obs::MetricSample> before = metrics.snapshot();
+    sim::Gpu gpu(sim::registry_get(model), 42);
+    (void)core::discover(gpu);
+    const std::vector<obs::MetricSample> walked =
+        obs::Metrics::delta(before, metrics.snapshot());
+    const double loads = counter(walked, "sim.warm_loads");
+    const double stepped = counter(walked, "sim.warm_loads_stepped");
+    EXPECT_GT(loads, 0.0) << model;
+    EXPECT_LE(stepped, 0.01 * loads) << model;
+  }
   metrics.disable();
 }
 

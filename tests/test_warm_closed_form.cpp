@@ -1,0 +1,278 @@
+// Gate for the closed-form warm walk. Gpu::run_warm_pass computes a walk's
+// effect on each cache level arithmetically once the walk is past every line
+// a level holds; the per-load loop (stride 0, one load per call — what the
+// reference engine's warm_access runs) is its oracle. Every case below runs
+// the same history and walk through both and compares every per-level field
+// (tags, masks, stamps, hints, touched sets in first-touch order, LRU clock,
+// hit and miss counters, the allocated line range) plus device-memory
+// accesses and the cycle total.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/units.hpp"
+#include "sim/cache.hpp"
+#include "sim/gpu.hpp"
+#include "sim/registry.hpp"
+
+namespace mt4g::sim {
+namespace {
+
+/// One side of a comparison: its own Gpu (device-memory counter, epoch) and
+/// its own caches, chained into a hand-built path.
+struct Side {
+  Gpu gpu{registry_get("TestGPU-NV"), 1};
+  std::deque<SectoredCache> caches;  // stable addresses for the path
+  AccessPath path;
+
+  explicit Side(const std::vector<CacheGeometry>& levels) {
+    const Element elements[] = {Element::kL1, Element::kL2, Element::kL3};
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      caches.emplace_back(levels[k]);
+      path.levels[k] = {&caches.back(), elements[k],
+                        static_cast<std::uint32_t>(30 + 70 * k)};
+    }
+    path.depth = levels.size();
+    path.terminal = Element::kDeviceMem;
+    path.terminal_latency = 600;
+    path.epoch = gpu.path_epoch();
+  }
+
+  std::uint64_t oracle_walk(std::uint64_t base, std::uint64_t stride,
+                            std::uint64_t steps) {
+    std::uint64_t cycles = 0;
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      cycles += gpu.run_warm_pass(path, base + i * stride, 0, 1);
+    }
+    return cycles;
+  }
+  std::uint64_t dmem() const { return gpu.miss_count(0, Element::kDeviceMem); }
+};
+
+/// Field-by-field comparison (readable failures), then whole-state equality
+/// (sets outside the touched list and the allocated line range included).
+void expect_same_state(const SectoredCache& closed, const SectoredCache& oracle,
+                       const std::string& where) {
+  CacheSnapshot a;
+  CacheSnapshot b;
+  closed.snapshot(a);
+  oracle.snapshot(b);
+  EXPECT_EQ(a.sets, b.sets) << where << ": touched sets";
+  EXPECT_EQ(a.tags, b.tags) << where << ": tags";
+  EXPECT_EQ(a.masks, b.masks) << where << ": masks";
+  EXPECT_EQ(a.stamps, b.stamps) << where << ": stamps";
+  EXPECT_EQ(a.hints, b.hints) << where << ": hints";
+  EXPECT_EQ(a.stamp, b.stamp) << where << ": LRU clock";
+  EXPECT_EQ(a.hits, b.hits) << where << ": hits";
+  EXPECT_EQ(a.misses, b.misses) << where << ": misses";
+  EXPECT_TRUE(closed == oracle) << where << ": whole cache state";
+}
+
+/// A random level: power-of-two line and sector most of the time, any set
+/// count (non-powers of two included) and 1-12 ways. One level in ten has a
+/// non-power-of-two line or sector, which the closed form must decline.
+CacheGeometry random_level(Xoshiro256& rng) {
+  CacheGeometry g;
+  if (rng.uniform_int(0, 9) == 0) {
+    const std::uint32_t lines[] = {48, 96, 192};
+    g.line_bytes = lines[rng.uniform_int(0, 2)];
+    g.sector_bytes = g.line_bytes / static_cast<std::uint32_t>(
+                                        1 + rng.uniform_int(0, 1) * 2);
+  } else {
+    g.line_bytes = 16u << rng.uniform_int(0, 4);
+    g.sector_bytes = std::max<std::uint32_t>(
+        4, g.line_bytes >> rng.uniform_int(0, 3));
+  }
+  g.associativity = static_cast<std::uint32_t>(1 + rng.uniform_int(0, 11));
+  const std::uint64_t sets = 1 + rng.uniform_int(0, 23);
+  g.size_bytes = g.line_bytes * g.associativity * sets;
+  return g;
+}
+
+std::uint64_t random_stride(Xoshiro256& rng, const CacheGeometry& g) {
+  const std::uint64_t line = g.line_bytes;
+  const std::uint64_t sector = g.sector_bytes;
+  const std::uint64_t choices[] = {1,
+                                   4,
+                                   std::max<std::uint64_t>(1, sector / 2),
+                                   sector,
+                                   sector + sector / 2,
+                                   line - 4,
+                                   line,
+                                   line + sector / 2,
+                                   2 * line,
+                                   3 * line - 4,
+                                   1 + rng.uniform_int(0, 4 * line)};
+  return std::max<std::uint64_t>(1, choices[rng.uniform_int(0, 10)]);
+}
+
+enum class History {
+  kCold,         ///< fresh caches
+  kFlushed,      ///< random loads, then a flush
+  kBelow,        ///< another array below the walk: its sets are not empty
+  kAbove,        ///< another array above the walk
+  kExtension,    ///< a prefix of the same walk, then the rest of it
+  kOverlapping,  ///< random loads inside the walk's range: stepped
+};
+
+void run_case(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<CacheGeometry> levels;
+  const std::size_t depth = 1 + rng.uniform_int(0, 2);
+  for (std::size_t k = 0; k < depth; ++k) levels.push_back(random_level(rng));
+  Side closed(levels);
+  Side oracle(levels);
+  std::uint64_t capacity = 0;
+  for (const CacheGeometry& g : levels) {
+    capacity = std::max(capacity, g.size_bytes);
+  }
+
+  const std::uint64_t stride = random_stride(rng, levels[0]);
+  const std::uint64_t base = 4096 * (4 + rng.uniform_int(0, 60)) +
+                             rng.uniform_int(0, 4095);
+  const std::uint64_t bytes = 1 + rng.uniform_int(0, 3 * capacity);
+  const std::uint64_t steps =
+      std::min<std::uint64_t>(20000, std::max<std::uint64_t>(1, bytes / stride));
+  const auto history = static_cast<History>(rng.uniform_int(0, 5));
+  std::string where = "seed " + std::to_string(seed) + ", history " +
+                      std::to_string(static_cast<int>(history)) +
+                      ", stride " + std::to_string(stride) + ", steps " +
+                      std::to_string(steps);
+  for (const CacheGeometry& g : levels) {
+    where += ", level " + std::to_string(g.size_bytes) + "/" +
+             std::to_string(g.line_bytes) + "/" +
+             std::to_string(g.sector_bytes) + "/" +
+             std::to_string(g.associativity);
+  }
+
+  // The history runs on the oracle loop on both sides, except a walk
+  // prefix, which each side walks its own way (and must agree on).
+  const auto both = [&](std::uint64_t b, std::uint64_t s, std::uint64_t n) {
+    closed.oracle_walk(b, s, n);
+    oracle.oracle_walk(b, s, n);
+  };
+  std::uint64_t first = 0;  // first step of the checked walk
+  switch (history) {
+    case History::kCold:
+      break;
+    case History::kFlushed:
+      for (int i = 0; i < 200; ++i) both(rng.uniform_int(0, 1 << 20), 0, 1);
+      for (SectoredCache& c : closed.caches) c.flush();
+      for (SectoredCache& c : oracle.caches) c.flush();
+      break;
+    case History::kBelow: {
+      const std::uint64_t s = random_stride(rng, levels[0]);
+      both(base - 4096 * 3 - rng.uniform_int(0, 4096), s,
+           1 + rng.uniform_int(0, 3 * 4096 / s));
+      break;
+    }
+    case History::kAbove:
+      both(base + steps * stride + 4096 + rng.uniform_int(0, 4096),
+           random_stride(rng, levels[0]), 1 + rng.uniform_int(0, 400));
+      break;
+    case History::kExtension: {
+      first = rng.uniform_int(0, steps - 1);
+      const std::uint64_t c = closed.gpu.run_warm_pass(closed.path, base,
+                                                       stride, first);
+      const std::uint64_t o = oracle.oracle_walk(base, stride, first);
+      EXPECT_EQ(c, o) << where << ": prefix cycles";
+      break;
+    }
+    case History::kOverlapping:
+      for (int i = 0; i < 50; ++i) {
+        both(base + rng.uniform_int(0, steps * stride), 0, 1);
+      }
+      break;
+  }
+
+  const std::uint64_t from = base + first * stride;
+  const std::uint64_t c =
+      closed.gpu.run_warm_pass(closed.path, from, stride, steps - first);
+  const std::uint64_t o = oracle.oracle_walk(from, stride, steps - first);
+  EXPECT_EQ(c, o) << where << ": cycles";
+  EXPECT_EQ(closed.dmem(), oracle.dmem()) << where << ": device memory";
+  for (std::size_t k = 0; k < depth; ++k) {
+    expect_same_state(closed.caches[k], oracle.caches[k],
+                      where + ", level " + std::to_string(k));
+  }
+}
+
+TEST(WarmClosedForm, MatchesThePerLoadLoopOnRandomWalks) {
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    run_case(seed);
+    if (HasFailure()) break;  // one diagnosed case beats thousands
+  }
+}
+
+TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
+  // The shapes discovery runs, on real compiled paths: a two-level L1 -> L2
+  // walk extended chunk by chunk from mid-line boundaries, and a dual-CU
+  // three-level sL1d -> L2 -> L3 pair whose second array lands in sets the
+  // first one filled.
+  struct Shape {
+    const char* model;
+    Space space;
+    std::uint32_t stride;
+    std::uint64_t bytes;
+  };
+  const Shape shapes[] = {
+      {"V100", Space::kGlobal, 32, 160 * KiB},
+      {"TestGPU-NV", Space::kGlobal, 48, 48 * KiB},
+      {"MI300X", Space::kScalar, 64, 14 * KiB},
+      {"MI355X-preview", Space::kScalar, 64, 14 * KiB},
+  };
+  for (const Shape& shape : shapes) {
+    Gpu closed(registry_get(shape.model), 1);
+    Gpu oracle(registry_get(shape.model), 1);
+    const std::uint64_t base = closed.alloc(shape.bytes, 256);
+    const std::uint64_t base_b = closed.alloc(shape.bytes, 256);
+    const std::uint64_t steps = shape.bytes / shape.stride;
+    const Placement a{0, 0};
+    const Placement b{1, 0};
+    const auto oracle_walk = [&](const Placement& where, std::uint64_t from,
+                                 std::uint64_t first, std::uint64_t last) {
+      std::uint64_t cycles = 0;
+      for (std::uint64_t i = first; i < last; ++i) {
+        cycles += oracle.warm_access(where, shape.space,
+                                     from + i * shape.stride);
+      }
+      return cycles;
+    };
+    const AccessPath path_a = closed.compile_path(a, shape.space);
+    const AccessPath path_b = closed.compile_path(b, shape.space);
+    // Array A in three uneven chunks, then array B from the other CU.
+    const std::uint64_t cuts[] = {0, steps / 3 + 1, 2 * steps / 3 + 3, steps};
+    for (int chunk = 0; chunk < 3; ++chunk) {
+      EXPECT_EQ(closed.run_warm_pass(path_a, base + cuts[chunk] * shape.stride,
+                                     shape.stride, cuts[chunk + 1] - cuts[chunk]),
+                oracle_walk(a, base, cuts[chunk], cuts[chunk + 1]))
+          << shape.model << " chunk " << chunk;
+    }
+    EXPECT_EQ(closed.run_warm_pass(path_b, base_b, shape.stride, steps),
+              oracle_walk(b, base_b, 0, steps))
+        << shape.model << " second array";
+    const AccessPath oracle_a = oracle.compile_path(a, shape.space);
+    const AccessPath oracle_b = oracle.compile_path(b, shape.space);
+    for (const auto* pair : {&path_a, &path_b}) {
+      const AccessPath& mirror = pair == &path_a ? oracle_a : oracle_b;
+      for (std::size_t k = 0; k < pair->depth; ++k) {
+        expect_same_state(*pair->levels[k].cache, *mirror.levels[k].cache,
+                          std::string(shape.model) + " level " +
+                              std::to_string(k));
+      }
+    }
+    EXPECT_EQ(closed.miss_count(0, Element::kDeviceMem),
+              oracle.miss_count(0, Element::kDeviceMem))
+        << shape.model;
+    // Only the lines a chunk shares with its prefix were stepped.
+    EXPECT_LE(closed.warm_loads_stepped(), 2 * 256 / shape.stride)
+        << shape.model;
+  }
+}
+
+}  // namespace
+}  // namespace mt4g::sim

@@ -1,14 +1,12 @@
 // Warm-up state sharing tests: the correctness contract of the chain/chunk
 // execution in runtime/batch.cpp. A warm-shared timed pass (snapshot +
-// incremental warm + restore) must record byte-identical measurements to a
-// cold full chase for every chase shape, for every sweep thread count, for
-// chains longer than one sub-sweep chunk, with the snapshot budget at zero,
-// and across batches through the pool's warm-state ledger. Cycles follow
-// the one cost rule: every member books its whole warm walk and timed pass
-// as a cold run of its spec would, so the reference engine running each
-// spec alone books identical cycles. Resampled chases must never join a
-// chain: they exist to draw fresh noise.
-#include <algorithm>
+// incremental closed-form warm + restore) must record byte-identical
+// measurements to a cold full chase for every chase shape, for every sweep
+// thread count, for chains longer than one sub-sweep chunk, and on a pool
+// earlier batches have used. Cycles follow the one cost rule: every member
+// books its whole warm walk and timed pass as a cold run of its spec would,
+// so the reference engine running each spec alone books identical cycles.
+// Resampled chases must never join a chain: they exist to draw fresh noise.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,27 +144,11 @@ TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
   }
 }
 
-TEST(WarmSharing, SnapshotBudgetZeroStillMatchesCold) {
-  // With no snapshot budget the ledger keeps nothing: every chunk re-warms
-  // from scratch, and neither measurements nor cycles may move.
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto specs = chain_specs(gpu);
-  const auto cold = cold_reference(gpu, specs);
-
-  ChaseBatchOptions options;
-  ReplicaPool pool;
-  pool.warm_state_budget = 0;
-  options.pool = &pool;
-  EXPECT_TRUE(equal_results(cold, run_chase_batch(gpu, specs, options)));
-  EXPECT_EQ(pool.warm_state_bytes, 0u);
-  EXPECT_TRUE(pool.warm_ledger.empty());
-}
-
-TEST(WarmSharing, LedgerResumesAcrossBatchesWithoutChangingResults) {
-  // Batch A leaves the short walks of each WarmKey in the pool's ledger;
-  // batch B extends the same keys to longer walks and resumes from there.
-  // Resuming must move neither a measurement nor a cycle: batch B books
-  // exactly what a fresh pool and the cold reference book.
+TEST(WarmSharing, UsedPoolMatchesAFreshPoolAcrossBatches) {
+  // Batch A runs the short walks of each WarmKey on a pool; batch B extends
+  // the same keys to longer walks on that pool. Nothing batch A left behind
+  // may move a measurement or a cycle of batch B: it books exactly what a
+  // fresh pool and the cold reference book.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   std::vector<ChaseSpec> first;
@@ -180,49 +162,14 @@ TEST(WarmSharing, LedgerResumesAcrossBatchesWithoutChangingResults) {
   fresh.pool = &fresh_pool;
   const auto alone = run_chase_batch(gpu, second, fresh);
 
-  ChaseBatchOptions resumed;
+  ChaseBatchOptions used;
   ReplicaPool pool;
-  resumed.pool = &pool;
-  const auto first_results = run_chase_batch(gpu, first, resumed);
-  // One resumable walk per key, shorter than every walk of batch B.
-  ASSERT_EQ(pool.warm_ledger.size(), 2u);
-  for (const auto& [key, entries] : pool.warm_ledger) {
-    ASSERT_EQ(entries.size(), 1u);
-    const auto next = std::find_if(
-        second.begin(), second.end(), [&](const ChaseSpec& spec) {
-          return spec.config.stride_bytes == key.stride_bytes;
-        });
-    ASSERT_NE(next, second.end());
-    EXPECT_LT(entries[0].steps, next->config.array_bytes / key.stride_bytes);
-  }
-  const auto after = run_chase_batch(gpu, second, resumed);
+  used.pool = &pool;
+  const auto first_results = run_chase_batch(gpu, first, used);
+  const auto after = run_chase_batch(gpu, second, used);
   EXPECT_TRUE(equal_results(after, alone));
   EXPECT_TRUE(equal_results(first_results, cold_reference(gpu, first)));
   EXPECT_TRUE(equal_results(after, cold_reference(gpu, second)));
-}
-
-TEST(WarmSharing, LedgerRecordsWalksSortedWithMonotoneWarmCost) {
-  // Every completed chain records its longest walk; records stay sorted
-  // strictly ascending by steps with cumulative warm cost monotone in walk
-  // length (a longer walk of the same key can never cost less).
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto specs = chain_specs(gpu);
-  ChaseBatchOptions options;
-  ReplicaPool pool;
-  options.pool = &pool;
-  (void)run_chase_batch(gpu, specs, options);
-  // A second batch of shorter walks must extend the record set, not clobber
-  // the longer walks.
-  const std::vector<ChaseSpec> shorter(specs.begin(), specs.begin() + 3);
-  (void)run_chase_batch(gpu, shorter, options);
-  EXPECT_FALSE(pool.warm_ledger.empty());
-  for (const auto& [key, entries] : pool.warm_ledger) {
-    ASSERT_FALSE(entries.empty());
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-      EXPECT_LT(entries[i - 1].steps, entries[i].steps);
-      EXPECT_LE(entries[i - 1].cum_warm_cycles, entries[i].cum_warm_cycles);
-    }
-  }
 }
 
 TEST(WarmSharing, ResampledChasesDrawFreshNoise) {
