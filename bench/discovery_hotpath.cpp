@@ -5,11 +5,9 @@
 // golden-equivalence checks that all engines produce byte-identical reports
 // at a fixed seed. Writes BENCH_discovery.json, the repo's perf trajectory
 // record for the discovery hot path, including per-model widening counts,
-// chase-memo hit counts, the stage-graph critical path with Brent's bound
-// on the speedup stage-level concurrency can reach at the run's
-// bench_threads, each stage's cycles and its wall time in the serial and in
-// the parallel run, the caller share of
-// each parallel run (the fraction of its shared-executor tasks
+// chase-memo hit counts, the stage-graph critical path, each stage's cycles
+// and its wall time in the serial and in the parallel run, the caller share
+// of each parallel run (the fraction of its shared-executor tasks
 // that ran on the thread that submitted them: near 1 means its chase
 // batches found no other thread to run on, and exactly 1 that the run fell
 // back to one thread whatever its thread knobs said), and the host
@@ -17,28 +15,18 @@
 // parallel-speedup column is interpretable (a single-core container
 // measures ~1.0 by construction).
 //
-// Usage:
-//   discovery_hotpath                        # full registry
-//   discovery_hotpath TestGPU-NV ...         # explicit model list (CI smoke)
-//   discovery_hotpath --max-seconds N        # fail if any serial compiled
-//                                            # discovery exceeds N seconds
-//   discovery_hotpath --max-total-seconds N  # fail if the summed serial
-//                                            # discoveries exceed N seconds
-//   discovery_hotpath --sweep-threads N      # parallel chases per benchmark
-//                                            # (default: hardware)
-//   discovery_hotpath --bench-threads N      # concurrent stages per
-//                                            # discovery (default: hardware)
-//   discovery_hotpath --skip-reference       # determinism job: only compare
-//                                            # serial vs parallel discovery
+// Usage: discovery_hotpath [options] [MODEL...] (default: every registry
+// model); --help lists the options.
 //
 // Exits 1 when any model's reports diverge between engines or its stage
 // cycles do not sum to its total_cycles, and 2 when a time budget is
-// exceeded, so correctness or perf regressions in the hot path fail loudly
-// instead of skewing results silently.
+// exceeded or the command line is malformed, so correctness or perf
+// regressions in the hot path fail loudly instead of skewing results
+// silently.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <map>
@@ -46,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -74,17 +63,6 @@ struct ModelResult {
   std::uint64_t stage_cycles_sum = 0;  ///< must equal total_cycles
   std::uint64_t critical_path_cycles = 0;
   std::uint64_t memo_hits = 0;
-
-  /// Brent's bound over the stage graph: with P = bench_threads workers a
-  /// greedy schedule finishes within T1 / P + Tinf, so T1 / (T1 / P + Tinf)
-  /// is the speedup stage-level concurrency is guaranteed to reach, with
-  /// T1 = total_cycles and Tinf = critical_path_cycles.
-  double brent_speedup(std::uint32_t bench_threads) const {
-    if (critical_path_cycles == 0) return 0.0;
-    const double t1 = static_cast<double>(total_cycles);
-    return t1 / (t1 / bench_threads +
-                 static_cast<double>(critical_path_cycles));
-  }
 };
 
 std::string timed_discovery(const std::string& model,
@@ -158,35 +136,47 @@ std::string git_sha() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> models;
   double max_seconds = 0.0;        // 0 = no per-model budget
   double max_total_seconds = 0.0;  // 0 = no total budget
   std::uint32_t sweep_threads = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t bench_threads = std::max(1u, std::thread::hardware_concurrency());
   bool skip_reference = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-seconds" && i + 1 < argc) {
-      max_seconds = std::atof(argv[++i]);
-    } else if (arg == "--max-total-seconds" && i + 1 < argc) {
-      max_total_seconds = std::atof(argv[++i]);
-    } else if (arg == "--sweep-threads" && i + 1 < argc) {
-      sweep_threads = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(argv[++i])));
-    } else if (arg == "--bench-threads" && i + 1 < argc) {
-      bench_threads = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(argv[++i])));
-    } else if (arg == "--skip-reference") {
-      skip_reference = true;
-    } else {
-      models.push_back(arg);
+  const std::vector<cli::Flag> flags = {
+      {{"--max-seconds"}, "N",
+       "fail if any serial compiled discovery exceeds N seconds",
+       cli::seconds(max_seconds)},
+      {{"--max-total-seconds"}, "N",
+       "fail if the summed serial discoveries exceed N seconds",
+       cli::seconds(max_total_seconds)},
+      {{"--sweep-threads"}, "N",
+       "parallel chases per benchmark (default: hardware)",
+       cli::count(sweep_threads, 1)},
+      {{"--bench-threads"}, "N",
+       "concurrent stages per discovery (default: hardware)",
+       cli::count(bench_threads, 1)},
+      {{"--skip-reference"}, "",
+       "determinism job: only compare serial vs parallel discovery",
+       cli::toggle(skip_reference)},
+  };
+  cli::FlagParse parsed = cli::parse_flags(flags, argc, argv, SIZE_MAX);
+  for (const std::string& model : parsed.positionals) {
+    if (!sim::registry_contains(model)) {
+      parsed.errors.push_back("unknown model '" + model + "'");
     }
   }
+  if (const auto code = cli::help_or_errors(
+          parsed.show_help, parsed.errors, "discovery_hotpath",
+          "usage: discovery_hotpath [options] [MODEL...]   (default: every "
+          "registry model)\n" +
+              cli::flag_usage(flags))) {
+    return *code;
+  }
+  std::vector<std::string> models = parsed.positionals;
   if (models.empty()) models = sim::registry_all_names();
 
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",
-                      "caller", "brent x", "reference [s]", "identical",
+                      "caller", "reference [s]", "identical",
                       "widen", "memo"});
   bool all_identical = true;
   bool all_attributed = true;
@@ -244,20 +234,18 @@ int main(int argc, char** argv) {
     total_serial += r.serial_s;
     results.push_back(r);
 
-    char serial_s[32], parallel_s[32], speedup[32], caller[16], brent[16],
+    char serial_s[32], parallel_s[32], speedup[32], caller[16],
         reference_s[32], widen[16], memo[16];
     std::snprintf(serial_s, sizeof serial_s, "%.3f", r.serial_s);
     std::snprintf(parallel_s, sizeof parallel_s, "%.3f", r.parallel_s);
     std::snprintf(speedup, sizeof speedup, "%.2f",
                   r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
     std::snprintf(caller, sizeof caller, "%.2f", r.caller_share);
-    std::snprintf(brent, sizeof brent, "%.2f",
-                  r.brent_speedup(bench_threads));
     std::snprintf(reference_s, sizeof reference_s, "%.3f", r.reference_s);
     std::snprintf(widen, sizeof widen, "%u", r.widenings);
     std::snprintf(memo, sizeof memo, "%llu",
                   static_cast<unsigned long long>(r.memo_hits));
-    table.add_row({model, serial_s, parallel_s, speedup, caller, brent,
+    table.add_row({model, serial_s, parallel_s, speedup, caller,
                    skip_reference ? "-" : reference_s,
                    r.identical ? "yes" : "NO", widen, memo});
   }
@@ -333,7 +321,6 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(r.total_cycles));
     entry.emplace_back("critical_path_cycles",
                        static_cast<std::int64_t>(r.critical_path_cycles));
-    entry.emplace_back("brent_bench_speedup", r.brent_speedup(bench_threads));
     entry.emplace_back("chase_memo_hits",
                        static_cast<std::int64_t>(r.memo_hits));
     per_model.emplace_back(r.model, json::Value(std::move(entry)));
@@ -371,7 +358,7 @@ int main(int argc, char** argv) {
   }
 
   json::Object meta;
-  meta.emplace_back("schema_version", static_cast<std::int64_t>(3));
+  meta.emplace_back("schema_version", static_cast<std::int64_t>(4));
   meta.emplace_back("generated_at", iso_utc_now());
   meta.emplace_back("git_sha", git_sha());
 

@@ -154,6 +154,10 @@ std::optional<sim::ModelRegistry> custom_registry(
   }
 }
 
+/// The bound of counts that are not thread or process counts: seeds,
+/// retries, milliseconds.
+constexpr std::uint32_t kMaxCount = 1 << 20;
+
 const char kSpecUsage[] =
     "usage: mt4g spec <command> [args]\n"
     "  export [--out DIR]    write every built-in model as a canonical spec\n"
@@ -165,28 +169,44 @@ const char kSpecUsage[] =
     "                        component) of registry models or spec files\n";
 
 int run_spec(int argc, char** argv) {
-  if (argc < 1) {
-    std::fputs(kSpecUsage, stderr);
-    return 2;
-  }
-  const std::string command = argv[0];
+  const std::string command = argc >= 2 ? argv[1] : "";
   if (command == "--help" || command == "-h") {
     std::fputs(kSpecUsage, stdout);
     return 0;
   }
+  // validate and hash take a list; check at most one DIR; export none.
+  const bool lists = command == "validate" || command == "hash";
+  if (!lists && command != "export" && command != "check") {
+    if (!command.empty()) {
+      std::fprintf(stderr, "mt4g spec: unknown command '%s'\n",
+                   command.c_str());
+    }
+    std::fputs(kSpecUsage, stderr);
+    return 2;
+  }
+  std::string out_dir = "specs";
+  std::vector<cli::Flag> flags;
+  if (command == "export") {
+    flags.push_back({{"--out"}, "DIR",
+                     "where the spec files land (default specs)",
+                     cli::text(out_dir)});
+  }
+  cli::FlagParse parsed = cli::parse_flags(
+      flags, argc - 1, argv + 1,
+      lists ? SIZE_MAX : static_cast<std::size_t>(command == "check"));
+  const std::vector<std::string>& args = parsed.positionals;
+  if (lists && args.empty()) {
+    parsed.errors.push_back(command == "hash" ? "no models or files given"
+                                              : "no files given");
+  }
+  if (const auto code = cli::help_or_errors(
+          parsed.show_help, parsed.errors, "mt4g spec " + command,
+          kSpecUsage + ("options of `spec " + command + "`:\n") +
+              cli::flag_usage(flags))) {
+    return *code;
+  }
 
   if (command == "export") {
-    std::string out_dir = "specs";
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--out" && i + 1 < argc) {
-        out_dir = argv[++i];
-      } else {
-        std::fprintf(stderr, "mt4g spec export: unknown argument '%s'\n",
-                     arg.c_str());
-        return 2;
-      }
-    }
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     if (ec) {
@@ -208,22 +228,19 @@ int run_spec(int argc, char** argv) {
   }
 
   if (command == "validate") {
-    if (argc < 2) {
-      std::fprintf(stderr, "mt4g spec validate: no files given\n");
-      return 2;
-    }
     bool ok = true;
-    for (int i = 1; i < argc; ++i) {
+    for (const std::string& file : args) {
       try {
-        const sim::GpuSpec spec = sim::load_spec_file(argv[i]);
+        const sim::GpuSpec spec = sim::load_spec_file(file);
         const std::vector<std::string> problems = sim::validate_spec(spec);
         if (problems.empty()) {
-          std::printf("%s: ok (%s, hash %s)\n", argv[i], spec.name.c_str(),
+          std::printf("%s: ok (%s, hash %s)\n", file.c_str(),
+                      spec.name.c_str(),
                       sim::spec_content_hash_hex(spec).c_str());
         } else {
           ok = false;
           for (const auto& problem : problems) {
-            std::fprintf(stderr, "%s: %s\n", argv[i], problem.c_str());
+            std::fprintf(stderr, "%s: %s\n", file.c_str(), problem.c_str());
           }
         }
       } catch (const sim::SpecError& e) {
@@ -237,7 +254,7 @@ int run_spec(int argc, char** argv) {
   }
 
   if (command == "check") {
-    const std::string dir = argc >= 2 ? argv[1] : "specs";
+    const std::string dir = args.empty() ? "specs" : args[0];
     sim::ModelRegistry registry = sim::builtin_registry();
     registry.freeze();
     bool ok = true;
@@ -281,37 +298,25 @@ int run_spec(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  if (command == "hash") {
-    if (argc < 2) {
-      std::fprintf(stderr, "mt4g spec hash: no models or files given\n");
-      return 2;
-    }
-    bool ok = true;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      try {
-        if (std::filesystem::exists(arg)) {
-          const sim::GpuSpec spec = sim::load_spec_file(arg);
-          std::printf("%s  %s (%s)\n",
-                      sim::spec_content_hash_hex(spec).c_str(), arg.c_str(),
-                      spec.name.c_str());
-        } else {
-          std::printf("%s  %s\n",
-                      sim::spec_content_hash_hex(
-                          sim::default_registry().get(arg)).c_str(),
-                      arg.c_str());
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mt4g spec hash: %s\n", e.what());
-        ok = false;
+  bool ok = true;  // hash
+  for (const std::string& arg : args) {
+    try {
+      if (std::filesystem::exists(arg)) {
+        const sim::GpuSpec spec = sim::load_spec_file(arg);
+        std::printf("%s  %s (%s)\n", sim::spec_content_hash_hex(spec).c_str(),
+                    arg.c_str(), spec.name.c_str());
+      } else {
+        std::printf(
+            "%s  %s\n",
+            sim::spec_content_hash_hex(sim::default_registry().get(arg)).c_str(),
+            arg.c_str());
       }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "mt4g spec hash: %s\n", e.what());
+      ok = false;
     }
-    return ok ? 0 : 1;
   }
-
-  std::fprintf(stderr, "mt4g spec: unknown command '%s'\n", command.c_str());
-  std::fputs(kSpecUsage, stderr);
-  return 2;
+  return ok ? 0 : 1;
 }
 
 /// Graceful-stop flag for `fleet`: the first SIGINT/SIGTERM asks the sweep
@@ -332,26 +337,19 @@ void handle_stop_signal(int) {
 int run_fleet_worker(int argc, char** argv) {
   fleet::WorkerConfig config;
   std::string fault_plan_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mt4g fleet-worker: %s needs a value\n",
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--heartbeat-ms") {
-      config.heartbeat_ms =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
-    } else if (arg == "--fault-plan") {
-      fault_plan_path = value();
-    } else {
-      std::fprintf(stderr, "mt4g fleet-worker: unknown option '%s'\n",
-                   arg.c_str());
-      return 2;
-    }
+  const std::vector<cli::Flag> flags = {
+      {{"--heartbeat-ms"}, "N",
+       "heartbeat period (default 500; 0 = no heartbeat)",
+       cli::count(config.heartbeat_ms, 0, kMaxCount)},
+      {{"--fault-plan"}, "FILE", "arm the fault-injection plan in FILE (JSON)",
+       cli::text(fault_plan_path)},
+  };
+  const cli::FlagParse parsed = cli::parse_flags(flags, argc, argv);
+  if (const auto code = cli::help_or_errors(
+          parsed.show_help, parsed.errors, "mt4g fleet-worker",
+          "usage: mt4g fleet-worker [options]   (started by fleet --procs)\n" +
+              cli::flag_usage(flags))) {
+    return *code;
   }
   // The coordinator forwards its own --fault-plan so chaos rules fire inside
   // the processes that actually run the jobs.
@@ -367,72 +365,6 @@ int run_fleet_worker(int argc, char** argv) {
   }
   return fleet::run_worker_loop(std::cin, std::cout, config);
 }
-
-const char kFleetUsage[] =
-    "usage: mt4g fleet [options]\n"
-    "  --models all|NAME[,NAME...]  registry models to sweep (default all;\n"
-    "                               with --model-spec, default = the spec\n"
-    "                               files' models)\n"
-    "  --model-dir DIR              overlay every *.json GPU spec in DIR onto\n"
-    "                               the built-in registry for this sweep\n"
-    "  --model-spec FILE            load a GPU spec file (repeatable); see\n"
-    "                               README \"Model spec files\"\n"
-    "  --seeds N                    noise seeds per configuration (default 1)\n"
-    "  --first-seed N               first seed value (default 42)\n"
-    "  --workers N                  worker threads (default hardware)\n"
-    "  --procs N                    run the sweep across N supervised worker\n"
-    "                               processes instead of in-process threads:\n"
-    "                               a crashing job kills its worker, not the\n"
-    "                               sweep (default 0 = in-process). Reports\n"
-    "                               are byte-identical either way\n"
-    "  --worker-heartbeat-ms N      worker liveness heartbeat period under\n"
-    "                               --procs (default 500); a worker silent\n"
-    "                               for 10 periods is presumed dead\n"
-    "  --journal FILE               append every completed job to FILE\n"
-    "                               (fsync'd line JSON) so a killed run can\n"
-    "                               be resumed, in-process or --procs alike;\n"
-    "                               truncated first unless --resume. A\n"
-    "                               failing journal warns, never stops a run\n"
-    "  --resume                     load --journal FILE first and only run\n"
-    "                               the jobs it does not already answer; the\n"
-    "                               final report is byte-identical to an\n"
-    "                               uninterrupted run's\n"
-    "  --sweep-threads N            parallel batched chases inside one\n"
-    "                               benchmark (default 1)\n"
-    "  --bench-threads N            concurrent benchmarks of each job's\n"
-    "                               discovery stage graph (default 1; both\n"
-    "                               knobs leave reports byte-identical, and\n"
-    "                               all jobs' stages share one executor)\n"
-    "  --no-mig                     skip MIG partitions of MIG-capable GPUs\n"
-    "  --retries N                  extra attempts per job after a transient\n"
-    "                               failure (default 2; malformed jobs never\n"
-    "                               retry). A retried job's report is\n"
-    "                               byte-identical to a clean run's\n"
-    "  --job-timeout SEC            per-attempt wall-clock deadline, checked\n"
-    "                               between benchmark stages (default off);\n"
-    "                               expiry counts as a transient failure\n"
-    "  --retry-backoff-ms N         base of the exponential backoff between\n"
-    "                               attempts, capped at 1000 ms (default 0)\n"
-    "  --fail-fast                  start no attempt after the first failed\n"
-    "                               job (in-process or --procs); the jobs\n"
-    "                               left report as skipped\n"
-    "  --keep-going                 run every job despite failures (default)\n"
-    "  --fault-plan FILE            arm the deterministic fault-injection\n"
-    "                               plan in FILE (JSON; see README \"Failure\n"
-    "                               model\"). Env fallback: MT4G_FAULT_PLAN\n"
-    "  --cache FILE                 result-cache JSON file\n"
-    "                               (default <out>/fleet_cache.json; 'none'\n"
-    "                               disables caching)\n"
-    "  --baseline DIR               diff results against DIR/<model>.json\n"
-    "  --out DIR                    report output directory (default .)\n"
-    "  --quiet                      no per-job progress on stderr\n"
-    "  --progress                   ~1s heartbeat on stderr (jobs done/total,\n"
-    "                               cache hits, elapsed); off by default\n"
-    "  --trace FILE                 write a Chrome trace-event JSON of the\n"
-    "                               sweep (Perfetto / chrome://tracing)\n"
-    "  --metrics FILE               write wall-clock metrics as Prometheus\n"
-    "                               text\n"
-    "  --help                       this text\n";
 
 int run_fleet(const char* argv0, int argc, char** argv) {
   fleet::SweepPlan plan;
@@ -458,112 +390,126 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     fault_plan_path = env_plan;
   }
 
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mt4g fleet: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto count_value = [&](long min) {
-      const char* text = value();
-      char* end = nullptr;
-      const long parsed = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || parsed < min || parsed > 1 << 20) {
-        std::fprintf(stderr, "mt4g fleet: %s expects an integer in [%ld, %d]\n",
-                     arg.c_str(), min, 1 << 20);
-        std::exit(2);
-      }
-      return static_cast<std::uint32_t>(parsed);
-    };
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kFleetUsage, stdout);
-      return 0;
-    } else if (arg == "--models") {
-      const std::string models = value();
-      if (models != "all") plan.models = split(models, ',');
-    } else if (arg == "--seeds") {
-      plan.seed_count = count_value(1);
-    } else if (arg == "--first-seed") {
-      const char* text = value();
-      const auto seed = cli::parse_seed(text);
-      if (!seed) {
-        std::fprintf(stderr,
-                     "mt4g fleet: --first-seed expects a decimal integer in "
-                     "[0, 2^64), got '%s'\n",
-                     text);
-        return 2;
-      }
-      plan.first_seed = *seed;
-    } else if (arg == "--workers") {
-      fleet_options.workers = count_value(0);
-    } else if (arg == "--procs") {
-      fleet_options.procs = count_value(0);
-    } else if (arg == "--worker-heartbeat-ms") {
-      worker_heartbeat_ms = count_value(1);
-    } else if (arg == "--journal") {
-      journal_path = value();
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--sweep-threads") {
-      sweep_threads = count_value(1);
-    } else if (arg == "--bench-threads") {
-      bench_threads = count_value(1);
-    } else if (arg == "--no-mig") {
-      plan.include_mig = false;
-    } else if (arg == "--retries") {
-      retries = count_value(0);
-    } else if (arg == "--job-timeout") {
-      const char* text = value();
-      char* end = nullptr;
-      const double seconds = std::strtod(text, &end);
-      if (end == text || *end != '\0' || seconds <= 0.0) {
-        std::fprintf(stderr,
-                     "mt4g fleet: --job-timeout expects seconds > 0\n");
-        return 2;
-      }
-      fleet_options.retry.timeout_seconds = seconds;
-    } else if (arg == "--retry-backoff-ms") {
-      fleet_options.retry.backoff_base_ms = count_value(0);
-    } else if (arg == "--fail-fast") {
-      fleet_options.fail_fast = true;
-    } else if (arg == "--keep-going") {
-      fleet_options.fail_fast = false;
-    } else if (arg == "--fault-plan") {
-      fault_plan_path = value();
-    } else if (arg == "--model-dir") {
-      model_dir = value();
-    } else if (arg == "--model-spec") {
-      model_specs.push_back(value());
-    } else if (arg == "--cache") {
-      cache_path = value();
-    } else if (arg == "--baseline") {
-      baseline_dir = value();
-    } else if (arg == "--out") {
-      out_dir = value();
-    } else if (arg == "--quiet" || arg == "-q") {
-      quiet = true;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--trace") {
-      trace_path = value();
-    } else if (arg == "--metrics") {
-      metrics_path = value();
-    } else {
-      std::fprintf(stderr, "mt4g fleet: unknown option '%s'\n", arg.c_str());
-      std::fputs(kFleetUsage, stderr);
-      return 2;
-    }
-  }
-  if (plan.seed_count == 0) {
-    std::fprintf(stderr, "mt4g fleet: --seeds must be >= 1\n");
-    return 2;
-  }
+  const std::vector<cli::Flag> flags = {
+      {{"--models"}, "all|NAME[,NAME...]",
+       "registry models to sweep (default all;\n"
+       "with --model-spec, default = the spec\n"
+       "files' models)",
+       [&plan](const std::string& value) {
+         plan.models = value == "all" ? std::vector<std::string>()
+                                      : split(value, ',');
+         return std::string();
+       }},
+      {{"--model-dir"}, "DIR",
+       "overlay every *.json GPU spec in DIR onto\n"
+       "the built-in registry for this sweep",
+       cli::text(model_dir)},
+      {{"--model-spec"}, "FILE",
+       "load a GPU spec file (repeatable); see\n"
+       "README \"Model spec files\"",
+       cli::texts(model_specs)},
+      {{"--seeds"}, "N", "noise seeds per configuration (default 1)",
+       cli::count(plan.seed_count, 1, kMaxCount)},
+      {{"--first-seed"}, "N", "first seed value (default 42)",
+       cli::seed(plan.first_seed)},
+      {{"--workers"}, "N", "worker threads (default hardware)",
+       cli::count(fleet_options.workers, 0)},
+      {{"--procs"}, "N",
+       "run the sweep across N supervised worker\n"
+       "processes instead of in-process threads:\n"
+       "a crashing job kills its worker, not the\n"
+       "sweep (default 0 = in-process). Reports\n"
+       "are byte-identical either way",
+       cli::count(fleet_options.procs, 0)},
+      {{"--worker-heartbeat-ms"}, "N",
+       "worker liveness heartbeat period under\n"
+       "--procs (default 500); a worker silent\n"
+       "for 10 periods is presumed dead",
+       cli::count(worker_heartbeat_ms, 1, kMaxCount)},
+      {{"--journal"}, "FILE",
+       "append every completed job to FILE\n"
+       "(fsync'd line JSON) so a killed run can\n"
+       "be resumed, in-process or --procs alike;\n"
+       "truncated first unless --resume. A\n"
+       "failing journal warns, never stops a run",
+       cli::text(journal_path)},
+      {{"--resume"}, "",
+       "load --journal FILE first and only run\n"
+       "the jobs it does not already answer; the\n"
+       "final report is byte-identical to an\n"
+       "uninterrupted run's",
+       cli::toggle(resume)},
+      {{"--sweep-threads"}, "N",
+       "parallel batched chases inside one\n"
+       "benchmark (default 1)",
+       cli::count(sweep_threads, 1)},
+      {{"--bench-threads"}, "N",
+       "concurrent benchmarks of each job's\n"
+       "discovery stage graph (default 1; both\n"
+       "knobs leave reports byte-identical, and\n"
+       "all jobs' stages share one executor)",
+       cli::count(bench_threads, 1)},
+      {{"--no-mig"}, "", "skip MIG partitions of MIG-capable GPUs",
+       cli::toggle(plan.include_mig, false)},
+      {{"--retries"}, "N",
+       "extra attempts per job after a transient\n"
+       "failure (default 2; malformed jobs never\n"
+       "retry). A retried job's report is\n"
+       "byte-identical to a clean run's",
+       cli::count(retries, 0, kMaxCount)},
+      {{"--job-timeout"}, "SEC",
+       "per-attempt wall-clock deadline, checked\n"
+       "between benchmark stages (default off);\n"
+       "expiry counts as a transient failure",
+       cli::seconds(fleet_options.retry.timeout_seconds)},
+      {{"--retry-backoff-ms"}, "N",
+       "base of the exponential backoff between\n"
+       "attempts, capped at 1000 ms (default 0)",
+       cli::count(fleet_options.retry.backoff_base_ms, 0, kMaxCount)},
+      {{"--fail-fast"}, "",
+       "start no attempt after the first failed\n"
+       "job (in-process or --procs); the jobs\n"
+       "left report as skipped",
+       cli::toggle(fleet_options.fail_fast)},
+      {{"--keep-going"}, "", "run every job despite failures (default)",
+       cli::toggle(fleet_options.fail_fast, false)},
+      {{"--fault-plan"}, "FILE",
+       "arm the deterministic fault-injection\n"
+       "plan in FILE (JSON; see README \"Failure\n"
+       "model\"). Env fallback: MT4G_FAULT_PLAN",
+       cli::text(fault_plan_path)},
+      {{"--cache"}, "FILE",
+       "result-cache JSON file\n"
+       "(default <out>/fleet_cache.json; 'none'\n"
+       "disables caching)",
+       cli::text(cache_path)},
+      {{"--baseline"}, "DIR", "diff results against DIR/<model>.json",
+       cli::text(baseline_dir)},
+      {{"--out"}, "DIR", "report output directory (default .)",
+       cli::text(out_dir)},
+      {{"-q", "--quiet"}, "", "no per-job progress on stderr",
+       cli::toggle(quiet)},
+      {{"--progress"}, "",
+       "~1s heartbeat on stderr (jobs done/total,\n"
+       "cache hits, elapsed); off by default",
+       cli::toggle(progress)},
+      {{"--trace"}, "FILE",
+       "write a Chrome trace-event JSON of the\n"
+       "sweep (Perfetto / chrome://tracing)",
+       cli::text(trace_path)},
+      {{"--metrics"}, "FILE",
+       "write wall-clock metrics as Prometheus\n"
+       "text",
+       cli::text(metrics_path)},
+  };
+  cli::FlagParse parsed = cli::parse_flags(flags, argc, argv);
   if (resume && journal_path.empty()) {
-    std::fprintf(stderr, "mt4g fleet: --resume needs --journal FILE\n");
-    return 2;
+    parsed.errors.push_back("--resume needs --journal FILE");
+  }
+  if (const auto code = cli::help_or_errors(
+          parsed.show_help, parsed.errors, "mt4g fleet",
+          "usage: mt4g fleet [options]\n" + cli::flag_usage(flags))) {
+    return *code;
   }
   fleet_options.retry.max_attempts = retries + 1;
 
@@ -793,25 +739,18 @@ int run_fleet(const char* argv0, int argc, char** argv) {
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "fleet") {
-    return run_fleet(argv[0], argc - 2, argv + 2);
+    return run_fleet(argv[0], argc - 1, argv + 1);
   }
   if (argc > 1 && std::string(argv[1]) == "fleet-worker") {
-    return run_fleet_worker(argc - 2, argv + 2);
+    return run_fleet_worker(argc - 1, argv + 1);
   }
   if (argc > 1 && std::string(argv[1]) == "spec") {
-    return run_spec(argc - 2, argv + 2);
+    return run_spec(argc - 1, argv + 1);
   }
   const cli::ParseResult parsed = cli::parse(argc, argv);
-  if (parsed.show_help) {
-    std::fputs(cli::usage().c_str(), stdout);
-    return 0;
-  }
-  if (!parsed.errors.empty()) {
-    for (const auto& error : parsed.errors) {
-      std::fprintf(stderr, "mt4g: %s\n", error.c_str());
-    }
-    std::fputs(cli::usage().c_str(), stderr);
-    return 2;
+  if (const auto code = cli::help_or_errors(parsed.show_help, parsed.errors,
+                                            "mt4g", cli::usage())) {
+    return *code;
   }
   const cli::Options& options = parsed.options;
 

@@ -32,15 +32,21 @@ class Deadline {
   /// Unlimited: never expires, never reads the clock.
   Deadline() = default;
 
-  /// Expires @p seconds of wall time from now; seconds <= 0 = unlimited.
+  /// Expires @p seconds of wall time from now. A budget that is not > 0
+  /// (NaN included), or that the clock cannot represent from now, is
+  /// unlimited.
   static Deadline after(double seconds) {
+    using Clock = std::chrono::steady_clock;
     Deadline deadline;
-    if (seconds > 0.0) {
+    if (!(seconds > 0.0)) return deadline;
+    const Clock::time_point now = Clock::now();
+    // One second of slack absorbs the rounding of the double conversions.
+    const std::chrono::duration<double> headroom =
+        Clock::time_point::max() - now - std::chrono::seconds(1);
+    if (seconds < headroom.count()) {
       deadline.limited_ = true;
-      deadline.at_ = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(seconds));
+      deadline.at_ = now + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(seconds));
     }
     return deadline;
   }

@@ -282,8 +282,12 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
       queue.clear();
     }
 
-    // Keep the pool at strength while there is queued work.
-    while (spawn_allowed && !queue.empty() && workers.size() < procs) {
+    // Keep the pool at strength while there is queued work, but never
+    // above one worker per job queued or in flight.
+    auto idle = static_cast<std::size_t>(
+        std::count_if(workers.begin(), workers.end(),
+                      [](const Worker& worker) { return !worker.busy; }));
+    while (spawn_allowed && workers.size() < procs && idle < queue.size()) {
       Worker worker;
       if (!spawn_worker(options.worker_argv, worker)) {
         ++idle_deaths;
@@ -291,6 +295,7 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
         break;
       }
       workers.push_back(std::move(worker));
+      ++idle;
     }
 
     // No pool and no way to build one: fail what remains, loudly.

@@ -89,5 +89,156 @@ TEST(Cli, HelpFlag) {
   EXPECT_NE(usage().find("--gpu"), std::string::npos);
 }
 
+TEST(Cli, TopLevelHelpNamesEverySubcommand) {
+  EXPECT_NE(usage().find("mt4g fleet"), std::string::npos);
+  EXPECT_NE(usage().find("mt4g spec"), std::string::npos);
+}
+
+FlagParse parse_table(const std::vector<Flag>& flags,
+                      std::initializer_list<const char*> args,
+                      std::size_t max_positionals = 0) {
+  std::vector<const char*> argv{"prog"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  return parse_flags(flags, static_cast<int>(argv.size()), argv.data(),
+                     max_positionals);
+}
+
+TEST(FlagTable, AMissingValueIsNamedNotUnknown) {
+  std::string out = "specs";
+  const std::vector<Flag> flags = {{{"--out"}, "DIR", "", text(out)}};
+  const auto parsed = parse_table(flags, {"--out"});
+  ASSERT_EQ(parsed.errors.size(), 1u);
+  EXPECT_EQ(parsed.errors[0], "missing value for --out");
+  EXPECT_EQ(out, "specs");
+  // A value flag takes the next argument whatever it looks like.
+  EXPECT_TRUE(parse_table(flags, {"--out", "-x"}).errors.empty());
+  EXPECT_EQ(out, "-x");
+}
+
+TEST(FlagTable, CountsAreDecimalsWithinTheirBounds) {
+  std::uint32_t threads = 7;
+  const std::vector<Flag> flags = {{{"--threads"}, "N", "", count(threads, 1)}};
+  for (const char* bad : {"0", "1025", "abc", "12abc", "-1", "+1", "", " 5",
+                          "0x10", "4294967296"}) {
+    EXPECT_EQ(parse_table(flags, {"--threads", bad}).errors.size(), 1u)
+        << "'" << bad << "'";
+    EXPECT_EQ(threads, 7u) << "a rejected value stores nothing";
+  }
+  for (const std::uint32_t good : {1u, 1024u}) {
+    const std::string text = std::to_string(good);
+    EXPECT_TRUE(parse_table(flags, {"--threads", text.c_str()}).errors.empty());
+    EXPECT_EQ(threads, good);
+  }
+  std::uint32_t procs = 3;
+  const std::vector<Flag> zero_ok = {{{"--procs"}, "N", "", count(procs, 0)}};
+  EXPECT_TRUE(parse_table(zero_ok, {"--procs", "0"}).errors.empty());
+  EXPECT_EQ(procs, 0u);
+  std::uint32_t seeds = 1;
+  const std::vector<Flag> wide = {
+      {{"--seeds"}, "N", "", count(seeds, 1, 1u << 20)}};
+  EXPECT_TRUE(parse_table(wide, {"--seeds", "1048576"}).errors.empty());
+  EXPECT_FALSE(parse_table(wide, {"--seeds", "1048577"}).errors.empty());
+}
+
+TEST(FlagTable, SecondsAreFiniteAndPositive) {
+  double budget = 0.0;
+  const std::vector<Flag> flags = {
+      {{"--timeout"}, "SEC", "", seconds(budget)}};
+  for (const char* bad :
+       {"inf", "nan", "0", "-1", "-inf", "abc", "1e400", "", "2s"}) {
+    EXPECT_EQ(parse_table(flags, {"--timeout", bad}).errors.size(), 1u)
+        << "'" << bad << "'";
+    EXPECT_EQ(budget, 0.0) << "a rejected value stores nothing";
+  }
+  EXPECT_TRUE(parse_table(flags, {"--timeout", "0.05"}).errors.empty());
+  EXPECT_EQ(budget, 0.05);
+  EXPECT_TRUE(parse_table(flags, {"--timeout", "1e300"}).errors.empty());
+  EXPECT_EQ(budget, 1e300);
+}
+
+TEST(FlagTable, SeedsFollowParseSeed) {
+  std::uint64_t value = 42;
+  const std::vector<Flag> flags = {{{"--first-seed"}, "N", "", seed(value)}};
+  EXPECT_FALSE(parse_table(flags, {"--first-seed", "-1"}).errors.empty());
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(parse_table(flags, {"--first-seed", "18446744073709551615"})
+                  .errors.empty());
+  EXPECT_EQ(value, 18446744073709551615ull);
+}
+
+TEST(FlagTable, AliasesSwitchesPositionalsAndHelp) {
+  bool quiet = false;
+  bool fail_fast = true;
+  std::vector<std::string> specs;
+  const std::vector<Flag> flags = {
+      {{"-q", "--quiet"}, "", "", toggle(quiet)},
+      {{"--keep-going"}, "", "", toggle(fail_fast, false)},
+      {{"--spec"}, "FILE", "", texts(specs)},
+  };
+  const auto parsed = parse_table(
+      flags, {"a", "--quiet", "--spec", "x", "--keep-going", "b", "--spec",
+              "y"},
+      2);
+  EXPECT_TRUE(parsed.errors.empty());
+  EXPECT_FALSE(parsed.show_help);
+  EXPECT_TRUE(quiet);
+  EXPECT_FALSE(fail_fast);
+  EXPECT_EQ(specs, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(parsed.positionals, (std::vector<std::string>{"a", "b"}));
+
+  quiet = false;
+  EXPECT_TRUE(parse_table(flags, {"-q"}).errors.empty());
+  EXPECT_TRUE(quiet);
+  EXPECT_TRUE(parse_table(flags, {"-h"}).show_help);
+  EXPECT_TRUE(parse_table(flags, {"--help"}).show_help);
+
+  // Positionals past the table's limit, and unknown flags, are errors.
+  const auto extra = parse_table(flags, {"a", "b"}, 1);
+  ASSERT_EQ(extra.errors.size(), 1u);
+  EXPECT_EQ(extra.errors[0], "unexpected argument 'b'");
+  EXPECT_EQ(extra.positionals, (std::vector<std::string>{"a"}));
+  const auto unknown = parse_table(flags, {"--qiet"});
+  ASSERT_EQ(unknown.errors.size(), 1u);
+  EXPECT_EQ(unknown.errors[0], "unknown argument '--qiet'");
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FlagTable, UsageNamesEveryRowExactlyOnce) {
+  bool quiet = false;
+  std::string out;
+  std::uint32_t procs = 0;
+  const std::vector<Flag> flags = {
+      {{"-q", "--quiet"}, "", "no progress", toggle(quiet)},
+      {{"--out"}, "DIR", "output directory\n(default .)", text(out)},
+      {{"--procs"}, "N", "worker processes", count(procs, 0)},
+  };
+  // Help texts share one column; continuation lines are indented to it.
+  EXPECT_EQ(flag_usage(flags),
+            "  -q, --quiet  no progress\n"
+            "  --out DIR    output directory\n"
+            "               (default .)\n"
+            "  --procs N    worker processes\n"
+            "  -h, --help   this text\n");
+
+  // Each of the discover table's 18 flags, and --help, leads one row.
+  const std::string top = usage();
+  for (const char* flag :
+       {"--gpu", "--model-dir", "--model-spec", "--list", "--seed", "--only",
+        "--sweep-threads", "--bench-threads", "--cache-config", "--out",
+        "--trace", "--metrics", "--flops", "-g", "-o", "-p", "-j", "-q",
+        "-h, --help"}) {
+    EXPECT_EQ(occurrences(top, std::string("\n  ") + flag + " "), 1u)
+        << flag;
+  }
+}
+
 }  // namespace
 }  // namespace mt4g::cli

@@ -3,11 +3,13 @@
 // on attempt N produces the byte-identical report of a clean run, for every
 // bench_threads x sweep_threads combination.
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cancel.hpp"
 #include "core/output/json_output.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
@@ -136,6 +138,21 @@ TEST(FleetRetry, TimeoutClassifiesAsTimedOutAndCountsRetries) {
   EXPECT_EQ(fleet.summary.timed_out, 1u);
   ASSERT_EQ(fleet.degraded.size(), 1u);
   EXPECT_EQ(fleet.degraded[0].reason, "timed_out");
+}
+
+TEST(Deadline, BudgetsBeyondTheClockNeverExpire) {
+  // Converting such a budget to clock ticks would overflow and wrap the
+  // deadline into the past; like NaN and <= 0 budgets, it means no deadline.
+  for (const double seconds :
+       {1e300, std::numeric_limits<double>::infinity()}) {
+    const core::Deadline deadline = core::Deadline::after(seconds);
+    EXPECT_FALSE(deadline.limited()) << seconds;
+    EXPECT_FALSE(deadline.expired()) << seconds;
+    EXPECT_NO_THROW(deadline.check("test")) << seconds;
+  }
+  const core::Deadline long_budget = core::Deadline::after(1e9);
+  EXPECT_TRUE(long_budget.limited());
+  EXPECT_FALSE(long_budget.expired());
 }
 
 TEST(FleetRetry, BackoffDelaysRetriesDeterministically) {

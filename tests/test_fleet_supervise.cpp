@@ -3,12 +3,15 @@
 // procs x sweep_threads grid, crash containment folded into the retry
 // budget, crash-exhaustion reporting, garbage-worker containment, the
 // supervised journal's no-duplicate-append discipline, one retry / fail-fast
-// policy for both runners, worker reaping on every exit path, and the CLI's
-// journal truncation, seed validation and failed-write exit status.
+// policy for both runners, worker reaping on every exit path, a pool no
+// larger than the work, and the CLI's journal truncation, seed validation,
+// failed-write exit status and usage errors (the fleet, fleet-worker and
+// spec commands and bench/discovery_hotpath).
 //
 // The worker binary is resolved as ./mt4g_cli relative to the ctest working
-// directory (the build tree, where examples/ binaries land). When it is not
-// there — e.g. a bare library build — the process-spawning tests skip.
+// directory (the build tree, where examples/ and bench/ binaries land). When
+// it is not there — e.g. a bare library build — the process-spawning tests
+// skip.
 #include <sys/wait.h>
 
 #include <cerrno>
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -372,6 +376,27 @@ TEST(FleetSupervise, FailingJournalOrCallbackStillReapsEveryWorker) {
   EXPECT_TRUE(no_children_left()) << "a worker outlived run_supervised";
 }
 
+TEST(FleetSupervise, NeverSpawnsMoreWorkersThanJobs) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  SweepPlan plan;
+  plan.models = {"TestGPU-NV"};
+  const auto jobs = expand_jobs(plan);
+  ASSERT_EQ(jobs.size(), 1u);
+  TempFile spawn_log("spawn_log.txt");
+  SupervisorOptions options = supervised(4);
+  // Every spawn logs one line, then becomes the worker.
+  options.worker_argv = {"/bin/sh", "-c",
+                         "echo >> '" + spawn_log.path() + "'; exec " +
+                             kWorkerBinary + " fleet-worker --heartbeat-ms 100"};
+  const auto results = run_supervised(jobs, options);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  std::ifstream in(spawn_log.path());
+  std::size_t spawns = 0;
+  for (std::string line; std::getline(in, line);) ++spawns;
+  EXPECT_EQ(spawns, 1u) << "one job needs one worker, whatever procs says";
+}
+
 /// A scratch directory for one CLI run, removed again afterwards.
 class TempDir {
  public:
@@ -441,6 +466,96 @@ TEST(FleetCli, FailedReportWritesExitNonzero) {
   EXPECT_NE(under_size_limit("fleet --models TestGPU-NV --no-mig --cache none "
                              "--quiet"),
             0);
+}
+
+/// Runs a shell command with stdin from /dev/null and stdout discarded.
+/// Returns its exit code (-1 when it did not exit) and its stderr.
+std::pair<int, std::string> run_cli(const std::string& command) {
+  TempFile err("cli_stderr.txt");
+  const int status = std::system(
+      (command + " < /dev/null > /dev/null 2> " + err.path()).c_str());
+  std::ifstream in(err.path());
+  std::ostringstream text;
+  text << in.rdbuf();
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, text.str()};
+}
+
+/// A usage error exits 2 with the usage, rendered from the flag table,
+/// on stderr.
+void expect_usage_error(const std::string& command) {
+  const auto [exit_code, err] = run_cli(command);
+  EXPECT_EQ(exit_code, 2) << command << "\n" << err;
+  EXPECT_NE(err.find("-h, --help"), std::string::npos) << command << "\n"
+                                                        << err;
+}
+
+TEST(FleetCli, NonFiniteJobTimeoutsExitTwo) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempDir dir("job_timeout");
+  for (const char* seconds : {"inf", "nan"}) {
+    expect_usage_error(std::string(kWorkerBinary) +
+                       " fleet --models TestGPU-NV --no-mig --cache none "
+                       "--quiet --job-timeout " +
+                       seconds + " --out " + dir.path());
+  }
+}
+
+TEST(FleetCli, ThreadAndProcessCountsAbove1024ExitTwo) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempDir dir("counts");
+  const std::string fleet = std::string(kWorkerBinary) +
+                            " fleet --models TestGPU-NV --no-mig --quiet "
+                            "--out " +
+                            dir.path();
+  // Warm the cache: should a count get through, no job acts on it.
+  ASSERT_EQ(run_cli(fleet).first, 0);
+  for (const char* flag :
+       {"--workers", "--procs", "--sweep-threads", "--bench-threads"}) {
+    expect_usage_error(fleet + " " + flag + " 1025");
+  }
+}
+
+TEST(FleetCli, WorkerHeartbeatMustBeAnInteger) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  expect_usage_error(std::string(kWorkerBinary) +
+                     " fleet-worker --heartbeat-ms abc");
+  // An explicit 0 still means no heartbeat: the worker starts, reads EOF
+  // and exits cleanly.
+  EXPECT_EQ(
+      run_cli(std::string(kWorkerBinary) + " fleet-worker --heartbeat-ms 0")
+          .first,
+      0);
+}
+
+TEST(SpecCli, MissingValuesAndExtraArgumentsExitTwo) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  const auto [exit_code, err] =
+      run_cli(std::string(kWorkerBinary) + " spec export --out");
+  EXPECT_EQ(exit_code, 2);
+  EXPECT_NE(err.find("missing value for --out"), std::string::npos) << err;
+  expect_usage_error(std::string(kWorkerBinary) + " spec export --out");
+
+  TempDir dir("spec_check");
+  const std::string spec = std::string(kWorkerBinary) + " spec ";
+  ASSERT_EQ(run_cli(spec + "export --out " + dir.path()).first, 0);
+  EXPECT_EQ(run_cli(spec + "check " + dir.path()).first, 0);
+  expect_usage_error(spec + "check " + dir.path() + " extra");
+}
+
+TEST(HotpathCli, MalformedCommandLinesExitTwo) {
+  std::error_code ec;
+  const std::string bench =
+      std::filesystem::absolute("./discovery_hotpath", ec).string();
+  if (ec || !std::filesystem::exists(bench, ec)) {
+    GTEST_SKIP() << "no ./discovery_hotpath in cwd";
+  }
+  // Run elsewhere: a bench that does run writes BENCH_discovery.json to
+  // its working directory.
+  TempDir dir("hotpath");
+  const std::string run = "cd " + dir.path() + " && " + bench + " ";
+  expect_usage_error(run + "--max-second 5 TestGPU-NV");
+  expect_usage_error(run + "--max-total-seconds abc --skip-reference "
+                           "TestGPU-NV");
 }
 
 }  // namespace
