@@ -106,7 +106,7 @@ std::string host_description() {
 struct StageAggregate {
   std::uint64_t cycles = 0;
   double wall_seconds = 0.0;
-  double reset_seconds = 0.0;  ///< replica/substrate reset share of wall
+  double reset_seconds = 0.0;  ///< chase replica reset share of wall
   /// Wall time of the stage in the parallel run, where run-ahead and
   /// helping shorten it; the fields above come from the serial run.
   double parallel_wall_seconds = 0.0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <set>
 
 #include "common/fault.hpp"
@@ -33,10 +32,6 @@ struct GraphRun {
   std::vector<StageRecord> records;
   std::vector<std::exception_ptr> errors;
   std::vector<bool> failed;  ///< threw, or transitively depends on a throw
-  /// Forked Gpus recycled across stages (substrates + chase replicas):
-  /// forking rebuilds every cache, so a fork-per-stage would dominate small
-  /// discoveries on big-cache models.
-  runtime::ReplicaCache replicas;
 
   explicit GraphRun(sim::Gpu& gpu_, const StageGraph& graph_,
                     GraphState& state_, const DiscoverOptions& options_)
@@ -44,12 +39,12 @@ struct GraphRun {
         records(graph_.stages.size()), errors(graph_.stages.size()),
         failed(graph_.stages.size(), false) {}
 
-  /// Executes one stage on a reset substrate: a (recycled) fork of the
-  /// owning Gpu, flushed, re-seeded with the owner's seed and rewound to
-  /// the owner's allocator cursor — the state a fresh fork would have. Every
+  /// Executes one stage on its own substrate: a fork of the owning Gpu
+  /// with the owner's seed and allocator cursor and cold caches. Every
   /// stage therefore sees identical substrate state, so its measurements
   /// are a pure function of (owner seed, stage) — the scheduling-
-  /// independence the byte-identity contract rests on.
+  /// independence the byte-identity contract rests on. A fork costs the
+  /// caches' empty page tables, not their way state.
   void run_stage(std::size_t i) {
     // Cooperative cancellation checkpoint: an expired per-job deadline
     // surfaces as a TimeoutError stage failure, which skips every dependent
@@ -66,17 +61,8 @@ struct GraphRun {
     // back into the measurement — the byte-identity contract is untouched.
     const obs::SpanGuard span("stage:", graph.stages[i].name);
     const std::uint64_t start_ns = obs::monotonic_ns();
-    sim::Gpu substrate = replicas.acquire(gpu);
+    sim::Gpu substrate = gpu.fork(gpu.seed());
     StageRecord& record = records[i];
-    {
-      const obs::SpanGuard reset_span("substrate.reset");
-      const std::uint64_t reset_start = obs::monotonic_ns();
-      substrate.flush_caches();
-      substrate.reseed_noise(gpu.seed());
-      substrate.reset_allocator(gpu.heap_top());
-      record.pool.reset_ns += obs::monotonic_ns() - reset_start;
-    }
-    record.pool.replica_cache = &replicas;
     // Chase batches run on the graph's executor, so a worker with no ready
     // stage can help its siblings' batches. Left null, a batch that fans
     // out resolves the shared executor itself; a serial discovery never
@@ -88,12 +74,8 @@ struct GraphRun {
     record.series = std::move(ctx.series);
     record.compute_throughput = std::move(ctx.compute_throughput);
     record.executed = true;
-    // Recycle the substrate and the stage's chase replicas; the pool's memo
-    // stays live as upstream for dependent stages.
-    replicas.release(std::move(substrate));
-    for (std::optional<sim::Gpu>& replica : record.pool.replicas) {
-      if (replica) replicas.release(std::move(*replica));
-    }
+    // The pool's memo stays live as upstream for dependent stages; its
+    // chase replicas are done.
     record.pool.replicas.clear();
     const std::uint64_t wall_ns = obs::monotonic_ns() - start_ns;
     record.wall_seconds = static_cast<double>(wall_ns) * 1e-9;

@@ -137,11 +137,11 @@ struct StageCycleReport {
   /// bench/discovery_hotpath surfaces: it flags stages that are
   /// host-overhead-bound rather than simulation-bound.
   double wall_seconds = 0.0;
-  /// Host wall time of this stage spent resetting replicas/substrates
-  /// (cache flush + noise reseed), a subset of wall_seconds. Same
-  /// always-measured, wall-gated-emission contract as wall_seconds. This is
-  /// what exposes the tiny-array fetch-granularity stages as reset-bound
-  /// (and verifies the touched-set flush fix in the bench artifact).
+  /// Host wall time of this stage spent resetting chase replicas (cache
+  /// flush + noise reseed), a subset of wall_seconds. Same always-measured,
+  /// wall-gated-emission contract as wall_seconds. A flush clears only the
+  /// sets of the line range allocated since the last one, so this stays
+  /// small even on stages that flush many-MB caches thousands of times.
   double reset_seconds = 0.0;
 };
 

@@ -28,35 +28,6 @@ sim::Gpu fork_replica(const sim::Gpu& owner) {
   return replica;
 }
 
-}  // namespace
-
-sim::Gpu ReplicaCache::acquire(const sim::Gpu& owner) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (epoch_ != owner.path_epoch()) {
-      free_.clear();  // cached forks hold the old cache geometry
-      epoch_ = owner.path_epoch();
-    }
-    if (!free_.empty()) {
-      sim::Gpu replica = std::move(free_.back());
-      free_.pop_back();
-      return replica;
-    }
-  }
-  return fork_replica(owner);
-}
-
-void ReplicaCache::release(sim::Gpu&& replica) {
-  // A fork starts at path epoch 0; a non-zero epoch means someone rebuilt
-  // the replica's caches (set_l2_fetch_granularity). Flush/reseed/rewind
-  // cannot restore geometry, so such a replica must not be recycled.
-  if (replica.path_epoch() != 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(std::move(replica));
-}
-
-namespace {
-
 /// Splitmix-based field folder shared by the seed and memo-hash paths. The
 /// constant decorrelates the chase streams from the owning Gpu's own stream
 /// (which Xoshiro256 seeds from the same value).
@@ -249,8 +220,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
   if (units.empty()) return;
   const PChaseEngine engine = pchase_engine();
 
-  // At most one participant per unit. A slot's replica is acquired when
-  // the slot runs its first unit, so a participant the executor never
+  // At most one participant per unit. A slot's replica is forked when the
+  // slot runs its first unit, so a participant the executor never
   // delivered costs no fork; the slot table is sized up front so slots
   // only ever touch their own entry.
   const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
@@ -258,10 +229,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
   if (pool.replicas.size() < workers) pool.replicas.resize(workers);
   const auto slot_replica = [&](std::uint32_t slot) -> sim::Gpu& {
     std::optional<sim::Gpu>& replica = pool.replicas[slot];
-    if (!replica) {
-      replica.emplace(pool.replica_cache ? pool.replica_cache->acquire(gpu)
-                                         : fork_replica(gpu));
-    }
+    if (!replica) replica.emplace(fork_replica(gpu));
     return *replica;
   };
   std::vector<std::uint64_t> slot_reset_ns(workers, 0);

@@ -57,7 +57,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <tuple>
@@ -70,28 +69,6 @@
 #include "sim/gpu.hpp"
 
 namespace mt4g::runtime {
-
-/// A thread-safe free list of owner forks. Forking a Gpu costs a full cache
-/// reconstruction (milliseconds on models with large caches), but replicas
-/// are interchangeable: every chase resets its replica (flush + reseed)
-/// before running, and a flushed cache is observationally identical to a
-/// fresh one. The discovery stage runner shares one cache per graph run so
-/// stage substrates and chase replicas are forked once and recycled, instead
-/// of once per stage. Acquire/release order never influences results —
-/// that is exactly the reset discipline's guarantee.
-class ReplicaCache {
- public:
-  /// Pops a cached replica or forks a new one from @p owner. Cached
-  /// replicas from a different path epoch (cache rebuild) are discarded.
-  sim::Gpu acquire(const sim::Gpu& owner);
-  /// Returns a replica to the free list.
-  void release(sim::Gpu&& replica);
-
- private:
-  std::mutex mutex_;
-  std::uint64_t epoch_ = 0;
-  std::vector<sim::Gpu> free_;
-};
 
 /// The four chase shapes of the benchmark suite (paper IV-A/F/G/H).
 enum class ChaseKind : std::uint8_t {
@@ -189,9 +166,10 @@ struct ChaseAheadStats {
 /// which keep the owner's seed, count as the same owning Gpu).
 struct ReplicaPool {
   std::uint64_t epoch = 0;
-  /// One replica per executor slot, acquired (ReplicaCache or fork) when
-  /// the slot runs its first unit: replicas exist only for slots that ran,
-  /// never for participants a batch was allowed but did not get.
+  /// One replica per executor slot, forked when the slot runs its first
+  /// unit: replicas exist only for slots that ran, never for participants a
+  /// batch was allowed but did not get. A fork costs empty page tables; a
+  /// replica holds the cache pages its chases wrote.
   std::vector<std::optional<sim::Gpu>> replicas;
   /// spec-seed hash -> (spec, result) entries; collisions resolved by the
   /// full spec comparison.
@@ -207,10 +185,6 @@ struct ReplicaPool {
   /// upstream pools are immutable while this pool is live. Hits against an
   /// upstream memo are counted in this pool's memo_stats.
   std::vector<const ReplicaPool*> upstream;
-  /// Optional shared fork cache: new replicas are acquired here instead of
-  /// forked, and the stage runner returns them after the pool's stage
-  /// completes. nullptr = fork directly (the pre-graph behaviour).
-  ReplicaCache* replica_cache = nullptr;
   /// Executor of this pool's batches when ChaseBatchOptions::executor is
   /// unset; nullptr = exec::shared_executor(), resolved only by a batch that
   /// fans out. The stage runner sets it to DiscoverOptions::bench_executor,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 #include <stdexcept>
 
 namespace mt4g::sim {
@@ -70,15 +71,15 @@ SectoredCache::SectoredCache(const CacheGeometry& geometry)
   while (sets > 1 && lines % sets != 0) --sets;
   num_sets_ = static_cast<std::uint32_t>(sets);
   ways_per_set_ = static_cast<std::uint32_t>(lines / sets);
-  const std::size_t total = static_cast<std::size_t>(num_sets_) * ways_per_set_;
-  tags_.assign(total, kInvalidTag);
-  masks_.assign(total, 0);
-  stamps_.assign(total, 0);
-  hints_.assign(num_sets_, 0);
-  touch_marks_.assign(num_sets_, 0);
-  // Reserving the worst case up front keeps the touched-set push in access()
-  // allocation-free; 4 bytes per set is smaller than the hint array.
-  touched_.reserve(num_sets_);
+  // Pages of whole sets, a power-of-two number of them: about kPageWays
+  // ways, or the whole cache when it is smaller.
+  const std::uint64_t sets_per_page = std::min<std::uint64_t>(
+      std::bit_floor(std::max<std::uint32_t>(kPageWays / ways_per_set_, 1)),
+      std::bit_ceil<std::uint64_t>(num_sets_));
+  page_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets_per_page));
+  page_mask_ = static_cast<std::uint32_t>(sets_per_page - 1);
+  page_ways_ = static_cast<std::size_t>(sets_per_page) * ways_per_set_;
+  pages_.resize((num_sets_ + sets_per_page - 1) >> page_shift_);
 
   if (std::has_single_bit(geometry_.line_bytes)) {
     line_shift_ = static_cast<std::uint32_t>(
@@ -94,16 +95,46 @@ SectoredCache::SectoredCache(const CacheGeometry& geometry)
   sets_inv_ = 1.0 / static_cast<double>(num_sets_);
 }
 
+void SectoredCache::make_page(Page& page) const {
+  // One allocation holding two arrays made in it by placement new: tags and
+  // stamps (64-bit), then masks and hints (32-bit), all value-initialised.
+  const std::size_t narrow = page_ways_ + sets_per_page();
+  page.storage =
+      std::make_unique_for_overwrite<std::byte[]>(16 * page_ways_ + 4 * narrow);
+  std::byte* const raw = page.storage.get();
+  page.tags = ::new (raw) std::uint64_t[2 * page_ways_]();
+  page.stamps = page.tags + page_ways_;
+  page.masks = ::new (raw + 16 * page_ways_) std::uint32_t[narrow]();
+  page.hints = page.masks + page_ways_;
+  std::fill_n(page.tags, page_ways_, kInvalidTag);
+}
+
+bool SectoredCache::operator==(const SectoredCache& other) const {
+  // Every set (the lines 0 .. num_sets - 1 map to all of them), as
+  // capture_rows reads it: a page never written reads as first written.
+  const bool same_shape = geometry_ == other.geometry_;
+  CacheSnapshot mine;
+  CacheSnapshot theirs;
+  if (same_shape) {
+    snapshot_addresses(0, geometry_.line_bytes, num_sets_, mine);
+    other.snapshot_addresses(0, geometry_.line_bytes, num_sets_, theirs);
+  }
+  return same_shape && lo_line_ == other.lo_line_ &&
+         hi_line_ == other.hi_line_ && mine == theirs;
+}
+
 CacheAccess SectoredCache::peek(std::uint64_t address) const {
   const std::uint64_t line = line_of(address);
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
   CacheAccess result;
-  const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
+  const Page& page = pages_[set >> page_shift_];
+  if (page.tags == nullptr) return result;
+  const Row r = row_at(page, set);
   for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-    if (tags_[base + w] == line) {
+    if (r.tags[w] == line) {
       result.line_hit = true;
-      result.sector_hit = (masks_[base + w] >> sector) & 1u;
+      result.sector_hit = (r.masks[w] >> sector) & 1u;
       break;
     }
   }
@@ -125,18 +156,19 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
   stamp_ += accesses;
   hits_ += accesses - misses;
   misses_ += misses;
-  const std::uint64_t last_load =
-      stream.stride >= (1ULL << g)
-          ? last
-          : first_load_from(stream, (last >> g) << g);
-  lo_line_ = std::min(lo_line_, line_of(stream.base));
-  hi_line_ = std::max(hi_line_, line_of(last_load));
   if (stream.stride <= geometry_.line_bytes &&
       (1ULL << g) <= geometry_.line_bytes) {
     fill_dense_lines(stream, last, stamp0);
   } else {
     fill_sparse_lines(stream, accesses, stamp0);
   }
+  // After the fill: fill_dense_lines reads the range from before the stream.
+  const std::uint64_t last_load =
+      stream.stride >= (1ULL << g)
+          ? last
+          : first_load_from(stream, (last >> g) << g);
+  lo_line_ = std::min(lo_line_, line_of(stream.base));
+  hi_line_ = std::max(hi_line_, line_of(last_load));
   return misses;
 }
 
@@ -198,45 +230,42 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
   // Victim-order position of a set's last line: (count - 1) % ways.
   const std::uint64_t last_slot_more = per_set % ways;
   const std::uint64_t last_slot = per_set == 0 ? 0 : (per_set - 1) % ways;
+  // Only the sets of the line range allocated before the stream hold
+  // lines; the rest are empty, and an empty set's victim order is the way
+  // order.
+  const auto [first_held, held] = range_sets();
   std::vector<std::uint32_t> order;
   std::uint32_t set = set_of(last_line);
   for (std::uint64_t i = 0; i < touched; ++i) {
     const std::uint64_t line = last_line - i;
     const std::uint64_t count = i < extra ? per_set + 1 : per_set;
-    const std::size_t row = static_cast<std::size_t>(set) * ways;
-    // An untouched set is empty: its victim order is the way order.
-    // Otherwise sort the ways by stamp (insertion sort: stable, so empty
-    // ways stay in index order, and sets are a few ways wide).
-    const bool prefilled = touch_marks_[set] == generation_;
+    const Row r = row(set);
+    // A set that may hold lines: sort its ways by stamp (insertion sort:
+    // stable, so empty ways stay in index order, and sets are a few ways
+    // wide).
+    const bool prefilled = (set + sets - first_held) % sets < held;
     if (prefilled) {
       order.resize(ways);
       for (std::uint32_t w = 0; w < ways; ++w) {
         std::uint32_t at = w;
-        for (; at > 0 && stamps_[row + order[at - 1]] > stamps_[row + w];
-             --at) {
+        for (; at > 0 && r.stamps[order[at - 1]] > r.stamps[w]; --at) {
           order[at] = order[at - 1];
         }
         order[at] = w;
       }
     }
     std::uint64_t slot = i < extra ? last_slot_more : last_slot;
-    hints_[set] = static_cast<std::uint32_t>(prefilled ? order[slot] : slot);
+    *r.hint = static_cast<std::uint32_t>(prefilled ? order[slot] : slot);
     const std::uint64_t keep = std::min(count, ways);
     for (std::uint64_t k = 0; k < keep; ++k) {
       const std::uint64_t kept = line - k * sets;
-      const std::size_t way = row + (prefilled ? order[slot] : slot);
-      tags_[way] = kept;
-      masks_[way] = mask_of(kept);
-      stamps_[way] = stamp_of(kept);
+      const std::uint64_t way = prefilled ? order[slot] : slot;
+      r.tags[way] = kept;
+      r.masks[way] = mask_of(kept);
+      r.stamps[way] = stamp_of(kept);
       slot = slot == 0 ? ways - 1 : slot - 1;
     }
     set = set == 0 ? num_sets_ - 1 : set - 1;
-  }
-  // Touched sets join the list in first-touch order: line order.
-  set = set_of(first_line);
-  for (std::uint64_t i = 0; i < touched; ++i) {
-    touch(set);
-    set = set + 1 == num_sets_ ? 0 : set + 1;
   }
 }
 
@@ -254,62 +283,60 @@ void SectoredCache::fill_sparse_lines(const WarmStream& stream,
             : first_load_from(stream, ((stream.base >> g) + m) << g);
     const std::uint64_t line = line_of(address);
     const std::uint32_t set = set_of(line);
-    const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
-    touch(set);
-    const std::size_t victim = victim_way(base);
-    tags_[victim] = line;
-    masks_[victim] = 1u << sector_of(address);
-    stamps_[victim] = stamp0 + m + 1;
-    hints_[set] = static_cast<std::uint32_t>(victim - base);
+    const Row r = row(set);
+    const std::uint32_t victim = victim_way(r.stamps);
+    r.tags[victim] = line;
+    r.masks[victim] = 1u << sector_of(address);
+    r.stamps[victim] = stamp0 + m + 1;
+    *r.hint = victim;
   }
 }
 
 void SectoredCache::flush() {
+  // Only the sets of the allocated line range can differ from empty. Their
+  // tags and stamps are cleared (access() takes a stamp-0 way as empty);
+  // masks of empty ways are never read before the way is refilled, and a
+  // stale hint names a way whose tag cannot match.
+  auto [set, count] = range_sets();
+  if (count == num_sets_) {
+    for (const Page& page : pages_) {
+      if (page.tags == nullptr) continue;
+      std::fill_n(page.tags, page_ways_, kInvalidTag);
+      std::fill_n(page.stamps, page_ways_, 0);
+    }
+    count = 0;
+  }
+  for (; count > 0; --count) {
+    if (const Page& page = pages_[set >> page_shift_]; page.tags != nullptr) {
+      const Row r = row_at(page, set);
+      std::fill_n(r.tags, ways_per_set_, kInvalidTag);
+      std::fill_n(r.stamps, ways_per_set_, 0);
+    }
+    set = set + 1 == num_sets_ ? 0 : set + 1;
+  }
   lo_line_ = ~0ULL;
   hi_line_ = 0;
-  // Stamps must be zeroed too: access() relies on empty ways carrying
-  // stamp 0 so the victim scan can be a pure minimum search. Masks of empty
-  // ways are never read before the way is refilled. Stale hints are safe
-  // (the hinted way's tag simply won't match).
-  if (touched_.empty()) {
-    stamp_ = 0;
-    return;
-  }
-  if (touched_.size() >= num_sets_ / 2) {
-    // Dense: a contiguous fill beats scattered per-set clears once about
-    // half the sets are dirty.
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-  } else {
-    for (const std::uint32_t set : touched_) {
-      const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
-      for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-        tags_[base + w] = kInvalidTag;
-        stamps_[base + w] = 0;
-      }
-    }
-  }
-  touched_.clear();
-  ++generation_;
   stamp_ = 0;
 }
 
 void SectoredCache::capture_rows(CacheSnapshot& out) const {
   const std::size_t rows = out.sets.size();
-  out.tags.resize(rows * ways_per_set_);
-  out.masks.resize(rows * ways_per_set_);
-  out.stamps.resize(rows * ways_per_set_);
-  out.hints.resize(rows);
+  out.tags.assign(rows * ways_per_set_, kInvalidTag);
+  out.masks.assign(rows * ways_per_set_, 0);
+  out.stamps.assign(rows * ways_per_set_, 0);
+  out.hints.assign(rows, 0);
   for (std::size_t i = 0; i < rows; ++i) {
-    const std::size_t src = static_cast<std::size_t>(out.sets[i]) *
-                            ways_per_set_;
+    const std::uint32_t set = out.sets[i];
+    const Page& page = pages_[set >> page_shift_];
+    if (page.tags == nullptr) continue;  // never written: as make_page sets it
+    const Row r = row_at(page, set);
     const std::size_t dst = i * ways_per_set_;
     for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-      out.tags[dst + w] = tags_[src + w];
-      out.masks[dst + w] = masks_[src + w];
-      out.stamps[dst + w] = stamps_[src + w];
+      out.tags[dst + w] = r.tags[w];
+      out.masks[dst + w] = r.masks[w];
+      out.stamps[dst + w] = r.stamps[w];
     }
-    out.hints[i] = hints_[out.sets[i]];
+    out.hints[i] = *r.hint;
   }
   out.stamp = stamp_;
   out.hits = hits_;
@@ -317,9 +344,9 @@ void SectoredCache::capture_rows(CacheSnapshot& out) const {
 }
 
 void SectoredCache::snapshot(CacheSnapshot& out) const {
-  out.clear();
-  out.sets.assign(touched_.begin(), touched_.end());
-  capture_rows(out);
+  // The allocated lines' sets: those of its first range_sets() lines.
+  snapshot_addresses(lo_line_ * geometry_.line_bytes, geometry_.line_bytes,
+                     range_sets().second, out);
 }
 
 void SectoredCache::snapshot_addresses(std::uint64_t base, std::uint64_t stride,
@@ -339,18 +366,14 @@ void SectoredCache::snapshot_addresses(std::uint64_t base, std::uint64_t stride,
 void SectoredCache::restore(const CacheSnapshot& snap) {
   const std::size_t rows = snap.sets.size();
   for (std::size_t i = 0; i < rows; ++i) {
-    const std::uint32_t set = snap.sets[i];
-    const std::size_t dst = static_cast<std::size_t>(set) * ways_per_set_;
+    const Row r = row(snap.sets[i]);
     const std::size_t src = i * ways_per_set_;
     for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-      tags_[dst + w] = snap.tags[src + w];
-      masks_[dst + w] = snap.masks[src + w];
-      stamps_[dst + w] = snap.stamps[src + w];
+      r.tags[w] = snap.tags[src + w];
+      r.masks[w] = snap.masks[src + w];
+      r.stamps[w] = snap.stamps[src + w];
     }
-    hints_[set] = snap.hints[i];
-    // Keep the touched-set invariant: a restored set is dirty relative to a
-    // flushed cache, so the next flush must clear it.
-    touch(set);
+    *r.hint = snap.hints[i];
   }
   stamp_ = snap.stamp;
   hits_ = snap.hits;

@@ -11,7 +11,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace mt4g::sim {
@@ -48,6 +51,8 @@ struct CacheSnapshot {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 
+  bool operator==(const CacheSnapshot&) const = default;
+
   void clear() {
     sets.clear();
     tags.clear();
@@ -73,6 +78,11 @@ struct WarmStream {
 /// One physical cache. Addresses are raw byte addresses in the simulated
 /// global heap; the cache is physically indexed/tagged.
 ///
+/// Way state lives in pages of whole sets, one allocation each, made on the
+/// first write to one of their sets and kept across flushes. A fresh cache
+/// (and so a Gpu::fork) costs its geometry and an empty page table; its
+/// memory then follows the sets it writes.
+///
 /// access() is THE simulator hot path: a discovery issues hundreds of
 /// millions of loads, each one call. It is defined inline below so the
 /// batched pass loop (Gpu::run_pass) can absorb it, and the index math uses
@@ -80,6 +90,9 @@ struct WarmStream {
 /// geometry is a power of two (it always is for real specs).
 class SectoredCache {
  public:
+  /// Ways per page, rounded down to whole sets and a power-of-two set count.
+  static constexpr std::uint32_t kPageWays = 1024;
+
   explicit SectoredCache(const CacheGeometry& geometry);
 
   /// Probes and updates state: on a sector miss the sector is filled (and the
@@ -108,18 +121,18 @@ class SectoredCache {
   /// stepping them. Precondition: takes_warm_streams(), and the cache holds
   /// no line of the stream (holds_no_line_of its first and last load), so
   /// every line the stream reaches misses once and then hits until the
-  /// stream leaves it for good. Hits, misses, the LRU clock, touched sets
-  /// and the way state of every touched set end exactly as the per-load
+  /// stream leaves it for good. Hits, misses, the LRU clock, the allocated
+  /// line range and the way state of every set end exactly as the per-load
   /// loop leaves them. Returns the sector misses: the next level's stream
   /// length.
   std::uint64_t fill_warm_stream(const WarmStream& stream);
 
-  /// Drops all contents.
+  /// Drops all contents: clears, in place, the sets of the lines allocated
+  /// since the last flush. Every other set holds no line already.
   void flush();
 
-  /// Captures the live state of every touched set, in first-touch order
-  /// (plus LRU clock and counters) into `out`. The touched-set list covers
-  /// exactly the sets dirtied since the last flush.
+  /// Captures the sets of the lines allocated since the last flush, in set
+  /// order, plus LRU clock and counters, into `out`.
   void snapshot(CacheSnapshot& out) const;
 
   /// Captures the state of the sets that the address sequence
@@ -132,9 +145,9 @@ class SectoredCache {
   /// Rewrites the captured sets to their snapshot state and restores the LRU
   /// clock and counters. Sets outside the snapshot are left alone, so the
   /// caller must guarantee everything dirtied since the capture lies inside
-  /// the captured set list (true both for a bounded timed pass over a
-  /// snapshotted prefix, and for a freshly flushed cache). The allocated
-  /// line range stays as it was: it may over-cover, never under-cover.
+  /// the captured set list (true for a bounded timed pass over a
+  /// snapshotted prefix). The allocated line range stays as it was: for a
+  /// snapshot taken since the last flush it covers every restored line.
   void restore(const CacheSnapshot& snap);
 
   const CacheGeometry& geometry() const { return geometry_; }
@@ -151,37 +164,77 @@ class SectoredCache {
   }
 
   std::uint32_t num_sets() const { return num_sets_; }
+  /// Sets held by one page (a power of two); page p holds the sets
+  /// [p * sets_per_page(), (p + 1) * sets_per_page()).
+  std::uint32_t sets_per_page() const { return page_mask_ + 1; }
 
-  bool operator==(const SectoredCache&) const = default;
+  /// Logical equality: a page never written equals one as first written.
+  bool operator==(const SectoredCache& other) const;
 
  private:
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
   static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
+  /// One page of way state: the sets_per_page() sets' tags, LRU stamps,
+  /// sector masks and hints, carved from one allocation. Each array is
+  /// row-major by set, so the tag scan of an 8-way set touches one cache
+  /// line. Null pointers: no set of the page was written yet.
+  struct Page {
+    std::unique_ptr<std::byte[]> storage;
+    std::uint64_t* tags = nullptr;    ///< kInvalidTag marks an empty way
+    std::uint64_t* stamps = nullptr;  ///< unique, monotonic; 0 when empty
+    std::uint32_t* masks = nullptr;   ///< bit i: sector i of the line filled
+    std::uint32_t* hints = nullptr;   ///< per set: way of its last access
+  };
+  /// One set's way state: `ways` tags, stamps and masks, and its hint.
+  struct Row {
+    std::uint64_t* tags;
+    std::uint64_t* stamps;
+    std::uint32_t* masks;
+    std::uint32_t* hint;
+  };
+
+  /// The way state of @p set inside its written @p page.
+  Row row_at(const Page& page, std::uint32_t set) const {
+    const std::uint32_t local = set & page_mask_;
+    const std::size_t first = static_cast<std::size_t>(local) * ways_per_set_;
+    return {page.tags + first, page.stamps + first, page.masks + first,
+            page.hints + local};
+  }
+  /// The way state of @p set, allocating its page on first use.
+  Row row(std::uint32_t set) {
+    Page& page = pages_[set >> page_shift_];
+    if (page.tags == nullptr) [[unlikely]] {
+      make_page(page);
+    }
+    return row_at(page, set);
+  }
+  void make_page(Page& page) const;
+  /// The sets lines allocated since the last flush map to, as (first set,
+  /// count), wrapping past the last set. No other set holds a line.
+  std::pair<std::uint32_t, std::uint64_t> range_sets() const {
+    if (lo_line_ > hi_line_) return {0, 0};
+    return {set_of(lo_line_),
+            std::min<std::uint64_t>(hi_line_ - lo_line_ + 1, num_sets_)};
+  }
   void capture_rows(CacheSnapshot& out) const;
   void fill_dense_lines(const WarmStream& stream, std::uint64_t last,
                         std::uint64_t stamp0);
   void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
                          std::uint64_t stamp0);
-  void touch(std::uint32_t set) {
-    if (touch_marks_[set] != generation_) {
-      touch_marks_[set] = generation_;
-      touched_.push_back(set);
-    }
-  }
-  /// Way a line miss in the set at row offset @p base evicts: the
-  /// minimum-stamp way, branchlessly (the LRU compare outcome is
-  /// data-dependent and would mispredict). Empty ways carry stamp 0 (stamps
-  /// are zeroed on flush, live stamps start at 1) and the strict < keeps
-  /// the first minimum: the first empty way, else the LRU way.
-  std::size_t victim_way(std::size_t base) const {
-    std::size_t victim = base;
-    std::uint64_t victim_stamp = stamps_[base];
+  /// Way a line miss evicts, given the set's stamps: the minimum-stamp way,
+  /// branchlessly (the LRU compare outcome is data-dependent and would
+  /// mispredict). Empty ways carry stamp 0 (stamps are zeroed on flush,
+  /// live stamps start at 1) and the strict < keeps the first minimum: the
+  /// first empty way, else the LRU way.
+  std::uint32_t victim_way(const std::uint64_t* stamps) const {
+    std::uint32_t victim = 0;
+    std::uint64_t victim_stamp = stamps[0];
     for (std::uint32_t w = 1; w < ways_per_set_; ++w) {
-      const std::uint64_t s = stamps_[base + w];
+      const std::uint64_t s = stamps[w];
       const bool less = s < victim_stamp;
-      victim = less ? base + w : victim;
+      victim = less ? w : victim;
       victim_stamp = less ? s : victim_stamp;
     }
     return victim;
@@ -195,31 +248,19 @@ class SectoredCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   /// Lowest and highest line allocated since the last flush (empty while
-  /// lo > hi): a warm walk beyond them cannot hit, which is what lets
-  /// Gpu::run_warm_pass hand it to fill_warm_stream.
+  /// lo > hi). A warm walk beyond them cannot hit, which is what lets
+  /// Gpu::run_warm_pass hand it to fill_warm_stream; and only their sets
+  /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
-  // Way state in structure-of-arrays layout, row-major by set: the tag scan
-  // of an 8-way set then touches one cache line instead of four, which is
-  // most of access()'s cost. Entry w of set s lives at s * ways_per_set_ + w.
-  std::vector<std::uint64_t> tags_;    ///< kInvalidTag marks an empty way
-  std::vector<std::uint32_t> masks_;   ///< bit i: sector i of the line filled
-  std::vector<std::uint64_t> stamps_;  ///< LRU stamps (unique, monotonic)
-  std::vector<std::uint32_t> hints_;   ///< per-set way index of last access
-
-  /// Exact touched-set tracking: touch_marks_[set] == generation_ iff `set`
-  /// appears in touched_, the deduplicated list of sets dirtied since the
-  /// last flush. flush() then resets only those sets instead of memsetting
-  /// the whole way state — benchmarks that flush a barely-touched many-MB
-  /// cache thousands of times (the tiny-array fetch-granularity stages, the
-  /// O(CUs^2) CU-sharing probe over a large L3) would otherwise spend nearly
-  /// all their time in flush. Unlike the ring journal this replaced, the
-  /// list never overflows into a full memset for long low-footprint chases,
-  /// and it doubles as the capture list for snapshot(). Bumping generation_
-  /// invalidates all marks in O(1).
-  std::uint64_t generation_ = 1;
-  std::vector<std::uint64_t> touch_marks_;
-  std::vector<std::uint32_t> touched_;
+  // Way state, in pages of whole sets (see Page).
+  std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
+  std::uint32_t page_mask_ = 0;   ///< sets per page - 1
+  std::size_t page_ways_ = 0;     ///< sets per page * ways per set
+  std::vector<Page> pages_;
+  /// The set access() touched last, and its row (pages are never freed).
+  std::uint32_t last_set_ = ~0u;
+  Row last_row_{};
 
   // Precomputed index math (set up by the constructor). A shift value of
   // kNoShift means the quantity is not a power of two and the division is
@@ -266,23 +307,27 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   const std::uint64_t line = line_of(address);
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
-  const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
-  touch(set);
+  // A p-chase revisits the same line line/stride times in a row, so the set
+  // of the previous access is usually this one: its row is kept, which
+  // keeps the page lookup off that path. And the way touched by the
+  // previous access to this set almost always holds the next match.
+  // Probing it first turns the data-dependent scan exit (a mispredict per
+  // load) into one predictable compare. Tags are unique within a set, so
+  // probe order cannot change the outcome.
+  if (set != last_set_) {
+    last_set_ = set;
+    last_row_ = row(set);
+  }
+  const Row r = last_row_;
   ++stamp_;
-
-  // A p-chase revisits the same line line/stride times in a row, so the way
-  // touched by the previous access to this set almost always holds the next
-  // match. Probing it first turns the data-dependent scan exit (a mispredict
-  // per load) into one predictable compare. Tags are unique within a set,
-  // so probe order cannot change the outcome.
   CacheAccess result;
-  const std::uint32_t hinted = hints_[set];
+  const std::uint32_t hinted = *r.hint;
   std::uint32_t match = ways_per_set_;
-  if (tags_[base + hinted] == line) {
+  if (r.tags[hinted] == line) {
     match = hinted;
   } else {
     for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-      if (tags_[base + w] == line) {
+      if (r.tags[w] == line) {
         match = w;
         break;
       }
@@ -290,10 +335,10 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   }
   if (match != ways_per_set_) {
     result.line_hit = true;
-    result.sector_hit = (masks_[base + match] >> sector) & 1u;
-    masks_[base + match] |= 1u << sector;
-    stamps_[base + match] = stamp_;
-    hints_[set] = match;
+    result.sector_hit = (r.masks[match] >> sector) & 1u;
+    r.masks[match] |= 1u << sector;
+    r.stamps[match] = stamp_;
+    *r.hint = match;
     if (result.sector_hit) {
       ++hits_;
     } else {
@@ -301,14 +346,14 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
     }
     return result;
   }
-  const std::size_t victim = victim_way(base);
+  const std::uint32_t victim = victim_way(r.stamps);
   ++misses_;
   lo_line_ = std::min(lo_line_, line);
   hi_line_ = std::max(hi_line_, line);
-  tags_[victim] = line;
-  masks_[victim] = 1u << sector;
-  stamps_[victim] = stamp_;
-  hints_[set] = static_cast<std::uint32_t>(victim - base);
+  r.tags[victim] = line;
+  r.masks[victim] = 1u << sector;
+  r.stamps[victim] = stamp_;
+  *r.hint = victim;
   return result;
 }
 

@@ -426,11 +426,6 @@ SectoredCache* Gpu::segment_for(const Placement& where, Element element) {
   return &segments[index];
 }
 
-const SectoredCache* Gpu::find_cache(const Placement& where,
-                                     Element element) const {
-  return const_cast<Gpu*>(this)->segment_for(where, element);
-}
-
 double Gpu::level_latency(Element element) const {
   return spec_.at(element).latency_cycles;
 }

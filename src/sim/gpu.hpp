@@ -107,7 +107,8 @@ class Gpu {
   /// set_l2_fetch_granularity mutation), same MIG restriction, same noise
   /// parameters and the same allocator state — addresses handed out by this
   /// Gpu are valid in the replica — but cold caches, zeroed counters and a
-  /// noise stream seeded with @p noise_seed. Forking never mutates *this.
+  /// noise stream seeded with @p noise_seed. Forking never mutates *this,
+  /// and costs cache geometries and empty page tables (see SectoredCache).
   Gpu fork(std::uint64_t noise_seed) const;
 
   /// Restarts the noise stream as if the Gpu had been constructed with
@@ -125,15 +126,6 @@ class Gpu {
   /// Bump allocator over the simulated global heap; addresses are unique per
   /// Gpu instance. Alignment defaults to 256 B (texture alignment).
   std::uint64_t alloc(std::uint64_t bytes, std::uint64_t alignment = 256);
-
-  /// Current bump-allocator cursor (preserved by fork()).
-  std::uint64_t heap_top() const { return heap_top_; }
-
-  /// Rewinds the bump allocator to @p top. Together with flush_caches() and
-  /// reseed_noise() this turns a used replica back into the state a fresh
-  /// fork of the owner would have — the reset the discovery stage runner
-  /// applies when recycling substrates (runtime::ReplicaCache).
-  void reset_allocator(std::uint64_t top) { heap_top_ = top; }
 
   /// Issues one load and returns its noisy latency in cycles.
   std::uint32_t access(const Placement& where, Space space,
@@ -235,7 +227,6 @@ class Gpu {
   // Per-SM physical caches: sm -> physical_group -> cache (with segments).
   using SmCaches = std::map<std::uint32_t, PhysicalCache>;
 
-  const SectoredCache* find_cache(const Placement& where, Element element) const;
   SectoredCache* segment_for(const Placement& where, Element element);
   double level_latency(Element element) const;
   std::uint32_t rounded_latency(Element element) const;

@@ -505,6 +505,25 @@ std::vector<std::string> validate_spec(const GpuSpec& spec) {
     }
   }
 
+  // The CL1.5 size search runs over constant arrays from max(2 x ConstL1,
+  // 4 KiB), so Const L1 hits cannot mask it, up to 64 KiB: a smaller CL1.5
+  // is misread, and a start past 64 KiB aborts the discovery.
+  if (spec.has(Element::kConstL15)) {
+    const std::uint64_t cl1 =
+        spec.has(Element::kConstL1) ? spec.at(Element::kConstL1).size_bytes : 0;
+    const std::uint64_t cl15 = spec.at(Element::kConstL15).size_bytes;
+    const std::string start =
+        "max(2 x ConstL1 size_bytes " + std::to_string(cl1) + ", 4096)";
+    if (cl15 < std::max<std::uint64_t>(2 * cl1, 4096)) {
+      error("element ConstL15: size_bytes " + std::to_string(cl15) +
+            " is below where its size benchmark starts, " + start);
+    }
+    if (cl1 > 32768) {
+      error("element ConstL15: its size benchmark starts at " + start +
+            ", beyond the 65536-byte constant array limit");
+    }
+  }
+
   // Elements sharing a physical cache (paper IV-G) must describe the same
   // hardware: any geometry disagreement is a spec bug the simulator would
   // silently "resolve" by whichever element is built last.

@@ -1,11 +1,13 @@
 // Tests for the compiled access path: golden equivalence between the
 // compiled (batched Gpu::run_pass) and reference (per-load access_traced)
-// p-chase engines, and the zero-allocation guarantee of the hot pass loop.
+// p-chase engines, the zero-allocation guarantee of the hot pass loop, and
+// the page-by-page allocation of cache way state that keeps forks cheap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,16 +19,19 @@
 #include "sim/registry.hpp"
 
 // --- Counting allocator hooks ------------------------------------------------
-// Global operator new/delete replacements that count allocations, so the
-// zero-allocation tests below can assert that a batched pass performs no
-// per-load heap traffic. Counting is process-wide; the tests read deltas.
+// Global operator new/delete replacements that count allocations and the
+// bytes they ask for, so the zero-allocation tests below can assert that a
+// batched pass performs no per-load heap traffic. Counting is process-wide;
+// the tests read deltas.
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_allocations;
+  g_allocated_bytes += size;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -128,6 +133,27 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
 
 // --- Zero allocation ---------------------------------------------------------
 
+/// Pages of way state holding a line of [base, base + bytes), summed over
+/// the levels of @p path. A set never empties before a flush, so after a
+/// walk over that range these are exactly the pages of the sets it wrote.
+std::size_t pages_holding(const sim::AccessPath& path, std::uint64_t base,
+                          std::uint64_t bytes) {
+  std::size_t pages = 0;
+  for (std::size_t k = 0; k < path.depth; ++k) {
+    const sim::SectoredCache& cache = *path.levels[k].cache;
+    const std::uint64_t line_bytes = cache.geometry().line_bytes;
+    std::set<std::uint64_t> held;
+    for (std::uint64_t line = base / line_bytes;
+         line <= (base + bytes - 1) / line_bytes; ++line) {
+      if (cache.peek(line * line_bytes).line_hit) {
+        held.insert(line % cache.num_sets() / cache.sets_per_page());
+      }
+    }
+    pages += held.size();
+  }
+  return pages;
+}
+
 TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   const std::uint64_t bytes = 64 * KiB;  // larger than L1+L2: misses too
@@ -137,6 +163,16 @@ TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
   sim::ElementCounts served;
   std::vector<std::uint32_t> record;
   record.reserve(512);
+
+  // Way state is allocated a page at a time, on the first write to one of
+  // its sets: a first pass on a fresh Gpu allocates once per page it writes
+  // (one L1 page and one L2 page on TestGPU-NV), never per load.
+  const std::size_t first = g_allocations.load();
+  gpu.run_pass(path, base, 32, bytes / 32);
+  const std::size_t first_pass = g_allocations.load() - first;
+  EXPECT_EQ(first_pass, pages_holding(path, base, bytes))
+      << "a first pass allocates once per page it writes";
+  EXPECT_EQ(first_pass, 2u);
 
   const std::size_t before = g_allocations.load();
   const std::uint64_t cycles =
@@ -175,6 +211,33 @@ TEST(AccessPathAllocation, WholePchaseAllocatesOnlyTheRecordBuffer) {
   EXPECT_EQ(result.timed_loads, 8192u);
   EXPECT_LE(after - before, 4u)
       << "run_pchase must allocate O(1), not O(loads)";
+}
+
+TEST(AccessPathAllocation, ForksAllocateOnlyThePagesTheyWrite) {
+  // A fork builds cache geometries and empty page tables, not way state
+  // (all of MI300X's way state takes 30.9 MiB).
+  const sim::Gpu owner(sim::registry_get("MI300X"), 1);
+  const std::size_t fork_start = g_allocated_bytes.load();
+  sim::Gpu replica = owner.fork(2);
+  EXPECT_LT(g_allocated_bytes.load() - fork_start, 1 * MiB);
+
+  // A 64 KiB walk from SM 0 then allocates the pages of the sets it
+  // reaches at each level, once each, and nothing else.
+  const std::uint64_t bytes = 64 * KiB;
+  const std::uint64_t base = replica.alloc(bytes);
+  const sim::AccessPath path =
+      replica.compile_path({0, 0}, sim::Space::kGlobal);
+  const std::size_t count_start = g_allocations.load();
+  const std::size_t bytes_start = g_allocated_bytes.load();
+  replica.run_pass(path, base, 64, bytes / 64);
+  const std::size_t allocations = g_allocations.load() - count_start;
+  const std::size_t walk_bytes = g_allocated_bytes.load() - bytes_start;
+  const std::size_t pages = pages_holding(path, base, bytes);
+  EXPECT_GT(pages, 0u);
+  EXPECT_EQ(allocations, pages);
+  // A page holds at most kPageWays ways of tag, stamp and mask (20 bytes)
+  // and a 4-byte hint per set.
+  EXPECT_LE(walk_bytes, pages * sim::SectoredCache::kPageWays * 24);
 }
 
 // --- Compiled-path lifecycle -------------------------------------------------

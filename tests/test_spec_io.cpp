@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
+#include "common/units.hpp"
 #include "core/mt4g.hpp"
 #include "core/output/json_output.hpp"
 #include "sim/gpu.hpp"
@@ -123,6 +125,51 @@ TEST(SpecIo, ValidateRejectsMoreSectorsPerLineThanACacheHolds) {
   spec.elements[Element::kL2].sector_bytes =
       spec.elements[Element::kL2].line_bytes / 32;
   EXPECT_TRUE(validate_spec(spec).empty());
+}
+
+TEST(SpecIo, ValidateRejectsAConstL15BelowItsSizeSearch) {
+  // The CL1.5 size search starts at max(2 x ConstL1, 4 KiB). Below that,
+  // discovery misreads CL1.5 (a 6 KiB ConstL1 over TestGPU-NV's 8 KiB
+  // CL1.5 read 35,264 B), and beyond 64 KiB it aborts (a 48 KiB ConstL1:
+  // "bad search bounds"), so such specs must not validate.
+  const auto rejects = [](std::uint64_t cl1, std::uint64_t cl15) {
+    GpuSpec spec = registry_get("TestGPU-NV");
+    spec.elements[Element::kConstL1].size_bytes = cl1;
+    spec.elements[Element::kConstL15].size_bytes = cl15;
+    return validate_spec(spec);
+  };
+  for (const auto& [cl1, cl15] :
+       {std::pair{6 * KiB, 8 * KiB}, {8 * KiB, 8 * KiB}, {512, 2 * KiB},
+        {1 * KiB, 3 * KiB}}) {
+    const std::vector<std::string> problems = rejects(cl1, cl15);
+    ASSERT_EQ(problems.size(), 1u) << cl1 << " / " << cl15;
+    EXPECT_NE(problems[0].find("ConstL15"), std::string::npos) << problems[0];
+    EXPECT_NE(problems[0].find(std::to_string(cl1)), std::string::npos)
+        << problems[0];
+    EXPECT_NE(problems[0].find(std::to_string(cl15)), std::string::npos)
+        << problems[0];
+  }
+  // The pairs discovery reads correctly, the search start itself included.
+  for (const auto& [cl1, cl15] :
+       {std::pair{4 * KiB, 8 * KiB}, {1 * KiB, 4 * KiB}, {2 * KiB, 4 * KiB},
+        {2 * KiB, 6 * KiB}}) {
+    EXPECT_TRUE(rejects(cl1, cl15).empty()) << cl1 << " / " << cl15;
+  }
+  // Nor may the search start beyond the 64 KiB constant array limit,
+  // however large CL1.5 is.
+  const std::vector<std::string> beyond = rejects(48 * KiB, 128 * KiB);
+  ASSERT_EQ(beyond.size(), 1u);
+  EXPECT_NE(beyond[0].find("ConstL1 size_bytes 49152"), std::string::npos)
+      << beyond[0];
+  EXPECT_NE(beyond[0].find("65536"), std::string::npos) << beyond[0];
+  EXPECT_TRUE(rejects(32 * KiB, 128 * KiB).empty());
+  // Without a ConstL1 the search starts at 4 KiB.
+  GpuSpec spec = registry_get("TestGPU-NV");
+  spec.elements.erase(Element::kConstL1);
+  EXPECT_TRUE(validate_spec(spec).empty());
+  spec.elements[Element::kConstL15].size_bytes = 2 * KiB;
+  ASSERT_EQ(validate_spec(spec).size(), 1u);
+  EXPECT_NE(validate_spec(spec)[0].find("4096"), std::string::npos);
 }
 
 TEST(SpecIo, CliFailsCleanlyOnASpecItCannotSimulate) {

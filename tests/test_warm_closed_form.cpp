@@ -3,9 +3,9 @@
 // a level holds; the per-load loop (stride 0, one load per call — what the
 // reference engine's warm_access runs) is its oracle. Every case below runs
 // the same history and walk through both and compares every per-level field
-// (tags, masks, stamps, hints, touched sets in first-touch order, LRU clock,
-// hit and miss counters, the allocated line range) plus device-memory
-// accesses and the cycle total.
+// (tags, masks, stamps and hints of the sets of the allocated line range, in
+// set order; LRU clock, hit and miss counters, the allocated line range)
+// plus device-memory accesses and the cycle total.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,7 +54,7 @@ struct Side {
 };
 
 /// Field-by-field comparison (readable failures), then whole-state equality
-/// (sets outside the touched list and the allocated line range included).
+/// (sets outside the snapshot and the allocated line range included).
 void expect_same_state(const SectoredCache& closed, const SectoredCache& oracle,
                        const std::string& where) {
   CacheSnapshot a;
