@@ -53,11 +53,8 @@ AmountBenchResult run_amount_benchmark(sim::Gpu& gpu,
     probe_cores.push_back(core_b);
     specs.push_back(runtime::ChaseSpec::amount(config, core_b, base_b));
   }
-  runtime::ChaseBatchOptions batch;
-  batch.threads = options.threads;
-  batch.executor = options.executor;
-  batch.pool = options.chase_pool;
-  const auto results = runtime::run_chase_batch(gpu, specs, batch);
+  const auto results =
+      runtime::run_chase_batch(gpu, specs, options.chase_pool);
   // All probes executed (batched), so all their cycles are booked — also the
   // ones behind an early verdict, which the serial loop never ran.
   for (const auto& result : results) out.cycles += result.total_cycles;
@@ -81,7 +78,6 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
                                          std::uint64_t api_total_bytes,
                                          std::uint32_t fetch_granularity,
                                          sim::Placement where,
-                                         std::uint32_t sweep_threads,
                                          runtime::ReplicaPool* chase_pool) {
   if (api_total_bytes == 0) {
     throw std::invalid_argument("l2 segment benchmark: missing API size");
@@ -92,7 +88,6 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
   size_options.lower = std::max<std::uint64_t>(api_total_bytes / 8, 1024);
   size_options.upper = api_total_bytes + api_total_bytes / 4;
   size_options.stride = fetch_granularity;
-  size_options.sweep_threads = sweep_threads;
   size_options.chase_pool = chase_pool;
   size_options.where = where;
   const auto size_result = run_size_benchmark(gpu, size_options);

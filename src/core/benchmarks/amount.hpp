@@ -17,10 +17,6 @@
 #include "core/target.hpp"
 #include "sim/gpu.hpp"
 
-namespace mt4g::exec {
-class Executor;
-}
-
 namespace mt4g::runtime {
 struct ReplicaPool;
 }
@@ -34,12 +30,7 @@ struct AmountBenchOptions {
   /// Latencies stored per p-chase run; collectors pass their global record
   /// budget through so the chase cost is tunable like the other benchmarks.
   std::uint32_t record_count = 512;
-  /// Parallelism of the probe chases (caller included); 1 = serial
-  /// reference. Both produce byte-identical results.
-  std::uint32_t threads = 1;
-  /// Executor for threads > 1; nullptr = exec::shared_executor().
-  exec::Executor* executor = nullptr;
-  /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
+  /// Pool the probe chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
   sim::Placement where{};         ///< core A (index 0 of the SM)
 };
@@ -67,15 +58,12 @@ struct L2SegmentResult {
   std::uint32_t widenings = 0;       ///< from the inner size benchmark
 };
 
-/// @param sweep_threads parallelism of the inner size benchmark's sweep
-///        (see SizeBenchOptions::sweep_threads); 1 = serial reference.
-/// @param chase_pool shared replica + chase-memo cache for the inner size
-///        benchmark; nullptr = benchmark-local.
+/// @param chase_pool pool the inner size benchmark's chases run on (see
+///        SizeBenchOptions::chase_pool); nullptr = benchmark-local, serial.
 L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
                                          std::uint64_t api_total_bytes,
                                          std::uint32_t fetch_granularity,
                                          sim::Placement where = {},
-                                         std::uint32_t sweep_threads = 1,
                                          runtime::ReplicaPool* chase_pool =
                                              nullptr);
 

@@ -27,7 +27,7 @@ FgBenchResult run_fg_benchmark(sim::Gpu& gpu, const FgBenchOptions& options) {
   // classifier consumes only the recorded latencies, so every chase caps its
   // timed pass at the record budget.
   std::vector<std::uint32_t> strides;
-  std::vector<runtime::PChaseConfig> configs;
+  std::vector<runtime::ChaseSpec> specs;
   for (std::uint32_t stride = 4; stride <= options.max_stride; stride += 4) {
     runtime::PChaseConfig config;
     config.space = options.target.space;
@@ -42,13 +42,10 @@ FgBenchResult run_fg_benchmark(sim::Gpu& gpu, const FgBenchOptions& options) {
     config.warmup = false;  // granularity only shows on a cold cache
     config.where = options.where;
     strides.push_back(stride);
-    configs.push_back(config);
+    specs.push_back(runtime::ChaseSpec::plain(config));
   }
-  runtime::ChaseBatchOptions batch;
-  batch.threads = options.threads;
-  batch.executor = options.executor;
-  batch.pool = options.chase_pool;
-  const auto results = runtime::run_pchase_batch(gpu, configs, batch);
+  const auto results =
+      runtime::run_chase_batch(gpu, specs, options.chase_pool);
 
   // All runs share the global minimum latency as the hit-level floor, so
   // all-miss runs are not misclassified as unimodal hits.

@@ -19,10 +19,6 @@
 #include "core/target.hpp"
 #include "sim/gpu.hpp"
 
-namespace mt4g::exec {
-class Executor;
-}
-
 namespace mt4g::runtime {
 struct ReplicaPool;
 }
@@ -37,12 +33,7 @@ struct FgBenchOptions {
   /// Latencies stored per stride run (p-chase truncation semantics: runs
   /// shorter than the budget record every load).
   std::uint32_t record_count = 512;
-  /// Parallelism of the stride chases (caller included); 1 = serial
-  /// reference. Both produce byte-identical results.
-  std::uint32_t threads = 1;
-  /// Executor for threads > 1; nullptr = exec::shared_executor().
-  exec::Executor* executor = nullptr;
-  /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
+  /// Pool the stride chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
   sim::Placement where{};
 };

@@ -39,10 +39,8 @@ LatencyBenchResult run_latency_benchmark(sim::Gpu& gpu,
     config.resample = i;
     specs.push_back(runtime::ChaseSpec::plain(config));
   }
-  runtime::ChaseBatchOptions batch;
-  batch.threads = options.threads;
-  batch.pool = options.chase_pool;
-  const auto results = runtime::run_chase_batch(gpu, specs, batch);
+  const auto results =
+      runtime::run_chase_batch(gpu, specs, options.chase_pool);
 
   std::vector<std::uint32_t> pooled;
   runtime::PChaseResult combined;

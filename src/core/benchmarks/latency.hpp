@@ -38,10 +38,7 @@ struct LatencyBenchOptions {
   /// by several percent; pooling a few independent streams keeps the
   /// headline mean stable across seeds.
   std::uint32_t resamples = 4;
-  /// Parallelism of the resample chases (caller included); 1 = serial
-  /// reference. Both produce byte-identical results.
-  std::uint32_t threads = 1;
-  /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
+  /// Pool the resample chases run on (see SizeBenchOptions::chase_pool).
   /// The chases run through the chase-plan engine either way — each on a
   /// reset replica with a (seed, spec) noise stream — so the measurement is
   /// independent of whatever ran on the Gpu before it.

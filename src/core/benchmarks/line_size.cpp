@@ -81,11 +81,7 @@ LineSizeBenchResult run_line_size_benchmark(
         specs.push_back(runtime::ChaseSpec::plain(config));
       }
     }
-    runtime::ChaseBatchOptions batch;
-    batch.threads = options.threads;
-    batch.executor = options.executor;
-    batch.pool = pool;
-    auto measured = runtime::run_chase_batch(gpu, specs, batch);
+    auto measured = runtime::run_chase_batch(gpu, specs, pool);
     for (const auto& result : measured) out.cycles += result.total_cycles;
     return measured;
   };

@@ -34,10 +34,6 @@
 #include "core/target.hpp"
 #include "sim/gpu.hpp"
 
-namespace mt4g::exec {
-class Executor;
-}
-
 namespace mt4g::runtime {
 struct ReplicaPool;
 }
@@ -50,12 +46,7 @@ struct LineSizeBenchOptions {
   std::uint32_t fetch_granularity = 32;
   std::uint32_t record_count = 512;
   std::uint32_t size_points = 9;       ///< array sizes in [1.1, 1.9] * cache
-  /// Parallelism of the grid chases (caller included); 1 = serial reference.
-  /// Both produce byte-identical results.
-  std::uint32_t threads = 1;
-  /// Executor for threads > 1; nullptr = exec::shared_executor().
-  exec::Executor* executor = nullptr;
-  /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
+  /// Pool the grid chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
   sim::Placement where{};
   /// Probe only two adjacent mid-window array sizes per stride (1.4x/1.5x

@@ -85,11 +85,8 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
       specs.push_back(runtime::ChaseSpec::sharing(config_a, config_b));
     }
   }
-  runtime::ChaseBatchOptions batch;
-  batch.threads = options.threads;
-  batch.executor = options.executor;
-  batch.pool = options.chase_pool;
-  const auto results = runtime::run_chase_batch(gpu, specs, batch);
+  const auto results =
+      runtime::run_chase_batch(gpu, specs, options.chase_pool);
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     out.cycles += results[k].total_cycles;
     const bool evicted = hit_fraction(results[k], pairs[k].tracked) < 0.5;
@@ -135,11 +132,8 @@ CuSharingBenchResult run_cu_sharing_benchmark(
       specs.push_back(runtime::ChaseSpec::dual_cu(config, cu_b, base_b));
     }
   }
-  runtime::ChaseBatchOptions batch;
-  batch.threads = options.threads;
-  batch.executor = options.executor;
-  batch.pool = options.chase_pool;
-  const auto results = runtime::run_chase_batch(gpu, specs, batch);
+  const auto results =
+      runtime::run_chase_batch(gpu, specs, options.chase_pool);
   for (std::size_t k = 0; k < cu_pairs.size(); ++k) {
     out.cycles += results[k].total_cycles;
     if (hit_fraction(results[k], sim::Element::kSL1D) < 0.5) {

@@ -22,10 +22,6 @@
 #include "core/target.hpp"
 #include "sim/gpu.hpp"
 
-namespace mt4g::exec {
-class Executor;
-}
-
 namespace mt4g::runtime {
 struct ReplicaPool;
 }
@@ -55,12 +51,7 @@ struct SharingBenchOptions {
     std::uint64_t space_limit = 0;  ///< 0 = unlimited
   };
   std::vector<Entry> entries;
-  /// Parallelism of the pair chases (caller included); 1 = serial reference.
-  /// Both produce byte-identical results.
-  std::uint32_t threads = 1;
-  /// Executor for threads > 1; nullptr = exec::shared_executor().
-  exec::Executor* executor = nullptr;
-  /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
+  /// Pool the pair chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
   sim::Placement where{};
 };
@@ -72,9 +63,7 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
 struct CuSharingBenchOptions {
   std::uint64_t sl1d_bytes = 0;
   std::uint32_t stride = 64;
-  /// Parallelism / executor / cache of the CU-pair chases, as above.
-  std::uint32_t threads = 1;
-  exec::Executor* executor = nullptr;
+  /// Pool the CU-pair chases run on, as above.
   runtime::ReplicaPool* chase_pool = nullptr;
 };
 

@@ -206,19 +206,10 @@ struct Runner {
   Runner(sim::Gpu& gpu_, const SizeBenchOptions& options_,
          std::uint64_t base_, runtime::ReplicaPool& pool_)
       : gpu(gpu_), options(options_), base(base_), pool(pool_) {
-    const std::uint32_t participants =
-        runtime::batch_participants(batch_options());
+    const std::uint32_t participants = runtime::batch_participants(pool);
     while (ahead_probes * 2 + 1 <= participants) {
       ahead_probes = ahead_probes * 2 + 1;
     }
-  }
-
-  runtime::ChaseBatchOptions batch_options() const {
-    runtime::ChaseBatchOptions batch;
-    batch.threads = options.sweep_threads;
-    batch.executor = options.sweep_executor;
-    batch.pool = &pool;
-    return batch;
   }
 
   /// @param full_pass phase-6 `fits` chases need the whole timed pass for
@@ -243,8 +234,7 @@ struct Runner {
 
   runtime::PChaseResult chase(const runtime::PChaseConfig& config) {
     const runtime::ChaseSpec spec = runtime::ChaseSpec::plain(config);
-    auto results =
-        runtime::run_chase_batch(gpu, std::span(&spec, 1), batch_options());
+    auto results = runtime::run_chase_batch(gpu, std::span(&spec, 1), &pool);
     cycles += results[0].total_cycles;
     return std::move(results[0]);
   }
@@ -300,7 +290,7 @@ struct Runner {
         frontier.back().advance(verdict);
       }
     }
-    runtime::run_chase_ahead(gpu, specs, batch_options());
+    runtime::run_chase_ahead(gpu, specs, pool);
   }
 };
 
@@ -355,8 +345,9 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
   // fresh data via a bumped resample index) are measured — every clean row
   // is reused. Chases go through run_chase_batch: each runs on a reset
   // replica with a (seed, spec) noise stream, making the series invariant
-  // under sweep_threads, and sizes already chased in an earlier phase or
-  // sweep are answered from the chase memo without simulating a load.
+  // under the pool's thread count, and sizes already chased in an earlier
+  // phase or sweep are answered from the chase memo without simulating a
+  // load.
   //
   // `refreshed` spans the coarse and refinement sweeps: a point re-measured
   // once keeps its bumped resample index, so a later sweep that re-requests
@@ -389,8 +380,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
               size, /*full_pass=*/false,
               /*resample=*/refreshed.count(size) ? 1 : 0)));
         }
-        auto measured = runtime::run_chase_batch(gpu, specs,
-                                                 runner.batch_options());
+        auto measured = runtime::run_chase_batch(gpu, specs, &runner.pool);
         for (std::size_t i = 0; i < missing.size(); ++i) {
           runner.cycles += measured[i].total_cycles;
           runner.sweep_fits[missing[i]] =

@@ -21,11 +21,11 @@
 // Every chase of every phase goes through the chase-plan engine
 // (runtime::run_chase_batch): each runs on a reset Gpu replica with a noise
 // stream derived from (seed, spec), so the whole benchmark is byte-identical
-// for every sweep_threads value, and sweep_threads > 1 fans the sweep chases
-// over the shared executor. Sweep and phase-1 chases consume only their
-// recorded latency prefix, so their timed pass is capped at the record
-// budget (PChaseConfig::max_timed_steps); the phase-6 `fits` chases keep the
-// full pass, which the exact predicate needs.
+// for every thread count of the chase pool, and more than one thread fans
+// the sweep chases over the pool's executor. Sweep and phase-1 chases
+// consume only their recorded latency prefix, so their timed pass is capped
+// at the record budget (PChaseConfig::max_timed_steps); the phase-6 `fits`
+// chases keep the full pass, which the exact predicate needs.
 //
 // Because chases are pure functions of (seed, spec), the ReplicaPool memo
 // makes repeated specs free on the host: a phase-1 probe that lands on the
@@ -51,7 +51,7 @@
 // memoized exactly as if it ran then, so results, cycles and memo
 // statistics equal the serial search. Waiting
 // results the chains did not take are dropped when the benchmark returns.
-// At one or two sweep threads nothing runs ahead.
+// At one or two chase-pool threads nothing runs ahead.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +60,6 @@
 
 #include "core/target.hpp"
 #include "sim/gpu.hpp"
-
-namespace mt4g::exec {
-class Executor;
-}
 
 namespace mt4g::runtime {
 struct ReplicaPool;
@@ -85,17 +81,11 @@ struct SizeBenchOptions {
   /// fewer points than the coarse sweep (whose density feeds the K-S power).
   std::uint32_t refine_sweep_points = 16;
   std::uint32_t max_widenings = 3;       ///< outlier-triggered re-measurements
-  /// Parallelism of the sweep-point measurements and of the chains' run-
-  /// ahead, caller included; 1 = the serial reference engine. Both produce
-  /// byte-identical results.
-  std::uint32_t sweep_threads = 1;
-  /// Executor for sweep_threads > 1; nullptr = exec::shared_executor().
-  /// Tests inject a dedicated pool here to force real thread interleaving
-  /// regardless of the host's core count.
-  exec::Executor* sweep_executor = nullptr;
-  /// Replica + chase-memo cache shared with the caller (the collectors pass
-  /// one per discovery, so benchmarks reuse replicas and memoized chases
-  /// across each other); nullptr = a benchmark-local pool.
+  /// Pool every chase runs on: its replicas, its chase memo, and how its
+  /// batches run (ReplicaPool::threads and ::executor, which also bound the
+  /// chains' run-ahead). The stage runner passes one per stage, so the
+  /// benchmarks of a stage reuse replicas and memoized chases across each
+  /// other; nullptr = a benchmark-local pool, serial.
   runtime::ReplicaPool* chase_pool = nullptr;
   /// Seed the phase-6 bisection bounds from the sweep rows' prefix hit
   /// fractions (nearest measured fitting/missing sizes). Off = the original

@@ -34,8 +34,10 @@ struct DiscoverOptions {
   std::uint32_t record_count = 512;
   /// Parallelism of the batched chase plans (caller included) inside one
   /// benchmark — the size sweeps and the fg/line-size/amount/sharing
-  /// batches — fanned over the shared executor (src/exec/); 1 = the serial
-  /// reference engine.
+  /// batches — fanned over bench_executor (null: exec::shared_executor());
+  /// 1 = the serial reference engine. The stage runner copies it into each
+  /// stage's chase pool (runtime::ReplicaPool::threads), where the
+  /// benchmarks' batches read it.
   std::uint32_t sweep_threads = 1;
   /// Parallelism across benchmarks (caller included): how many ready stages
   /// of the discovery stage graph run concurrently; 1 = serial declaration

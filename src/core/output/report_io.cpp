@@ -1,6 +1,7 @@
 #include "core/output/report_io.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "common/json_parse.hpp"
@@ -9,18 +10,57 @@
 namespace mt4g::core {
 namespace {
 
+[[noreturn]] void malformed(const std::string& field,
+                            const std::string& what) {
+  throw std::runtime_error("report json: '" + field + "' " + what);
+}
+
 const json::Value& member(const json::Value& object, const std::string& key) {
   const json::Value* value = object.find(key);
-  if (value == nullptr) {
-    throw std::runtime_error("report json: missing member '" + key + "'");
-  }
+  if (value == nullptr) malformed(key, "is missing");
   return *value;
+}
+
+const json::Value& object_member(const json::Value& object,
+                                 const std::string& key) {
+  const json::Value& value = member(object, key);
+  if (!value.is_object()) malformed(key, "is not an object");
+  return value;
+}
+
+const json::Array& array_of(const json::Value& value,
+                            const std::string& field) {
+  if (!value.is_array()) malformed(field, "is not an array");
+  return value.as_array();
+}
+
+/// The one integer read: @p value as a T, if it is a non-negative integer
+/// that fits one.
+template <class T>
+T count_of(const json::Value& value, const std::string& field) {
+  if (!value.is_int() || value.as_int() < 0 ||
+      static_cast<std::uint64_t>(value.as_int()) >
+          std::numeric_limits<T>::max()) {
+    malformed(field, "is not a non-negative integer in range");
+  }
+  return static_cast<T>(value.as_int());
+}
+
+/// count_of() of member @p key, 0 when absent or null.
+template <class T>
+T count_or_zero(const json::Value& object, const std::string& key) {
+  const json::Value* value = object.find(key);
+  if (value == nullptr || value->is_null()) return 0;
+  return count_of<T>(*value, key);
 }
 
 double number_or(const json::Value& object, const std::string& key,
                  double fallback) {
   const json::Value* value = object.find(key);
   if (value == nullptr || value->is_null()) return fallback;
+  if (!value->is_int() && !value->is_double()) {
+    malformed(key, "is not a number");
+  }
   return value->as_double();
 }
 
@@ -52,7 +92,7 @@ Attribute parse_attribute(const json::Value& object) {
 
 stats::Summary parse_summary(const json::Value& object) {
   stats::Summary summary;
-  summary.count = static_cast<std::size_t>(number_or(object, "count", 0));
+  summary.count = count_or_zero<std::size_t>(object, "count");
   summary.mean = number_or(object, "mean", 0);
   summary.stddev = number_or(object, "stddev", 0);
   summary.min = number_or(object, "min", 0);
@@ -66,13 +106,16 @@ stats::Summary parse_summary(const json::Value& object) {
 }  // namespace
 
 TopologyReport from_json_string(const std::string& text) {
-  const json::Value root = json::parse_or_throw(text);
+  return from_json(json::parse_or_throw(text));
+}
+
+TopologyReport from_json(const json::Value& root) {
   if (!root.is_object()) {
     throw std::runtime_error("report json: document is not an object");
   }
   TopologyReport report;
 
-  const json::Value& general = member(root, "general");
+  const json::Value& general = object_member(root, "general");
   report.general.gpu_name = string_or(general, "gpu", "");
   report.general.vendor = string_or(general, "vendor", "");
   report.general.model = string_or(general, "model", "");
@@ -82,12 +125,12 @@ TopologyReport from_json_string(const std::string& text) {
       string_or(general, "compute_capability", "");
   report.general.clock_mhz = number_or(general, "clock_mhz", 0);
   report.general.memory_clock_mhz = number_or(general, "memory_clock_mhz", 0);
-  report.general.memory_bus_bits = static_cast<std::uint32_t>(
-      number_or(general, "memory_bus_bits", 0));
+  report.general.memory_bus_bits =
+      count_or_zero<std::uint32_t>(general, "memory_bus_bits");
 
-  const json::Value& compute = member(root, "compute");
+  const json::Value& compute = object_member(root, "compute");
   auto u32 = [&compute](const char* key) {
-    return static_cast<std::uint32_t>(number_or(compute, key, 0));
+    return count_or_zero<std::uint32_t>(compute, key);
   };
   report.compute.num_sms = u32("num_sms");
   report.compute.cores_per_sm = u32("cores_per_sm");
@@ -100,25 +143,29 @@ TopologyReport from_json_string(const std::string& text) {
   report.compute.regs_per_block = u32("regs_per_block");
   report.compute.regs_per_sm = u32("regs_per_sm");
   if (const json::Value* ids = compute.find("cu_physical_ids")) {
-    for (const auto& id : ids->as_array()) {
+    for (const auto& id : array_of(*ids, "cu_physical_ids")) {
       report.compute.cu_physical_ids.push_back(
-          static_cast<std::uint32_t>(id.as_int()));
+          count_of<std::uint32_t>(id, "cu_physical_ids"));
     }
   }
 
-  for (const json::Value& row : member(root, "memory").as_array()) {
+  for (const json::Value& row : array_of(member(root, "memory"), "memory")) {
     MemoryElementReport element;
-    element.element = sim::parse_element(string_or(row, "element", "L1"));
-    element.size = parse_attribute(member(row, "size_bytes"));
-    element.load_latency = parse_attribute(member(row, "load_latency_cycles"));
-    element.read_bandwidth =
-        parse_attribute(member(row, "read_bandwidth_bytes_per_s"));
-    element.write_bandwidth =
-        parse_attribute(member(row, "write_bandwidth_bytes_per_s"));
-    element.cache_line = parse_attribute(member(row, "cache_line_bytes"));
-    element.fetch_granularity =
-        parse_attribute(member(row, "fetch_granularity_bytes"));
-    element.amount = parse_attribute(member(row, "amount"));
+    try {
+      element.element = sim::parse_element(string_or(row, "element", "L1"));
+    } catch (const std::invalid_argument& e) {
+      malformed("element", e.what());
+    }
+    const auto attribute = [&row](const char* key) {
+      return parse_attribute(object_member(row, key));
+    };
+    element.size = attribute("size_bytes");
+    element.load_latency = attribute("load_latency_cycles");
+    element.read_bandwidth = attribute("read_bandwidth_bytes_per_s");
+    element.write_bandwidth = attribute("write_bandwidth_bytes_per_s");
+    element.cache_line = attribute("cache_line_bytes");
+    element.fetch_granularity = attribute("fetch_granularity_bytes");
+    element.amount = attribute("amount");
     element.amount_per_gpu = string_or(row, "amount_scope", "") == "per_gpu";
     element.shared_with = string_or(row, "physically_shared_with", "");
     if (const json::Value* summary = row.find("latency_statistics")) {
@@ -128,18 +175,19 @@ TopologyReport from_json_string(const std::string& text) {
   }
 
   if (const json::Value* sharing = root.find("sl1d_cu_sharing")) {
-    report.cu_sharing.available =
-        sharing->find("available") != nullptr &&
-        sharing->find("available")->as_bool();
+    const json::Value* available = sharing->find("available");
+    if (available != nullptr && !available->is_bool()) {
+      malformed("available", "is not a boolean");
+    }
+    report.cu_sharing.available = available != nullptr && available->as_bool();
     report.cu_sharing.unavailable_reason = string_or(*sharing, "reason", "");
     if (const json::Value* groups = sharing->find("groups")) {
-      for (const auto& entry : groups->as_array()) {
-        const auto cu = static_cast<std::uint32_t>(
-            member(entry, "cu").as_int());
+      for (const auto& entry : array_of(*groups, "groups")) {
+        const auto cu = count_of<std::uint32_t>(member(entry, "cu"), "cu");
         std::vector<std::uint32_t> peers;
-        for (const auto& peer :
-             member(entry, "shares_sl1d_with").as_array()) {
-          peers.push_back(static_cast<std::uint32_t>(peer.as_int()));
+        for (const auto& peer : array_of(member(entry, "shares_sl1d_with"),
+                                         "shares_sl1d_with")) {
+          peers.push_back(count_of<std::uint32_t>(peer, "shares_sl1d_with"));
         }
         report.cu_sharing.peers[cu] = std::move(peers);
       }
@@ -147,37 +195,35 @@ TopologyReport from_json_string(const std::string& text) {
   }
 
   if (const json::Value* throughput = root.find("compute_throughput")) {
-    for (const auto& entry : throughput->as_array()) {
+    for (const auto& entry : array_of(*throughput, "compute_throughput")) {
       ComputeThroughputReport row;
       row.dtype = string_or(entry, "dtype", "");
       row.achieved_ops_per_s = number_or(entry, "achieved_ops_per_s", 0);
-      row.blocks = static_cast<std::uint32_t>(number_or(entry, "blocks", 0));
+      row.blocks = count_or_zero<std::uint32_t>(entry, "blocks");
       row.threads_per_block =
-          static_cast<std::uint32_t>(number_or(entry, "threads_per_block", 0));
+          count_or_zero<std::uint32_t>(entry, "threads_per_block");
       report.compute_throughput.push_back(std::move(row));
     }
   }
 
-  const json::Value& meta = member(root, "meta");
-  report.benchmarks_executed = static_cast<std::uint32_t>(
-      number_or(meta, "benchmarks_executed", 0));
+  const json::Value& meta = object_member(root, "meta");
+  report.benchmarks_executed =
+      count_or_zero<std::uint32_t>(meta, "benchmarks_executed");
   report.simulated_seconds = number_or(meta, "simulated_seconds", 0);
   report.sweep_widenings =
-      static_cast<std::uint32_t>(number_or(meta, "sweep_widenings", 0));
-  report.total_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "total_cycles", 0));
+      count_or_zero<std::uint32_t>(meta, "sweep_widenings");
+  report.total_cycles = count_or_zero<std::uint64_t>(meta, "total_cycles");
   report.chase_memo_hits =
-      static_cast<std::uint64_t>(number_or(meta, "chase_memo_hits", 0));
+      count_or_zero<std::uint64_t>(meta, "chase_memo_hits");
   report.chase_memo_misses =
-      static_cast<std::uint64_t>(number_or(meta, "chase_memo_misses", 0));
+      count_or_zero<std::uint64_t>(meta, "chase_memo_misses");
   report.critical_path_cycles =
-      static_cast<std::uint64_t>(number_or(meta, "critical_path_cycles", 0));
+      count_or_zero<std::uint64_t>(meta, "critical_path_cycles");
   if (const json::Value* stages = meta.find("stage_cycles")) {
-    for (const auto& entry : stages->as_array()) {
+    for (const auto& entry : array_of(*stages, "stage_cycles")) {
       StageCycleReport stage;
       stage.stage = string_or(entry, "stage", "");
-      stage.cycles =
-          static_cast<std::uint64_t>(number_or(entry, "cycles", 0));
+      stage.cycles = count_or_zero<std::uint64_t>(entry, "cycles");
       stage.wall_seconds = number_or(entry, "wall_seconds", 0);
       stage.reset_seconds = number_or(entry, "reset_seconds", 0);
       report.stage_cycles.push_back(std::move(stage));
@@ -187,12 +233,12 @@ TopologyReport from_json_string(const std::string& text) {
     report.wall.enabled = true;
     report.wall.wall_seconds = number_or(*wall, "wall_seconds", 0);
     if (const json::Value* samples = wall->find("samples")) {
-      for (const auto& entry : samples->as_array()) {
+      for (const auto& entry : array_of(*samples, "samples")) {
         WallMetricSample sample;
         sample.name = string_or(entry, "name", "");
         sample.kind = string_or(entry, "kind", "counter");
         sample.value = number_or(entry, "value", 0);
-        sample.count = static_cast<std::uint64_t>(number_or(entry, "count", 0));
+        sample.count = count_or_zero<std::uint64_t>(entry, "count");
         report.wall.samples.push_back(std::move(sample));
       }
     }

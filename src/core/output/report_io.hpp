@@ -10,12 +10,19 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/report.hpp"
 
 namespace mt4g::core {
 
-/// Rebuilds a report from to_json()/to_json_string() output.
-/// Throws std::runtime_error on malformed or non-report JSON.
+/// Rebuilds a report from to_json() output. Reports arrive from outside the
+/// process (cache files, run journals, worker lines, baseline directories),
+/// so every read is checked: throws std::runtime_error naming the field on
+/// malformed or non-report JSON, including a count that is not a
+/// non-negative integer in its field's range.
+TopologyReport from_json(const json::Value& root);
+
+/// Parses @p text and rebuilds the report it holds (see from_json()).
 TopologyReport from_json_string(const std::string& text);
 
 /// One attribute-level difference between two reports.

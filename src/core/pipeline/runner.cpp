@@ -44,7 +44,8 @@ struct GraphRun {
   /// stage therefore sees identical substrate state, so its measurements
   /// are a pure function of (owner seed, stage) — the scheduling-
   /// independence the byte-identity contract rests on. A fork costs the
-  /// caches' empty page tables, not their way state.
+  /// caches' empty page tables, not their way state; it is traced and timed
+  /// like every chase replica's (runtime::fork_replica).
   void run_stage(std::size_t i) {
     // Cooperative cancellation checkpoint: an expired per-job deadline
     // surfaces as a TimeoutError stage failure, which skips every dependent
@@ -61,12 +62,14 @@ struct GraphRun {
     // back into the measurement — the byte-identity contract is untouched.
     const obs::SpanGuard span("stage:", graph.stages[i].name);
     const std::uint64_t start_ns = obs::monotonic_ns();
-    sim::Gpu substrate = gpu.fork(gpu.seed());
+    sim::Gpu substrate = runtime::fork_replica(gpu);
     StageRecord& record = records[i];
-    // Chase batches run on the graph's executor, so a worker with no ready
-    // stage can help its siblings' batches. Left null, a batch that fans
-    // out resolves the shared executor itself; a serial discovery never
-    // touches it and its process stays single-threaded.
+    // The one place that says how a stage's chases run: sweep_threads
+    // participants per batch, on the graph's executor, so a worker with no
+    // ready stage can help its siblings' batches. Left null, a batch that
+    // fans out resolves the shared executor itself; a serial discovery
+    // never touches it and its process stays single-threaded.
+    record.pool.threads = options.sweep_threads;
     record.pool.executor = options.bench_executor;
     StageContext ctx{substrate, options, state, record.pool};
     graph.stages[i].run(ctx);

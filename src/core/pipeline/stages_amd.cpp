@@ -78,7 +78,6 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
              CuSharingBenchOptions options;
              options.sl1d_bytes = state.size;
              options.stride = state.fg;
-             options.threads = ctx.options.sweep_threads;
              options.chase_pool = &ctx.chase_pool;
              const auto sharing = run_cu_sharing_benchmark(ctx.gpu, options);
              ctx.book(sharing.cycles);

@@ -24,7 +24,6 @@ FgBenchOptions make_fg_options(StageContext& ctx, const Target& target) {
   FgBenchOptions options;
   options.target = target;
   options.record_count = ctx.options.record_count;
-  options.threads = ctx.options.sweep_threads;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -38,7 +37,6 @@ SizeBenchOptions make_size_options(StageContext& ctx, const Target& target,
   options.upper = upper;
   options.stride = stride;
   options.record_count = ctx.options.record_count;
-  options.sweep_threads = ctx.options.sweep_threads;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -53,7 +51,6 @@ LatencyBenchOptions make_latency_options(StageContext& ctx,
   options.fetch_granularity = fetch_granularity;
   options.min_array_bytes = min_array_bytes;
   options.cache_bytes = cache_bytes;
-  options.threads = ctx.options.sweep_threads;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -65,7 +62,6 @@ LineSizeBenchOptions make_line_options(StageContext& ctx, const Target& target,
   options.target = target;
   options.cache_bytes = cache_bytes;
   options.fetch_granularity = fetch_granularity;
-  options.threads = ctx.options.sweep_threads;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -78,7 +74,6 @@ AmountBenchOptions make_amount_options(StageContext& ctx, const Target& target,
   options.cache_bytes = cache_bytes;
   options.stride = stride;
   options.record_count = ctx.options.record_count;
-  options.threads = ctx.options.sweep_threads;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }

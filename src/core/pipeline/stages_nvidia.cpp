@@ -169,7 +169,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
        [api_total](StageContext& ctx) {
          const auto segment = run_l2_segment_benchmark(
              ctx.gpu, api_total, ctx.state.of(Element::kL2).fg, {},
-             ctx.options.sweep_threads, &ctx.chase_pool);
+             &ctx.chase_pool);
          ctx.book(segment.cycles);
          ctx.booking.sweep_widenings += segment.widenings;
          MemoryElementReport& row = ctx.state.row(Element::kL2);
@@ -276,7 +276,6 @@ DiscoveryPlan nvidia_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
                  {element, state.size, state.fg,
                   element == Element::kConstL1 ? kConstantArrayLimit : 0});
            }
-           options.threads = ctx.options.sweep_threads;
            options.chase_pool = &ctx.chase_pool;
            if (options.entries.size() < 2) return;
            const auto sharing = run_sharing_benchmark(ctx.gpu, options);

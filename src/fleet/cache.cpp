@@ -163,8 +163,7 @@ ResultCache::ResultCache(std::string file_path)
     } else {
       try {
         entries_[stored_hash] =
-            Entry{key->as_string(),
-                  core::from_json_string(report->dump(-1, /*exact=*/true))};
+            Entry{key->as_string(), core::from_json(*report)};
         continue;
       } catch (const std::exception& e) {
         reason = std::string("unreadable report: ") + e.what();
@@ -278,7 +277,7 @@ bool ResultCache::save_as(const std::string& path) const {
             try {
               // Preserve only reports that actually read back — merging an
               // entry the load path would quarantine re-infects the file.
-              (void)core::from_json_string(report->dump(-1, /*exact=*/true));
+              (void)core::from_json(*report);
             } catch (const std::exception&) {
               continue;
             }

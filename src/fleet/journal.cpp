@@ -146,7 +146,7 @@ std::map<std::string, JournalEntry> load_journal(const std::string& path,
     const json::Value* error = doc.find("error");
     if (report != nullptr && report->is_object()) {
       try {
-        entry.report = core::from_json_string(report->dump(-1, /*exact=*/true));
+        entry.report = core::from_json(*report);
         entry.ok = true;
       } catch (const std::exception&) {
         // A structurally intact record with an unreadable report can only be

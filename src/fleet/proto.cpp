@@ -355,7 +355,7 @@ std::optional<WorkerMessage> parse_worker_message(const std::string& text,
     return std::nullopt;
   }
   try {
-    message.report = core::from_json_string(report->dump(-1, /*exact=*/true));
+    message.report = core::from_json(*report);
   } catch (const std::exception& e) {
     if (reason) {
       *reason = std::string("done record carries an unreadable report: ") +

@@ -10,11 +10,7 @@
 #include "obs/trace.hpp"
 
 namespace mt4g::runtime {
-namespace {
 
-/// Forks a fresh replica of @p owner, traced as a replica.fork span and
-/// timed into replica.fork_ns. The fork seed is irrelevant: every user
-/// resets the replica before use.
 sim::Gpu fork_replica(const sim::Gpu& owner) {
   const obs::SpanGuard span("replica.fork");
   const bool timed = obs::metrics_enabled();
@@ -27,6 +23,8 @@ sim::Gpu fork_replica(const sim::Gpu& owner) {
   }
   return replica;
 }
+
+namespace {
 
 /// Splitmix-based field folder shared by the seed and memo-hash paths. The
 /// constant decorrelates the chase streams from the owning Gpu's own stream
@@ -147,11 +145,8 @@ void sync_epoch(ReplicaPool& pool, const sim::Gpu& gpu) {
   pool.epoch = gpu.path_epoch();
 }
 
-exec::Executor& batch_executor(const ChaseBatchOptions& options,
-                               const ReplicaPool* pool) {
-  if (options.executor) return *options.executor;
-  if (pool && pool->executor) return *pool->executor;
-  return exec::shared_executor();
+exec::Executor& batch_executor(const ReplicaPool& pool) {
+  return pool.executor ? *pool.executor : exec::shared_executor();
 }
 
 /// Plain warm-up chases share warm walks. Resample chases are excluded by
@@ -209,11 +204,10 @@ struct Plan {
       : specs(batch), seeds(batch.size()), results(batch.size()) {}
 };
 
-/// Runs plan.units on the pool's slot replicas with at most options.threads
+/// Runs plan.units on the pool's slot replicas with at most pool.threads
 /// participants. Units from @p needed on are speculative: a participant
 /// that claims one after every needed unit finished skips it.
-void run_units(sim::Gpu& gpu, ReplicaPool& pool,
-               const ChaseBatchOptions& options, Plan& plan,
+void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
                std::size_t needed, const char* chase_span) {
   const std::vector<Unit>& units = plan.units;
   plan.ran.assign(units.size(), 0);
@@ -225,7 +219,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
   // delivered costs no fork; the slot table is sized up front so slots
   // only ever touch their own entry.
   const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      std::max<std::uint32_t>(options.threads, 1), units.size()));
+      std::max<std::uint32_t>(pool.threads, 1), units.size()));
   if (pool.replicas.size() < workers) pool.replicas.resize(workers);
   const auto slot_replica = [&](std::uint32_t slot) -> sim::Gpu& {
     std::optional<sim::Gpu>& replica = pool.replicas[slot];
@@ -313,8 +307,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool,
   if (workers == 1) {
     for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
   } else {
-    batch_executor(options, &pool).parallel_for(units.size(), workers,
-                                                run_unit);
+    batch_executor(pool).parallel_for(units.size(), workers, run_unit);
   }
   for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;
 }
@@ -335,10 +328,9 @@ PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
   return {};
 }
 
-std::uint32_t batch_participants(const ChaseBatchOptions& options) {
-  if (options.threads <= 1) return 1;
-  return std::min(options.threads,
-                  batch_executor(options, options.pool).pool_threads() + 1);
+std::uint32_t batch_participants(const ReplicaPool& pool) {
+  if (pool.threads <= 1) return 1;
+  return std::min(pool.threads, batch_executor(pool).pool_threads() + 1);
 }
 
 void discard_chase_ahead(ReplicaPool& pool) {
@@ -346,16 +338,15 @@ void discard_chase_ahead(ReplicaPool& pool) {
 }
 
 void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
-                     const ChaseBatchOptions& options) {
-  if (specs.empty() || options.pool == nullptr) return;
-  ReplicaPool& pool = *options.pool;
+                     ReplicaPool& pool) {
+  if (specs.empty()) return;
   sync_epoch(pool, gpu);
   Plan plan(specs);
   std::vector<std::size_t> todo;  // specs to run, first occurrences
   for (std::size_t i = 0; i < specs.size(); ++i) {
     plan.seeds[i] = chase_noise_seed(gpu.seed(), specs[i]);
     const bool answerable =
-        (options.memoize && probe_memo(pool, plan.seeds[i], specs[i])) ||
+        probe_memo(pool, plan.seeds[i], specs[i]) ||
         find_ahead(pool, specs[i]) != pool.ahead.end() ||
         std::any_of(todo.begin(), todo.end(),
                     [&](std::size_t j) { return specs[j] == specs[i]; });
@@ -376,7 +367,7 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     unit.indices.push_back(i);
     plan.units.push_back(std::move(unit));
   }
-  run_units(gpu, pool, options, plan, /*needed=*/1, "chase.ahead");
+  run_units(gpu, pool, plan, /*needed=*/1, "chase.ahead");
 
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
     if (!plan.ran[u]) continue;
@@ -388,12 +379,12 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
 
 std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
                                           std::span<const ChaseSpec> specs,
-                                          const ChaseBatchOptions& options) {
+                                          ReplicaPool* pool_or_null) {
   if (specs.empty()) return {};
   const obs::SpanGuard batch_span("chase.batch");
 
   ReplicaPool local_pool;
-  ReplicaPool& pool = options.pool ? *options.pool : local_pool;
+  ReplicaPool& pool = pool_or_null ? *pool_or_null : local_pool;
   sync_epoch(pool, gpu);
   Plan plan(specs);
   std::vector<PChaseResult>& results = plan.results;
@@ -414,23 +405,21 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
       plan.seeds[i] = hash;
-      if (options.memoize) {
-        if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
-          results[i] = *hit;
-          results[i].from_cache = true;
-          ++pool.memo_stats.hits;
-          continue;
-        }
-        auto& candidates = first_seen[hash];
-        const auto earlier = std::find_if(
-            candidates.begin(), candidates.end(),
-            [&](std::size_t j) { return specs[j] == specs[i]; });
-        if (earlier != candidates.end()) {
-          copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
-          continue;
-        }
-        candidates.push_back(i);
+      if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
+        results[i] = *hit;
+        results[i].from_cache = true;
+        ++pool.memo_stats.hits;
+        continue;
       }
+      auto& candidates = first_seen[hash];
+      const auto earlier = std::find_if(
+          candidates.begin(), candidates.end(),
+          [&](std::size_t j) { return specs[j] == specs[i]; });
+      if (earlier != candidates.end()) {
+        copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
+        continue;
+      }
+      candidates.push_back(i);
       if (!pool.ahead.empty()) {
         const auto waiting = find_ahead(pool, specs[i]);
         if (waiting != pool.ahead.end()) {
@@ -497,13 +486,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       unit.indices.push_back(i);
       units.push_back(std::move(unit));
     }
-    run_units(gpu, pool, options, plan, /*needed=*/units.size(), "chase.run");
+    run_units(gpu, pool, plan, /*needed=*/units.size(), "chase.run");
 
-    if (options.memoize) {
-      pool.memo_stats.misses += pending.size();
-      for (const std::size_t i : pending) {
-        pool.memo[plan.seeds[i]].emplace_back(specs[i], results[i]);
-      }
+    pool.memo_stats.misses += pending.size();
+    for (const std::size_t i : pending) {
+      pool.memo[plan.seeds[i]].emplace_back(specs[i], results[i]);
     }
   }
 
@@ -518,7 +505,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     obs::Metrics& metrics = obs::Metrics::instance();
     const std::uint64_t hits = pool.memo_stats.hits - memo_hits_before;
     if (hits > 0) metrics.add("memo.hits", static_cast<double>(hits));
-    if (options.memoize && !pending.empty()) {
+    if (!pending.empty()) {
       metrics.add("memo.misses", static_cast<double>(pending.size()));
     }
     if (commits > 0) {
@@ -526,17 +513,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     }
   }
   return std::move(plan.results);
-}
-
-std::vector<PChaseResult> run_pchase_batch(sim::Gpu& gpu,
-                                           std::span<const PChaseConfig> configs,
-                                           const ChaseBatchOptions& options) {
-  std::vector<ChaseSpec> specs;
-  specs.reserve(configs.size());
-  for (const PChaseConfig& config : configs) {
-    specs.push_back(ChaseSpec::plain(config));
-  }
-  return run_chase_batch(gpu, specs, options);
 }
 
 }  // namespace mt4g::runtime

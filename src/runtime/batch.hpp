@@ -12,6 +12,11 @@
 // including the threads == 1 serial reference mode, which is what
 // bench/discovery_hotpath and the sweep-engine tests assert.
 //
+// A batch runs as its ReplicaPool says: ReplicaPool::threads participants,
+// the caller included, on ReplicaPool::executor. The discovery stage runner
+// sets both once per stage; a batch called without a pool runs serially on
+// a pool local to the call.
+//
 // Purity also makes results cacheable: a ReplicaPool carries a memo keyed by
 // the full spec, so a spec measured once is answered without simulating a
 // load every time it recurs — across widenings of one sweep, across the
@@ -163,7 +168,8 @@ struct ChaseAheadStats {
 /// set_l2_fetch_granularity) — the epoch tracks that, and memoized results
 /// measured against the old cache geometry would be stale. A pool must not
 /// be shared across different owning Gpus (Gpu::fork replicas of one owner,
-/// which keep the owner's seed, count as the same owning Gpu).
+/// which keep the owner's seed, count as the same owning Gpu). The pool is
+/// also the one description of how its batches run: threads and executor.
 struct ReplicaPool {
   std::uint64_t epoch = 0;
   /// One replica per executor slot, forked when the slot runs its first
@@ -185,10 +191,14 @@ struct ReplicaPool {
   /// upstream pools are immutable while this pool is live. Hits against an
   /// upstream memo are counted in this pool's memo_stats.
   std::vector<const ReplicaPool*> upstream;
-  /// Executor of this pool's batches when ChaseBatchOptions::executor is
-  /// unset; nullptr = exec::shared_executor(), resolved only by a batch that
-  /// fans out. The stage runner sets it to DiscoverOptions::bench_executor,
-  /// the executor its graph runs on, so idle stage workers can help.
+  /// Participants of this pool's batches, the calling thread included;
+  /// 1 = the serial reference (strict spec order, no executor involved).
+  /// The stage runner sets it to DiscoverOptions::sweep_threads.
+  std::uint32_t threads = 1;
+  /// Executor this pool's batches fan out on when threads > 1; nullptr =
+  /// exec::shared_executor(), resolved only by a batch that fans out. The
+  /// stage runner sets it to DiscoverOptions::bench_executor, the executor
+  /// its graph runs on, so idle stage workers can help; tests set their own.
   exec::Executor* executor = nullptr;
   /// Sub-sweep chunking: how many chases of one warm chain execute per
   /// parallel unit. Each chunk warms independently from cold and fans out
@@ -206,23 +216,6 @@ struct ReplicaPool {
   ChaseAheadStats ahead_stats;
 };
 
-struct ChaseBatchOptions {
-  /// Total parallelism including the calling thread; 1 = serial reference
-  /// (strict spec order, no executor involved).
-  std::uint32_t threads = 1;
-  /// Executor to fan out on when threads > 1; nullptr = the pool's
-  /// executor, else shared_executor().
-  exec::Executor* executor = nullptr;
-  /// Optional replica + memo cache reused across calls (see ReplicaPool).
-  ReplicaPool* pool = nullptr;
-  /// Answer repeated specs from the pool's memo instead of re-running them.
-  /// Disable for callers that need every spec executed.
-  bool memoize = true;
-};
-
-/// Backwards-compatible name from the plain-chase-only engine.
-using PChaseBatchOptions = ChaseBatchOptions;
-
 /// Deterministic noise-stream seed of one batched chase: a stable mix of the
 /// owning Gpu's construction seed and every result-relevant spec field.
 /// Two specs differing in any field get statistically independent streams;
@@ -234,25 +227,32 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed,
                                const PChaseConfig& config);
 std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);
 
-/// Runs every spec (see file comment for the execution model) and returns
-/// results in spec order. The engine (compiled/reference) active on the
-/// calling thread is propagated to the worker threads. Results answered from
-/// the memo (or duplicated within the batch) carry from_cache == true and
-/// the cycles of the run they replay, as the real tool would run the chase
-/// again. A memo miss waiting in the pool's run-ahead table is committed
-/// instead of executed (see file comment).
-std::vector<PChaseResult> run_chase_batch(
-    sim::Gpu& gpu, std::span<const ChaseSpec> specs,
-    const ChaseBatchOptions& options = {});
+/// Runs every spec (see file comment for the execution model) on @p pool,
+/// or serially on a pool local to the call, and returns results in spec
+/// order. The engine (compiled/reference) active on the calling thread is
+/// propagated to the worker threads. Results answered from the memo (or
+/// duplicated within the batch) carry from_cache == true and the cycles of
+/// the run they replay, as the real tool would run the chase again. A memo
+/// miss waiting in the pool's run-ahead table is committed instead of
+/// executed (see file comment).
+std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
+                                          std::span<const ChaseSpec> specs,
+                                          ReplicaPool* pool = nullptr);
 
-/// Participants a batch run with @p options can actually get: its threads,
-/// capped by the executor's pool threads plus the caller. Resolves the
-/// executor only when threads > 1, so a serial caller never starts the
-/// shared pool.
-std::uint32_t batch_participants(const ChaseBatchOptions& options);
+/// Participants a batch on @p pool can actually get: its threads, capped by
+/// the executor's pool threads plus the caller. Resolves the executor only
+/// when threads > 1, so a serial caller never starts the shared pool.
+std::uint32_t batch_participants(const ReplicaPool& pool);
+
+/// Forks a replica of @p owner, traced as a replica.fork span and timed
+/// into replica.fork_ns. The replica keeps the owner's seed, which the
+/// stage runner's substrates need: their direct chases and (seed, spec)
+/// noise streams derive from it. Batches fork their slot replicas here too
+/// and re-seed them before every chase.
+sim::Gpu fork_replica(const sim::Gpu& owner);
 
 /// Run-ahead (see file comment): executes @p specs and leaves their results
-/// in options.pool's run-ahead table (no pool: no-op).
+/// in @p pool's run-ahead table.
 /// specs[0] is the probe the caller needs next and always runs; the rest
 /// are speculative and run only on a participant that claims one while
 /// specs[0] is still running, so speculation spends idle participants and
@@ -264,15 +264,10 @@ std::uint32_t batch_participants(const ChaseBatchOptions& options);
 /// past — so the table holds one round at most. Specs the memo answers are
 /// skipped; chases carry "chase.ahead" spans instead of "chase.run".
 void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
-                     const ChaseBatchOptions& options);
+                     ReplicaPool& pool);
 
 /// Drops every waiting run-ahead result of @p pool, counting each as
 /// discarded (ChaseAheadStats and the chase.ahead_discarded metric).
 void discard_chase_ahead(ReplicaPool& pool);
-
-/// Plain-chase convenience wrapper: wraps each config in ChaseSpec::plain.
-std::vector<PChaseResult> run_pchase_batch(
-    sim::Gpu& gpu, std::span<const PChaseConfig> configs,
-    const ChaseBatchOptions& options = {});
 
 }  // namespace mt4g::runtime

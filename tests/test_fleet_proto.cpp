@@ -163,6 +163,23 @@ TEST(FleetProto, DoneRecordsCarryReportDoublesBitForBit) {
   EXPECT_EQ(message->report.simulated_seconds, 1.0 / 3.0);
 }
 
+TEST(FleetProto, DoneRecordsWithAnOutOfRangeCountAreRejected) {
+  // A count no report field can hold must be refused with a reason, never
+  // stored as whatever the cast to an integer type happens to yield.
+  const DiscoveryJob job = resolved_job();
+  std::string done = encode_done(0, job.key(), run_job(job), 0.0);
+  const std::string field = "\"total_cycles\":";
+  const std::size_t at = done.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t value = at + field.size();
+  done.replace(value, done.find_first_of(",}", value) - value, "1e300");
+  std::string reason;
+  const auto message =
+      parse_worker_message(done.substr(0, done.size() - 1), &reason);
+  EXPECT_FALSE(message.has_value());
+  EXPECT_NE(reason.find("total_cycles"), std::string::npos) << reason;
+}
+
 TEST(FleetProto, HostileWorkerLinesNeverThrow) {
   // The supervisor feeds every line a worker emits through this parser; any
   // of these crashing the coordinator would defeat process isolation.

@@ -157,6 +157,32 @@ TEST(ObsTrace, ExportIsWellFormedAndSpansNestPerThread) {
   EXPECT_EQ(stage_spans, report.stage_cycles.size());
 }
 
+TEST(ObsTrace, EveryStageForksItsSubstrateInAReplicaForkSpan) {
+  // A stage runs on a fork of the owning Gpu, forked like every chase
+  // replica: so every stage span holds a replica.fork span on its thread,
+  // and --trace and replica.fork_ns see the substrate forks too.
+  const ObsQuiescent quiescent;
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.start();
+  const core::TopologyReport report = fleet::run_job(test_job());
+  tracer.stop();
+
+  const std::vector<obs::TraceEvent> spans = tracer.events();
+  std::size_t stages = 0;
+  for (const obs::TraceEvent& stage : spans) {
+    if (stage.name.rfind("stage:", 0) != 0) continue;
+    ++stages;
+    EXPECT_TRUE(std::any_of(
+        spans.begin(), spans.end(), [&](const obs::TraceEvent& span) {
+          return span.name == "replica.fork" && span.tid == stage.tid &&
+                 span.start_ns >= stage.start_ns &&
+                 span.end_ns <= stage.end_ns;
+        }))
+        << stage.name << " forked its substrate outside replica.fork";
+  }
+  EXPECT_EQ(stages, report.stage_cycles.size());
+}
+
 TEST(ObsTrace, PrunedStagesHaveNoSpans) {
   const ObsQuiescent quiescent;
   fleet::DiscoveryJob job = test_job();

@@ -48,39 +48,49 @@ bool equal_results(const std::vector<PChaseResult>& a,
   return true;
 }
 
-/// What the cost rule promises for every batch result: an isolated cold run
-/// of its spec on the per-load reference engine, memo off.
-std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
-                                         std::span<const ChaseSpec> specs) {
-  const ScopedPChaseEngine scope(PChaseEngine::kReference);
-  ChaseBatchOptions options;
-  options.memoize = false;
-  return run_chase_batch(gpu, specs, options);
-}
-
-std::vector<PChaseResult> cold_reference(
-    sim::Gpu& gpu, std::span<const PChaseConfig> configs) {
+std::vector<ChaseSpec> plain_specs(std::span<const PChaseConfig> configs) {
   std::vector<ChaseSpec> specs;
   for (const PChaseConfig& config : configs) {
     specs.push_back(ChaseSpec::plain(config));
   }
-  return cold_reference(gpu, specs);
+  return specs;
+}
+
+/// A pool whose batches run on @p threads participants of @p executor.
+ReplicaPool parallel_pool(std::uint32_t threads, exec::Executor& executor) {
+  ReplicaPool pool;
+  pool.threads = threads;
+  pool.executor = &executor;
+  return pool;
+}
+
+/// What the cost rule promises for every batch result: an isolated cold run
+/// of its spec on the per-load reference engine, one batch per spec.
+std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
+                                         std::span<const ChaseSpec> specs) {
+  const ScopedPChaseEngine scope(PChaseEngine::kReference);
+  std::vector<PChaseResult> results;
+  for (const ChaseSpec& spec : specs) {
+    results.push_back(run_chase_batch(gpu, std::span(&spec, 1))[0]);
+  }
+  return results;
+}
+
+std::vector<PChaseResult> cold_reference(
+    sim::Gpu& gpu, std::span<const PChaseConfig> configs) {
+  return cold_reference(gpu, plain_specs(configs));
 }
 
 TEST(PChaseBatch, ByteIdenticalAcrossThreadCounts) {
   exec::Executor pool(3);  // real pool threads even on a single-core host
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto configs = sweep_configs(gpu, 24);
+  const auto specs = plain_specs(sweep_configs(gpu, 24));
 
-  PChaseBatchOptions serial;
-  serial.threads = 1;
-  const auto reference = run_pchase_batch(gpu, configs, serial);
+  const auto reference = run_chase_batch(gpu, specs);
 
   for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    PChaseBatchOptions options;
-    options.threads = threads;
-    options.executor = &pool;
-    const auto parallel = run_pchase_batch(gpu, configs, options);
+    ReplicaPool fresh = parallel_pool(threads, pool);
+    const auto parallel = run_chase_batch(gpu, specs, &fresh);
     EXPECT_TRUE(equal_results(reference, parallel))
         << threads << " threads diverged from the serial reference";
   }
@@ -88,24 +98,21 @@ TEST(PChaseBatch, ByteIdenticalAcrossThreadCounts) {
 
 TEST(PChaseBatch, ResultIndependentOfBatchCompositionAndHistory) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 7);
-  const auto configs = sweep_configs(gpu, 8);
-  const auto cold = cold_reference(gpu, configs);
+  const auto specs = plain_specs(sweep_configs(gpu, 8));
+  const auto cold = cold_reference(gpu, specs);
 
   // Chase 3 as a warm-chain member of the full batch, alone, and on a pool
   // an earlier batch used: the same measurement and the same cycles, those
   // of a cold run of its spec.
-  const auto full = run_pchase_batch(gpu, configs, {});
+  const auto full = run_chase_batch(gpu, specs);
   EXPECT_TRUE(equal_results(full, cold));
-  const auto alone =
-      run_pchase_batch(gpu, std::span(configs).subspan(3, 1), {});
+  const auto alone = run_chase_batch(gpu, std::span(specs).subspan(3, 1));
   EXPECT_TRUE(equal_results(alone, {cold[3]}));
 
-  PChaseBatchOptions with_pool;
   ReplicaPool pool;
-  with_pool.pool = &pool;
-  (void)run_pchase_batch(gpu, std::span(configs).subspan(0, 2), with_pool);
+  (void)run_chase_batch(gpu, std::span(specs).subspan(0, 2), &pool);
   const auto reused =
-      run_pchase_batch(gpu, std::span(configs).subspan(3, 1), with_pool);
+      run_chase_batch(gpu, std::span(specs).subspan(3, 1), &pool);
   EXPECT_TRUE(equal_results(reused, {cold[3]}));
 }
 
@@ -118,7 +125,7 @@ TEST(PChaseBatch, DoesNotDisturbTheOwningGpu) {
   // Run a batch on `a` only, then the same serial chase on both: if the
   // batch had consumed `a`'s noise stream or warmed its caches, the
   // measurements would diverge.
-  (void)run_pchase_batch(a, configs_a, {});
+  (void)run_chase_batch(a, plain_specs(configs_a));
   PChaseConfig probe;
   probe.base = a.alloc(4 * KiB, 256);
   probe.array_bytes = 2 * KiB;
@@ -151,18 +158,16 @@ TEST(PChaseBatch, ForkCarriesSpecMutationsAndAllocator) {
 
 TEST(PChaseBatch, StaleReplicaPoolIsRefreshedAfterCacheRebuild) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto configs = sweep_configs(gpu, 4);
-  PChaseBatchOptions options;
+  const auto specs = plain_specs(sweep_configs(gpu, 4));
   ReplicaPool pool;
-  options.pool = &pool;
-  (void)run_pchase_batch(gpu, configs, options);
+  (void)run_chase_batch(gpu, specs, &pool);
   ASSERT_FALSE(pool.replicas.empty());
   ASSERT_TRUE(pool.replicas[0].has_value());
   EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(),
             gpu.l2_fetch_granularity());
 
   gpu.set_l2_fetch_granularity(64);
-  (void)run_pchase_batch(gpu, configs, options);
+  (void)run_chase_batch(gpu, specs, &pool);
   ASSERT_TRUE(pool.replicas[0].has_value());
   EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(), 64u);
 }
@@ -176,19 +181,14 @@ TEST(PChaseBatch, ReplicasAreAcquiredPerWorkingSlot) {
   auto configs = sweep_configs(gpu, 100);
   for (PChaseConfig& config : configs) config.warmup = false;
 
-  ReplicaPool pool;
-  PChaseBatchOptions options;
-  options.threads = 8;
-  options.executor = &inline_only;
-  options.pool = &pool;
-  const auto results = run_pchase_batch(gpu, configs, options);
+  ReplicaPool pool = parallel_pool(8, inline_only);
+  const auto specs = plain_specs(configs);
+  const auto results = run_chase_batch(gpu, specs, &pool);
   EXPECT_EQ(std::count_if(pool.replicas.begin(), pool.replicas.end(),
                           [](const auto& replica) { return replica.has_value(); }),
             1);
 
-  PChaseBatchOptions serial;
-  serial.threads = 1;
-  EXPECT_TRUE(equal_results(run_pchase_batch(gpu, configs, serial), results));
+  EXPECT_TRUE(equal_results(run_chase_batch(gpu, specs), results));
 }
 
 std::vector<ChaseSpec> multi_phase_specs(sim::Gpu& gpu) {
@@ -224,15 +224,11 @@ TEST(PChaseBatch, MultiPhaseSpecsByteIdenticalAcrossThreadCounts) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = multi_phase_specs(gpu);
 
-  ChaseBatchOptions serial;
-  serial.threads = 1;
-  const auto reference = run_chase_batch(gpu, specs, serial);
+  const auto reference = run_chase_batch(gpu, specs);
 
   for (const std::uint32_t threads : {4u, 8u}) {
-    ChaseBatchOptions options;
-    options.threads = threads;
-    options.executor = &pool;
-    const auto parallel = run_chase_batch(gpu, specs, options);
+    ReplicaPool fresh = parallel_pool(threads, pool);
+    const auto parallel = run_chase_batch(gpu, specs, &fresh);
     EXPECT_TRUE(equal_results(reference, parallel))
         << threads << " threads diverged from the serial reference";
   }
@@ -256,12 +252,10 @@ TEST(PChaseBatch, DualCuSpecsByteIdenticalAcrossThreadCounts) {
     }
   }
 
-  const auto reference = run_chase_batch(gpu, specs, {});
+  const auto reference = run_chase_batch(gpu, specs);
   for (const std::uint32_t threads : {4u, 8u}) {
-    ChaseBatchOptions options;
-    options.threads = threads;
-    options.executor = &pool;
-    const auto parallel = run_chase_batch(gpu, specs, options);
+    ReplicaPool fresh = parallel_pool(threads, pool);
+    const auto parallel = run_chase_batch(gpu, specs, &fresh);
     EXPECT_TRUE(equal_results(reference, parallel))
         << threads << " threads diverged from the serial reference";
   }
@@ -270,17 +264,15 @@ TEST(PChaseBatch, DualCuSpecsByteIdenticalAcrossThreadCounts) {
 TEST(PChaseBatch, MemoHitsCarryTheCyclesOfTheRunTheyReplay) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = multi_phase_specs(gpu);
-  ChaseBatchOptions options;
   ReplicaPool pool;
-  options.pool = &pool;
 
-  const auto first = run_chase_batch(gpu, specs, options);
+  const auto first = run_chase_batch(gpu, specs, &pool);
   EXPECT_EQ(pool.memo_stats.hits, 0u);
   EXPECT_EQ(pool.memo_stats.misses, specs.size());
 
   // The identical batch again: every spec is answered from the memo without
   // a load simulated, and books what the real tool's re-run would cost.
-  const auto second = run_chase_batch(gpu, specs, options);
+  const auto second = run_chase_batch(gpu, specs, &pool);
   EXPECT_EQ(pool.memo_stats.hits, specs.size());
   EXPECT_EQ(pool.memo_stats.misses, specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -299,9 +291,7 @@ TEST(PChaseBatch, IntraBatchDuplicatesMeasureOnce) {
   batch.push_back(ChaseSpec::plain(specs[1]));  // duplicate of index 1
 
   ReplicaPool pool;
-  ChaseBatchOptions options;
-  options.pool = &pool;
-  const auto results = run_chase_batch(gpu, batch, options);
+  const auto results = run_chase_batch(gpu, batch, &pool);
   EXPECT_EQ(pool.memo_stats.misses, 3u);
   EXPECT_EQ(pool.memo_stats.hits, 1u);
   EXPECT_FALSE(results[1].from_cache);
@@ -321,9 +311,7 @@ TEST(PChaseBatch, ResampleIndexYieldsAFreshMeasurement) {
   std::vector<ChaseSpec> batch = {ChaseSpec::plain(configs[0]),
                                   ChaseSpec::plain(resampled)};
   ReplicaPool pool;
-  ChaseBatchOptions options;
-  options.pool = &pool;
-  const auto results = run_chase_batch(gpu, batch, options);
+  const auto results = run_chase_batch(gpu, batch, &pool);
   EXPECT_EQ(pool.memo_stats.misses, 2u);
   EXPECT_EQ(pool.memo_stats.hits, 0u);
   EXPECT_NE(results[0].latencies, results[1].latencies);
@@ -343,7 +331,7 @@ TEST(PChaseBatch, TimedStepCapDoesNotChangeTheRecordedPrefix) {
   capped.max_timed_steps = 64;
   std::vector<ChaseSpec> batch = {ChaseSpec::plain(full),
                                   ChaseSpec::plain(capped)};
-  const auto results = run_chase_batch(gpu, batch, {});
+  const auto results = run_chase_batch(gpu, batch);
   EXPECT_EQ(results[0].latencies, results[1].latencies);
   EXPECT_EQ(results[0].timed_loads, 512u);  // 16 KiB / 32 B
   EXPECT_EQ(results[1].timed_loads, 64u);
@@ -367,26 +355,22 @@ TEST(PChaseBatch, RunAheadCommitsExactlyLikeExecution) {
   const std::vector<std::size_t> order = {3, 1, 5, 0, 4, 2};
   ReplicaPool serial_pool;
   ReplicaPool ahead_pool;
-  ChaseBatchOptions serial_options;
-  serial_options.pool = &serial_pool;
-  ChaseBatchOptions ahead_options;
-  ahead_options.pool = &ahead_pool;
   const auto spec = [&](std::size_t i) { return ChaseSpec::plain(configs[i]); };
   const auto commit = [&](std::size_t i) {
     const ChaseSpec one = spec(i);
-    return run_chase_batch(gpu, std::span(&one, 1), ahead_options)[0];
+    return run_chase_batch(gpu, std::span(&one, 1), &ahead_pool)[0];
   };
   const auto ahead = [&](std::initializer_list<std::size_t> round) {
     std::vector<ChaseSpec> specs;
     for (const std::size_t i : round) specs.push_back(spec(i));
-    run_chase_ahead(gpu, specs, ahead_options);
+    run_chase_ahead(gpu, specs, ahead_pool);
   };
 
   std::vector<PChaseResult> serial;
   for (const std::size_t i : order) {
     const ChaseSpec one = spec(i);
     serial.push_back(run_chase_batch(gpu, std::span(&one, 1),
-                                     serial_options)[0]);
+                                     &serial_pool)[0]);
   }
   std::vector<PChaseResult> committed;
   ahead({3});
@@ -436,14 +420,12 @@ TEST(PChaseBatch, RunAheadIsNeverCommittedAcrossAPathEpochChange) {
   config.record_count = 128;
   const ChaseSpec chase = ChaseSpec::plain(config);
   ReplicaPool pool;
-  ChaseBatchOptions options;
-  options.pool = &pool;
-  run_chase_ahead(gpu, std::span(&chase, 1), options);
+  run_chase_ahead(gpu, std::span(&chase, 1), pool);
   ASSERT_EQ(pool.ahead.size(), 1u);
   const PChaseResult stale = pool.ahead.front().result;
 
   gpu.set_l2_fetch_granularity(64);  // rebuilds the L2: a new path epoch
-  const auto committed = run_chase_batch(gpu, std::span(&chase, 1), options);
+  const auto committed = run_chase_batch(gpu, std::span(&chase, 1), &pool);
   EXPECT_EQ(pool.ahead_stats.used, 0u);
   EXPECT_EQ(pool.ahead_stats.discarded, 1u);
   EXPECT_TRUE(pool.ahead.empty());
@@ -461,16 +443,15 @@ TEST(PChaseBatch, RunAheadIsNeverCommittedAcrossAPathEpochChange) {
 TEST(PChaseBatch, PropagatesTheCallersEngineToWorkers) {
   exec::Executor pool(3);
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto configs = sweep_configs(gpu, 12);
-  PChaseBatchOptions options;
-  options.threads = 4;
-  options.executor = &pool;
+  const auto specs = plain_specs(sweep_configs(gpu, 12));
 
-  const auto compiled = run_pchase_batch(gpu, configs, options);
+  ReplicaPool compiled_pool = parallel_pool(4, pool);
+  const auto compiled = run_chase_batch(gpu, specs, &compiled_pool);
   std::vector<PChaseResult> reference;
   {
     const ScopedPChaseEngine scope(PChaseEngine::kReference);
-    reference = run_pchase_batch(gpu, configs, options);
+    ReplicaPool reference_pool = parallel_pool(4, pool);
+    reference = run_chase_batch(gpu, specs, &reference_pool);
   }
   // The engines are byte-equivalent by contract, so identical results here
   // mean the reference engine actually ran on the workers (a worker that

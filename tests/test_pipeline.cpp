@@ -248,6 +248,18 @@ TEST(StageGraphExecutor, IdleStageWorkersHelpChaseBatches) {
       << joined << " of " << tasks << " tasks ran on joined participants";
 }
 
+TEST(StageGraphExecutor, SweepThreadsAloneFanChasesOutOnTheBenchExecutor) {
+  // One stage worker, four chase participants: the stage runner alone
+  // tells each stage's chase pool how its batches run, so the chases must
+  // reach the injected executor, and the report must equal the serial one.
+  exec::Executor pool(3);
+  const std::string serial = discover_json("TestGPU-NV", 1, 1, nullptr);
+  const exec::ExecutorStats before = pool.stats();
+  EXPECT_EQ(discover_json("TestGPU-NV", 1, 4, &pool), serial);
+  EXPECT_GT(pool.stats().tasks - before.tasks, 0u)
+      << "sweep_threads = 4 ran every chase batch serially";
+}
+
 /// Threads of this process, from /proc/self/status; -1 if unreadable.
 int process_threads() {
   std::ifstream status("/proc/self/status");

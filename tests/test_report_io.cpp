@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/collector.hpp"
 #include "core/output/json_output.hpp"
 #include "sim/gpu.hpp"
@@ -48,6 +52,60 @@ TEST(ReportIo, RejectsGarbage) {
   EXPECT_THROW(from_json_string("not json"), std::runtime_error);
   EXPECT_THROW(from_json_string("[]"), std::runtime_error);
   EXPECT_THROW(from_json_string("{\"general\": {}}"), std::runtime_error);
+}
+
+TEST(ReportIo, FromJsonReadsTheDocumentToJsonBuilds) {
+  const TopologyReport original = fresh_report();
+  EXPECT_EQ(to_json_string(from_json(to_json(original))),
+            to_json_string(original));
+}
+
+/// @p doc with member @p key of its @p section object set to @p value.
+json::Value with_member(json::Value doc, const std::string& section,
+                        const std::string& key, json::Value value) {
+  for (auto& [name, member] : doc.as_object()) {
+    if (name == section) member.set(key, value);
+  }
+  return doc;
+}
+
+/// Expects the serialised @p doc to be rejected with a std::runtime_error
+/// that names @p field.
+void expect_rejected(const json::Value& doc, const std::string& field) {
+  try {
+    (void)from_json_string(doc.dump());
+    ADD_FAILURE() << "accepted a malformed '" << field << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReportIo, RejectsCountsOutOfRangeOrOfTheWrongType) {
+  const json::Value doc = to_json(fresh_report());
+  expect_rejected(with_member(doc, "meta", "total_cycles", 1e300),
+                  "total_cycles");
+  expect_rejected(with_member(doc, "meta", "total_cycles", -1),
+                  "total_cycles");
+  expect_rejected(with_member(doc, "meta", "chase_memo_hits", "many"),
+                  "chase_memo_hits");
+  expect_rejected(
+      with_member(doc, "compute", "num_sms", std::int64_t{1} << 40),
+      "num_sms");
+}
+
+TEST(ReportIo, RejectsANonArrayMemorySection) {
+  json::Value doc = to_json(fresh_report());
+  doc.set("memory", 5);
+  expect_rejected(doc, "memory");
+}
+
+TEST(ReportIo, RejectsAnUnknownMemoryElement) {
+  json::Value doc = to_json(fresh_report());
+  for (auto& [name, member] : doc.as_object()) {
+    if (name == "memory") member.as_array().front().set("element", "L9");
+  }
+  expect_rejected(doc, "element");
 }
 
 TEST(ReportIo, DiffIdenticalReportsIsEmpty) {

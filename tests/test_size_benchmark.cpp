@@ -108,17 +108,19 @@ TEST(SizeBenchmark, RobustAcrossSeeds) {
 }
 
 TEST(SizeBenchmark, SerialAndParallelSweepEnginesAreByteIdentical) {
-  exec::Executor pool(3);  // real pool threads even on a single-core host
+  exec::Executor executor(3);  // real pool threads even on a single-core host
   const sim::GpuSpec& spec = sim::registry_get("TestGPU-NV");
   auto run = [&](std::uint32_t threads) {
     sim::Gpu gpu(spec, 42);
+    runtime::ReplicaPool pool;
+    pool.threads = threads;
+    pool.executor = threads > 1 ? &executor : nullptr;
     SizeBenchOptions options;
     options.target = target_for(spec.vendor, Element::kL1);
     options.lower = 512;
     options.upper = 64 * KiB;
     options.stride = spec.at(Element::kL1).sector_bytes;
-    options.sweep_threads = threads;
-    options.sweep_executor = threads > 1 ? &pool : nullptr;
+    options.chase_pool = &pool;
     return run_size_benchmark(gpu, options);
   };
   const auto serial = run(1);
@@ -145,10 +147,11 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
   exec::Executor executor(3);
   const auto run = [&](std::uint32_t threads, runtime::ReplicaPool& pool) {
     sim::Gpu gpu(spec, 42);
+    pool.threads = threads;
     pool.executor = threads > 1 ? &executor : nullptr;
     return run_l2_segment_benchmark(
         gpu, runtime::get_device_prop(gpu).l2_cache_size,
-        spec.at(Element::kL2).sector_bytes, {}, threads, &pool);
+        spec.at(Element::kL2).sector_bytes, {}, &pool);
   };
   runtime::ReplicaPool serial_pool;
   runtime::ReplicaPool ahead_pool;

@@ -81,14 +81,16 @@ bool equal_results(const std::vector<PChaseResult>& a,
 }
 
 // The cold truth: the reference engine runs every chase as an isolated cold
-// singleton — no snapshots, no incremental warm-up, no memo — and every
-// batch result must carry exactly its cycles too.
+// singleton, one batch per spec — no snapshots, no incremental warm-up, no
+// memo — and every batch result must carry exactly its cycles too.
 std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
                                          const std::vector<ChaseSpec>& specs) {
   ScopedPChaseEngine scope(PChaseEngine::kReference);
-  ChaseBatchOptions options;
-  options.memoize = false;
-  return run_chase_batch(gpu, specs, options);
+  std::vector<PChaseResult> results;
+  for (const ChaseSpec& spec : specs) {
+    results.push_back(run_chase_batch(gpu, std::span(&spec, 1))[0]);
+  }
+  return results;
 }
 
 TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
@@ -98,12 +100,10 @@ TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
 
   exec::Executor executor(7);  // real pool threads on any host
   for (const std::uint32_t threads : {1u, 3u, 8u}) {
-    ChaseBatchOptions options;
-    options.threads = threads;
-    options.executor = &executor;
     ReplicaPool pool;
-    options.pool = &pool;
-    const auto shared = run_chase_batch(gpu, specs, options);
+    pool.threads = threads;
+    pool.executor = &executor;
+    const auto shared = run_chase_batch(gpu, specs, &pool);
     EXPECT_TRUE(equal_results(cold, shared))
         << "threads=" << threads << " diverged from the cold reference";
   }
@@ -134,12 +134,10 @@ TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
 
   exec::Executor executor(7);
   for (const std::uint32_t threads : {1u, 8u}) {
-    ChaseBatchOptions options;
-    options.threads = threads;
-    options.executor = &executor;
     ReplicaPool pool;
-    options.pool = &pool;
-    EXPECT_TRUE(equal_results(cold, run_chase_batch(gpu, specs, options)))
+    pool.threads = threads;
+    pool.executor = &executor;
+    EXPECT_TRUE(equal_results(cold, run_chase_batch(gpu, specs, &pool)))
         << "threads=" << threads << " diverged from the cold reference";
   }
 }
@@ -157,16 +155,12 @@ TEST(WarmSharing, UsedPoolMatchesAFreshPoolAcrossBatches) {
     (i % kChainLength < kChainLength / 2 ? first : second).push_back(specs[i]);
   }
 
-  ChaseBatchOptions fresh;
   ReplicaPool fresh_pool;
-  fresh.pool = &fresh_pool;
-  const auto alone = run_chase_batch(gpu, second, fresh);
+  const auto alone = run_chase_batch(gpu, second, &fresh_pool);
 
-  ChaseBatchOptions used;
   ReplicaPool pool;
-  used.pool = &pool;
-  const auto first_results = run_chase_batch(gpu, first, used);
-  const auto after = run_chase_batch(gpu, second, used);
+  const auto first_results = run_chase_batch(gpu, first, &pool);
+  const auto after = run_chase_batch(gpu, second, &pool);
   EXPECT_TRUE(equal_results(after, alone));
   EXPECT_TRUE(equal_results(first_results, cold_reference(gpu, first)));
   EXPECT_TRUE(equal_results(after, cold_reference(gpu, second)));
@@ -187,11 +181,11 @@ TEST(WarmSharing, ResampledChasesDrawFreshNoise) {
 
   const std::vector<ChaseSpec> both = {ChaseSpec::plain(config),
                                        ChaseSpec::plain(resampled)};
-  const auto together = run_chase_batch(gpu, both, {});
+  const auto together = run_chase_batch(gpu, both);
   EXPECT_NE(together[0].latencies, together[1].latencies);
 
   const auto alone =
-      run_chase_batch(gpu, std::vector<ChaseSpec>{both[1]}, {});
+      run_chase_batch(gpu, std::vector<ChaseSpec>{both[1]});
   EXPECT_EQ(together[1].latencies, alone[0].latencies);
   EXPECT_EQ(together[1].total_cycles, alone[0].total_cycles);
 }
@@ -203,10 +197,8 @@ TEST(WarmSharing, ChainMembersBookTheirWholeColdWarmWalk) {
   // its members' cold walks, far above its longest walk.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
-  ChaseBatchOptions options;
   ReplicaPool pool;
-  options.pool = &pool;
-  const auto results = run_chase_batch(gpu, specs, options);
+  const auto results = run_chase_batch(gpu, specs, &pool);
   // chain_specs lays out two chains (one per stride), in increasing walk
   // length — exactly the chain order the planner derives.
   for (const std::size_t start : {std::size_t{0}, kChainLength}) {
