@@ -19,11 +19,14 @@ void validate(const PChaseConfig& config) {
   }
 }
 
-void book_warm_loads(std::uint64_t loads, std::uint64_t stepped) {
+/// Books @p loads under @p name and the @p stepped of them executed one
+/// by one under @p stepped_name.
+void book_loads(const char* name, const char* stepped_name,
+                std::uint64_t loads, std::uint64_t stepped) {
   if (!obs::metrics_enabled()) return;
   obs::Metrics& metrics = obs::Metrics::instance();
-  metrics.add("sim.warm_loads", static_cast<double>(loads));
-  metrics.add("sim.warm_loads_stepped", static_cast<double>(stepped));
+  metrics.add(name, static_cast<double>(loads));
+  metrics.add(stepped_name, static_cast<double>(stepped));
 }
 
 /// One untimed pass: loads the whole array to populate the caches. Warm-up
@@ -42,7 +45,7 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
                                 config.base + i * config.stride_bytes,
                                 config.flags);
     }
-    book_warm_loads(steps, steps);
+    book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps, steps);
     return cycles;
   }
   const sim::AccessPath path =
@@ -63,7 +66,9 @@ std::uint64_t whole_pass_cycles(std::uint64_t cycles, std::uint64_t steps,
 /// every executed load by the level that served it. max_timed_steps stops
 /// the walk early for record-only consumers (the recorded prefix is
 /// unaffected: each load depends only on the loads before it); the cycles
-/// still cover the whole pass the real tool would run.
+/// still cover the whole pass the real tool would run. The executed loads
+/// are booked in `sim.timed_loads`, and those Gpu::run_pass stepped one by
+/// one rather than replayed in closed form in `sim.timed_loads_stepped`.
 void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                 PChaseResult& result) {
   const std::uint64_t full_steps = config.array_bytes / config.stride_bytes;
@@ -75,6 +80,7 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
   result.latencies.reserve(
       std::min<std::uint64_t>(steps, config.record_count));
   std::uint64_t cycles = 0;
+  const std::uint64_t stepped_before = gpu.timed_loads_stepped();
   if (t_engine == PChaseEngine::kReference) {
     for (std::uint64_t i = 0; i < steps; ++i) {
       const sim::AccessResult access = gpu.access_traced(
@@ -93,6 +99,8 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                           &result.served_by, &result.latencies,
                           config.record_count);
   }
+  book_loads("sim.timed_loads", "sim.timed_loads_stepped", steps,
+             gpu.timed_loads_stepped() - stepped_before);
   result.total_cycles += whole_pass_cycles(cycles, steps, full_steps);
 }
 
@@ -112,7 +120,8 @@ std::uint64_t run_warm_walk(sim::Gpu& gpu, const sim::AccessPath& path,
   const std::uint64_t stepped_before = gpu.warm_loads_stepped();
   const std::uint64_t cycles =
       gpu.run_warm_pass(path, base, stride_bytes, steps);
-  book_warm_loads(steps, gpu.warm_loads_stepped() - stepped_before);
+  book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps,
+             gpu.warm_loads_stepped() - stepped_before);
   return cycles;
 }
 

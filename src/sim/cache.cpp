@@ -144,6 +144,8 @@ CacheAccess SectoredCache::peek(std::uint64_t address) const {
 std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
   const std::uint32_t g = stream.granule_shift;
   const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
+  const bool replayable = lo_line_ > hi_line_ && g == 0 &&
+                          stream.stride <= geometry_.line_bytes;
   // The stream: the first load of each visited granule. Each lands in a new
   // granule, so it misses unless an earlier stream load filled its sector:
   // the misses are the distinct sectors, one per granule when a sector is
@@ -169,6 +171,86 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
           : first_load_from(stream, (last >> g) << g);
   lo_line_ = std::min(lo_line_, line_of(stream.base));
   hi_line_ = std::max(hi_line_, line_of(last_load));
+  stream_ = replayable ? stream : WarmStream{};
+  stream_stamp_ = stamp_;
+  return misses;
+}
+
+SectoredCache::StreamLines SectoredCache::stream_lines() const {
+  StreamLines lines;
+  lines.first = stream_.base >> line_shift_;
+  lines.count = ((stream_.base + (stream_.count - 1) * stream_.stride) >>
+                 line_shift_) - lines.first + 1;
+  lines.per_set = lines.count / num_sets_;
+  lines.extra = lines.count % num_sets_;
+  return lines;
+}
+
+bool SectoredCache::replay_hits(std::uint64_t address) const {
+  // A set holding at most `ways` lines keeps them all. In any other set
+  // each line was evicted before the walk comes back to it, so a load hits
+  // only when the load before it, in this visit, filled its sector.
+  const StreamLines lines = stream_lines();
+  if (lines.in_set_of(line_of(address) - lines.first, num_sets_) <=
+      ways_per_set_) {
+    return true;
+  }
+  return address != stream_.base &&
+         ((address - stream_.stride) >> sector_shift_) ==
+             (address >> sector_shift_);
+}
+
+std::uint64_t SectoredCache::replay_stream() {
+  // The stream is dense, so it visits every line from its first to its
+  // last, and a set receives its lines in line order. A set holding more
+  // than `ways` of them is always missing the line the walk comes back to
+  // (its `ways` most recent lines are the ones before it), so it misses
+  // each sector of each of its lines once: the first load of the sector.
+  const StreamLines lines = stream_lines();
+  const std::uint64_t sets = num_sets_;
+  const std::uint64_t ways = ways_per_set_;
+  const auto sectors_below = [&](std::uint64_t line) {
+    return blocks_below(stream_, sector_shift_, line << line_shift_);
+  };
+  std::uint64_t misses = 0;
+  if (lines.per_set > ways) {
+    misses = sectors_below(lines.first + lines.count);
+  } else if (lines.per_set == ways && lines.extra > 0) {
+    // Only the sets of the first `extra` lines of each round hold more.
+    for (std::uint64_t round = 0; round <= lines.per_set; ++round) {
+      const std::uint64_t from = lines.first + round * sets;
+      misses += sectors_below(from + lines.extra) - sectors_below(from);
+    }
+  }
+  const std::uint64_t steps = stream_.count;
+  stamp_ += steps;
+  stream_stamp_ = stamp_;
+  hits_ += steps - misses;
+  misses_ += misses;
+
+  // Each line's last load comes `steps` loads after the one before. In a
+  // set holding at most `ways` lines they sit in its first ways (the fill
+  // found it empty) and stay. In any other set the ways rotate: lines
+  // arrive in the set's victim order, which is the way order starting
+  // after the hinted way (fill_dense_lines' rotation), so `count` arrivals
+  // move every line `count` ways on.
+  std::uint32_t set = set_of(lines.first);
+  const std::uint64_t touched = std::min(lines.count, sets);
+  for (std::uint64_t position = 0; position < touched; ++position) {
+    const Row r = row(set);
+    const std::uint64_t count = lines.in_set_of(position, sets);
+    if (count > ways) {
+      const std::uint64_t shift = count % ways;
+      std::rotate(r.tags, r.tags + ways - shift, r.tags + ways);
+      std::rotate(r.masks, r.masks + ways - shift, r.masks + ways);
+      std::rotate(r.stamps, r.stamps + ways - shift, r.stamps + ways);
+      *r.hint = static_cast<std::uint32_t>((*r.hint + shift) % ways);
+    }
+    for (std::uint64_t w = 0; w < std::min(count, ways); ++w) {
+      r.stamps[w] += steps;
+    }
+    set = set + 1 == num_sets_ ? 0 : set + 1;
+  }
   return misses;
 }
 
@@ -317,6 +399,7 @@ void SectoredCache::flush() {
   lo_line_ = ~0ULL;
   hi_line_ = 0;
   stamp_ = 0;
+  stream_ = WarmStream{};
 }
 
 void SectoredCache::capture_rows(CacheSnapshot& out) const {
@@ -378,6 +461,7 @@ void SectoredCache::restore(const CacheSnapshot& snap) {
   stamp_ = snap.stamp;
   hits_ = snap.hits;
   misses_ = snap.misses;
+  stream_ = WarmStream{};
 }
 
 }  // namespace mt4g::sim

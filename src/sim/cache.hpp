@@ -73,6 +73,8 @@ struct WarmStream {
   std::uint64_t stride = 0;
   std::uint64_t count = 0;
   std::uint32_t granule_shift = 0;
+
+  bool operator==(const WarmStream&) const = default;
 };
 
 /// One physical cache. Addresses are raw byte addresses in the simulated
@@ -87,7 +89,9 @@ struct WarmStream {
 /// millions of loads, each one call. It is defined inline below so the
 /// batched pass loop (Gpu::run_pass) can absorb it, and the index math uses
 /// precomputed shifts/masks instead of per-access divisions whenever the
-/// geometry is a power of two (it always is for real specs).
+/// geometry is a power of two (it always is for real specs). Warm walks
+/// (fill_warm_stream) and the timed passes that repeat them right after
+/// (replay_stream) skip it: their effect is written set by set.
 class SectoredCache {
  public:
   /// Ways per page, rounded down to whole sets and a power-of-two set count.
@@ -125,7 +129,33 @@ class SectoredCache {
   /// line range and the way state of every set end exactly as the per-load
   /// loop leaves them. Returns the sector misses: the next level's stream
   /// length.
+  ///
+  /// A dense stream of every load (stride <= line, granule shift 0) filled
+  /// onto an empty cache is remembered, with the LRU clock it leaves, for
+  /// replay_stream().
   std::uint64_t fill_warm_stream(const WarmStream& stream);
+
+  /// Whether replay_stream() applies to @p stream: the cache holds exactly
+  /// what fill_warm_stream(@p stream) left on an empty cache, replayed any
+  /// number of times since, and nothing else touched it. access() moves the
+  /// LRU clock past the remembered one; flush(), restore() and a fill onto
+  /// a non-empty cache forget the stream.
+  bool replays(const WarmStream& stream) const {
+    return stream_.count != 0 && stamp_ == stream_stamp_ && stream == stream_;
+  }
+
+  /// Whether the load at @p address of the remembered stream hits when
+  /// replay_stream() runs it. Precondition: replays().
+  bool replay_hits(std::uint64_t address) const;
+
+  /// Applies the remembered stream once more as if access() ran on each of
+  /// its loads, without stepping them. Under LRU, a set holding at most
+  /// `ways` lines of the stream hits on every load; a set holding more
+  /// misses every line, and hits only the later loads into a sector it has
+  /// just refilled. Hits, misses, the LRU clock and the way state of every
+  /// set end exactly as the per-load loop leaves them, and the stream stays
+  /// remembered. Precondition: replays(). Returns the sector misses.
+  std::uint64_t replay_stream();
 
   /// Drops all contents: clears, in place, the sets of the lines allocated
   /// since the last flush. Every other set holds no line already.
@@ -223,6 +253,22 @@ class SectoredCache {
                         std::uint64_t stamp0);
   void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
                          std::uint64_t stamp0);
+  /// How the remembered stream's lines spread over the sets: from its
+  /// first line on, `per_set` lines per set, and one more in the sets of
+  /// the first `extra` lines.
+  struct StreamLines {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::uint64_t per_set = 0;
+    std::uint64_t extra = 0;
+
+    /// Lines of the stream in the set of the line at @p position from
+    /// the first.
+    std::uint64_t in_set_of(std::uint64_t position, std::uint64_t sets) const {
+      return per_set + (position % sets < extra ? 1 : 0);
+    }
+  };
+  StreamLines stream_lines() const;
   /// Way a line miss evicts, given the set's stamps: the minimum-stamp way,
   /// branchlessly (the LRU compare outcome is data-dependent and would
   /// mispredict). Empty ways carry stamp 0 (stamps are zeroed on flush,
@@ -253,6 +299,10 @@ class SectoredCache {
   /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
+  /// The stream replays() tests for (count 0: none), and the LRU clock its
+  /// fill or last replay left.
+  WarmStream stream_{};
+  std::uint64_t stream_stamp_ = 0;
   // Way state, in pages of whole sets (see Page).
   std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
   std::uint32_t page_mask_ = 0;   ///< sets per page - 1

@@ -285,6 +285,12 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
   if (record != nullptr && record->size() < record_limit) {
     recorded = std::min<std::uint64_t>(steps, record_limit - record->size());
   }
+  if (path.depth == 1 &&
+      path.levels[0].cache->replays({base, stride_bytes, steps, 0})) {
+    return replay_pass(path, base, stride_bytes, steps, served, record,
+                       recorded);
+  }
+  timed_loads_stepped_ += steps;
   std::uint64_t total_cycles = 0;
   if (recorded > 0) {
     total_cycles +=
@@ -300,6 +306,40 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
                                    noise_, dmem_accesses_, served, record)
           : pass_loop<false, false>(path, base, stride_bytes, recorded, steps,
                                     noise_, dmem_accesses_, served, record);
+  return total_cycles;
+}
+
+std::uint64_t Gpu::replay_pass(const AccessPath& path, std::uint64_t base,
+                              std::uint64_t stride_bytes, std::uint64_t steps,
+                              ElementCounts* served,
+                              std::vector<std::uint32_t>* record,
+                              std::uint64_t recorded) {
+  // Only the recorded loads need their own latencies; the rest of the pass
+  // is its hit and miss totals plus its summed noise, drawn after the
+  // recorded loads' as the per-load loop draws it.
+  const AccessPath::Level& level = path.levels[0];
+  SectoredCache& cache = *level.cache;
+  std::uint64_t total_cycles = 0;
+  std::uint64_t recorded_hits = 0;
+  for (std::uint64_t i = 0; i < recorded; ++i) {
+    const bool hit = cache.replay_hits(base + i * stride_bytes);
+    recorded_hits += hit ? 1 : 0;
+    const std::uint32_t latency =
+        noise_.sample_rounded(hit ? level.latency : path.terminal_latency);
+    total_cycles += latency;
+    record->push_back(latency);
+  }
+  const std::uint64_t misses = cache.replay_stream();
+  const std::uint64_t hits = steps - misses;
+  total_cycles += (hits - recorded_hits) * level.latency +
+                  (misses - (recorded - recorded_hits)) *
+                      path.terminal_latency +
+                  noise_.noise_sum(steps - recorded);
+  if (served != nullptr) {
+    (*served)[level.element] += hits;
+    (*served)[path.terminal] += misses;
+  }
+  if (path.terminal_is_dmem) dmem_accesses_ += misses;
   return total_cycles;
 }
 

@@ -154,6 +154,15 @@ class Gpu {
   /// with identical cache-state, counter and noise-stream effects, but zero
   /// heap allocation per load. Returns the summed noisy latency in cycles.
   ///
+  /// A pass over a one-level path that repeats the walk the level's last
+  /// closed-form warm fill ran onto it empty (SectoredCache::replays: same
+  /// base, stride and step count, dense, nothing in between) is not
+  /// stepped: SectoredCache::replay_stream writes its end state and counts
+  /// its hits and misses set by set. Only the recorded prefix is classified
+  /// load by load, and the noise of the rest is drawn in bulk
+  /// (NoiseModel::noise_sum). The per-load loop stays the oracle: the
+  /// reference engine never warms in closed form, so it never replays.
+  ///
   /// @param served    when non-null, the per-element served counters are
   ///                  accumulated into it (one increment per load).
   /// @param record    when non-null, per-load latencies are appended until
@@ -192,6 +201,10 @@ class Gpu {
   /// closed form); never reset.
   std::uint64_t warm_loads_stepped() const { return warm_loads_stepped_; }
 
+  /// run_pass loads executed one by one so far (the rest were replayed in
+  /// closed form); never reset.
+  std::uint64_t timed_loads_stepped() const { return timed_loads_stepped_; }
+
   /// Captures only the sets the address prefix base + i * stride
   /// (i in [0, steps)) maps to at each level — the footprint a bounded timed
   /// pass can dirty, so restoring @p out afterwards rewinds it exactly.
@@ -227,6 +240,11 @@ class Gpu {
   // Per-SM physical caches: sm -> physical_group -> cache (with segments).
   using SmCaches = std::map<std::uint32_t, PhysicalCache>;
 
+  std::uint64_t replay_pass(const AccessPath& path, std::uint64_t base,
+                            std::uint64_t stride_bytes, std::uint64_t steps,
+                            ElementCounts* served,
+                            std::vector<std::uint32_t>* record,
+                            std::uint64_t recorded);
   SectoredCache* segment_for(const Placement& where, Element element);
   double level_latency(Element element) const;
   std::uint32_t rounded_latency(Element element) const;
@@ -242,6 +260,7 @@ class Gpu {
   std::uint64_t heap_top_ = 4096;              // never hand out address 0
   std::uint64_t dmem_accesses_ = 0;
   std::uint64_t warm_loads_stepped_ = 0;
+  std::uint64_t timed_loads_stepped_ = 0;
   std::uint64_t path_epoch_ = 0;               // invalidates compiled paths
 };
 

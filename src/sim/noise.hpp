@@ -49,15 +49,16 @@ class NoiseModel {
   /// 8 bytes of state against xoshiro's 32 — seeded from the xoshiro stream;
   /// rare spike magnitudes still come from the xoshiro generator.
   std::uint32_t sample_rounded(std::uint32_t base_cycles) {
-    const std::uint64_t bits = splitmix64(mix_state_);
-    const auto jitter = static_cast<std::uint32_t>(
-        ((bits >> 32) * jitter_span_) >> 32);
-    std::uint32_t value = base_cycles + jitter;
-    if ((bits & 0xFFFFFFFFULL) < spike_threshold_) {
-      value += static_cast<std::uint32_t>(
-          rng_.uniform_int(params_.spike_min, params_.spike_max));
-    }
-    return value;
+    return base_cycles + draw();
+  }
+
+  /// The noise @p count sample_rounded() calls add to their base
+  /// latencies, summed, with the same effect on the stream: a pass whose
+  /// base latencies are known in bulk draws its noise here.
+  std::uint64_t noise_sum(std::uint64_t count) {
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < count; ++i) sum += draw();
+    return sum;
   }
 
   std::uint32_t sample(double base_cycles) {
@@ -74,6 +75,18 @@ class NoiseModel {
   const NoiseParams& params() const { return params_; }
 
  private:
+  /// One load's noise: jitter, plus a spike when one fires.
+  std::uint32_t draw() {
+    const std::uint64_t bits = splitmix64(mix_state_);
+    auto noise = static_cast<std::uint32_t>(
+        ((bits >> 32) * jitter_span_) >> 32);
+    if ((bits & 0xFFFFFFFFULL) < spike_threshold_) {
+      noise += static_cast<std::uint32_t>(
+          rng_.uniform_int(params_.spike_min, params_.spike_max));
+    }
+    return noise;
+  }
+
   NoiseParams params_;
   Xoshiro256 rng_;
   std::uint64_t jitter_span_;       ///< jitter_max + 1

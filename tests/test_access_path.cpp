@@ -38,6 +38,19 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// libstdc++'s std::get_temporary_buffer (std::stable_sort's scratch) asks
+// the nothrow forms and frees through the replaced sized delete, so they must
+// come from malloc too.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  g_allocated_bytes += size;
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -105,11 +118,22 @@ TEST(AccessPathEquivalence, LargeNvidiaModelsIdenticalPerElement) {
 TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
   // Below the collector: run_pchase itself must agree between engines for
   // both a fitting and a thrashing configuration, including the recorded
-  // latency series, the served-by counters and the cycle totals.
-  for (const std::uint64_t array_bytes : {2 * KiB, 16 * KiB}) {
+  // latency series, the served-by counters and the cycle totals. The
+  // L1-bypass chases walk TestGPU-NV's 32 KiB L2 segment alone, below and
+  // above its capacity (at 33 KiB only some sets overflow), where the
+  // compiled engine replays the timed pass in closed form.
+  struct Case {
+    std::uint64_t array_bytes;
+    bool bypass_l1;
+  };
+  for (const Case c : {Case{2 * KiB, false}, Case{16 * KiB, false},
+                       Case{16 * KiB, true}, Case{33 * KiB, true},
+                       Case{64 * KiB, true}}) {
+    const std::uint64_t array_bytes = c.array_bytes;
     sim::Gpu compiled_gpu(sim::registry_get("TestGPU-NV"), 7);
     sim::Gpu reference_gpu(sim::registry_get("TestGPU-NV"), 7);
     runtime::PChaseConfig config;
+    config.flags.bypass_l1 = c.bypass_l1;
     config.array_bytes = array_bytes;
     config.stride_bytes = 32;
     config.base = compiled_gpu.alloc(array_bytes);
@@ -124,10 +148,14 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
       runtime::ScopedPChaseEngine scope(runtime::PChaseEngine::kReference);
       reference = runtime::run_pchase(reference_gpu, config);
     }
-    EXPECT_EQ(compiled.latencies, reference.latencies);
-    EXPECT_EQ(compiled.served_by, reference.served_by);
-    EXPECT_EQ(compiled.total_cycles, reference.total_cycles);
-    EXPECT_EQ(compiled.timed_loads, reference.timed_loads);
+    EXPECT_EQ(compiled.latencies, reference.latencies) << array_bytes;
+    EXPECT_EQ(compiled.served_by, reference.served_by) << array_bytes;
+    EXPECT_EQ(compiled.total_cycles, reference.total_cycles) << array_bytes;
+    EXPECT_EQ(compiled.timed_loads, reference.timed_loads) << array_bytes;
+    if (c.bypass_l1) {
+      EXPECT_EQ(compiled_gpu.timed_loads_stepped(), 0u)
+          << array_bytes << ": the timed pass replays";
+    }
   }
 }
 
@@ -182,6 +210,33 @@ TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
   EXPECT_EQ(after - before, 0u) << "run_pass must not allocate";
   EXPECT_GT(cycles, 0u);
   EXPECT_EQ(served.total(), bytes / 32);
+  EXPECT_EQ(record.size(), 512u);
+}
+
+TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
+  // A timed pass that replays its warm walk in closed form writes only the
+  // sets the warm fill wrote, and draws its noise in bulk: repeated, it
+  // allocates nothing at all.
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
+  const std::uint64_t bytes = 48 * KiB;  // above the 32 KiB L2 segment
+  const std::uint64_t base = gpu.alloc(bytes);
+  sim::AccessFlags cg;
+  cg.bypass_l1 = true;
+  const sim::AccessPath path =
+      gpu.compile_path({0, 0}, sim::Space::kGlobal, cg);
+  ASSERT_EQ(path.depth, 1u);
+  gpu.run_warm_pass(path, base, 32, bytes / 32);
+
+  sim::ElementCounts served;
+  std::vector<std::uint32_t> record;
+  record.reserve(512);
+  const std::size_t before = g_allocations.load();
+  for (int pass = 0; pass < 3; ++pass) {
+    gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(gpu.timed_loads_stepped(), 0u) << "every pass replays";
+  EXPECT_EQ(served.total(), 3 * bytes / 32);
   EXPECT_EQ(record.size(), 512u);
 }
 

@@ -22,6 +22,7 @@
 #include "fleet/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "runtime/kernels.hpp"
 #include "sim/registry.hpp"
 
 // --- Counting allocator hooks ------------------------------------------------
@@ -41,6 +42,18 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// libstdc++'s std::get_temporary_buffer (std::stable_sort's scratch) asks
+// the nothrow forms and frees through the replaced sized delete, so they must
+// come from malloc too.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -280,6 +293,15 @@ TEST(ObsMetrics, CountersGaugesHistogramsAndDelta) {
   metrics.disable();
 }
 
+/// The value of counter @p name in @p samples (0 when absent).
+double counter(const std::vector<obs::MetricSample>& samples,
+               const std::string& name) {
+  for (const obs::MetricSample& sample : samples) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0.0;
+}
+
 TEST(ObsMetrics, WarmWalksRunInClosedFormOnEveryBuiltin) {
   // sim.warm_loads counts the loads warm walks stand for, and
   // sim.warm_loads_stepped the ones executed one by one. Only the lines a
@@ -288,13 +310,6 @@ TEST(ObsMetrics, WarmWalksRunInClosedFormOnEveryBuiltin) {
   const ObsQuiescent quiescent;
   obs::Metrics& metrics = obs::Metrics::instance();
   metrics.enable();
-  const auto counter = [](const std::vector<obs::MetricSample>& samples,
-                          const std::string& name) {
-    for (const obs::MetricSample& sample : samples) {
-      if (sample.name == name) return sample.value;
-    }
-    return 0.0;
-  };
   for (const std::string& model : sim::registry_all_names()) {
     const std::vector<obs::MetricSample> before = metrics.snapshot();
     sim::Gpu gpu(sim::registry_get(model), 42);
@@ -305,6 +320,35 @@ TEST(ObsMetrics, WarmWalksRunInClosedFormOnEveryBuiltin) {
     const double stepped = counter(walked, "sim.warm_loads_stepped");
     EXPECT_GT(loads, 0.0) << model;
     EXPECT_LE(stepped, 0.01 * loads) << model;
+  }
+  metrics.disable();
+}
+
+TEST(ObsMetrics, TimedPassesReplayInClosedFormOnTheCompiledEngineOnly) {
+  // sim.timed_loads counts the timed loads executed, and
+  // sim.timed_loads_stepped the ones run_pass stepped one by one. The L2
+  // size search's full passes over the L1-bypass path follow their warm
+  // walks directly, so the compiled engine replays them; the reference
+  // engine, the per-load oracle, steps every load.
+  const ObsQuiescent quiescent;
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.enable();
+  for (const runtime::PChaseEngine engine :
+       {runtime::PChaseEngine::kCompiled, runtime::PChaseEngine::kReference}) {
+    const runtime::ScopedPChaseEngine scope(engine);
+    const std::vector<obs::MetricSample> before = metrics.snapshot();
+    sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+    (void)core::discover(gpu);
+    const std::vector<obs::MetricSample> timed =
+        obs::Metrics::delta(before, metrics.snapshot());
+    const double loads = counter(timed, "sim.timed_loads");
+    const double stepped = counter(timed, "sim.timed_loads_stepped");
+    EXPECT_GT(loads, 0.0);
+    if (engine == runtime::PChaseEngine::kCompiled) {
+      EXPECT_LT(stepped, loads);
+    } else {
+      EXPECT_EQ(stepped, loads);
+    }
   }
   metrics.disable();
 }

@@ -1,11 +1,14 @@
-// Gate for the closed-form warm walk. Gpu::run_warm_pass computes a walk's
-// effect on each cache level arithmetically once the walk is past every line
-// a level holds; the per-load loop (stride 0, one load per call — what the
-// reference engine's warm_access runs) is its oracle. Every case below runs
-// the same history and walk through both and compares every per-level field
-// (tags, masks, stamps and hints of the sets of the allocated line range, in
-// set order; LRU clock, hit and miss counters, the allocated line range)
-// plus device-memory accesses and the cycle total.
+// Gate for the closed-form warm walk and the closed-form timed pass after
+// it. Gpu::run_warm_pass computes a walk's effect on each cache level
+// arithmetically once the walk is past every line a level holds, and
+// Gpu::run_pass replays a one-level walk such a fill just ran; the per-load
+// loop (stride 0, one load per call — what the reference engine runs) is
+// their oracle. Every case below runs the same history and walk through both
+// and compares every per-level field (tags, masks, stamps and hints of the
+// sets of the allocated line range, in set order; LRU clock, hit and miss
+// counters, the allocated line range) plus device-memory accesses and the
+// cycle total, and for timed passes the recorded latencies and served
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,12 +75,14 @@ void expect_same_state(const SectoredCache& closed, const SectoredCache& oracle,
   EXPECT_TRUE(closed == oracle) << where << ": whole cache state";
 }
 
-/// A random level: power-of-two line and sector most of the time, any set
-/// count (non-powers of two included) and 1-12 ways. One level in ten has a
-/// non-power-of-two line or sector, which the closed form must decline.
-CacheGeometry random_level(Xoshiro256& rng) {
+/// A random level: any set count below 25 (non-powers of two included) and
+/// 1 to @p max_ways ways, with a power-of-two line and sector unless
+/// @p odd_line asks for a line of 48, 96 or 192 bytes, which the closed
+/// forms must decline.
+CacheGeometry random_level(Xoshiro256& rng, bool odd_line,
+                           std::uint64_t max_ways) {
   CacheGeometry g;
-  if (rng.uniform_int(0, 9) == 0) {
+  if (odd_line) {
     const std::uint32_t lines[] = {48, 96, 192};
     g.line_bytes = lines[rng.uniform_int(0, 2)];
     g.sector_bytes = g.line_bytes / static_cast<std::uint32_t>(
@@ -87,10 +92,23 @@ CacheGeometry random_level(Xoshiro256& rng) {
     g.sector_bytes = std::max<std::uint32_t>(
         4, g.line_bytes >> rng.uniform_int(0, 3));
   }
-  g.associativity = static_cast<std::uint32_t>(1 + rng.uniform_int(0, 11));
+  g.associativity =
+      static_cast<std::uint32_t>(1 + rng.uniform_int(0, max_ways - 1));
   const std::uint64_t sets = 1 + rng.uniform_int(0, 23);
   g.size_bytes = g.line_bytes * g.associativity * sets;
   return g;
+}
+
+/// ", level size/line/sector/ways" per level, for failure messages.
+std::string describe(const std::vector<CacheGeometry>& levels) {
+  std::string text;
+  for (const CacheGeometry& g : levels) {
+    text += ", level " + std::to_string(g.size_bytes) + "/" +
+            std::to_string(g.line_bytes) + "/" +
+            std::to_string(g.sector_bytes) + "/" +
+            std::to_string(g.associativity);
+  }
+  return text;
 }
 
 std::uint64_t random_stride(Xoshiro256& rng, const CacheGeometry& g) {
@@ -123,7 +141,10 @@ void run_case(std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<CacheGeometry> levels;
   const std::size_t depth = 1 + rng.uniform_int(0, 2);
-  for (std::size_t k = 0; k < depth; ++k) levels.push_back(random_level(rng));
+  for (std::size_t k = 0; k < depth; ++k) {
+    // One level in ten has a non-power-of-two line.
+    levels.push_back(random_level(rng, rng.uniform_int(0, 9) == 0, 12));
+  }
   Side closed(levels);
   Side oracle(levels);
   std::uint64_t capacity = 0;
@@ -142,12 +163,7 @@ void run_case(std::uint64_t seed) {
                       std::to_string(static_cast<int>(history)) +
                       ", stride " + std::to_string(stride) + ", steps " +
                       std::to_string(steps);
-  for (const CacheGeometry& g : levels) {
-    where += ", level " + std::to_string(g.size_bytes) + "/" +
-             std::to_string(g.line_bytes) + "/" +
-             std::to_string(g.sector_bytes) + "/" +
-             std::to_string(g.associativity);
-  }
+  where += describe(levels);
 
   // The history runs on the oracle loop on both sides, except a walk
   // prefix, which each side walks its own way (and must agree on).
@@ -271,6 +287,219 @@ TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
     // Only the lines a chunk shares with its prefix were stepped.
     EXPECT_LE(closed.warm_loads_stepped(), 2 * 256 / shape.stride)
         << shape.model;
+  }
+}
+
+// --- Timed passes of a just-warmed walk --------------------------------------
+// Gpu::run_pass replays a one-level walk that the level's closed-form warm
+// fill just ran onto it empty (SectoredCache::replay_stream). The oracle
+// side warms the same walk load by load, so its cache remembers no stream,
+// and runs each timed pass as one run_pass call per load. Every pass is
+// compared in cycles, recorded latencies, served counts, device-memory
+// reads and every level's whole state (hits and misses included).
+
+/// What else runs on the caches: before the warm walk (kArrayBefore), or
+/// between it and the three timed passes (the rest).
+enum class Twist {
+  kNone,         ///< nothing: every pass replays
+  kArrayBefore,  ///< another array, so the walk's fill finds lines
+  kAccess,       ///< one load into the walk's range
+  kRestore,      ///< a snapshot of the walk's prefix, restored at once
+  kRewarm,       ///< the walk's first loads warmed again
+  kFlush,        ///< a flush, then another walk as long, load by load
+  kOtherBase,    ///< the passes start one load later
+  kOtherStride,  ///< the passes walk at another stride
+  kOtherSteps,   ///< the passes run one load more
+};
+
+/// Which walks a case draws: the closed form's domain, or one of the
+/// shapes outside it.
+enum class Shape {
+  kReplay,        ///< one level, power-of-two line and sector, stride <= line
+  kTwoLevels,     ///< the same walk through two levels
+  kSparseStride,  ///< a stride above the line
+  kOddLine,       ///< a line that is not a power of two
+};
+
+/// A dense stride (at most the line), strides that do not divide the
+/// sector included.
+std::uint64_t random_dense_stride(Xoshiro256& rng, const CacheGeometry& g) {
+  const std::uint64_t line = g.line_bytes;
+  const std::uint64_t sector = g.sector_bytes;
+  const std::uint64_t choices[] = {1,
+                                   3,
+                                   4,
+                                   std::max<std::uint64_t>(1, sector / 2),
+                                   sector,
+                                   std::min(line, sector + sector / 2),
+                                   line - 4,
+                                   line,
+                                   1 + rng.uniform_int(0, line - 1)};
+  return choices[rng.uniform_int(0, 8)];
+}
+
+/// Timed loads of a case's three passes, and those the closed side stepped.
+struct TimedLoads {
+  std::uint64_t loads = 0;
+  std::uint64_t stepped = 0;
+};
+
+/// Runs three timed passes after a closed-form warm walk on one side and a
+/// load-by-load one on the other, comparing after each pass.
+TimedLoads run_timed_case(std::uint64_t seed, Shape shape, Twist twist) {
+  Xoshiro256 rng(seed);
+  const bool odd_line = shape == Shape::kOddLine;
+  std::vector<CacheGeometry> levels{random_level(rng, odd_line, 16)};
+  if (shape == Shape::kTwoLevels) {
+    levels.push_back(random_level(rng, odd_line, 16));
+  }
+  Side closed(levels);
+  Side oracle(levels);
+  std::uint64_t capacity = 0;
+  for (const CacheGeometry& g : levels) {
+    capacity = std::max(capacity, g.size_bytes);
+  }
+  const std::uint64_t line = levels[0].line_bytes;
+  const std::uint64_t stride =
+      shape == Shape::kSparseStride ? line + 1 + rng.uniform_int(0, 3 * line)
+                                    : random_dense_stride(rng, levels[0]);
+  const std::uint64_t base = 4096 * (4 + rng.uniform_int(0, 60)) +
+                             rng.uniform_int(0, 4095);
+  const std::uint64_t bytes = rng.uniform_int(0, 3 * capacity);
+  const std::uint64_t steps = std::min<std::uint64_t>(
+      20000, std::max<std::uint64_t>(1, bytes / stride));
+  const std::uint64_t record_limit = rng.uniform_int(0, 700);
+  std::string where = "seed " + std::to_string(seed) + ", shape " +
+                      std::to_string(static_cast<int>(shape)) + ", twist " +
+                      std::to_string(static_cast<int>(twist)) + ", stride " +
+                      std::to_string(stride) + ", steps " +
+                      std::to_string(steps) + ", record " +
+                      std::to_string(record_limit);
+  where += describe(levels);
+
+  if (twist == Twist::kArrayBefore) {
+    const std::uint64_t other = base - 4096 * 3 - rng.uniform_int(0, 4096);
+    const std::uint64_t count = 1 + rng.uniform_int(0, 3 * 4096 / stride);
+    EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, other, stride, count),
+              oracle.oracle_walk(other, stride, count))
+        << where << ": other array's warm cycles";
+  }
+  EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, base, stride, steps),
+            oracle.oracle_walk(base, stride, steps))
+      << where << ": warm cycles";
+  std::uint64_t pass_base = base;
+  std::uint64_t pass_stride = stride;
+  std::uint64_t pass_steps = steps;
+  switch (twist) {
+    case Twist::kNone:
+    case Twist::kArrayBefore:
+      break;
+    case Twist::kAccess: {
+      const std::uint64_t address = base + rng.uniform_int(0, steps - 1) * stride;
+      closed.gpu.run_pass(closed.path, address, 0, 1);
+      oracle.gpu.run_pass(oracle.path, address, 0, 1);
+      break;
+    }
+    case Twist::kRestore:
+      for (Side* side : {&closed, &oracle}) {
+        PathSnapshot snap;
+        side->gpu.snapshot_path_prefix(side->path, base, stride,
+                                       std::min<std::uint64_t>(steps, 64),
+                                       snap);
+        side->gpu.restore_path(side->path, snap);
+      }
+      break;
+    case Twist::kRewarm: {
+      const std::uint64_t prefix = 1 + rng.uniform_int(0, steps - 1);
+      EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, base, stride, prefix),
+                oracle.oracle_walk(base, stride, prefix))
+          << where << ": re-warm cycles";
+      break;
+    }
+    case Twist::kFlush: {
+      // The LRU clock ends where the warm left it, on other lines.
+      const std::uint64_t other = base + steps * stride + 4096;
+      for (Side* side : {&closed, &oracle}) {
+        for (SectoredCache& cache : side->caches) cache.flush();
+        side->oracle_walk(other, stride, steps);
+      }
+      break;
+    }
+    case Twist::kOtherBase:
+      pass_base += stride;
+      break;
+    case Twist::kOtherStride:
+      pass_stride += 1 + rng.uniform_int(0, 7);
+      break;
+    case Twist::kOtherSteps:
+      pass_steps += 1;
+      break;
+  }
+
+  ElementCounts closed_served;
+  ElementCounts oracle_served;
+  std::vector<std::uint32_t> closed_record;
+  std::vector<std::uint32_t> oracle_record;
+  closed_record.reserve(record_limit);
+  oracle_record.reserve(record_limit);
+  const std::uint64_t stepped_before = closed.gpu.timed_loads_stepped();
+  for (int pass = 0; pass < 3; ++pass) {
+    const std::uint64_t cycles =
+        closed.gpu.run_pass(closed.path, pass_base, pass_stride, pass_steps,
+                            &closed_served, &closed_record, record_limit);
+    std::uint64_t expected = 0;
+    for (std::uint64_t i = 0; i < pass_steps; ++i) {
+      expected += oracle.gpu.run_pass(oracle.path, pass_base + i * pass_stride,
+                                      0, 1, &oracle_served, &oracle_record,
+                                      record_limit);
+    }
+    const std::string at = where + ", pass " + std::to_string(pass);
+    EXPECT_EQ(cycles, expected) << at << ": cycles";
+    EXPECT_EQ(closed_record, oracle_record) << at << ": latencies";
+    EXPECT_TRUE(closed_served == oracle_served) << at << ": served counts";
+    EXPECT_EQ(closed.dmem(), oracle.dmem()) << at << ": device memory";
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+      expect_same_state(closed.caches[k], oracle.caches[k],
+                        at + ", level " + std::to_string(k));
+    }
+    if (testing::Test::HasFailure()) break;
+  }
+  return {3 * pass_steps, closed.gpu.timed_loads_stepped() - stepped_before};
+}
+
+TEST(TimedClosedForm, ReplaysMatchThePerLoadLoopOnRandomWalks) {
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    EXPECT_EQ(run_timed_case(seed, Shape::kReplay, Twist::kNone).stepped, 0u)
+        << "seed " << seed << ": every pass replays";
+    if (HasFailure()) break;  // one diagnosed case beats thousands
+  }
+}
+
+TEST(TimedClosedForm, DeclinesAfterAnythingButTheWarmAndStillMatches) {
+  for (const Twist twist :
+       {Twist::kArrayBefore, Twist::kAccess, Twist::kRestore, Twist::kRewarm,
+        Twist::kFlush, Twist::kOtherBase, Twist::kOtherStride,
+        Twist::kOtherSteps}) {
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+      const TimedLoads timed = run_timed_case(seed, Shape::kReplay, twist);
+      EXPECT_EQ(timed.stepped, timed.loads)
+          << "seed " << seed << ", twist " << static_cast<int>(twist)
+          << ": every pass steps";
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(TimedClosedForm, DeclinesOutsideItsPreconditionsAndStillMatches) {
+  for (const Shape shape :
+       {Shape::kTwoLevels, Shape::kSparseStride, Shape::kOddLine}) {
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+      const TimedLoads timed = run_timed_case(seed, shape, Twist::kNone);
+      EXPECT_EQ(timed.stepped, timed.loads)
+          << "seed " << seed << ", shape " << static_cast<int>(shape)
+          << ": every pass steps";
+      if (HasFailure()) return;
+    }
   }
 }
 
