@@ -234,6 +234,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
     {
       const obs::SpanGuard reset_span("replica.reset");
       const std::uint64_t reset_start = obs::monotonic_ns();
+      const std::uint64_t caches_before = replica.flushed_caches();
+      const std::uint64_t sets_before = replica.flushed_sets();
       replica.flush_caches();
       if (!unit.chunk) {
         // The memo key IS the noise-stream seed (both are the full spec
@@ -243,8 +245,14 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
       slot_reset_ns[slot] += reset_ns;
       if (obs::metrics_enabled()) {
-        obs::Metrics::instance().observe("replica.reset_ns",
-                                         static_cast<double>(reset_ns));
+        obs::Metrics& metrics = obs::Metrics::instance();
+        metrics.observe("replica.reset_ns", static_cast<double>(reset_ns));
+        metrics.add("sim.flushed_caches",
+                    static_cast<double>(replica.flushed_caches() -
+                                        caches_before));
+        metrics.add("sim.flushed_sets",
+                    static_cast<double>(replica.flushed_sets() -
+                                        sets_before));
       }
     }
     const ScopedPChaseEngine scope(engine);  // workers default to kCompiled

@@ -111,13 +111,30 @@ void SectoredCache::make_page(Page& page) const {
 
 bool SectoredCache::operator==(const SectoredCache& other) const {
   // Every set (the lines 0 .. num_sets - 1 map to all of them), as
-  // capture_rows reads it: a page never written reads as first written.
+  // capture_rows reads it (a page never written reads as first written),
+  // with the masks of empty ways and the hints of empty sets zeroed.
+  const auto logical = [](const SectoredCache& cache, CacheSnapshot& out) {
+    cache.snapshot_addresses(0, cache.geometry_.line_bytes, cache.num_sets_,
+                             out);
+    const std::size_t ways = cache.ways_per_set_;
+    for (std::size_t i = 0; i < out.sets.size(); ++i) {
+      bool empty = true;
+      for (std::size_t w = i * ways; w < (i + 1) * ways; ++w) {
+        if (out.tags[w] == kInvalidTag) {
+          out.masks[w] = 0;
+        } else {
+          empty = false;
+        }
+      }
+      if (empty) out.hints[i] = 0;
+    }
+  };
   const bool same_shape = geometry_ == other.geometry_;
   CacheSnapshot mine;
   CacheSnapshot theirs;
   if (same_shape) {
-    snapshot_addresses(0, geometry_.line_bytes, num_sets_, mine);
-    other.snapshot_addresses(0, geometry_.line_bytes, num_sets_, theirs);
+    logical(*this, mine);
+    logical(other, theirs);
   }
   return same_shape && lo_line_ == other.lo_line_ &&
          hi_line_ == other.hi_line_ && mine == theirs;
@@ -144,8 +161,9 @@ CacheAccess SectoredCache::peek(std::uint64_t address) const {
 std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
   const std::uint32_t g = stream.granule_shift;
   const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
-  const bool replayable = lo_line_ > hi_line_ && g == 0 &&
-                          stream.stride <= geometry_.line_bytes;
+  const bool onto_empty = lo_line_ > hi_line_;
+  const bool replayable =
+      onto_empty && g == 0 && stream.stride <= geometry_.line_bytes;
   // The stream: the first load of each visited granule. Each lands in a new
   // granule, so it misses unless an earlier stream load filled its sector:
   // the misses are the distinct sectors, one per granule when a sector is
@@ -162,7 +180,7 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
       (1ULL << g) <= geometry_.line_bytes) {
     fill_dense_lines(stream, last, stamp0);
   } else {
-    fill_sparse_lines(stream, accesses, stamp0);
+    fill_sparse_lines(stream, accesses, stamp0, onto_empty);
   }
   // After the fill: fill_dense_lines reads the range from before the stream.
   const std::uint64_t last_load =
@@ -171,15 +189,17 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
           : first_load_from(stream, (last >> g) << g);
   lo_line_ = std::min(lo_line_, line_of(stream.base));
   hi_line_ = std::max(hi_line_, line_of(last_load));
-  stream_ = replayable ? stream : WarmStream{};
+  stream_base_ = stream.base;
+  stream_stride_ = stream.stride;
+  stream_count_ = replayable ? stream.count : 0;
   stream_stamp_ = stamp_;
   return misses;
 }
 
 SectoredCache::StreamLines SectoredCache::stream_lines() const {
   StreamLines lines;
-  lines.first = stream_.base >> line_shift_;
-  lines.count = ((stream_.base + (stream_.count - 1) * stream_.stride) >>
+  lines.first = stream_base_ >> line_shift_;
+  lines.count = ((stream_base_ + (stream_count_ - 1) * stream_stride_) >>
                  line_shift_) - lines.first + 1;
   lines.per_set = lines.count / num_sets_;
   lines.extra = lines.count % num_sets_;
@@ -195,8 +215,8 @@ bool SectoredCache::replay_hits(std::uint64_t address) const {
       ways_per_set_) {
     return true;
   }
-  return address != stream_.base &&
-         ((address - stream_.stride) >> sector_shift_) ==
+  return address != stream_base_ &&
+         ((address - stream_stride_) >> sector_shift_) ==
              (address >> sector_shift_);
 }
 
@@ -209,8 +229,9 @@ std::uint64_t SectoredCache::replay_stream() {
   const StreamLines lines = stream_lines();
   const std::uint64_t sets = num_sets_;
   const std::uint64_t ways = ways_per_set_;
+  const WarmStream stream{stream_base_, stream_stride_, stream_count_, 0};
   const auto sectors_below = [&](std::uint64_t line) {
-    return blocks_below(stream_, sector_shift_, line << line_shift_);
+    return blocks_below(stream, sector_shift_, line << line_shift_);
   };
   std::uint64_t misses = 0;
   if (lines.per_set > ways) {
@@ -222,7 +243,7 @@ std::uint64_t SectoredCache::replay_stream() {
       misses += sectors_below(from + lines.extra) - sectors_below(from);
     }
   }
-  const std::uint64_t steps = stream_.count;
+  const std::uint64_t steps = stream_count_;
   stamp_ += steps;
   stream_stamp_ = stamp_;
   hits_ += steps - misses;
@@ -303,6 +324,18 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
   const auto stamp_of = [&](std::uint64_t line) {
     return stamp0 + blocks_below(stream, g, (line + 1) << l);
   };
+  // A regular stream (power-of-two stride, base aligned to the larger of
+  // stride and granule, 2^step bytes) makes an access every 2^step bytes
+  // from its base: a line strictly between its first and last holds
+  // line >> step of them at the same offsets. Such a line's stamp counts
+  // the accesses below its end, and all share one mask. The first and last
+  // lines, and every line of another stream, take the general forms.
+  const std::uint64_t step_bytes =
+      std::max<std::uint64_t>(stream.stride, 1ULL << g);
+  const bool regular = std::has_single_bit(stream.stride) &&
+                       stream.base % step_bytes == 0 && lines > 2;
+  const auto step = static_cast<std::uint32_t>(std::countr_zero(step_bytes));
+  const std::uint32_t interior_mask = regular ? mask_of(first_line + 1) : 0;
 
   // Sets of the last min(lines, sets) lines, walked backwards from the
   // last line: the last `lines % sets` of them hold one line more.
@@ -343,8 +376,13 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
       const std::uint64_t kept = line - k * sets;
       const std::uint64_t way = prefilled ? order[slot] : slot;
       r.tags[way] = kept;
-      r.masks[way] = mask_of(kept);
-      r.stamps[way] = stamp_of(kept);
+      if (regular && kept != first_line && kept != last_line) {
+        r.masks[way] = interior_mask;
+        r.stamps[way] = stamp0 + ((((kept + 1) << l) - stream.base) >> step);
+      } else {
+        r.masks[way] = mask_of(kept);
+        r.stamps[way] = stamp_of(kept);
+      }
       slot = slot == 0 ? ways - 1 : slot - 1;
     }
     set = set == 0 ? num_sets_ - 1 : set - 1;
@@ -353,9 +391,12 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
 
 void SectoredCache::fill_sparse_lines(const WarmStream& stream,
                                       std::uint64_t accesses,
-                                      std::uint64_t stamp0) {
+                                      std::uint64_t stamp0, bool onto_empty) {
   // Stride or granule exceeds the line: every stream load opens a line of
-  // its own and fills one sector of it.
+  // its own and fills one sector of it. Each line is newer than everything
+  // its set holds, so in a cache that held no line a set takes its lines
+  // into ways 0, 1, ... in turn, wrapping once all are taken: the victim is
+  // the way after the hinted one, and way 0 while way 0 is empty.
   const std::uint32_t g = stream.granule_shift;
   const bool every_load = stream.stride >= (1ULL << g);
   for (std::uint64_t m = 0; m < accesses; ++m) {
@@ -366,7 +407,12 @@ void SectoredCache::fill_sparse_lines(const WarmStream& stream,
     const std::uint64_t line = line_of(address);
     const std::uint32_t set = set_of(line);
     const Row r = row(set);
-    const std::uint32_t victim = victim_way(r.stamps);
+    std::uint32_t victim = 0;
+    if (!onto_empty) {
+      victim = victim_way(r.stamps);
+    } else if (r.stamps[0] != 0 && *r.hint + 1 < ways_per_set_) {
+      victim = *r.hint + 1;
+    }
     r.tags[victim] = line;
     r.masks[victim] = 1u << sector_of(address);
     r.stamps[victim] = stamp0 + m + 1;
@@ -374,12 +420,13 @@ void SectoredCache::fill_sparse_lines(const WarmStream& stream,
   }
 }
 
-void SectoredCache::flush() {
+std::uint64_t SectoredCache::flush() {
   // Only the sets of the allocated line range can differ from empty. Their
   // tags and stamps are cleared (access() takes a stamp-0 way as empty);
   // masks of empty ways are never read before the way is refilled, and a
   // stale hint names a way whose tag cannot match.
   auto [set, count] = range_sets();
+  const std::uint64_t cleared = count;
   if (count == num_sets_) {
     for (const Page& page : pages_) {
       if (page.tags == nullptr) continue;
@@ -399,7 +446,8 @@ void SectoredCache::flush() {
   lo_line_ = ~0ULL;
   hi_line_ = 0;
   stamp_ = 0;
-  stream_ = WarmStream{};
+  stream_count_ = 0;
+  return cleared;
 }
 
 void SectoredCache::capture_rows(CacheSnapshot& out) const {
@@ -461,7 +509,7 @@ void SectoredCache::restore(const CacheSnapshot& snap) {
   stamp_ = snap.stamp;
   hits_ = snap.hits;
   misses_ = snap.misses;
-  stream_ = WarmStream{};
+  stream_count_ = 0;
 }
 
 }  // namespace mt4g::sim

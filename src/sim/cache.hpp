@@ -135,13 +135,17 @@ class SectoredCache {
   /// replay_stream().
   std::uint64_t fill_warm_stream(const WarmStream& stream);
 
-  /// Whether replay_stream() applies to @p stream: the cache holds exactly
-  /// what fill_warm_stream(@p stream) left on an empty cache, replayed any
-  /// number of times since, and nothing else touched it. access() moves the
-  /// LRU clock past the remembered one; flush(), restore() and a fill onto
-  /// a non-empty cache forget the stream.
-  bool replays(const WarmStream& stream) const {
-    return stream_.count != 0 && stamp_ == stream_stamp_ && stream == stream_;
+  /// Whether replay_stream() applies to the walk base + j * stride
+  /// (j < count): the cache holds exactly what fill_warm_stream() of that
+  /// walk (granule shift 0) left on an empty cache, replayed any number of
+  /// times since, and nothing else touched it. access() moves the LRU clock
+  /// past the remembered one; flush(), restore() and a fill onto a
+  /// non-empty cache forget the stream.
+  bool replays(std::uint64_t base, std::uint64_t stride,
+               std::uint64_t count) const {
+    return stream_count_ != 0 && stamp_ == stream_stamp_ &&
+           base == stream_base_ && stride == stream_stride_ &&
+           count == stream_count_;
   }
 
   /// Whether the load at @p address of the remembered stream hits when
@@ -158,8 +162,9 @@ class SectoredCache {
   std::uint64_t replay_stream();
 
   /// Drops all contents: clears, in place, the sets of the lines allocated
-  /// since the last flush. Every other set holds no line already.
-  void flush();
+  /// since the last flush. Every other set holds no line already. Returns
+  /// the number of sets cleared.
+  std::uint64_t flush();
 
   /// Captures the sets of the lines allocated since the last flush, in set
   /// order, plus LRU clock and counters, into `out`.
@@ -198,10 +203,16 @@ class SectoredCache {
   /// [p * sets_per_page(), (p + 1) * sets_per_page()).
   std::uint32_t sets_per_page() const { return page_mask_ + 1; }
 
-  /// Logical equality: a page never written equals one as first written.
+  /// Logical equality: geometry, LRU clock, counters, allocated line range
+  /// and every set's tags and stamps, the masks of its filled ways and, in
+  /// a set holding a line, its hint. A page never written equals one as
+  /// first written, and what a flush leaves behind (masks of empty ways,
+  /// hints of empty sets) is never read, so it is not compared.
   bool operator==(const SectoredCache& other) const;
 
  private:
+  friend class Gpu;  // keeps listed_
+
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
   static constexpr std::uint64_t kInvalidTag = ~0ULL;
@@ -252,7 +263,7 @@ class SectoredCache {
   void fill_dense_lines(const WarmStream& stream, std::uint64_t last,
                         std::uint64_t stamp0);
   void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
-                         std::uint64_t stamp0);
+                         std::uint64_t stamp0, bool onto_empty);
   /// How the remembered stream's lines spread over the sets: from its
   /// first line on, `per_set` lines per set, and one more in the sets of
   /// the first `extra` lines.
@@ -286,10 +297,14 @@ class SectoredCache {
     return victim;
   }
 
+  // Members are ordered so that no padding sits between them (LP64).
   CacheGeometry geometry_;
   std::uint32_t num_sets_ = 1;
   std::uint32_t ways_per_set_ = 1;
   std::uint32_t sectors_per_line_ = 1;
+  /// Whether the cache is on the flush list of the Gpu whose path reached
+  /// it (Gpu::flush_caches), so listing it again costs no search.
+  bool listed_ = false;
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -299,18 +314,21 @@ class SectoredCache {
   /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
-  /// The stream replays() tests for (count 0: none), and the LRU clock its
-  /// fill or last replay left.
-  WarmStream stream_{};
+  /// The stream replays() tests for (count 0: none), always of granule
+  /// shift 0, and the LRU clock its fill or last replay left.
+  std::uint64_t stream_base_ = 0;
+  std::uint64_t stream_stride_ = 0;
+  std::uint64_t stream_count_ = 0;
   std::uint64_t stream_stamp_ = 0;
   // Way state, in pages of whole sets (see Page).
   std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
   std::uint32_t page_mask_ = 0;   ///< sets per page - 1
   std::size_t page_ways_ = 0;     ///< sets per page * ways per set
   std::vector<Page> pages_;
-  /// The set access() touched last, and its row (pages are never freed).
-  std::uint32_t last_set_ = ~0u;
+  /// The row of the set access() touched last (pages are never freed), and
+  /// that set.
   Row last_row_{};
+  std::uint32_t last_set_ = ~0u;
 
   // Precomputed index math (set up by the constructor). A shift value of
   // kNoShift means the quantity is not a power of two and the division is

@@ -84,6 +84,11 @@ Gpu::Gpu(const GpuSpec& spec, std::uint64_t seed, std::optional<MigProfile> mig,
       sl1d_.try_emplace(group, geometry_of(sl1d));
     }
   }
+  std::size_t caches = l2_segments_.size() + sl1d_.size() + (l3_ ? 1 : 0);
+  for (const SmCaches& sm : sm_caches_) {
+    for (const auto& [group, cache] : sm) caches += cache.segments.size();
+  }
+  flush_list_.reserve(caches);
 }
 
 void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
@@ -105,6 +110,12 @@ void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
   for (const auto& segment : l2_segments_) {
     carried.emplace_back(segment.hits(), segment.misses());
   }
+  // The rebuilt segments start empty: the old ones leave the flush list.
+  std::erase_if(flush_list_, [this](const SectoredCache* cache) {
+    return std::any_of(
+        l2_segments_.begin(), l2_segments_.end(),
+        [cache](const SectoredCache& segment) { return &segment == cache; });
+  });
   const std::uint32_t segments = std::max<std::uint32_t>(l2.amount, 1);
   l2_segments_.clear();
   for (std::uint32_t s = 0; s < segments; ++s) {
@@ -279,6 +290,7 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
     throw std::logic_error(
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
+  list_caches(path);
   // Recorded loads are a prefix of the pass; split there so the bulk loop
   // carries no record bookkeeping.
   std::uint64_t recorded = 0;
@@ -286,7 +298,7 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
     recorded = std::min<std::uint64_t>(steps, record_limit - record->size());
   }
   if (path.depth == 1 &&
-      path.levels[0].cache->replays({base, stride_bytes, steps, 0})) {
+      path.levels[0].cache->replays(base, stride_bytes, steps)) {
     return replay_pass(path, base, stride_bytes, steps, served, record,
                        recorded);
   }
@@ -350,6 +362,7 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
     throw std::logic_error(
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
+  list_caches(path);
   bool closed_form = stride_bytes != 0;
   for (std::size_t level = 0; level < path.depth; ++level) {
     const SectoredCache* cache = path.levels[level].cache;
@@ -433,6 +446,7 @@ void Gpu::restore_path(const AccessPath& path, const PathSnapshot& snap) {
       snap.depth != path.depth) {
     throw std::logic_error("gpu: restore of a stale PathSnapshot");
   }
+  list_caches(path);
   for (std::size_t level = 0; level < path.depth; ++level) {
     path.levels[level].cache->restore(snap.levels[level]);
   }
@@ -497,15 +511,23 @@ std::uint32_t Gpu::access(const Placement& where, Space space,
   return access_traced(where, space, address, flags).latency;
 }
 
-void Gpu::flush_caches() {
-  for (auto& sm : sm_caches_) {
-    for (auto& [group, cache] : sm) {
-      for (auto& segment : cache.segments) segment.flush();
+void Gpu::list_caches(const AccessPath& path) {
+  for (std::size_t level = 0; level < path.depth; ++level) {
+    SectoredCache* cache = path.levels[level].cache;
+    if (!cache->listed_) {
+      cache->listed_ = true;
+      flush_list_.push_back(cache);
     }
   }
-  for (auto& segment : l2_segments_) segment.flush();
-  if (l3_) l3_->flush();
-  for (auto& [group, cache] : sl1d_) cache.flush();
+}
+
+void Gpu::flush_caches() {
+  for (SectoredCache* cache : flush_list_) {
+    flushed_sets_ += cache->flush();
+    cache->listed_ = false;
+  }
+  flushed_caches_ += flush_list_.size();
+  flush_list_.clear();
 }
 
 std::uint64_t Gpu::miss_count(std::uint32_t sm, Element element) const {

@@ -217,8 +217,17 @@ class Gpu {
   /// Throws std::logic_error on a path-epoch mismatch.
   void restore_path(const AccessPath& path, const PathSnapshot& snap);
 
-  /// Drops the content of all modelled caches.
+  /// Drops the content of all modelled caches. Only a cache a path reached
+  /// (run_pass, run_warm_pass and restore_path list a path's caches, with
+  /// no search and no allocation) can hold anything, so only the caches
+  /// listed since the last flush are flushed; a path compiled before a
+  /// flush lists its caches again when it next runs.
   void flush_caches();
+
+  /// Caches flush_caches() flushed so far, and the sets it cleared in them
+  /// (SectoredCache::flush); never reset.
+  std::uint64_t flushed_caches() const { return flushed_caches_; }
+  std::uint64_t flushed_sets() const { return flushed_sets_; }
 
   /// Cumulative sector misses observed by a cache element on SM @p sm
   /// (aggregated over segments; GPU-scoped elements ignore @p sm).
@@ -240,6 +249,8 @@ class Gpu {
   // Per-SM physical caches: sm -> physical_group -> cache (with segments).
   using SmCaches = std::map<std::uint32_t, PhysicalCache>;
 
+  /// Puts the caches of @p path not listed yet on the flush list.
+  void list_caches(const AccessPath& path);
   std::uint64_t replay_pass(const AccessPath& path, std::uint64_t base,
                             std::uint64_t stride_bytes, std::uint64_t steps,
                             ElementCounts* served,
@@ -257,10 +268,15 @@ class Gpu {
   std::vector<SectoredCache> l2_segments_;     // GPU level
   std::unique_ptr<SectoredCache> l3_;          // AMD CDNA3
   std::map<std::uint32_t, SectoredCache> sl1d_;  // keyed by physical CU group
+  /// Caches a path reached since the last flush: what flush_caches() visits.
+  /// Reserved at construction for every cache, so listing never allocates.
+  std::vector<SectoredCache*> flush_list_;
   std::uint64_t heap_top_ = 4096;              // never hand out address 0
   std::uint64_t dmem_accesses_ = 0;
   std::uint64_t warm_loads_stepped_ = 0;
   std::uint64_t timed_loads_stepped_ = 0;
+  std::uint64_t flushed_caches_ = 0;
+  std::uint64_t flushed_sets_ = 0;
   std::uint64_t path_epoch_ = 0;               // invalidates compiled paths
 };
 

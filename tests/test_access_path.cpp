@@ -295,6 +295,15 @@ TEST(AccessPathAllocation, ForksAllocateOnlyThePagesTheyWrite) {
   EXPECT_LE(walk_bytes, pages * sim::SectoredCache::kPageWays * 24);
 }
 
+TEST(AccessPathAllocation, CachesStayWithinTheirSizeBound) {
+  // Every Gpu construction and fork builds one SectoredCache per cache of
+  // the chip (393 on MI355X-preview); its members leave no padding between
+  // them on LP64.
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_LE(sizeof(sim::SectoredCache), 208u);
+  }
+}
+
 // --- Compiled-path lifecycle -------------------------------------------------
 
 TEST(AccessPath, StalePathIsRejectedAfterL2Rebuild) {

@@ -214,14 +214,23 @@ TEST(StageGraphDeterminism, RealModelsByteIdenticalSerialVsConcurrent) {
   // Eight stage workers hold the caller and all seven pool threads, so
   // every chase task a joiner ran beyond the seven worker tasks was run by
   // a stage worker helping while it had no ready stage: the byte check
-  // covers helped chases.
+  // covers helped chases. Whether a stage worker finds a batch to help
+  // with depends on the host's scheduling (a loaded host may finish every
+  // batch before a worker runs out of stages), so the concurrent discovery
+  // repeats, each run byte-checked, until one has been helped.
+  constexpr int kMaxRuns = 10;
   exec::Executor pool(7);
   for (const std::string model : {"P6000", "MI300X"}) {
     const std::string serial = discover_json(model, 1, 1, nullptr);
-    const exec::ExecutorStats before = pool.stats();
-    EXPECT_EQ(discover_json(model, 8, 8, &pool), serial) << model;
-    EXPECT_GT(pool.stats().pool_tasks - before.pool_tasks, 7u)
-        << model << ": no stage worker helped a chase batch";
+    bool helped = false;
+    for (int run = 0; run < kMaxRuns && !helped; ++run) {
+      const exec::ExecutorStats before = pool.stats();
+      EXPECT_EQ(discover_json(model, 8, 8, &pool), serial)
+          << model << ", run " << run;
+      helped = pool.stats().pool_tasks - before.pool_tasks > 7;
+    }
+    EXPECT_TRUE(helped) << model << ": no stage worker helped a chase batch in "
+                        << kMaxRuns << " runs";
   }
 }
 

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -137,13 +139,22 @@ enum class History {
   kOverlapping,  ///< random loads inside the walk's range: stepped
 };
 
-void run_case(std::uint64_t seed) {
+/// Which walks run_case draws.
+enum class Walks {
+  kAny,      ///< any stride and base
+  kRegular,  ///< power-of-two strides up to the first line, bases aligned
+             ///< to 4 KiB, to the stride or to nothing
+};
+
+void run_case(std::uint64_t seed, Walks walks = Walks::kAny) {
   Xoshiro256 rng(seed);
+  const bool regular = walks == Walks::kRegular;
   std::vector<CacheGeometry> levels;
   const std::size_t depth = 1 + rng.uniform_int(0, 2);
   for (std::size_t k = 0; k < depth; ++k) {
     // One level in ten has a non-power-of-two line.
-    levels.push_back(random_level(rng, rng.uniform_int(0, 9) == 0, 12));
+    levels.push_back(
+        random_level(rng, !regular && rng.uniform_int(0, 9) == 0, 12));
   }
   Side closed(levels);
   Side oracle(levels);
@@ -152,9 +163,20 @@ void run_case(std::uint64_t seed) {
     capacity = std::max(capacity, g.size_bytes);
   }
 
-  const std::uint64_t stride = random_stride(rng, levels[0]);
-  const std::uint64_t base = 4096 * (4 + rng.uniform_int(0, 60)) +
-                             rng.uniform_int(0, 4095);
+  const std::uint64_t stride =
+      regular ? 1ULL << rng.uniform_int(
+                    0, std::countr_zero(levels[0].line_bytes))
+              : random_stride(rng, levels[0]);
+  std::uint64_t base = 4096 * (4 + rng.uniform_int(0, 60));
+  switch (regular ? rng.uniform_int(0, 2) : 2) {
+    case 0:
+      break;
+    case 1:
+      base += stride * rng.uniform_int(0, 4095 / stride);
+      break;
+    default:
+      base += rng.uniform_int(0, 4095);
+  }
   const std::uint64_t bytes = 1 + rng.uniform_int(0, 3 * capacity);
   const std::uint64_t steps =
       std::min<std::uint64_t>(20000, std::max<std::uint64_t>(1, bytes / stride));
@@ -224,6 +246,16 @@ TEST(WarmClosedForm, MatchesThePerLoadLoopOnRandomWalks) {
   }
 }
 
+TEST(WarmClosedForm, MatchesThePerLoadLoopOnRandomRegularWalks) {
+  // Power-of-two strides from 1 B to the first level's line through one to
+  // three levels, whose sector sizes make the lower levels' granules: the
+  // streams whose inner lines fill_dense_lines writes by arithmetic.
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    run_case(seed, Walks::kRegular);
+    if (HasFailure()) break;
+  }
+}
+
 TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
   // The shapes discovery runs, on real compiled paths: a two-level L1 -> L2
   // walk extended chunk by chunk from mid-line boundaries, and a dual-CU
@@ -287,6 +319,174 @@ TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
     // Only the lines a chunk shares with its prefix were stepped.
     EXPECT_LE(closed.warm_loads_stepped(), 2 * 256 / shape.stride)
         << shape.model;
+  }
+}
+
+// --- One level's fill, stream by stream ------------------------------------
+// SectoredCache::fill_warm_stream on one cache against the per-load walk of
+// the same stream on another: access() on each load that opens a granule.
+// Regular streams (power-of-two stride, base aligned to the larger of stride
+// and granule) have their inner lines written by arithmetic, and a sparse
+// stream onto a cache holding no line skips the victim scan; both are
+// compared with the walk in whole cache state and in the misses returned.
+
+/// The per-load walk of loads [from, to) of @p stream: a load opens its
+/// granule when it is the first or the load before it lies in another one.
+/// Returns the sector misses.
+std::uint64_t step_stream(SectoredCache& cache, const WarmStream& stream,
+                          std::uint64_t from, std::uint64_t to) {
+  const std::uint64_t misses = cache.misses();
+  const std::uint32_t g = stream.granule_shift;
+  for (std::uint64_t j = from; j < to; ++j) {
+    const std::uint64_t address = stream.base + j * stream.stride;
+    if (j == 0 || ((address - stream.stride) >> g) != (address >> g)) {
+      cache.access(address);
+    }
+  }
+  return cache.misses() - misses;
+}
+
+/// What a cache holds before the compared stream.
+enum class Before {
+  kNothing,    ///< a fresh cache
+  kFlushed,    ///< random loads, then a flush: stale hints and masks
+  kOther,      ///< another array below the stream, not flushed
+  kExtension,  ///< the stream's own prefix, over every set (regular only)
+};
+
+/// Fills @p stream onto two caches of @p geometry after @p before, in closed
+/// form on one and by the walk on the other, and compares them.
+void compare_fill(const CacheGeometry& geometry, const WarmStream& stream,
+                  Before before, Xoshiro256& rng, const std::string& where) {
+  SectoredCache closed(geometry);
+  SectoredCache oracle(geometry);
+  const std::uint64_t line = geometry.line_bytes;
+  std::uint64_t first = 0;  // first load of the compared fill
+  switch (before) {
+    case Before::kNothing:
+      break;
+    case Before::kFlushed:
+      for (int i = 0; i < 300; ++i) {
+        const std::uint64_t address = rng.uniform_int(0, 1 << 20);
+        closed.access(address);
+        oracle.access(address);
+      }
+      closed.flush();
+      oracle.flush();
+      break;
+    case Before::kOther: {
+      const WarmStream other{stream.base / 2, line, 1 + rng.uniform_int(0, 400),
+                             0};
+      ASSERT_LT(other.base + other.count * other.stride, stream.base) << where;
+      step_stream(closed, other, 0, other.count);
+      step_stream(oracle, other, 0, other.count);
+      break;
+    }
+    case Before::kExtension: {
+      // A prefix long enough to put a line in every set, filled in closed
+      // form, then the loads left in its last line, stepped: the rest of
+      // the stream starts on a line no set holds.
+      const std::uint64_t prefix = std::min<std::uint64_t>(
+          stream.count - 1,
+          (closed.num_sets() * line + rng.uniform_int(0, 2 * line)) /
+              stream.stride);
+      if (prefix == 0) break;
+      EXPECT_EQ(closed.fill_warm_stream({stream.base, stream.stride, prefix,
+                                         stream.granule_shift}),
+                step_stream(oracle, stream, 0, prefix))
+          << where << ": prefix misses";
+      first = prefix;
+      const std::uint64_t last_line =
+          (stream.base + (prefix - 1) * stream.stride) / line;
+      while (first < stream.count &&
+             (stream.base + first * stream.stride) / line == last_line) {
+        ++first;
+      }
+      step_stream(closed, stream, prefix, first);
+      step_stream(oracle, stream, prefix, first);
+      break;
+    }
+  }
+  if (first < stream.count) {
+    const WarmStream rest{stream.base + first * stream.stride, stream.stride,
+                          stream.count - first, stream.granule_shift};
+    EXPECT_EQ(closed.fill_warm_stream(rest),
+              step_stream(oracle, stream, first, stream.count))
+        << where << ": misses";
+  }
+  expect_same_state(closed, oracle, where);
+}
+
+TEST(WarmFill, RegularStreamsMatchTheWalk) {
+  for (std::uint64_t seed = 1; seed <= 4000; ++seed) {
+    Xoshiro256 rng(seed);
+    const CacheGeometry geometry = random_level(rng, false, 16);
+    const auto line_shift =
+        static_cast<std::uint32_t>(std::countr_zero(geometry.line_bytes));
+    // Granules and strides from 1 B to the line.
+    const auto granule = static_cast<std::uint32_t>(
+        rng.uniform_int(0, line_shift));
+    const std::uint64_t stride = 1ULL << rng.uniform_int(0, line_shift);
+    const std::uint64_t step = std::max<std::uint64_t>(stride, 1ULL << granule);
+    std::uint64_t base = 4096 * (64 + rng.uniform_int(0, 60));
+    const bool aligned = rng.uniform_int(0, 2) != 0;
+    base += aligned ? step * rng.uniform_int(0, 4095 / step)
+                    : rng.uniform_int(0, 4095);
+    const std::uint64_t count = std::min<std::uint64_t>(
+        20000,
+        1 + rng.uniform_int(0, 3 * geometry.size_bytes) / stride);
+    const auto before = static_cast<Before>(rng.uniform_int(0, 3));
+    const std::string where =
+        "seed " + std::to_string(seed) + ", granule " +
+        std::to_string(1u << granule) + ", stride " + std::to_string(stride) +
+        ", base " + std::to_string(base) + ", count " +
+        std::to_string(count) + ", before " +
+        std::to_string(static_cast<int>(before)) +
+        describe({geometry});
+    compare_fill(geometry, {base, stride, count, granule}, before, rng, where);
+    if (HasFailure()) break;
+  }
+}
+
+TEST(WarmFill, SparseStreamsMatchTheWalk) {
+  for (std::uint64_t seed = 1; seed <= 4000; ++seed) {
+    Xoshiro256 rng(seed);
+    const CacheGeometry geometry = random_level(rng, false, 16);
+    const std::uint64_t line = geometry.line_bytes;
+    const std::uint64_t sets = geometry.size_bytes / line /
+                               geometry.associativity;
+    // A stride above the line (one set's lines apart included), or a
+    // granule above it.
+    std::uint64_t stride = line + 1 + rng.uniform_int(0, 3 * line);
+    std::uint32_t granule = 0;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        break;
+      case 1:
+        stride = sets * line * (1 + rng.uniform_int(0, 1));
+        break;
+      case 2:
+        stride = line * (2 + rng.uniform_int(0, 6));
+        break;
+      default:
+        granule = static_cast<std::uint32_t>(std::countr_zero(line)) + 1 +
+                  static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+        stride = 1 + rng.uniform_int(0, (2ULL << granule) - 1);
+    }
+    const std::uint64_t base =
+        4096 * (64 + rng.uniform_int(0, 60)) + rng.uniform_int(0, 4095);
+    const std::uint64_t count = std::min<std::uint64_t>(
+        20000, 1 + rng.uniform_int(0, 3 * geometry.size_bytes) /
+                       std::max<std::uint64_t>(stride, 1ULL << granule));
+    const auto before = static_cast<Before>(rng.uniform_int(0, 2));
+    const std::string where =
+        "seed " + std::to_string(seed) + ", granule " +
+        std::to_string(1ULL << granule) + ", stride " +
+        std::to_string(stride) + ", count " + std::to_string(count) +
+        ", before " + std::to_string(static_cast<int>(before)) +
+        describe({geometry});
+    compare_fill(geometry, {base, stride, count, granule}, before, rng, where);
+    if (HasFailure()) break;
   }
 }
 
@@ -501,6 +701,180 @@ TEST(TimedClosedForm, DeclinesOutsideItsPreconditionsAndStillMatches) {
       if (HasFailure()) return;
     }
   }
+}
+
+// --- Flushes of the caches paths reached -----------------------------------
+// Gpu::flush_caches flushes only the caches that run_pass, run_warm_pass and
+// restore_path reached since the last flush. Random sequences of compiles,
+// passes, warm walks, restores, L2 fetch-granularity switches and flushes
+// over random placements, with a path compiled before a flush run after it,
+// end in a flush: every cache must then equal a fresh fork's.
+
+/// Every cache a compiled path of @p gpu reaches, once, in a fixed order:
+/// the chain of every placement, space and L1 setting.
+std::vector<const SectoredCache*> every_cache(Gpu& gpu) {
+  std::vector<const SectoredCache*> caches;
+  std::set<const SectoredCache*> seen;
+  const GpuSpec& spec = gpu.spec();
+  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
+    for (std::uint32_t core = 0; core < spec.cores_per_sm; ++core) {
+      for (const Space space : {Space::kGlobal, Space::kTexture,
+                                Space::kReadOnly, Space::kConstant,
+                                Space::kScalar}) {
+        for (const bool bypass : {false, true}) {
+          AccessPath path;
+          try {
+            path = gpu.compile_path({sm, core}, space, {bypass});
+          } catch (const std::invalid_argument&) {
+            continue;  // no such chain on this vendor
+          }
+          for (std::size_t k = 0; k < path.depth; ++k) {
+            if (seen.insert(path.levels[k].cache).second) {
+              caches.push_back(path.levels[k].cache);
+            }
+          }
+        }
+      }
+    }
+  }
+  return caches;
+}
+
+/// Runs one random sequence on @p model and checks the end state. Returns
+/// whether a path compiled before a flush ran after it.
+bool run_flush_case(const char* model, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Gpu gpu(registry_get(model), seed);
+  const GpuSpec& spec = gpu.spec();
+  const std::uint64_t arena = gpu.alloc(256 * KiB);
+  const std::vector<Space> spaces =
+      spec.vendor == Vendor::kNvidia
+          ? std::vector<Space>{Space::kGlobal, Space::kTexture,
+                               Space::kReadOnly, Space::kConstant}
+          : std::vector<Space>{Space::kGlobal, Space::kScalar};
+  const std::string where = std::string(model) + ", seed " +
+                            std::to_string(seed);
+
+  std::vector<AccessPath> paths;
+  std::vector<std::uint64_t> compiled_at;  // flushes before each compile
+  std::uint64_t flushes = 0;
+  bool reran = false;
+  const auto compile = [&] {
+    const Placement at{
+        static_cast<std::uint32_t>(rng.uniform_int(0, spec.num_sms - 1)),
+        static_cast<std::uint32_t>(rng.uniform_int(0, spec.cores_per_sm - 1))};
+    const Space space = spaces[rng.uniform_int(0, spaces.size() - 1)];
+    paths.push_back(gpu.compile_path(at, space, {rng.uniform_int(0, 1) == 1}));
+    compiled_at.push_back(flushes);
+  };
+  compile();
+  const int ops = 30 + static_cast<int>(rng.uniform_int(0, 30));
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t kind = rng.uniform_int(0, 9);
+    if (kind == 0) {
+      compile();
+      continue;
+    }
+    if (kind == 1) {
+      gpu.flush_caches();
+      ++flushes;
+      continue;
+    }
+    if (kind == 2) {
+      if (spec.vendor == Vendor::kNvidia) {
+        const std::uint32_t line = spec.at(Element::kL2).line_bytes;
+        gpu.set_l2_fetch_granularity(line >> rng.uniform_int(0, 2));
+      }
+      continue;
+    }
+    // A pass, a warm walk or a restored pass over a live path.
+    const std::size_t p = rng.uniform_int(0, paths.size() - 1);
+    const AccessPath& path = paths[p];
+    if (path.epoch != gpu.path_epoch()) continue;
+    reran = reran || compiled_at[p] < flushes;
+    const std::uint64_t stride = 1 + rng.uniform_int(0, 300);
+    const std::uint64_t steps = 1 + rng.uniform_int(0, 400);
+    const std::uint64_t base =
+        arena + rng.uniform_int(0, 256 * KiB - steps * stride);
+    if (kind < 5) {
+      gpu.run_pass(path, base, stride, steps);
+    } else if (kind < 8) {
+      gpu.run_warm_pass(path, base, stride, steps);
+    } else {
+      PathSnapshot snap;
+      gpu.snapshot_path_prefix(path, base, stride, steps, snap);
+      gpu.run_pass(path, base, stride, steps);
+      gpu.restore_path(path, snap);
+    }
+  }
+  gpu.flush_caches();
+  gpu.reset_counters();
+
+  Gpu fresh = gpu.fork(seed);
+  const std::vector<const SectoredCache*> mine = every_cache(gpu);
+  const std::vector<const SectoredCache*> theirs = every_cache(fresh);
+  EXPECT_EQ(mine.size(), theirs.size()) << where;
+  for (std::size_t i = 0; i < std::min(mine.size(), theirs.size()); ++i) {
+    if (!(*mine[i] == *theirs[i])) {
+      ADD_FAILURE() << where << ": cache " << i << " differs from a fresh one";
+      break;
+    }
+  }
+  return reran;
+}
+
+TEST(FlushCaches, LeavesEveryCacheAsFreshAfterRandomSequences) {
+  // MI100's sL1d groups of three and TestGPU-AMD's of two share one sL1d
+  // between CUs; TestGPU-NV switches its L2 fetch granularity.
+  std::uint64_t reruns = 0;
+  std::uint64_t cases = 0;
+  for (const char* model : {"TestGPU-NV", "TestGPU-AMD", "MI100"}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      reruns += run_flush_case(model, seed) ? 1 : 0;
+      ++cases;
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GE(reruns * 2, cases)
+      << "too few cases ran a path compiled before a flush after it";
+}
+
+TEST(FlushCaches, CountsTheCachesAndSetsItFlushed) {
+  Gpu gpu(registry_get("TestGPU-AMD"), 1);
+  const std::uint64_t base = gpu.alloc(4 * KiB);
+  const AccessPath a = gpu.compile_path({0, 0}, Space::kScalar);
+  const AccessPath b = gpu.compile_path({2, 0}, Space::kScalar);
+  ASSERT_EQ(a.depth, 2u);  // sL1d -> L2
+  ASSERT_NE(a.levels[0].cache, b.levels[0].cache);
+  ASSERT_EQ(a.levels[1].cache, b.levels[1].cache);
+  gpu.flush_caches();  // nothing ran yet
+  EXPECT_EQ(gpu.flushed_caches(), 0u);
+  // Four 64 B lines into each sL1d; the shared L2's allocated range runs
+  // from the first line of one array to the last of the other.
+  gpu.run_warm_pass(a, base, 64, 4);
+  gpu.run_warm_pass(b, base + 2 * KiB, 64, 4);
+  gpu.flush_caches();
+  EXPECT_EQ(gpu.flushed_caches(), 3u) << "two sL1d caches and the L2";
+  const SectoredCache& sl1d = *a.levels[0].cache;
+  const SectoredCache& l2 = *a.levels[1].cache;
+  const std::uint64_t l2_lines = (2 * KiB + 256) / l2.geometry().line_bytes;
+  EXPECT_EQ(gpu.flushed_sets(),
+            2 * std::min<std::uint64_t>(4, sl1d.num_sets()) +
+                std::min<std::uint64_t>(l2_lines, l2.num_sets()));
+  // A path compiled before the flush lists its caches again when it runs.
+  gpu.run_pass(a, base, 64, 1);
+  gpu.flush_caches();
+  EXPECT_EQ(gpu.flushed_caches(), 5u);
+
+  // An L2 fetch-granularity switch drops the L2 segments it destroys from
+  // the list: the rebuilt segment is listed once, when a path reaches it.
+  Gpu nv(registry_get("TestGPU-NV"), 1);
+  const std::uint64_t nv_base = nv.alloc(4 * KiB);
+  nv.run_pass(nv.compile_path({0, 0}, Space::kGlobal), nv_base, 64, 8);
+  nv.set_l2_fetch_granularity(64);
+  nv.run_pass(nv.compile_path({0, 0}, Space::kGlobal), nv_base, 64, 8);
+  nv.flush_caches();
+  EXPECT_EQ(nv.flushed_caches(), 2u) << "the L1 and the rebuilt L2";
 }
 
 }  // namespace
