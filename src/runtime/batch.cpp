@@ -236,6 +236,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       const std::uint64_t reset_start = obs::monotonic_ns();
       const std::uint64_t caches_before = replica.flushed_caches();
       const std::uint64_t sets_before = replica.flushed_sets();
+      const std::uint64_t dropped_before = replica.fills_dropped();
       replica.flush_caches();
       if (!unit.chunk) {
         // The memo key IS the noise-stream seed (both are the full spec
@@ -253,6 +254,9 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
         metrics.add("sim.flushed_sets",
                     static_cast<double>(replica.flushed_sets() -
                                         sets_before));
+        metrics.add("sim.fills_dropped",
+                    static_cast<double>(replica.fills_dropped() -
+                                        dropped_before));
       }
     }
     const ScopedPChaseEngine scope(engine);  // workers default to kCompiled

@@ -141,6 +141,7 @@ bool SectoredCache::operator==(const SectoredCache& other) const {
 }
 
 CacheAccess SectoredCache::peek(std::uint64_t address) const {
+  if (fill_pending_) write_fill();
   const std::uint64_t line = line_of(address);
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
@@ -159,11 +160,10 @@ CacheAccess SectoredCache::peek(std::uint64_t address) const {
 }
 
 std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
+  if (fill_pending_) write_fill();
   const std::uint32_t g = stream.granule_shift;
   const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
   const bool onto_empty = lo_line_ > hi_line_;
-  const bool replayable =
-      onto_empty && g == 0 && stream.stride <= geometry_.line_bytes;
   // The stream: the first load of each visited granule. Each lands in a new
   // granule, so it misses unless an earlier stream load filled its sector:
   // the misses are the distinct sectors, one per granule when a sector is
@@ -176,11 +176,12 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
   stamp_ += accesses;
   hits_ += accesses - misses;
   misses_ += misses;
-  if (stream.stride <= geometry_.line_bytes &&
-      (1ULL << g) <= geometry_.line_bytes) {
-    fill_dense_lines(stream, last, stamp0);
+  // Onto an empty cache the fill waits for its first reader. The kept row
+  // is unset, so access() meets the pending fill on a set change.
+  if (onto_empty) {
+    last_set_ = ~0u;
   } else {
-    fill_sparse_lines(stream, accesses, stamp0, onto_empty);
+    fill_lines(stream, last, accesses, stamp0, /*onto_empty=*/false);
   }
   // After the fill: fill_dense_lines reads the range from before the stream.
   const std::uint64_t last_load =
@@ -191,9 +192,37 @@ std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
   hi_line_ = std::max(hi_line_, line_of(last_load));
   stream_base_ = stream.base;
   stream_stride_ = stream.stride;
-  stream_count_ = replayable ? stream.count : 0;
+  stream_count_ = stream.count;
   stream_stamp_ = stamp_;
+  stream_granule_ = static_cast<std::uint8_t>(g);
+  stream_replays_ =
+      onto_empty && g == 0 && stream.stride <= geometry_.line_bytes;
+  fill_pending_ = onto_empty;
   return misses;
+}
+
+void SectoredCache::write_fill() const {
+  // Nothing moved the clock since the fill but replays of it, which leave
+  // what the same fill started that many loads later leaves.
+  fill_pending_ = false;
+  const WarmStream stream{stream_base_, stream_stride_, stream_count_,
+                          stream_granule_};
+  const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
+  const std::uint64_t accesses =
+      blocks_below(stream, stream_granule_, last + 1);
+  fill_lines(stream, last, accesses, stream_stamp_ - accesses,
+             /*onto_empty=*/true);
+}
+
+void SectoredCache::fill_lines(const WarmStream& stream, std::uint64_t last,
+                               std::uint64_t accesses, std::uint64_t stamp0,
+                               bool onto_empty) const {
+  if (stream.stride <= geometry_.line_bytes &&
+      (1ULL << stream.granule_shift) <= geometry_.line_bytes) {
+    fill_dense_lines(stream, last, stamp0, onto_empty);
+  } else {
+    fill_sparse_lines(stream, accesses, stamp0, onto_empty);
+  }
 }
 
 SectoredCache::StreamLines SectoredCache::stream_lines() const {
@@ -226,6 +255,16 @@ std::uint64_t SectoredCache::replay_stream() {
   // than `ways` of them is always missing the line the walk comes back to
   // (its `ways` most recent lines are the ones before it), so it misses
   // each sector of each of its lines once: the first load of the sector.
+  const std::uint64_t steps = stream_count_;
+  // A pending fill held whole hits on every load, and replaying it leaves
+  // what the same fill started `steps` loads later would: it stays pending.
+  if (fill_pending_ && stream_held()) {
+    stamp_ += steps;
+    stream_stamp_ = stamp_;
+    hits_ += steps;
+    return 0;
+  }
+  if (fill_pending_) write_fill();
   const StreamLines lines = stream_lines();
   const std::uint64_t sets = num_sets_;
   const std::uint64_t ways = ways_per_set_;
@@ -243,7 +282,6 @@ std::uint64_t SectoredCache::replay_stream() {
       misses += sectors_below(from + lines.extra) - sectors_below(from);
     }
   }
-  const std::uint64_t steps = stream_count_;
   stamp_ += steps;
   stream_stamp_ = stamp_;
   hits_ += steps - misses;
@@ -276,8 +314,8 @@ std::uint64_t SectoredCache::replay_stream() {
 }
 
 void SectoredCache::fill_dense_lines(const WarmStream& stream,
-                                     std::uint64_t last,
-                                     std::uint64_t stamp0) {
+                                     std::uint64_t last, std::uint64_t stamp0,
+                                     bool onto_empty) const {
   // Stride and granule fit in a line: the stream reaches every line from
   // the first load's to the last load's, and the first load in a line is
   // the first of its granule. A set receives its lines in line order, each
@@ -348,7 +386,8 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
   // Only the sets of the line range allocated before the stream hold
   // lines; the rest are empty, and an empty set's victim order is the way
   // order.
-  const auto [first_held, held] = range_sets();
+  auto [first_held, held] = range_sets();
+  if (onto_empty) held = 0;
   std::vector<std::uint32_t> order;
   std::uint32_t set = set_of(last_line);
   for (std::uint64_t i = 0; i < touched; ++i) {
@@ -391,7 +430,8 @@ void SectoredCache::fill_dense_lines(const WarmStream& stream,
 
 void SectoredCache::fill_sparse_lines(const WarmStream& stream,
                                       std::uint64_t accesses,
-                                      std::uint64_t stamp0, bool onto_empty) {
+                                      std::uint64_t stamp0,
+                                      bool onto_empty) const {
   // Stride or granule exceeds the line: every stream load opens a line of
   // its own and fills one sector of it. Each line is newer than everything
   // its set holds, so in a cache that held no line a set takes its lines
@@ -424,8 +464,10 @@ std::uint64_t SectoredCache::flush() {
   // Only the sets of the allocated line range can differ from empty. Their
   // tags and stamps are cleared (access() takes a stamp-0 way as empty);
   // masks of empty ways are never read before the way is refilled, and a
-  // stale hint names a way whose tag cannot match.
+  // stale hint names a way whose tag cannot match. A pending fill was the
+  // only thing booked since the last flush, and it wrote nothing.
   auto [set, count] = range_sets();
+  if (fill_pending_) count = 0;
   const std::uint64_t cleared = count;
   if (count == num_sets_) {
     for (const Page& page : pages_) {
@@ -446,11 +488,13 @@ std::uint64_t SectoredCache::flush() {
   lo_line_ = ~0ULL;
   hi_line_ = 0;
   stamp_ = 0;
-  stream_count_ = 0;
+  stream_replays_ = false;
+  fill_pending_ = false;
   return cleared;
 }
 
 void SectoredCache::capture_rows(CacheSnapshot& out) const {
+  if (fill_pending_) write_fill();
   const std::size_t rows = out.sets.size();
   out.tags.assign(rows * ways_per_set_, kInvalidTag);
   out.masks.assign(rows * ways_per_set_, 0);
@@ -495,6 +539,7 @@ void SectoredCache::snapshot_addresses(std::uint64_t base, std::uint64_t stride,
 }
 
 void SectoredCache::restore(const CacheSnapshot& snap) {
+  if (fill_pending_) write_fill();
   const std::size_t rows = snap.sets.size();
   for (std::size_t i = 0; i < rows; ++i) {
     const Row r = row(snap.sets[i]);
@@ -509,7 +554,7 @@ void SectoredCache::restore(const CacheSnapshot& snap) {
   stamp_ = snap.stamp;
   hits_ = snap.hits;
   misses_ = snap.misses;
-  stream_count_ = 0;
+  stream_replays_ = false;
 }
 
 }  // namespace mt4g::sim

@@ -91,7 +91,12 @@ struct WarmStream {
 /// precomputed shifts/masks instead of per-access divisions whenever the
 /// geometry is a power of two (it always is for real specs). Warm walks
 /// (fill_warm_stream) and the timed passes that repeat them right after
-/// (replay_stream) skip it: their effect is written set by set.
+/// (replay_stream) skip it: their effect is written set by set, and a warm
+/// fill onto an empty cache only when something first reads it.
+///
+/// Readers that are const (peek, the snapshots, equality) may write a
+/// pending fill, through mutable state. A cache, like its Gpu, is used by
+/// one thread at a time (core/mt4g.hpp), so this needs no lock.
 class SectoredCache {
  public:
   /// Ways per page, rounded down to whole sets and a power-of-two set count.
@@ -130,6 +135,14 @@ class SectoredCache {
   /// loop leaves them. Returns the sector misses: the next level's stream
   /// length.
   ///
+  /// A fill onto an empty cache books its hits, misses, LRU clock and line
+  /// range, and keeps the stream instead of writing ways: the first reader
+  /// writes it, exactly as the fill would have. The readers are access(),
+  /// peek(), the snapshots, restore(), a replay that must rotate ways and a
+  /// second fill (which then fills onto the written state). flush() drops
+  /// a pending fill unwritten: nothing else was written since the last
+  /// flush.
+  ///
   /// A dense stream of every load (stride <= line, granule shift 0) filled
   /// onto an empty cache is remembered, with the LRU clock it leaves, for
   /// replay_stream().
@@ -137,13 +150,13 @@ class SectoredCache {
 
   /// Whether replay_stream() applies to the walk base + j * stride
   /// (j < count): the cache holds exactly what fill_warm_stream() of that
-  /// walk (granule shift 0) left on an empty cache, replayed any number of
-  /// times since, and nothing else touched it. access() moves the LRU clock
-  /// past the remembered one; flush(), restore() and a fill onto a
-  /// non-empty cache forget the stream.
+  /// walk (granule shift 0) left on an empty cache, written or pending,
+  /// replayed any number of times since, and nothing else touched it.
+  /// access() moves the LRU clock past the remembered one; flush(),
+  /// restore() and a fill onto a non-empty cache forget the stream.
   bool replays(std::uint64_t base, std::uint64_t stride,
                std::uint64_t count) const {
-    return stream_count_ != 0 && stamp_ == stream_stamp_ &&
+    return stream_replays_ && stamp_ == stream_stamp_ &&
            base == stream_base_ && stride == stream_stride_ &&
            count == stream_count_;
   }
@@ -158,12 +171,16 @@ class SectoredCache {
   /// misses every line, and hits only the later loads into a sector it has
   /// just refilled. Hits, misses, the LRU clock and the way state of every
   /// set end exactly as the per-load loop leaves them, and the stream stays
-  /// remembered. Precondition: replays(). Returns the sector misses.
+  /// remembered. A pending fill that every set holds whole stays pending:
+  /// replaying it leaves what the same fill started `steps` loads later
+  /// would, so only the LRU clock and the hits move, in O(1). Precondition:
+  /// replays(). Returns the sector misses.
   std::uint64_t replay_stream();
 
   /// Drops all contents: clears, in place, the sets of the lines allocated
-  /// since the last flush. Every other set holds no line already. Returns
-  /// the number of sets cleared.
+  /// since the last flush (none for a pending fill, which is dropped
+  /// unwritten). Every other set holds no line already. Returns the number
+  /// of sets cleared.
   std::uint64_t flush();
 
   /// Captures the sets of the lines allocated since the last flush, in set
@@ -211,7 +228,7 @@ class SectoredCache {
   bool operator==(const SectoredCache& other) const;
 
  private:
-  friend class Gpu;  // keeps listed_
+  friend class Gpu;  // keeps listed_, counts dropped fills, asks stream_held()
 
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
@@ -244,7 +261,7 @@ class SectoredCache {
             page.hints + local};
   }
   /// The way state of @p set, allocating its page on first use.
-  Row row(std::uint32_t set) {
+  Row row(std::uint32_t set) const {
     Page& page = pages_[set >> page_shift_];
     if (page.tags == nullptr) [[unlikely]] {
       make_page(page);
@@ -260,10 +277,19 @@ class SectoredCache {
             std::min<std::uint64_t>(hi_line_ - lo_line_ + 1, num_sets_)};
   }
   void capture_rows(CacheSnapshot& out) const;
+  /// Writes the pending fill as fill_warm_stream() would have onto the
+  /// empty cache it found.
+  void write_fill() const;
+  /// Writes the way state of @p stream (last load @p last, @p accesses
+  /// accesses from LRU clock @p stamp0) onto the cache, which held no line
+  /// when @p onto_empty.
+  void fill_lines(const WarmStream& stream, std::uint64_t last,
+                  std::uint64_t accesses, std::uint64_t stamp0,
+                  bool onto_empty) const;
   void fill_dense_lines(const WarmStream& stream, std::uint64_t last,
-                        std::uint64_t stamp0);
+                        std::uint64_t stamp0, bool onto_empty) const;
   void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
-                         std::uint64_t stamp0, bool onto_empty);
+                         std::uint64_t stamp0, bool onto_empty) const;
   /// How the remembered stream's lines spread over the sets: from its
   /// first line on, `per_set` lines per set, and one more in the sets of
   /// the first `extra` lines.
@@ -280,6 +306,12 @@ class SectoredCache {
     }
   };
   StreamLines stream_lines() const;
+  /// Whether no set holds more than `ways` lines of the remembered stream,
+  /// so that replaying it hits on every load. Precondition: replays().
+  bool stream_held() const {
+    return stream_lines().count <=
+           static_cast<std::uint64_t>(num_sets_) * ways_per_set_;
+  }
   /// Way a line miss evicts, given the set's stamps: the minimum-stamp way,
   /// branchlessly (the LRU compare outcome is data-dependent and would
   /// mispredict). Empty ways carry stamp 0 (stamps are zeroed on flush,
@@ -305,6 +337,11 @@ class SectoredCache {
   /// Whether the cache is on the flush list of the Gpu whose path reached
   /// it (Gpu::flush_caches), so listing it again costs no search.
   bool listed_ = false;
+  /// Granule shift of the last fill's stream (below), whether replays()
+  /// may accept that stream, and whether its fill is still to be written.
+  std::uint8_t stream_granule_ = 0;
+  bool stream_replays_ = false;
+  mutable bool fill_pending_ = false;
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -314,19 +351,21 @@ class SectoredCache {
   /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
-  /// The stream replays() tests for (count 0: none), always of granule
-  /// shift 0, and the LRU clock its fill or last replay left.
+  /// The last fill's stream, which replays() tests for and a pending fill
+  /// writes, and the LRU clock its fill or last replay left.
   std::uint64_t stream_base_ = 0;
   std::uint64_t stream_stride_ = 0;
   std::uint64_t stream_count_ = 0;
   std::uint64_t stream_stamp_ = 0;
-  // Way state, in pages of whole sets (see Page).
+  // Way state, in pages of whole sets (see Page). Mutable: a const reader
+  // may write a pending fill.
   std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
   std::uint32_t page_mask_ = 0;   ///< sets per page - 1
   std::size_t page_ways_ = 0;     ///< sets per page * ways per set
-  std::vector<Page> pages_;
+  mutable std::vector<Page> pages_;
   /// The row of the set access() touched last (pages are never freed), and
-  /// that set.
+  /// that set. A deferred fill unsets it, so access() looks for a pending
+  /// fill on its set-change branch only.
   Row last_row_{};
   std::uint32_t last_set_ = ~0u;
 
@@ -383,6 +422,9 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   // load) into one predictable compare. Tags are unique within a set, so
   // probe order cannot change the outcome.
   if (set != last_set_) {
+    if (fill_pending_) [[unlikely]] {
+      write_fill();
+    }
     last_set_ = set;
     last_row_ = row(set);
   }

@@ -297,8 +297,11 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
   if (record != nullptr && record->size() < record_limit) {
     recorded = std::min<std::uint64_t>(steps, record_limit - record->size());
   }
-  if (path.depth == 1 &&
-      path.levels[0].cache->replays(base, stride_bytes, steps)) {
+  // A first level that holds the whole walk serves every load of it, so
+  // the deeper levels see none: such a pass replays on a path of any depth.
+  if (path.depth > 0 &&
+      path.levels[0].cache->replays(base, stride_bytes, steps) &&
+      (path.depth == 1 || path.levels[0].cache->stream_held())) {
     return replay_pass(path, base, stride_bytes, steps, served, record,
                        recorded);
   }
@@ -328,13 +331,16 @@ std::uint64_t Gpu::replay_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t recorded) {
   // Only the recorded loads need their own latencies; the rest of the pass
   // is its hit and miss totals plus its summed noise, drawn after the
-  // recorded loads' as the per-load loop draws it.
+  // recorded loads' as the per-load loop draws it. A walk the level holds
+  // whole hits on every load. Misses are served by the terminal: a deeper
+  // path replays only a walk its first level holds whole.
   const AccessPath::Level& level = path.levels[0];
   SectoredCache& cache = *level.cache;
+  const bool held = cache.stream_held();
   std::uint64_t total_cycles = 0;
   std::uint64_t recorded_hits = 0;
   for (std::uint64_t i = 0; i < recorded; ++i) {
-    const bool hit = cache.replay_hits(base + i * stride_bytes);
+    const bool hit = held || cache.replay_hits(base + i * stride_bytes);
     recorded_hits += hit ? 1 : 0;
     const std::uint32_t latency =
         noise_.sample_rounded(hit ? level.latency : path.terminal_latency);
@@ -523,6 +529,7 @@ void Gpu::list_caches(const AccessPath& path) {
 
 void Gpu::flush_caches() {
   for (SectoredCache* cache : flush_list_) {
+    fills_dropped_ += cache->fill_pending_ ? 1 : 0;
     flushed_sets_ += cache->flush();
     cache->listed_ = false;
   }

@@ -157,6 +157,53 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
           << array_bytes << ": the timed pass replays";
     }
   }
+
+  // Dual-CU chases on TestGPU-AMD's sL1d -> L2 path (1 KiB sL1d, groups of
+  // two CUs): CU 1 shares CU 0's sL1d, CU 2 does not. Only with another
+  // sL1d does the partner leave CU 0's walk alone, and then a walk the sL1d
+  // holds replays though the path has two levels.
+  for (const std::uint32_t partner : {1u, 2u}) {
+    for (const std::uint64_t array_bytes : {3 * KiB / 4, 1 * KiB, 2 * KiB}) {
+      sim::Gpu compiled_gpu(sim::registry_get("TestGPU-AMD"), 7);
+      sim::Gpu reference_gpu(sim::registry_get("TestGPU-AMD"), 7);
+      runtime::PChaseConfig config;
+      config.space = sim::Space::kScalar;
+      config.array_bytes = array_bytes;
+      config.stride_bytes = 64;
+      config.base = compiled_gpu.alloc(array_bytes);
+      const std::uint64_t base_b = compiled_gpu.alloc(array_bytes);
+      ASSERT_EQ(config.base, reference_gpu.alloc(array_bytes));
+      ASSERT_EQ(base_b, reference_gpu.alloc(array_bytes));
+      ASSERT_EQ(compiled_gpu.compile_path({0, 0}, sim::Space::kScalar).depth,
+                2u);
+
+      runtime::PChaseResult compiled, reference;
+      {
+        runtime::ScopedPChaseEngine scope(runtime::PChaseEngine::kCompiled);
+        compiled = runtime::run_dual_cu_pchase(compiled_gpu, config, partner,
+                                               base_b);
+      }
+      {
+        runtime::ScopedPChaseEngine scope(runtime::PChaseEngine::kReference);
+        reference = runtime::run_dual_cu_pchase(reference_gpu, config,
+                                                partner, base_b);
+      }
+      const std::string where = "partner CU " + std::to_string(partner) +
+                                ", " + std::to_string(array_bytes) + " B";
+      EXPECT_EQ(compiled.latencies, reference.latencies) << where;
+      EXPECT_EQ(compiled.served_by, reference.served_by) << where;
+      EXPECT_EQ(compiled.warm_cycles, reference.warm_cycles) << where;
+      EXPECT_EQ(compiled.total_cycles, reference.total_cycles) << where;
+      EXPECT_EQ(compiled.timed_loads, reference.timed_loads) << where;
+      EXPECT_EQ(compiled_gpu.miss_count(0, Element::kDeviceMem),
+                reference_gpu.miss_count(0, Element::kDeviceMem))
+          << where;
+      const bool replays = partner == 2 && array_bytes <= 1 * KiB;
+      EXPECT_EQ(compiled_gpu.timed_loads_stepped(),
+                replays ? 0u : compiled.timed_loads)
+          << where << (replays ? ": the timed pass replays" : ": it steps");
+    }
+  }
 }
 
 // --- Zero allocation ---------------------------------------------------------
@@ -214,9 +261,10 @@ TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
 }
 
 TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
-  // A timed pass that replays its warm walk in closed form writes only the
-  // sets the warm fill wrote, and draws its noise in bulk: repeated, it
-  // allocates nothing at all.
+  // The warm fill onto the empty L2 is written by its first reader: the
+  // first timed pass, whose replay must rotate the overfull sets' ways. That
+  // pass allocates the fill's pages. A replay writes only the sets the fill
+  // wrote and draws its noise in bulk, so later passes allocate nothing.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   const std::uint64_t bytes = 48 * KiB;  // above the 32 KiB L2 segment
   const std::uint64_t base = gpu.alloc(bytes);
@@ -225,13 +273,21 @@ TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
   const sim::AccessPath path =
       gpu.compile_path({0, 0}, sim::Space::kGlobal, cg);
   ASSERT_EQ(path.depth, 1u);
+  const std::size_t warm_start = g_allocations.load();
   gpu.run_warm_pass(path, base, 32, bytes / 32);
+  EXPECT_EQ(g_allocations.load() - warm_start, 0u) << "the fill is pending";
 
   sim::ElementCounts served;
   std::vector<std::uint32_t> record;
   record.reserve(512);
+  const std::size_t first = g_allocations.load();
+  gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
+  const std::size_t first_pass = g_allocations.load() - first;
+  EXPECT_GT(first_pass, 0u);
+  EXPECT_EQ(first_pass, pages_holding(path, base, bytes))
+      << "the first pass allocates the fill's pages";
   const std::size_t before = g_allocations.load();
-  for (int pass = 0; pass < 3; ++pass) {
+  for (int pass = 1; pass < 3; ++pass) {
     gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);

@@ -353,6 +353,33 @@ TEST(ObsMetrics, TimedPassesReplayInClosedFormOnTheCompiledEngineOnly) {
   metrics.disable();
 }
 
+TEST(ObsMetrics, ResetsDropUnreadFillsOnTheCompiledEngineOnly) {
+  // sim.fills_dropped counts the warm fills replica resets discard before
+  // anything read them. TestGPU-AMD's CU-sharing pairs warm a partner CU's
+  // sL1d that the timed pass never reads; the reference engine steps every
+  // warm load, so it has no fill to drop.
+  const ObsQuiescent quiescent;
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.enable();
+  for (const runtime::PChaseEngine engine :
+       {runtime::PChaseEngine::kCompiled, runtime::PChaseEngine::kReference}) {
+    const runtime::ScopedPChaseEngine scope(engine);
+    const std::vector<obs::MetricSample> before = metrics.snapshot();
+    sim::Gpu gpu(sim::registry_get("TestGPU-AMD"), 42);
+    (void)core::discover(gpu);
+    const std::vector<obs::MetricSample> reset =
+        obs::Metrics::delta(before, metrics.snapshot());
+    EXPECT_GT(counter(reset, "sim.flushed_caches"), 0.0);
+    const double dropped = counter(reset, "sim.fills_dropped");
+    if (engine == runtime::PChaseEngine::kCompiled) {
+      EXPECT_GT(dropped, 0.0);
+    } else {
+      EXPECT_EQ(dropped, 0.0);
+    }
+  }
+  metrics.disable();
+}
+
 TEST(ObsMetrics, PrometheusTextFormat) {
   const ObsQuiescent quiescent;
   obs::Metrics& metrics = obs::Metrics::instance();

@@ -1,9 +1,11 @@
 // Gate for the closed-form warm walk and the closed-form timed pass after
 // it. Gpu::run_warm_pass computes a walk's effect on each cache level
-// arithmetically once the walk is past every line a level holds, and
-// Gpu::run_pass replays a one-level walk such a fill just ran; the per-load
-// loop (stride 0, one load per call — what the reference engine runs) is
-// their oracle. Every case below runs the same history and walk through both
+// arithmetically once the walk is past every line a level holds (onto an
+// empty level the fill is written by its first reader), and Gpu::run_pass
+// replays a walk such a fill just ran on a one-level path, or on a deeper
+// one whose first level holds the walk whole; the per-load loop (stride 0,
+// one load per call — what the reference engine runs) is their oracle.
+// Every case below runs the same history and walk through both
 // and compares every per-level field (tags, masks, stamps and hints of the
 // sets of the allocated line range, in set order; LRU clock, hit and miss
 // counters, the allocated line range) plus device-memory accesses and the
@@ -491,8 +493,9 @@ TEST(WarmFill, SparseStreamsMatchTheWalk) {
 }
 
 // --- Timed passes of a just-warmed walk --------------------------------------
-// Gpu::run_pass replays a one-level walk that the level's closed-form warm
-// fill just ran onto it empty (SectoredCache::replay_stream). The oracle
+// Gpu::run_pass replays a walk that its first level's closed-form warm fill
+// just ran onto it empty (SectoredCache::replay_stream), on a one-level path
+// or on a deeper one whose first level holds the walk whole. The oracle
 // side warms the same walk load by load, so its cache remembers no stream,
 // and runs each timed pass as one run_pass call per load. Every pass is
 // compared in cycles, recorded latencies, served counts, device-memory
@@ -516,7 +519,10 @@ enum class Twist {
 /// shapes outside it.
 enum class Shape {
   kReplay,        ///< one level, power-of-two line and sector, stride <= line
-  kTwoLevels,     ///< the same walk through two levels
+  kHeld,          ///< the same through two or three levels, the first of
+                  ///< which holds the walk whole
+  kOverflow,      ///< two or three levels, the walk overflowing at least one
+                  ///< set of the first
   kSparseStride,  ///< a stride above the line
   kOddLine,       ///< a line that is not a power of two
 };
@@ -549,9 +555,12 @@ struct TimedLoads {
 TimedLoads run_timed_case(std::uint64_t seed, Shape shape, Twist twist) {
   Xoshiro256 rng(seed);
   const bool odd_line = shape == Shape::kOddLine;
+  const bool deeper = shape == Shape::kHeld || shape == Shape::kOverflow;
   std::vector<CacheGeometry> levels{random_level(rng, odd_line, 16)};
-  if (shape == Shape::kTwoLevels) {
-    levels.push_back(random_level(rng, odd_line, 16));
+  if (deeper) {
+    for (std::uint64_t more = 1 + rng.uniform_int(0, 1); more > 0; --more) {
+      levels.push_back(random_level(rng, false, 16));
+    }
   }
   Side closed(levels);
   Side oracle(levels);
@@ -560,15 +569,30 @@ TimedLoads run_timed_case(std::uint64_t seed, Shape shape, Twist twist) {
     capacity = std::max(capacity, g.size_bytes);
   }
   const std::uint64_t line = levels[0].line_bytes;
-  const std::uint64_t stride =
+  std::uint64_t stride =
       shape == Shape::kSparseStride ? line + 1 + rng.uniform_int(0, 3 * line)
                                     : random_dense_stride(rng, levels[0]);
   const std::uint64_t base = 4096 * (4 + rng.uniform_int(0, 60)) +
                              rng.uniform_int(0, 4095);
   const std::uint64_t bytes = rng.uniform_int(0, 3 * capacity);
-  const std::uint64_t steps = std::min<std::uint64_t>(
+  std::uint64_t steps = std::min<std::uint64_t>(
       20000, std::max<std::uint64_t>(1, bytes / stride));
   const std::uint64_t record_limit = rng.uniform_int(0, 700);
+  if (deeper) {
+    // A walk over exactly `span` lines of the first level: at most its
+    // line count, or more (in half the overflowing cases one line more,
+    // which overflows a single set). Strides stay dense, and grow where
+    // the walk would take over 20000 loads.
+    const std::uint64_t lines = levels[0].size_bytes / line;
+    const std::uint64_t span =
+        shape == Shape::kHeld
+            ? 1 + rng.uniform_int(0, lines - 1)
+            : lines + 1 +
+                  (rng.uniform_int(0, 1) == 0 ? 0
+                                              : rng.uniform_int(0, 2 * lines));
+    stride = std::max(stride, (span * line + 19999) / 20000);
+    steps = ((base / line + span) * line - 1 - base) / stride + 1;
+  }
   std::string where = "seed " + std::to_string(seed) + ", shape " +
                       std::to_string(static_cast<int>(shape)) + ", twist " +
                       std::to_string(static_cast<int>(twist)) + ", stride " +
@@ -690,9 +714,21 @@ TEST(TimedClosedForm, DeclinesAfterAnythingButTheWarmAndStillMatches) {
   }
 }
 
+TEST(TimedClosedForm, ReplaysOnDeeperPathsWhoseFirstLevelHoldsTheWalk) {
+  // Every load hits the first level, so the deeper levels see none: two-
+  // and three-level passes replay, and the levels below stay as they were.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    EXPECT_EQ(run_timed_case(seed, Shape::kHeld, Twist::kNone).stepped, 0u)
+        << "seed " << seed << ": every pass replays";
+    if (HasFailure()) break;
+  }
+}
+
 TEST(TimedClosedForm, DeclinesOutsideItsPreconditionsAndStillMatches) {
+  // A deeper path whose first level cannot hold the walk (one set over is
+  // enough) steps, like sparse strides and odd lines on one level.
   for (const Shape shape :
-       {Shape::kTwoLevels, Shape::kSparseStride, Shape::kOddLine}) {
+       {Shape::kOverflow, Shape::kSparseStride, Shape::kOddLine}) {
     for (std::uint64_t seed = 1; seed <= 150; ++seed) {
       const TimedLoads timed = run_timed_case(seed, shape, Twist::kNone);
       EXPECT_EQ(timed.stepped, timed.loads)
@@ -701,6 +737,253 @@ TEST(TimedClosedForm, DeclinesOutsideItsPreconditionsAndStillMatches) {
       if (HasFailure()) return;
     }
   }
+}
+
+// --- Fills written when read -------------------------------------------------
+// A closed-form warm fill onto an empty cache books its hits, misses, LRU
+// clock and line range, and its first reader writes its way state; a flush
+// drops it unwritten. Each case fills a random walk onto a fresh or flushed
+// path of one to three levels, in closed form on one side and load by load
+// on the other, then runs one reader drawn at random on both. After every
+// step the sides agree in cycles, hits, misses and device-memory reads,
+// none of which reads way state; at the end, in whole cache state.
+
+/// The reader a case runs after the fill.
+enum class Reader {
+  kAccessInside,    ///< a load of the walk
+  kAccessOutside,   ///< a load above the walk's lines
+  kAccessLastSet,   ///< the last load before the flush again: the set whose
+                    ///< row access() kept
+  kPeek,            ///< peek() at every level
+  kSnapshot,        ///< snapshot() of every level
+  kSnapshotPrefix,  ///< snapshot_addresses() of a prefix of the walk
+  kRestore,         ///< a prefix snapshot taken before the fill, restored
+  kWalkBelow,       ///< another array's warm walk below the walk
+  kWalkAbove,       ///< another array's warm walk above it
+  kExtension,       ///< the walk continued
+  kReplay,          ///< two timed passes over the walk
+  kFlush,           ///< a flush, then the same walk again
+};
+constexpr std::uint64_t kReaders = 12;
+
+/// What a step booked, compared without reading way state: every level's
+/// hits and misses, and device-memory reads.
+void expect_same_books(const Side& closed, const Side& oracle,
+                       const std::string& where) {
+  EXPECT_EQ(closed.dmem(), oracle.dmem()) << where << ": device memory";
+  for (std::size_t k = 0; k < closed.caches.size(); ++k) {
+    EXPECT_EQ(closed.caches[k].hits(), oracle.caches[k].hits())
+        << where << ", level " << k << ": hits";
+    EXPECT_EQ(closed.caches[k].misses(), oracle.caches[k].misses())
+        << where << ", level " << k << ": misses";
+  }
+}
+
+/// Runs one case; returns whether a timed pass over a path of two or three
+/// levels replayed.
+bool run_pending_case(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const auto reader = static_cast<Reader>(rng.uniform_int(0, kReaders - 1));
+  std::vector<CacheGeometry> levels;
+  const std::size_t depth = 1 + rng.uniform_int(0, 2);
+  for (std::size_t k = 0; k < depth; ++k) {
+    levels.push_back(random_level(rng, false, 12));
+  }
+  Side closed(levels);
+  Side oracle(levels);
+  const CacheGeometry& first = levels[0];
+  const std::uint64_t line = first.line_bytes;
+  // Only dense walks replay; the other readers take any stride. Walks run
+  // up to three times the first level (held or not) or the largest one.
+  const std::uint64_t stride = reader == Reader::kReplay
+                                   ? random_dense_stride(rng, first)
+                                   : random_stride(rng, first);
+  std::uint64_t capacity = first.size_bytes;
+  if (rng.uniform_int(0, 1) == 1) {
+    for (const CacheGeometry& g : levels) {
+      capacity = std::max(capacity, g.size_bytes);
+    }
+  }
+  const std::uint64_t base = 4096 * (8 + rng.uniform_int(0, 60)) +
+                             rng.uniform_int(0, 4095);
+  const std::uint64_t steps = std::min<std::uint64_t>(
+      20000,
+      std::max<std::uint64_t>(1, (1 + rng.uniform_int(0, 3 * capacity)) /
+                                     stride));
+  const std::uint64_t last = base + (steps - 1) * stride;
+  const std::string where =
+      "seed " + std::to_string(seed) + ", reader " +
+      std::to_string(static_cast<int>(reader)) + ", stride " +
+      std::to_string(stride) + ", steps " + std::to_string(steps) +
+      describe(levels);
+
+  // Before the fill: fresh caches, or loads ending in one of the walk's
+  // (its last, or any) and then a flush, which keeps access()'s row.
+  std::uint64_t last_load = last;
+  if (reader == Reader::kAccessLastSet || rng.uniform_int(0, 1) == 1) {
+    if (rng.uniform_int(0, 1) == 1) {
+      last_load = base + rng.uniform_int(0, steps - 1) * stride;
+    }
+    std::vector<std::uint64_t> loads;
+    for (int i = 0; i < 100; ++i) loads.push_back(rng.uniform_int(0, 1 << 20));
+    loads.push_back(last_load);
+    for (Side* side : {&closed, &oracle}) {
+      for (const std::uint64_t address : loads) {
+        side->oracle_walk(address, 0, 1);
+      }
+      side->gpu.flush_caches();
+    }
+  }
+  PathSnapshot closed_before;
+  PathSnapshot oracle_before;
+  if (reader == Reader::kRestore) {
+    const std::uint64_t prefix =
+        1 + rng.uniform_int(0, std::min<std::uint64_t>(steps, 64) - 1);
+    closed.gpu.snapshot_path_prefix(closed.path, base, stride, prefix,
+                                    closed_before);
+    oracle.gpu.snapshot_path_prefix(oracle.path, base, stride, prefix,
+                                    oracle_before);
+  }
+
+  const std::uint64_t stepped = closed.gpu.warm_loads_stepped();
+  EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, base, stride, steps),
+            oracle.oracle_walk(base, stride, steps))
+      << where << ": fill cycles";
+  EXPECT_EQ(closed.gpu.warm_loads_stepped(), stepped)
+      << where << ": the fill runs in closed form";
+  expect_same_books(closed, oracle, where + ", fill");
+
+  // A warm walk on both sides (in closed form where it applies on the
+  // closed one), compared in cycles.
+  const auto warm = [&](std::uint64_t from, std::uint64_t s,
+                        std::uint64_t n) {
+    EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, from, s, n),
+              oracle.oracle_walk(from, s, n))
+        << where << ": reader cycles";
+  };
+  bool replayed_deeper = false;
+  switch (reader) {
+    case Reader::kAccessInside:
+      warm(base + rng.uniform_int(0, steps - 1) * stride, 0, 1);
+      break;
+    case Reader::kAccessOutside:
+      warm((last / line + 1 + rng.uniform_int(0, 48)) * line +
+               rng.uniform_int(0, line - 1),
+           0, 1);
+      break;
+    case Reader::kAccessLastSet:
+      warm(last_load, 0, 1);
+      break;
+    case Reader::kPeek: {
+      const std::uint64_t addresses[] = {
+          base, last, last_load, base + rng.uniform_int(0, steps - 1) * stride,
+          last + line};
+      for (std::size_t k = 0; k < depth; ++k) {
+        for (const std::uint64_t address : addresses) {
+          const CacheAccess c = closed.caches[k].peek(address);
+          const CacheAccess o = oracle.caches[k].peek(address);
+          EXPECT_EQ(c.line_hit, o.line_hit) << where << ", level " << k;
+          EXPECT_EQ(c.sector_hit, o.sector_hit) << where << ", level " << k;
+        }
+      }
+      break;
+    }
+    case Reader::kSnapshot:
+    case Reader::kSnapshotPrefix: {
+      const std::uint64_t prefix =
+          1 + rng.uniform_int(0, std::min<std::uint64_t>(steps, 500) - 1);
+      for (std::size_t k = 0; k < depth; ++k) {
+        CacheSnapshot c;
+        CacheSnapshot o;
+        if (reader == Reader::kSnapshot) {
+          closed.caches[k].snapshot(c);
+          oracle.caches[k].snapshot(o);
+        } else {
+          closed.caches[k].snapshot_addresses(base, stride, prefix, c);
+          oracle.caches[k].snapshot_addresses(base, stride, prefix, o);
+        }
+        EXPECT_TRUE(c == o) << where << ", level " << k << ": snapshot";
+      }
+      break;
+    }
+    case Reader::kRestore:
+      closed.gpu.restore_path(closed.path, closed_before);
+      oracle.gpu.restore_path(oracle.path, oracle_before);
+      break;
+    case Reader::kWalkBelow: {
+      const std::uint64_t s = random_stride(rng, first);
+      warm(base - 4096 * 3 - rng.uniform_int(0, 4096), s,
+           1 + rng.uniform_int(0, 3 * 4096 / s));
+      break;
+    }
+    case Reader::kWalkAbove:
+      warm(last + 4096 + rng.uniform_int(0, 4096), random_stride(rng, first),
+           1 + rng.uniform_int(0, 400));
+      break;
+    case Reader::kExtension:
+      warm(last + stride, stride, 1 + rng.uniform_int(0, steps));
+      break;
+    case Reader::kReplay: {
+      // Whole state is compared only after both passes, so a pass that
+      // leaves the fill pending hands it on to the next.
+      const std::uint64_t record_limit = rng.uniform_int(0, 700);
+      ElementCounts closed_served;
+      ElementCounts oracle_served;
+      std::vector<std::uint32_t> closed_record;
+      std::vector<std::uint32_t> oracle_record;
+      closed_record.reserve(record_limit);
+      oracle_record.reserve(record_limit);
+      const std::uint64_t timed_before = closed.gpu.timed_loads_stepped();
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::uint64_t cycles =
+            closed.gpu.run_pass(closed.path, base, stride, steps,
+                                &closed_served, &closed_record, record_limit);
+        std::uint64_t expected = 0;
+        for (std::uint64_t i = 0; i < steps; ++i) {
+          expected += oracle.gpu.run_pass(oracle.path, base + i * stride, 0, 1,
+                                          &oracle_served, &oracle_record,
+                                          record_limit);
+        }
+        const std::string at = where + ", pass " + std::to_string(pass);
+        EXPECT_EQ(cycles, expected) << at << ": cycles";
+        EXPECT_EQ(closed_record, oracle_record) << at << ": latencies";
+        EXPECT_TRUE(closed_served == oracle_served) << at << ": served";
+        expect_same_books(closed, oracle, at);
+      }
+      replayed_deeper =
+          depth > 1 && closed.gpu.timed_loads_stepped() == timed_before;
+      break;
+    }
+    case Reader::kFlush: {
+      // Every level's fill is pending: the flush drops them all and clears
+      // no set.
+      const std::uint64_t dropped = closed.gpu.fills_dropped();
+      const std::uint64_t sets = closed.gpu.flushed_sets();
+      closed.gpu.flush_caches();
+      oracle.gpu.flush_caches();
+      EXPECT_EQ(closed.gpu.fills_dropped() - dropped, depth) << where;
+      EXPECT_EQ(closed.gpu.flushed_sets(), sets) << where;
+      EXPECT_EQ(oracle.gpu.fills_dropped(), 0u) << where;
+      warm(base, stride, steps);
+      break;
+    }
+  }
+  expect_same_books(closed, oracle, where + ", reader");
+  for (std::size_t k = 0; k < depth; ++k) {
+    expect_same_state(closed.caches[k], oracle.caches[k],
+                      where + ", level " + std::to_string(k));
+  }
+  return replayed_deeper;
+}
+
+TEST(PendingFill, EveryReaderSeesWhatThePerLoadLoopWrote) {
+  std::uint64_t replayed_deeper = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    replayed_deeper += run_pending_case(seed) ? 1 : 0;
+    if (HasFailure()) return;  // one diagnosed case beats thousands
+  }
+  EXPECT_GE(replayed_deeper, 20u)
+      << "too few timed passes over deeper paths replayed a pending fill";
 }
 
 // --- Flushes of the caches paths reached -----------------------------------
@@ -849,22 +1132,33 @@ TEST(FlushCaches, CountsTheCachesAndSetsItFlushed) {
   ASSERT_EQ(a.levels[1].cache, b.levels[1].cache);
   gpu.flush_caches();  // nothing ran yet
   EXPECT_EQ(gpu.flushed_caches(), 0u);
-  // Four 64 B lines into each sL1d; the shared L2's allocated range runs
-  // from the first line of one array to the last of the other.
+  // Four 64 B lines into each sL1d, whose fills nothing reads: the flush
+  // drops them unwritten. The shared L2's second fill writes its first, and
+  // its allocated range runs from the first line of one array to the last
+  // of the other.
   gpu.run_warm_pass(a, base, 64, 4);
   gpu.run_warm_pass(b, base + 2 * KiB, 64, 4);
   gpu.flush_caches();
   EXPECT_EQ(gpu.flushed_caches(), 3u) << "two sL1d caches and the L2";
+  EXPECT_EQ(gpu.fills_dropped(), 2u) << "the two sL1d fills";
   const SectoredCache& sl1d = *a.levels[0].cache;
   const SectoredCache& l2 = *a.levels[1].cache;
   const std::uint64_t l2_lines = (2 * KiB + 256) / l2.geometry().line_bytes;
   EXPECT_EQ(gpu.flushed_sets(),
-            2 * std::min<std::uint64_t>(4, sl1d.num_sets()) +
-                std::min<std::uint64_t>(l2_lines, l2.num_sets()));
+            std::min<std::uint64_t>(l2_lines, l2.num_sets()));
+  // A fill that was read is written, and cleared.
+  const std::uint64_t sets_before = gpu.flushed_sets();
+  gpu.run_warm_pass(a, base, 64, 4);
+  EXPECT_TRUE(sl1d.peek(base).sector_hit);
+  gpu.flush_caches();
+  EXPECT_EQ(gpu.fills_dropped(), 3u) << "only the L2's fill, never read";
+  EXPECT_EQ(gpu.flushed_sets() - sets_before,
+            std::min<std::uint64_t>(4, sl1d.num_sets()));
   // A path compiled before the flush lists its caches again when it runs.
   gpu.run_pass(a, base, 64, 1);
   gpu.flush_caches();
-  EXPECT_EQ(gpu.flushed_caches(), 5u);
+  EXPECT_EQ(gpu.flushed_caches(), 7u);
+  EXPECT_EQ(gpu.fills_dropped(), 3u) << "a stepped load fills nothing";
 
   // An L2 fetch-granularity switch drops the L2 segments it destroys from
   // the list: the rebuilt segment is listed once, when a path reaches it.
