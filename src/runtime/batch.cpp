@@ -237,6 +237,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       const std::uint64_t caches_before = replica.flushed_caches();
       const std::uint64_t sets_before = replica.flushed_sets();
       const std::uint64_t dropped_before = replica.fills_dropped();
+      const std::uint64_t pages_before = replica.pages_written();
       replica.flush_caches();
       if (!unit.chunk) {
         // The memo key IS the noise-stream seed (both are the full spec
@@ -254,6 +255,9 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
         metrics.add("sim.flushed_sets",
                     static_cast<double>(replica.flushed_sets() -
                                         sets_before));
+        metrics.add("sim.pages_written",
+                    static_cast<double>(replica.pages_written() -
+                                        pages_before));
         metrics.add("sim.fills_dropped",
                     static_cast<double>(replica.fills_dropped() -
                                         dropped_before));
@@ -406,9 +410,13 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   // which as a replay) is a function of the batch contents alone.
   std::vector<std::size_t> pending;  // first occurrences: run or committed
   std::vector<std::ptrdiff_t> copy_from(specs.size(), -1);
-  // hash -> indices already pending, so duplicate detection stays linear
-  // even for the N^2-pair CU-sharing batches.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
+  // hash -> the first pending index with that hash, and per pending index
+  // the next one with the same hash: duplicate detection stays linear even
+  // for the N^2-pair CU-sharing batches, with no allocation per spec.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::unordered_map<std::uint64_t, std::size_t> first_seen;
+  first_seen.reserve(specs.size());
+  std::vector<std::size_t> next_seen(specs.size(), kNone);
   std::vector<char> committed(specs.size(), 0);  ///< per spec
   std::uint64_t commits = 0;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
@@ -423,15 +431,18 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         ++pool.memo_stats.hits;
         continue;
       }
-      auto& candidates = first_seen[hash];
-      const auto earlier = std::find_if(
-          candidates.begin(), candidates.end(),
-          [&](std::size_t j) { return specs[j] == specs[i]; });
-      if (earlier != candidates.end()) {
-        copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
-        continue;
+      const auto [seen, first] = first_seen.try_emplace(hash, i);
+      if (!first) {
+        std::size_t j = seen->second;
+        while (!(specs[j] == specs[i]) && next_seen[j] != kNone) {
+          j = next_seen[j];
+        }
+        if (specs[j] == specs[i]) {
+          copy_from[i] = static_cast<std::ptrdiff_t>(j);
+          continue;
+        }
+        next_seen[j] = i;
       }
-      candidates.push_back(i);
       if (!pool.ahead.empty()) {
         const auto waiting = find_ahead(pool, specs[i]);
         if (waiting != pool.ahead.end()) {
@@ -501,6 +512,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     run_units(gpu, pool, plan, /*needed=*/units.size(), "chase.run");
 
     pool.memo_stats.misses += pending.size();
+    pool.memo.reserve(pool.memo.size() + pending.size());
     for (const std::size_t i : pending) {
       pool.memo[plan.seeds[i]].emplace_back(specs[i], results[i]);
     }

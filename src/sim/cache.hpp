@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -91,12 +92,19 @@ struct WarmStream {
 /// precomputed shifts/masks instead of per-access divisions whenever the
 /// geometry is a power of two (it always is for real specs). Warm walks
 /// (fill_warm_stream) and the timed passes that repeat them right after
-/// (replay_stream) skip it: their effect is written set by set, and a warm
-/// fill onto an empty cache only when something first reads it.
+/// (replay_stream) skip it: their effect is written set by set, and only
+/// into the pages something reads.
 ///
-/// Readers that are const (peek, the snapshots, equality) may write a
-/// pending fill, through mutable state. A cache, like its Gpu, is used by
-/// one thread at a time (core/mt4g.hpp), so this needs no lock.
+/// Pages are written when read. A page is written, since the last flush,
+/// when something first reads or writes one of its sets: access() on a set
+/// change, peek(), the snapshots, equality, restore(), and a replay over
+/// it. Writing it writes every closed-form fill since the flush into its
+/// sets, in fill order; a fill writes its lines into the pages already
+/// written at once, and waits for the others. So a written page holds
+/// every fill and every stepped load since the flush, and a page not
+/// written since holds no line. Readers that are const write pages through
+/// mutable state. A cache, like its Gpu, is used by one thread at a time
+/// (core/mt4g.hpp), so this needs no lock.
 class SectoredCache {
  public:
   /// Ways per page, rounded down to whole sets and a power-of-two set count.
@@ -135,13 +143,10 @@ class SectoredCache {
   /// loop leaves them. Returns the sector misses: the next level's stream
   /// length.
   ///
-  /// A fill onto an empty cache books its hits, misses, LRU clock and line
-  /// range, and keeps the stream instead of writing ways: the first reader
-  /// writes it, exactly as the fill would have. The readers are access(),
-  /// peek(), the snapshots, restore(), a replay that must rotate ways and a
-  /// second fill (which then fills onto the written state). flush() drops
-  /// a pending fill unwritten: nothing else was written since the last
-  /// flush.
+  /// The fill books its hits, misses, LRU clock and line range at once, and
+  /// writes its lines into the pages written since the last flush. In the
+  /// others it waits: each is written, with every waiting fill in order,
+  /// when something first reads it, and flush() drops what still waits.
   ///
   /// A dense stream of every load (stride <= line, granule shift 0) filled
   /// onto an empty cache is remembered, with the LRU clock it leaves, for
@@ -150,8 +155,9 @@ class SectoredCache {
 
   /// Whether replay_stream() applies to the walk base + j * stride
   /// (j < count): the cache holds exactly what fill_warm_stream() of that
-  /// walk (granule shift 0) left on an empty cache, written or pending,
-  /// replayed any number of times since, and nothing else touched it.
+  /// walk (granule shift 0) left on an empty cache, in written pages or
+  /// waiting, replayed any number of times since, and nothing else touched
+  /// it.
   /// access() moves the LRU clock past the remembered one; flush(),
   /// restore() and a fill onto a non-empty cache forget the stream.
   bool replays(std::uint64_t base, std::uint64_t stride,
@@ -171,16 +177,18 @@ class SectoredCache {
   /// misses every line, and hits only the later loads into a sector it has
   /// just refilled. Hits, misses, the LRU clock and the way state of every
   /// set end exactly as the per-load loop leaves them, and the stream stays
-  /// remembered. A pending fill that every set holds whole stays pending:
-  /// replaying it leaves what the same fill started `steps` loads later
-  /// would, so only the LRU clock and the hits move, in O(1). Precondition:
-  /// replays(). Returns the sector misses.
+  /// remembered. A replay leaves what the same fill started `steps` loads
+  /// later would, with each overflowing set's ways turned by its line
+  /// count. So pages not written yet only count the replay, which their
+  /// writer applies: with no page written a replay is O(1), and otherwise
+  /// it turns the written pages' sets. Precondition: replays(). Returns the
+  /// sector misses.
   std::uint64_t replay_stream();
 
   /// Drops all contents: clears, in place, the sets of the lines allocated
-  /// since the last flush (none for a pending fill, which is dropped
-  /// unwritten). Every other set holds no line already. Returns the number
-  /// of sets cleared.
+  /// since the last flush that lie in pages written since (no other set
+  /// holds a line), and drops the fills still waiting for a page. Returns
+  /// the number of sets cleared.
   std::uint64_t flush();
 
   /// Captures the sets of the lines allocated since the last flush, in set
@@ -218,7 +226,7 @@ class SectoredCache {
   std::uint32_t num_sets() const { return num_sets_; }
   /// Sets held by one page (a power of two); page p holds the sets
   /// [p * sets_per_page(), (p + 1) * sets_per_page()).
-  std::uint32_t sets_per_page() const { return page_mask_ + 1; }
+  std::uint32_t sets_per_page() const { return 1u << page_shift_; }
 
   /// Logical equality: geometry, LRU clock, counters, allocated line range
   /// and every set's tags and stamps, the masks of its filled ways and, in
@@ -228,68 +236,121 @@ class SectoredCache {
   bool operator==(const SectoredCache& other) const;
 
  private:
-  friend class Gpu;  // keeps listed_, counts dropped fills, asks stream_held()
+  friend class Gpu;  // keeps listed_, counts waiting fills and pages written,
+                     // asks stream_held()
 
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
   static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
-  /// One page of way state: the sets_per_page() sets' tags, LRU stamps,
-  /// sector masks and hints, carved from one allocation. Each array is
-  /// row-major by set, so the tag scan of an 8-way set touches one cache
-  /// line. Null pointers: no set of the page was written yet.
+  /// One page of way state: the sets_per_page() sets' tags and LRU stamps
+  /// (64-bit), then their sector masks and hints (32-bit), carved from one
+  /// allocation (see row_at). Each array is row-major by set, so the tag
+  /// scan of an 8-way set touches one cache line. Null storage: no set of
+  /// the page was ever written. `written`: the page holds every fill and
+  /// stepped load since the last flush; a page not written since holds no
+  /// line, whatever its storage says.
   struct Page {
     std::unique_ptr<std::byte[]> storage;
-    std::uint64_t* tags = nullptr;    ///< kInvalidTag marks an empty way
-    std::uint64_t* stamps = nullptr;  ///< unique, monotonic; 0 when empty
-    std::uint32_t* masks = nullptr;   ///< bit i: sector i of the line filled
-    std::uint32_t* hints = nullptr;   ///< per set: way of its last access
+    bool written = false;
   };
+  static_assert(sizeof(Page) <= 40, "every fork builds one Page per page");
   /// One set's way state: `ways` tags, stamps and masks, and its hint.
   struct Row {
-    std::uint64_t* tags;
-    std::uint64_t* stamps;
-    std::uint32_t* masks;
-    std::uint32_t* hint;
+    std::uint64_t* tags;    ///< kInvalidTag marks an empty way
+    std::uint64_t* stamps;  ///< unique, monotonic; 0 when empty
+    std::uint32_t* masks;   ///< bit i: sector i of the line filled
+    std::uint32_t* hint;    ///< way of the set's last access
+  };
+  /// A closed-form fill waiting for a page: its stream and the LRU clock it
+  /// started from.
+  struct Fill {
+    WarmStream stream;
+    std::uint64_t stamp0 = 0;
   };
 
-  /// The way state of @p set inside its written @p page.
-  Row row_at(const Page& page, std::uint32_t set) const {
-    const std::uint32_t local = set & page_mask_;
-    const std::size_t first = static_cast<std::size_t>(local) * ways_per_set_;
-    return {page.tags + first, page.stamps + first, page.masks + first,
-            page.hints + local};
+  std::size_t page_ways() const {
+    return static_cast<std::size_t>(ways_per_set_) << page_shift_;
   }
-  /// The way state of @p set, allocating its page on first use.
+  std::uint32_t page_count() const {
+    return ((num_sets_ - 1) >> page_shift_) + 1;
+  }
+  /// The way state of @p set inside @p page, which has storage.
+  Row row_at(const Page& page, std::uint32_t set) const {
+    const std::size_t ways = page_ways();
+    const std::uint32_t local = set & (sets_per_page() - 1);
+    const std::size_t first = static_cast<std::size_t>(local) * ways_per_set_;
+    std::byte* const raw = page.storage.get();
+    auto* const wide = std::launder(reinterpret_cast<std::uint64_t*>(raw));
+    auto* const narrow =
+        std::launder(reinterpret_cast<std::uint32_t*>(raw + 16 * ways));
+    return {wide + first, wide + ways + first, narrow + first,
+            narrow + ways + local};
+  }
+  /// The way state of @p set, writing its page first if it is not written.
   Row row(std::uint32_t set) const {
-    Page& page = pages_[set >> page_shift_];
-    if (page.tags == nullptr) [[unlikely]] {
-      make_page(page);
+    const std::uint32_t page = set >> page_shift_;
+    if (!pages_[page].written) [[unlikely]] {
+      write_page(page);
     }
-    return row_at(page, set);
+    return row_at(pages_[page], set);
   }
   void make_page(Page& page) const;
-  /// The sets lines allocated since the last flush map to, as (first set,
-  /// count), wrapping past the last set. No other set holds a line.
+  /// Page @p page as a reader sees it: written first while a fill waits.
+  const Page& page_to_read(std::uint32_t page) const {
+    if (first_waits_ && !pages_[page].written) write_page(page);
+    return pages_[page];
+  }
+  /// Allocates @p page if needed and writes every waiting fill into its
+  /// sets, in fill order: the first onto the empty page, turned by its
+  /// replays, the others onto what the earlier ones left.
+  void write_page(std::uint32_t page) const;
+  /// The sets the lines @p first .. @p last map to, as (first set, count),
+  /// wrapping past the last set.
+  std::pair<std::uint32_t, std::uint64_t> sets_of_lines(
+      std::uint64_t first, std::uint64_t last) const {
+    return {set_of(first), std::min<std::uint64_t>(last - first + 1, num_sets_)};
+  }
+  /// The sets lines allocated since the last flush map to. No other set
+  /// holds a line.
   std::pair<std::uint32_t, std::uint64_t> range_sets() const {
     if (lo_line_ > hi_line_) return {0, 0};
-    return {set_of(lo_line_),
-            std::min<std::uint64_t>(hi_line_ - lo_line_ + 1, num_sets_)};
+    return sets_of_lines(lo_line_, hi_line_);
   }
+  /// The sets the lines of @p stream map to.
+  std::pair<std::uint32_t, std::uint64_t> stream_sets(
+      const WarmStream& stream) const {
+    return sets_of_lines(
+        line_of(stream.base),
+        line_of(stream.base + (stream.count - 1) * stream.stride));
+  }
+  /// Calls @p fn(from, to) for each run [from, to) of the @p count sets
+  /// from @p first (wrapping) inside @p page: none, one or two.
+  template <class Fn>
+  void runs_in(std::uint32_t page, std::uint32_t first, std::uint64_t count,
+               Fn fn) const;
+  /// Calls @p fn(page, from, to) for each run of those sets inside one
+  /// page, page by page; a page's two runs come in a row.
+  template <class Fn>
+  void for_each_run(std::uint32_t first, std::uint64_t count, Fn fn) const;
   void capture_rows(CacheSnapshot& out) const;
-  /// Writes the pending fill as fill_warm_stream() would have onto the
-  /// empty cache it found.
-  void write_fill() const;
-  /// Writes the way state of @p stream (last load @p last, @p accesses
-  /// accesses from LRU clock @p stamp0) onto the cache, which held no line
-  /// when @p onto_empty.
-  void fill_lines(const WarmStream& stream, std::uint64_t last,
-                  std::uint64_t accesses, std::uint64_t stamp0,
-                  bool onto_empty) const;
-  void fill_dense_lines(const WarmStream& stream, std::uint64_t last,
-                        std::uint64_t stamp0, bool onto_empty) const;
-  void fill_sparse_lines(const WarmStream& stream, std::uint64_t accesses,
-                         std::uint64_t stamp0, bool onto_empty) const;
+  /// The first fill since the last flush, kept in the stream_* members.
+  Fill first_fill() const;
+  /// Fills waiting for a page: the first, then more_fills_.
+  std::uint64_t fills_waiting() const {
+    return first_waits_ ? 1 + more_fills_.size() : 0;
+  }
+  /// Writes the way state @p fill leaves in the sets [from, to) of one
+  /// written page, each of whose sets it reaches; @p onto_empty when they
+  /// held no line. A fill replayed @p turns times turns each overflowing
+  /// set's ways by its line count per replay.
+  void fill_lines(const Fill& fill, std::uint32_t turns, std::uint32_t from,
+                  std::uint32_t to, bool onto_empty) const;
+  void fill_dense_lines(const Fill& fill, std::uint32_t turns,
+                        std::uint32_t from, std::uint32_t to,
+                        bool onto_empty) const;
+  void fill_sparse_lines(const Fill& fill, std::uint32_t from,
+                         std::uint32_t to, bool onto_empty) const;
   /// How the remembered stream's lines spread over the sets: from its
   /// first line on, `per_set` lines per set, and one more in the sets of
   /// the first `extra` lines.
@@ -333,15 +394,15 @@ class SectoredCache {
   CacheGeometry geometry_;
   std::uint32_t num_sets_ = 1;
   std::uint32_t ways_per_set_ = 1;
-  std::uint32_t sectors_per_line_ = 1;
+  std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
   /// Whether the cache is on the flush list of the Gpu whose path reached
   /// it (Gpu::flush_caches), so listing it again costs no search.
   bool listed_ = false;
-  /// Granule shift of the last fill's stream (below), whether replays()
-  /// may accept that stream, and whether its fill is still to be written.
+  /// Granule shift of the first fill's stream (below), whether replays()
+  /// may accept that stream, and whether the fill waits for a page.
   std::uint8_t stream_granule_ = 0;
   bool stream_replays_ = false;
-  mutable bool fill_pending_ = false;
+  mutable bool first_waits_ = false;
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -351,21 +412,25 @@ class SectoredCache {
   /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
-  /// The last fill's stream, which replays() tests for and a pending fill
-  /// writes, and the LRU clock its fill or last replay left.
+  /// The first fill since the last flush, which replays() tests for, and
+  /// the LRU clock it or its last replay left; and its replays so far.
   std::uint64_t stream_base_ = 0;
   std::uint64_t stream_stride_ = 0;
   std::uint64_t stream_count_ = 0;
   std::uint64_t stream_stamp_ = 0;
-  // Way state, in pages of whole sets (see Page). Mutable: a const reader
-  // may write a pending fill.
-  std::uint32_t page_shift_ = 0;  ///< log2(sets per page)
-  std::uint32_t page_mask_ = 0;   ///< sets per page - 1
-  std::size_t page_ways_ = 0;     ///< sets per page * ways per set
-  mutable std::vector<Page> pages_;
-  /// The row of the set access() touched last (pages are never freed), and
-  /// that set. A deferred fill unsets it, so access() looks for a pending
-  /// fill on its set-change branch only.
+  std::uint32_t stream_turns_ = 0;
+  /// Pages written since the last flush.
+  mutable std::uint32_t pages_written_ = 0;
+  /// Way state, page_count() pages of whole sets (see Page); pages are
+  /// never freed.
+  std::unique_ptr<Page[]> pages_;
+  /// The fills after the first still waiting for a page, in fill order.
+  /// A flush, or writing the last page, empties the list and keeps its
+  /// capacity.
+  mutable std::vector<Fill> more_fills_;
+  /// The row of the set access() touched last, and that set, whose page is
+  /// written. A flush unsets it, so access() writes the page again on its
+  /// set-change branch.
   Row last_row_{};
   std::uint32_t last_set_ = ~0u;
 
@@ -422,9 +487,6 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   // load) into one predictable compare. Tags are unique within a set, so
   // probe order cannot change the outcome.
   if (set != last_set_) {
-    if (fill_pending_) [[unlikely]] {
-      write_fill();
-    }
     last_set_ = set;
     last_row_ = row(set);
   }

@@ -529,7 +529,8 @@ void Gpu::list_caches(const AccessPath& path) {
 
 void Gpu::flush_caches() {
   for (SectoredCache* cache : flush_list_) {
-    fills_dropped_ += cache->fill_pending_ ? 1 : 0;
+    fills_dropped_ += cache->fills_waiting();
+    pages_written_ += cache->pages_written_;
     flushed_sets_ += cache->flush();
     cache->listed_ = false;
   }

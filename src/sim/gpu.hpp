@@ -159,14 +159,14 @@ class Gpu {
   /// step count, dense, nothing in between) is not stepped when the path
   /// has one level, or when that level holds the whole walk (no set gets
   /// more than `ways` of its lines): then every load hits there, and the
-  /// deeper levels see none. SectoredCache::replay_stream writes the end
-  /// state and counts hits and misses set by set, in O(1) while the warm
-  /// fill is pending and held whole. Only the recorded prefix is classified
-  /// load by load (a held walk hits throughout), and the noise of the rest
-  /// is drawn in bulk (NoiseModel::noise_sum). A walk that overflows a set
-  /// of the first level of a deeper path steps. The per-load loop stays the
-  /// oracle: the reference engine never warms in closed form, so it never
-  /// replays.
+  /// deeper levels see none. SectoredCache::replay_stream counts hits and
+  /// misses and turns the written pages' sets; the pages nothing has read
+  /// yet only count the replay, so a replay is O(1) until a page is
+  /// written. Only the recorded prefix is classified load by load (a held
+  /// walk hits throughout), and the noise of the rest is drawn in bulk
+  /// (NoiseModel::noise_sum). A walk that overflows a set of the first
+  /// level of a deeper path steps. The per-load loop stays the oracle: the
+  /// reference engine never warms in closed form, so it never replays.
   ///
   /// @param served    when non-null, the per-element served counters are
   ///                  accumulated into it (one increment per load).
@@ -191,11 +191,10 @@ class Gpu {
   /// once its next load lies beyond every line a level has allocated since
   /// its last flush, every reuse distance is infinite and the rest of the
   /// walk is arithmetic (SectoredCache::fill_warm_stream, level by level).
-  /// Onto a level that held no line, that fill is written only when
-  /// something first reads the level, and a flush before that drops it
-  /// unwritten. Loads before that point — at most the line a walk extension
-  /// shares with the walk it extends — and walks of stride 0 step one by
-  /// one.
+  /// A level writes that fill only into the pages of its sets something
+  /// reads, when it first reads them, and a flush drops the rest unwritten.
+  /// Loads before that point — at most the line a walk extension shares
+  /// with the walk it extends — and walks of stride 0 step one by one.
   std::uint64_t run_warm_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps);
 
@@ -229,16 +228,19 @@ class Gpu {
   /// (run_pass, run_warm_pass and restore_path list a path's caches, with
   /// no search and no allocation) can hold anything, so only the caches
   /// listed since the last flush are flushed; a path compiled before a
-  /// flush lists its caches again when it next runs. A cache whose warm
-  /// fill nothing read yet drops it unwritten and clears no set.
+  /// flush lists its caches again when it next runs. A cache clears only
+  /// the sets of the pages written since its last flush, and drops the
+  /// warm fills still waiting for the others.
   void flush_caches();
 
   /// Caches flush_caches() flushed so far, the sets it cleared in them
-  /// (SectoredCache::flush), and the pending warm fills it dropped
-  /// unwritten; never reset.
+  /// (SectoredCache::flush), the warm fills still waiting for a page that
+  /// it dropped, and the pages the flushed caches had written since their
+  /// last flush; never reset.
   std::uint64_t flushed_caches() const { return flushed_caches_; }
   std::uint64_t flushed_sets() const { return flushed_sets_; }
   std::uint64_t fills_dropped() const { return fills_dropped_; }
+  std::uint64_t pages_written() const { return pages_written_; }
 
   /// Cumulative sector misses observed by a cache element on SM @p sm
   /// (aggregated over segments; GPU-scoped elements ignore @p sm).
@@ -289,6 +291,7 @@ class Gpu {
   std::uint64_t flushed_caches_ = 0;
   std::uint64_t flushed_sets_ = 0;
   std::uint64_t fills_dropped_ = 0;
+  std::uint64_t pages_written_ = 0;
   std::uint64_t path_epoch_ = 0;               // invalidates compiled paths
 };
 

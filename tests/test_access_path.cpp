@@ -261,10 +261,11 @@ TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
 }
 
 TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
-  // The warm fill onto the empty L2 is written by its first reader: the
-  // first timed pass, whose replay must rotate the overfull sets' ways. That
-  // pass allocates the fill's pages. A replay writes only the sets the fill
-  // wrote and draws its noise in bulk, so later passes allocate nothing.
+  // The warm fill onto the empty L2 waits for the pages something reads.
+  // The timed passes replay it, and a replay of a fill no page of which is
+  // written counts the turn of its overfull sets instead of writing them:
+  // no pass allocates, and each draws its noise in bulk. A peek afterwards
+  // writes, and allocates, exactly the page it reads.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   const std::uint64_t bytes = 48 * KiB;  // above the 32 KiB L2 segment
   const std::uint64_t base = gpu.alloc(bytes);
@@ -275,25 +276,27 @@ TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
   ASSERT_EQ(path.depth, 1u);
   const std::size_t warm_start = g_allocations.load();
   gpu.run_warm_pass(path, base, 32, bytes / 32);
-  EXPECT_EQ(g_allocations.load() - warm_start, 0u) << "the fill is pending";
+  EXPECT_EQ(g_allocations.load() - warm_start, 0u) << "the fill waits";
 
   sim::ElementCounts served;
   std::vector<std::uint32_t> record;
   record.reserve(512);
-  const std::size_t first = g_allocations.load();
-  gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
-  const std::size_t first_pass = g_allocations.load() - first;
-  EXPECT_GT(first_pass, 0u);
-  EXPECT_EQ(first_pass, pages_holding(path, base, bytes))
-      << "the first pass allocates the fill's pages";
   const std::size_t before = g_allocations.load();
-  for (int pass = 1; pass < 3; ++pass) {
+  for (int pass = 0; pass < 3; ++pass) {
     gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(gpu.timed_loads_stepped(), 0u) << "every pass replays";
   EXPECT_EQ(served.total(), 3 * bytes / 32);
   EXPECT_EQ(record.size(), 512u);
+
+  const sim::SectoredCache& l2 = *path.levels[0].cache;
+  const std::size_t peek_start = g_allocations.load();
+  EXPECT_TRUE(l2.peek(base + bytes - 32).sector_hit);
+  EXPECT_EQ(g_allocations.load() - peek_start, 1u) << "the page it reads";
+  const std::size_t again = g_allocations.load();
+  EXPECT_TRUE(l2.peek(base + bytes - 64).sector_hit);
+  EXPECT_EQ(g_allocations.load() - again, 0u) << "a written page";
 }
 
 TEST(AccessPathAllocation, CompilePathAllocatesNothing) {

@@ -1,7 +1,7 @@
 // Gate for the closed-form warm walk and the closed-form timed pass after
 // it. Gpu::run_warm_pass computes a walk's effect on each cache level
-// arithmetically once the walk is past every line a level holds (onto an
-// empty level the fill is written by its first reader), and Gpu::run_pass
+// arithmetically once the walk is past every line a level holds (written
+// into a page of way state when something first reads it), and Gpu::run_pass
 // replays a walk such a fill just ran on a one-level path, or on a deeper
 // one whose first level holds the walk whole; the per-load loop (stride 0,
 // one load per call — what the reference engine runs) is their oracle.
@@ -79,10 +79,11 @@ void expect_same_state(const SectoredCache& closed, const SectoredCache& oracle,
   EXPECT_TRUE(closed == oracle) << where << ": whole cache state";
 }
 
-/// A random level: any set count below 25 (non-powers of two included) and
-/// 1 to @p max_ways ways, with a power-of-two line and sector unless
-/// @p odd_line asks for a line of 48, 96 or 192 bytes, which the closed
-/// forms must decline.
+/// A random level: in half the draws any set count below 25, in the other
+/// half 60 to 600 sets (non-powers of two included: several pages of way
+/// state at more than 2 ways), and 1 to @p max_ways ways, with a
+/// power-of-two line and sector unless @p odd_line asks for a line of 48,
+/// 96 or 192 bytes, which the closed forms must decline.
 CacheGeometry random_level(Xoshiro256& rng, bool odd_line,
                            std::uint64_t max_ways) {
   CacheGeometry g;
@@ -98,7 +99,9 @@ CacheGeometry random_level(Xoshiro256& rng, bool odd_line,
   }
   g.associativity =
       static_cast<std::uint32_t>(1 + rng.uniform_int(0, max_ways - 1));
-  const std::uint64_t sets = 1 + rng.uniform_int(0, 23);
+  const std::uint64_t sets = rng.uniform_int(0, 1) == 0
+                                 ? 1 + rng.uniform_int(0, 23)
+                                 : 60 + rng.uniform_int(0, 540);
   g.size_bytes = g.line_bytes * g.associativity * sets;
   return g;
 }
@@ -739,10 +742,10 @@ TEST(TimedClosedForm, DeclinesOutsideItsPreconditionsAndStillMatches) {
   }
 }
 
-// --- Fills written when read -------------------------------------------------
+// --- Fills onto an empty path ------------------------------------------------
 // A closed-form warm fill onto an empty cache books its hits, misses, LRU
-// clock and line range, and its first reader writes its way state; a flush
-// drops it unwritten. Each case fills a random walk onto a fresh or flushed
+// clock and line range, and a reader writes the pages it reads; a flush
+// drops what nothing read. Each case fills a random walk onto a fresh or flushed
 // path of one to three levels, in closed form on one side and load by load
 // on the other, then runs one reader drawn at random on both. After every
 // step the sides agree in cycles, hits, misses and device-memory reads,
@@ -925,7 +928,7 @@ bool run_pending_case(std::uint64_t seed) {
       break;
     case Reader::kReplay: {
       // Whole state is compared only after both passes, so a pass that
-      // leaves the fill pending hands it on to the next.
+      // leaves the fill waiting hands it on to the next.
       const std::uint64_t record_limit = rng.uniform_int(0, 700);
       ElementCounts closed_served;
       ElementCounts oracle_served;
@@ -955,8 +958,8 @@ bool run_pending_case(std::uint64_t seed) {
       break;
     }
     case Reader::kFlush: {
-      // Every level's fill is pending: the flush drops them all and clears
-      // no set.
+      // Every level's fill waits: the flush drops them all and clears no
+      // set.
       const std::uint64_t dropped = closed.gpu.fills_dropped();
       const std::uint64_t sets = closed.gpu.flushed_sets();
       closed.gpu.flush_caches();
@@ -983,7 +986,258 @@ TEST(PendingFill, EveryReaderSeesWhatThePerLoadLoopWrote) {
     if (HasFailure()) return;  // one diagnosed case beats thousands
   }
   EXPECT_GE(replayed_deeper, 20u)
-      << "too few timed passes over deeper paths replayed a pending fill";
+      << "too few timed passes over deeper paths replayed a waiting fill";
+}
+
+// --- Pages written when read ---------------------------------------------
+// A closed-form fill writes its lines into the pages written since the last
+// flush and waits for the others, which are written, with every fill still
+// waiting, when something first reads one of their sets. Each case runs one
+// to four fills over a random path of one to three levels (half of whose
+// levels span several pages) and then one reader, on the closed side as
+// the engine runs them and on the oracle side load by load. After every
+// step the sides agree in cycles, hits, misses, device-memory reads,
+// recorded latencies and served counts; at the end, in whole cache state.
+
+/// The fills a case may run after its first walk.
+enum class PagedStep {
+  kExtension,  ///< the walk continued
+  kSecond,     ///< a second array below or above the walk
+  kSparse,     ///< a walk at 1.125, 1.5, 2 or 3 lines per load
+};
+
+/// The reader a case runs after its fills.
+enum class PagedReader {
+  kCappedPass,  ///< a timed pass over a prefix, with a record limit
+  kChunks,      ///< snapshot, capped pass, restore, extension, repeated
+  kPeek,        ///< peek() at loads of every fill, at every level
+  kReplays,     ///< full passes over the first walk, then a capped one
+  kFlush,       ///< a flush, then the first walk again
+};
+constexpr std::uint64_t kPagedReaders = 5;
+
+/// One timed pass on both sides, compared.
+void paged_pass(Side& closed, Side& oracle, std::uint64_t base,
+                std::uint64_t stride, std::uint64_t steps,
+                std::uint64_t record_limit, const std::string& where) {
+  ElementCounts closed_served;
+  ElementCounts oracle_served;
+  std::vector<std::uint32_t> closed_record;
+  std::vector<std::uint32_t> oracle_record;
+  closed_record.reserve(record_limit);
+  oracle_record.reserve(record_limit);
+  const std::uint64_t cycles =
+      closed.gpu.run_pass(closed.path, base, stride, steps, &closed_served,
+                          &closed_record, record_limit);
+  std::uint64_t expected = 0;
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    expected += oracle.gpu.run_pass(oracle.path, base + i * stride, 0, 1,
+                                    &oracle_served, &oracle_record,
+                                    record_limit);
+  }
+  EXPECT_EQ(cycles, expected) << where << ": pass cycles";
+  EXPECT_EQ(closed_record, oracle_record) << where << ": latencies";
+  EXPECT_TRUE(closed_served == oracle_served) << where << ": served";
+  expect_same_books(closed, oracle, where);
+}
+
+/// Runs one case; returns whether a timed pass replayed.
+bool run_paged_case(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const auto reader =
+      static_cast<PagedReader>(rng.uniform_int(0, kPagedReaders - 1));
+  std::vector<CacheGeometry> levels;
+  const std::size_t depth = 1 + rng.uniform_int(0, 2);
+  for (std::size_t k = 0; k < depth; ++k) {
+    levels.push_back(random_level(rng, false, 16));
+  }
+  // In a third of the deeper paths the second level's line is below the
+  // first level's sector, so the granule of its stream exceeds its line.
+  if (depth > 1 && rng.uniform_int(0, 2) == 0) {
+    CacheGeometry& upper = levels[0];
+    CacheGeometry& lower = levels[1];
+    upper.line_bytes = 128u << rng.uniform_int(0, 1);
+    upper.sector_bytes = upper.line_bytes;
+    upper.size_bytes = static_cast<std::uint64_t>(upper.line_bytes) *
+                       upper.associativity *
+                       (60 + rng.uniform_int(0, 540));
+    lower.line_bytes = 32u << rng.uniform_int(0, 1);
+    lower.sector_bytes = lower.line_bytes >> rng.uniform_int(0, 1);
+    lower.size_bytes = static_cast<std::uint64_t>(lower.line_bytes) *
+                       lower.associativity * (60 + rng.uniform_int(0, 540));
+  }
+  Side closed(levels);
+  Side oracle(levels);
+  const CacheGeometry& first = levels[0];
+  const std::uint64_t line = first.line_bytes;
+  // The first walk: dense for the replays, any stride otherwise, over up
+  // to twice the first level (held or not).
+  const std::uint64_t stride = reader == PagedReader::kReplays
+                                   ? random_dense_stride(rng, first)
+                                   : random_stride(rng, first);
+  const std::uint64_t base = 4096 * (64 + rng.uniform_int(0, 60)) +
+                             rng.uniform_int(0, 4095);
+  const std::uint64_t steps = std::min<std::uint64_t>(
+      20000, std::max<std::uint64_t>(
+                 1, (1 + rng.uniform_int(0, 2 * first.size_bytes)) / stride));
+  const std::uint64_t fills =
+      reader == PagedReader::kReplays ? 1 : 1 + rng.uniform_int(0, 3);
+  std::string where = "seed " + std::to_string(seed) + ", reader " +
+                      std::to_string(static_cast<int>(reader)) + ", stride " +
+                      std::to_string(stride) + ", steps " +
+                      std::to_string(steps) + ", fills " +
+                      std::to_string(fills) + describe(levels);
+
+  // A warm walk on both sides (in closed form where it applies on the
+  // closed one), compared in cycles and books.
+  const auto warm = [&](std::uint64_t from, std::uint64_t s, std::uint64_t n,
+                        const std::string& what) {
+    EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, from, s, n),
+              oracle.oracle_walk(from, s, n))
+        << where << ", " << what << ": warm cycles";
+    expect_same_books(closed, oracle, where + ", " + what);
+  };
+  std::vector<std::uint64_t> peeks{base, base + (steps - 1) * stride};
+  std::uint64_t end = base + steps * stride;  // past the walk and extensions
+  warm(base, stride, steps, "walk");
+  for (std::uint64_t f = 1; f < fills; ++f) {
+    switch (static_cast<PagedStep>(rng.uniform_int(0, 2))) {
+      case PagedStep::kExtension: {
+        const std::uint64_t more = 1 + rng.uniform_int(0, steps);
+        warm(end, stride, more, "extension");
+        end += more * stride;
+        peeks.push_back(end - stride);
+        break;
+      }
+      case PagedStep::kSecond: {
+        const std::uint64_t s = random_stride(rng, first);
+        const std::uint64_t n =
+            1 + rng.uniform_int(0, 2 * first.size_bytes / s);
+        const std::uint64_t at =
+            rng.uniform_int(0, 1) == 0 && base > n * s + 8192
+                ? base - n * s - 4096 - rng.uniform_int(0, 4096)
+                : end + 4096 + rng.uniform_int(0, 4096);
+        warm(at, s, n, "second array");
+        end = std::max(end, at + n * s);
+        peeks.push_back(at);
+        peeks.push_back(at + (n - 1) * s);
+        break;
+      }
+      case PagedStep::kSparse: {
+        const std::uint64_t eighths[] = {9, 12, 16, 24};
+        const std::uint64_t s = line * eighths[rng.uniform_int(0, 3)] / 8;
+        const std::uint64_t n =
+            1 + rng.uniform_int(0, 2 * first.size_bytes / s);
+        const std::uint64_t at = end + 4096 + rng.uniform_int(0, 4096);
+        warm(at, s, n, "sparse walk");
+        end = at + n * s;
+        peeks.push_back(at + rng.uniform_int(0, n - 1) * s);
+        break;
+      }
+    }
+  }
+
+  // A pass over a prefix of the first walk, recording part of it.
+  const auto capped = [&](const std::string& what) {
+    const std::uint64_t prefix = 1 + rng.uniform_int(0, steps - 1);
+    paged_pass(closed, oracle, base, stride, prefix,
+               rng.uniform_int(0, std::min<std::uint64_t>(prefix, 300)),
+               where + ", " + what);
+    return prefix;
+  };
+  bool replayed = false;
+  switch (reader) {
+    case PagedReader::kCappedPass:
+      capped("capped pass");
+      break;
+    case PagedReader::kChunks:
+      for (int round = 0; round < 3; ++round) {
+        const std::uint64_t prefix = 1 + rng.uniform_int(0, steps - 1);
+        PathSnapshot closed_snap;
+        PathSnapshot oracle_snap;
+        closed.gpu.snapshot_path_prefix(closed.path, base, stride, prefix,
+                                        closed_snap);
+        oracle.gpu.snapshot_path_prefix(oracle.path, base, stride, prefix,
+                                        oracle_snap);
+        for (std::size_t k = 0; k < depth; ++k) {
+          EXPECT_TRUE(closed_snap.levels[k] == oracle_snap.levels[k])
+              << where << ", round " << round << ", level " << k
+              << ": snapshot";
+        }
+        paged_pass(closed, oracle, base, stride, prefix,
+                   rng.uniform_int(0, prefix), where + ", chunk pass");
+        closed.gpu.restore_path(closed.path, closed_snap);
+        oracle.gpu.restore_path(oracle.path, oracle_snap);
+        expect_same_books(closed, oracle, where + ", restore");
+        const std::uint64_t more = 1 + rng.uniform_int(0, steps);
+        warm(end, stride, more, "chunk extension");
+        end += more * stride;
+      }
+      break;
+    case PagedReader::kPeek:
+      break;
+    case PagedReader::kReplays: {
+      const std::uint64_t stepped = closed.gpu.timed_loads_stepped();
+      for (std::uint64_t pass = 1 + rng.uniform_int(0, 2); pass > 0; --pass) {
+        paged_pass(closed, oracle, base, stride, steps,
+                   rng.uniform_int(0, 300), where + ", replay");
+      }
+      replayed = closed.gpu.timed_loads_stepped() == stepped;
+      if (rng.uniform_int(0, 1) == 0) capped("pass after replays");
+      break;
+    }
+    case PagedReader::kFlush:
+      closed.gpu.flush_caches();
+      oracle.gpu.flush_caches();
+      warm(base, stride, steps, "walk after the flush");
+      break;
+  }
+  for (std::size_t k = 0; k < depth; ++k) {
+    for (const std::uint64_t address : peeks) {
+      const CacheAccess c = closed.caches[k].peek(address);
+      const CacheAccess o = oracle.caches[k].peek(address);
+      EXPECT_EQ(c.line_hit, o.line_hit) << where << ", level " << k << ": peek";
+      EXPECT_EQ(c.sector_hit, o.sector_hit)
+          << where << ", level " << k << ": peek";
+    }
+    EXPECT_TRUE(closed.caches[k] == oracle.caches[k])
+        << where << ", level " << k << ": whole cache state";
+  }
+  return replayed;
+}
+
+TEST(PagedFill, EveryReaderSeesWhatThePerLoadLoopWrote) {
+  std::uint64_t replayed = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    replayed += run_paged_case(seed) ? 1 : 0;
+    if (HasFailure()) return;  // one diagnosed case beats thousands
+  }
+  EXPECT_GE(replayed, 50u) << "too few cases replayed a pass";
+}
+
+TEST(PagedFill, CappedPassWritesThePagesOfItsPrefix) {
+  // One level of 512 sets of 16 ways: 8 pages of 64 sets. A walk twice its
+  // size waits whole; a pass over 100 lines from set 200 writes the pages
+  // of sets 200..299, pages 3 and 4, and a flush clears just their sets.
+  const CacheGeometry level{512 * 16 * 64, 64, 32, 16};
+  Side side({level});
+  SectoredCache& cache = side.caches.front();
+  ASSERT_EQ(cache.num_sets(), 512u);
+  ASSERT_EQ(cache.sets_per_page(), 64u);
+  const std::uint64_t base = 64 * (1024 * 512 + 200);  // line in set 200
+  side.gpu.run_warm_pass(side.path, base, 64, 2 * 512 * 16);
+  side.gpu.run_pass(side.path, base, 64, 100);
+  side.gpu.flush_caches();
+  EXPECT_EQ(side.gpu.pages_written(), 2u);
+  EXPECT_EQ(side.gpu.flushed_sets(), 2u * 64);
+  EXPECT_EQ(side.gpu.fills_dropped(), 1u) << "six pages never read";
+  // The same walk after the flush, read by one peek at its last line (set
+  // 199, page 3): one page more.
+  side.gpu.run_warm_pass(side.path, base, 64, 2 * 512 * 16);
+  EXPECT_TRUE(cache.peek(base + 64 * (2 * 512 * 16 - 1)).line_hit);
+  side.gpu.flush_caches();
+  EXPECT_EQ(side.gpu.pages_written(), 3u);
+  EXPECT_EQ(side.gpu.flushed_sets(), 3u * 64);
 }
 
 // --- Flushes of the caches paths reached -----------------------------------
@@ -1130,35 +1384,37 @@ TEST(FlushCaches, CountsTheCachesAndSetsItFlushed) {
   ASSERT_EQ(a.depth, 2u);  // sL1d -> L2
   ASSERT_NE(a.levels[0].cache, b.levels[0].cache);
   ASSERT_EQ(a.levels[1].cache, b.levels[1].cache);
+  const SectoredCache& sl1d = *a.levels[0].cache;
+  ASSERT_EQ(sl1d.num_sets(), sl1d.sets_per_page()) << "one page";
   gpu.flush_caches();  // nothing ran yet
   EXPECT_EQ(gpu.flushed_caches(), 0u);
-  // Four 64 B lines into each sL1d, whose fills nothing reads: the flush
-  // drops them unwritten. The shared L2's second fill writes its first, and
-  // its allocated range runs from the first line of one array to the last
-  // of the other.
+  // Four 64 B lines into each sL1d, and both arrays into the shared L2,
+  // whose second fill waits behind the first: nothing reads a page, so the
+  // flush drops four fills and clears no set.
   gpu.run_warm_pass(a, base, 64, 4);
   gpu.run_warm_pass(b, base + 2 * KiB, 64, 4);
   gpu.flush_caches();
   EXPECT_EQ(gpu.flushed_caches(), 3u) << "two sL1d caches and the L2";
-  EXPECT_EQ(gpu.fills_dropped(), 2u) << "the two sL1d fills";
-  const SectoredCache& sl1d = *a.levels[0].cache;
-  const SectoredCache& l2 = *a.levels[1].cache;
-  const std::uint64_t l2_lines = (2 * KiB + 256) / l2.geometry().line_bytes;
-  EXPECT_EQ(gpu.flushed_sets(),
-            std::min<std::uint64_t>(l2_lines, l2.num_sets()));
-  // A fill that was read is written, and cleared.
-  const std::uint64_t sets_before = gpu.flushed_sets();
+  EXPECT_EQ(gpu.fills_dropped(), 4u) << "one per sL1d, two in the L2";
+  EXPECT_EQ(gpu.flushed_sets(), 0u);
+  EXPECT_EQ(gpu.pages_written(), 0u);
+  // A page something reads is written, and its range sets cleared. The
+  // sL1d's one page holds all its sets, so its fill waits no more.
   gpu.run_warm_pass(a, base, 64, 4);
   EXPECT_TRUE(sl1d.peek(base).sector_hit);
   gpu.flush_caches();
-  EXPECT_EQ(gpu.fills_dropped(), 3u) << "only the L2's fill, never read";
-  EXPECT_EQ(gpu.flushed_sets() - sets_before,
-            std::min<std::uint64_t>(4, sl1d.num_sets()));
+  EXPECT_EQ(gpu.fills_dropped(), 5u) << "only the L2's fill, never read";
+  EXPECT_EQ(gpu.pages_written(), 1u);
+  EXPECT_EQ(gpu.flushed_sets(), std::min<std::uint64_t>(4, sl1d.num_sets()));
   // A path compiled before the flush lists its caches again when it runs.
+  // A stepped load writes its page at each level it reaches.
   gpu.run_pass(a, base, 64, 1);
   gpu.flush_caches();
   EXPECT_EQ(gpu.flushed_caches(), 7u);
-  EXPECT_EQ(gpu.fills_dropped(), 3u) << "a stepped load fills nothing";
+  EXPECT_EQ(gpu.fills_dropped(), 5u) << "a stepped load fills nothing";
+  EXPECT_EQ(gpu.pages_written(), 3u) << "the sL1d's and the L2's";
+  EXPECT_EQ(gpu.flushed_sets(),
+            std::min<std::uint64_t>(4, sl1d.num_sets()) + 2);
 
   // An L2 fetch-granularity switch drops the L2 segments it destroys from
   // the list: the rebuilt segment is listed once, when a path reaches it.
