@@ -13,13 +13,20 @@ even pairs the change first, so a host that drifts during the runs weighs
 on both sides alike. Each side builds its own binary on its first run
 (perfbench/run.py keys the build directory by the checkout's path).
 
+After a workload's pairs, each side runs it once more with
+`--trace 1 --seed 42`, which reports perfbench's per-layer metrics. Some of
+them are exact counts of work that a change which keeps reports
+byte-identical must leave alone (EXACT and EXACT_PREFIXES below); each of
+those that differs between the sides is printed on stderr.
+
 The output file holds, per workload and end-to-end metric, each side's
 values in pair order with their median and quartiles, the parent's
 interquartile range, and the pairs in which the change did better (by the
 metric's direction in BENCHMARK.json); per run, its seed, operations
-attempted and failed, and whether it was correct; and the host block of
-the first run (CPU model, nproc, measured parallelism). Exits 1 when a run
-prints no result.
+attempted and failed, and whether it was correct; per workload, both
+sides' traced per-layer metrics and the exact counters that differ; and
+the host block of the first run (CPU model, nproc, measured parallelism).
+Exits 1 when a run prints no result.
 """
 
 import argparse
@@ -32,6 +39,13 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("registry-parallel", "fleet-small")
+TRACED_SEED = 42
+# Per-layer metrics that count work rather than time it: equal on both sides
+# unless the change alters what discovery computes.
+EXACT = ("runtime.chases", "runtime.memo_hit_rate", "pipeline.stages",
+         "pipeline.total_cycles", "pipeline.critical_path_cycles",
+         "pipeline.simulated_s")
+EXACT_PREFIXES = ("pipeline.stage_cycles.", "check.")
 
 
 def parse_args():
@@ -63,11 +77,11 @@ def export(rev, into):
         sys.exit("bench_pairs: git archive %s failed" % rev)
 
 
-def run_perfbench(tree, workload, seed, seconds):
+def run_perfbench(tree, workload, seed, seconds, trace="0"):
     """One perfbench run in @p tree: (host block, result) from its stdout."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", repr(seconds), "--trace", "0"]
+               "--seconds", repr(seconds), "--trace", trace]
     done = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
                           text=True)
     host, result = None, None
@@ -96,6 +110,34 @@ def quartiles(values):
 def summarize(values):
     q1, median, q3 = quartiles(values)
     return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def is_exact(name):
+    return name in EXACT or name.startswith(EXACT_PREFIXES)
+
+
+def traced_layers(trees, workload, seconds):
+    """Both sides' traced per-layer metrics and the exact ones that differ."""
+    layers = {}
+    for side in ("parent", "change"):
+        print("bench_pairs: %s traced, %s" % (workload, side),
+              file=sys.stderr, flush=True)
+        _, result = run_perfbench(trees[side], workload, TRACED_SEED,
+                                  seconds, trace="1")
+        layers[side] = {name: entry["value"]
+                        for name, entry in result["metrics"].items()}
+    differing = []
+    for name in sorted(set(layers["parent"]) | set(layers["change"])):
+        parent = layers["parent"].get(name)
+        change = layers["change"].get(name)
+        if is_exact(name) and parent != change:
+            differing.append({"name": name, "parent": parent,
+                              "change": change})
+            print("bench_pairs: %s traced: exact counter %s differs: "
+                  "parent %r, change %r" % (workload, name, parent, change),
+                  file=sys.stderr)
+    return {"seed": TRACED_SEED, "parent": layers["parent"],
+            "change": layers["change"], "differing_exact": differing}
 
 
 def main():
@@ -158,6 +200,7 @@ def main():
                                  if key != "metrics"} for run in side_runs]
                          for side, side_runs in runs.items()},
                 "metrics": metrics,
+                "traced": traced_layers(trees, workload, args.seconds),
             }
     with open(args.out, "w") as handle:
         json.dump(document, handle, indent=2)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <map>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -149,54 +148,13 @@ exec::Executor& batch_executor(const ReplicaPool& pool) {
   return pool.executor ? *pool.executor : exec::shared_executor();
 }
 
-/// Plain warm-up chases share warm walks. Resample chases are excluded by
-/// contract: they exist to be genuinely independent re-measurements and
-/// always run cold.
-bool warm_shareable(const ChaseSpec& spec) {
-  return spec.kind == ChaseKind::kPlain && spec.config.warmup &&
-         spec.config.resample == 0;
-}
-
-WarmKey warm_key_of(const PChaseConfig& config) {
-  return {config.space,    config.flags.bypass_l1, config.base,
-          config.stride_bytes, config.where.sm,    config.where.core};
-}
-
-std::uint64_t walk_steps(const PChaseConfig& config) {
-  return config.array_bytes / config.stride_bytes;
-}
-
-/// Timed-pass length of a plain config (the max_timed_steps cap applied).
-std::uint64_t timed_steps_of(const PChaseConfig& config) {
-  const std::uint64_t steps = walk_steps(config);
-  return config.max_timed_steps != 0 ? std::min(steps, config.max_timed_steps)
-                                     : steps;
-}
-
-/// Ceiling on the timed-pass length of a chase that may run mid-chunk: its
-/// cache footprint must be snapshot/restored around the timed pass, and the
-/// prefix snapshot cost is linear in this bound. Record-only chases cap
-/// their timed pass at record_count (typically 512), far below this; a chase
-/// above the ceiling (a full-pass bisection probe) still joins a chunk but
-/// only as its final member, where no restore-after is needed.
-constexpr std::uint64_t kPrefixShareCap = 4096;
-
-/// What one worker slot runs back-to-back on one replica: either a cold
-/// singleton (the classic reset-then-run path) or a chunk of one warm chain
-/// that warms incrementally from cold and snapshot/restores around each
-/// bounded timed pass.
-struct Unit {
-  std::vector<std::size_t> indices;  ///< spec indices, chain order
-  bool chunk = false;
-};
-
 /// One batch's execution plan and, once run_units() ran it, its outputs.
 /// Every output slot is written by the one unit that owns it, so any
 /// schedule yields the same bytes.
 struct Plan {
   std::span<const ChaseSpec> specs;
   std::vector<std::uint64_t> seeds;   ///< per spec: noise seed = memo key
-  std::vector<Unit> units;
+  std::vector<std::size_t> units;     ///< spec indices, one cold chase each
   std::vector<PChaseResult> results;  ///< per spec
   std::vector<char> ran;  ///< per unit
 
@@ -209,7 +167,7 @@ struct Plan {
 /// that claims one after every needed unit finished skips it.
 void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
                std::size_t needed, const char* chase_span) {
-  const std::vector<Unit>& units = plan.units;
+  const std::vector<std::size_t>& units = plan.units;
   plan.ran.assign(units.size(), 0);
   if (units.empty()) return;
   const PChaseEngine engine = pchase_engine();
@@ -227,9 +185,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
     return *replica;
   };
   std::vector<std::uint64_t> slot_reset_ns(workers, 0);
-  std::vector<sim::PathSnapshot> slot_scratch(workers);
 
-  const auto execute = [&](const Unit& unit, std::uint32_t slot) {
+  const auto execute = [&](std::size_t index, std::uint32_t slot) {
     sim::Gpu& replica = slot_replica(slot);
     {
       const obs::SpanGuard reset_span("replica.reset");
@@ -239,11 +196,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       const std::uint64_t dropped_before = replica.fills_dropped();
       const std::uint64_t pages_before = replica.pages_written();
       replica.flush_caches();
-      if (!unit.chunk) {
-        // The memo key IS the noise-stream seed (both are the full spec
-        // fold).
-        replica.reseed_noise(plan.seeds[unit.indices.front()]);
-      }
+      // The memo key IS the noise-stream seed (both are the full spec fold).
+      replica.reseed_noise(plan.seeds[index]);
       const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
       slot_reset_ns[slot] += reset_ns;
       if (obs::metrics_enabled()) {
@@ -264,51 +218,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       }
     }
     const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
-    if (!unit.chunk) {
-      const std::size_t index = unit.indices.front();
-      const obs::SpanGuard chase(chase_span);
-      plan.results[index] = run_chase(replica, plan.specs[index]);
-      return;
-    }
-    // Warm-sharing chunk: one incremental warm walk, many timed passes.
-    const PChaseConfig& head = plan.specs[unit.indices.front()].config;
-    const sim::AccessPath path =
-        replica.compile_path(head.where, head.space, head.flags);
-    std::uint64_t cur_steps = 0;
-    std::uint64_t cum_warm = 0;
-    for (std::size_t i = 0; i < unit.indices.size(); ++i) {
-      const std::size_t index = unit.indices[i];
-      const PChaseConfig& config = plan.specs[index].config;
-      const std::uint64_t steps = walk_steps(config);
-      if (steps > cur_steps) {
-        cum_warm += run_warm_walk(
-            replica, path, config.base + cur_steps * config.stride_bytes,
-            config.stride_bytes, steps - cur_steps);
-        cur_steps = steps;
-      }
-      const bool last = i + 1 == unit.indices.size();
-      // Re-seeding here puts the timed pass at the exact stream position a
-      // cold run would see: warm-up consumes zero draws.
-      replica.reseed_noise(plan.seeds[index]);
-      PChaseConfig timed = config;
-      timed.warmup = false;
-      const obs::SpanGuard chase(chase_span);
-      PChaseResult& result = plan.results[index];
-      if (!last) {
-        // The timed pass only touches sets its address prefix maps to;
-        // snapshotting exactly those makes the restore rewind it fully.
-        replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
-                                     timed_steps_of(config),
-                                     slot_scratch[slot]);
-        result = run_pchase(replica, timed);
-        replica.restore_path(path, slot_scratch[slot]);
-      } else {
-        result = run_pchase(replica, timed);
-      }
-      // The member's walk from cold, however much of it this unit ran.
-      result.warm_cycles = cum_warm;
-      result.total_cycles += cum_warm;
-    }
+    const obs::SpanGuard chase(chase_span);
+    plan.results[index] = run_chase(replica, plan.specs[index]);
   };
 
   std::atomic<std::size_t> needed_left{std::min(needed, units.size())};
@@ -378,16 +289,12 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
                                           waiting.spec) != specs.end();
                        }));
 
-  for (const std::size_t i : todo) {
-    Unit unit;
-    unit.indices.push_back(i);
-    plan.units.push_back(std::move(unit));
-  }
+  plan.units = std::move(todo);
   run_units(gpu, pool, plan, /*needed=*/1, "chase.ahead");
 
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
     if (!plan.ran[u]) continue;
-    const std::size_t i = plan.units[u].indices.front();
+    const std::size_t i = plan.units[u];
     pool.ahead.push_back({specs[i], std::move(plan.results[i])});
     ++pool.ahead_stats.ran;
   }
@@ -417,7 +324,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   std::unordered_map<std::uint64_t, std::size_t> first_seen;
   first_seen.reserve(specs.size());
   std::vector<std::size_t> next_seen(specs.size(), kNone);
-  std::vector<char> committed(specs.size(), 0);  ///< per spec
   std::uint64_t commits = 0;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
   {
@@ -443,73 +349,20 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         }
         next_seen[j] = i;
       }
-      if (!pool.ahead.empty()) {
-        const auto waiting = find_ahead(pool, specs[i]);
-        if (waiting != pool.ahead.end()) {
-          results[i] = std::move(waiting->result);
-          committed[i] = 1;
-          ++commits;
-          pool.ahead.erase(waiting);
-        }
-      }
       pending.push_back(i);
+      const auto waiting = find_ahead(pool, specs[i]);
+      if (waiting == pool.ahead.end()) {
+        plan.units.push_back(i);  // runs cold, alone
+        continue;
+      }
+      results[i] = std::move(waiting->result);
+      ++commits;
+      pool.ahead.erase(waiting);
     }
   }
 
   if (!pending.empty()) {
-    // ---- Warm chains (compiled engine) --------------------------------------
-    // Group warm-compatible plain chases by WarmKey and sort each chain by
-    // walk length (ties stay in spec order). Committed run-ahead results
-    // run in no unit.
-    struct Member {
-      std::size_t index = 0;  ///< spec index
-      std::uint64_t steps = 0;
-    };
-    std::map<WarmKey, std::vector<Member>> chains;
-    std::vector<Unit>& units = plan.units;
-    std::vector<char> in_chunk(specs.size(), 0);
-    if (pchase_engine() == PChaseEngine::kCompiled) {
-      for (const std::size_t i : pending) {
-        if (!warm_shareable(specs[i]) || committed[i]) continue;
-        chains[warm_key_of(specs[i].config)].push_back(
-            {i, walk_steps(specs[i].config)});
-      }
-      // Splitting chains into chunks is what lets a single monolithic sweep
-      // fan out across --sweep-threads; each chunk warms independently from
-      // cold, trading some redundant warm work for parallelism without
-      // touching results.
-      for (auto& [key, members] : chains) {
-        std::stable_sort(
-            members.begin(), members.end(),
-            [](const Member& a, const Member& b) { return a.steps < b.steps; });
-        Unit current;
-        current.chunk = true;
-        for (const Member& m : members) {
-          current.indices.push_back(m.index);
-          in_chunk[m.index] = 1;
-          const bool bounded =
-              timed_steps_of(specs[m.index].config) <= kPrefixShareCap;
-          // An unbounded (full-pass) timed run dirties state beyond any
-          // cheap snapshot, so it closes its chunk as the final member.
-          if (!bounded ||
-              current.indices.size() >= ReplicaPool::warm_chunk_points) {
-            units.push_back(std::move(current));
-            current = Unit{};
-            current.chunk = true;
-          }
-        }
-        if (!current.indices.empty()) units.push_back(std::move(current));
-      }
-    }
-    // Everything else (non-chain shapes, resamples, the reference engine)
-    // runs as a cold singleton.
-    for (const std::size_t i : pending) {
-      if (in_chunk[i] || committed[i]) continue;
-      Unit unit;
-      unit.indices.push_back(i);
-      units.push_back(std::move(unit));
-    }
-    run_units(gpu, pool, plan, /*needed=*/units.size(), "chase.run");
+    run_units(gpu, pool, plan, /*needed=*/plan.units.size(), "chase.run");
 
     pool.memo_stats.misses += pending.size();
     pool.memo.reserve(pool.memo.size() + pending.size());

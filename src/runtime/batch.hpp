@@ -4,12 +4,14 @@
 // tool uses — plain (size/line-size/latency style), amount (A/B/A on two
 // cores), sharing (two logical spaces), dual-CU (AMD sL1d) — as pure data.
 // run_chase_batch() runs a list of independent specs and returns one
-// PChaseResult per spec, in spec order. Each chase executes on a Gpu replica
-// (Gpu::fork) that is reset — caches flushed, noise stream re-seeded from
-// (gpu seed, spec) via chase_noise_seed() — immediately before the chase, so
-// a chase's result is a pure function of the owning Gpu's seed and its own
-// spec. That makes the result vector byte-identical for every thread count,
-// including the threads == 1 serial reference mode, which is what
+// PChaseResult per spec, in spec order. Each chase runs cold and on its own,
+// as MT4G runs each p-chase as a kernel of its own (paper Sec. IV-A/B): on a
+// Gpu replica (Gpu::fork) that is reset — caches flushed, noise stream
+// re-seeded from (gpu seed, spec) via chase_noise_seed() — immediately
+// before the chase warms and times its arrays (run_chase). So a chase's
+// result is a pure function of the owning Gpu's seed and its own spec. That
+// makes the result vector byte-identical for every thread count, including
+// the threads == 1 serial reference mode, which is what
 // bench/discovery_hotpath and the sweep-engine tests assert.
 //
 // A batch runs as its ReplicaPool says: ReplicaPool::threads participants,
@@ -31,25 +33,12 @@
 // serial-on-the-main-Gpu path. The benchmark layer accepts this — detection
 // is robust by construction — in exchange for memoization and parallelism.
 //
-// Warm-up state, by contrast, IS shared — exactly. Warm-up passes consume no
-// noise draws (see runtime/kernels.cpp), so the warm state a chase observes
-// is a pure function of its warm walk, and a longer walk of the same WarmKey
-// is an exact extension of a shorter one. The batch planner groups
-// warm-compatible plain chases into chains sorted by walk length and
-// executes each chain as chunked units that warm incrementally from a
-// flushed replica (snapshot/restore around each bounded timed pass). Every
-// warm walk, and every extension, runs in closed form after at most the
-// line it shares with its prefix (Gpu::run_warm_pass). All of that only
-// saves host work.
-//
 // The cost rule: every result carries the cycles the real tool would spend
-// on its spec — the whole warm walk from cold (a chunk member adds the cold
-// cost of the prefix it did not walk itself, which is exact because warm-up
-// is noise-free), the whole timed pass (see kernels.hpp), and for a memo
-// hit or an in-batch duplicate the cycles of the run it replays. So every
-// result equals an isolated cold run of its spec, in cycles as in
-// measurements, for every thread count, chunking, engine, batch composition
-// and history.
+// on its spec — its whole warm walk from cold and its whole timed pass (see
+// kernels.hpp), and for a memo hit or an in-batch duplicate the cycles of
+// the run it replays. So every result equals an isolated cold run of its
+// spec, in cycles as in measurements, for every thread count, engine, batch
+// composition and history.
 //
 // That independence is what run-ahead rests on. run_chase_ahead() executes
 // probes a serial search may need next — on participants that would idle
@@ -64,7 +53,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -123,30 +111,6 @@ struct ChaseMemoStats {
   std::uint64_t misses = 0;  ///< specs that actually ran
 };
 
-/// Identity of one warm-up walk. Two plain chases with equal WarmKeys warm
-/// the same address sequence through the same cache chain; because a longer
-/// warm walk is an exact extension of a shorter one (the first `steps` loads
-/// are identical) and warm-up consumes no noise draws, one replica can warm
-/// a chain's members incrementally, shortest walk first. Array size, record budget and the
-/// timed-pass cap are deliberately absent: those are exactly the fields
-/// chases may differ in while sharing a warm walk. Stride stays in the key —
-/// a different stride is a different address sequence, and sharing across it
-/// would change results.
-struct WarmKey {
-  sim::Space space = sim::Space::kGlobal;
-  bool bypass_l1 = false;
-  std::uint64_t base = 0;
-  std::uint32_t stride_bytes = 0;
-  std::uint32_t sm = 0;
-  std::uint32_t core = 0;
-
-  auto tie() const {
-    return std::tie(space, bypass_l1, base, stride_bytes, sm, core);
-  }
-  bool operator==(const WarmKey& other) const { return tie() == other.tie(); }
-  bool operator<(const WarmKey& other) const { return tie() < other.tie(); }
-};
-
 /// A probe run_chase_ahead() executed and nobody committed yet: its result,
 /// as run_chase_batch() would return it.
 struct AheadResult {
@@ -200,11 +164,6 @@ struct ReplicaPool {
   /// stage runner sets it to DiscoverOptions::bench_executor, the executor
   /// its graph runs on, so idle stage workers can help; tests set their own.
   exec::Executor* executor = nullptr;
-  /// Sub-sweep chunking: how many chases of one warm chain execute per
-  /// parallel unit. Each chunk warms independently from cold and fans out
-  /// through the batch executor, which is what lets a single size sweep
-  /// parallelize under --sweep-threads.
-  static constexpr std::uint32_t warm_chunk_points = 8;
   /// Host nanoseconds spent resetting replicas (cache flush + noise reseed)
   /// across every batch run against this pool. Always accumulated (unlike
   /// the metrics-gated replica.reset_ns observe) so the stage runner can

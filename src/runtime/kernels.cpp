@@ -33,8 +33,9 @@ void book_loads(const char* name, const char* stepped_name,
 /// is noise-free in both engines — real MT4G discards warm-up timings, so
 /// only the summed base latency is observable, and consuming zero noise
 /// draws here means a timed pass behaves identically however its warm state
-/// was produced (the warm-state sharing engine in run_chase_batch and the
-/// closed-form walk in Gpu::run_warm_pass depend on this).
+/// was produced (the closed-form walk in Gpu::run_warm_pass depends on
+/// this). The loads are booked in `sim.warm_loads`, and those executed one
+/// by one rather than in closed form in `sim.warm_loads_stepped`.
 std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
                           const sim::Placement& where) {
   const std::uint64_t steps = config.array_bytes / config.stride_bytes;
@@ -50,7 +51,12 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
   }
   const sim::AccessPath path =
       gpu.compile_path(where, config.space, config.flags);
-  return run_warm_walk(gpu, path, config.base, config.stride_bytes, steps);
+  const std::uint64_t stepped_before = gpu.warm_loads_stepped();
+  const std::uint64_t cycles =
+      gpu.run_warm_pass(path, config.base, config.stride_bytes, steps);
+  book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps,
+             gpu.warm_loads_stepped() - stepped_before);
+  return cycles;
 }
 
 /// Cycles of a whole timed pass of @p full_steps loads when only the first
@@ -112,17 +118,6 @@ void set_pchase_engine(PChaseEngine engine) { t_engine = engine; }
 
 std::uint64_t pchase_steps(const PChaseConfig& config) {
   return config.array_bytes / config.stride_bytes;
-}
-
-std::uint64_t run_warm_walk(sim::Gpu& gpu, const sim::AccessPath& path,
-                            std::uint64_t base, std::uint64_t stride_bytes,
-                            std::uint64_t steps) {
-  const std::uint64_t stepped_before = gpu.warm_loads_stepped();
-  const std::uint64_t cycles =
-      gpu.run_warm_pass(path, base, stride_bytes, steps);
-  book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps,
-             gpu.warm_loads_stepped() - stepped_before);
-  return cycles;
 }
 
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config) {

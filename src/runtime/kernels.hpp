@@ -134,11 +134,4 @@ double run_stream(sim::Gpu& gpu, const sim::StreamConfig& config);
 /// Total loads a timed pass of @p config will execute.
 std::uint64_t pchase_steps(const PChaseConfig& config);
 
-/// One warm walk through a compiled path (Gpu::run_warm_pass), booked in
-/// the `sim.warm_loads` (loads the walk stands for) and
-/// `sim.warm_loads_stepped` (loads executed one by one) metrics.
-std::uint64_t run_warm_walk(sim::Gpu& gpu, const sim::AccessPath& path,
-                            std::uint64_t base, std::uint64_t stride_bytes,
-                            std::uint64_t steps);
-
 }  // namespace mt4g::runtime

@@ -659,22 +659,4 @@ void SectoredCache::snapshot_addresses(std::uint64_t base, std::uint64_t stride,
   capture_rows(out);
 }
 
-void SectoredCache::restore(const CacheSnapshot& snap) {
-  const std::size_t rows = snap.sets.size();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const Row r = row(snap.sets[i]);
-    const std::size_t src = i * ways_per_set_;
-    for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-      r.tags[w] = snap.tags[src + w];
-      r.masks[w] = snap.masks[src + w];
-      r.stamps[w] = snap.stamps[src + w];
-    }
-    *r.hint = snap.hints[i];
-  }
-  stamp_ = snap.stamp;
-  hits_ = snap.hits;
-  misses_ = snap.misses;
-  stream_replays_ = false;
-}
-
 }  // namespace mt4g::sim

@@ -38,10 +38,9 @@ struct CacheAccess {
 };
 
 /// Sparse image of a cache's live way state: the captured sets' tags, sector
-/// masks, LRU stamps and hint, plus the LRU clock and counters. Restoring a
-/// snapshot rewinds exactly those sets — the warm-state sharing engine uses
-/// this to hand one warmed replica to many bounded timed passes (capture
-/// before the timed pass, restore after).
+/// masks, LRU stamps and hint, plus the LRU clock and counters. Cache
+/// equality compares two caches through it, and tests compare a cache with
+/// its per-load oracle field by field.
 struct CacheSnapshot {
   std::vector<std::uint32_t> sets;     ///< distinct captured set indices
   std::vector<std::uint64_t> tags;     ///< sets.size() * ways, row per set
@@ -97,14 +96,14 @@ struct WarmStream {
 ///
 /// Pages are written when read. A page is written, since the last flush,
 /// when something first reads or writes one of its sets: access() on a set
-/// change, peek(), the snapshots, equality, restore(), and a replay over
-/// it. Writing it writes every closed-form fill since the flush into its
-/// sets, in fill order; a fill writes its lines into the pages already
-/// written at once, and waits for the others. So a written page holds
-/// every fill and every stepped load since the flush, and a page not
-/// written since holds no line. Readers that are const write pages through
-/// mutable state. A cache, like its Gpu, is used by one thread at a time
-/// (core/mt4g.hpp), so this needs no lock.
+/// change, peek(), the snapshots, equality, and a replay over it. Writing
+/// it writes every closed-form fill since the flush into its sets, in fill
+/// order; a fill writes its lines into the pages already written at once,
+/// and waits for the others. So a written page holds every fill and every
+/// stepped load since the flush, and a page not written since holds no
+/// line. Readers that are const write pages through mutable state. A cache,
+/// like its Gpu, is used by one thread at a time (core/mt4g.hpp), so this
+/// needs no lock.
 class SectoredCache {
  public:
   /// Ways per page, rounded down to whole sets and a power-of-two set count.
@@ -158,8 +157,8 @@ class SectoredCache {
   /// walk (granule shift 0) left on an empty cache, in written pages or
   /// waiting, replayed any number of times since, and nothing else touched
   /// it.
-  /// access() moves the LRU clock past the remembered one; flush(),
-  /// restore() and a fill onto a non-empty cache forget the stream.
+  /// access() moves the LRU clock past the remembered one; flush() and a
+  /// fill onto a non-empty cache forget the stream.
   bool replays(std::uint64_t base, std::uint64_t stride,
                std::uint64_t count) const {
     return stream_replays_ && stamp_ == stream_stamp_ &&
@@ -196,19 +195,10 @@ class SectoredCache {
   void snapshot(CacheSnapshot& out) const;
 
   /// Captures the state of the sets that the address sequence
-  /// base + i * stride (i in [0, steps)) maps to — the footprint a bounded
-  /// timed pass over that prefix can dirty. Appends nothing outside those
-  /// sets; `out` is cleared first.
+  /// base + i * stride (i in [0, steps)) maps to. Appends nothing outside
+  /// those sets; `out` is cleared first.
   void snapshot_addresses(std::uint64_t base, std::uint64_t stride,
                           std::uint64_t steps, CacheSnapshot& out) const;
-
-  /// Rewrites the captured sets to their snapshot state and restores the LRU
-  /// clock and counters. Sets outside the snapshot are left alone, so the
-  /// caller must guarantee everything dirtied since the capture lies inside
-  /// the captured set list (true for a bounded timed pass over a
-  /// snapshotted prefix). The allocated line range stays as it was: for a
-  /// snapshot taken since the last flush it covers every restored line.
-  void restore(const CacheSnapshot& snap);
 
   const CacheGeometry& geometry() const { return geometry_; }
   std::uint64_t hits() const { return hits_; }

@@ -369,48 +369,43 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
   list_caches(path);
-  bool closed_form = stride_bytes != 0;
+  // A walk onto levels that hold no line of its range misses once per line
+  // it reaches and never comes back: all of it is arithmetic.
+  const std::uint64_t last = base + (steps == 0 ? 0 : steps - 1) * stride_bytes;
+  bool closed_form = stride_bytes != 0 && steps != 0;
   for (std::size_t level = 0; level < path.depth; ++level) {
     const SectoredCache* cache = path.levels[level].cache;
-    closed_form = closed_form && cache->takes_warm_streams();
+    closed_form = closed_form && cache->takes_warm_streams() &&
+                  cache->holds_no_line_of(base, last);
     for (std::size_t other = 0; other < level; ++other) {
       closed_form = closed_form && path.levels[other].cache != cache;
     }
   }
-  const std::uint64_t last = base + (steps == 0 ? 0 : steps - 1) * stride_bytes;
-  const auto fresh = [&](std::uint64_t address) {
-    for (std::size_t level = 0; level < path.depth; ++level) {
-      if (!path.levels[level].cache->holds_no_line_of(address, last)) {
-        return false;
-      }
-    }
-    return true;
-  };
 
   std::uint64_t total_cycles = 0;
-  std::uint64_t i = 0;
-  for (; i < steps && !(closed_form && fresh(base + i * stride_bytes)); ++i) {
-    const std::uint64_t address = base + i * stride_bytes;
-    std::uint32_t base_latency = path.terminal_latency;
-    bool hit = false;
-    for (std::size_t level = 0; level < path.depth; ++level) {
-      const CacheAccess a = path.levels[level].cache->access(address);
-      if (a.sector_hit) {
-        base_latency = path.levels[level].latency;
-        hit = true;
-        break;
+  if (!closed_form) {
+    for (std::uint64_t i = 0; i < steps; ++i) {
+      const std::uint64_t address = base + i * stride_bytes;
+      std::uint32_t base_latency = path.terminal_latency;
+      bool hit = false;
+      for (std::size_t level = 0; level < path.depth; ++level) {
+        const CacheAccess a = path.levels[level].cache->access(address);
+        if (a.sector_hit) {
+          base_latency = path.levels[level].latency;
+          hit = true;
+          break;
+        }
       }
+      if (!hit && path.terminal_is_dmem) ++dmem_accesses_;
+      total_cycles += base_latency;
     }
-    if (!hit && path.terminal_is_dmem) ++dmem_accesses_;
-    total_cycles += base_latency;
+    warm_loads_stepped_ += steps;
+    return total_cycles;
   }
-  warm_loads_stepped_ += i;
-  if (i == steps) return total_cycles;
 
-  // The rest of the walk, level by level: each level's sector misses are
-  // the next level's stream, and whatever misses the last level is served
-  // by the terminal.
-  WarmStream stream{base + i * stride_bytes, stride_bytes, steps - i, 0};
+  // Level by level: each level's sector misses are the next level's stream,
+  // and whatever misses the last level is served by the terminal.
+  WarmStream stream{base, stride_bytes, steps, 0};
   std::uint64_t reaching = stream.count;
   for (std::size_t level = 0; level < path.depth; ++level) {
     SectoredCache& cache = *path.levels[level].cache;
@@ -431,31 +426,6 @@ std::uint32_t Gpu::warm_access(const Placement& where, Space space,
   const AccessPath path = compile_path(where, space, flags);
   return static_cast<std::uint32_t>(
       run_warm_pass(path, address, /*stride_bytes=*/0, /*steps=*/1));
-}
-
-void Gpu::snapshot_path_prefix(const AccessPath& path, std::uint64_t base,
-                               std::uint64_t stride_bytes, std::uint64_t steps,
-                               PathSnapshot& out) const {
-  if (path.epoch != path_epoch_) {
-    throw std::logic_error("gpu: snapshot of a stale AccessPath");
-  }
-  out.depth = path.depth;
-  out.epoch = path.epoch;
-  for (std::size_t level = 0; level < path.depth; ++level) {
-    path.levels[level].cache->snapshot_addresses(base, stride_bytes, steps,
-                                                 out.levels[level]);
-  }
-}
-
-void Gpu::restore_path(const AccessPath& path, const PathSnapshot& snap) {
-  if (path.epoch != path_epoch_ || snap.epoch != path_epoch_ ||
-      snap.depth != path.depth) {
-    throw std::logic_error("gpu: restore of a stale PathSnapshot");
-  }
-  list_caches(path);
-  for (std::size_t level = 0; level < path.depth; ++level) {
-    path.levels[level].cache->restore(snap.levels[level]);
-  }
 }
 
 SectoredCache* Gpu::segment_for(const Placement& where, Element element) {

@@ -63,18 +63,6 @@ struct AccessPath {
   std::uint64_t epoch = 0;       ///< must equal Gpu::path_epoch() when used
 };
 
-/// Sparse image of the cache state along one compiled path: one
-/// CacheSnapshot per level. The warm-state sharing engine in
-/// runtime::run_chase_batch captures the footprint of a bounded timed pass
-/// before it runs and restores it after, so one warm walk serves many timed
-/// passes. Device-memory access counters are telemetry, not measurement
-/// state, and are deliberately not part of the image.
-struct PathSnapshot {
-  std::array<CacheSnapshot, AccessPath::kMaxLevels> levels;
-  std::size_t depth = 0;
-  std::uint64_t epoch = 0;  ///< path epoch at capture time
-};
-
 class Gpu {
  public:
   /// @param mig optional MIG profile restricting the visible resources;
@@ -188,13 +176,14 @@ class Gpu {
   /// timed pass behaves identically however its warm state was produced.
   ///
   /// A walk with a positive stride never returns to a line it has left, so
-  /// once its next load lies beyond every line a level has allocated since
-  /// its last flush, every reuse distance is infinite and the rest of the
-  /// walk is arithmetic (SectoredCache::fill_warm_stream, level by level).
-  /// A level writes that fill only into the pages of its sets something
-  /// reads, when it first reads them, and a flush drops the rest unwritten.
-  /// Loads before that point — at most the line a walk extension shares
-  /// with the walk it extends — and walks of stride 0 step one by one.
+  /// when no level holds a line between its first and last load (none was
+  /// allocated there since the level's last flush), every reuse distance is
+  /// infinite and the whole walk is arithmetic
+  /// (SectoredCache::fill_warm_stream, level by level). A level writes that
+  /// fill only into the pages of its sets something reads, when it first
+  /// reads them, and a flush drops the rest unwritten. Any other walk steps
+  /// every load: one into lines a level holds, a walk of stride 0, and a
+  /// path with a non-power-of-two line or sector or one cache twice.
   std::uint64_t run_warm_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps);
 
@@ -212,25 +201,13 @@ class Gpu {
   /// closed form); never reset.
   std::uint64_t timed_loads_stepped() const { return timed_loads_stepped_; }
 
-  /// Captures only the sets the address prefix base + i * stride
-  /// (i in [0, steps)) maps to at each level — the footprint a bounded timed
-  /// pass can dirty, so restoring @p out afterwards rewinds it exactly.
-  void snapshot_path_prefix(const AccessPath& path, std::uint64_t base,
-                            std::uint64_t stride_bytes, std::uint64_t steps,
-                            PathSnapshot& out) const;
-
-  /// Restores a snapshot captured on the same path. See
-  /// SectoredCache::restore for the containment precondition.
-  /// Throws std::logic_error on a path-epoch mismatch.
-  void restore_path(const AccessPath& path, const PathSnapshot& snap);
-
   /// Drops the content of all modelled caches. Only a cache a path reached
-  /// (run_pass, run_warm_pass and restore_path list a path's caches, with
-  /// no search and no allocation) can hold anything, so only the caches
-  /// listed since the last flush are flushed; a path compiled before a
-  /// flush lists its caches again when it next runs. A cache clears only
-  /// the sets of the pages written since its last flush, and drops the
-  /// warm fills still waiting for the others.
+  /// (run_pass and run_warm_pass list a path's caches, with no search and
+  /// no allocation) can hold anything, so only the caches listed since the
+  /// last flush are flushed; a path compiled before a flush lists its
+  /// caches again when it next runs. A cache clears only the sets of the
+  /// pages written since its last flush, and drops the warm fills still
+  /// waiting for the others.
   void flush_caches();
 
   /// Caches flush_caches() flushed so far, the sets it cleared in them

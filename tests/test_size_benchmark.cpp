@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "common/units.hpp"
 #include "core/benchmarks/amount.hpp"
@@ -142,7 +143,11 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
   // probes. At four sweep threads on a dedicated pool the chains run ahead
   // (midpoint plus both quarter points per round); committing in serial
   // order must leave every field, cycles included, and the pool's memo
-  // accounting as the serial search has them.
+  // accounting as the serial search has them. A speculative probe runs
+  // only while the probe it follows is still running, so whether one is
+  // discarded depends on the host's scheduling: the run-ahead search
+  // repeats, each run checked against the serial one, until one discards.
+  constexpr int kMaxRuns = 10;
   const sim::GpuSpec& spec = sim::registry_get("H100-80");
   exec::Executor executor(3);
   const auto run = [&](std::uint32_t threads, runtime::ReplicaPool& pool) {
@@ -154,25 +159,32 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
         spec.at(Element::kL2).sector_bytes, {}, &pool);
   };
   runtime::ReplicaPool serial_pool;
-  runtime::ReplicaPool ahead_pool;
   const L2SegmentResult serial = run(1, serial_pool);
-  const L2SegmentResult ahead = run(4, ahead_pool);
   ASSERT_TRUE(serial.found);
-  EXPECT_EQ(serial.segments, ahead.segments);
-  EXPECT_EQ(serial.segment_bytes, ahead.segment_bytes);
-  EXPECT_EQ(serial.measured_bytes, ahead.measured_bytes);
-  EXPECT_EQ(serial.confidence, ahead.confidence);
-  EXPECT_EQ(serial.cycles, ahead.cycles);
-  EXPECT_EQ(serial.widenings, ahead.widenings);
-  EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits);
-  EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses);
-
   EXPECT_EQ(serial_pool.ahead_stats.ran, 0u);
-  EXPECT_GT(ahead_pool.ahead_stats.used, 0u);
-  EXPECT_GT(ahead_pool.ahead_stats.discarded, 0u);
-  EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
-            ahead_pool.ahead_stats.ran);
-  EXPECT_TRUE(ahead_pool.ahead.empty());  // dropped when the search ended
+  bool discarded = false;
+  for (int attempt = 0; attempt < kMaxRuns && !discarded; ++attempt) {
+    runtime::ReplicaPool ahead_pool;
+    const L2SegmentResult ahead = run(4, ahead_pool);
+    const std::string at = "run " + std::to_string(attempt);
+    EXPECT_EQ(serial.segments, ahead.segments) << at;
+    EXPECT_EQ(serial.segment_bytes, ahead.segment_bytes) << at;
+    EXPECT_EQ(serial.measured_bytes, ahead.measured_bytes) << at;
+    EXPECT_EQ(serial.confidence, ahead.confidence) << at;
+    EXPECT_EQ(serial.cycles, ahead.cycles) << at;
+    EXPECT_EQ(serial.widenings, ahead.widenings) << at;
+    EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits) << at;
+    EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses)
+        << at;
+    EXPECT_GT(ahead_pool.ahead_stats.used, 0u) << at;
+    EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
+              ahead_pool.ahead_stats.ran)
+        << at;
+    EXPECT_TRUE(ahead_pool.ahead.empty()) << at << ": dropped at the end";
+    discarded = ahead_pool.ahead_stats.discarded > 0;
+  }
+  EXPECT_TRUE(discarded) << "no run-ahead probe was discarded in " << kMaxRuns
+                         << " runs";
 }
 
 TEST(SizeBenchmark, IncrementalSweepMeasuresCleanPointsOnce) {

@@ -1,7 +1,8 @@
 // Gate for the closed-form warm walk and the closed-form timed pass after
 // it. Gpu::run_warm_pass computes a walk's effect on each cache level
-// arithmetically once the walk is past every line a level holds (written
-// into a page of way state when something first reads it), and Gpu::run_pass
+// arithmetically when the walk starts beyond every line a level holds
+// (written into a page of way state when something first reads it), and
+// steps it otherwise; Gpu::run_pass
 // replays a walk such a fill just ran on a one-level path, or on a deeper
 // one whose first level holds the walk whole; the per-load loop (stride 0,
 // one load per call — what the reference engine runs) is their oracle.
@@ -30,11 +31,14 @@ namespace mt4g::sim {
 namespace {
 
 /// One side of a comparison: its own Gpu (device-memory counter, epoch) and
-/// its own caches, chained into a hand-built path.
+/// its own caches, chained into a hand-built path, and a path from another
+/// placement: a first level of its own (the last of `caches`) over the same
+/// deeper levels, as a second SM or CU sees them.
 struct Side {
   Gpu gpu{registry_get("TestGPU-NV"), 1};
-  std::deque<SectoredCache> caches;  // stable addresses for the path
+  std::deque<SectoredCache> caches;  // stable addresses for the paths
   AccessPath path;
+  AccessPath other;
 
   explicit Side(const std::vector<CacheGeometry>& levels) {
     const Element elements[] = {Element::kL1, Element::kL2, Element::kL3};
@@ -47,13 +51,20 @@ struct Side {
     path.terminal = Element::kDeviceMem;
     path.terminal_latency = 600;
     path.epoch = gpu.path_epoch();
+    other = path;
+    caches.emplace_back(levels[0]);
+    other.levels[0].cache = &caches.back();
   }
 
   std::uint64_t oracle_walk(std::uint64_t base, std::uint64_t stride,
                             std::uint64_t steps) {
+    return oracle_walk_on(path, base, stride, steps);
+  }
+  std::uint64_t oracle_walk_on(const AccessPath& on, std::uint64_t base,
+                               std::uint64_t stride, std::uint64_t steps) {
     std::uint64_t cycles = 0;
     for (std::uint64_t i = 0; i < steps; ++i) {
-      cycles += gpu.run_warm_pass(path, base + i * stride, 0, 1);
+      cycles += gpu.run_warm_pass(on, base + i * stride, 0, 1);
     }
     return cycles;
   }
@@ -261,11 +272,13 @@ TEST(WarmClosedForm, MatchesThePerLoadLoopOnRandomRegularWalks) {
   }
 }
 
-TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
-  // The shapes discovery runs, on real compiled paths: a two-level L1 -> L2
-  // walk extended chunk by chunk from mid-line boundaries, and a dual-CU
-  // three-level sL1d -> L2 -> L3 pair whose second array lands in sets the
-  // first one filled.
+TEST(WarmClosedForm, SecondArraysOnRealPaths) {
+  // The dual-array shapes discovery runs, on real compiled paths: array A
+  // walked whole, then array B from another SM or CU. Two-level L1 -> L2
+  // pairs share the L2; dual-CU three-level sL1d -> L2 -> L3 pairs land
+  // their second array in sets the first one filled. Array B lies above
+  // array A, so both walks start beyond every line their levels hold and
+  // no load steps.
   struct Shape {
     const char* model;
     Space space;
@@ -286,10 +299,9 @@ TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
     const std::uint64_t steps = shape.bytes / shape.stride;
     const Placement a{0, 0};
     const Placement b{1, 0};
-    const auto oracle_walk = [&](const Placement& where, std::uint64_t from,
-                                 std::uint64_t first, std::uint64_t last) {
+    const auto oracle_walk = [&](const Placement& where, std::uint64_t from) {
       std::uint64_t cycles = 0;
-      for (std::uint64_t i = first; i < last; ++i) {
+      for (std::uint64_t i = 0; i < steps; ++i) {
         cycles += oracle.warm_access(where, shape.space,
                                      from + i * shape.stride);
       }
@@ -297,16 +309,11 @@ TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
     };
     const AccessPath path_a = closed.compile_path(a, shape.space);
     const AccessPath path_b = closed.compile_path(b, shape.space);
-    // Array A in three uneven chunks, then array B from the other CU.
-    const std::uint64_t cuts[] = {0, steps / 3 + 1, 2 * steps / 3 + 3, steps};
-    for (int chunk = 0; chunk < 3; ++chunk) {
-      EXPECT_EQ(closed.run_warm_pass(path_a, base + cuts[chunk] * shape.stride,
-                                     shape.stride, cuts[chunk + 1] - cuts[chunk]),
-                oracle_walk(a, base, cuts[chunk], cuts[chunk + 1]))
-          << shape.model << " chunk " << chunk;
-    }
+    EXPECT_EQ(closed.run_warm_pass(path_a, base, shape.stride, steps),
+              oracle_walk(a, base))
+        << shape.model << " first array";
     EXPECT_EQ(closed.run_warm_pass(path_b, base_b, shape.stride, steps),
-              oracle_walk(b, base_b, 0, steps))
+              oracle_walk(b, base_b))
         << shape.model << " second array";
     const AccessPath oracle_a = oracle.compile_path(a, shape.space);
     const AccessPath oracle_b = oracle.compile_path(b, shape.space);
@@ -321,9 +328,7 @@ TEST(WarmClosedForm, SecondArraysAndChunkExtensionsOnRealPaths) {
     EXPECT_EQ(closed.miss_count(0, Element::kDeviceMem),
               oracle.miss_count(0, Element::kDeviceMem))
         << shape.model;
-    // Only the lines a chunk shares with its prefix were stepped.
-    EXPECT_LE(closed.warm_loads_stepped(), 2 * 256 / shape.stride)
-        << shape.model;
+    EXPECT_EQ(closed.warm_loads_stepped(), 0u) << shape.model;
   }
 }
 
@@ -510,7 +515,6 @@ enum class Twist {
   kNone,         ///< nothing: every pass replays
   kArrayBefore,  ///< another array, so the walk's fill finds lines
   kAccess,       ///< one load into the walk's range
-  kRestore,      ///< a snapshot of the walk's prefix, restored at once
   kRewarm,       ///< the walk's first loads warmed again
   kFlush,        ///< a flush, then another walk as long, load by load
   kOtherBase,    ///< the passes start one load later
@@ -627,15 +631,6 @@ TimedLoads run_timed_case(std::uint64_t seed, Shape shape, Twist twist) {
       oracle.gpu.run_pass(oracle.path, address, 0, 1);
       break;
     }
-    case Twist::kRestore:
-      for (Side* side : {&closed, &oracle}) {
-        PathSnapshot snap;
-        side->gpu.snapshot_path_prefix(side->path, base, stride,
-                                       std::min<std::uint64_t>(steps, 64),
-                                       snap);
-        side->gpu.restore_path(side->path, snap);
-      }
-      break;
     case Twist::kRewarm: {
       const std::uint64_t prefix = 1 + rng.uniform_int(0, steps - 1);
       EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, base, stride, prefix),
@@ -704,9 +699,8 @@ TEST(TimedClosedForm, ReplaysMatchThePerLoadLoopOnRandomWalks) {
 
 TEST(TimedClosedForm, DeclinesAfterAnythingButTheWarmAndStillMatches) {
   for (const Twist twist :
-       {Twist::kArrayBefore, Twist::kAccess, Twist::kRestore, Twist::kRewarm,
-        Twist::kFlush, Twist::kOtherBase, Twist::kOtherStride,
-        Twist::kOtherSteps}) {
+       {Twist::kArrayBefore, Twist::kAccess, Twist::kRewarm, Twist::kFlush,
+        Twist::kOtherBase, Twist::kOtherStride, Twist::kOtherSteps}) {
     for (std::uint64_t seed = 1; seed <= 150; ++seed) {
       const TimedLoads timed = run_timed_case(seed, Shape::kReplay, twist);
       EXPECT_EQ(timed.stepped, timed.loads)
@@ -760,14 +754,13 @@ enum class Reader {
   kPeek,            ///< peek() at every level
   kSnapshot,        ///< snapshot() of every level
   kSnapshotPrefix,  ///< snapshot_addresses() of a prefix of the walk
-  kRestore,         ///< a prefix snapshot taken before the fill, restored
   kWalkBelow,       ///< another array's warm walk below the walk
   kWalkAbove,       ///< another array's warm walk above it
   kExtension,       ///< the walk continued
   kReplay,          ///< two timed passes over the walk
   kFlush,           ///< a flush, then the same walk again
 };
-constexpr std::uint64_t kReaders = 12;
+constexpr std::uint64_t kReaders = 11;
 
 /// What a step booked, compared without reading way state: every level's
 /// hits and misses, and device-memory reads.
@@ -837,16 +830,6 @@ bool run_pending_case(std::uint64_t seed) {
       side->gpu.flush_caches();
     }
   }
-  PathSnapshot closed_before;
-  PathSnapshot oracle_before;
-  if (reader == Reader::kRestore) {
-    const std::uint64_t prefix =
-        1 + rng.uniform_int(0, std::min<std::uint64_t>(steps, 64) - 1);
-    closed.gpu.snapshot_path_prefix(closed.path, base, stride, prefix,
-                                    closed_before);
-    oracle.gpu.snapshot_path_prefix(oracle.path, base, stride, prefix,
-                                    oracle_before);
-  }
 
   const std::uint64_t stepped = closed.gpu.warm_loads_stepped();
   EXPECT_EQ(closed.gpu.run_warm_pass(closed.path, base, stride, steps),
@@ -909,10 +892,6 @@ bool run_pending_case(std::uint64_t seed) {
       }
       break;
     }
-    case Reader::kRestore:
-      closed.gpu.restore_path(closed.path, closed_before);
-      oracle.gpu.restore_path(oracle.path, oracle_before);
-      break;
     case Reader::kWalkBelow: {
       const std::uint64_t s = random_stride(rng, first);
       warm(base - 4096 * 3 - rng.uniform_int(0, 4096), s,
@@ -1009,7 +988,8 @@ enum class PagedStep {
 /// The reader a case runs after its fills.
 enum class PagedReader {
   kCappedPass,  ///< a timed pass over a prefix, with a record limit
-  kChunks,      ///< snapshot, capped pass, restore, extension, repeated
+  kPlacements,  ///< a capped pass, then a second array from another
+                ///< placement, repeated
   kPeek,        ///< peek() at loads of every fill, at every level
   kReplays,     ///< full passes over the first walk, then a capped one
   kFlush,       ///< a flush, then the first walk again
@@ -1150,28 +1130,25 @@ bool run_paged_case(std::uint64_t seed) {
     case PagedReader::kCappedPass:
       capped("capped pass");
       break;
-    case PagedReader::kChunks:
+    case PagedReader::kPlacements:
       for (int round = 0; round < 3; ++round) {
-        const std::uint64_t prefix = 1 + rng.uniform_int(0, steps - 1);
-        PathSnapshot closed_snap;
-        PathSnapshot oracle_snap;
-        closed.gpu.snapshot_path_prefix(closed.path, base, stride, prefix,
-                                        closed_snap);
-        oracle.gpu.snapshot_path_prefix(oracle.path, base, stride, prefix,
-                                        oracle_snap);
-        for (std::size_t k = 0; k < depth; ++k) {
-          EXPECT_TRUE(closed_snap.levels[k] == oracle_snap.levels[k])
-              << where << ", round " << round << ", level " << k
-              << ": snapshot";
-        }
-        paged_pass(closed, oracle, base, stride, prefix,
-                   rng.uniform_int(0, prefix), where + ", chunk pass");
-        closed.gpu.restore_path(closed.path, closed_snap);
-        oracle.gpu.restore_path(oracle.path, oracle_snap);
-        expect_same_books(closed, oracle, where + ", restore");
-        const std::uint64_t more = 1 + rng.uniform_int(0, steps);
-        warm(end, stride, more, "chunk extension");
-        end += more * stride;
+        capped("capped pass");
+        // Array B from another placement, above everything walked so far:
+        // a first level of its own, the deeper levels shared.
+        const std::uint64_t s = random_stride(rng, first);
+        const std::uint64_t n =
+            1 + rng.uniform_int(0, 2 * first.size_bytes / s);
+        const std::uint64_t at = end + 4096 + rng.uniform_int(0, 4096);
+        const std::uint64_t stepped = closed.gpu.warm_loads_stepped();
+        EXPECT_EQ(closed.gpu.run_warm_pass(closed.other, at, s, n),
+                  oracle.oracle_walk_on(oracle.other, at, s, n))
+            << where << ", round " << round << ": other placement's cycles";
+        EXPECT_EQ(closed.gpu.warm_loads_stepped(), stepped)
+            << where << ", round " << round << ": stepped";
+        expect_same_books(closed, oracle, where + ", other placement");
+        end = at + n * s;
+        peeks.push_back(at);
+        peeks.push_back(at + (n - 1) * s);
       }
       break;
     case PagedReader::kPeek:
@@ -1192,7 +1169,8 @@ bool run_paged_case(std::uint64_t seed) {
       warm(base, stride, steps, "walk after the flush");
       break;
   }
-  for (std::size_t k = 0; k < depth; ++k) {
+  // Every level, and the other placement's first (the last cache).
+  for (std::size_t k = 0; k < closed.caches.size(); ++k) {
     for (const std::uint64_t address : peeks) {
       const CacheAccess c = closed.caches[k].peek(address);
       const CacheAccess o = oracle.caches[k].peek(address);
@@ -1241,9 +1219,9 @@ TEST(PagedFill, CappedPassWritesThePagesOfItsPrefix) {
 }
 
 // --- Flushes of the caches paths reached -----------------------------------
-// Gpu::flush_caches flushes only the caches that run_pass, run_warm_pass and
-// restore_path reached since the last flush. Random sequences of compiles,
-// passes, warm walks, restores, L2 fetch-granularity switches and flushes
+// Gpu::flush_caches flushes only the caches that run_pass and run_warm_pass
+// reached since the last flush. Random sequences of compiles, passes, warm
+// walks, dual-array warm walks, L2 fetch-granularity switches and flushes
 // over random placements, with a path compiled before a flush run after it,
 // end in a flush: every cache must then equal a fresh fork's.
 
@@ -1324,7 +1302,7 @@ bool run_flush_case(const char* model, std::uint64_t seed) {
       }
       continue;
     }
-    // A pass, a warm walk or a restored pass over a live path.
+    // A pass, a warm walk or a dual-array warm walk over a live path.
     const std::size_t p = rng.uniform_int(0, paths.size() - 1);
     const AccessPath& path = paths[p];
     if (path.epoch != gpu.path_epoch()) continue;
@@ -1338,10 +1316,15 @@ bool run_flush_case(const char* model, std::uint64_t seed) {
     } else if (kind < 8) {
       gpu.run_warm_pass(path, base, stride, steps);
     } else {
-      PathSnapshot snap;
-      gpu.snapshot_path_prefix(path, base, stride, steps, snap);
-      gpu.run_pass(path, base, stride, steps);
-      gpu.restore_path(path, snap);
+      // Array B from another live path, as amount, sharing and dual-CU
+      // chases warm it after array A.
+      gpu.run_warm_pass(path, base, stride, steps);
+      const AccessPath& second = paths[rng.uniform_int(0, paths.size() - 1)];
+      if (second.epoch == gpu.path_epoch()) {
+        gpu.run_warm_pass(second,
+                          arena + rng.uniform_int(0, 256 * KiB - steps * stride),
+                          stride, steps);
+      }
     }
   }
   gpu.flush_caches();

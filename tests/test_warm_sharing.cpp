@@ -1,12 +1,11 @@
-// Warm-up state sharing tests: the correctness contract of the chain/chunk
-// execution in runtime/batch.cpp. A warm-shared timed pass (snapshot +
-// incremental closed-form warm + restore) must record byte-identical
-// measurements to a cold full chase for every chase shape, for every sweep
-// thread count, for chains longer than one sub-sweep chunk, and on a pool
-// earlier batches have used. Cycles follow the one cost rule: every member
-// books its whole warm walk and timed pass as a cold run of its spec would,
-// so the reference engine running each spec alone books identical cycles.
-// Resampled chases must never join a chain: they exist to draw fresh noise.
+// Batch results against the cold reference: the correctness contract of
+// runtime/batch.cpp. Every chase of a batch runs cold on its own replica, so
+// its result must equal the reference engine running the spec alone in a
+// batch of its own — for every chase shape, for every sweep thread count,
+// for the long runs of growing arrays over one base and stride that the size
+// sweeps produce, and on a pool earlier batches have used. Cycles follow the
+// one cost rule: every result books its whole warm walk and timed pass as a
+// cold run of its spec would. Resampled chases draw fresh noise.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,13 +19,12 @@
 namespace mt4g::runtime {
 namespace {
 
-// Chases per chain in chain_specs: three sub-sweep chunks, the last one
-// partial, so every chain crosses two chunk boundaries.
-constexpr std::size_t kChainLength = 2 * ReplicaPool::warm_chunk_points + 4;
+// Chases per chain in chain_specs.
+constexpr std::size_t kChainLength = 20;
 
-// A warm chain the size benchmark would produce: many plain chases on one
-// base/stride (shared WarmKey) with growing array sizes, plus a second
-// stride (a second chain) and bounded timed passes of differing caps.
+// A chain as the size benchmark would produce it: many plain chases on one
+// base/stride with growing array sizes, plus a second stride (a second
+// chain) and bounded timed passes of differing caps.
 std::vector<ChaseSpec> chain_specs(sim::Gpu& gpu) {
   const std::uint64_t base = gpu.alloc(64 * KiB, 256);
   std::vector<ChaseSpec> specs;
@@ -45,7 +43,7 @@ std::vector<ChaseSpec> chain_specs(sim::Gpu& gpu) {
 }
 
 // The full shape mix of the benchmark suite in one batch: chains of plain
-// chases next to amount/sharing specs (which never join a chain).
+// chases next to amount/sharing specs.
 std::vector<ChaseSpec> mixed_specs(sim::Gpu& gpu) {
   std::vector<ChaseSpec> specs = chain_specs(gpu);
   const std::uint64_t base_a = gpu.alloc(8 * KiB, 256);
@@ -81,8 +79,8 @@ bool equal_results(const std::vector<PChaseResult>& a,
 }
 
 // The cold truth: the reference engine runs every chase as an isolated cold
-// singleton, one batch per spec — no snapshots, no incremental warm-up, no
-// memo — and every batch result must carry exactly its cycles too.
+// singleton, one batch per spec — no closed forms, no memo — and every batch
+// result must carry exactly its cycles too.
 std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
                                          const std::vector<ChaseSpec>& specs) {
   ScopedPChaseEngine scope(PChaseEngine::kReference);
@@ -111,8 +109,8 @@ TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
 
 TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
   // The fourth chase shape lives on the AMD model: CU pairs probing the
-  // shared sL1d. Dual-CU chases never join a chain, but they ride in the
-  // same batches as chained plain chases and must stay cold-identical.
+  // shared sL1d. They ride in the same batches as plain chases over the
+  // same array and must stay cold-identical.
   sim::Gpu gpu(sim::registry_get("TestGPU-AMD"), 42);
   PChaseConfig config;
   config.space = sim::Space::kScalar;
@@ -143,10 +141,10 @@ TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
 }
 
 TEST(WarmSharing, UsedPoolMatchesAFreshPoolAcrossBatches) {
-  // Batch A runs the short walks of each WarmKey on a pool; batch B extends
-  // the same keys to longer walks on that pool. Nothing batch A left behind
-  // may move a measurement or a cycle of batch B: it books exactly what a
-  // fresh pool and the cold reference book.
+  // Batch A runs the short walks of each chain on a pool; batch B runs the
+  // longer walks over the same arrays on that pool. Nothing batch A left
+  // behind may move a measurement or a cycle of batch B: it books exactly
+  // what a fresh pool and the cold reference book.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   std::vector<ChaseSpec> first;
@@ -167,9 +165,10 @@ TEST(WarmSharing, UsedPoolMatchesAFreshPoolAcrossBatches) {
 }
 
 TEST(WarmSharing, ResampledChasesDrawFreshNoise) {
-  // Two chases identical up to the resample index share a WarmKey but must
-  // not share a noise stream: the resample exists to decorrelate repeated
-  // measurements. Both must still be independent of batch composition.
+  // Two chases identical up to the resample index walk the same array but
+  // must not share a noise stream: the resample exists to decorrelate
+  // repeated measurements. Both must still be independent of batch
+  // composition.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   PChaseConfig config;
   config.base = gpu.alloc(16 * KiB, 256);
@@ -191,16 +190,15 @@ TEST(WarmSharing, ResampledChasesDrawFreshNoise) {
 }
 
 TEST(WarmSharing, ChainMembersBookTheirWholeColdWarmWalk) {
-  // Sharing warm-up saves host work, never modelled cycles: every chain
-  // member books the whole cold warm walk of its spec, as the real tool
-  // warms each array from scratch, so a chain's warm total is the sum of
-  // its members' cold walks, far above its longest walk.
+  // Every chain member books the whole cold warm walk of its spec, as the
+  // real tool warms each array from scratch, so a chain's warm total is the
+  // sum of its members' cold walks, far above its longest walk.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = chain_specs(gpu);
   ReplicaPool pool;
   const auto results = run_chase_batch(gpu, specs, &pool);
   // chain_specs lays out two chains (one per stride), in increasing walk
-  // length — exactly the chain order the planner derives.
+  // length.
   for (const std::size_t start : {std::size_t{0}, kChainLength}) {
     std::uint64_t chain_warm = 0;
     std::uint64_t longest_cold_warm = 0;
