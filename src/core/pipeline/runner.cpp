@@ -4,6 +4,7 @@
 #include <exception>
 #include <mutex>
 #include <set>
+#include <utility>
 
 #include "common/fault.hpp"
 #include "exec/executor.hpp"
@@ -32,12 +33,14 @@ struct GraphRun {
   std::vector<StageRecord> records;
   std::vector<std::exception_ptr> errors;
   std::vector<bool> failed;  ///< threw, or transitively depends on a throw
+  std::vector<bool> upstream;  ///< some other stage depends on it
 
   explicit GraphRun(sim::Gpu& gpu_, const StageGraph& graph_,
                     GraphState& state_, const DiscoverOptions& options_)
       : gpu(gpu_), graph(graph_), state(state_), options(options_),
         records(graph_.stages.size()), errors(graph_.stages.size()),
-        failed(graph_.stages.size(), false) {}
+        failed(graph_.stages.size(), false),
+        upstream(graph_.stages.size(), false) {}
 
   /// Executes one stage on its own substrate: a fork of the owning Gpu
   /// with the owner's seed and allocator cursor and cold caches. Every
@@ -77,9 +80,13 @@ struct GraphRun {
     record.series = std::move(ctx.series);
     record.compute_throughput = std::move(ctx.compute_throughput);
     record.executed = true;
-    // The pool's memo stays live as upstream for dependent stages; its
-    // chase replicas are done.
+    // The chase replicas are done. The memo stays live while it is upstream
+    // for dependent stages; a stage no other depends on frees it here,
+    // inside its span, not with the graph after the last stage (a CU-pair
+    // memo holds tens of thousands of results). memo_stats and reset_ns
+    // stay for the merge.
     record.pool.replicas.clear();
+    if (!upstream[i]) std::exchange(record.pool.memo, {});
     const std::uint64_t wall_ns = obs::monotonic_ns() - start_ns;
     record.wall_seconds = static_cast<double>(wall_ns) * 1e-9;
     if (obs::metrics_enabled()) {
@@ -195,6 +202,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
     run.records[i].pool.upstream.reserve(ancestors[i].size());
     for (const std::size_t a : ancestors[i]) {
       run.records[i].pool.upstream.push_back(&run.records[a].pool);
+      run.upstream[a] = true;
     }
   }
 

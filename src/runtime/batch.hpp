@@ -6,9 +6,10 @@
 // run_chase_batch() runs a list of independent specs and returns one
 // PChaseResult per spec, in spec order. Each chase runs cold and on its own,
 // as MT4G runs each p-chase as a kernel of its own (paper Sec. IV-A/B): on a
-// Gpu replica (Gpu::fork) that is reset — caches flushed, noise stream
-// re-seeded from (gpu seed, spec) via chase_noise_seed() — immediately
-// before the chase warms and times its arrays (run_chase). So a chase's
+// Gpu replica (Gpu::fork) whose caches the previous chase left flushed and
+// whose noise stream is re-seeded from (gpu seed, spec) via
+// chase_noise_seed() immediately before the chase warms and times its
+// arrays (run_chase). So a chase's
 // result is a pure function of the owning Gpu's seed and its own spec. That
 // makes the result vector byte-identical for every thread count, including
 // the threads == 1 serial reference mode, which is what
@@ -164,8 +165,9 @@ struct ReplicaPool {
   /// stage runner sets it to DiscoverOptions::bench_executor, the executor
   /// its graph runs on, so idle stage workers can help; tests set their own.
   exec::Executor* executor = nullptr;
-  /// Host nanoseconds spent resetting replicas (cache flush + noise reseed)
-  /// across every batch run against this pool. Always accumulated (unlike
+  /// Host nanoseconds spent resetting replicas (the noise reseed: each
+  /// chase flushes its replica at the end of its timed pass) across every
+  /// batch run against this pool. Always accumulated (unlike
   /// the metrics-gated replica.reset_ns observe) so the stage runner can
   /// attribute reset time per stage in the report.
   std::uint64_t reset_ns = 0;

@@ -68,13 +68,16 @@ std::uint64_t whole_pass_cycles(std::uint64_t cycles, std::uint64_t steps,
   return cycles / steps * full_steps + cycles % steps * full_steps / steps;
 }
 
-/// The timed pass: records the first record_count latencies and classifies
-/// every executed load by the level that served it. max_timed_steps stops
-/// the walk early for record-only consumers (the recorded prefix is
-/// unaffected: each load depends only on the loads before it); the cycles
-/// still cover the whole pass the real tool would run. The executed loads
-/// are booked in `sim.timed_loads`, and those Gpu::run_pass stepped one by
-/// one rather than replayed in closed form in `sim.timed_loads_stepped`.
+/// The timed pass, the last thing a chase runs: records the first
+/// record_count latencies, classifies every executed load by the level that
+/// served it, and flushes the Gpu's caches. max_timed_steps stops the walk
+/// early for record-only consumers (the recorded prefix is unaffected: each
+/// load depends only on the loads before it); the cycles still cover the
+/// whole pass the real tool would run. The executed loads are booked in
+/// `sim.timed_loads`, and those stepped one by one rather than decided by
+/// Gpu::run_last_pass in `sim.timed_loads_stepped`; the flush in
+/// `sim.flushed_caches`, `sim.flushed_sets`, `sim.pages_written` and
+/// `sim.fills_dropped`.
 void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                 PChaseResult& result) {
   const std::uint64_t full_steps = config.array_bytes / config.stride_bytes;
@@ -87,6 +90,10 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
       std::min<std::uint64_t>(steps, config.record_count));
   std::uint64_t cycles = 0;
   const std::uint64_t stepped_before = gpu.timed_loads_stepped();
+  const std::uint64_t caches_before = gpu.flushed_caches();
+  const std::uint64_t sets_before = gpu.flushed_sets();
+  const std::uint64_t pages_before = gpu.pages_written();
+  const std::uint64_t dropped_before = gpu.fills_dropped();
   if (t_engine == PChaseEngine::kReference) {
     for (std::uint64_t i = 0; i < steps; ++i) {
       const sim::AccessResult access = gpu.access_traced(
@@ -98,15 +105,27 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
         result.latencies.push_back(access.latency);
       }
     }
+    gpu.flush_caches();
   } else {
     const sim::AccessPath path =
         gpu.compile_path(config.where, config.space, config.flags);
-    cycles = gpu.run_pass(path, config.base, config.stride_bytes, steps,
-                          &result.served_by, &result.latencies,
-                          config.record_count);
+    cycles = gpu.run_last_pass(path, config.base, config.stride_bytes, steps,
+                               &result.served_by, &result.latencies,
+                               config.record_count);
   }
   book_loads("sim.timed_loads", "sim.timed_loads_stepped", steps,
              gpu.timed_loads_stepped() - stepped_before);
+  if (obs::metrics_enabled()) {
+    obs::Metrics& metrics = obs::Metrics::instance();
+    const auto book = [&](const char* name, std::uint64_t before,
+                          std::uint64_t after) {
+      metrics.add(name, static_cast<double>(after - before));
+    };
+    book("sim.flushed_caches", caches_before, gpu.flushed_caches());
+    book("sim.flushed_sets", sets_before, gpu.flushed_sets());
+    book("sim.pages_written", pages_before, gpu.pages_written());
+    book("sim.fills_dropped", dropped_before, gpu.fills_dropped());
+  }
   result.total_cycles += whole_pass_cycles(cycles, steps, full_steps);
 }
 

@@ -19,15 +19,16 @@ namespace mt4g::runtime {
 /// Which pass engine executes p-chase loads.
 ///
 /// kCompiled is the production engine: each pass compiles one AccessPath and
-/// runs batched through Gpu::run_pass (zero per-load allocation). kReference
-/// keeps the per-load Gpu::access_traced loop; both must produce
-/// bit-identical results for the same seed, which the equivalence tests and
-/// bench/discovery_hotpath assert. Note the scope of that gate: it verifies
-/// the batched execution (pass splitting, counter accumulation, latency
-/// recording) against the one-load-at-a-time walk, but both engines share
-/// the cache model and noise model underneath — a bug in those shared layers
-/// would affect both sides identically and is covered by the behavioural
-/// sim/cache/benchmark tests instead.
+/// runs batched (zero per-load allocation): warm-ups through
+/// Gpu::run_warm_pass, timed passes through Gpu::run_last_pass. kReference
+/// keeps the per-load Gpu::warm_access and Gpu::access_traced loops; both
+/// must produce bit-identical results for the same seed, which the
+/// equivalence tests and bench/discovery_hotpath assert. Note the scope of
+/// that gate: it verifies the batched execution (pass splitting, counter
+/// accumulation, latency recording) against the one-load-at-a-time walk,
+/// but both engines share the cache model and noise model underneath — a
+/// bug in those shared layers would affect both sides identically and is
+/// covered by the behavioural sim/cache/benchmark tests instead.
 enum class PChaseEngine { kCompiled, kReference };
 
 /// Engine used by the run_* kernels on this thread (default kCompiled).
@@ -104,6 +105,11 @@ struct PChaseResult {
 };
 
 /// One p-chase: optional warm-up pass, then a timed pass over the array.
+/// Every p-chase kernel below ends with its timed pass, and the timed pass
+/// ends by flushing the Gpu's caches (Gpu::run_last_pass on the compiled
+/// engine; the per-load loop, then Gpu::flush_caches, on the reference
+/// engine): a chase leaves its Gpu flushed, as the next kernel on real
+/// hardware finds nothing of it in the caches it measures.
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config);
 
 /// Amount-benchmark kernel (paper IV-F, Fig. 3): core A warms its array,

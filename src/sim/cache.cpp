@@ -188,7 +188,7 @@ CacheAccess SectoredCache::peek(std::uint64_t address) const {
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
   CacheAccess result;
-  const Page& page = page_to_read(set >> page_shift_);
+  const Page& page = page_to_read(set);
   if (page.storage == nullptr) return result;
   const Row r = row_at(page, set);
   for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
@@ -201,69 +201,64 @@ CacheAccess SectoredCache::peek(std::uint64_t address) const {
   return result;
 }
 
-std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
-  const std::uint32_t g = stream.granule_shift;
+bool SectoredCache::counts_warm_stream(const WarmStream& stream) const {
   const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
-  const bool onto_empty = lo_line_ > hi_line_;
+  return line_shift_ != kNoShift && sector_shift_ != kNoShift &&
+         (line_of(stream.base) > hi_line_ || line_of(last) < lo_line_);
+}
+
+bool SectoredCache::takes_warm_stream(const WarmStream& stream) const {
+  return counts_warm_stream(stream) && pages_written_ == 0;
+}
+
+std::pair<std::uint64_t, std::uint64_t> SectoredCache::warm_counts(
+    const WarmStream& stream) const {
   // The stream: the first load of each visited granule. Each lands in a new
   // granule, so it misses unless an earlier stream load filled its sector:
   // the misses are the distinct sectors, one per granule when a sector is
   // no larger than a granule.
-  const std::uint64_t accesses = blocks_below(stream, g, last + 1);
-  const std::uint64_t misses =
-      sector_shift_ <= g ? accesses : blocks_below(stream, sector_shift_,
-                                                   last + 1);
+  const std::uint32_t g = stream.granule_shift;
+  const std::uint64_t end =
+      stream.base + (stream.count - 1) * stream.stride + 1;
+  const std::uint64_t loads = blocks_below(stream, g, end);
+  return {loads, sector_shift_ <= g
+                     ? loads
+                     : blocks_below(stream, sector_shift_, end)};
+}
+
+std::uint64_t SectoredCache::fill_warm_stream(const WarmStream& stream) {
+  const auto [accesses, misses] = warm_counts(stream);
   const Fill fill{stream, stamp_};
   stamp_ += accesses;
   hits_ += accesses - misses;
   misses_ += misses;
-  // Written pages take the fill's lines now; it waits for the others.
-  bool waits = pages_written_ == 0;
-  if (!waits) {
-    const auto [first, count] = stream_sets(stream);
-    for_each_run(first, count,
-                 [&](std::uint32_t page, std::uint32_t from, std::uint32_t to) {
-                   if (pages_[page].written) {
-                     fill_lines(fill, 0, from, to, /*onto_empty=*/false);
-                   } else {
-                     waits = true;
-                   }
-                 });
-  }
+  const std::uint32_t g = stream.granule_shift;
+  const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
   const std::uint64_t last_load =
       stream.stride >= (1ULL << g)
           ? last
           : first_load_from(stream, (last >> g) << g);
   lo_line_ = std::min(lo_line_, line_of(stream.base));
   hi_line_ = std::max(hi_line_, line_of(last_load));
-  // The first fill since the flush that waits, or one onto an empty cache
-  // (which replays() tests for), is kept in the stream_* members; later
-  // ones queue behind it.
-  if (onto_empty || (waits && !first_waits_)) {
-    stream_base_ = stream.base;
-    stream_stride_ = stream.stride;
-    stream_count_ = stream.count;
-    stream_stamp_ = stamp_;
-    stream_granule_ = static_cast<std::uint8_t>(g);
-    stream_turns_ = 0;
-    first_waits_ = waits;
-  } else if (waits) {
+  // No page is written, so the fill waits for every page. The first since
+  // the flush is kept in the stream_* members, later ones queue behind it.
+  if (first_filled_) {
     more_fills_.push_back(fill);
+    return misses;
   }
-  stream_replays_ =
-      onto_empty && g == 0 && stream.stride <= geometry_.line_bytes;
+  stream_base_ = stream.base;
+  stream_stride_ = stream.stride;
+  stream_count_ = stream.count;
+  stream_stamp_ = stamp_;
+  stream_granule_ = static_cast<std::uint8_t>(g);
+  first_filled_ = true;
+  first_waits_ = true;
   return misses;
 }
 
-SectoredCache::Fill SectoredCache::first_fill() const {
-  // stream_stamp_ is the clock the fill left, moved on by each replay of
-  // it: a replay leaves what the same fill started that many loads later
-  // leaves.
-  const WarmStream stream{stream_base_, stream_stride_, stream_count_,
-                          stream_granule_};
-  const std::uint64_t last = stream.base + (stream.count - 1) * stream.stride;
-  return {stream,
-          stream_stamp_ - blocks_below(stream, stream_granule_, last + 1)};
+SectoredCache::Fill SectoredCache::first_waiting() const {
+  const WarmStream stream = *first_fill();
+  return {stream, stream_stamp_ - warm_counts(stream).first};
 }
 
 void SectoredCache::write_page(std::uint32_t page) const {
@@ -272,15 +267,14 @@ void SectoredCache::write_page(std::uint32_t page) const {
   written.written = true;
   ++pages_written_;
   if (!first_waits_) return;
-  const auto write = [&](const Fill& fill, std::uint32_t turns,
-                         bool onto_empty) {
+  const auto write = [&](const Fill& fill, bool onto_empty) {
     const auto [first, count] = stream_sets(fill.stream);
     runs_in(page, first, count, [&](std::uint32_t from, std::uint32_t to) {
-      fill_lines(fill, turns, from, to, onto_empty);
+      fill_lines(fill, from, to, onto_empty);
     });
   };
-  write(first_fill(), stream_turns_, /*onto_empty=*/true);
-  for (const Fill& fill : more_fills_) write(fill, 0, /*onto_empty=*/false);
+  write(first_waiting(), /*onto_empty=*/true);
+  for (const Fill& fill : more_fills_) write(fill, /*onto_empty=*/false);
   // With every page written, no fill waits any more.
   if (pages_written_ == page_count()) {
     first_waits_ = false;
@@ -288,108 +282,38 @@ void SectoredCache::write_page(std::uint32_t page) const {
   }
 }
 
-void SectoredCache::fill_lines(const Fill& fill, std::uint32_t turns,
-                               std::uint32_t from, std::uint32_t to,
-                               bool onto_empty) const {
+void SectoredCache::fill_lines(const Fill& fill, std::uint32_t from,
+                               std::uint32_t to, bool onto_empty) const {
   if (fill.stream.stride <= geometry_.line_bytes &&
       (1ULL << fill.stream.granule_shift) <= geometry_.line_bytes) {
-    fill_dense_lines(fill, turns, from, to, onto_empty);
+    fill_dense_lines(fill, from, to, onto_empty);
   } else {
-    fill_sparse_lines(fill, from, to, onto_empty);
+    fill_sparse_lines(fill, from, to);
   }
 }
 
-SectoredCache::StreamLines SectoredCache::stream_lines() const {
-  StreamLines lines;
-  lines.first = stream_base_ >> line_shift_;
-  lines.count = ((stream_base_ + (stream_count_ - 1) * stream_stride_) >>
-                 line_shift_) - lines.first + 1;
-  lines.per_set = lines.count / num_sets_;
-  lines.extra = lines.count % num_sets_;
-  return lines;
-}
-
-bool SectoredCache::replay_hits(std::uint64_t address) const {
-  // A set holding at most `ways` lines keeps them all. In any other set
-  // each line was evicted before the walk comes back to it, so a load hits
-  // only when the load before it, in this visit, filled its sector.
-  const StreamLines lines = stream_lines();
-  if (lines.in_set_of(line_of(address) - lines.first, num_sets_) <=
-      ways_per_set_) {
-    return true;
-  }
-  return address != stream_base_ &&
-         ((address - stream_stride_) >> sector_shift_) ==
-             (address >> sector_shift_);
-}
-
-std::uint64_t SectoredCache::replay_stream() {
-  // The stream is dense, so it visits every line from its first to its
-  // last, and a set receives its lines in line order. A set holding more
-  // than `ways` of them is always missing the line the walk comes back to
-  // (its `ways` most recent lines are the ones before it), so it misses
-  // each sector of each of its lines once: the first load of the sector.
-  const std::uint64_t steps = stream_count_;
-  const StreamLines lines = stream_lines();
+std::uint64_t SectoredCache::prefix_misses(const WarmStream& prefix) const {
   const std::uint64_t sets = num_sets_;
-  const std::uint64_t ways = ways_per_set_;
-  const WarmStream stream{stream_base_, stream_stride_, stream_count_, 0};
+  const std::uint64_t lines = hi_line_ - lo_line_ + 1;
+  const std::uint64_t per_set = lines / sets;
+  const std::uint64_t extra = lines % sets;
   const auto sectors_below = [&](std::uint64_t line) {
-    return blocks_below(stream, sector_shift_, line << line_shift_);
+    return blocks_below(prefix, sector_shift_, line << line_shift_);
   };
+  if (per_set > ways_per_set_) return sectors_below(hi_line_ + 1);
   std::uint64_t misses = 0;
-  if (lines.per_set > ways) {
-    misses = sectors_below(lines.first + lines.count);
-  } else if (lines.per_set == ways && lines.extra > 0) {
+  if (per_set == ways_per_set_ && extra > 0) {
     // Only the sets of the first `extra` lines of each round hold more.
-    for (std::uint64_t round = 0; round <= lines.per_set; ++round) {
-      const std::uint64_t from = lines.first + round * sets;
-      misses += sectors_below(from + lines.extra) - sectors_below(from);
+    for (std::uint64_t round = 0; round <= per_set; ++round) {
+      const std::uint64_t from = lo_line_ + round * sets;
+      misses += sectors_below(from + extra) - sectors_below(from);
     }
   }
-  stamp_ += steps;
-  stream_stamp_ = stamp_;
-  hits_ += steps - misses;
-  misses_ += misses;
-
-  // Each line's last load comes `steps` loads after the one before: the
-  // same fill started `steps` loads later, which is what the first fill's
-  // clock (stream_stamp_) now says for the pages still to write. In a set
-  // holding at most `ways` lines they sit in its first ways (the fill
-  // found it empty) and stay. In any other set the ways rotate: lines
-  // arrive in the set's victim order, which is the way order starting
-  // after the hinted way (fill_dense_lines' rotation), so `count` arrivals
-  // move every line `count` ways on. Pages still to write count the turn;
-  // written pages take it now.
-  ++stream_turns_;
-  if (pages_written_ == 0) return misses;
-  const std::uint32_t first_set = set_of(lines.first);
-  for_each_run(
-      first_set, std::min(lines.count, sets),
-      [&](std::uint32_t page, std::uint32_t from, std::uint32_t to) {
-        if (!pages_[page].written) return;
-        for (std::uint32_t set = from; set < to; ++set) {
-          const Row r = row_at(pages_[page], set);
-          const std::uint64_t count =
-              lines.in_set_of((set + sets - first_set) % sets, sets);
-          if (count > ways) {
-            const std::uint64_t shift = count % ways;
-            std::rotate(r.tags, r.tags + ways - shift, r.tags + ways);
-            std::rotate(r.masks, r.masks + ways - shift, r.masks + ways);
-            std::rotate(r.stamps, r.stamps + ways - shift, r.stamps + ways);
-            *r.hint = static_cast<std::uint32_t>((*r.hint + shift) % ways);
-          }
-          for (std::uint64_t w = 0; w < std::min(count, ways); ++w) {
-            r.stamps[w] += steps;
-          }
-        }
-      });
   return misses;
 }
 
-void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t turns,
-                                     std::uint32_t from, std::uint32_t to,
-                                     bool onto_empty) const {
+void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t from,
+                                     std::uint32_t to, bool onto_empty) const {
   // Stride and granule fit in a line: the stream reaches every line from
   // the first load's to the last load's, and the first load in a line is
   // the first of its granule. A set receives its lines in line order, each
@@ -461,9 +385,6 @@ void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t turns,
   // Victim-order position of a set's last line: (count - 1) % ways.
   const std::uint64_t last_slot_more = per_set % ways;
   const std::uint64_t last_slot = per_set == 0 ? 0 : (per_set - 1) % ways;
-  // A replay turns a set holding more than `ways` lines by its line count.
-  const std::uint64_t turns_more = turns % ways * ((per_set + 1) % ways) % ways;
-  const std::uint64_t turns_less = turns % ways * (per_set % ways) % ways;
   const std::uint32_t last_set = set_of(last_line);
   const Page& page = pages_[from >> page_shift_];
   std::vector<std::uint32_t> order;
@@ -475,8 +396,7 @@ void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t turns,
     const Row r = row_at(page, set);
     // A set that holds lines: sort its ways by stamp (insertion sort:
     // stable, so empty ways stay in index order, and sets are a few ways
-    // wide). An empty set's victim order is the way order, turned by the
-    // replays of an overflowing one.
+    // wide). An empty set's victim order is the way order.
     const bool prefilled = !onto_empty && r.stamps[0] != 0;
     if (prefilled) {
       order.resize(ways);
@@ -488,11 +408,8 @@ void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t turns,
         order[at] = w;
       }
     }
-    const std::uint64_t turn =
-        count <= ways ? 0 : (i < extra ? turns_more : turns_less);
     const auto way_of = [&](std::uint64_t slot) -> std::uint32_t {
-      return static_cast<std::uint32_t>(
-          prefilled ? order[slot] : (slot + turn) % ways);
+      return static_cast<std::uint32_t>(prefilled ? order[slot] : slot);
     };
     std::uint64_t slot = i < extra ? last_slot_more : last_slot;
     *r.hint = way_of(slot);
@@ -514,13 +431,15 @@ void SectoredCache::fill_dense_lines(const Fill& fill, std::uint32_t turns,
 }
 
 void SectoredCache::fill_sparse_lines(const Fill& fill, std::uint32_t from,
-                                      std::uint32_t to,
-                                      bool onto_empty) const {
+                                      std::uint32_t to) const {
   // Stride or granule exceeds the line: every stream load opens a line of
   // its own and fills one sector of it. Each line is newer than everything
-  // its set holds, so in sets that held no line a set takes its lines into
-  // ways 0, 1, ... in turn, wrapping once all are taken: the victim is the
-  // way after the hinted one, and way 0 while way 0 is empty.
+  // its set holds, and the set holds only what fills wrote since the flush,
+  // each into its ways in victim order (a fill needs no page written, so
+  // no access() reordered them): the ways from the one after the hinted
+  // one on hold their lines oldest first, and an empty set starts at way 0.
+  // So the victim is the way after the hinted one, and way 0 while way 0 is
+  // empty.
   //
   // Line numbers rise with the load index, so the loads into the sets
   // [from, to) come in one run per round of lines over the sets: the loads
@@ -559,9 +478,7 @@ void SectoredCache::fill_sparse_lines(const Fill& fill, std::uint32_t from,
       const std::uint64_t kept = line_of(address);
       const Row r = row_at(page, set_of(kept));
       std::uint32_t victim = 0;
-      if (!onto_empty) {
-        victim = victim_way(r.stamps);
-      } else if (r.stamps[0] != 0 && *r.hint + 1 < ways_per_set_) {
+      if (r.stamps[0] != 0 && *r.hint + 1 < ways_per_set_) {
         victim = *r.hint + 1;
       }
       r.tags[victim] = kept;
@@ -577,8 +494,8 @@ std::uint64_t SectoredCache::flush() {
   // those only the sets of written pages do. Their tags and stamps are
   // cleared (access() takes a stamp-0 way as empty); masks of empty ways
   // are never read before the way is refilled, and a stale hint names a
-  // way whose tag cannot match. Every page is then not written, so it
-  // holds no line whatever its storage says.
+  // way whose tag cannot match. Every written page holds a set of the
+  // range (page_to_read), so every page is then not written.
   std::uint64_t cleared = 0;
   if (pages_written_ > 0) {
     const auto [first, count] = range_sets();
@@ -591,24 +508,16 @@ std::uint64_t SectoredCache::flush() {
                    std::fill_n(r.stamps, (to - from) * ways, 0);
                    cleared += to - from;
                  });
-    std::uint32_t unset = 0;
     for_each_run(first, count,
                  [&](std::uint32_t page, std::uint32_t, std::uint32_t) {
-                   unset += pages_[page].written ? 1 : 0;
                    pages_[page].written = false;
                  });
-    // A reader may have written a page outside the range; it holds no line.
-    for (std::uint32_t page = 0; unset < pages_written_ && page < page_count();
-         ++page) {
-      unset += pages_[page].written ? 1 : 0;
-      pages_[page].written = false;
-    }
     pages_written_ = 0;
   }
   lo_line_ = ~0ULL;
   hi_line_ = 0;
   stamp_ = 0;
-  stream_replays_ = false;
+  first_filled_ = false;
   first_waits_ = false;
   more_fills_.clear();
   last_set_ = ~0u;
@@ -623,7 +532,7 @@ void SectoredCache::capture_rows(CacheSnapshot& out) const {
   out.hints.assign(rows, 0);
   for (std::size_t i = 0; i < rows; ++i) {
     const std::uint32_t set = out.sets[i];
-    const Page& page = page_to_read(set >> page_shift_);
+    const Page& page = page_to_read(set);
     if (page.storage == nullptr) continue;  // never written: as make_page sets it
     const Row r = row_at(page, set);
     const std::size_t dst = i * ways_per_set_;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -90,20 +91,19 @@ struct WarmStream {
 /// batched pass loop (Gpu::run_pass) can absorb it, and the index math uses
 /// precomputed shifts/masks instead of per-access divisions whenever the
 /// geometry is a power of two (it always is for real specs). Warm walks
-/// (fill_warm_stream) and the timed passes that repeat them right after
-/// (replay_stream) skip it: their effect is written set by set, and only
+/// (fill_warm_stream) skip it: their effect is written set by set, and only
 /// into the pages something reads.
 ///
 /// Pages are written when read. A page is written, since the last flush,
-/// when something first reads or writes one of its sets: access() on a set
-/// change, peek(), the snapshots, equality, and a replay over it. Writing
-/// it writes every closed-form fill since the flush into its sets, in fill
-/// order; a fill writes its lines into the pages already written at once,
-/// and waits for the others. So a written page holds every fill and every
-/// stepped load since the flush, and a page not written since holds no
-/// line. Readers that are const write pages through mutable state. A cache,
-/// like its Gpu, is used by one thread at a time (core/mt4g.hpp), so this
-/// needs no lock.
+/// when something first reads or writes one of its sets that can hold a
+/// line: access() on a set change, peek(), the snapshots and equality.
+/// Writing it writes every closed-form fill since the flush into its sets,
+/// in fill order; a fill runs only while no page is written, so it waits
+/// for every page. So a written page holds every fill and every stepped
+/// load since the flush, and a page not written since holds no line.
+/// Readers that are const write pages through mutable state. A cache, like
+/// its Gpu, is used by one thread at a time (core/mt4g.hpp), so this needs
+/// no lock.
 class SectoredCache {
  public:
   /// Ways per page, rounded down to whole sets and a power-of-two set count.
@@ -118,76 +118,56 @@ class SectoredCache {
   /// Probe without state change (for assertions in tests).
   CacheAccess peek(std::uint64_t address) const;
 
-  /// True when no line between the lines of @p first_address and
-  /// @p last_address has been allocated since the last flush, so a walk
-  /// confined to them can only miss on its first load of each line.
-  bool holds_no_line_of(std::uint64_t first_address,
-                        std::uint64_t last_address) const {
-    return line_of(first_address) > hi_line_ ||
-           line_of(last_address) < lo_line_;
-  }
+  /// Whether @p stream (count > 0) can be counted in closed form here: line
+  /// and sector sizes are powers of two, so the granules of successive
+  /// levels nest, and the cache holds no line between the stream's first
+  /// and last load, so every line the stream reaches misses once and then
+  /// hits until the stream leaves it for good.
+  bool counts_warm_stream(const WarmStream& stream) const;
 
-  /// Whether fill_warm_stream() applies: line and sector sizes are powers
-  /// of two, so the granules of successive levels nest.
-  bool takes_warm_streams() const {
-    return line_shift_ != kNoShift && sector_shift_ != kNoShift;
-  }
+  /// Whether fill_warm_stream(@p stream) applies: counts_warm_stream(), and
+  /// no page written since the last flush.
+  bool takes_warm_stream(const WarmStream& stream) const;
 
   /// Applies @p stream as if access() ran on each of its loads, without
-  /// stepping them. Precondition: takes_warm_streams(), and the cache holds
-  /// no line of the stream (holds_no_line_of its first and last load), so
-  /// every line the stream reaches misses once and then hits until the
-  /// stream leaves it for good. Hits, misses, the LRU clock, the allocated
-  /// line range and the way state of every set end exactly as the per-load
-  /// loop leaves them. Returns the sector misses: the next level's stream
-  /// length.
+  /// stepping them. Precondition: takes_warm_stream(@p stream). Hits,
+  /// misses, the LRU clock, the allocated line range and the way state of
+  /// every set end exactly as the per-load loop leaves them. Returns the
+  /// sector misses: the next level's stream length.
   ///
-  /// The fill books its hits, misses, LRU clock and line range at once, and
-  /// writes its lines into the pages written since the last flush. In the
-  /// others it waits: each is written, with every waiting fill in order,
-  /// when something first reads it, and flush() drops what still waits.
-  ///
-  /// A dense stream of every load (stride <= line, granule shift 0) filled
-  /// onto an empty cache is remembered, with the LRU clock it leaves, for
-  /// replay_stream().
+  /// The fill books its hits, misses, LRU clock and line range at once and
+  /// waits: each page is written, with every waiting fill in order, when
+  /// something first reads it, and flush() drops what still waits.
   std::uint64_t fill_warm_stream(const WarmStream& stream);
 
-  /// Whether replay_stream() applies to the walk base + j * stride
-  /// (j < count): the cache holds exactly what fill_warm_stream() of that
-  /// walk (granule shift 0) left on an empty cache, in written pages or
-  /// waiting, replayed any number of times since, and nothing else touched
-  /// it.
-  /// access() moves the LRU clock past the remembered one; flush() and a
-  /// fill onto a non-empty cache forget the stream.
-  bool replays(std::uint64_t base, std::uint64_t stride,
-               std::uint64_t count) const {
-    return stream_replays_ && stamp_ == stream_stamp_ &&
-           base == stream_base_ && stride == stream_stride_ &&
-           count == stream_count_;
+  /// The first closed-form fill since the last flush, if one ran. It found
+  /// the cache empty: before it, no page was written, so nothing ran.
+  std::optional<WarmStream> first_fill() const {
+    if (!first_filled_) return std::nullopt;
+    return WarmStream{stream_base_, stream_stride_, stream_count_,
+                      stream_granule_};
   }
 
-  /// Whether the load at @p address of the remembered stream hits when
-  /// replay_stream() runs it. Precondition: replays().
-  bool replay_hits(std::uint64_t address) const;
+  /// first_fill() while it is all that ran on the cache since the last
+  /// flush: no access() and no other fill since (readers do not count).
+  std::optional<WarmStream> sole_fill() const {
+    if (stamp_ != stream_stamp_) return std::nullopt;
+    return first_fill();
+  }
 
-  /// Applies the remembered stream once more as if access() ran on each of
-  /// its loads, without stepping them. Under LRU, a set holding at most
-  /// `ways` lines of the stream hits on every load; a set holding more
-  /// misses every line, and hits only the later loads into a sector it has
-  /// just refilled. Hits, misses, the LRU clock and the way state of every
-  /// set end exactly as the per-load loop leaves them, and the stream stays
-  /// remembered. A replay leaves what the same fill started `steps` loads
-  /// later would, with each overflowing set's ways turned by its line
-  /// count. So pages not written yet only count the replay, which their
-  /// writer applies: with no page written a replay is O(1), and otherwise
-  /// it turns the written pages' sets. Precondition: replays(). Returns the
-  /// sector misses.
-  std::uint64_t replay_stream();
+  /// Whether the allocated line range spans at most num_sets() * ways
+  /// lines: then no set had to hold more than its ways since the last
+  /// flush, and every line allocated since is still held, sectors and all.
+  bool holds_every_line() const {
+    return lo_line_ > hi_line_ ||
+           hi_line_ - lo_line_ <
+               static_cast<std::uint64_t>(num_sets_) * ways_per_set_;
+  }
 
   /// Drops all contents: clears, in place, the sets of the lines allocated
   /// since the last flush that lie in pages written since (no other set
-  /// holds a line), and drops the fills still waiting for a page. Returns
-  /// the number of sets cleared.
+  /// holds a line, and no other page is written), and drops the fills
+  /// still waiting for a page. Returns the number of sets cleared.
   std::uint64_t flush();
 
   /// Captures the sets of the lines allocated since the last flush, in set
@@ -227,7 +207,7 @@ class SectoredCache {
 
  private:
   friend class Gpu;  // keeps listed_, counts waiting fills and pages written,
-                     // asks stream_held()
+                     // decides last passes from fills and sectors
 
   /// Tag value of an empty way. Real tags are line numbers, bounded far
   /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
@@ -286,14 +266,22 @@ class SectoredCache {
     return row_at(pages_[page], set);
   }
   void make_page(Page& page) const;
-  /// Page @p page as a reader sees it: written first while a fill waits.
-  const Page& page_to_read(std::uint32_t page) const {
-    if (first_waits_ && !pages_[page].written) write_page(page);
+  /// The page of @p set as a reader sees it: written first while a fill
+  /// waits, unless the set lies outside the allocated line range's sets
+  /// and so holds no line. Every written page thus holds a set of the
+  /// range, which is what lets flush() unset them all.
+  const Page& page_to_read(std::uint32_t set) const {
+    const std::uint32_t page = set >> page_shift_;
+    const auto [first, count] = range_sets();
+    if (first_waits_ && !pages_[page].written &&
+        (set + num_sets_ - first) % num_sets_ < count) {
+      write_page(page);
+    }
     return pages_[page];
   }
   /// Allocates @p page if needed and writes every waiting fill into its
-  /// sets, in fill order: the first onto the empty page, turned by its
-  /// replays, the others onto what the earlier ones left.
+  /// sets, in fill order: the first onto the empty page, the others onto
+  /// what the earlier ones left.
   void write_page(std::uint32_t page) const;
   /// The sets the lines @p first .. @p last map to, as (first set, count),
   /// wrapping past the last set.
@@ -324,45 +312,35 @@ class SectoredCache {
   template <class Fn>
   void for_each_run(std::uint32_t first, std::uint64_t count, Fn fn) const;
   void capture_rows(CacheSnapshot& out) const;
-  /// The first fill since the last flush, kept in the stream_* members.
-  Fill first_fill() const;
+  /// The first fill since the last flush, kept in the stream_* members,
+  /// with the LRU clock it started from.
+  Fill first_waiting() const;
   /// Fills waiting for a page: the first, then more_fills_.
   std::uint64_t fills_waiting() const {
     return first_waits_ ? 1 + more_fills_.size() : 0;
   }
   /// Writes the way state @p fill leaves in the sets [from, to) of one
   /// written page, each of whose sets it reaches; @p onto_empty when they
-  /// held no line. A fill replayed @p turns times turns each overflowing
-  /// set's ways by its line count per replay.
-  void fill_lines(const Fill& fill, std::uint32_t turns, std::uint32_t from,
-                  std::uint32_t to, bool onto_empty) const;
-  void fill_dense_lines(const Fill& fill, std::uint32_t turns,
-                        std::uint32_t from, std::uint32_t to,
-                        bool onto_empty) const;
+  /// held no line.
+  void fill_lines(const Fill& fill, std::uint32_t from, std::uint32_t to,
+                  bool onto_empty) const;
+  void fill_dense_lines(const Fill& fill, std::uint32_t from,
+                        std::uint32_t to, bool onto_empty) const;
   void fill_sparse_lines(const Fill& fill, std::uint32_t from,
-                         std::uint32_t to, bool onto_empty) const;
-  /// How the remembered stream's lines spread over the sets: from its
-  /// first line on, `per_set` lines per set, and one more in the sets of
-  /// the first `extra` lines.
-  struct StreamLines {
-    std::uint64_t first = 0;
-    std::uint64_t count = 0;
-    std::uint64_t per_set = 0;
-    std::uint64_t extra = 0;
-
-    /// Lines of the stream in the set of the line at @p position from
-    /// the first.
-    std::uint64_t in_set_of(std::uint64_t position, std::uint64_t sets) const {
-      return per_set + (position % sets < extra ? 1 : 0);
-    }
-  };
-  StreamLines stream_lines() const;
-  /// Whether no set holds more than `ways` lines of the remembered stream,
-  /// so that replaying it hits on every load. Precondition: replays().
-  bool stream_held() const {
-    return stream_lines().count <=
-           static_cast<std::uint64_t>(num_sets_) * ways_per_set_;
-  }
+                         std::uint32_t to) const;
+  /// Loads of @p stream (count > 0) and its sector misses, on a cache that
+  /// holds none of its lines: its first loads into each granule and into
+  /// each sector.
+  std::pair<std::uint64_t, std::uint64_t> warm_counts(
+      const WarmStream& stream) const;
+  /// Sector misses of a walk over @p prefix of the dense first fill while
+  /// the fill is all the cache holds. The fill reaches every line from
+  /// lo_line_ to hi_line_: a set holds `per_set` of them, and one more in
+  /// the sets of the first `extra`. Under LRU, a set holding at most `ways`
+  /// keeps them all; any other set is always missing the line the walk
+  /// comes back to (its `ways` most recent lines are the ones before it),
+  /// so the walk misses each sector there once.
+  std::uint64_t prefix_misses(const WarmStream& prefix) const;
   /// Way a line miss evicts, given the set's stamps: the minimum-stamp way,
   /// branchlessly (the LRU compare outcome is data-dependent and would
   /// mispredict). Empty ways carry stamp 0 (stamps are zeroed on flush,
@@ -388,10 +366,10 @@ class SectoredCache {
   /// Whether the cache is on the flush list of the Gpu whose path reached
   /// it (Gpu::flush_caches), so listing it again costs no search.
   bool listed_ = false;
-  /// Granule shift of the first fill's stream (below), whether replays()
-  /// may accept that stream, and whether the fill waits for a page.
+  /// Granule shift of the first fill's stream (below), whether a fill ran
+  /// since the last flush, and whether the first one waits for a page.
   std::uint8_t stream_granule_ = 0;
-  bool stream_replays_ = false;
+  bool first_filled_ = false;
   mutable bool first_waits_ = false;
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
@@ -402,13 +380,12 @@ class SectoredCache {
   /// can differ from empty, which is what flush() clears.
   std::uint64_t lo_line_ = ~0ULL;
   std::uint64_t hi_line_ = 0;
-  /// The first fill since the last flush, which replays() tests for, and
-  /// the LRU clock it or its last replay left; and its replays so far.
+  /// The first fill since the last flush (first_fill()), and the LRU clock
+  /// it left.
   std::uint64_t stream_base_ = 0;
   std::uint64_t stream_stride_ = 0;
   std::uint64_t stream_count_ = 0;
   std::uint64_t stream_stamp_ = 0;
-  std::uint32_t stream_turns_ = 0;
   /// Pages written since the last flush.
   mutable std::uint32_t pages_written_ = 0;
   /// Way state, page_count() pages of whole sets (see Page); pages are

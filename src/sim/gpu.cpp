@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <stdexcept>
 
 #include "common/units.hpp"
@@ -279,6 +280,14 @@ std::uint64_t pass_loop(const AccessPath& path, std::uint64_t base,
   return total_cycles;
 }
 
+/// Loads of a pass of @p steps that record their latency: a prefix of it,
+/// until @p record holds @p record_limit.
+std::uint64_t recorded_loads(const std::vector<std::uint32_t>* record,
+                             std::uint64_t record_limit, std::uint64_t steps) {
+  if (record == nullptr || record->size() >= record_limit) return 0;
+  return std::min<std::uint64_t>(steps, record_limit - record->size());
+}
+
 }  // namespace
 
 std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
@@ -286,25 +295,10 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
                             ElementCounts* served,
                             std::vector<std::uint32_t>* record,
                             std::uint64_t record_limit) {
-  if (path.epoch != path_epoch_) {
-    throw std::logic_error(
-        "gpu: stale AccessPath (caches were rebuilt after compile_path)");
-  }
   list_caches(path);
   // Recorded loads are a prefix of the pass; split there so the bulk loop
   // carries no record bookkeeping.
-  std::uint64_t recorded = 0;
-  if (record != nullptr && record->size() < record_limit) {
-    recorded = std::min<std::uint64_t>(steps, record_limit - record->size());
-  }
-  // A first level that holds the whole walk serves every load of it, so
-  // the deeper levels see none: such a pass replays on a path of any depth.
-  if (path.depth > 0 &&
-      path.levels[0].cache->replays(base, stride_bytes, steps) &&
-      (path.depth == 1 || path.levels[0].cache->stream_held())) {
-    return replay_pass(path, base, stride_bytes, steps, served, record,
-                       recorded);
-  }
+  const std::uint64_t recorded = recorded_loads(record, record_limit, steps);
   timed_loads_stepped_ += steps;
   std::uint64_t total_cycles = 0;
   if (recorded > 0) {
@@ -324,66 +318,144 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
   return total_cycles;
 }
 
-std::uint64_t Gpu::replay_pass(const AccessPath& path, std::uint64_t base,
-                              std::uint64_t stride_bytes, std::uint64_t steps,
-                              ElementCounts* served,
-                              std::vector<std::uint32_t>* record,
-                              std::uint64_t recorded) {
-  // Only the recorded loads need their own latencies; the rest of the pass
-  // is its hit and miss totals plus its summed noise, drawn after the
-  // recorded loads' as the per-load loop draws it. A walk the level holds
-  // whole hits on every load. Misses are served by the terminal: a deeper
-  // path replays only a walk its first level holds whole.
-  const AccessPath::Level& level = path.levels[0];
-  SectoredCache& cache = *level.cache;
-  const bool held = cache.stream_held();
-  std::uint64_t total_cycles = 0;
-  std::uint64_t recorded_hits = 0;
-  for (std::uint64_t i = 0; i < recorded; ++i) {
-    const bool hit = held || cache.replay_hits(base + i * stride_bytes);
-    recorded_hits += hit ? 1 : 0;
-    const std::uint32_t latency =
-        noise_.sample_rounded(hit ? level.latency : path.terminal_latency);
-    total_cycles += latency;
+std::uint64_t Gpu::run_last_pass(const AccessPath& path, std::uint64_t base,
+                                 std::uint64_t stride_bytes,
+                                 std::uint64_t steps, ElementCounts* served,
+                                 std::vector<std::uint32_t>* record,
+                                 std::uint64_t record_limit) {
+  list_caches(path);
+  const std::size_t depth = path.depth;
+  std::array<WarmStream, AccessPath::kMaxLevels> streams;
+  const bool cold =
+      walk_streams(path, base, stride_bytes, steps, false, streams);
+  const SectoredCache* first = depth > 0 ? path.levels[0].cache : nullptr;
+  const std::optional<WarmStream> fill =
+      cold || first == nullptr ? std::nullopt : first->sole_fill();
+  const bool warm =
+      fill && fill->granule_shift == 0 && fill->base == base &&
+      fill->stride == stride_bytes && steps > 0 && steps <= fill->count &&
+      (depth == 1 || first->holds_every_line() ||
+       (path.levels[1].cache->holds_every_line() &&
+        path.levels[1].cache->first_fill() ==
+            WarmStream{base, stride_bytes, fill->count,
+                       first->sector_shift_}));
+  const bool held = warm && first->holds_every_line();  // hits throughout
+  const bool dense =
+      warm && !held && stride_bytes <= first->geometry_.line_bytes;
+  const std::uint64_t ways = warm ? first->ways_per_set_ : 0;
+  const bool counted =
+      warm && first->num_sets_ <= kCountedSets && ways < 0xFFFF;
+  if (!cold && !held && !dense && !counted) {
+    const std::uint64_t cycles = run_pass(path, base, stride_bytes, steps,
+                                          served, record, record_limit);
+    flush_caches();
+    return cycles;
+  }
+  // A dense fill reaches every line from its first to its last: a set
+  // holds lines / sets of them, and one more in the sets of the first
+  // lines % sets. A sparse fill opens a line per load: its lines per set,
+  // up to ways + 1, in the first num_sets_ entries of lines_in_set, the
+  // only ones set and read.
+  const std::uint64_t sets = warm ? first->num_sets_ : 1;
+  const std::uint64_t lines =
+      warm ? first->hi_line_ - first->lo_line_ + 1 : 0;
+  const std::uint32_t first_set = warm ? first->set_of(first->lo_line_) : 0;
+  std::array<std::uint16_t, kCountedSets> lines_in_set;
+  if (warm && !held && !dense) {
+    std::fill_n(lines_in_set.begin(), first->num_sets_, 0);
+    for (std::uint64_t m = 0; m < fill->count; ++m) {
+      std::uint16_t& lines =
+          lines_in_set[first->set_of(first->line_of(base + m * stride_bytes))];
+      if (lines <= ways) ++lines;
+    }
+  }
+  const auto same_sector = [&](std::uint64_t j, const SectoredCache* cache) {
+    const std::uint64_t address = base + j * stride_bytes;
+    return j > 0 && ((address - stride_bytes) >> cache->sector_shift_) ==
+                        (address >> cache->sector_shift_);
+  };
+  // The level that serves load j: `depth` for the terminal.
+  const auto level_of = [&](std::uint64_t j) -> std::size_t {
+    if (held) return 0;
+    if (warm) {
+      const std::uint32_t set =
+          first->set_of(first->line_of(base + j * stride_bytes));
+      const std::uint64_t position =
+          set >= first_set ? set - first_set : set + sets - first_set;
+      const std::uint64_t in_set =
+          dense ? lines / sets + (position < lines % sets ? 1 : 0)
+                : lines_in_set[set];
+      return in_set <= ways || same_sector(j, first) ? 0 : 1;
+    }
+    std::size_t level = 0;
+    while (level < depth && !same_sector(j, path.levels[level].cache)) {
+      ++level;
+    }
+    return level;
+  };
+  // The loads each level serves, the terminal last.
+  std::array<std::uint64_t, AccessPath::kMaxLevels + 1> total{};
+  if (cold) {
+    total[depth] = steps;
+    for (std::size_t level = 0; level < depth; ++level) {
+      const auto [loads, misses] =
+          path.levels[level].cache->warm_counts(streams[level]);
+      total[level] = loads - misses;
+      total[depth] = misses;
+    }
+  } else if (held) {
+    total[0] = steps;
+  } else if (dense) {
+    total[1] = first->prefix_misses({base, stride_bytes, steps, 0});
+    total[0] = steps - total[1];
+  } else {
+    for (std::uint64_t j = 0; j < steps; ++j) ++total[level_of(j)];
+  }
+
+  // The recorded prefix load by load, then the rest in bulk: its base
+  // latencies by level, and its noise drawn after the recorded loads', as
+  // the per-load loop draws it.
+  const std::uint64_t recorded = recorded_loads(record, record_limit, steps);
+  const auto latency_of = [&](std::size_t level) {
+    return level < depth ? path.levels[level].latency : path.terminal_latency;
+  };
+  std::array<std::uint64_t, AccessPath::kMaxLevels + 1> rest = total;
+  std::uint64_t cycles = 0;
+  for (std::uint64_t j = 0; j < recorded; ++j) {
+    const std::size_t level = level_of(j);
+    --rest[level];
+    const std::uint32_t latency = noise_.sample_rounded(latency_of(level));
+    cycles += latency;
     record->push_back(latency);
   }
-  const std::uint64_t misses = cache.replay_stream();
-  const std::uint64_t hits = steps - misses;
-  total_cycles += (hits - recorded_hits) * level.latency +
-                  (misses - (recorded - recorded_hits)) *
-                      path.terminal_latency +
-                  noise_.noise_sum(steps - recorded);
-  if (served != nullptr) {
-    (*served)[level.element] += hits;
-    (*served)[path.terminal] += misses;
+  cycles += noise_.noise_sum(steps - recorded);
+  std::uint64_t reaching = steps;
+  for (std::size_t level = 0; level <= depth; ++level) {
+    cycles += rest[level] * latency_of(level);
+    if (served != nullptr) {
+      (*served)[level < depth ? path.levels[level].element : path.terminal] +=
+          total[level];
+    }
+    if (level == depth) break;
+    SectoredCache& cache = *path.levels[level].cache;
+    cache.hits_ += total[level];
+    cache.misses_ += reaching - total[level];
+    reaching -= total[level];
   }
-  if (path.terminal_is_dmem) dmem_accesses_ += misses;
-  return total_cycles;
+  if (path.terminal_is_dmem) dmem_accesses_ += total[depth];
+  flush_caches();
+  return cycles;
 }
 
 std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
                                  std::uint64_t stride_bytes,
                                  std::uint64_t steps) {
-  if (path.epoch != path_epoch_) {
-    throw std::logic_error(
-        "gpu: stale AccessPath (caches were rebuilt after compile_path)");
-  }
   list_caches(path);
   // A walk onto levels that hold no line of its range misses once per line
   // it reaches and never comes back: all of it is arithmetic.
-  const std::uint64_t last = base + (steps == 0 ? 0 : steps - 1) * stride_bytes;
-  bool closed_form = stride_bytes != 0 && steps != 0;
-  for (std::size_t level = 0; level < path.depth; ++level) {
-    const SectoredCache* cache = path.levels[level].cache;
-    closed_form = closed_form && cache->takes_warm_streams() &&
-                  cache->holds_no_line_of(base, last);
-    for (std::size_t other = 0; other < level; ++other) {
-      closed_form = closed_form && path.levels[other].cache != cache;
-    }
-  }
-
+  std::array<WarmStream, AccessPath::kMaxLevels> streams;
   std::uint64_t total_cycles = 0;
-  if (!closed_form) {
+  if (!walk_streams(path, base, stride_bytes, steps, true, streams)) {
     for (std::uint64_t i = 0; i < steps; ++i) {
       const std::uint64_t address = base + i * stride_bytes;
       std::uint32_t base_latency = path.terminal_latency;
@@ -405,17 +477,12 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
 
   // Level by level: each level's sector misses are the next level's stream,
   // and whatever misses the last level is served by the terminal.
-  WarmStream stream{base, stride_bytes, steps, 0};
-  std::uint64_t reaching = stream.count;
+  std::uint64_t reaching = steps;
   for (std::size_t level = 0; level < path.depth; ++level) {
-    SectoredCache& cache = *path.levels[level].cache;
-    const std::uint64_t misses = cache.fill_warm_stream(stream);
+    const std::uint64_t misses =
+        path.levels[level].cache->fill_warm_stream(streams[level]);
     total_cycles += (reaching - misses) * path.levels[level].latency;
     reaching = misses;
-    stream.granule_shift = std::max<std::uint32_t>(
-        stream.granule_shift,
-        static_cast<std::uint32_t>(
-            std::countr_zero(cache.geometry().sector_bytes)));
   }
   if (path.terminal_is_dmem) dmem_accesses_ += reaching;
   return total_cycles + reaching * path.terminal_latency;
@@ -488,6 +555,10 @@ std::uint32_t Gpu::access(const Placement& where, Space space,
 }
 
 void Gpu::list_caches(const AccessPath& path) {
+  if (path.epoch != path_epoch_) {
+    throw std::logic_error(
+        "gpu: stale AccessPath (caches were rebuilt after compile_path)");
+  }
   for (std::size_t level = 0; level < path.depth; ++level) {
     SectoredCache* cache = path.levels[level].cache;
     if (!cache->listed_) {
@@ -495,6 +566,25 @@ void Gpu::list_caches(const AccessPath& path) {
       flush_list_.push_back(cache);
     }
   }
+}
+
+bool Gpu::walk_streams(
+    const AccessPath& path, std::uint64_t base, std::uint64_t stride_bytes,
+    std::uint64_t steps, bool fill,
+    std::array<WarmStream, AccessPath::kMaxLevels>& streams) const {
+  WarmStream stream{base, stride_bytes, steps, 0};
+  bool closed_form = stride_bytes != 0 && steps != 0;
+  for (std::size_t level = 0; closed_form && level < path.depth; ++level) {
+    const SectoredCache* cache = path.levels[level].cache;
+    closed_form = fill ? cache->takes_warm_stream(stream)
+                       : cache->counts_warm_stream(stream);
+    for (std::size_t other = 0; other < level; ++other) {
+      closed_form = closed_form && path.levels[other].cache != cache;
+    }
+    streams[level] = stream;
+    stream.granule_shift = std::max(stream.granule_shift, cache->sector_shift_);
+  }
+  return closed_form;
 }
 
 void Gpu::flush_caches() {

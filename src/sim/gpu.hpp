@@ -7,8 +7,10 @@
 // space, updates cache state, and yields a noisy latency in clock cycles —
 // the exact observable MT4G's p-chase records on real hardware. Single loads
 // go through Gpu::access(); the runtime's p-chase kernels execute whole
-// passes through a compiled AccessPath via Gpu::run_pass(), which resolves
-// the chain once and then runs allocation-free.
+// passes through a compiled AccessPath, which resolves the chain once and
+// then runs allocation-free: warm walks via Gpu::run_warm_pass(), and the
+// timed pass that ends every chase via Gpu::run_last_pass(), which leaves
+// the Gpu flushed.
 #pragma once
 
 #include <array>
@@ -141,20 +143,7 @@ class Gpu {
   /// path: the batched equivalent of calling access_traced() per address,
   /// with identical cache-state, counter and noise-stream effects, but zero
   /// heap allocation per load. Returns the summed noisy latency in cycles.
-  ///
-  /// A pass that repeats the walk its first level's last closed-form warm
-  /// fill ran onto it empty (SectoredCache::replays: same base, stride and
-  /// step count, dense, nothing in between) is not stepped when the path
-  /// has one level, or when that level holds the whole walk (no set gets
-  /// more than `ways` of its lines): then every load hits there, and the
-  /// deeper levels see none. SectoredCache::replay_stream counts hits and
-  /// misses and turns the written pages' sets; the pages nothing has read
-  /// yet only count the replay, so a replay is O(1) until a page is
-  /// written. Only the recorded prefix is classified load by load (a held
-  /// walk hits throughout), and the noise of the rest is drawn in bulk
-  /// (NoiseModel::noise_sum). A walk that overflows a set of the first
-  /// level of a deeper path steps. The per-load loop stays the oracle: the
-  /// reference engine never warms in closed form, so it never replays.
+  /// Every load is stepped.
   ///
   /// @param served    when non-null, the per-element served counters are
   ///                  accumulated into it (one increment per load).
@@ -167,6 +156,32 @@ class Gpu {
                          ElementCounts* served = nullptr,
                          std::vector<std::uint32_t>* record = nullptr,
                          std::uint64_t record_limit = 0);
+
+  /// The timed pass that ends a chase: exactly run_pass() followed by
+  /// flush_caches() (latencies, served counts, cycles, every cache's hits
+  /// and misses, device-memory reads and the noise stream). Nothing reads
+  /// the way state the pass would leave, so when the walk's own fill
+  /// decides every load, the pass is classified without stepping and
+  /// writes no page:
+  ///   * cold: no level holds a line of the walk (run_warm_pass's closed
+  ///     form), so a load reaching a level hits there iff the load before
+  ///     it fell in the same sector of that level;
+  ///   * warm: the first level's sole fill (SectoredCache::sole_fill) is
+  ///     this walk at granule 0, dense or sparse, and the pass is that walk
+  ///     or a prefix of it. Under LRU, a load hits the first level iff its
+  ///     set holds at most `ways` lines of the fill, or the load before it
+  ///     filled its sector; its misses are loads the second level received
+  ///     first, so they hit there when its first fill was this walk and it
+  ///     holds every line, and reach the terminal on a one-level path.
+  /// Only the recorded prefix is classified load by load; the rest is
+  /// counted (a sparse warm pass counts its fill's lines per set, on up to
+  /// kCountedSets sets) and draws its noise in bulk (NoiseModel::noise_sum).
+  /// Any other pass steps (run_pass).
+  std::uint64_t run_last_pass(const AccessPath& path, std::uint64_t base,
+                              std::uint64_t stride_bytes, std::uint64_t steps,
+                              ElementCounts* served = nullptr,
+                              std::vector<std::uint32_t>* record = nullptr,
+                              std::uint64_t record_limit = 0);
 
   /// Executes @p steps loads through a compiled path with the exact cache
   /// state effects of run_pass but no noise sampling and no recording: the
@@ -182,8 +197,9 @@ class Gpu {
   /// (SectoredCache::fill_warm_stream, level by level). A level writes that
   /// fill only into the pages of its sets something reads, when it first
   /// reads them, and a flush drops the rest unwritten. Any other walk steps
-  /// every load: one into lines a level holds, a walk of stride 0, and a
-  /// path with a non-power-of-two line or sector or one cache twice.
+  /// every load: one into lines a level holds or onto a level that wrote a
+  /// page since its flush, a walk of stride 0, and a path with a
+  /// non-power-of-two line or sector or one cache twice.
   std::uint64_t run_warm_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps);
 
@@ -197,13 +213,13 @@ class Gpu {
   /// closed form); never reset.
   std::uint64_t warm_loads_stepped() const { return warm_loads_stepped_; }
 
-  /// run_pass loads executed one by one so far (the rest were replayed in
-  /// closed form); never reset.
+  /// Timed loads executed one by one so far (run_pass, and the last passes
+  /// that step); never reset.
   std::uint64_t timed_loads_stepped() const { return timed_loads_stepped_; }
 
   /// Drops the content of all modelled caches. Only a cache a path reached
-  /// (run_pass and run_warm_pass list a path's caches, with no search and
-  /// no allocation) can hold anything, so only the caches listed since the
+  /// (every pass lists its path's caches, with no search and no
+  /// allocation) can hold anything, so only the caches listed since the
   /// last flush are flushed; a path compiled before a flush lists its
   /// caches again when it next runs. A cache clears only the sets of the
   /// pages written since its last flush, and drops the warm fills still
@@ -231,6 +247,9 @@ class Gpu {
   NoiseModel& noise() { return noise_; }
 
  private:
+  /// Most sets a sparse warm last pass counts its fill's lines over.
+  static constexpr std::uint32_t kCountedSets = 1u << 14;
+
   struct PhysicalCache {
     Element representative;  ///< element whose geometry/latency built it
     std::vector<SectoredCache> segments;
@@ -239,13 +258,18 @@ class Gpu {
   // Per-SM physical caches: sm -> physical_group -> cache (with segments).
   using SmCaches = std::map<std::uint32_t, PhysicalCache>;
 
-  /// Puts the caches of @p path not listed yet on the flush list.
+  /// Throws when @p path is stale, then puts its caches not listed yet on
+  /// the flush list.
   void list_caches(const AccessPath& path);
-  std::uint64_t replay_pass(const AccessPath& path, std::uint64_t base,
-                            std::uint64_t stride_bytes, std::uint64_t steps,
-                            ElementCounts* served,
-                            std::vector<std::uint32_t>* record,
-                            std::uint64_t recorded);
+  /// The stream each level of @p path sees of the walk base + j * stride
+  /// (j < steps): a level's granule is the largest sector above it. False,
+  /// with @p streams unspecified, unless every level counts its stream in
+  /// closed form (SectoredCache::counts_warm_stream, and takes_warm_stream
+  /// when @p fill) and no cache repeats.
+  bool walk_streams(const AccessPath& path, std::uint64_t base,
+                    std::uint64_t stride_bytes, std::uint64_t steps, bool fill,
+                    std::array<WarmStream, AccessPath::kMaxLevels>& streams)
+      const;
   SectoredCache* segment_for(const Placement& where, Element element);
   double level_latency(Element element) const;
   std::uint32_t rounded_latency(Element element) const;

@@ -121,7 +121,8 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
   // latency series, the served-by counters and the cycle totals. The
   // L1-bypass chases walk TestGPU-NV's 32 KiB L2 segment alone, below and
   // above its capacity (at 33 KiB only some sets overflow), where the
-  // compiled engine replays the timed pass in closed form.
+  // compiled engine decides the timed pass from the warm fill. Either
+  // engine leaves the Gpu flushed.
   struct Case {
     std::uint64_t array_bytes;
     bool bypass_l1;
@@ -154,14 +155,17 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
     EXPECT_EQ(compiled.timed_loads, reference.timed_loads) << array_bytes;
     if (c.bypass_l1) {
       EXPECT_EQ(compiled_gpu.timed_loads_stepped(), 0u)
-          << array_bytes << ": the timed pass replays";
+          << array_bytes << ": the timed pass is decided";
     }
+    EXPECT_EQ(compiled_gpu.flushed_caches(), reference_gpu.flushed_caches())
+        << array_bytes;
   }
 
   // Dual-CU chases on TestGPU-AMD's sL1d -> L2 path (1 KiB sL1d, groups of
   // two CUs): CU 1 shares CU 0's sL1d, CU 2 does not. Only with another
-  // sL1d does the partner leave CU 0's walk alone, and then a walk the sL1d
-  // holds replays though the path has two levels.
+  // sL1d does the partner leave CU 0's walk alone, and then the timed pass
+  // is decided though the path has two levels: the sL1d holds the walk, or
+  // its misses hit the L2, which holds both arrays whole.
   for (const std::uint32_t partner : {1u, 2u}) {
     for (const std::uint64_t array_bytes : {3 * KiB / 4, 1 * KiB, 2 * KiB}) {
       sim::Gpu compiled_gpu(sim::registry_get("TestGPU-AMD"), 7);
@@ -198,10 +202,10 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
       EXPECT_EQ(compiled_gpu.miss_count(0, Element::kDeviceMem),
                 reference_gpu.miss_count(0, Element::kDeviceMem))
           << where;
-      const bool replays = partner == 2 && array_bytes <= 1 * KiB;
+      const bool decided = partner == 2;
       EXPECT_EQ(compiled_gpu.timed_loads_stepped(),
-                replays ? 0u : compiled.timed_loads)
-          << where << (replays ? ": the timed pass replays" : ": it steps");
+                decided ? 0u : compiled.timed_loads)
+          << where << (decided ? ": the timed pass is decided" : ": it steps");
     }
   }
 }
@@ -260,12 +264,13 @@ TEST(AccessPathAllocation, RunPassAllocatesNothingPerLoad) {
   EXPECT_EQ(record.size(), 512u);
 }
 
-TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
-  // The warm fill onto the empty L2 waits for the pages something reads.
-  // The timed passes replay it, and a replay of a fill no page of which is
-  // written counts the turn of its overfull sets instead of writing them:
-  // no pass allocates, and each draws its noise in bulk. A peek afterwards
-  // writes, and allocates, exactly the page it reads.
+TEST(AccessPathAllocation, DecidedLastPassAllocatesNothingAndWritesNoPage) {
+  // A warm fill onto the empty L2 waits for the pages something reads, and
+  // a last pass its fill decides reads none: neither allocates, and the
+  // flush the pass ends with drops the fill unwritten. The passes: a full
+  // one over a walk that overflows some sets, a capped one, a sparse one
+  // and a cold one, each drawing its unrecorded noise in bulk. A peek
+  // after a fill writes, and allocates, exactly the page it reads.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   const std::uint64_t bytes = 48 * KiB;  // above the 32 KiB L2 segment
   const std::uint64_t base = gpu.alloc(bytes);
@@ -274,23 +279,35 @@ TEST(AccessPathAllocation, RepeatedClosedFormPassAllocatesNothing) {
   const sim::AccessPath path =
       gpu.compile_path({0, 0}, sim::Space::kGlobal, cg);
   ASSERT_EQ(path.depth, 1u);
-  const std::size_t warm_start = g_allocations.load();
-  gpu.run_warm_pass(path, base, 32, bytes / 32);
-  EXPECT_EQ(g_allocations.load() - warm_start, 0u) << "the fill waits";
-
+  struct Pass {
+    std::uint64_t stride;
+    std::uint64_t steps;
+    bool warm;
+  };
   sim::ElementCounts served;
   std::vector<std::uint32_t> record;
   record.reserve(512);
   const std::size_t before = g_allocations.load();
-  for (int pass = 0; pass < 3; ++pass) {
-    gpu.run_pass(path, base, 32, bytes / 32, &served, &record, 512);
+  std::uint64_t loads = 0;
+  for (const Pass pass : {Pass{32, bytes / 32, true}, Pass{32, 300, true},
+                          Pass{160, bytes / 160, true},
+                          Pass{32, bytes / 32, false}}) {
+    if (pass.warm) {
+      gpu.run_warm_pass(path, base, pass.stride, bytes / pass.stride);
+    }
+    record.clear();
+    gpu.run_last_pass(path, base, pass.stride, pass.steps, &served, &record,
+                      512);
+    loads += pass.steps;
   }
   EXPECT_EQ(g_allocations.load() - before, 0u);
-  EXPECT_EQ(gpu.timed_loads_stepped(), 0u) << "every pass replays";
-  EXPECT_EQ(served.total(), 3 * bytes / 32);
-  EXPECT_EQ(record.size(), 512u);
+  EXPECT_EQ(gpu.timed_loads_stepped(), 0u) << "every pass is decided";
+  EXPECT_EQ(gpu.pages_written(), 0u);
+  EXPECT_EQ(gpu.fills_dropped(), 3u);
+  EXPECT_EQ(served.total(), loads);
 
   const sim::SectoredCache& l2 = *path.levels[0].cache;
+  gpu.run_warm_pass(path, base, 32, bytes / 32);
   const std::size_t peek_start = g_allocations.load();
   EXPECT_TRUE(l2.peek(base + bytes - 32).sector_hit);
   EXPECT_EQ(g_allocations.load() - peek_start, 1u) << "the page it reads";

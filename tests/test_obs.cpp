@@ -326,12 +326,12 @@ TEST(ObsMetrics, WarmWalksRunInClosedFormOnEveryBuiltin) {
   metrics.disable();
 }
 
-TEST(ObsMetrics, TimedPassesReplayInClosedFormOnTheCompiledEngineOnly) {
+TEST(ObsMetrics, TimedPassesAreDecidedOnTheCompiledEngineOnly) {
   // sim.timed_loads counts the timed loads executed, and
-  // sim.timed_loads_stepped the ones run_pass stepped one by one. The L2
-  // size search's full passes over the L1-bypass path follow their warm
-  // walks directly, so the compiled engine replays them; the reference
-  // engine, the per-load oracle, steps every load.
+  // sim.timed_loads_stepped the ones stepped one by one. Most timed passes
+  // follow their own warm walk directly, or run cold, so the compiled
+  // engine decides them (Gpu::run_last_pass); the reference engine, the
+  // per-load oracle, steps every load.
   const ObsQuiescent quiescent;
   obs::Metrics& metrics = obs::Metrics::instance();
   metrics.enable();
@@ -352,6 +352,26 @@ TEST(ObsMetrics, TimedPassesReplayInClosedFormOnTheCompiledEngineOnly) {
       EXPECT_EQ(stepped, loads);
     }
   }
+  metrics.disable();
+}
+
+TEST(ObsMetrics, T1000StepsUnderAQuarterOfItsTimedLoads) {
+  // A chase's last pass is decided by its own fill: T1000's capped
+  // line-size passes, dense or sparse, its cold passes and the two-level
+  // passes whose L2 holds the walk are classified, not stepped. A serial
+  // seed-42 discovery steps only the passes of chases whose first level
+  // holds a second array.
+  const ObsQuiescent quiescent;
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.enable();
+  const std::vector<obs::MetricSample> before = metrics.snapshot();
+  sim::Gpu gpu(sim::registry_get("T1000"), 42);
+  (void)core::discover(gpu);
+  const std::vector<obs::MetricSample> timed =
+      obs::Metrics::delta(before, metrics.snapshot());
+  const double loads = counter(timed, "sim.timed_loads");
+  EXPECT_GT(loads, 0.0);
+  EXPECT_LT(counter(timed, "sim.timed_loads_stepped"), loads / 4);
   metrics.disable();
 }
 
