@@ -3,17 +3,19 @@
 // stage-graph comparison — serial (bench_threads=1, sweep_threads=1) vs
 // parallel (bench_threads=M, sweep_threads=N) discovery — with the
 // golden-equivalence checks that all engines produce byte-identical reports
-// at a fixed seed. Writes BENCH_discovery.json, the repo's perf trajectory
-// record for the discovery hot path, including per-model widening counts,
-// chase-memo hit counts, the stage-graph critical path, each stage's cycles
-// and its wall time in the serial and in the parallel run, the caller share
-// of each parallel run (the fraction of its shared-executor tasks
-// that ran on the thread that submitted them: near 1 means its chase
-// batches found no other thread to run on, and exactly 1 that the run fell
-// back to one thread whatever its thread knobs said), and the host
-// description — so the next algorithmic target stays visible and the
-// parallel-speedup column is interpretable (a single-core container
-// measures ~1.0 by construction).
+// at a fixed seed. Each serial and parallel compiled discovery runs
+// kTimedRuns times: its time is the median run's, and every run's report
+// must match. The reference engine runs once. Writes BENCH_discovery.json,
+// the repo's perf trajectory record for the discovery hot path, including
+// per-model widening and chase counts, the stage-graph critical path, each
+// stage's cycles and its wall time in the serial and in the parallel median
+// run, the caller share of each model's parallel runs (the fraction of
+// their shared-executor tasks that ran on the thread that submitted them:
+// near 1 means their chase batches found no other thread to run on, and
+// exactly 1 that the runs fell back to one thread whatever their thread
+// knobs said), and the host description — so the next algorithmic target
+// stays visible and the parallel-speedup column is interpretable (a
+// single-core container measures ~1.0 by construction).
 //
 // Usage: discovery_hotpath [options] [MODEL...] (default: every registry
 // model); --help lists the options.
@@ -49,6 +51,10 @@ namespace {
 using namespace mt4g;
 using Clock = std::chrono::steady_clock;
 
+/// Runs per compiled discovery timing: single runs of 1-60 ms swing too
+/// far to compare serial with parallel.
+constexpr int kTimedRuns = 5;
+
 struct ModelResult {
   std::string model;
   double serial_s = 0.0;     ///< compiled engine, all thread knobs = 1
@@ -57,30 +63,49 @@ struct ModelResult {
   /// Share of the parallel run's shared-executor tasks run by the thread
   /// that submitted them (slot 0); 1 when nothing fanned out at all.
   double caller_share = 1.0;
-  bool identical = false;    ///< all measured engines agree byte-for-byte
+  bool identical = false;    ///< every run of every engine agrees bytewise
   std::uint32_t widenings = 0;
   std::uint64_t total_cycles = 0;
   std::uint64_t stage_cycles_sum = 0;  ///< must equal total_cycles
   std::uint64_t critical_path_cycles = 0;
-  std::uint64_t memo_hits = 0;
+  std::uint64_t chases = 0;
 };
 
-std::string timed_discovery(const std::string& model,
-                            runtime::PChaseEngine engine,
-                            std::uint32_t bench_threads,
-                            std::uint32_t sweep_threads, double& seconds,
-                            core::TopologyReport* out_report = nullptr) {
+/// One discovery run: its wall time, its report and the report's JSON.
+struct TimedRun {
+  double seconds = 0.0;
+  core::TopologyReport report;
+  std::string json;
+};
+
+/// Runs @p model's discovery @p runs times and returns the run of median
+/// wall time; its json is empty when the runs' reports differ.
+TimedRun timed_discovery(const std::string& model,
+                         runtime::PChaseEngine engine,
+                         std::uint32_t bench_threads,
+                         std::uint32_t sweep_threads, int runs) {
   fleet::DiscoveryJob job;
   job.model = model;
   job.options.bench_threads = bench_threads;
   job.options.sweep_threads = sweep_threads;
   runtime::ScopedPChaseEngine scope(engine);
-  const auto start = Clock::now();
-  core::TopologyReport report = fleet::run_job(job);
-  seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  std::string json = core::to_json_string(report);
-  if (out_report) *out_report = std::move(report);
-  return json;
+  std::vector<TimedRun> all(static_cast<std::size_t>(runs));
+  for (TimedRun& run : all) {
+    const auto start = Clock::now();
+    run.report = fleet::run_job(job);
+    run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    run.json = core::to_json_string(run.report);
+  }
+  const bool repeatable =
+      std::all_of(all.begin(), all.end(), [&](const TimedRun& run) {
+        return run.json == all.front().json;
+      });
+  std::sort(all.begin(), all.end(), [](const TimedRun& a, const TimedRun& b) {
+    return a.seconds < b.seconds;
+  });
+  TimedRun median = std::move(all[all.size() / 2]);
+  if (!repeatable) median.json.clear();
+  return median;
 }
 
 /// First "model name" line of /proc/cpuinfo, or "unknown" — makes the
@@ -177,7 +202,7 @@ int main(int argc, char** argv) {
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",
                       "caller", "reference [s]", "identical",
-                      "widen", "memo"});
+                      "widen", "chases"});
   bool all_identical = true;
   bool all_attributed = true;
   double total_serial = 0.0;
@@ -186,15 +211,16 @@ int main(int argc, char** argv) {
   for (const auto& model : models) {
     ModelResult r;
     r.model = model;
-    core::TopologyReport report;
-    core::TopologyReport parallel_report;
-    const std::string serial = timed_discovery(
-        model, runtime::PChaseEngine::kCompiled, 1, 1, r.serial_s, &report);
+    const TimedRun serial = timed_discovery(
+        model, runtime::PChaseEngine::kCompiled, 1, 1, kTimedRuns);
     const exec::ExecutorStats exec_before = exec::shared_executor().stats();
-    const std::string parallel = timed_discovery(
-        model, runtime::PChaseEngine::kCompiled, bench_threads, sweep_threads,
-        r.parallel_s, &parallel_report);
+    const TimedRun parallel =
+        timed_discovery(model, runtime::PChaseEngine::kCompiled,
+                        bench_threads, sweep_threads, kTimedRuns);
     const exec::ExecutorStats exec_after = exec::shared_executor().stats();
+    const core::TopologyReport& report = serial.report;
+    r.serial_s = serial.seconds;
+    r.parallel_s = parallel.seconds;
     const std::uint64_t tasks = exec_after.tasks - exec_before.tasks;
     if (tasks > 0) {
       r.caller_share =
@@ -202,16 +228,17 @@ int main(int argc, char** argv) {
                               exec_before.caller_tasks) /
           static_cast<double>(tasks);
     }
-    r.identical = serial == parallel;
+    r.identical = !serial.json.empty() && serial.json == parallel.json;
     if (!skip_reference) {
-      const std::string reference = timed_discovery(
-          model, runtime::PChaseEngine::kReference, 1, 1, r.reference_s);
-      r.identical = r.identical && serial == reference;
+      const TimedRun reference =
+          timed_discovery(model, runtime::PChaseEngine::kReference, 1, 1, 1);
+      r.reference_s = reference.seconds;
+      r.identical = r.identical && serial.json == reference.json;
     }
     r.widenings = report.sweep_widenings;
     r.total_cycles = report.total_cycles;
     r.critical_path_cycles = report.critical_path_cycles;
-    r.memo_hits = report.chase_memo_hits;
+    r.chases = report.chase_memo_misses;
     for (const auto& stage : report.stage_cycles) {
       r.stage_cycles_sum += stage.cycles;
       StageAggregate& aggregate = stages[stage.stage];
@@ -219,7 +246,7 @@ int main(int argc, char** argv) {
       aggregate.wall_seconds += stage.wall_seconds;
       aggregate.reset_seconds += stage.reset_seconds;
     }
-    for (const auto& stage : parallel_report.stage_cycles) {
+    for (const auto& stage : parallel.report.stage_cycles) {
       stages[stage.stage].parallel_wall_seconds += stage.wall_seconds;
     }
     all_identical = all_identical && r.identical;
@@ -235,7 +262,7 @@ int main(int argc, char** argv) {
     results.push_back(r);
 
     char serial_s[32], parallel_s[32], speedup[32], caller[16],
-        reference_s[32], widen[16], memo[16];
+        reference_s[32], widen[16], chases[24];
     std::snprintf(serial_s, sizeof serial_s, "%.3f", r.serial_s);
     std::snprintf(parallel_s, sizeof parallel_s, "%.3f", r.parallel_s);
     std::snprintf(speedup, sizeof speedup, "%.2f",
@@ -243,11 +270,11 @@ int main(int argc, char** argv) {
     std::snprintf(caller, sizeof caller, "%.2f", r.caller_share);
     std::snprintf(reference_s, sizeof reference_s, "%.3f", r.reference_s);
     std::snprintf(widen, sizeof widen, "%u", r.widenings);
-    std::snprintf(memo, sizeof memo, "%llu",
-                  static_cast<unsigned long long>(r.memo_hits));
+    std::snprintf(chases, sizeof chases, "%llu",
+                  static_cast<unsigned long long>(r.chases));
     table.add_row({model, serial_s, parallel_s, speedup, caller,
                    skip_reference ? "-" : reference_s,
-                   r.identical ? "yes" : "NO", widen, memo});
+                   r.identical ? "yes" : "NO", widen, chases});
   }
   std::printf("%s\n", table.str().c_str());
   // The "par x" column compares wall times of threaded runs: with one
@@ -321,8 +348,7 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(r.total_cycles));
     entry.emplace_back("critical_path_cycles",
                        static_cast<std::int64_t>(r.critical_path_cycles));
-    entry.emplace_back("chase_memo_hits",
-                       static_cast<std::int64_t>(r.memo_hits));
+    entry.emplace_back("chases", static_cast<std::int64_t>(r.chases));
     per_model.emplace_back(r.model, json::Value(std::move(entry)));
     if (r.serial_s > slowest_serial) {
       slowest_serial = r.serial_s;
@@ -358,7 +384,8 @@ int main(int argc, char** argv) {
   }
 
   json::Object meta;
-  meta.emplace_back("schema_version", static_cast<std::int64_t>(4));
+  meta.emplace_back("schema_version", static_cast<std::int64_t>(5));
+  meta.emplace_back("timed_runs", static_cast<std::int64_t>(kTimedRuns));
   meta.emplace_back("generated_at", iso_utc_now());
   meta.emplace_back("git_sha", git_sha());
 
@@ -384,7 +411,8 @@ int main(int argc, char** argv) {
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: discovery engines disagree on at least one model's "
-                 "report (serial vs concurrent stage graph%s)\n",
+                 "report (repeated runs, serial vs concurrent stage "
+                 "graph%s)\n",
                  skip_reference ? "" : " or compiled vs reference");
     return 1;
   }

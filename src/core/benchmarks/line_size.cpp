@@ -54,12 +54,6 @@ LineSizeBenchResult run_line_size_benchmark(
   const std::uint64_t arena =
       gpu.alloc(array_sizes.back() + max_stride, 256);
 
-  // A fallback run re-measures the probed grid points; routing both batches
-  // through one pool answers them from the memo instead.
-  runtime::ReplicaPool local_pool;
-  runtime::ReplicaPool* pool =
-      options.chase_pool ? options.chase_pool : &local_pool;
-
   // (stride, array size) grid points are independent measurements: one
   // batch per probe. The scores read only the recorded latency prefix, so
   // every chase caps its timed pass at the record budget.
@@ -81,7 +75,7 @@ LineSizeBenchResult run_line_size_benchmark(
         specs.push_back(runtime::ChaseSpec::plain(config));
       }
     }
-    auto measured = runtime::run_chase_batch(gpu, specs, pool);
+    auto measured = runtime::run_chase_batch(gpu, specs, options.chase_pool);
     for (const auto& result : measured) out.cycles += result.total_cycles;
     return measured;
   };

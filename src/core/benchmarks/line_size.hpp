@@ -53,9 +53,8 @@ struct LineSizeBenchOptions {
   /// the size-sweep boundary in cache_bytes) instead of the full size grid.
   /// Per stride the two points must vote the same side of the miss-majority
   /// line; any split vote — or a contrast too low to score — falls back to
-  /// the exhaustive grid (the probed points are re-used through the chase
-  /// memo). The grid sizes are identical in both modes, so adaptive and
-  /// fallback runs stay memo-compatible.
+  /// the exhaustive grid, which measures the probed points again, as the
+  /// real tool would. The grid sizes are identical in both modes.
   bool adaptive = true;
 };
 

@@ -339,15 +339,13 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
 
   // --- Phases 2-4: sweep, outlier screening (with widening), K-S. ----------
   //
-  // Incremental engine: rows are memoized by array size and the step is
-  // frozen at the initial span, so a widening extends the same size grid and
-  // only the newly exposed edge points (plus spike-flagged points, which get
+  // Incremental engine: rows are kept by array size and the step is frozen
+  // at the initial span, so a widening extends the same size grid and only
+  // the newly exposed edge points (plus spike-flagged points, which get
   // fresh data via a bumped resample index) are measured — every clean row
   // is reused. Chases go through run_chase_batch: each runs on a reset
   // replica with a (seed, spec) noise stream, making the series invariant
-  // under the pool's thread count, and sizes already chased in an earlier
-  // phase or sweep are answered from the chase memo without simulating a
-  // load.
+  // under the pool's thread count.
   //
   // `refreshed` spans the coarse and refinement sweeps: a point re-measured
   // once keeps its bumped resample index, so a later sweep that re-requests
@@ -385,7 +383,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
           runner.cycles += measured[i].total_cycles;
           runner.sweep_fits[missing[i]] =
               hit_fraction(measured[i], options.target.element) >= 0.999;
-          if (options.sweep_probe && !measured[i].from_cache) {
+          if (options.sweep_probe) {
             options.sweep_probe(missing[i], respike.erase(missing[i]) > 0);
           }
           rows.emplace(missing[i], std::move(measured[i].latencies));
@@ -474,8 +472,8 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
     // the nearest measured fitting size at or below the estimate and the
     // nearest measured missing size above it. The seeds come from recorded
     // prefixes, so both are verified with full-pass chases — the expansion
-    // steps remain as the fallback when a seed lied. Without seeding (or
-    // without usable rows) the walk expands outward in coarse steps first
+    // steps remain as the fallback when a seed lied. Without usable rows
+    // the walk expands outward in coarse steps first
     // (the K-S estimate can be off by a sweep step), then bisects at
     // fetch-granularity resolution. The lower expansion must be able to
     // reach `lower` itself — the cache size can coincide with the search
@@ -493,18 +491,16 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
     exact.step = exact.expand;
     exact.detected = out.detected_bytes;
     exact.fit_lo = out.detected_bytes;
-    if (options.phase6_bounds_from_sweep) {
-      std::uint64_t seed_lo = 0;
-      for (const auto& [size, prefix_fits] : runner.sweep_fits) {
-        if (prefix_fits && size <= out.detected_bytes && size > seed_lo) {
-          seed_lo = size;
-        } else if (!prefix_fits && size > out.detected_bytes &&
-                   (exact.miss_hi == 0 || size < exact.miss_hi)) {
-          exact.miss_hi = size;
-        }
+    std::uint64_t seed_lo = 0;
+    for (const auto& [size, prefix_fits] : runner.sweep_fits) {
+      if (prefix_fits && size <= out.detected_bytes && size > seed_lo) {
+        seed_lo = size;
+      } else if (!prefix_fits && size > out.detected_bytes &&
+                 (exact.miss_hi == 0 || size < exact.miss_hi)) {
+        exact.miss_hi = size;
       }
-      if (seed_lo != 0) exact.fit_lo = seed_lo;
     }
+    if (seed_lo != 0) exact.fit_lo = seed_lo;
     runner.walk(exact, /*full_pass=*/true,
                 [&](std::uint64_t size) { return runner.fits(size); });
     if (exact.phase == ExactSearch::Phase::kNoFit) {

@@ -14,9 +14,9 @@
 // — the same observable, pushed to its exact edge.
 //
 // The sweep (phases 2-3 and the phase-5 refinement) runs on an incremental
-// engine: every measured sweep point is memoized by array size, widening
-// keeps the original step so widened bounds land on the same size grid, and
-// an attempt re-measures only the newly exposed edge points plus the points
+// engine: every measured sweep row is kept by array size, widening keeps
+// the original step so widened bounds land on the same size grid, and an
+// attempt re-measures only the newly exposed edge points plus the points
 // stats::screen_outliers flagged as spikes — clean rows are reused as-is.
 // Every chase of every phase goes through the chase-plan engine
 // (runtime::run_chase_batch): each runs on a reset Gpu replica with a noise
@@ -27,15 +27,11 @@
 // at the record budget (PChaseConfig::max_timed_steps); the phase-6 `fits`
 // chases keep the full pass, which the exact predicate needs.
 //
-// Because chases are pure functions of (seed, spec), the ReplicaPool memo
-// makes repeated specs free on the host: a phase-1 probe that lands on the
-// sweep grid, or a refinement point that coincides with the coarse grid, is
-// not simulated again (it still books the cycles of the re-run the real
-// tool makes). Phase 6 additionally seeds its bisection bounds
-// from the sweep rows — the nearest measured fitting/missing sizes around
-// the change point — so the expansion loop's extra chases disappear (both
-// seeds are still verified with full-pass chases before the bisection
-// trusts them).
+// Phase 6 seeds its bisection bounds from the sweep rows — the nearest
+// measured fitting/missing sizes around the change point — so the
+// expansion loop's extra chases disappear. Both seeds are still verified
+// with full-pass chases before the bisection trusts them; the expansion
+// steps remain the fallback when a seed does not verify.
 //
 // Phases 1/1b and 6 are serial predicate chains: each probe depends on the
 // previous verdict, so no batch of them can fan out. With at least three
@@ -48,9 +44,9 @@
 // always runs; the others run only on participants idle meanwhile. The
 // commit rule keeps the result serial: every probe is still chased
 // through run_chase_batch in serial order, and one found waiting is
-// memoized exactly as if it ran then, so results, cycles and memo
-// statistics equal the serial search. Waiting
-// results the chains did not take are dropped when the benchmark returns.
+// counted exactly as if it ran then, so results, cycles and chase counts
+// equal the serial search. Waiting results the chains did not take are
+// dropped when the benchmark returns.
 // At one or two chase-pool threads nothing runs ahead.
 #pragma once
 
@@ -81,22 +77,15 @@ struct SizeBenchOptions {
   /// fewer points than the coarse sweep (whose density feeds the K-S power).
   std::uint32_t refine_sweep_points = 16;
   std::uint32_t max_widenings = 3;       ///< outlier-triggered re-measurements
-  /// Pool every chase runs on: its replicas, its chase memo, and how its
+  /// Pool every chase runs on: its replicas, its chase count, and how its
   /// batches run (ReplicaPool::threads and ::executor, which also bound the
   /// chains' run-ahead). The stage runner passes one per stage, so the
-  /// benchmarks of a stage reuse replicas and memoized chases across each
-  /// other; nullptr = a benchmark-local pool, serial.
+  /// benchmarks of a stage reuse its replicas; nullptr = a benchmark-local
+  /// pool, serial.
   runtime::ReplicaPool* chase_pool = nullptr;
-  /// Seed the phase-6 bisection bounds from the sweep rows' prefix hit
-  /// fractions (nearest measured fitting/missing sizes). Off = the original
-  /// expand-then-bisect path; the flag exists so tests can compare the two
-  /// paths' chase counts.
-  bool phase6_bounds_from_sweep = true;
   /// Test probe: invoked once per sweep-point chase, after the measurement,
   /// in ascending size order within each attempt. @p remeasured is true when
   /// the point was re-chased because the screening flagged it as a spike.
-  /// Points answered from the chase memo (e.g. a refinement point that
-  /// coincides with the coarse grid) execute no chase and skip the probe.
   std::function<void(std::uint64_t size, bool remeasured)> sweep_probe;
   sim::Placement where{};
 };
@@ -115,8 +104,9 @@ struct SizeBenchResult {
   std::vector<std::uint64_t> sweep_sizes;  ///< final sweep (Fig. 2 x-axis)
   std::vector<double> reduced;             ///< Eq.-2 values (Fig. 2 y-axis)
   std::uint64_t cycles = 0;          ///< simulated GPU cycles consumed
-  /// Full-pass chases the phase-6 exact refinement executed (expansion +
-  /// bisection); the bounds-from-sweep seeding exists to shrink this.
+  /// Full-pass chases the phase-6 exact refinement executed (seed checks,
+  /// expansion and bisection); seeding the bounds from the sweep rows keeps
+  /// this small.
   std::uint32_t exact_chases = 0;
 };
 

@@ -47,8 +47,8 @@ struct DiscoverOptions {
   /// Like sweep_threads, this is purely an execution knob: the report is
   /// byte-identical for every bench_threads x sweep_threads combination —
   /// stages run on forked substrates with per-(seed, spec) noise streams,
-  /// chase memos consult only dependency stages, and bookings merge in
-  /// stage-declaration order — so neither knob is part of
+  /// and bookings merge in stage-declaration order — so neither knob is
+  /// part of
   /// fleet::DiscoveryJob::key().
   std::uint32_t bench_threads = 1;
   /// Executor the stage graph and its stages' chase batches run on;

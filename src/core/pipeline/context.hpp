@@ -10,9 +10,8 @@
 //     dependency a happens-before edge to its dependents. Sibling stages of
 //     one element write disjoint row fields.
 //   * StageContext — the per-stage side: the substrate Gpu, the stage's
-//     chase pool (upstream-linked to its ancestors' pools) and the booking
-//     accumulators, merged into the report in declaration order after the
-//     graph drains (runner.cpp).
+//     chase pool and the booking accumulators, merged into the report in
+//     declaration order after the graph drains (runner.cpp).
 #pragma once
 
 #include <cstdint>
@@ -72,8 +71,7 @@ struct StageContext {
   sim::Gpu& gpu;  ///< stage substrate: fork of the owner, owner's seed
   const DiscoverOptions& options;
   GraphState& state;
-  /// Stage-local replicas + chase memo; upstream points at the pools of the
-  /// stage's completed transitive dependencies (declaration order).
+  /// Stage-local chase replicas, and the stage's chase count.
   runtime::ReplicaPool& chase_pool;
   StageBooking booking;
   /// Reduction series recorded by this stage (collect_series runs), merged

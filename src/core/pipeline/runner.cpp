@@ -14,8 +14,8 @@
 namespace mt4g::core::pipeline {
 namespace {
 
-/// Per-stage execution record: the chase pool (upstream-linked), the
-/// bookings, and the stage outputs that merge in declaration order.
+/// Per-stage execution record: the chase pool, the bookings, and the stage
+/// outputs that merge in declaration order.
 struct StageRecord {
   runtime::ReplicaPool pool;
   StageBooking booking;
@@ -33,14 +33,12 @@ struct GraphRun {
   std::vector<StageRecord> records;
   std::vector<std::exception_ptr> errors;
   std::vector<bool> failed;  ///< threw, or transitively depends on a throw
-  std::vector<bool> upstream;  ///< some other stage depends on it
 
   explicit GraphRun(sim::Gpu& gpu_, const StageGraph& graph_,
                     GraphState& state_, const DiscoverOptions& options_)
       : gpu(gpu_), graph(graph_), state(state_), options(options_),
         records(graph_.stages.size()), errors(graph_.stages.size()),
-        failed(graph_.stages.size(), false),
-        upstream(graph_.stages.size(), false) {}
+        failed(graph_.stages.size(), false) {}
 
   /// Executes one stage on its own substrate: a fork of the owning Gpu
   /// with the owner's seed and allocator cursor and cold caches. Every
@@ -80,13 +78,8 @@ struct GraphRun {
     record.series = std::move(ctx.series);
     record.compute_throughput = std::move(ctx.compute_throughput);
     record.executed = true;
-    // The chase replicas are done. The memo stays live while it is upstream
-    // for dependent stages; a stage no other depends on frees it here,
-    // inside its span, not with the graph after the last stage (a CU-pair
-    // memo holds tens of thousands of results). memo_stats and reset_ns
-    // stay for the merge.
+    // The chase replicas are done; chases and reset_ns stay for the merge.
     record.pool.replicas.clear();
-    if (!upstream[i]) std::exchange(record.pool.memo, {});
     const std::uint64_t wall_ns = obs::monotonic_ns() - start_ns;
     record.wall_seconds = static_cast<double>(wall_ns) * 1e-9;
     if (obs::metrics_enabled()) {
@@ -192,20 +185,9 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
   prune(plan.graph, options.only);
   const StageGraph& graph = plan.graph;
   const std::size_t n = graph.stages.size();
-  const auto [deps, order, ancestors] = analyze(graph);
+  const auto [deps, order] = analyze(graph);
 
   GraphRun run(gpu, graph, plan.state, options);
-  // Upstream memo wiring: a stage's pool consults its transitive
-  // dependencies' pools (declaration order), which are complete — and
-  // therefore immutable — before the stage starts under every schedule.
-  for (std::size_t i = 0; i < n; ++i) {
-    run.records[i].pool.upstream.reserve(ancestors[i].size());
-    for (const std::size_t a : ancestors[i]) {
-      run.records[i].pool.upstream.push_back(&run.records[a].pool);
-      run.upstream[a] = true;
-    }
-  }
-
   if (options.bench_threads <= 1 || n <= 1) {
     run_serial(run, deps, order);
   } else {
@@ -228,8 +210,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
     report.simulated_seconds += booking.seconds;
     report.total_cycles += booking.cycles;
     report.sweep_widenings += booking.sweep_widenings;
-    report.chase_memo_hits += record.pool.memo_stats.hits;
-    report.chase_memo_misses += record.pool.memo_stats.misses;
+    report.chase_memo_misses += record.pool.chases;
     report.stage_cycles.push_back(
         {graph.stages[i].name, booking.cycles, record.wall_seconds,
          static_cast<double>(record.pool.reset_ns) * 1e-9});

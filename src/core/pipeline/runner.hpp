@@ -15,7 +15,7 @@
 // until a stage is ready or the graph drained.
 //
 // Determinism: the report is byte-identical for every bench_threads x
-// sweep_threads combination (see stage.hpp for the three rules). Failure
+// sweep_threads combination (see stage.hpp for the two rules). Failure
 // handling follows the executor's convention: every runnable stage still
 // runs, stages downstream of a failed stage are skipped, and the exception
 // of the lowest-declaration-index failing stage is rethrown afterwards — so
@@ -44,7 +44,7 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options);
 
 /// Prunes plan.graph to options.only (+ transitive dependencies), executes
 /// the graph against @p gpu, and merges rows, bookings, per-stage cycles,
-/// critical path and memo statistics into @p report in declaration order.
+/// critical path and chase counts into @p report in declaration order.
 void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
                const DiscoverOptions& options, TopologyReport& report);
 

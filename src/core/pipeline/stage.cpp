@@ -119,18 +119,6 @@ GraphAnalysis analyze(const StageGraph& graph) {
                                   "' has no run function");
     }
   }
-  std::vector<std::set<std::size_t>> closure(graph.stages.size());
-  for (const std::size_t i : analysis.order) {
-    for (const std::size_t d : analysis.deps[i]) {
-      closure[i].insert(d);
-      closure[i].insert(closure[d].begin(), closure[d].end());
-    }
-  }
-  analysis.ancestors.resize(graph.stages.size());
-  for (std::size_t i = 0; i < graph.stages.size(); ++i) {
-    analysis.ancestors[i].assign(closure[i].begin(),
-                                 closure[i].end());  // sorted by index
-  }
   return analysis;
 }
 
@@ -146,7 +134,19 @@ std::vector<std::vector<std::size_t>> dependency_indices(
 }
 
 std::vector<std::vector<std::size_t>> ancestor_sets(const StageGraph& graph) {
-  return analyze(graph).ancestors;
+  const GraphAnalysis analysis = analyze(graph);
+  std::vector<std::set<std::size_t>> closure(graph.stages.size());
+  for (const std::size_t i : analysis.order) {
+    for (const std::size_t d : analysis.deps[i]) {
+      closure[i].insert(d);
+      closure[i].insert(closure[d].begin(), closure[d].end());
+    }
+  }
+  std::vector<std::vector<std::size_t>> ancestors(graph.stages.size());
+  for (std::size_t i = 0; i < graph.stages.size(); ++i) {
+    ancestors[i].assign(closure[i].begin(), closure[i].end());  // sorted
+  }
+  return ancestors;
 }
 
 void prune(StageGraph& graph, const std::vector<sim::Element>& only) {

@@ -12,17 +12,14 @@
 // A graph executor (runner.hpp) runs ready stages concurrently under
 // DiscoverOptions::bench_threads. The determinism contract — the assembled
 // TopologyReport is byte-identical for every bench_threads x sweep_threads
-// combination — rests on three rules:
+// combination — rests on two rules:
 //   (1) every stage executes against its own substrate: a Gpu::fork of the
 //       owning Gpu that keeps the owner's seed, so allocations, direct
 //       chases and batched (seed, spec) noise streams are functions of the
 //       stage alone, never of what ran before or beside it;
-//   (2) a stage's chase memo consults only the pools of its completed
-//       (transitive) dependency stages, which finished before it started
-//       under every schedule (runtime::ReplicaPool::upstream);
-//   (3) bookings — benchmark counts, stage cycles, memo statistics,
-//       series — accumulate per stage and merge into the report in stage
-//       declaration order after the graph has drained.
+//   (2) bookings — benchmark counts, stage cycles, chase counts, series —
+//       accumulate per stage and merge into the report in stage declaration
+//       order after the graph has drained.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +58,7 @@ struct Stage {
   sim::Element element = sim::Element::kL1;
   StageKind kind = StageKind::kFetchGranularity;
   /// Names of the stages whose outputs this stage reads (graph state writes
-  /// happen-before every dependent stage; their chase memos are probed as
-  /// upstream pools).
+  /// happen-before every dependent stage).
   std::vector<std::string> deps;
   /// Stages that only make sense for a full-suite run (NVIDIA physical
   /// sharing, the compute suite): dropped whenever DiscoverOptions::only
@@ -99,8 +95,6 @@ void validate(const StageGraph& graph);
 struct GraphAnalysis {
   std::vector<std::vector<std::size_t>> deps;  ///< direct dependency indices
   std::vector<std::size_t> order;              ///< deterministic topo order
-  /// Transitive closure, sorted by declaration index (upstream probe order).
-  std::vector<std::vector<std::size_t>> ancestors;
 };
 GraphAnalysis analyze(const StageGraph& graph);
 
@@ -122,8 +116,7 @@ std::vector<std::vector<std::size_t>> dependency_indices(
     const StageGraph& graph);
 
 /// Transitive dependency closure per stage, as index lists sorted by
-/// declaration index (the upstream memo probe order). Requires a validated
-/// graph.
+/// declaration index. Validates like validate().
 std::vector<std::vector<std::size_t>> ancestor_sets(const StageGraph& graph);
 
 }  // namespace mt4g::core::pipeline

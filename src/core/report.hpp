@@ -147,7 +147,7 @@ struct StageCycleReport {
 
 /// One host metric aggregated over a discovery (src/obs/ registry delta).
 struct WallMetricSample {
-  std::string name;  ///< e.g. "memo.hits", "replica.fork_ns"
+  std::string name;  ///< e.g. "sim.timed_loads", "replica.fork_ns"
   std::string kind;  ///< "counter" | "gauge" | "histogram"
   double value = 0.0;
   std::uint64_t count = 0;  ///< histogram observations (0 otherwise)
@@ -178,11 +178,13 @@ struct TopologyReport {
   /// Outlier-triggered widening rounds of the size sweeps.
   std::uint32_t sweep_widenings = 0;
   /// Simulated cycles of every benchmark the real tool would run: each chase
-  /// priced as a cold run of its whole warm walk and timed pass, memo hits
-  /// as the re-runs they stand for (see runtime/batch.hpp).
+  /// priced as a cold run of its whole warm walk and timed pass (see
+  /// runtime/batch.hpp).
   std::uint64_t total_cycles = 0;
-  /// Chase-memo accounting across all stage pools: specs answered without
-  /// simulating a load, and specs that actually ran.
+  /// Every chase a benchmark asks for runs, so chase_memo_hits reads 0 and
+  /// chase_memo_misses counts every chase run, across all stage pools. Both
+  /// keep their meta names because perfbench reads them (runtime.chases,
+  /// runtime.memo_hit_rate); they go with the next change to perfbench.
   std::uint64_t chase_memo_hits = 0;
   std::uint64_t chase_memo_misses = 0;
   /// The only cycle attribution: per-stage cycles in stage-declaration

@@ -25,8 +25,8 @@ sim::Gpu fork_replica(const sim::Gpu& owner) {
 
 namespace {
 
-/// Splitmix-based field folder shared by the seed and memo-hash paths. The
-/// constant decorrelates the chase streams from the owning Gpu's own stream
+/// Splitmix-based field folder of the chase noise seeds. The constant
+/// decorrelates the chase streams from the owning Gpu's own stream
 /// (which Xoshiro256 seeds from the same value).
 struct SeedFolder {
   std::uint64_t state;
@@ -88,29 +88,6 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec) {
 
 namespace {
 
-/// Probes one pool's own memo map (no upstream recursion).
-const PChaseResult* find_in_memo(const ReplicaPool& pool, std::uint64_t hash,
-                                 const ChaseSpec& spec) {
-  const auto bucket = pool.memo.find(hash);
-  if (bucket == pool.memo.end()) return nullptr;
-  const auto hit = std::find_if(
-      bucket->second.begin(), bucket->second.end(),
-      [&](const auto& entry) { return entry.first == spec; });
-  return hit == bucket->second.end() ? nullptr : &hit->second;
-}
-
-/// Probes the pool's memo, then its upstream (ancestor) memos in order.
-const PChaseResult* probe_memo(const ReplicaPool& pool, std::uint64_t hash,
-                               const ChaseSpec& spec) {
-  if (const PChaseResult* own = find_in_memo(pool, hash, spec)) return own;
-  for (const ReplicaPool* parent : pool.upstream) {
-    if (const PChaseResult* hit = find_in_memo(*parent, hash, spec)) {
-      return hit;
-    }
-  }
-  return nullptr;
-}
-
 /// The pool's waiting run-ahead result for @p spec, or ahead.end().
 std::vector<AheadResult>::iterator find_ahead(ReplicaPool& pool,
                                               const ChaseSpec& spec) {
@@ -136,9 +113,8 @@ void drop_ahead(ReplicaPool& pool, std::vector<AheadResult>::iterator from) {
 void sync_epoch(ReplicaPool& pool, const sim::Gpu& gpu) {
   if (pool.epoch != gpu.path_epoch()) {
     // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // memoized and run-ahead results were measured against it.
+    // run-ahead results were measured against it.
     pool.replicas.clear();
-    pool.memo.clear();
     drop_ahead(pool, pool.ahead.begin());
   }
   pool.epoch = gpu.path_epoch();
@@ -153,13 +129,12 @@ exec::Executor& batch_executor(const ReplicaPool& pool) {
 /// schedule yields the same bytes.
 struct Plan {
   std::span<const ChaseSpec> specs;
-  std::vector<std::uint64_t> seeds;   ///< per spec: noise seed = memo key
   std::vector<std::size_t> units;     ///< spec indices, one cold chase each
   std::vector<PChaseResult> results;  ///< per spec
   std::vector<char> ran;  ///< per unit
 
   explicit Plan(std::span<const ChaseSpec> batch)
-      : specs(batch), seeds(batch.size()), results(batch.size()) {}
+      : specs(batch), results(batch.size()) {}
 };
 
 /// Runs plan.units on the pool's slot replicas with at most pool.threads
@@ -194,8 +169,7 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
       // Every chase ends with its own flush, booked by its timed pass, so
       // this one finds nothing listed unless a chase threw midway.
       replica.flush_caches();
-      // The memo key IS the noise-stream seed (both are the full spec fold).
-      replica.reseed_noise(plan.seeds[index]);
+      replica.reseed_noise(chase_noise_seed(gpu.seed(), plan.specs[index]));
       const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
       slot_reset_ns[slot] += reset_ns;
       if (obs::metrics_enabled()) {
@@ -255,17 +229,10 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
   if (specs.empty()) return;
   sync_epoch(pool, gpu);
   Plan plan(specs);
-  std::vector<std::size_t> todo;  // specs to run, first occurrences
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    plan.seeds[i] = chase_noise_seed(gpu.seed(), specs[i]);
-    const bool answerable =
-        probe_memo(pool, plan.seeds[i], specs[i]) ||
-        find_ahead(pool, specs[i]) != pool.ahead.end() ||
-        std::any_of(todo.begin(), todo.end(),
-                    [&](std::size_t j) { return specs[j] == specs[i]; });
-    if (!answerable) todo.push_back(i);
+    if (find_ahead(pool, specs[i]) == pool.ahead.end()) plan.units.push_back(i);
   }
-  if (todo.empty() || todo.front() != 0) return;  // specs[0] is answerable
+  if (plan.units.empty() || plan.units.front() != 0) return;  // specs[0] waits
 
   // A new round: waiting results it does not name were moved past.
   drop_ahead(pool, std::stable_partition(
@@ -275,7 +242,6 @@ void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
                                           waiting.spec) != specs.end();
                        }));
 
-  plan.units = std::move(todo);
   run_units(gpu, pool, plan, /*needed=*/1, "chase.ahead");
 
   for (std::size_t u = 0; u < plan.units.size(); ++u) {
@@ -296,84 +262,27 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   ReplicaPool& pool = pool_or_null ? *pool_or_null : local_pool;
   sync_epoch(pool, gpu);
   Plan plan(specs);
-  std::vector<PChaseResult>& results = plan.results;
 
-  // Resolve memo hits, intra-batch duplicates and run-ahead commits in spec
-  // order, before any chase runs, so which index counts as the run (and
-  // which as a replay) is a function of the batch contents alone.
-  std::vector<std::size_t> pending;  // first occurrences: run or committed
-  std::vector<std::ptrdiff_t> copy_from(specs.size(), -1);
-  // hash -> the first pending index with that hash, and per pending index
-  // the next one with the same hash: duplicate detection stays linear even
-  // for the N^2-pair CU-sharing batches, with no allocation per spec.
-  constexpr std::size_t kNone = ~std::size_t{0};
-  std::unordered_map<std::uint64_t, std::size_t> first_seen;
-  first_seen.reserve(specs.size());
-  std::vector<std::size_t> next_seen(specs.size(), kNone);
+  // A spec waiting in the run-ahead table is committed; every other spec
+  // runs cold, alone.
   std::uint64_t commits = 0;
-  const std::uint64_t memo_hits_before = pool.memo_stats.hits;
-  {
-    const obs::SpanGuard memo_span("memo.resolve");
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
-      plan.seeds[i] = hash;
-      if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
-        results[i] = *hit;
-        results[i].from_cache = true;
-        ++pool.memo_stats.hits;
-        continue;
-      }
-      const auto [seen, first] = first_seen.try_emplace(hash, i);
-      if (!first) {
-        std::size_t j = seen->second;
-        while (!(specs[j] == specs[i]) && next_seen[j] != kNone) {
-          j = next_seen[j];
-        }
-        if (specs[j] == specs[i]) {
-          copy_from[i] = static_cast<std::ptrdiff_t>(j);
-          continue;
-        }
-        next_seen[j] = i;
-      }
-      pending.push_back(i);
-      const auto waiting = find_ahead(pool, specs[i]);
-      if (waiting == pool.ahead.end()) {
-        plan.units.push_back(i);  // runs cold, alone
-        continue;
-      }
-      results[i] = std::move(waiting->result);
-      ++commits;
-      pool.ahead.erase(waiting);
-    }
-  }
-
-  if (!pending.empty()) {
-    run_units(gpu, pool, plan, /*needed=*/plan.units.size(), "chase.run");
-
-    pool.memo_stats.misses += pending.size();
-    pool.memo.reserve(pool.memo.size() + pending.size());
-    for (const std::size_t i : pending) {
-      pool.memo[plan.seeds[i]].emplace_back(specs[i], results[i]);
-    }
-  }
-
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (copy_from[i] < 0) continue;
-    results[i] = results[static_cast<std::size_t>(copy_from[i])];
-    results[i].from_cache = true;
-    ++pool.memo_stats.hits;
+    const auto waiting = find_ahead(pool, specs[i]);
+    if (waiting == pool.ahead.end()) {
+      plan.units.push_back(i);
+      continue;
+    }
+    plan.results[i] = std::move(waiting->result);
+    pool.ahead.erase(waiting);
+    ++commits;
   }
+  run_units(gpu, pool, plan, /*needed=*/plan.units.size(), "chase.run");
+
+  pool.chases += specs.size();
   pool.ahead_stats.used += commits;
-  if (obs::metrics_enabled()) {
-    obs::Metrics& metrics = obs::Metrics::instance();
-    const std::uint64_t hits = pool.memo_stats.hits - memo_hits_before;
-    if (hits > 0) metrics.add("memo.hits", static_cast<double>(hits));
-    if (!pending.empty()) {
-      metrics.add("memo.misses", static_cast<double>(pending.size()));
-    }
-    if (commits > 0) {
-      metrics.add("chase.ahead_used", static_cast<double>(commits));
-    }
+  if (commits > 0 && obs::metrics_enabled()) {
+    obs::Metrics::instance().add("chase.ahead_used",
+                                 static_cast<double>(commits));
   }
   return std::move(plan.results);
 }

@@ -20,42 +20,32 @@
 // sets both once per stage; a batch called without a pool runs serially on
 // a pool local to the call.
 //
-// Purity also makes results cacheable: a ReplicaPool carries a memo keyed by
-// the full spec, so a spec measured once is answered without simulating a
-// load every time it recurs — across widenings of one sweep, across the
-// coarse/refinement sweeps, and across benchmarks sharing the pool. Memo hits
-// and intra-batch duplicates are resolved in spec order before any chase
-// runs, so which index runs and which replays is a function of the batch
-// contents alone, never of scheduling.
-//
 // The trade-off is explicit: batched chases do NOT share a noise stream with
 // the owning Gpu (each is re-seeded from its spec), so routing a measurement
 // through the batch changes its noise realisation relative to the
 // serial-on-the-main-Gpu path. The benchmark layer accepts this — detection
-// is robust by construction — in exchange for memoization and parallelism.
+// is robust by construction — in exchange for parallelism.
 //
 // The cost rule: every result carries the cycles the real tool would spend
 // on its spec — its whole warm walk from cold and its whole timed pass (see
-// kernels.hpp), and for a memo hit or an in-batch duplicate the cycles of
-// the run it replays. So every result equals an isolated cold run of its
-// spec, in cycles as in measurements, for every thread count, engine, batch
-// composition and history.
+// kernels.hpp). Every spec a batch names runs, duplicates and repeats of
+// earlier batches included, as the real tool runs each kernel it launches.
+// So every result equals an isolated cold run of its spec, in cycles as in
+// measurements, for every thread count, engine, batch composition and
+// history.
 //
 // That independence is what run-ahead rests on. run_chase_ahead() executes
 // probes a serial search may need next — on participants that would idle
 // otherwise — each as a cold singleton, and leaves its result in the pool's
-// run-ahead table. The commit rule: a later run_chase_batch() that misses
-// the memo but finds the spec in that table takes the stored result instead
-// of executing it, and memoizes it exactly as if it had just run. Memo stats
-// and hence report bytes are those of the serial search; only wall time
-// changes.
+// run-ahead table. The commit rule: a later run_chase_batch() that finds a
+// spec in that table takes the stored result instead of executing it, and
+// counts it exactly as if it had just run. Chase counts and hence report
+// bytes are those of the serial search; only wall time changes.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -73,7 +63,7 @@ enum class ChaseKind : std::uint8_t {
 };
 
 /// One chase of any shape, as pure data. Equality spans every
-/// result-relevant field, which is what makes specs usable as memo keys.
+/// result-relevant field, which is what a run-ahead commit matches on.
 struct ChaseSpec {
   ChaseKind kind = ChaseKind::kPlain;
   PChaseConfig config{};    ///< the timed chase (and its own warm-up)
@@ -100,17 +90,9 @@ struct ChaseSpec {
   }
 };
 
-/// Executes one spec on @p gpu as-is: no replica, no reset, no memo. The
-/// batch runner calls this on a reset replica; tests can call it directly.
+/// Executes one spec on @p gpu as-is: no replica, no reset. The batch
+/// runner calls this on a reset replica; tests can call it directly.
 PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec);
-
-/// Memo accounting of a ReplicaPool: hits are answered without simulating a
-/// single load (the returned result carries the cycles of the run it
-/// replays).
-struct ChaseMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;  ///< specs that actually ran
-};
 
 /// A probe run_chase_ahead() executed and nobody committed yet: its result,
 /// as run_chase_batch() would return it.
@@ -127,14 +109,14 @@ struct ChaseAheadStats {
   std::uint64_t discarded = 0;
 };
 
-/// Reusable replicas + chase-result memo for repeated batch calls against
-/// the same owning Gpu. Both are rebuilt automatically when the owning Gpu
-/// invalidated its compiled paths (cache rebuild via
-/// set_l2_fetch_granularity) — the epoch tracks that, and memoized results
-/// measured against the old cache geometry would be stale. A pool must not
-/// be shared across different owning Gpus (Gpu::fork replicas of one owner,
-/// which keep the owner's seed, count as the same owning Gpu). The pool is
-/// also the one description of how its batches run: threads and executor.
+/// Reusable replicas for repeated batch calls against the same owning Gpu.
+/// They are rebuilt automatically, and waiting run-ahead results dropped,
+/// when the owning Gpu invalidated its compiled paths (cache rebuild via
+/// set_l2_fetch_granularity) — the epoch tracks that, and results measured
+/// against the old cache geometry would be stale. A pool must not be shared
+/// across different owning Gpus (Gpu::fork replicas of one owner, which
+/// keep the owner's seed, count as the same owning Gpu). The pool is also
+/// the one description of how its batches run: threads and executor.
 struct ReplicaPool {
   std::uint64_t epoch = 0;
   /// One replica per executor slot, forked when the slot runs its first
@@ -142,20 +124,9 @@ struct ReplicaPool {
   /// batch was allowed but did not get. A fork costs empty page tables; a
   /// replica holds the cache pages its chases wrote.
   std::vector<std::optional<sim::Gpu>> replicas;
-  /// spec-seed hash -> (spec, result) entries; collisions resolved by the
-  /// full spec comparison.
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<ChaseSpec, PChaseResult>>>
-      memo;
-  ChaseMemoStats memo_stats;
-  /// Read-only parent memos, probed in order after this pool's own memo
-  /// misses. The discovery stage graph points a stage's pool at the pools of
-  /// its completed (transitive) dependency stages: those finished before
-  /// this pool's stage started under every schedule, so which probes hit is
-  /// a function of the graph alone — never of stage scheduling — and the
-  /// upstream pools are immutable while this pool is live. Hits against an
-  /// upstream memo are counted in this pool's memo_stats.
-  std::vector<const ReplicaPool*> upstream;
+  /// Specs run_chase_batch answered on this pool, each run or committed
+  /// from run-ahead: a function of the batches alone, never of scheduling.
+  std::uint64_t chases = 0;
   /// Participants of this pool's batches, the calling thread included;
   /// 1 = the serial reference (strict spec order, no executor involved).
   /// The stage runner sets it to DiscoverOptions::sweep_threads.
@@ -172,7 +143,7 @@ struct ReplicaPool {
   /// attribute reset time per stage in the report.
   std::uint64_t reset_ns = 0;
   /// Run-ahead results waiting for their commit: at most one round of
-  /// run_chase_ahead(), cleared with the memo on an epoch change.
+  /// run_chase_ahead(), cleared on an epoch change.
   std::vector<AheadResult> ahead;
   ChaseAheadStats ahead_stats;
 };
@@ -191,11 +162,8 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);
 /// Runs every spec (see file comment for the execution model) on @p pool,
 /// or serially on a pool local to the call, and returns results in spec
 /// order. The engine (compiled/reference) active on the calling thread is
-/// propagated to the worker threads. Results answered from the memo (or
-/// duplicated within the batch) carry from_cache == true and the cycles of
-/// the run they replay, as the real tool would run the chase again. A memo
-/// miss waiting in the pool's run-ahead table is committed instead of
-/// executed (see file comment).
+/// propagated to the worker threads. A spec waiting in the pool's run-ahead
+/// table is committed instead of executed (see file comment).
 std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
                                           std::span<const ChaseSpec> specs,
                                           ReplicaPool* pool = nullptr);
@@ -218,12 +186,12 @@ sim::Gpu fork_replica(const sim::Gpu& owner);
 /// are speculative and run only on a participant that claims one while
 /// specs[0] is still running, so speculation spends idle participants and
 /// never delays the caller by more than one probe running beside its own.
-/// If specs[0] is already answerable (memo or a waiting result) nothing
-/// runs: the round that produced it still covers what follows. Otherwise
-/// waiting results of an earlier round that @p specs does not name are
-/// discarded first — a serial search never returns to a probe it moved
-/// past — so the table holds one round at most. Specs the memo answers are
-/// skipped; chases carry "chase.ahead" spans instead of "chase.run".
+/// If specs[0] is already waiting nothing runs: the round that produced it
+/// still covers what follows. Otherwise waiting results of an earlier round
+/// that @p specs does not name are discarded first — a serial search never
+/// returns to a probe it moved past — so the table holds one round at most.
+/// Specs already waiting are skipped; chases carry "chase.ahead" spans
+/// instead of "chase.run".
 void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
                      ReplicaPool& pool);
 

@@ -99,9 +99,6 @@ struct PChaseResult {
   /// Warm-up portion of total_cycles. Warm-up is noise-free, so this is a
   /// pure function of the chase config and the replica's prior cache state.
   std::uint64_t warm_cycles = 0;
-  /// Set by the batch runner when this result came from its memo (or from an
-  /// identical spec earlier in the same batch) instead of a fresh chase.
-  bool from_cache = false;
 };
 
 /// One p-chase: optional warm-up pass, then a timed pass over the array.

@@ -362,6 +362,10 @@ GpuSpec spec_from_json(const json::Value& document) {
           r.error("field 'active_cu_ids' must hold non-negative integers");
           break;
         }
+        if (id.as_int() > 0xFFFFFFFFLL) {
+          r.error("field 'active_cu_ids' exceeds the 32-bit range");
+          break;
+        }
         spec.active_cu_ids.push_back(static_cast<std::uint32_t>(id.as_int()));
       }
     }

@@ -96,7 +96,7 @@ TEST(ObsDisabledPath, SpanAndMetricSitesAllocateNothing) {
   for (int i = 0; i < 1000; ++i) {
     const obs::SpanGuard plain("stage:run");
     const obs::SpanGuard dynamic("stage:", detail);
-    obs::Metrics::instance().add("memo.hits");
+    obs::Metrics::instance().add("fleet.jobs_done");
     obs::Metrics::instance().set("exec.worker_busy_fraction", 0.5);
     obs::Metrics::instance().observe("replica.fork_ns", 123.0);
   }
@@ -258,8 +258,8 @@ TEST(ObsMetrics, CountersGaugesHistogramsAndDelta) {
   metrics.reset();
   metrics.enable();
 
-  metrics.add("memo.hits", 3);
-  metrics.add("memo.hits", 2);
+  metrics.add("fleet.jobs_done", 3);
+  metrics.add("fleet.jobs_done", 2);
   metrics.set("exec.worker_busy_fraction", 0.25);
   metrics.set("exec.worker_busy_fraction", 0.75);
   metrics.observe("replica.fork_ns", 100.0);
@@ -270,7 +270,7 @@ TEST(ObsMetrics, CountersGaugesHistogramsAndDelta) {
   EXPECT_EQ(before[0].name, "exec.worker_busy_fraction");
   EXPECT_EQ(before[0].kind, obs::MetricKind::kGauge);
   EXPECT_DOUBLE_EQ(before[0].value, 0.75);
-  EXPECT_EQ(before[1].name, "memo.hits");
+  EXPECT_EQ(before[1].name, "fleet.jobs_done");
   EXPECT_EQ(before[1].kind, obs::MetricKind::kCounter);
   EXPECT_DOUBLE_EQ(before[1].value, 5.0);
   EXPECT_EQ(before[2].name, "replica.fork_ns");
@@ -280,7 +280,7 @@ TEST(ObsMetrics, CountersGaugesHistogramsAndDelta) {
   EXPECT_DOUBLE_EQ(before[2].min, 100.0);
   EXPECT_DOUBLE_EQ(before[2].max, 300.0);
 
-  metrics.add("memo.hits", 7);
+  metrics.add("fleet.jobs_done", 7);
   metrics.observe("replica.fork_ns", 50.0);
   metrics.set("exec.worker_busy_fraction", 0.5);
   const std::vector<obs::MetricSample> interval =
@@ -441,7 +441,7 @@ TEST(ObsMetrics, DisabledRegistryIgnoresUpdates) {
   const ObsQuiescent quiescent;
   obs::Metrics& metrics = obs::Metrics::instance();
   metrics.reset();
-  metrics.add("memo.hits");
+  metrics.add("fleet.jobs_done");
   metrics.observe("replica.fork_ns", 1.0);
   EXPECT_TRUE(metrics.snapshot().empty());
 }
@@ -461,8 +461,8 @@ TEST(ObsWallReport, MetricsRunEmbedsWallBlockAndRoundTrips) {
   std::set<std::string> names;
   for (const auto& sample : report.wall.samples) names.insert(sample.name);
   EXPECT_TRUE(names.count("pipeline.stage_wall_ns"));
-  EXPECT_TRUE(names.count("memo.hits"));
-  EXPECT_TRUE(names.count("memo.misses"));
+  EXPECT_TRUE(names.count("sim.warm_loads"));
+  EXPECT_TRUE(names.count("sim.timed_loads"));
   EXPECT_TRUE(names.count("replica.fork_ns"));
   EXPECT_TRUE(names.count("replica.reset_ns"));
   EXPECT_TRUE(names.count("exec.tasks"));

@@ -261,29 +261,24 @@ TEST(PChaseBatch, DualCuSpecsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PChaseBatch, MemoHitsCarryTheCyclesOfTheRunTheyReplay) {
+TEST(PChaseBatch, ARepeatedBatchRunsAgain) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = multi_phase_specs(gpu);
   ReplicaPool pool;
 
   const auto first = run_chase_batch(gpu, specs, &pool);
-  EXPECT_EQ(pool.memo_stats.hits, 0u);
-  EXPECT_EQ(pool.memo_stats.misses, specs.size());
+  EXPECT_EQ(pool.chases, specs.size());
 
-  // The identical batch again: every spec is answered from the memo without
-  // a load simulated, and books what the real tool's re-run would cost.
+  // The identical batch again: every spec runs again, as the real tool's
+  // re-run does, and measures and costs what it did the first time.
   const auto second = run_chase_batch(gpu, specs, &pool);
-  EXPECT_EQ(pool.memo_stats.hits, specs.size());
-  EXPECT_EQ(pool.memo_stats.misses, specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_TRUE(second[i].from_cache) << "spec " << i;
-  }
+  EXPECT_EQ(pool.chases, 2 * specs.size());
   const auto cold = cold_reference(gpu, specs);
   EXPECT_TRUE(equal_results(first, cold));
   EXPECT_TRUE(equal_results(second, cold));
 }
 
-TEST(PChaseBatch, IntraBatchDuplicatesMeasureOnce) {
+TEST(PChaseBatch, DuplicatesRunAndAgree) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   auto specs = sweep_configs(gpu, 3);
   std::vector<ChaseSpec> batch;
@@ -292,18 +287,18 @@ TEST(PChaseBatch, IntraBatchDuplicatesMeasureOnce) {
 
   ReplicaPool pool;
   const auto results = run_chase_batch(gpu, batch, &pool);
-  EXPECT_EQ(pool.memo_stats.misses, 3u);
-  EXPECT_EQ(pool.memo_stats.hits, 1u);
-  EXPECT_FALSE(results[1].from_cache);
-  EXPECT_TRUE(results[3].from_cache);
-  // The duplicate replays index 1: its measurement and its cycles.
-  EXPECT_TRUE(equal_results(results, cold_reference(gpu, batch)));
+  EXPECT_EQ(pool.chases, 4u);
+  // Both copies of index 1 run cold and alone: the same measurement and the
+  // same cycles.
+  const auto cold = cold_reference(gpu, batch);
+  EXPECT_TRUE(equal_results(results, cold));
+  EXPECT_TRUE(equal_results({results[1]}, {cold[1]}));
+  EXPECT_TRUE(equal_results({results[3]}, {cold[1]}));
 }
 
 TEST(PChaseBatch, ResampleIndexYieldsAFreshMeasurement) {
   // Identical configs share a stream; bumping resample moves the chase to a
-  // statistically independent stream (the sweep's spike re-measurement) and
-  // is a distinct memo entry.
+  // statistically independent stream (the sweep's spike re-measurement).
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   auto configs = sweep_configs(gpu, 1);
   PChaseConfig resampled = configs[0];
@@ -312,8 +307,7 @@ TEST(PChaseBatch, ResampleIndexYieldsAFreshMeasurement) {
                                   ChaseSpec::plain(resampled)};
   ReplicaPool pool;
   const auto results = run_chase_batch(gpu, batch, &pool);
-  EXPECT_EQ(pool.memo_stats.misses, 2u);
-  EXPECT_EQ(pool.memo_stats.hits, 0u);
+  EXPECT_EQ(pool.chases, 2u);
   EXPECT_NE(results[0].latencies, results[1].latencies);
   EXPECT_EQ(results[0].timed_loads, results[1].timed_loads);
 }
@@ -348,8 +342,7 @@ TEST(PChaseBatch, RunAheadCommitsExactlyLikeExecution) {
   // A bisection-like chain of single-spec batches, once executed in place
   // and once committed from run-ahead rounds (each call names the results
   // of its round still waiting, so the table holds all of them). Commits
-  // must memoize exactly like execution, and carry the cycles of a cold
-  // run.
+  // must count exactly like execution, and carry the cycles of a cold run.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto configs = sweep_configs(gpu, 7);  // full timed passes
   const std::vector<std::size_t> order = {3, 1, 5, 0, 4, 2};
@@ -391,13 +384,11 @@ TEST(PChaseBatch, RunAheadCommitsExactlyLikeExecution) {
 
   EXPECT_TRUE(equal_results(serial, committed));
   for (std::size_t k = 0; k < serial.size(); ++k) {
-    EXPECT_FALSE(committed[k].from_cache) << k;
     const std::vector<ChaseSpec> one = {spec(order[k])};
     EXPECT_TRUE(equal_results({committed[k]}, cold_reference(gpu, one)))
         << k;
   }
-  EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits);
-  EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses);
+  EXPECT_EQ(serial_pool.chases, ahead_pool.chases);
   EXPECT_EQ(ahead_pool.ahead_stats.ran, 7u);
   EXPECT_EQ(ahead_pool.ahead_stats.used, 6u);
   EXPECT_EQ(ahead_pool.ahead_stats.discarded, 1u);
@@ -429,7 +420,7 @@ TEST(PChaseBatch, RunAheadIsNeverCommittedAcrossAPathEpochChange) {
   EXPECT_EQ(pool.ahead_stats.used, 0u);
   EXPECT_EQ(pool.ahead_stats.discarded, 1u);
   EXPECT_TRUE(pool.ahead.empty());
-  EXPECT_EQ(pool.memo_stats.misses, 1u);
+  EXPECT_EQ(pool.chases, 1u);
 
   // The probe executed again, on the rebuilt L2.
   sim::Gpu fresh(spec, 42);

@@ -1,7 +1,7 @@
 // Stage-graph tests: registration-time validation diagnostics, --only
 // pruning with transitive dependencies, the determinism contract (reports
 // byte-identical for every bench_threads x sweep_threads combination,
-// memo-hit counts and stage cycles included), and the cost model: stage
+// chase counts and stage cycles included), and the cost model: stage
 // cycles sum to the total, the critical path is their longest dependency
 // path, and modelled GPU time has the shape of paper Sec. V-A.
 #include "core/pipeline/runner.hpp"
@@ -186,8 +186,8 @@ std::string discover_json(const std::string& model, std::uint32_t bench,
 TEST(StageGraphDeterminism, ReportsByteIdenticalAcrossThreadCombinations) {
   // A dedicated pool forces real stage interleaving regardless of the
   // host's core count. The JSON covers every contract field: rows,
-  // benchmarks_executed, per-stage cycles, critical path, memo
-  // hits/misses, series.
+  // benchmarks_executed, per-stage cycles, critical path, chase counts,
+  // series.
   exec::Executor pool(7);
   for (const std::string model : {"TestGPU-NV", "TestGPU-AMD"}) {
     const std::string reference = discover_json(model, 1, 1, nullptr);
@@ -294,7 +294,7 @@ TEST(StageGraphExecutor, SerialDiscoveryStartsNoPoolThreads) {
       ::testing::ExitedWithCode(0), "");
 }
 
-TEST(StageGraphDeterminism, MemoHitsAndAttributionStable) {
+TEST(StageGraphDeterminism, ChaseCountsAndAttributionStable) {
   exec::Executor pool(7);
   sim::Gpu serial_gpu(sim::registry_get("TestGPU-NV"), 42);
   const TopologyReport serial = discover(serial_gpu);
@@ -306,8 +306,10 @@ TEST(StageGraphDeterminism, MemoHitsAndAttributionStable) {
   options.bench_executor = &pool;
   const TopologyReport parallel = discover(parallel_gpu, options);
 
-  EXPECT_GT(serial.chase_memo_hits, 0u);
-  EXPECT_EQ(serial.chase_memo_hits, parallel.chase_memo_hits);
+  // Every chase runs: no hits, and the same chases under every schedule.
+  EXPECT_EQ(serial.chase_memo_hits, 0u);
+  EXPECT_EQ(parallel.chase_memo_hits, 0u);
+  EXPECT_GT(serial.chase_memo_misses, 0u);
   EXPECT_EQ(serial.chase_memo_misses, parallel.chase_memo_misses);
   EXPECT_EQ(serial.total_cycles, parallel.total_cycles);
   EXPECT_EQ(serial.critical_path_cycles, parallel.critical_path_cycles);

@@ -142,8 +142,8 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
   // H100-80's segment search ends in a long chain of full-pass bisection
   // probes. At four sweep threads on a dedicated pool the chains run ahead
   // (midpoint plus both quarter points per round); committing in serial
-  // order must leave every field, cycles included, and the pool's memo
-  // accounting as the serial search has them. A speculative probe runs
+  // order must leave every field, cycles included, and the pool's chase
+  // count as the serial search has them. A speculative probe runs
   // only while the probe it follows is still running, so whether one is
   // discarded depends on the host's scheduling: the run-ahead search
   // repeats, each run checked against the serial one, until one discards.
@@ -173,9 +173,7 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
     EXPECT_EQ(serial.confidence, ahead.confidence) << at;
     EXPECT_EQ(serial.cycles, ahead.cycles) << at;
     EXPECT_EQ(serial.widenings, ahead.widenings) << at;
-    EXPECT_EQ(serial_pool.memo_stats.hits, ahead_pool.memo_stats.hits) << at;
-    EXPECT_EQ(serial_pool.memo_stats.misses, ahead_pool.memo_stats.misses)
-        << at;
+    EXPECT_EQ(serial_pool.chases, ahead_pool.chases) << at;
     EXPECT_GT(ahead_pool.ahead_stats.used, 0u) << at;
     EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
               ahead_pool.ahead_stats.ran)
@@ -238,13 +236,12 @@ TEST(SizeBenchmark, IncrementalSweepMeasuresCleanPointsOnce) {
       total_remeasured += it->second;
     }
   }
-  // A size may be re-measured without a fresh sweep probe: phase-1/1b
-  // probes feed window-edge points through the chase memo, so the sweep's
-  // own first event for such a point can already be the spike
-  // re-measurement. Every size is re-measured at most once either way
-  // (asserted above), which is the invariant that bounds the chase count.
+  // Every sweep chase fires the probe, so a size is measured fresh before
+  // the screening can flag it: each re-measured size is one of those
+  // asserted above to be re-measured at most once, the invariant that
+  // bounds the chase count.
   for (const auto& [size, count] : remeasured) {
-    EXPECT_LE(count, 1u) << "size " << size;
+    EXPECT_EQ(fresh.count(size), 1u) << "size " << size << " never fresh";
   }
   // Re-measurements are the exception, not a full re-sweep.
   EXPECT_LT(total_remeasured, fresh.size());
@@ -272,34 +269,30 @@ TEST(SizeBenchmark, ExactFallbackNotSetOnHealthyDetection) {
   EXPECT_FALSE(result.exact_fallback);
 }
 
-TEST(SizeBenchmark, Phase6BoundsFromSweepStrictlyDropChases) {
-  // The sweep rows bracket the boundary, so seeding the bisection bounds
-  // from them must cut full-pass chases versus the expand-then-bisect path
-  // without moving the result — across vendors and cache scales.
+TEST(SizeBenchmark, Phase6SeedsItsBoundsFromTheSweep) {
+  // The sweep rows bracket the boundary, so the bisection starts from the
+  // nearest measured fitting and missing sizes and needs only a handful of
+  // full-pass chases to reach the exact size — across vendors and cache
+  // scales.
   struct Case {
     const char* model;
     Element element;
+    std::uint32_t exact_chases;
   };
-  for (const Case& c : {Case{"A100", Element::kL1}, Case{"V100", Element::kL1},
-                        Case{"MI210", Element::kVL1}}) {
+  for (const Case& c : {Case{"A100", Element::kL1, 9},
+                        Case{"V100", Element::kL1, 7},
+                        Case{"MI210", Element::kVL1, 6}}) {
     const sim::GpuSpec& spec = sim::registry_get(c.model);
-    auto run = [&](bool seeded) {
-      sim::Gpu gpu(spec, 42);
-      SizeBenchOptions options;
-      options.target = target_for(spec.vendor, c.element);
-      options.lower = 1 * KiB;
-      options.upper = 1024 * KiB;
-      options.stride = spec.at(c.element).sector_bytes;
-      options.phase6_bounds_from_sweep = seeded;
-      return run_size_benchmark(gpu, options);
-    };
-    const auto seeded = run(true);
-    const auto expansion = run(false);
-    ASSERT_TRUE(seeded.found) << c.model;
-    ASSERT_TRUE(expansion.found) << c.model;
-    EXPECT_EQ(seeded.exact_bytes, expansion.exact_bytes) << c.model;
-    EXPECT_EQ(seeded.exact_bytes, spec.at(c.element).size_bytes) << c.model;
-    EXPECT_LT(seeded.exact_chases, expansion.exact_chases) << c.model;
+    sim::Gpu gpu(spec, 42);
+    SizeBenchOptions options;
+    options.target = target_for(spec.vendor, c.element);
+    options.lower = 1 * KiB;
+    options.upper = 1024 * KiB;
+    options.stride = spec.at(c.element).sector_bytes;
+    const auto result = run_size_benchmark(gpu, options);
+    ASSERT_TRUE(result.found) << c.model;
+    EXPECT_EQ(result.exact_bytes, spec.at(c.element).size_bytes) << c.model;
+    EXPECT_EQ(result.exact_chases, c.exact_chases) << c.model;
   }
 }
 

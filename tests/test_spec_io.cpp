@@ -99,6 +99,25 @@ TEST(SpecIo, ParserRejectsUnknownFields) {
   }
 }
 
+TEST(SpecIo, ParserRejectsACuIdBeyondThe32BitRange) {
+  // 4294967305 = 2^32 + 9: cut to 32 bits it would read as CU 9, and the
+  // copy would validate, hash and report like the file that lists 9.
+  std::string text = spec_to_json(registry_get("TestGPU-AMD"));
+  const std::string ids = "[0, 1, 2, 4, 6, 7, 8, 9]";
+  const std::size_t at = text.find(ids);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, ids.size(), "[0, 1, 2, 4, 6, 7, 8, 4294967305]");
+  try {
+    spec_from_json_string(text, "edited");
+    FAIL() << "CU id 4294967305 accepted";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "field 'active_cu_ids' exceeds the 32-bit range"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SpecIo, ParserReportsMissingRequiredFields) {
   try {
     spec_from_json_string(R"({"schema": "mt4g-gpu-spec/v1"})", "minimal");
