@@ -30,13 +30,13 @@ AmountBenchResult run_amount_benchmark(sim::Gpu& gpu,
     return out;
   }
 
+  // Core A is core 0 of SM 0, the config's default placement.
   runtime::PChaseConfig config;
   config.space = options.target.space;
   config.flags = options.target.flags;
   config.array_bytes = array_bytes;
   config.stride_bytes = options.stride;
   config.record_count = options.record_count;
-  config.where = options.where;
   // Both arrays are allocated once and reused by every probe: per-probe
   // allocations would grow the simulated heap, making set mapping (and hence
   // the observed hit/miss pattern) depend on probe order.
@@ -77,7 +77,6 @@ AmountBenchResult run_amount_benchmark(sim::Gpu& gpu,
 L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
                                          std::uint64_t api_total_bytes,
                                          std::uint32_t fetch_granularity,
-                                         sim::Placement where,
                                          runtime::ReplicaPool* chase_pool) {
   if (api_total_bytes == 0) {
     throw std::invalid_argument("l2 segment benchmark: missing API size");
@@ -89,7 +88,6 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
   size_options.upper = api_total_bytes + api_total_bytes / 4;
   size_options.stride = fetch_granularity;
   size_options.chase_pool = chase_pool;
-  size_options.where = where;
   const auto size_result = run_size_benchmark(gpu, size_options);
   out.cycles = size_result.cycles;
   out.widenings = size_result.widenings;

@@ -32,7 +32,6 @@ struct AmountBenchOptions {
   std::uint32_t record_count = 512;
   /// Pool the probe chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
-  sim::Placement where{};         ///< core A (index 0 of the SM)
 };
 
 struct AmountBenchResult {
@@ -60,11 +59,9 @@ struct L2SegmentResult {
 
 /// @param chase_pool pool the inner size benchmark's chases run on (see
 ///        SizeBenchOptions::chase_pool); nullptr = benchmark-local, serial.
-L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
-                                         std::uint64_t api_total_bytes,
-                                         std::uint32_t fetch_granularity,
-                                         sim::Placement where = {},
-                                         runtime::ReplicaPool* chase_pool =
-                                             nullptr);
+L2SegmentResult run_l2_segment_benchmark(
+    sim::Gpu& gpu, std::uint64_t api_total_bytes,
+    std::uint32_t fetch_granularity,
+    runtime::ReplicaPool* chase_pool = nullptr);
 
 }  // namespace mt4g::core

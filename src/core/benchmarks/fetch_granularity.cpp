@@ -6,6 +6,15 @@
 #include "runtime/batch.hpp"
 
 namespace mt4g::core {
+namespace {
+
+/// Give-up bound: the largest stride measured.
+constexpr std::uint32_t kMaxStride = 256;
+/// Each stride's array grows to at least this many loads, so every sample
+/// stays usable.
+constexpr std::uint32_t kMinLoads = 64;
+
+}  // namespace
 
 bool sample_is_mixed(std::span<const std::uint32_t> latencies, double floor,
                      double gap) {
@@ -28,19 +37,18 @@ FgBenchResult run_fg_benchmark(sim::Gpu& gpu, const FgBenchOptions& options) {
   // timed pass at the record budget.
   std::vector<std::uint32_t> strides;
   std::vector<runtime::ChaseSpec> specs;
-  for (std::uint32_t stride = 4; stride <= options.max_stride; stride += 4) {
+  for (std::uint32_t stride = 4; stride <= kMaxStride; stride += 4) {
     runtime::PChaseConfig config;
     config.space = options.target.space;
     config.flags = options.target.flags;
     config.stride_bytes = stride;
     config.array_bytes = std::max<std::uint64_t>(
         options.min_array_bytes,
-        static_cast<std::uint64_t>(stride) * options.min_loads);
+        static_cast<std::uint64_t>(stride) * kMinLoads);
     config.base = gpu.alloc(config.array_bytes, 256);
     config.record_count = options.record_count;
     config.max_timed_steps = options.record_count;
     config.warmup = false;  // granularity only shows on a cold cache
-    config.where = options.where;
     strides.push_back(stride);
     specs.push_back(runtime::ChaseSpec::plain(config));
   }

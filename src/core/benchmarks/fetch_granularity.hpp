@@ -27,15 +27,12 @@ namespace mt4g::core {
 
 struct FgBenchOptions {
   Target target;
-  std::uint32_t max_stride = 256;     ///< give-up bound
   std::uint64_t min_array_bytes = 1024;
-  std::uint32_t min_loads = 64;       ///< array grows to keep samples usable
   /// Latencies stored per stride run (p-chase truncation semantics: runs
   /// shorter than the budget record every load).
   std::uint32_t record_count = 512;
   /// Pool the stride chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
-  sim::Placement where{};
 };
 
 struct FgBenchResult {

@@ -7,6 +7,17 @@
 #include "runtime/batch.hpp"
 
 namespace mt4g::core {
+namespace {
+
+/// Latencies stored per chase.
+constexpr std::uint32_t kRecordCount = 256;
+/// Independent chases pooled into one sample. Small caches cap the array
+/// below kRecordCount loads, where a single noise outlier moves the mean by
+/// several percent; pooling a few independent streams keeps the headline
+/// mean stable across seeds.
+constexpr std::uint32_t kResamples = 4;
+
+}  // namespace
 
 LatencyBenchResult run_latency_benchmark(sim::Gpu& gpu,
                                          const LatencyBenchOptions& options) {
@@ -27,15 +38,14 @@ LatencyBenchResult run_latency_benchmark(sim::Gpu& gpu,
     config.array_bytes = std::min(config.array_bytes, cap);
   }
   config.base = gpu.alloc(config.array_bytes, 256);
-  config.record_count = options.record_count;
+  config.record_count = kRecordCount;
   config.warmup = !options.cold;  // replicas start flushed, so cold = no warmup
-  config.where = options.where;
 
   // Pool a few independent chases (fresh streams via the resample index):
   // the summary spans all recorded latencies in spec order, and the hit
   // fraction pools the served_by counts of every timed pass.
   std::vector<runtime::ChaseSpec> specs;
-  for (std::uint32_t i = 0; i < std::max(options.resamples, 1u); ++i) {
+  for (std::uint32_t i = 0; i < kResamples; ++i) {
     config.resample = i;
     specs.push_back(runtime::ChaseSpec::plain(config));
   }

@@ -1,11 +1,12 @@
 // Load-latency benchmark (paper Sec. IV-C).
 //
-// One p-chase with a fixed array of 256 * fetch_granularity bytes, targeted
-// at a specific memory element. Lower levels are avoided either with bypass
-// bits (.cg / GLC) or, for Const L1.5, by sizing the array beyond the Const
-// L1 capacity so the warm-up evicts it. Device memory is measured cold
-// (flushed caches, no warm-up) so every load falls through. The mean is the
-// headline value; the full Summary (p50/p95/stddev...) is reported alongside.
+// Four independent p-chases (256 latencies recorded each) over a fixed
+// array of 256 * fetch_granularity bytes, targeted at a specific memory
+// element. Lower levels are avoided either with bypass bits (.cg / GLC) or,
+// for Const L1.5, by sizing the array beyond the Const L1 capacity so the
+// warm-up evicts it. Device memory is measured cold (flushed caches, no
+// warm-up) so every load falls through. The mean is the headline value; the
+// full Summary (p50/p95/stddev...) is reported alongside.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +33,11 @@ struct LatencyBenchOptions {
   std::uint64_t cache_bytes = 0;
   /// Cold measurement: flush all caches and skip the warm-up pass.
   bool cold = false;
-  std::uint32_t record_count = 256;
-  /// Independent chases pooled into one sample. Small caches cap the array
-  /// below record_count loads, where a single noise outlier moves the mean
-  /// by several percent; pooling a few independent streams keeps the
-  /// headline mean stable across seeds.
-  std::uint32_t resamples = 4;
   /// Pool the resample chases run on (see SizeBenchOptions::chase_pool).
   /// The chases run through the chase-plan engine either way — each on a
   /// reset replica with a (seed, spec) noise stream — so the measurement is
   /// independent of whatever ran on the Gpu before it.
   runtime::ReplicaPool* chase_pool = nullptr;
-  sim::Placement where{};
 };
 
 struct LatencyBenchResult {

@@ -9,16 +9,20 @@
 #include "runtime/batch.hpp"
 
 namespace mt4g::core {
+namespace {
+
+/// Latencies stored per grid chase; every chase caps its timed pass here.
+constexpr std::uint32_t kRecordCount = 512;
+/// Array sizes in [1.1, 1.9] * cache.
+constexpr std::uint32_t kSizePoints = 9;
+static_assert(kSizePoints >= 5, "the adaptive probe takes points 3 and 4");
+
+}  // namespace
 
 LineSizeBenchResult run_line_size_benchmark(
     sim::Gpu& gpu, const LineSizeBenchOptions& options) {
   if (options.cache_bytes == 0 || options.fetch_granularity == 0) {
     throw std::invalid_argument("line size benchmark: missing inputs");
-  }
-  if (options.size_points < 2) {
-    // The size factors interpolate between 1.1 and 1.9, and the arena is
-    // sized from the largest array: both need at least two points.
-    throw std::invalid_argument("line size benchmark: size_points < 2");
   }
   LineSizeBenchResult out;
   const std::uint32_t fg = options.fetch_granularity;
@@ -28,10 +32,10 @@ LineSizeBenchResult run_line_size_benchmark(
   // Array sizes spanning (cache, 2*cache): where the per-stride apparent
   // capacity C * stride/line determines whether misses appear.
   std::vector<std::uint64_t> array_sizes;
-  for (std::uint32_t k = 0; k < options.size_points; ++k) {
+  for (std::uint32_t k = 0; k < kSizePoints; ++k) {
     const double factor =
         1.1 + 0.8 * static_cast<double>(k) /
-                  static_cast<double>(options.size_points - 1);
+                  static_cast<double>(kSizePoints - 1);
     array_sizes.push_back(round_up(
         static_cast<std::uint64_t>(factor *
                                    static_cast<double>(options.cache_bytes)),
@@ -68,10 +72,9 @@ LineSizeBenchResult run_line_size_benchmark(
         config.stride_bytes = stride;
         config.array_bytes = round_up(array_sizes[k], stride);
         config.base = arena;
-        config.record_count = options.record_count;
-        config.max_timed_steps = options.record_count;
+        config.record_count = kRecordCount;
+        config.max_timed_steps = kRecordCount;
         config.warmup = true;
-        config.where = options.where;
         specs.push_back(runtime::ChaseSpec::plain(config));
       }
     }
@@ -172,7 +175,7 @@ LineSizeBenchResult run_line_size_benchmark(
   // grid's cliff. Any residual split vote (associativity effects straddling
   // the majority line) means two points cannot score the stride: fall back
   // to the exhaustive grid.
-  if (options.adaptive && options.size_points >= 5) {
+  if (options.adaptive) {
     const std::vector<std::size_t> probe_idx = {3, 4};
     const auto measured = measure(probe_idx);
     const auto fractions = miss_fractions(measured, probe_idx.size());

@@ -44,11 +44,8 @@ struct LineSizeBenchOptions {
   Target target;
   std::uint64_t cache_bytes = 0;       ///< from the size benchmark
   std::uint32_t fetch_granularity = 32;
-  std::uint32_t record_count = 512;
-  std::uint32_t size_points = 9;       ///< array sizes in [1.1, 1.9] * cache
   /// Pool the grid chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
-  sim::Placement where{};
   /// Probe only two adjacent mid-window array sizes per stride (1.4x/1.5x
   /// the size-sweep boundary in cache_bytes) instead of the full size grid.
   /// Per stride the two points must vote the same side of the miss-majority

@@ -67,7 +67,6 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
       config_a.array_bytes = array_bytes_for(tracked);
       config_a.stride_bytes = tracked.stride;
       config_a.record_count = 512;
-      config_a.where = options.where;
 
       runtime::PChaseConfig config_b;
       const Target target_b = target_for(vendor, other.element);
@@ -76,7 +75,6 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
       config_b.array_bytes = array_bytes_for(other);
       config_b.stride_bytes = other.stride;
       config_b.record_count = 512;
-      config_b.where = options.where;
 
       config_a.base = gpu.alloc(config_a.array_bytes, 256);
       config_b.base = gpu.alloc(config_b.array_bytes, 256);

@@ -53,7 +53,6 @@ struct SharingBenchOptions {
   std::vector<Entry> entries;
   /// Pool the pair chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
-  sim::Placement where{};
 };
 
 SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,

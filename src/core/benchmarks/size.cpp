@@ -17,6 +17,17 @@
 namespace mt4g::core {
 namespace {
 
+/// Cap on sizes per coarse sweep (the initial grid; widenings add edge
+/// points).
+constexpr std::uint32_t kMaxSweepPoints = 48;
+/// Cap for the phase-5 refinement sweep. The refinement only has to pull the
+/// K-S estimate close enough that the phase-6 bisection starts near the
+/// boundary — the bisection delivers the exact edge — so it needs far fewer
+/// points than the coarse sweep (whose density feeds the K-S power).
+constexpr std::uint32_t kRefineSweepPoints = 16;
+/// Outlier-triggered re-measurements per sweep.
+constexpr std::uint32_t kMaxWidenings = 3;
+
 /// Phases 1 and 1b as one serial predicate chain over record-only probes:
 /// the base probe at `lower` (its verdict is ignored: it only yields the
 /// jump threshold), exponential doubling until the median latency jumps,
@@ -226,7 +237,6 @@ struct Runner {
     config.stride_bytes = options.stride;
     config.record_count = options.record_count;
     config.warmup = true;
-    config.where = options.where;
     config.max_timed_steps = full_pass ? 0 : options.record_count;
     config.resample = resample;
     return config;
@@ -318,7 +328,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
   // binary-search narrowing to bound the sweep cost. ------------------------
   IntervalSearch interval{
       lower, upper, options.stride,
-      static_cast<std::uint64_t>(options.stride) * options.max_sweep_points};
+      static_cast<std::uint64_t>(options.stride) * kMaxSweepPoints};
   std::optional<double> jump_threshold;  // set by the base probe
   runner.walk(interval, /*full_pass=*/false, [&](std::uint64_t size) {
     const double latency = runner.median_latency(size);
@@ -357,8 +367,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
           SizeBenchResult& result) -> std::optional<stats::ChangePoint> {
     const std::uint64_t step = std::max<std::uint64_t>(
         options.stride,
-        round_up((sweep_hi - sweep_lo) / std::max<std::uint32_t>(max_points, 1),
-                 options.stride));
+        round_up((sweep_hi - sweep_lo) / max_points, options.stride));
     std::map<std::uint64_t, std::vector<std::uint32_t>> rows;
     std::set<std::uint64_t> respike;    // erased as spiked, awaiting fresh data
     for (std::uint32_t attempt = 0;; ++attempt) {
@@ -394,7 +403,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
       for (const std::uint64_t size : sizes) ordered.push_back(rows.at(size));
       const std::vector<double> reduced = stats::geometric_reduction(ordered);
       const auto screen = stats::screen_outliers(reduced);
-      if (!screen.clean() && attempt < options.max_widenings) {
+      if (!screen.clean() && attempt < kMaxWidenings) {
         bool changed = false;
         for (const std::size_t idx : screen.spike_indices) {
           // One fresh measurement per point: a point that stays spiky on its
@@ -433,7 +442,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
     }
   };
 
-  auto change_point = sweep_and_detect(lo, hi, options.max_sweep_points, out);
+  auto change_point = sweep_and_detect(lo, hi, kMaxSweepPoints, out);
   if (!change_point || change_point->index == 0) {
     out.cycles = runner.cycles;
     out.exact_chases = runner.exact_chases;
@@ -456,7 +465,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
         std::min(upper, out.detected_bytes + 2 * coarse_step);
     SizeBenchResult refine;
     const auto refined = sweep_and_detect(window_lo, window_hi,
-                                          options.refine_sweep_points, refine);
+                                          kRefineSweepPoints, refine);
     out.widenings += refine.widenings;
     if (refined && refined->index > 0) {
       out.detected_bytes = refine.sweep_sizes[refined->index - 1];

@@ -4,8 +4,8 @@
 //   (1) identify a narrow search interval: exponential doubling from the
 //       lower bound until the latency jumps, then binary-search narrowing;
 //   (2) p-chase sweep across the interval, stepping by the fetch granularity
-//       (coarsened only when the interval would need more sweep points than
-//       max_sweep_points);
+//       (coarsened only when the interval would need more than 48 sweep
+//       points);
 //   (3) outlier screening on the reduced series; widen the interval and
 //       re-measure when a level shift touches the interval edge;
 //   (4) Eq.-2 reduction + K-S change-point detection with a confidence value.
@@ -69,14 +69,6 @@ struct SizeBenchOptions {
   std::uint64_t upper = 1024 * 1024;     ///< initial search space upper bound
   std::uint32_t stride = 32;             ///< fetch granularity of the element
   std::uint32_t record_count = 512;      ///< latencies stored per p-chase run
-  std::uint32_t max_sweep_points = 48;   ///< cap on sizes per sweep (initial
-                                         ///< grid; widenings add edge points)
-  /// Cap for the phase-5 refinement sweep. The refinement only has to pull
-  /// the K-S estimate close enough that the phase-6 bisection starts near
-  /// the boundary — the bisection delivers the exact edge — so it needs far
-  /// fewer points than the coarse sweep (whose density feeds the K-S power).
-  std::uint32_t refine_sweep_points = 16;
-  std::uint32_t max_widenings = 3;       ///< outlier-triggered re-measurements
   /// Pool every chase runs on: its replicas, its chase count, and how its
   /// batches run (ReplicaPool::threads and ::executor, which also bound the
   /// chains' run-ahead). The stage runner passes one per stage, so the
@@ -87,7 +79,6 @@ struct SizeBenchOptions {
   /// in ascending size order within each attempt. @p remeasured is true when
   /// the point was re-chased because the screening flagged it as a spike.
   std::function<void(std::uint64_t size, bool remeasured)> sweep_probe;
-  sim::Placement where{};
 };
 
 struct SizeBenchResult {

@@ -72,7 +72,7 @@ struct GraphRun {
     // never touches it and its process stays single-threaded.
     record.pool.threads = options.sweep_threads;
     record.pool.executor = options.bench_executor;
-    StageContext ctx{substrate, options, state, record.pool};
+    StageContext ctx{substrate, options, state, record.pool, {}, {}, {}};
     graph.stages[i].run(ctx);
     record.booking = ctx.booking;
     record.series = std::move(ctx.series);

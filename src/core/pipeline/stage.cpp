@@ -7,20 +7,6 @@
 
 namespace mt4g::core::pipeline {
 
-std::string stage_kind_name(StageKind kind) {
-  switch (kind) {
-    case StageKind::kFetchGranularity: return "fetch_granularity";
-    case StageKind::kSize: return "size";
-    case StageKind::kLatency: return "latency";
-    case StageKind::kLineSize: return "line_size";
-    case StageKind::kAmount: return "amount";
-    case StageKind::kSharing: return "sharing";
-    case StageKind::kBandwidth: return "bandwidth";
-    case StageKind::kCompute: return "compute";
-  }
-  return "?";
-}
-
 std::size_t StageGraph::index_of(const std::string& name) const {
   for (std::size_t i = 0; i < stages.size(); ++i) {
     if (stages[i].name == name) return i;
@@ -124,15 +110,10 @@ GraphAnalysis analyze(const StageGraph& graph) {
 
 void validate(const StageGraph& graph) { analyze(graph); }
 
-std::vector<std::size_t> topological_order(const StageGraph& graph) {
-  return kahn_order(graph, dep_indices(graph));
-}
+namespace {
 
-std::vector<std::vector<std::size_t>> dependency_indices(
-    const StageGraph& graph) {
-  return dep_indices(graph);
-}
-
+/// Transitive dependency closure per stage, as index lists sorted by
+/// declaration index. Validates like validate().
 std::vector<std::vector<std::size_t>> ancestor_sets(const StageGraph& graph) {
   const GraphAnalysis analysis = analyze(graph);
   std::vector<std::set<std::size_t>> closure(graph.stages.size());
@@ -148,6 +129,8 @@ std::vector<std::vector<std::size_t>> ancestor_sets(const StageGraph& graph) {
   }
   return ancestors;
 }
+
+}  // namespace
 
 void prune(StageGraph& graph, const std::vector<sim::Element>& only) {
   if (only.empty()) return;

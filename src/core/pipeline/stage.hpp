@@ -46,8 +46,6 @@ enum class StageKind : std::uint8_t {
   kCompute,           ///< per-dtype FLOPS suite (Sec. VII extension)
 };
 
-std::string stage_kind_name(StageKind kind);
-
 /// One benchmark invocation of the discovery suite, as pure data plus a run
 /// function. Stages form a DAG via `deps` (names of other stages).
 struct Stage {
@@ -89,19 +87,15 @@ struct StageGraph {
 /// cycles.
 void validate(const StageGraph& graph);
 
-/// Everything the graph executor needs, derived in one pass (the individual
-/// helpers below each re-walk the graph; run_graph uses this instead).
-/// Construction validates like validate().
+/// Everything the graph executor needs, derived in one pass. Construction
+/// validates like validate().
 struct GraphAnalysis {
   std::vector<std::vector<std::size_t>> deps;  ///< direct dependency indices
-  std::vector<std::size_t> order;              ///< deterministic topo order
+  /// Deterministic topological execution order: Kahn's algorithm, always
+  /// releasing the ready stage with the smallest declaration index first.
+  std::vector<std::size_t> order;
 };
 GraphAnalysis analyze(const StageGraph& graph);
-
-/// Deterministic topological execution order: Kahn's algorithm, always
-/// releasing the ready stage with the smallest declaration index first.
-/// Requires validate() to have passed (throws on cycles like validate).
-std::vector<std::size_t> topological_order(const StageGraph& graph);
 
 /// Prunes the graph to the stages of the selected elements plus their
 /// transitive dependencies (the generalised --only restriction, paper
@@ -109,14 +103,5 @@ std::vector<std::size_t> topological_order(const StageGraph& graph);
 /// separately by the runner — dependency stages of unselected elements
 /// still execute but do not surface a row. Empty set = no-op.
 void prune(StageGraph& graph, const std::vector<sim::Element>& only);
-
-/// Direct dependency indices per stage (same order as Stage::deps); throws
-/// like validate() on unknown or self dependencies.
-std::vector<std::vector<std::size_t>> dependency_indices(
-    const StageGraph& graph);
-
-/// Transitive dependency closure per stage, as index lists sorted by
-/// declaration index. Validates like validate().
-std::vector<std::vector<std::size_t>> ancestor_sets(const StageGraph& graph);
 
 }  // namespace mt4g::core::pipeline

@@ -168,7 +168,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
       {"L2.segment", Element::kL2, StageKind::kSize, {"L2.fg"}, false,
        [api_total](StageContext& ctx) {
          const auto segment = run_l2_segment_benchmark(
-             ctx.gpu, api_total, ctx.state.of(Element::kL2).fg, {},
+             ctx.gpu, api_total, ctx.state.of(Element::kL2).fg,
              &ctx.chase_pool);
          ctx.book(segment.cycles);
          ctx.booking.sweep_widenings += segment.widenings;

@@ -77,11 +77,16 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec) {
   SeedFolder folder(gpu_seed);
   folder.fold(static_cast<std::uint64_t>(spec.kind));
   folder.fold_config(spec.config);
-  if (spec.kind == ChaseKind::kSharing) {
-    folder.fold_config(spec.config_b);
+  // Of array B, fold only what the kind's factory takes: the rest is a copy
+  // of the timed config, already folded.
+  if (spec.kind == ChaseKind::kAmount) {
+    folder.fold(spec.config_b.where.core);
+    folder.fold(spec.config_b.base);
+  } else if (spec.kind == ChaseKind::kDualCu) {
+    folder.fold(spec.config_b.where.sm);
+    folder.fold(spec.config_b.base);
   } else {
-    folder.fold(spec.partner);
-    folder.fold(spec.base_b);
+    folder.fold_config(spec.config_b);
   }
   return folder.finish();
 }
@@ -202,17 +207,8 @@ void run_units(sim::Gpu& gpu, ReplicaPool& pool, Plan& plan,
 }  // namespace
 
 PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
-  switch (spec.kind) {
-    case ChaseKind::kPlain:
-      return run_pchase(gpu, spec.config);
-    case ChaseKind::kAmount:
-      return run_amount_pchase(gpu, spec.config, spec.partner, spec.base_b);
-    case ChaseKind::kSharing:
-      return run_sharing_pchase(gpu, spec.config, spec.config_b);
-    case ChaseKind::kDualCu:
-      return run_dual_cu_pchase(gpu, spec.config, spec.partner, spec.base_b);
-  }
-  return {};
+  if (spec.kind == ChaseKind::kPlain) return run_pchase(gpu, spec.config);
+  return run_two_array_pchase(gpu, spec.config, spec.config_b);
 }
 
 std::uint32_t batch_participants(const ReplicaPool& pool) {

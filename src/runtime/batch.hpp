@@ -1,9 +1,11 @@
-// The chase-plan engine: batched execution of any p-chase shape.
+// The chase-plan engine: batched execution of any p-chase kind.
 //
-// A ChaseSpec describes one measurement of any of the four chase shapes the
+// A ChaseSpec describes one measurement of any of the four chase kinds the
 // tool uses — plain (size/line-size/latency style), amount (A/B/A on two
 // cores), sharing (two logical spaces), dual-CU (AMD sL1d) — as pure data.
-// run_chase_batch() runs a list of independent specs and returns one
+// The three two-array kinds run one kernel, run_two_array_pchase(); their
+// kind only says how array B differs from array A, and names the noise
+// stream. run_chase_batch() runs a list of independent specs and returns one
 // PChaseResult per spec, in spec order. Each chase runs cold and on its own,
 // as MT4G runs each p-chase as a kernel of its own (paper Sec. IV-A/B): on a
 // Gpu replica (Gpu::fork) whose caches the previous chase left flushed and
@@ -54,7 +56,7 @@
 
 namespace mt4g::runtime {
 
-/// The four chase shapes of the benchmark suite (paper IV-A/F/G/H).
+/// The four chase kinds of the benchmark suite (paper IV-A/F/G/H).
 enum class ChaseKind : std::uint8_t {
   kPlain,    ///< warm-up + timed pass over one array
   kAmount,   ///< core A warms, core B warms a second array, core A timed
@@ -62,31 +64,37 @@ enum class ChaseKind : std::uint8_t {
   kDualCu,   ///< CU A warms, CU B warms a second array, CU A timed
 };
 
-/// One chase of any shape, as pure data. Equality spans every
+/// One chase of any kind, as pure data. Equality spans every
 /// result-relevant field, which is what a run-ahead commit matches on.
 struct ChaseSpec {
   ChaseKind kind = ChaseKind::kPlain;
   PChaseConfig config{};    ///< the timed chase (and its own warm-up)
-  PChaseConfig config_b{};  ///< kSharing only: the second warm-up chase
-  std::uint32_t partner = 0;  ///< kAmount: core B; kDualCu: CU B
-  std::uint64_t base_b = 0;   ///< kAmount/kDualCu: second array base
+  PChaseConfig config_b{};  ///< two-array kinds: array B's warm-up chase
 
   bool operator==(const ChaseSpec&) const = default;
 
   static ChaseSpec plain(const PChaseConfig& config) {
-    return ChaseSpec{ChaseKind::kPlain, config, {}, 0, 0};
+    return ChaseSpec{ChaseKind::kPlain, config, {}};
   }
+  /// Array B: @p config's chase at @p base_b, run by core @p core_b.
   static ChaseSpec amount(const PChaseConfig& config, std::uint32_t core_b,
                           std::uint64_t base_b) {
-    return ChaseSpec{ChaseKind::kAmount, config, {}, core_b, base_b};
+    PChaseConfig config_b = config;
+    config_b.base = base_b;
+    config_b.where.core = core_b;
+    return ChaseSpec{ChaseKind::kAmount, config, config_b};
   }
   static ChaseSpec sharing(const PChaseConfig& config_a,
                            const PChaseConfig& config_b) {
-    return ChaseSpec{ChaseKind::kSharing, config_a, config_b, 0, 0};
+    return ChaseSpec{ChaseKind::kSharing, config_a, config_b};
   }
+  /// Array B: @p config's chase at @p base_b, run on CU @p cu_b.
   static ChaseSpec dual_cu(const PChaseConfig& config, std::uint32_t cu_b,
                            std::uint64_t base_b) {
-    return ChaseSpec{ChaseKind::kDualCu, config, {}, cu_b, base_b};
+    PChaseConfig config_b = config;
+    config_b.base = base_b;
+    config_b.where.sm = cu_b;
+    return ChaseSpec{ChaseKind::kDualCu, config, config_b};
   }
 };
 
@@ -154,7 +162,10 @@ struct ReplicaPool {
 /// the same (seed, spec) always maps to the same stream. Exception:
 /// PChaseConfig::max_timed_steps is deliberately not folded — capping the
 /// timed pass does not change which loads the recorded prefix executes, so
-/// capped and uncapped variants of one config agree on their prefix.
+/// capped and uncapped variants of one config agree on their prefix. Of
+/// array B, an amount spec folds B's core and base, a dual-CU spec B's CU
+/// and base, and a sharing spec all of B's config: the fields each kind's
+/// factory takes.
 std::uint64_t chase_noise_seed(std::uint64_t gpu_seed,
                                const PChaseConfig& config);
 std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);

@@ -36,13 +36,12 @@ void book_loads(const char* name, const char* stepped_name,
 /// was produced (the closed-form walk in Gpu::run_warm_pass depends on
 /// this). The loads are booked in `sim.warm_loads`, and those executed one
 /// by one rather than in closed form in `sim.warm_loads_stepped`.
-std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
-                          const sim::Placement& where) {
+std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config) {
   const std::uint64_t steps = config.array_bytes / config.stride_bytes;
   if (t_engine == PChaseEngine::kReference) {
     std::uint64_t cycles = 0;
     for (std::uint64_t i = 0; i < steps; ++i) {
-      cycles += gpu.warm_access(where, config.space,
+      cycles += gpu.warm_access(config.where, config.space,
                                 config.base + i * config.stride_bytes,
                                 config.flags);
     }
@@ -50,7 +49,7 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
     return cycles;
   }
   const sim::AccessPath path =
-      gpu.compile_path(where, config.space, config.flags);
+      gpu.compile_path(config.where, config.space, config.flags);
   const std::uint64_t stepped_before = gpu.warm_loads_stepped();
   const std::uint64_t cycles =
       gpu.run_warm_pass(path, config.base, config.stride_bytes, steps);
@@ -135,60 +134,27 @@ PChaseEngine pchase_engine() { return t_engine; }
 
 void set_pchase_engine(PChaseEngine engine) { t_engine = engine; }
 
-std::uint64_t pchase_steps(const PChaseConfig& config) {
-  return config.array_bytes / config.stride_bytes;
-}
-
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config) {
   validate(config);
   PChaseResult result;
   if (config.warmup) {
-    result.warm_cycles = warmup_pass(gpu, config, config.where);
+    result.warm_cycles = warmup_pass(gpu, config);
     result.total_cycles += result.warm_cycles;
   }
   timed_pass(gpu, config, result);
   return result;
 }
 
-PChaseResult run_amount_pchase(sim::Gpu& gpu, const PChaseConfig& config,
-                               std::uint32_t core_b, std::uint64_t base_b) {
-  validate(config);
-  PChaseResult result;
-  // (1) Core A warm-up: fills core A's segment with array A.
-  result.warm_cycles += warmup_pass(gpu, config, config.where);
-  // (2) Core B warm-up of a second array: evicts array A iff both cores map
-  //     to the same physical segment.
-  PChaseConfig config_b = config;
-  config_b.base = base_b;
-  config_b.where.core = core_b;
-  result.warm_cycles += warmup_pass(gpu, config_b, config_b.where);
-  result.total_cycles += result.warm_cycles;
-  // (3) Core A timed run: hits iff core B used a different segment.
-  timed_pass(gpu, config, result);
-  return result;
-}
-
-PChaseResult run_sharing_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
-                                const PChaseConfig& config_b) {
+PChaseResult run_two_array_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
+                                  const PChaseConfig& config_b) {
   validate(config_a);
   validate(config_b);
   PChaseResult result;
-  result.warm_cycles += warmup_pass(gpu, config_a, config_a.where);
-  result.warm_cycles += warmup_pass(gpu, config_b, config_b.where);
-  result.total_cycles += result.warm_cycles;
-  timed_pass(gpu, config_a, result);
-  return result;
-}
-
-PChaseResult run_dual_cu_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
-                                std::uint32_t cu_b, std::uint64_t base_b) {
-  validate(config_a);
-  PChaseResult result;
-  result.warm_cycles += warmup_pass(gpu, config_a, config_a.where);
-  PChaseConfig config_second = config_a;
-  config_second.base = base_b;
-  config_second.where.sm = cu_b;
-  result.warm_cycles += warmup_pass(gpu, config_second, config_second.where);
+  // (1) Array A fills the caches on A's path. (2) Array B's warm-up evicts
+  //     it iff B's path shares one of those physical caches. (3) A's timed
+  //     run tells which.
+  result.warm_cycles += warmup_pass(gpu, config_a);
+  result.warm_cycles += warmup_pass(gpu, config_b);
   result.total_cycles += result.warm_cycles;
   timed_pass(gpu, config_a, result);
   return result;

@@ -1,11 +1,12 @@
 // Kernel-style launches over the simulated GPU.
 //
 // Each function here corresponds to one GPU kernel of the real tool:
-// fine-grained p-chase (paper IV-A, Listings 1-2), the two-core variant for
-// the Amount benchmarks (IV-F), the two-space variant for Physical Sharing
-// (IV-G), the two-CU variant for AMD sL1d sharing (IV-H), and the stream
-// kernel for bandwidth (IV-I). Setup, configuration and evaluation run on the
-// host; only the loads execute "on the GPU" (the simulator).
+// fine-grained p-chase (paper IV-A, Listings 1-2), the two-array p-chase
+// that the Amount (IV-F), Physical Sharing (IV-G) and AMD sL1d CU-sharing
+// (IV-H) benchmarks share (array B warmed from another core, logical space
+// or CU), the scratchpad chase, and the stream kernel for bandwidth (IV-I).
+// Setup, configuration and evaluation run on the host; only the loads
+// execute "on the GPU" (the simulator).
 #pragma once
 
 #include <cstdint>
@@ -109,21 +110,16 @@ struct PChaseResult {
 /// hardware finds nothing of it in the caches it measures.
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config);
 
-/// Amount-benchmark kernel (paper IV-F, Fig. 3): core A warms its array,
-/// core B warms a second array at @p base_b (landing in core B's segment, if
-/// the SM has more than one), then core A re-runs its array timed.
-PChaseResult run_amount_pchase(sim::Gpu& gpu, const PChaseConfig& config,
-                               std::uint32_t core_b, std::uint64_t base_b);
-
-/// Physical-sharing kernel (paper IV-G): warm array A in space A, warm array
-/// B in space B, then run timed on array A. Same core throughout.
-PChaseResult run_sharing_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
-                                const PChaseConfig& config_b);
-
-/// AMD sL1d sharing kernel (paper IV-H): two blocks pinned to two CUs; CU A
-/// warms its scalar array, CU B warms a second array, CU A re-runs timed.
-PChaseResult run_dual_cu_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
-                                std::uint32_t cu_b, std::uint64_t base_b);
+/// Two-array p-chase (paper IV-F Fig. 3, IV-G, IV-H): warms array A as
+/// @p config_a says, then array B as @p config_b says, then re-runs array A
+/// timed as @p config_a says. B differs from A in where or how it is read:
+/// another core of the SM (Amount: B lands in core B's segment, if the SM
+/// has more than one), another logical space on the same core (Physical
+/// Sharing), or another CU (AMD sL1d sharing). A still hits iff B's warm-up
+/// went to another physical cache. Both warm-ups run whatever the configs'
+/// `warmup` flags say.
+PChaseResult run_two_array_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
+                                  const PChaseConfig& config_b);
 
 /// Scratchpad (Shared Memory / LDS) latency kernel: @p count loads, with the
 /// same record semantics as the p-chase timed pass — only the first
@@ -133,8 +129,5 @@ PChaseResult run_scratchpad_chase(sim::Gpu& gpu, std::uint32_t count,
 
 /// Stream bandwidth kernel (paper IV-I): returns achieved bytes/second.
 double run_stream(sim::Gpu& gpu, const sim::StreamConfig& config);
-
-/// Total loads a timed pass of @p config will execute.
-std::uint64_t pchase_steps(const PChaseConfig& config);
 
 }  // namespace mt4g::runtime

@@ -15,7 +15,7 @@
 #include "core/mt4g.hpp"
 #include "core/output/json_output.hpp"
 #include "fleet/fleet.hpp"
-#include "runtime/kernels.hpp"
+#include "runtime/batch.hpp"
 #include "sim/registry.hpp"
 
 // --- Counting allocator hooks ------------------------------------------------
@@ -181,16 +181,16 @@ TEST(AccessPathEquivalence, KernelLevelResultsMatch) {
       ASSERT_EQ(compiled_gpu.compile_path({0, 0}, sim::Space::kScalar).depth,
                 2u);
 
+      const runtime::ChaseSpec spec =
+          runtime::ChaseSpec::dual_cu(config, partner, base_b);
       runtime::PChaseResult compiled, reference;
       {
         runtime::ScopedPChaseEngine scope(runtime::PChaseEngine::kCompiled);
-        compiled = runtime::run_dual_cu_pchase(compiled_gpu, config, partner,
-                                               base_b);
+        compiled = runtime::run_chase(compiled_gpu, spec);
       }
       {
         runtime::ScopedPChaseEngine scope(runtime::PChaseEngine::kReference);
-        reference = runtime::run_dual_cu_pchase(reference_gpu, config,
-                                                partner, base_b);
+        reference = runtime::run_chase(reference_gpu, spec);
       }
       const std::string where = "partner CU " + std::to_string(partner) +
                                 ", " + std::to_string(array_bytes) + " B";

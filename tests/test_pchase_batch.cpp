@@ -76,11 +76,6 @@ std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
   return results;
 }
 
-std::vector<PChaseResult> cold_reference(
-    sim::Gpu& gpu, std::span<const PChaseConfig> configs) {
-  return cold_reference(gpu, plain_specs(configs));
-}
-
 TEST(PChaseBatch, ByteIdenticalAcrossThreadCounts) {
   exec::Executor pool(3);  // real pool threads even on a single-core host
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
@@ -101,9 +96,9 @@ TEST(PChaseBatch, ResultIndependentOfBatchCompositionAndHistory) {
   const auto specs = plain_specs(sweep_configs(gpu, 8));
   const auto cold = cold_reference(gpu, specs);
 
-  // Chase 3 as a warm-chain member of the full batch, alone, and on a pool
-  // an earlier batch used: the same measurement and the same cycles, those
-  // of a cold run of its spec.
+  // Chase 3 as one of the full batch, alone, and on a pool an earlier batch
+  // used: the same measurement and the same cycles, those of a cold run of
+  // its spec.
   const auto full = run_chase_batch(gpu, specs);
   EXPECT_TRUE(equal_results(full, cold));
   const auto alone = run_chase_batch(gpu, std::span(specs).subspan(3, 1));
@@ -143,6 +138,33 @@ TEST(PChaseBatch, ChaseSeedSeparatesConfigsButIsStable) {
   EXPECT_EQ(chase_noise_seed(42, configs[0]), chase_noise_seed(42, configs[0]));
   EXPECT_NE(chase_noise_seed(42, configs[0]), chase_noise_seed(42, configs[1]));
   EXPECT_NE(chase_noise_seed(42, configs[0]), chase_noise_seed(43, configs[0]));
+}
+
+TEST(PChaseBatch, ChaseSeedsArePinnedPerKind) {
+  // Every report's noise derives from these streams, so a change to how a
+  // spec is stored or folded that moves one fails here, not only in a
+  // report comparison. Of array B, the amount spec folds B's core then its
+  // base, the dual-CU spec B's CU then its base, the sharing spec B's whole
+  // config.
+  PChaseConfig config;
+  config.base = 0x10000;
+  config.array_bytes = 4 * KiB;
+  config.stride_bytes = 32;
+  config.record_count = 128;
+  config.where = sim::Placement{3, 1};
+  PChaseConfig config_b = config;
+  config_b.space = sim::Space::kTexture;
+  config_b.base = 0x20000;
+  config_b.array_bytes = 2 * KiB;
+  config_b.stride_bytes = 64;
+  EXPECT_EQ(chase_noise_seed(42, ChaseSpec::plain(config)),
+            0x54EC296C81EAAE95ULL);
+  EXPECT_EQ(chase_noise_seed(42, ChaseSpec::amount(config, 2, 0x20000)),
+            0xE75FC523C6B12C04ULL);
+  EXPECT_EQ(chase_noise_seed(42, ChaseSpec::sharing(config, config_b)),
+            0xCD498EA888B702DBULL);
+  EXPECT_EQ(chase_noise_seed(42, ChaseSpec::dual_cu(config, 5, 0x20000)),
+            0xBEE578126C72778CULL);
 }
 
 TEST(PChaseBatch, ForkCarriesSpecMutationsAndAllocator) {

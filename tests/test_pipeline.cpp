@@ -41,7 +41,7 @@ TEST(StageGraphValidation, AcceptsValidGraph) {
   graph.add(make_stage("b", Element::kL1, {"a"}));
   graph.add(make_stage("c", Element::kL1, {"a", "b"}));
   EXPECT_NO_THROW(validate(graph));
-  EXPECT_EQ(topological_order(graph), (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(analyze(graph).order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(StageGraphValidation, RejectsDuplicateNames) {
@@ -107,7 +107,7 @@ TEST(StageGraphValidation, TopologicalOrderHandlesForwardDeclarations) {
   StageGraph graph;
   graph.add(make_stage("late", Element::kL1, {"early"}));
   graph.add(make_stage("early", Element::kL1, {}));
-  EXPECT_EQ(topological_order(graph), (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(analyze(graph).order, (std::vector<std::size_t>{1, 0}));
 }
 
 // --- Pruning. ----------------------------------------------------------------

@@ -111,6 +111,15 @@ TEST(Kernels, PchaseValidation) {
   EXPECT_THROW(run_pchase(gpu, config), std::invalid_argument);
 }
 
+/// Array B of a two-array chase: @p config's chase at @p base, placed at
+/// @p where.
+PChaseConfig second_array(PChaseConfig config, std::uint64_t base,
+                          sim::Placement where) {
+  config.base = base;
+  config.where = where;
+  return config;
+}
+
 TEST(Kernels, AmountKernelSameSegmentEvicts) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   PChaseConfig config;
@@ -119,7 +128,8 @@ TEST(Kernels, AmountKernelSameSegmentEvicts) {
   config.base = gpu.alloc(config.array_bytes);
   const auto base_b = gpu.alloc(config.array_bytes);
   // Core 1 shares core 0's segment: the timed pass must thrash.
-  const auto result = run_amount_pchase(gpu, config, 1, base_b);
+  const auto result = run_two_array_pchase(
+      gpu, config, second_array(config, base_b, {0, 1}));
   EXPECT_EQ(result.served_by.count(Element::kL1), 0u);
 }
 
@@ -131,7 +141,8 @@ TEST(Kernels, AmountKernelOtherSegmentKeepsHits) {
   config.base = gpu.alloc(config.array_bytes);
   const auto base_b = gpu.alloc(config.array_bytes);
   // Core 8 sits in the second L1 segment: core 0's array survives.
-  const auto result = run_amount_pchase(gpu, config, 8, base_b);
+  const auto result = run_two_array_pchase(
+      gpu, config, second_array(config, base_b, {0, 8}));
   EXPECT_EQ(result.served_by.at(Element::kL1), result.timed_loads);
 }
 
@@ -151,13 +162,15 @@ TEST(Kernels, DualCuKernelDetectsSharedSl1d) {
   config.base = gpu.alloc(config.array_bytes);
   const auto base_b = gpu.alloc(config.array_bytes);
   // Logical CUs 0 and 1 share one sL1d: eviction.
-  const auto shared = run_dual_cu_pchase(gpu, config, 1, base_b);
+  const auto shared = run_two_array_pchase(
+      gpu, config, second_array(config, base_b, {1, 0}));
   EXPECT_EQ(shared.served_by.count(Element::kSL1D), 0u);
   // Logical CU 2 (physical 2, exclusive): no interference.
   gpu.flush_caches();
   config.base = gpu.alloc(config.array_bytes);
-  const auto isolated =
-      run_dual_cu_pchase(gpu, config, 2, gpu.alloc(config.array_bytes));
+  const auto isolated = run_two_array_pchase(
+      gpu, config,
+      second_array(config, gpu.alloc(config.array_bytes), {2, 0}));
   EXPECT_EQ(isolated.served_by.at(Element::kSL1D), isolated.timed_loads);
 }
 

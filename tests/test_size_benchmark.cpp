@@ -156,7 +156,7 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
     pool.executor = threads > 1 ? &executor : nullptr;
     return run_l2_segment_benchmark(
         gpu, runtime::get_device_prop(gpu).l2_cache_size,
-        spec.at(Element::kL2).sector_bytes, {}, &pool);
+        spec.at(Element::kL2).sector_bytes, &pool);
   };
   runtime::ReplicaPool serial_pool;
   const L2SegmentResult serial = run(1, serial_pool);

@@ -65,7 +65,7 @@ TEST(SpecIo, ExactDoublesSurviveTheRoundTrip) {
 TEST(SpecIo, DiscoveryOnReparsedSpecIsByteIdentical) {
   // One NVIDIA and one AMD synthetic model: full discovery through the
   // simulator on the file-format spec must reproduce the report exactly.
-  for (const std::string& name : {"TestGPU-NV", "TestGPU-AMD"}) {
+  for (const char* name : {"TestGPU-NV", "TestGPU-AMD"}) {
     const GpuSpec& original = registry_get(name);
     const GpuSpec reparsed =
         spec_from_json_string(spec_to_json(original), name);
