@@ -8,6 +8,12 @@
 #include "runtime/batch.hpp"
 
 namespace mt4g::core {
+namespace {
+
+/// Latencies stored per p-chase run.
+constexpr std::uint32_t kRecordCount = 512;
+
+}  // namespace
 
 AmountBenchResult run_amount_benchmark(sim::Gpu& gpu,
                                        const AmountBenchOptions& options) {
@@ -36,7 +42,7 @@ AmountBenchResult run_amount_benchmark(sim::Gpu& gpu,
   config.flags = options.target.flags;
   config.array_bytes = array_bytes;
   config.stride_bytes = options.stride;
-  config.record_count = options.record_count;
+  config.record_count = kRecordCount;
   // Both arrays are allocated once and reused by every probe: per-probe
   // allocations would grow the simulated heap, making set mapping (and hence
   // the observed hit/miss pattern) depend on probe order.

@@ -27,9 +27,6 @@ struct AmountBenchOptions {
   Target target;
   std::uint64_t cache_bytes = 0;  ///< from the size benchmark
   std::uint32_t stride = 32;      ///< fetch granularity
-  /// Latencies stored per p-chase run; collectors pass their global record
-  /// budget through so the chase cost is tunable like the other benchmarks.
-  std::uint32_t record_count = 512;
   /// Pool the probe chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
 };

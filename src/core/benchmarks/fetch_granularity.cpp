@@ -13,6 +13,9 @@ constexpr std::uint32_t kMaxStride = 256;
 /// Each stride's array grows to at least this many loads, so every sample
 /// stays usable.
 constexpr std::uint32_t kMinLoads = 64;
+/// Latencies stored per stride run (p-chase truncation semantics: runs
+/// shorter than the budget record every load).
+constexpr std::uint32_t kRecordCount = 512;
 
 }  // namespace
 
@@ -46,8 +49,8 @@ FgBenchResult run_fg_benchmark(sim::Gpu& gpu, const FgBenchOptions& options) {
         options.min_array_bytes,
         static_cast<std::uint64_t>(stride) * kMinLoads);
     config.base = gpu.alloc(config.array_bytes, 256);
-    config.record_count = options.record_count;
-    config.max_timed_steps = options.record_count;
+    config.record_count = kRecordCount;
+    config.max_timed_steps = kRecordCount;
     config.warmup = false;  // granularity only shows on a cold cache
     strides.push_back(stride);
     specs.push_back(runtime::ChaseSpec::plain(config));

@@ -28,9 +28,6 @@ namespace mt4g::core {
 struct FgBenchOptions {
   Target target;
   std::uint64_t min_array_bytes = 1024;
-  /// Latencies stored per stride run (p-chase truncation semantics: runs
-  /// shorter than the budget record every load).
-  std::uint32_t record_count = 512;
   /// Pool the stride chases run on (see SizeBenchOptions::chase_pool).
   runtime::ReplicaPool* chase_pool = nullptr;
 };

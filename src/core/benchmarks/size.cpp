@@ -27,6 +27,8 @@ constexpr std::uint32_t kMaxSweepPoints = 48;
 constexpr std::uint32_t kRefineSweepPoints = 16;
 /// Outlier-triggered re-measurements per sweep.
 constexpr std::uint32_t kMaxWidenings = 3;
+/// Latencies stored per p-chase run.
+constexpr std::uint32_t kRecordCount = 512;
 
 /// Phases 1 and 1b as one serial predicate chain over record-only probes:
 /// the base probe at `lower` (its verdict is ignored: it only yields the
@@ -235,9 +237,9 @@ struct Runner {
     config.base = base;
     config.array_bytes = array_bytes;
     config.stride_bytes = options.stride;
-    config.record_count = options.record_count;
+    config.record_count = kRecordCount;
     config.warmup = true;
-    config.max_timed_steps = full_pass ? 0 : options.record_count;
+    config.max_timed_steps = full_pass ? 0 : kRecordCount;
     config.resample = resample;
     return config;
   }

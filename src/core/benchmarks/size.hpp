@@ -68,7 +68,6 @@ struct SizeBenchOptions {
   std::uint64_t lower = 1024;            ///< initial search space lower bound
   std::uint64_t upper = 1024 * 1024;     ///< initial search space upper bound
   std::uint32_t stride = 32;             ///< fetch granularity of the element
-  std::uint32_t record_count = 512;      ///< latencies stored per p-chase run
   /// Pool every chase runs on: its replicas, its chase count, and how its
   /// batches run (ReplicaPool::threads and ::executor, which also bound the
   /// chains' run-ahead). The stage runner passes one per stage, so the

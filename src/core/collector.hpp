@@ -30,8 +30,6 @@ struct DiscoverOptions {
   /// Also run the per-datatype compute-capability benchmarks (FLOPS for
   /// INT/FP precisions and tensor engines — the paper's Sec. VII extension).
   bool measure_compute = false;
-  /// Latencies recorded per p-chase run.
-  std::uint32_t record_count = 512;
   /// Parallelism of the batched chase plans (caller included) inside one
   /// benchmark — the size sweeps and the fg/line-size/amount/sharing
   /// batches — fanned over bench_executor (null: exec::shared_executor());
@@ -40,9 +38,9 @@ struct DiscoverOptions {
   /// benchmarks' batches read it.
   std::uint32_t sweep_threads = 1;
   /// Parallelism across benchmarks (caller included): how many ready stages
-  /// of the discovery stage graph run concurrently; 1 = serial declaration
-  /// order. Independent elements (L1 vs texture vs scratchpad vs L2) stop
-  /// waiting on each other at values > 1.
+  /// of the discovery stage graph run concurrently; 1 = serially on the
+  /// calling thread, in topological order. Independent elements (L1 vs
+  /// texture vs scratchpad vs L2) stop waiting on each other at values > 1.
   ///
   /// Like sweep_threads, this is purely an execution knob: the report is
   /// byte-identical for every bench_threads x sweep_threads combination —

@@ -89,34 +89,28 @@ struct GraphRun {
   }
 };
 
-void run_serial(GraphRun& run, const std::vector<std::vector<std::size_t>>& deps,
-                const std::vector<std::size_t>& order) {
-  for (const std::size_t i : order) {
-    for (const std::size_t d : deps[i]) {
-      if (run.failed[d]) run.failed[i] = true;
-    }
-    if (run.failed[i]) continue;
-    try {
-      run.run_stage(i);
-    } catch (...) {
-      run.errors[i] = std::current_exception();
-      run.failed[i] = true;
-    }
-  }
-}
-
-/// Dependency-aware worker-pool scheduling: workers pull the ready stage
-/// with the lowest declaration index. A worker with no ready stage waits in
-/// Executor::help_until, running tasks of queued chase batches (its sibling
-/// stages', or any other discovery's on the same executor) until a stage is
-/// ready or the graph drained; stage completion wakes it through the
-/// executor, after the graph mutex is released. Progress is guaranteed even
-/// on a pool-less executor (parallel_for then runs the first worker loop
-/// inline on the caller, which drains the whole graph serially).
-void run_concurrent(GraphRun& run,
-                    const std::vector<std::vector<std::size_t>>& deps,
-                    std::uint32_t bench_threads, exec::Executor& executor) {
+/// Dependency-aware worker scheduling: min(bench_threads, stage count)
+/// workers pull the ready stage with the lowest declaration index, so one
+/// worker runs analyze(graph).order. A single worker runs inline on the
+/// caller and touches no executor: it never lacks a ready stage before the
+/// graph drained, so it never waits. With more, a worker with no ready stage
+/// waits in Executor::help_until, running tasks of queued chase batches (its
+/// sibling stages', or any other discovery's on the same executor) until a
+/// stage is ready or the graph drained; stage completion wakes it through
+/// the executor, after the graph mutex is released. Progress is guaranteed
+/// even on a pool-less executor (parallel_for then runs the first worker
+/// loop inline on the caller, which drains the whole graph serially).
+void run_stages(GraphRun& run,
+                const std::vector<std::vector<std::size_t>>& deps) {
   const std::size_t n = run.graph.stages.size();
+  const auto workers = static_cast<std::uint32_t>(std::min<std::size_t>(
+      std::max<std::uint32_t>(run.options.bench_threads, 1),
+      std::max<std::size_t>(n, 1)));
+  exec::Executor* executor = nullptr;
+  if (workers > 1) {
+    executor = run.options.bench_executor ? run.options.bench_executor
+                                          : &exec::shared_executor();
+  }
   std::vector<std::size_t> remaining(n);
   std::vector<std::vector<std::size_t>> dependents(n);
   std::mutex mutex;
@@ -134,7 +128,7 @@ void run_concurrent(GraphRun& run,
     for (;;) {
       if (!runnable()) {
         lock.unlock();
-        executor.help_until([&] {
+        executor->help_until([&] {
           const std::lock_guard<std::mutex> guard(mutex);
           return runnable();
         });
@@ -163,17 +157,19 @@ void run_concurrent(GraphRun& run,
       --unfinished;
       // This worker takes the next ready stage itself; waiters are woken for
       // the surplus, or to return once the graph drained.
-      if (ready.size() > 1 || unfinished == 0) {
+      if (executor != nullptr && (ready.size() > 1 || unfinished == 0)) {
         lock.unlock();
-        executor.wake_helpers();
+        executor->wake_helpers();
         lock.lock();
       }
     }
   };
 
-  const auto workers = static_cast<std::uint32_t>(
-      std::min<std::size_t>(bench_threads, std::max<std::size_t>(n, 1)));
-  executor.parallel_for(workers, workers, worker);
+  if (executor == nullptr) {
+    worker(0, 0);
+  } else {
+    executor->parallel_for(workers, workers, worker);
+  }
 }
 
 }  // namespace
@@ -188,14 +184,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
   const auto [deps, order] = analyze(graph);
 
   GraphRun run(gpu, graph, plan.state, options);
-  if (options.bench_threads <= 1 || n <= 1) {
-    run_serial(run, deps, order);
-  } else {
-    exec::Executor& executor = options.bench_executor
-                                   ? *options.bench_executor
-                                   : exec::shared_executor();
-    run_concurrent(run, deps, options.bench_threads, executor);
-  }
+  run_stages(run, deps);
 
   for (std::size_t i = 0; i < n; ++i) {
     if (run.errors[i]) std::rethrow_exception(run.errors[i]);

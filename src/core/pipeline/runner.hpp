@@ -1,11 +1,11 @@
 // The stage-graph executor: runs ready stages concurrently and assembles
 // the TopologyReport deterministically.
 //
-// Scheduling model: with bench_threads <= 1 the stages run serially in
-// deterministic topological order (smallest declaration index first). With
-// bench_threads > 1, min(bench_threads, stage count) workers — the calling
+// Scheduling model: min(bench_threads, stage count) workers — the calling
 // thread included — pull ready stages (all dependencies completed, lowest
-// declaration index first) from a shared queue on the process-wide executor
+// declaration index first) from a shared queue. One worker therefore runs
+// the stages in deterministic topological order, inline on the caller,
+// without touching any executor; more run on the process-wide executor
 // (src/exec/, or DiscoverOptions::bench_executor). Nested parallelism
 // composes: a stage's own chase batches (sweep_threads) fan over the same
 // executor, and a fleet sweep fans whole graphs of different GPUs over it,

@@ -5,7 +5,7 @@
 // benchmark's stride, the detected size feeds latency/line-size/amount, the
 // sharing benchmarks consume every first-level size. Instead of hardcoding
 // that walk imperatively, each benchmark invocation is a Stage *value* —
-// element, kind, explicit data dependencies, and a run function — and the
+// name, element, explicit data dependencies, and a run function — and the
 // vendor collectors are tables of stages (nvidia_stages() / amd_stages(),
 // see stages_nvidia.cpp / stages_amd.cpp) validated at registration time.
 //
@@ -22,7 +22,7 @@
 //       order after the graph has drained.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -33,28 +33,15 @@ namespace mt4g::core::pipeline {
 
 struct StageContext;
 
-/// What a stage measures. Cycles are attributed per stage, never per kind:
-/// a stage's cycles surface as its TopologyReport::stage_cycles entry.
-enum class StageKind : std::uint8_t {
-  kFetchGranularity,  ///< stride sweep (paper IV-D)
-  kSize,              ///< K-S size workflow (IV-B), incl. the L2 segment run
-  kLatency,           ///< load latency (IV-C), incl. scratchpad latency
-  kLineSize,          ///< cache line size (IV-E)
-  kAmount,            ///< per-SM segment count (IV-F)
-  kSharing,           ///< physical sharing (IV-G) / CU sharing (IV-H)
-  kBandwidth,         ///< stream kernels (IV-I)
-  kCompute,           ///< per-dtype FLOPS suite (Sec. VII extension)
-};
-
 /// One benchmark invocation of the discovery suite, as pure data plus a run
 /// function. Stages form a DAG via `deps` (names of other stages).
 struct Stage {
-  /// Unique name, conventionally "<element short name>.<kind>" (e.g.
-  /// "L1.size"); dependency edges and diagnostics refer to it.
+  /// Unique name, conventionally "<element short name>.<benchmark>" (e.g.
+  /// "L1.size"); dependency edges and diagnostics refer to it, and each
+  /// stage's cycles surface under it in TopologyReport::stage_cycles.
   std::string name;
   /// The element whose report row this stage feeds; pruning keys on it.
   sim::Element element = sim::Element::kL1;
-  StageKind kind = StageKind::kFetchGranularity;
   /// Names of the stages whose outputs this stage reads (graph state writes
   /// happen-before every dependent stage).
   std::vector<std::string> deps;

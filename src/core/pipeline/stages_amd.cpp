@@ -16,14 +16,6 @@ namespace {
 
 using sim::Element;
 
-MemoryElementReport& add_row(DiscoveryPlan& plan, Element element) {
-  plan.state.element[element];
-  plan.graph.row_order.push_back(element);
-  MemoryElementReport& row = plan.state.rows[element];
-  row.element = element;
-  return row;
-}
-
 FirstLevelPlan amd_l1_plan(Element element, const std::string& prefix) {
   FirstLevelPlan plan;
   plan.vendor = sim::Vendor::kAmd;
@@ -62,7 +54,7 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
       // A stage (not a build-time write) so the verdict is pruned away with
       // the element: a --only vl1 report must not carry SL1D conclusions.
       plan.graph.add(
-          {"SL1D.cu_sharing", Element::kSL1D, StageKind::kSharing, {}, false,
+          {"SL1D.cu_sharing", Element::kSL1D, {}, false,
            [](StageContext& ctx) {
              ctx.state.cu_sharing.available = false;
              ctx.state.cu_sharing.unavailable_reason =
@@ -71,8 +63,8 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
            }});
     } else {
       plan.graph.add(
-          {"SL1D.cu_sharing", Element::kSL1D, StageKind::kSharing,
-           {"SL1D.fg", "SL1D.size"}, false, [](StageContext& ctx) {
+          {"SL1D.cu_sharing", Element::kSL1D, {"SL1D.fg", "SL1D.size"}, false,
+           [](StageContext& ctx) {
              const ElementState& state = ctx.state.of(Element::kSL1D);
              if (state.size == 0) return;
              CuSharingBenchOptions options;
@@ -102,7 +94,7 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
     row.amount_per_gpu = true;
 
     plan.graph.add(
-        {"L2.fg", Element::kL2, StageKind::kFetchGranularity, {}, false,
+        {"L2.fg", Element::kL2, {}, false,
          [target](StageContext& ctx) {
            const auto fg =
                run_fg_benchmark(ctx.gpu, make_fg_options(ctx, target));
@@ -113,7 +105,7 @@ DiscoveryPlan amd_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
            ctx.state.of(Element::kL2).fg = fg.found ? fg.granularity : 64;
          }});
     plan.graph.add(
-        {"L2.latency", Element::kL2, StageKind::kLatency, {"L2.fg"}, false,
+        {"L2.latency", Element::kL2, {"L2.fg"}, false,
          [target](StageContext& ctx) {
            const auto latency = run_latency_benchmark(
                ctx.gpu, make_latency_options(ctx, target,

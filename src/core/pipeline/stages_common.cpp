@@ -6,24 +6,17 @@
 
 namespace mt4g::core::pipeline {
 
-std::string stage_name(const std::string& prefix, StageKind kind) {
-  switch (kind) {
-    case StageKind::kFetchGranularity: return prefix + ".fg";
-    case StageKind::kSize: return prefix + ".size";
-    case StageKind::kLatency: return prefix + ".latency";
-    case StageKind::kLineSize: return prefix + ".line";
-    case StageKind::kAmount: return prefix + ".amount";
-    case StageKind::kSharing: return prefix + ".sharing";
-    case StageKind::kBandwidth: return prefix + ".bandwidth";
-    case StageKind::kCompute: return prefix + ".compute";
-  }
-  return prefix + ".?";
+MemoryElementReport& add_row(DiscoveryPlan& plan, sim::Element element) {
+  plan.state.element[element];
+  plan.graph.row_order.push_back(element);
+  MemoryElementReport& row = plan.state.rows[element];
+  row.element = element;
+  return row;
 }
 
 FgBenchOptions make_fg_options(StageContext& ctx, const Target& target) {
   FgBenchOptions options;
   options.target = target;
-  options.record_count = ctx.options.record_count;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -36,7 +29,6 @@ SizeBenchOptions make_size_options(StageContext& ctx, const Target& target,
   options.lower = lower;
   options.upper = upper;
   options.stride = stride;
-  options.record_count = ctx.options.record_count;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -73,7 +65,6 @@ AmountBenchOptions make_amount_options(StageContext& ctx, const Target& target,
   options.target = target;
   options.cache_bytes = cache_bytes;
   options.stride = stride;
-  options.record_count = ctx.options.record_count;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -98,12 +89,11 @@ SizeBenchResult run_size_stage(StageContext& ctx, sim::Element element,
 
 void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
   const sim::Element element = plan.element;
-  const std::string fg_stage =
-      stage_name(plan.prefix, StageKind::kFetchGranularity);
-  const std::string size_stage = stage_name(plan.prefix, StageKind::kSize);
+  const std::string fg_stage = plan.prefix + ".fg";
+  const std::string size_stage = plan.prefix + ".size";
 
   // Fetch granularity first: it is the step size of everything that follows.
-  graph.add({fg_stage, element, StageKind::kFetchGranularity, {}, false,
+  graph.add({fg_stage, element, {}, false,
              [plan](StageContext& ctx) {
                const Target target = target_for(plan.vendor, plan.element);
                const auto fg =
@@ -117,7 +107,7 @@ void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
              }});
 
   // Size via the K-S workflow.
-  graph.add({size_stage, element, StageKind::kSize, {fg_stage}, false,
+  graph.add({size_stage, element, {fg_stage}, false,
              [plan](StageContext& ctx) {
                const Target target = target_for(plan.vendor, plan.element);
                const auto size = run_size_stage(
@@ -139,8 +129,7 @@ void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
              }});
 
   // Load latency (within the detected capacity so the timed pass hits).
-  graph.add({stage_name(plan.prefix, StageKind::kLatency), element,
-             StageKind::kLatency, {fg_stage, size_stage}, false,
+  graph.add({plan.prefix + ".latency", element, {fg_stage, size_stage}, false,
              [plan](StageContext& ctx) {
                const Target target = target_for(plan.vendor, plan.element);
                const ElementState& state = ctx.state.of(plan.element);
@@ -155,8 +144,7 @@ void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
              }});
 
   // Cache line size (requires the detected size).
-  graph.add({stage_name(plan.prefix, StageKind::kLineSize), element,
-             StageKind::kLineSize, {fg_stage, size_stage}, false,
+  graph.add({plan.prefix + ".line", element, {fg_stage, size_stage}, false,
              [plan](StageContext& ctx) {
                const ElementState& state = ctx.state.of(plan.element);
                MemoryElementReport& row = ctx.state.row(plan.element);
@@ -174,9 +162,8 @@ void add_first_level_stages(StageGraph& graph, const FirstLevelPlan& plan) {
 }
 
 void add_amount_stage(StageGraph& graph, const FirstLevelPlan& plan) {
-  graph.add({stage_name(plan.prefix, StageKind::kAmount), plan.element,
-             StageKind::kAmount,
-             {stage_name(plan.prefix, StageKind::kSize)}, false,
+  graph.add({plan.prefix + ".amount", plan.element, {plan.prefix + ".size"},
+             false,
              [plan](StageContext& ctx) {
                const ElementState& state = ctx.state.of(plan.element);
                MemoryElementReport& row = ctx.state.row(plan.element);
@@ -198,8 +185,8 @@ void add_amount_stage(StageGraph& graph, const FirstLevelPlan& plan) {
 
 void add_bandwidth_stage(StageGraph& graph, const std::string& prefix,
                          sim::Element element, std::uint64_t bytes) {
-  graph.add({stage_name(prefix, StageKind::kBandwidth), element,
-             StageKind::kBandwidth, {}, false, [element, bytes](StageContext& ctx) {
+  graph.add({prefix + ".bandwidth", element, {}, false,
+             [element, bytes](StageContext& ctx) {
                BandwidthBenchOptions options;
                options.target = element;
                options.bytes = bytes;
@@ -217,8 +204,8 @@ void add_bandwidth_stage(StageGraph& graph, const std::string& prefix,
 
 void add_scratchpad_stage(StageGraph& graph, const std::string& prefix,
                           sim::Element element) {
-  graph.add({stage_name(prefix, StageKind::kLatency), element,
-             StageKind::kLatency, {}, false, [element](StageContext& ctx) {
+  graph.add({prefix + ".latency", element, {}, false,
+             [element](StageContext& ctx) {
                // Scratchpads need no targeting machinery: one chase on the
                // stage substrate (deterministic noise stream per stage).
                const auto latency = run_scratchpad_latency(ctx.gpu);
@@ -231,8 +218,7 @@ void add_scratchpad_stage(StageGraph& graph, const std::string& prefix,
 
 void add_device_latency_stage(StageGraph& graph, sim::Vendor vendor,
                               std::uint32_t fetch_granularity) {
-  graph.add({stage_name("DMEM", StageKind::kLatency), sim::Element::kDeviceMem,
-             StageKind::kLatency, {}, false,
+  graph.add({"DMEM.latency", sim::Element::kDeviceMem, {}, false,
              [vendor, fetch_granularity](StageContext& ctx) {
                const Target target =
                    target_for(vendor, sim::Element::kDeviceMem);
@@ -250,8 +236,8 @@ void add_device_latency_stage(StageGraph& graph, sim::Vendor vendor,
 }
 
 void add_compute_stage(StageGraph& graph) {
-  graph.add({"compute.suite", sim::Element::kDeviceMem, StageKind::kCompute,
-             {}, /*full_run_only=*/true, [](StageContext& ctx) {
+  graph.add({"compute.suite", sim::Element::kDeviceMem, {},
+             /*full_run_only=*/true, [](StageContext& ctx) {
                for (const auto& result : run_compute_suite(ctx.gpu)) {
                  // Each FMA-stream kernel is a short launch.
                  ctx.book_kernel_seconds(0.01);

@@ -17,6 +17,7 @@
 #include "core/benchmarks/line_size.hpp"
 #include "core/benchmarks/size.hpp"
 #include "core/pipeline/context.hpp"
+#include "core/pipeline/runner.hpp"
 #include "core/pipeline/stage.hpp"
 #include "core/target.hpp"
 
@@ -26,7 +27,9 @@ namespace mt4g::core::pipeline {
 struct FirstLevelPlan {
   sim::Vendor vendor = sim::Vendor::kNvidia;
   sim::Element element = sim::Element::kL1;
-  std::string prefix;                 ///< stage-name prefix, e.g. "L1"
+  /// Stage-name prefix, e.g. "L1": the chain's stages are "L1.fg",
+  /// "L1.size", "L1.latency", "L1.line" and "L1.amount".
+  std::string prefix;
   std::uint64_t size_lower = 1024;    ///< size-benchmark search bounds
   std::uint64_t size_upper = 1024 * 1024;
   std::uint64_t latency_min_array = 0;
@@ -36,8 +39,9 @@ struct FirstLevelPlan {
   bool report_upper_bound = true;
 };
 
-/// Stage names of the plan's chain ("<prefix>.<suffix>").
-std::string stage_name(const std::string& prefix, StageKind kind);
+/// Creates the blackboard entry and row skeleton of one element, and puts
+/// the element next in the report's row order.
+MemoryElementReport& add_row(DiscoveryPlan& plan, sim::Element element);
 
 // --- Option-block builders (each books nothing; callers book). -------------
 

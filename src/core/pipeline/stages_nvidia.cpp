@@ -27,15 +27,6 @@ std::string short_name(Element element) {
   }
 }
 
-/// Creates the blackboard entry + row skeleton of one element.
-MemoryElementReport& add_row(DiscoveryPlan& plan, Element element) {
-  plan.state.element[element];
-  plan.graph.row_order.push_back(element);
-  MemoryElementReport& row = plan.state.rows[element];
-  row.element = element;
-  return row;
-}
-
 /// The Constant L1.5 stage chain (between Constant L1 and L2): custom
 /// wiring because every benchmark feeds on the Const L1 results to thrash
 /// the level above the benchmarked cache.
@@ -52,8 +43,8 @@ void add_const_l15_stages(DiscoveryPlan& plan, bool has_const_l1) {
   };
 
   plan.graph.add(
-      {"CL15.fg", Element::kConstL15, StageKind::kFetchGranularity, cl1_deps,
-       false, [target, cl1_state](StageContext& ctx) {
+      {"CL15.fg", Element::kConstL15, cl1_deps, false,
+       [target, cl1_state](StageContext& ctx) {
          const ElementState cl1 = cl1_state(ctx);
          FgBenchOptions options = make_fg_options(ctx, target);
          // Stay beyond the Const L1 capacity so its hits don't mask the
@@ -71,7 +62,7 @@ void add_const_l15_stages(DiscoveryPlan& plan, bool has_const_l1) {
   std::vector<std::string> size_deps = {"CL15.fg"};
   size_deps.insert(size_deps.end(), cl1_deps.begin(), cl1_deps.end());
   plan.graph.add(
-      {"CL15.size", Element::kConstL15, StageKind::kSize, size_deps, false,
+      {"CL15.size", Element::kConstL15, size_deps, false,
        [target, cl1_state](StageContext& ctx) {
          const ElementState cl1 = cl1_state(ctx);
          const auto size = run_size_stage(
@@ -98,8 +89,8 @@ void add_const_l15_stages(DiscoveryPlan& plan, bool has_const_l1) {
   std::vector<std::string> latency_deps = {"CL15.fg", "CL15.size"};
   latency_deps.insert(latency_deps.end(), cl1_deps.begin(), cl1_deps.end());
   plan.graph.add(
-      {"CL15.latency", Element::kConstL15, StageKind::kLatency, latency_deps,
-       false, [target, cl1_state](StageContext& ctx) {
+      {"CL15.latency", Element::kConstL15, latency_deps, false,
+       [target, cl1_state](StageContext& ctx) {
          const ElementState cl1 = cl1_state(ctx);
          const ElementState& cl15 = ctx.state.of(Element::kConstL15);
          const auto latency = run_latency_benchmark(
@@ -113,8 +104,8 @@ void add_const_l15_stages(DiscoveryPlan& plan, bool has_const_l1) {
        }});
 
   plan.graph.add(
-      {"CL15.line", Element::kConstL15, StageKind::kLineSize,
-       {"CL15.fg", "CL15.size"}, false, [target](StageContext& ctx) {
+      {"CL15.line", Element::kConstL15, {"CL15.fg", "CL15.size"}, false,
+       [target](StageContext& ctx) {
          const ElementState& cl15 = ctx.state.of(Element::kConstL15);
          MemoryElementReport& row = ctx.state.row(Element::kConstL15);
          if (cl15.size == 0) {
@@ -136,7 +127,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
   const Target target = target_for(sim::Vendor::kNvidia, Element::kL2);
 
   plan.graph.add(
-      {"L2.fg", Element::kL2, StageKind::kFetchGranularity, {}, false,
+      {"L2.fg", Element::kL2, {}, false,
        [target](StageContext& ctx) {
          const auto fg = run_fg_benchmark(ctx.gpu, make_fg_options(ctx, target));
          ctx.book(fg.cycles);
@@ -147,7 +138,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
        }});
 
   plan.graph.add(
-      {"L2.latency", Element::kL2, StageKind::kLatency, {"L2.fg"}, false,
+      {"L2.latency", Element::kL2, {"L2.fg"}, false,
        [target](StageContext& ctx) {
          const auto latency = run_latency_benchmark(
              ctx.gpu, make_latency_options(ctx, target,
@@ -165,7 +156,7 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
   // line-size stage.
   const std::uint64_t api_total = prop.l2_cache_size;
   plan.graph.add(
-      {"L2.segment", Element::kL2, StageKind::kSize, {"L2.fg"}, false,
+      {"L2.segment", Element::kL2, {"L2.fg"}, false,
        [api_total](StageContext& ctx) {
          const auto segment = run_l2_segment_benchmark(
              ctx.gpu, api_total, ctx.state.of(Element::kL2).fg,
@@ -184,8 +175,8 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
        }});
 
   plan.graph.add(
-      {"L2.line", Element::kL2, StageKind::kLineSize, {"L2.fg", "L2.segment"},
-       false, [target](StageContext& ctx) {
+      {"L2.line", Element::kL2, {"L2.fg", "L2.segment"}, false,
+       [target](StageContext& ctx) {
          const auto line = run_line_size_benchmark(
              ctx.gpu, make_line_options(ctx, target,
                                         ctx.state.l2_segment_bytes,
@@ -219,7 +210,7 @@ DiscoveryPlan nvidia_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
     level.size_upper =
         element == Element::kConstL1 ? kConstantArrayLimit : 1024 * KiB;
     add_first_level_stages(plan.graph, level);
-    sharing_deps.push_back(stage_name(level.prefix, StageKind::kSize));
+    sharing_deps.push_back(level.prefix + ".size");
     if (element == Element::kL1 && spec.l1_amount_unavailable) {
       row.amount =
           Attribute::unavailable("unable to schedule a thread on warp 3");
@@ -265,8 +256,8 @@ DiscoveryPlan nvidia_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
   // Full runs only: the pairwise protocol needs every first-level size.
   if (sharing_deps.size() >= 2) {
     plan.graph.add(
-        {"sharing.pairs", Element::kL1, StageKind::kSharing, sharing_deps,
-         /*full_run_only=*/true, [first_level](StageContext& ctx) {
+        {"sharing.pairs", Element::kL1, sharing_deps, /*full_run_only=*/true,
+         [first_level](StageContext& ctx) {
            SharingBenchOptions options;
            for (const Element element : first_level) {
              if (!ctx.gpu.spec().has(element)) continue;

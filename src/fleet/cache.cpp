@@ -24,7 +24,9 @@ namespace {
 // model, no attribution buckets), so v2 entries carry stale meta cycles.
 // v4: doubles are stored exactly (shortest round-trip form); v3 files hold
 // them at 10 significant digits.
-constexpr int kCacheFileVersion = 4;
+// v5: job keys lost the records=<n> component (the record budget is a
+// constant of the benchmarks), so no v4 key matches a v5 job.
+constexpr int kCacheFileVersion = 5;
 
 /// Advisory exclusive lock on `<target>.lock`, held for a whole load or
 /// save+merge cycle. The sidecar (not the target itself) carries the flock

@@ -56,7 +56,6 @@ std::string DiscoveryJob::key() const {
   }
   k += ";series=" + std::string(options.collect_series ? "1" : "0");
   k += ";compute=" + std::string(options.measure_compute ? "1" : "0");
-  k += ";records=" + std::to_string(options.record_count);
   // Model content identity: a spec edit (file or registry) changes the key,
   // so cached results can never go stale against the model they were run on.
   std::uint64_t resolved = spec_hash;

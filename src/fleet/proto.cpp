@@ -106,7 +106,6 @@ json::Value job_to_json(const DiscoveryJob& job) {
   options.emplace_back("only", std::move(only));
   options.emplace_back("series", job.options.collect_series);
   options.emplace_back("compute", job.options.measure_compute);
-  options.emplace_back("records", job.options.record_count);
   options.emplace_back("sweep_threads", job.options.sweep_threads);
   options.emplace_back("bench_threads", job.options.bench_threads);
 
@@ -171,7 +170,6 @@ DiscoveryJob job_from_json(const json::Value& doc) {
     }
     return static_cast<std::uint32_t>(value.as_int());
   };
-  job.options.record_count = count("records");
   job.options.sweep_threads = count("sweep_threads");
   job.options.bench_threads = count("bench_threads");
 

@@ -114,17 +114,6 @@ void drop_ahead(ReplicaPool& pool, std::vector<AheadResult>::iterator from) {
   pool.ahead.erase(from, pool.ahead.end());
 }
 
-/// Drops pool state measured against an older cache geometry.
-void sync_epoch(ReplicaPool& pool, const sim::Gpu& gpu) {
-  if (pool.epoch != gpu.path_epoch()) {
-    // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // run-ahead results were measured against it.
-    pool.replicas.clear();
-    drop_ahead(pool, pool.ahead.begin());
-  }
-  pool.epoch = gpu.path_epoch();
-}
-
 exec::Executor& batch_executor(const ReplicaPool& pool) {
   return pool.executor ? *pool.executor : exec::shared_executor();
 }
@@ -223,7 +212,6 @@ void discard_chase_ahead(ReplicaPool& pool) {
 void run_chase_ahead(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
                      ReplicaPool& pool) {
   if (specs.empty()) return;
-  sync_epoch(pool, gpu);
   Plan plan(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (find_ahead(pool, specs[i]) == pool.ahead.end()) plan.units.push_back(i);
@@ -256,7 +244,6 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
 
   ReplicaPool local_pool;
   ReplicaPool& pool = pool_or_null ? *pool_or_null : local_pool;
-  sync_epoch(pool, gpu);
   Plan plan(specs);
 
   // A spec waiting in the run-ahead table is committed; every other spec

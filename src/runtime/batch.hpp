@@ -117,16 +117,13 @@ struct ChaseAheadStats {
   std::uint64_t discarded = 0;
 };
 
-/// Reusable replicas for repeated batch calls against the same owning Gpu.
-/// They are rebuilt automatically, and waiting run-ahead results dropped,
-/// when the owning Gpu invalidated its compiled paths (cache rebuild via
-/// set_l2_fetch_granularity) — the epoch tracks that, and results measured
-/// against the old cache geometry would be stale. A pool must not be shared
-/// across different owning Gpus (Gpu::fork replicas of one owner, which
-/// keep the owner's seed, count as the same owning Gpu). The pool is also
-/// the one description of how its batches run: threads and executor.
+/// Reusable replicas for repeated batch calls against the same owning Gpu:
+/// a replica forked by one batch serves every later batch on the pool, as
+/// the owner's cache geometry is fixed at construction. A pool must not be
+/// shared across different owning Gpus (Gpu::fork replicas of one owner,
+/// which keep the owner's seed, count as the same owning Gpu). The pool is
+/// also the one description of how its batches run: threads and executor.
 struct ReplicaPool {
-  std::uint64_t epoch = 0;
   /// One replica per executor slot, forked when the slot runs its first
   /// unit: replicas exist only for slots that ran, never for participants a
   /// batch was allowed but did not get. A fork costs empty page tables; a
@@ -151,7 +148,7 @@ struct ReplicaPool {
   /// attribute reset time per stage in the report.
   std::uint64_t reset_ns = 0;
   /// Run-ahead results waiting for their commit: at most one round of
-  /// run_chase_ahead(), cleared on an epoch change.
+  /// run_chase_ahead().
   std::vector<AheadResult> ahead;
   ChaseAheadStats ahead_stats;
 };

@@ -101,10 +101,4 @@ std::optional<sim::MigProfile> current_mig_profile(const sim::Gpu& gpu) {
   return gpu.mig();
 }
 
-bool device_set_l2_fetch_granularity(sim::Gpu& gpu, std::uint32_t bytes) {
-  if (gpu.spec().vendor != sim::Vendor::kNvidia) return false;
-  gpu.set_l2_fetch_granularity(bytes);
-  return true;
-}
-
 }  // namespace mt4g::runtime

@@ -7,6 +7,11 @@
 // (paper Table I). The collectors consume only this layer, never sim::GpuSpec
 // directly — that separation is what makes the benchmark results a genuine
 // re-discovery rather than a spec read-back.
+//
+// The layer only queries a device; it configures none of it. The L2 fetch
+// granularity newer NVIDIA chips let cudaDeviceSetLimit change (paper
+// Sec. IV-D) is fixed when the Gpu is built: a device configured otherwise
+// is a spec with that L2 sector_bytes.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +73,5 @@ std::vector<std::uint32_t> logical_to_physical_cu(const sim::Gpu& gpu);
 
 /// nvml-style MIG query (NVIDIA only): currently active MIG profile.
 std::optional<sim::MigProfile> current_mig_profile(const sim::Gpu& gpu);
-
-/// cudaDeviceSetLimit(cudaLimitMaxL2FetchGranularity) analogue (paper IV-D:
-/// newer NVIDIA L2 caches have a configurable fetch granularity). Returns
-/// false (no-op) on AMD GPUs, where the limit does not exist.
-bool device_set_l2_fetch_granularity(sim::Gpu& gpu, std::uint32_t bytes);
 
 }  // namespace mt4g::runtime

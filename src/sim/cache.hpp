@@ -185,14 +185,6 @@ class SectoredCache {
   std::uint64_t misses() const { return misses_; }
   void reset_counters() { hits_ = misses_ = 0; }
 
-  /// Restores externally captured counters. Used when a cache instance is
-  /// rebuilt (e.g. an L2 fetch-granularity change) but the accumulated
-  /// hit/miss telemetry must survive the rebuild.
-  void set_counters(std::uint64_t hits, std::uint64_t misses) {
-    hits_ = hits;
-    misses_ = misses;
-  }
-
   std::uint32_t num_sets() const { return num_sets_; }
   /// Sets held by one page (a power of two); page p holds the sets
   /// [p * sets_per_page(), (p + 1) * sets_per_page()).

@@ -92,46 +92,9 @@ Gpu::Gpu(const GpuSpec& spec, std::uint64_t seed, std::optional<MigProfile> mig,
   flush_list_.reserve(caches);
 }
 
-void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
-  if (!spec_.has(Element::kL2)) {
-    throw std::invalid_argument("set_l2_fetch_granularity: no L2 cache");
-  }
-  auto& l2 = spec_.elements.at(Element::kL2);
-  if (bytes == 0 || l2.line_bytes % bytes != 0) {
-    throw std::invalid_argument(
-        "set_l2_fetch_granularity: granularity must divide the line size");
-  }
-  l2.sector_bytes = bytes;
-  // Rebuilding loses the segments' content (the real cudaDeviceSetLimit does
-  // flush), but the accumulated hit/miss counters are telemetry, not cache
-  // state: carry them over so a mid-discovery granularity switch does not
-  // zero the scout counter report.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> carried;
-  carried.reserve(l2_segments_.size());
-  for (const auto& segment : l2_segments_) {
-    carried.emplace_back(segment.hits(), segment.misses());
-  }
-  // The rebuilt segments start empty: the old ones leave the flush list.
-  std::erase_if(flush_list_, [this](const SectoredCache* cache) {
-    return std::any_of(
-        l2_segments_.begin(), l2_segments_.end(),
-        [cache](const SectoredCache& segment) { return &segment == cache; });
-  });
-  const std::uint32_t segments = std::max<std::uint32_t>(l2.amount, 1);
-  l2_segments_.clear();
-  for (std::uint32_t s = 0; s < segments; ++s) {
-    l2_segments_.emplace_back(geometry_of(l2));
-    if (s < carried.size()) {
-      l2_segments_.back().set_counters(carried[s].first, carried[s].second);
-    }
-  }
-  ++path_epoch_;  // compiled paths hold dangling L2 pointers now
-}
-
 Gpu Gpu::fork(std::uint64_t noise_seed) const {
-  // spec_ carries every runtime mutation (set_l2_fetch_granularity rewrites
-  // the L2 sector size in place), so reconstructing from it reproduces the
-  // current configuration with pristine cache contents.
+  // The caches are a function of spec_ alone, so reconstructing from it
+  // reproduces this Gpu's geometry with pristine cache contents.
   Gpu replica(spec_, noise_seed, mig_, noise_.params());
   replica.heap_top_ = heap_top_;
   return replica;
@@ -139,10 +102,6 @@ Gpu Gpu::fork(std::uint64_t noise_seed) const {
 
 void Gpu::reseed_noise(std::uint64_t noise_seed) {
   noise_ = NoiseModel(noise_.params(), Xoshiro256(noise_seed));
-}
-
-std::uint32_t Gpu::l2_fetch_granularity() const {
-  return spec_.has(Element::kL2) ? spec_.at(Element::kL2).sector_bytes : 0;
 }
 
 std::uint32_t Gpu::visible_sms() const {
@@ -166,7 +125,6 @@ std::uint64_t Gpu::alloc(std::uint64_t bytes, std::uint64_t alignment) {
 AccessPath Gpu::compile_path(const Placement& where, Space space,
                              AccessFlags flags) {
   AccessPath path;
-  path.epoch = path_epoch_;
 
   if (space == Space::kShared) {
     // Scratchpads bypass the cache hierarchy entirely: the path has no cache
@@ -555,10 +513,6 @@ std::uint32_t Gpu::access(const Placement& where, Space space,
 }
 
 void Gpu::list_caches(const AccessPath& path) {
-  if (path.epoch != path_epoch_) {
-    throw std::logic_error(
-        "gpu: stale AccessPath (caches were rebuilt after compile_path)");
-  }
   for (std::size_t level = 0; level < path.depth; ++level) {
     SectoredCache* cache = path.levels[level].cache;
     if (!cache->listed_) {

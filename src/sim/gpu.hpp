@@ -40,9 +40,9 @@ struct AccessResult {
 /// executing loads through a compiled path (Gpu::run_pass) allocates nothing
 /// per load.
 ///
-/// A path borrows cache pointers from its Gpu: it is invalidated whenever the
-/// owning Gpu rebuilds caches (set_l2_fetch_granularity). run_pass detects a
-/// stale path via the epoch and throws rather than chasing dangling pointers.
+/// A path borrows cache pointers from the Gpu that compiled it. A Gpu builds
+/// its caches once, at construction, so a path stays valid for that Gpu's
+/// lifetime; it must not be run on another Gpu (a fork compiles its own).
 struct AccessPath {
   struct Level {
     SectoredCache* cache = nullptr;
@@ -62,29 +62,19 @@ struct AccessPath {
   Element terminal = Element::kDeviceMem;
   std::uint32_t terminal_latency = 0;  ///< rounded like Level::latency
   bool terminal_is_dmem = true;  ///< full misses count as device-memory reads
-  std::uint64_t epoch = 0;       ///< must equal Gpu::path_epoch() when used
 };
 
 class Gpu {
  public:
+  /// Builds every cache from @p spec; the geometry is fixed from then on (a
+  /// device with another L2 fetch granularity is another spec, whose L2
+  /// sector_bytes says it).
   /// @param mig optional MIG profile restricting the visible resources;
   ///        only meaningful for specs that define mig_profiles.
   /// @param noise measurement-noise parameters (jitter/outlier model).
   explicit Gpu(const GpuSpec& spec, std::uint64_t seed = 42,
                std::optional<MigProfile> mig = std::nullopt,
                const NoiseParams& noise = {});
-
-  /// cudaDeviceSetLimit analogue: newer NVIDIA L2 caches have a configurable
-  /// fetch granularity (paper Sec. IV-D). Rebuilds the L2 partitions with the
-  /// new sector size (must divide the L2 line size); their content is lost
-  /// but accumulated hit/miss counters carry over, and previously compiled
-  /// AccessPaths become stale (run_pass rejects them via the path epoch).
-  /// Throws std::invalid_argument for invalid granularities or GPUs without
-  /// an L2.
-  void set_l2_fetch_granularity(std::uint32_t bytes);
-
-  /// Currently effective L2 fetch granularity (spec value unless overridden).
-  std::uint32_t l2_fetch_granularity() const;
 
   const GpuSpec& spec() const { return spec_; }
   const std::optional<MigProfile>& mig() const { return mig_; }
@@ -93,12 +83,12 @@ class Gpu {
   /// per-chase noise-stream seeds from it (runtime::chase_noise_seed).
   std::uint64_t seed() const { return seed_; }
 
-  /// A replica for parallel batch execution: same spec (including any
-  /// set_l2_fetch_granularity mutation), same MIG restriction, same noise
-  /// parameters and the same allocator state — addresses handed out by this
-  /// Gpu are valid in the replica — but cold caches, zeroed counters and a
-  /// noise stream seeded with @p noise_seed. Forking never mutates *this,
-  /// and costs cache geometries and empty page tables (see SectoredCache).
+  /// A replica for parallel batch execution: same spec, same MIG
+  /// restriction, same noise parameters and the same allocator state —
+  /// addresses handed out by this Gpu are valid in the replica — but cold
+  /// caches, zeroed counters and a noise stream seeded with @p noise_seed.
+  /// Forking never mutates *this, and costs cache geometries and empty page
+  /// tables (see SectoredCache).
   Gpu fork(std::uint64_t noise_seed) const;
 
   /// Restarts the noise stream as if the Gpu had been constructed with
@@ -135,10 +125,6 @@ class Gpu {
   AccessPath compile_path(const Placement& where, Space space,
                           AccessFlags flags = {});
 
-  /// Current path epoch; bumped whenever compiled paths become stale because
-  /// a cache was rebuilt (set_l2_fetch_granularity).
-  std::uint64_t path_epoch() const { return path_epoch_; }
-
   /// Executes @p steps loads at base, base + stride, ... through a compiled
   /// path: the batched equivalent of calling access_traced() per address,
   /// with identical cache-state, counter and noise-stream effects, but zero
@@ -150,7 +136,6 @@ class Gpu {
   /// @param record    when non-null, per-load latencies are appended until
   ///                  record->size() reaches @p record_limit. The caller
   ///                  reserves capacity; run_pass never does.
-  /// Throws std::logic_error when @p path is stale (epoch mismatch).
   std::uint64_t run_pass(const AccessPath& path, std::uint64_t base,
                          std::uint64_t stride_bytes, std::uint64_t steps,
                          ElementCounts* served = nullptr,
@@ -258,8 +243,7 @@ class Gpu {
   // Per-SM physical caches: sm -> physical_group -> cache (with segments).
   using SmCaches = std::map<std::uint32_t, PhysicalCache>;
 
-  /// Throws when @p path is stale, then puts its caches not listed yet on
-  /// the flush list.
+  /// Puts the caches of @p path not listed yet on the flush list.
   void list_caches(const AccessPath& path);
   /// The stream each level of @p path sees of the walk base + j * stride
   /// (j < steps): a level's granule is the largest sector above it. False,
@@ -293,7 +277,6 @@ class Gpu {
   std::uint64_t flushed_sets_ = 0;
   std::uint64_t fills_dropped_ = 0;
   std::uint64_t pages_written_ = 0;
-  std::uint64_t path_epoch_ = 0;               // invalidates compiled paths
 };
 
 }  // namespace mt4g::sim

@@ -380,36 +380,7 @@ TEST(AccessPathAllocation, CachesStayWithinTheirSizeBound) {
   }
 }
 
-// --- Compiled-path lifecycle -------------------------------------------------
-
-TEST(AccessPath, StalePathIsRejectedAfterL2Rebuild) {
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
-  const sim::AccessPath path = gpu.compile_path({0, 0}, sim::Space::kGlobal);
-  gpu.set_l2_fetch_granularity(64);
-  EXPECT_THROW(gpu.run_pass(path, 4096, 32, 4), std::logic_error);
-  // A freshly compiled path works again.
-  const sim::AccessPath fresh = gpu.compile_path({0, 0}, sim::Space::kGlobal);
-  EXPECT_NO_THROW(gpu.run_pass(fresh, 4096, 32, 4));
-}
-
-TEST(AccessPath, L2RebuildPreservesHitMissCounters) {
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
-  sim::AccessFlags cg;
-  cg.bypass_l1 = true;
-  const std::uint64_t base = gpu.alloc(4 * KiB);
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    gpu.access({0, 0}, sim::Space::kGlobal, base + i * 32, cg);
-  }
-  const std::uint64_t hits = gpu.hit_count(0, Element::kL2);
-  const std::uint64_t misses = gpu.miss_count(0, Element::kL2);
-  ASSERT_GT(hits + misses, 0u);
-
-  gpu.set_l2_fetch_granularity(64);
-  EXPECT_EQ(gpu.hit_count(0, Element::kL2), hits)
-      << "granularity rebuild must not zero accumulated hits";
-  EXPECT_EQ(gpu.miss_count(0, Element::kL2), misses)
-      << "granularity rebuild must not zero accumulated misses";
-}
+// --- Compiled paths ---------------------------------------------------------
 
 TEST(AccessPath, SharedSpacePathTerminatesInScratchpad) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);

@@ -41,9 +41,6 @@ TEST(FleetJob, KeyEncodesEveryField) {
   changed = job;
   changed.options.measure_compute = true;
   EXPECT_NE(changed.key(), base);
-  changed = job;
-  changed.options.record_count = 99;
-  EXPECT_NE(changed.key(), base);
 
   EXPECT_EQ(DiscoveryJob(job).key(), base);
   EXPECT_EQ(DiscoveryJob(job).hash(), job.hash());
@@ -59,10 +56,10 @@ TEST(FleetJob, HashIsStableAcrossProcesses) {
   // resolved from the default registry because the job carries no spec.
   EXPECT_EQ(job.key(),
             "model=H100-80;seed=42;mig=-;config=PreferL1;only=-;series=0;"
-            "compute=0;records=512;spec=" +
+            "compute=0;spec=" +
                 sim::spec_content_hash_hex(sim::registry_get("H100-80")));
   EXPECT_EQ(job.hash_hex().size(), 16u);
-  EXPECT_EQ(job.hash_hex(), "62ac5cf00a899f8c");
+  EXPECT_EQ(job.hash_hex(), "4d601011a57fbc98");
 }
 
 TEST(FleetJob, ExpandCoversModelsSeedsAndMigPartitions) {

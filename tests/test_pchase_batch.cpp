@@ -10,14 +10,12 @@
 #include <algorithm>
 
 #include "common/units.hpp"
-#include "core/target.hpp"
 #include "exec/executor.hpp"
+#include "obs/metrics.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::runtime {
 namespace {
-
-using sim::Element;
 
 std::vector<PChaseConfig> sweep_configs(sim::Gpu& gpu, std::size_t count) {
   const std::uint64_t base = gpu.alloc(64 * KiB, 256);
@@ -167,31 +165,60 @@ TEST(PChaseBatch, ChaseSeedsArePinnedPerKind) {
             0xBEE578126C72778CULL);
 }
 
-TEST(PChaseBatch, ForkCarriesSpecMutationsAndAllocator) {
+TEST(PChaseBatch, ForkTakesItsSeedAndCarriesTheAllocator) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const std::uint64_t base = gpu.alloc(1 * KiB, 256);
-  gpu.set_l2_fetch_granularity(64);
   sim::Gpu replica = gpu.fork(99);
-  EXPECT_EQ(replica.l2_fetch_granularity(), 64u);
   EXPECT_EQ(replica.seed(), 99u);
   // Allocator state carried over: the next address is past `base`.
   EXPECT_GT(replica.alloc(64, 256), base);
 }
 
-TEST(PChaseBatch, StaleReplicaPoolIsRefreshedAfterCacheRebuild) {
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  const auto specs = plain_specs(sweep_configs(gpu, 4));
-  ReplicaPool pool;
-  (void)run_chase_batch(gpu, specs, &pool);
-  ASSERT_FALSE(pool.replicas.empty());
-  ASSERT_TRUE(pool.replicas[0].has_value());
-  EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(),
-            gpu.l2_fetch_granularity());
+/// replica.fork_ns observations so far: one per replica forked.
+std::uint64_t replica_forks() {
+  for (const obs::MetricSample& sample :
+       obs::Metrics::instance().snapshot()) {
+    if (sample.name == "replica.fork_ns") return sample.count;
+  }
+  return 0;
+}
 
-  gpu.set_l2_fetch_granularity(64);
-  (void)run_chase_batch(gpu, specs, &pool);
-  ASSERT_TRUE(pool.replicas[0].has_value());
-  EXPECT_EQ(pool.replicas[0]->l2_fetch_granularity(), 64u);
+std::size_t replicas_held(const ReplicaPool& pool) {
+  return static_cast<std::size_t>(
+      std::count_if(pool.replicas.begin(), pool.replicas.end(),
+                    [](const auto& replica) { return replica.has_value(); }));
+}
+
+TEST(PChaseBatch, LaterBatchesReuseThePoolsReplicas) {
+  obs::Metrics& metrics = obs::Metrics::instance();
+  metrics.reset();
+  metrics.enable();
+  exec::Executor executor(3);
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  const auto specs = plain_specs(sweep_configs(gpu, 12));
+
+  ReplicaPool serial;
+  const auto first = run_chase_batch(gpu, specs, &serial);
+  EXPECT_EQ(replica_forks(), 1u);
+  ASSERT_EQ(replicas_held(serial), 1u);
+  const sim::Gpu* replica = &*serial.replicas[0];
+  EXPECT_TRUE(equal_results(run_chase_batch(gpu, specs, &serial), first));
+  EXPECT_EQ(replica_forks(), 1u) << "the second serial batch forked";
+  EXPECT_EQ(&*serial.replicas[0], replica);
+
+  // Which of four participants run is up to the executor, so a slot may
+  // first run in the second batch; a slot that holds a replica never
+  // forks again.
+  metrics.reset();
+  ReplicaPool parallel = parallel_pool(4, executor);
+  EXPECT_TRUE(equal_results(run_chase_batch(gpu, specs, &parallel), first));
+  const std::size_t held = replicas_held(parallel);
+  EXPECT_EQ(replica_forks(), held);
+  EXPECT_TRUE(equal_results(run_chase_batch(gpu, specs, &parallel), first));
+  EXPECT_EQ(replica_forks(), replicas_held(parallel));
+  EXPECT_GE(replicas_held(parallel), held);
+  metrics.disable();
+  metrics.reset();
 }
 
 TEST(PChaseBatch, ReplicasAreAcquiredPerWorkingSlot) {
@@ -415,42 +442,6 @@ TEST(PChaseBatch, RunAheadCommitsExactlyLikeExecution) {
   EXPECT_EQ(ahead_pool.ahead_stats.used, 6u);
   EXPECT_EQ(ahead_pool.ahead_stats.discarded, 1u);
   EXPECT_TRUE(ahead_pool.ahead.empty());
-}
-
-TEST(PChaseBatch, RunAheadIsNeverCommittedAcrossAPathEpochChange) {
-  // A full pass at half-line stride over twice an L2 segment: every line
-  // misses, and whether its second half hits depends on the L2 fetch
-  // granularity — so a stale measurement would show.
-  const sim::GpuSpec& spec = sim::registry_get("TestGPU-NV");
-  const core::Target l2 = core::target_for(spec.vendor, Element::kL2);
-  sim::Gpu gpu(spec, 42);
-  PChaseConfig config;
-  config.space = l2.space;
-  config.flags = l2.flags;
-  config.base = gpu.alloc(64 * KiB, 256);
-  config.array_bytes = 64 * KiB;
-  config.stride_bytes = 32;
-  config.record_count = 128;
-  const ChaseSpec chase = ChaseSpec::plain(config);
-  ReplicaPool pool;
-  run_chase_ahead(gpu, std::span(&chase, 1), pool);
-  ASSERT_EQ(pool.ahead.size(), 1u);
-  const PChaseResult stale = pool.ahead.front().result;
-
-  gpu.set_l2_fetch_granularity(64);  // rebuilds the L2: a new path epoch
-  const auto committed = run_chase_batch(gpu, std::span(&chase, 1), &pool);
-  EXPECT_EQ(pool.ahead_stats.used, 0u);
-  EXPECT_EQ(pool.ahead_stats.discarded, 1u);
-  EXPECT_TRUE(pool.ahead.empty());
-  EXPECT_EQ(pool.chases, 1u);
-
-  // The probe executed again, on the rebuilt L2.
-  sim::Gpu fresh(spec, 42);
-  (void)fresh.alloc(64 * KiB, 256);
-  fresh.set_l2_fetch_granularity(64);
-  const auto reference = run_chase_batch(fresh, std::span(&chase, 1));
-  EXPECT_TRUE(equal_results(committed, reference));
-  EXPECT_NE(stale.served_by.raw(), reference[0].served_by.raw());
 }
 
 TEST(PChaseBatch, PropagatesTheCallersEngineToWorkers) {

@@ -29,8 +29,8 @@ using sim::Element;
 
 Stage make_stage(std::string name, Element element,
                  std::vector<std::string> deps) {
-  return Stage{std::move(name), element, StageKind::kLatency, std::move(deps),
-               false, [](StageContext&) {}};
+  return Stage{std::move(name), element, std::move(deps), false,
+               [](StageContext&) {}};
 }
 
 // --- Validation diagnostics. ------------------------------------------------
@@ -98,7 +98,7 @@ TEST(StageGraphValidation, RejectsCycles) {
 
 TEST(StageGraphValidation, RejectsMissingRunFunction) {
   StageGraph graph;
-  graph.add(Stage{"a", Element::kL1, StageKind::kLatency, {}, false, {}});
+  graph.add(Stage{"a", Element::kL1, {}, false, {}});
   EXPECT_THROW(validate(graph), std::invalid_argument);
 }
 
@@ -445,11 +445,11 @@ TEST(StageGraphTelemetry, FailingStageSkipsDependentsAndRethrows) {
   graph.row_order = {Element::kL1};
   bool downstream_ran = false;
   bool independent_ran = false;
-  graph.add({"boom", Element::kL1, StageKind::kLatency, {}, false,
+  graph.add({"boom", Element::kL1, {}, false,
              [](StageContext&) { throw std::runtime_error("boom"); }});
-  graph.add({"dependent", Element::kL1, StageKind::kLatency, {"boom"}, false,
+  graph.add({"dependent", Element::kL1, {"boom"}, false,
              [&](StageContext&) { downstream_ran = true; }});
-  graph.add({"independent", Element::kL1, StageKind::kLatency, {}, false,
+  graph.add({"independent", Element::kL1, {}, false,
              [&](StageContext&) { independent_ran = true; }});
   DiscoveryPlan plan;
   plan.graph = std::move(graph);

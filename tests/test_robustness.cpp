@@ -1,17 +1,18 @@
-// Robustness and reconfiguration tests:
+// Robustness tests:
 //  * discovery correctness under elevated measurement noise (the disturbance
 //    regime the paper's K-S/outlier machinery exists for),
 //  * the configurable NVIDIA L2 fetch granularity (paper Sec. IV-D:
-//    cudaDeviceSetLimit), which the FG benchmark must track.
+//    cudaDeviceSetLimit), which the FG benchmark must track. A device
+//    configured to another granularity is a spec with that L2 sector size.
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
 #include "core/benchmarks/fetch_granularity.hpp"
 #include "core/benchmarks/size.hpp"
 #include "core/target.hpp"
-#include "runtime/device.hpp"
 #include "sim/gpu.hpp"
 #include "sim/registry.hpp"
+#include "sim/spec_io.hpp"
 
 namespace mt4g::core {
 namespace {
@@ -70,13 +71,22 @@ TEST(Robustness, ConfidenceReflectsNoiseLevel) {
   EXPECT_GE(clean.confidence, harsh.confidence - 1e-9);
 }
 
-TEST(L2FetchGranularity, SetLimitChangesWhatTheBenchmarkMeasures) {
-  // H100 default L2 granularity is 32 B; reconfigure to 64 B and 128 B and
-  // verify the FG benchmark tracks the device state, not the datasheet.
+/// A copy of built-in @p model whose L2 sectors are @p sector_bytes: the
+/// device as it runs with that L2 fetch granularity configured.
+sim::GpuSpec with_l2_sector(const std::string& model,
+                            std::uint32_t sector_bytes) {
+  sim::GpuSpec spec = sim::registry_get(model);
+  spec.elements.at(Element::kL2).sector_bytes = sector_bytes;
+  return spec;
+}
+
+TEST(L2FetchGranularity, BenchmarkReadsTheSpecSectorSize) {
+  // H100's datasheet L2 granularity is 32 B; at 64 B and 128 B the FG
+  // benchmark must track the device, not the datasheet.
   for (const std::uint32_t configured : {32u, 64u, 128u}) {
-    sim::Gpu gpu(sim::registry_get("H100-80"), 42);
-    ASSERT_TRUE(runtime::device_set_l2_fetch_granularity(gpu, configured));
-    EXPECT_EQ(gpu.l2_fetch_granularity(), configured);
+    const sim::GpuSpec spec = with_l2_sector("H100-80", configured);
+    ASSERT_TRUE(sim::validate_spec(spec).empty()) << configured;
+    sim::Gpu gpu(spec, 42);
     FgBenchOptions options;
     options.target = target_for(sim::Vendor::kNvidia, Element::kL2);
     const auto result = run_fg_benchmark(gpu, options);
@@ -85,26 +95,18 @@ TEST(L2FetchGranularity, SetLimitChangesWhatTheBenchmarkMeasures) {
   }
 }
 
-TEST(L2FetchGranularity, SizeBenchmarkStillExactAfterReconfiguration) {
-  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
-  ASSERT_TRUE(runtime::device_set_l2_fetch_granularity(gpu, 64));
+TEST(L2FetchGranularity, SizeBenchmarkExactAtA64ByteSector) {
+  const sim::GpuSpec spec = with_l2_sector("TestGPU-NV", 64);
+  ASSERT_TRUE(sim::validate_spec(spec).empty());
+  sim::Gpu gpu(spec, 42);
   SizeBenchOptions options;
   options.target = target_for(sim::Vendor::kNvidia, Element::kL2);
   options.lower = 4 * KiB;
   options.upper = 128 * KiB;
-  options.stride = 64;  // the new granularity
+  options.stride = 64;  // the sector size
   const auto result = run_size_benchmark(gpu, options);
   ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.exact_bytes, 32 * KiB);  // one partition, unchanged
-}
-
-TEST(L2FetchGranularity, Validation) {
-  sim::Gpu nvidia(sim::registry_get("H100-80"), 1);
-  EXPECT_THROW(nvidia.set_l2_fetch_granularity(0), std::invalid_argument);
-  EXPECT_THROW(nvidia.set_l2_fetch_granularity(48), std::invalid_argument);
-  EXPECT_THROW(nvidia.set_l2_fetch_granularity(256), std::invalid_argument);
-  sim::Gpu amd(sim::registry_get("MI210"), 1);
-  EXPECT_FALSE(runtime::device_set_l2_fetch_granularity(amd, 64));
+  EXPECT_EQ(result.exact_bytes, 32 * KiB);  // one partition
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 namespace mt4g::sim {
 namespace {
 
-/// One side of a comparison: its own Gpu (device-memory counter, epoch) and
+/// One side of a comparison: its own Gpu (device-memory counter) and
 /// its own caches, chained into a hand-built path, and a path from another
 /// placement: a first level of its own (the last of `caches`) over the same
 /// deeper levels, as a second SM or CU sees them.
@@ -49,7 +49,6 @@ struct Side {
     path.depth = levels.size();
     path.terminal = Element::kDeviceMem;
     path.terminal_latency = 600;
-    path.epoch = gpu.path_epoch();
     other = path;
     caches.emplace_back(levels[0]);
     other.levels[0].cache = &caches.back();
@@ -1261,9 +1260,9 @@ TEST(PagedFill, ReadersWriteNoPageOutsideTheLineRange) {
 // --- Flushes of the caches paths reached -----------------------------------
 // Gpu::flush_caches flushes only the caches that run_pass and run_warm_pass
 // reached since the last flush. Random sequences of compiles, passes, warm
-// walks, dual-array warm walks, L2 fetch-granularity switches and flushes
-// over random placements, with a path compiled before a flush run after it,
-// end in a flush: every cache must then equal a fresh fork's.
+// walks, dual-array warm walks and flushes over random placements, with a
+// path compiled before a flush run after it, end in a flush: every cache
+// must then equal a fresh fork's.
 
 /// Every cache a compiled path of @p gpu reaches, once, in a fixed order:
 /// the chain of every placement, space and L1 setting.
@@ -1335,17 +1334,9 @@ bool run_flush_case(const char* model, std::uint64_t seed) {
       ++flushes;
       continue;
     }
-    if (kind == 2) {
-      if (spec.vendor == Vendor::kNvidia) {
-        const std::uint32_t line = spec.at(Element::kL2).line_bytes;
-        gpu.set_l2_fetch_granularity(line >> rng.uniform_int(0, 2));
-      }
-      continue;
-    }
-    // A pass, a warm walk or a dual-array warm walk over a live path.
+    // A pass, a warm walk or a dual-array warm walk over a compiled path.
     const std::size_t p = rng.uniform_int(0, paths.size() - 1);
     const AccessPath& path = paths[p];
-    if (path.epoch != gpu.path_epoch()) continue;
     reran = reran || compiled_at[p] < flushes;
     const std::uint64_t stride = 1 + rng.uniform_int(0, 300);
     const std::uint64_t steps = 1 + rng.uniform_int(0, 400);
@@ -1356,15 +1347,13 @@ bool run_flush_case(const char* model, std::uint64_t seed) {
     } else if (kind < 8) {
       gpu.run_warm_pass(path, base, stride, steps);
     } else {
-      // Array B from another live path, as amount, sharing and dual-CU
+      // Array B from another compiled path, as amount, sharing and dual-CU
       // chases warm it after array A.
       gpu.run_warm_pass(path, base, stride, steps);
       const AccessPath& second = paths[rng.uniform_int(0, paths.size() - 1)];
-      if (second.epoch == gpu.path_epoch()) {
-        gpu.run_warm_pass(second,
-                          arena + rng.uniform_int(0, 256 * KiB - steps * stride),
-                          stride, steps);
-      }
+      gpu.run_warm_pass(second,
+                        arena + rng.uniform_int(0, 256 * KiB - steps * stride),
+                        stride, steps);
     }
   }
   gpu.flush_caches();
@@ -1385,7 +1374,7 @@ bool run_flush_case(const char* model, std::uint64_t seed) {
 
 TEST(FlushCaches, LeavesEveryCacheAsFreshAfterRandomSequences) {
   // MI100's sL1d groups of three and TestGPU-AMD's of two share one sL1d
-  // between CUs; TestGPU-NV switches its L2 fetch granularity.
+  // between CUs.
   std::uint64_t reruns = 0;
   std::uint64_t cases = 0;
   for (const char* model : {"TestGPU-NV", "TestGPU-AMD", "MI100"}) {
@@ -1438,16 +1427,6 @@ TEST(FlushCaches, CountsTheCachesAndSetsItFlushed) {
   EXPECT_EQ(gpu.pages_written(), 3u) << "the sL1d's and the L2's";
   EXPECT_EQ(gpu.flushed_sets(),
             std::min<std::uint64_t>(4, sl1d.num_sets()) + 2);
-
-  // An L2 fetch-granularity switch drops the L2 segments it destroys from
-  // the list: the rebuilt segment is listed once, when a path reaches it.
-  Gpu nv(registry_get("TestGPU-NV"), 1);
-  const std::uint64_t nv_base = nv.alloc(4 * KiB);
-  nv.run_pass(nv.compile_path({0, 0}, Space::kGlobal), nv_base, 64, 8);
-  nv.set_l2_fetch_granularity(64);
-  nv.run_pass(nv.compile_path({0, 0}, Space::kGlobal), nv_base, 64, 8);
-  nv.flush_caches();
-  EXPECT_EQ(nv.flushed_caches(), 2u) << "the L1 and the rebuilt L2";
 }
 
 }  // namespace
