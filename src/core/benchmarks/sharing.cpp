@@ -40,7 +40,8 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
 
   // The pair chases are independent (each runs on a reset replica), so they
   // execute as one batch. The eviction verdict reads the full-pass served_by
-  // classification, so no timed-pass cap.
+  // classification and the cycles alone, so no timed-pass cap, and the
+  // chases record no latency.
   struct Pair {
     sim::Element element_a;
     sim::Element element_b;
@@ -66,7 +67,7 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
       config_a.flags = target_a.flags;
       config_a.array_bytes = array_bytes_for(tracked);
       config_a.stride_bytes = tracked.stride;
-      config_a.record_count = 512;
+      config_a.record_count = 0;
 
       runtime::PChaseConfig config_b;
       const Target target_b = target_for(vendor, other.element);
@@ -74,7 +75,7 @@ SharingBenchResult run_sharing_benchmark(sim::Gpu& gpu,
       config_b.flags = target_b.flags;
       config_b.array_bytes = array_bytes_for(other);
       config_b.stride_bytes = other.stride;
-      config_b.record_count = 512;
+      config_b.record_count = 0;
 
       config_a.base = gpu.alloc(config_a.array_bytes, 256);
       config_b.base = gpu.alloc(config_b.array_bytes, 256);
@@ -111,13 +112,14 @@ CuSharingBenchResult run_cu_sharing_benchmark(
   // All CU pairs are independent dual-CU chases: one batch. Both arrays are
   // allocated once and reused by every pair — batched chases run on reset
   // replicas, so sharing the bases cannot couple them (and per-pair
-  // allocations would make addresses depend on the pair order).
+  // allocations would make addresses depend on the pair order). The verdict
+  // reads served_by and the cycles alone, so the chases record no latency.
   runtime::PChaseConfig config;
   config.space = target.space;
   config.flags = target.flags;
   config.array_bytes = array_bytes;
   config.stride_bytes = options.stride;
-  config.record_count = 256;
+  config.record_count = 0;
   config.base = gpu.alloc(array_bytes, 256);
   const std::uint64_t base_b = gpu.alloc(array_bytes, 256);
 

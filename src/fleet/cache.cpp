@@ -26,7 +26,10 @@ namespace {
 // them at 10 significant digits.
 // v5: job keys lost the records=<n> component (the record budget is a
 // constant of the benchmarks), so no v4 key matches a v5 job.
-constexpr int kCacheFileVersion = 5;
+// v6: the Physical Sharing and CU-sharing chases record no latency, which
+// moves them onto other noise streams: a v5 entry's meta cycles are not
+// what this build reports for the same key.
+constexpr int kCacheFileVersion = 6;
 
 /// Advisory exclusive lock on `<target>.lock`, held for a whole load or
 /// save+merge cycle. The sidecar (not the target itself) carries the flock

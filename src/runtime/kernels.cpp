@@ -1,6 +1,7 @@
 #include "runtime/kernels.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -17,6 +18,16 @@ void validate(const PChaseConfig& config) {
   if (config.array_bytes < config.stride_bytes) {
     throw std::invalid_argument("pchase: array smaller than one stride");
   }
+}
+
+/// The path @p config's loads take, compiled once for every pass over its
+/// array (a path stays valid for its Gpu's lifetime), or none on the
+/// reference engine, which steps each load through Gpu::warm_access and
+/// Gpu::access_traced.
+std::optional<sim::AccessPath> compiled_path(sim::Gpu& gpu,
+                                             const PChaseConfig& config) {
+  if (t_engine == PChaseEngine::kReference) return std::nullopt;
+  return gpu.compile_path(config.where, config.space, config.flags);
 }
 
 /// Books @p loads under @p name and the @p stepped of them executed one
@@ -36,9 +47,10 @@ void book_loads(const char* name, const char* stepped_name,
 /// was produced (the closed-form walk in Gpu::run_warm_pass depends on
 /// this). The loads are booked in `sim.warm_loads`, and those executed one
 /// by one rather than in closed form in `sim.warm_loads_stepped`.
-std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config) {
+std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config,
+                          const std::optional<sim::AccessPath>& path) {
   const std::uint64_t steps = config.array_bytes / config.stride_bytes;
-  if (t_engine == PChaseEngine::kReference) {
+  if (!path) {
     std::uint64_t cycles = 0;
     for (std::uint64_t i = 0; i < steps; ++i) {
       cycles += gpu.warm_access(config.where, config.space,
@@ -48,11 +60,9 @@ std::uint64_t warmup_pass(sim::Gpu& gpu, const PChaseConfig& config) {
     book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps, steps);
     return cycles;
   }
-  const sim::AccessPath path =
-      gpu.compile_path(config.where, config.space, config.flags);
   const std::uint64_t stepped_before = gpu.warm_loads_stepped();
   const std::uint64_t cycles =
-      gpu.run_warm_pass(path, config.base, config.stride_bytes, steps);
+      gpu.run_warm_pass(*path, config.base, config.stride_bytes, steps);
   book_loads("sim.warm_loads", "sim.warm_loads_stepped", steps,
              gpu.warm_loads_stepped() - stepped_before);
   return cycles;
@@ -78,6 +88,7 @@ std::uint64_t whole_pass_cycles(std::uint64_t cycles, std::uint64_t steps,
 /// `sim.flushed_caches`, `sim.flushed_sets`, `sim.pages_written` and
 /// `sim.fills_dropped`.
 void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
+                const std::optional<sim::AccessPath>& path,
                 PChaseResult& result) {
   const std::uint64_t full_steps = config.array_bytes / config.stride_bytes;
   std::uint64_t steps = full_steps;
@@ -93,7 +104,7 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
   const std::uint64_t sets_before = gpu.flushed_sets();
   const std::uint64_t pages_before = gpu.pages_written();
   const std::uint64_t dropped_before = gpu.fills_dropped();
-  if (t_engine == PChaseEngine::kReference) {
+  if (!path) {
     for (std::uint64_t i = 0; i < steps; ++i) {
       const sim::AccessResult access = gpu.access_traced(
           config.where, config.space, config.base + i * config.stride_bytes,
@@ -106,9 +117,7 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
     }
     gpu.flush_caches();
   } else {
-    const sim::AccessPath path =
-        gpu.compile_path(config.where, config.space, config.flags);
-    cycles = gpu.run_last_pass(path, config.base, config.stride_bytes, steps,
+    cycles = gpu.run_last_pass(*path, config.base, config.stride_bytes, steps,
                                &result.served_by, &result.latencies,
                                config.record_count);
   }
@@ -137,11 +146,12 @@ void set_pchase_engine(PChaseEngine engine) { t_engine = engine; }
 PChaseResult run_pchase(sim::Gpu& gpu, const PChaseConfig& config) {
   validate(config);
   PChaseResult result;
+  const std::optional<sim::AccessPath> path = compiled_path(gpu, config);
   if (config.warmup) {
-    result.warm_cycles = warmup_pass(gpu, config);
+    result.warm_cycles = warmup_pass(gpu, config, path);
     result.total_cycles += result.warm_cycles;
   }
-  timed_pass(gpu, config, result);
+  timed_pass(gpu, config, path, result);
   return result;
 }
 
@@ -153,10 +163,12 @@ PChaseResult run_two_array_pchase(sim::Gpu& gpu, const PChaseConfig& config_a,
   // (1) Array A fills the caches on A's path. (2) Array B's warm-up evicts
   //     it iff B's path shares one of those physical caches. (3) A's timed
   //     run tells which.
-  result.warm_cycles += warmup_pass(gpu, config_a);
-  result.warm_cycles += warmup_pass(gpu, config_b);
+  const std::optional<sim::AccessPath> path_a = compiled_path(gpu, config_a);
+  result.warm_cycles += warmup_pass(gpu, config_a, path_a);
+  result.warm_cycles +=
+      warmup_pass(gpu, config_b, compiled_path(gpu, config_b));
   result.total_cycles += result.warm_cycles;
-  timed_pass(gpu, config_a, result);
+  timed_pass(gpu, config_a, path_a, result);
   return result;
 }
 

@@ -19,10 +19,11 @@ namespace mt4g::runtime {
 
 /// Which pass engine executes p-chase loads.
 ///
-/// kCompiled is the production engine: each pass compiles one AccessPath and
-/// runs batched (zero per-load allocation): warm-ups through
-/// Gpu::run_warm_pass, timed passes through Gpu::run_last_pass. kReference
-/// keeps the per-load Gpu::warm_access and Gpu::access_traced loops; both
+/// kCompiled is the production engine: each chase compiles one AccessPath
+/// per array, which that array's passes share, and runs them batched (zero
+/// per-load allocation): warm-ups through Gpu::run_warm_pass, timed passes
+/// through Gpu::run_last_pass. kReference keeps the per-load
+/// Gpu::warm_access and Gpu::access_traced loops; both
 /// must produce bit-identical results for the same seed, which the
 /// equivalence tests and bench/discovery_hotpath assert. Note the scope of
 /// that gate: it verifies the batched execution (pass splitting, counter
@@ -59,7 +60,10 @@ struct PChaseConfig {
   std::uint64_t base = 0;          ///< array base address (from Gpu::alloc)
   std::uint64_t array_bytes = 0;   ///< array size; loads at base + i*stride
   std::uint32_t stride_bytes = 4;  ///< p-chase step
-  std::uint32_t record_count = 256;  ///< store only the first N latencies
+  /// Store only the first N timed latencies; 0 records (and reserves)
+  /// nothing. chase_noise_seed folds it: two budgets put one chase on two
+  /// noise streams.
+  std::uint32_t record_count = 256;
   bool warmup = true;              ///< initial untimed pass over the array
   sim::Placement where{};          ///< SM/CU + core executing the chase
   /// Cap on the number of timed-pass loads; 0 = walk the whole array.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -311,9 +312,11 @@ std::uint64_t Gpu::run_last_pass(const AccessPath& path, std::uint64_t base,
   }
   // A dense fill reaches every line from its first to its last: a set
   // holds lines / sets of them, and one more in the sets of the first
-  // lines % sets. A sparse fill opens a line per load: its lines per set,
-  // up to ways + 1, in the first num_sets_ entries of lines_in_set, the
-  // only ones set and read.
+  // lines % sets. A sparse fill opens a line per load, and loads m and
+  // m + period open lines in the same set (period * stride is the first
+  // multiple of sets * line): load m of the first period stands for its
+  // rounds of the fill. Its lines per set, up to ways + 1, in the first
+  // num_sets_ entries of lines_in_set, the only ones set and read.
   const std::uint64_t sets = warm ? first->num_sets_ : 1;
   const std::uint64_t lines =
       warm ? first->hi_line_ - first->lo_line_ + 1 : 0;
@@ -321,10 +324,15 @@ std::uint64_t Gpu::run_last_pass(const AccessPath& path, std::uint64_t base,
   std::array<std::uint16_t, kCountedSets> lines_in_set;
   if (warm && !held && !dense) {
     std::fill_n(lines_in_set.begin(), first->num_sets_, 0);
-    for (std::uint64_t m = 0; m < fill->count; ++m) {
+    const std::uint64_t span = sets * first->geometry_.line_bytes;
+    const std::uint64_t period = span / std::gcd(span, stride_bytes);
+    const std::uint64_t rounds = fill->count / period;
+    const std::uint64_t extra = fill->count % period;
+    for (std::uint64_t m = 0; m < std::min(period, fill->count); ++m) {
       std::uint16_t& lines =
           lines_in_set[first->set_of(first->line_of(base + m * stride_bytes))];
-      if (lines <= ways) ++lines;
+      lines = static_cast<std::uint16_t>(std::min<std::uint64_t>(
+          ways + 1, lines + rounds + (m < extra ? 1 : 0)));
     }
   }
   const auto same_sector = [&](std::uint64_t j, const SectoredCache* cache) {
@@ -570,27 +578,6 @@ std::uint64_t Gpu::miss_count(std::uint32_t sm, Element element) const {
   const auto it = sm_caches_[sm].find(spec_.at(element).physical_group);
   if (it == sm_caches_[sm].end()) return 0;
   for (const auto& segment : it->second.segments) total += segment.misses();
-  return total;
-}
-
-std::uint64_t Gpu::hit_count(std::uint32_t sm, Element element) const {
-  std::uint64_t total = 0;
-  if (element == Element::kL2) {
-    for (const auto& segment : l2_segments_) total += segment.hits();
-    return total;
-  }
-  if (element == Element::kL3) {
-    return l3_ ? l3_->hits() : 0;
-  }
-  if (element == Element::kSL1D) {
-    for (const auto& [group, cache] : sl1d_) total += cache.hits();
-    return total;
-  }
-  if (element == Element::kDeviceMem) return 0;
-  if (sm >= sm_caches_.size()) return 0;
-  const auto it = sm_caches_[sm].find(spec_.at(element).physical_group);
-  if (it == sm_caches_[sm].end()) return 0;
-  for (const auto& segment : it->second.segments) total += segment.hits();
   return total;
 }
 

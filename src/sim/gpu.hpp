@@ -159,8 +159,9 @@ class Gpu {
   ///     first, so they hit there when its first fill was this walk and it
   ///     holds every line, and reach the terminal on a one-level path.
   /// Only the recorded prefix is classified load by load; the rest is
-  /// counted (a sparse warm pass counts its fill's lines per set, on up to
-  /// kCountedSets sets) and draws its noise in bulk (NoiseModel::noise_sum).
+  /// counted (a sparse warm pass counts its fill's lines per set over one
+  /// period of the walk, on up to kCountedSets sets) and draws its noise in
+  /// bulk (NoiseModel::noise_sum).
   /// Any other pass steps (run_pass).
   std::uint64_t run_last_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps,
@@ -223,7 +224,6 @@ class Gpu {
   /// Cumulative sector misses observed by a cache element on SM @p sm
   /// (aggregated over segments; GPU-scoped elements ignore @p sm).
   std::uint64_t miss_count(std::uint32_t sm, Element element) const;
-  std::uint64_t hit_count(std::uint32_t sm, Element element) const;
   void reset_counters();
 
   /// The scratchpad (Shared Memory / LDS) load latency, noisy.

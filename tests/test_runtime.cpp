@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/units.hpp"
 #include "sim/registry.hpp"
 
@@ -172,6 +175,75 @@ TEST(Kernels, DualCuKernelDetectsSharedSl1d) {
       gpu, config,
       second_array(config, gpu.alloc(config.array_bytes), {2, 0}));
   EXPECT_EQ(isolated.served_by.at(Element::kSL1D), isolated.timed_loads);
+}
+
+TEST(Kernels, RecordingChangesNothingElse) {
+  // A plain chase that overflows the L1, a sharing chase whose two spaces
+  // share one physical cache, and dual-CU chases on CUs that share an sL1d
+  // (the timed pass steps) and on CUs that do not (the first level holds
+  // the walk): recording 256 latencies or none, on Gpus reseeded alike and
+  // on either engine, the cycles and served counts agree, and a budget of
+  // 0 records and reserves nothing.
+  struct Chase {
+    const char* model;
+    Space space_b;
+    std::uint64_t array_bytes;
+    std::uint32_t stride;
+    sim::Placement where_b;
+    bool two_arrays;
+    Element first_level;
+    bool evicted;
+  };
+  const Chase chases[] = {
+      {"TestGPU-NV", Space::kGlobal, 16 * KiB, 32, {0, 0}, false,
+       Element::kL1, true},
+      {"TestGPU-NV", Space::kTexture, 3584, 16, {0, 0}, true, Element::kL1,
+       true},
+      {"TestGPU-AMD", Space::kScalar, 896, 4, {1, 0}, true, Element::kSL1D,
+       true},
+      {"TestGPU-AMD", Space::kScalar, 896, 4, {2, 0}, true, Element::kSL1D,
+       false},
+  };
+  for (const PChaseEngine engine :
+       {PChaseEngine::kCompiled, PChaseEngine::kReference}) {
+    const ScopedPChaseEngine scope(engine);
+    for (const Chase& chase : chases) {
+      const auto run = [&](std::uint32_t record_count) {
+        sim::Gpu gpu(sim::registry_get(chase.model), 1);
+        PChaseConfig config;
+        config.space = chase.space_b == Space::kScalar ? Space::kScalar
+                                                       : Space::kGlobal;
+        config.array_bytes = chase.array_bytes;
+        config.stride_bytes = chase.stride;
+        config.record_count = record_count;
+        config.base = gpu.alloc(config.array_bytes);
+        PChaseConfig config_b =
+            second_array(config, gpu.alloc(config.array_bytes), chase.where_b);
+        config_b.space = chase.space_b;
+        gpu.reseed_noise(7);
+        return chase.two_arrays ? run_two_array_pchase(gpu, config, config_b)
+                                : run_pchase(gpu, config);
+      };
+      const PChaseResult none = run(0);
+      const PChaseResult some = run(256);
+      const std::string where =
+          std::string(chase.model) + ", space " +
+          std::to_string(static_cast<int>(chase.space_b)) + ", CU " +
+          std::to_string(chase.where_b.sm) + ", engine " +
+          std::to_string(static_cast<int>(engine));
+      EXPECT_EQ(none.total_cycles, some.total_cycles) << where;
+      EXPECT_TRUE(none.served_by == some.served_by) << where;
+      EXPECT_EQ(none.timed_loads, some.timed_loads) << where;
+      EXPECT_EQ(some.served_by.at(chase.first_level) < some.timed_loads,
+                chase.evicted)
+          << where;
+      EXPECT_TRUE(none.latencies.empty()) << where;
+      EXPECT_EQ(none.latencies.capacity(), 0u) << where;
+      EXPECT_EQ(some.latencies.size(),
+                std::min<std::uint64_t>(some.timed_loads, 256))
+          << where;
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -582,14 +583,18 @@ enum class Twist {
   kLonger,          ///< the pass runs one load more than the walk
 };
 
-/// What a case ran: its pass's loads, those the closed side stepped, and
-/// the kind of pass.
+/// What a case ran: its pass's loads, those the closed side stepped, the
+/// kind of pass, and the first level's set count with the whole periods of
+/// the warm walk's sets its fill spans (a walk's loads m and m + period
+/// open lines in the same set).
 struct LastCase {
   std::uint64_t loads = 0;
   std::uint64_t stepped = 0;
   bool capped = false;
   bool sparse = false;
   std::size_t depth = 0;
+  std::uint32_t sets = 0;
+  std::uint64_t periods = 0;
 };
 
 LastCase run_last_case(std::uint64_t seed, Shape shape, Twist twist) {
@@ -713,8 +718,11 @@ LastCase run_last_case(std::uint64_t seed, Shape shape, Twist twist) {
     expect_same_state(closed.caches[k], oracle.caches[k],
                       where + ", level " + std::to_string(k));
   }
+  const std::uint32_t sets = closed.caches[0].num_sets();
+  const std::uint64_t span = sets * line;
   return {pass_steps, closed.gpu.timed_loads_stepped() - stepped_before,
-          pass_steps < steps, stride > line, depth};
+          pass_steps < steps, stride > line, depth, sets,
+          steps / (span / std::gcd(span, stride))};
 }
 
 TEST(TimedClosedForm, ColdPassesAreDecidedAndMatchThePerLoadLoop) {
@@ -727,10 +735,15 @@ TEST(TimedClosedForm, ColdPassesAreDecidedAndMatchThePerLoadLoop) {
 
 TEST(TimedClosedForm, WarmPrefixesAreDecidedAndMatchThePerLoadLoop) {
   // Capped and full passes, dense and sparse strides, through one level
-  // and through deeper ones whose second level holds its fill whole.
+  // and through deeper ones whose second level holds its fill whole. A
+  // sparse fill's lines per set are counted over one period of its sets,
+  // so many sparse fills span two periods or more, some of them over a set
+  // count that is not a power of two.
   std::uint64_t capped = 0;
   std::uint64_t sparse = 0;
   std::uint64_t deeper = 0;
+  std::uint64_t periodic = 0;
+  std::uint64_t periodic_odd_sets = 0;
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
     const LastCase last = run_last_case(seed, Shape::kWarm, Twist::kNone);
     EXPECT_EQ(last.stepped, 0u) << "seed " << seed << ": the pass is decided";
@@ -738,10 +751,16 @@ TEST(TimedClosedForm, WarmPrefixesAreDecidedAndMatchThePerLoadLoop) {
     capped += last.capped ? 1 : 0;
     sparse += last.sparse ? 1 : 0;
     deeper += last.depth > 1 ? 1 : 0;
+    if (last.sparse && last.periods >= 2) {
+      ++periodic;
+      periodic_odd_sets += std::has_single_bit(last.sets) ? 0 : 1;
+    }
   }
   EXPECT_GE(capped, 500u);
   EXPECT_GE(sparse, 300u);
   EXPECT_GE(deeper, 800u);
+  EXPECT_GE(periodic, 100u);
+  EXPECT_GE(periodic_odd_sets, 1u);
 }
 
 TEST(TimedClosedForm, WalksTheFirstLevelHoldsAreDecidedOnDeeperPaths) {
