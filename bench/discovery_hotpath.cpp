@@ -3,19 +3,21 @@
 // stage-graph comparison — serial (bench_threads=1, sweep_threads=1) vs
 // parallel (bench_threads=M, sweep_threads=N) discovery — with the
 // golden-equivalence checks that all engines produce byte-identical reports
-// at a fixed seed. Each serial and parallel compiled discovery runs
-// kTimedRuns times: its time is the median run's, and every run's report
-// must match. The reference engine runs once. Writes BENCH_discovery.json,
-// the repo's perf trajectory record for the discovery hot path, including
-// per-model widening and chase counts, the stage-graph critical path, each
-// stage's cycles and its wall time in the serial and in the parallel median
-// run, the caller share of each model's parallel runs (the fraction of
-// their shared-executor tasks that ran on the thread that submitted them:
-// near 1 means their chase batches found no other thread to run on, and
-// exactly 1 that the runs fell back to one thread whatever their thread
-// knobs said), and the host description — so the next algorithmic target
-// stays visible and the parallel-speedup column is interpretable (a
-// single-core container measures ~1.0 by construction).
+// at a fixed seed. A model's serial and parallel compiled discoveries run
+// kTimedRuns times each, alternating, so a change in the host's load while
+// they run weighs on both sides alike: each side's time is its median
+// run's, and every run's report must match. The reference engine runs once.
+// Writes BENCH_discovery.json, the repo's perf trajectory record for the
+// discovery hot path, including per-model widening and chase counts, the
+// stage-graph critical path, each stage's cycles and its wall time in the
+// serial and in the parallel median run, the caller share of each model's
+// parallel runs (the fraction of their shared-executor tasks that ran on
+// the thread that submitted them: near 1 means their chase batches found no
+// other thread to run on, and exactly 1 that the runs fell back to one
+// thread whatever their thread knobs said), and the host description — so
+// the next algorithmic target stays visible and the parallel-speedup
+// column is interpretable (a single-core container measures ~1.0 by
+// construction).
 //
 // Usage: discovery_hotpath [options] [MODEL...] (default: every registry
 // model); --help lists the options.
@@ -78,32 +80,34 @@ struct TimedRun {
   std::string json;
 };
 
-/// Runs @p model's discovery @p runs times and returns the run of median
-/// wall time; its json is empty when the runs' reports differ.
-TimedRun timed_discovery(const std::string& model,
-                         runtime::PChaseEngine engine,
-                         std::uint32_t bench_threads,
-                         std::uint32_t sweep_threads, int runs) {
+/// One discovery of @p model on @p engine at the given thread settings,
+/// timed.
+TimedRun timed_run(const std::string& model, runtime::PChaseEngine engine,
+                   std::uint32_t bench_threads, std::uint32_t sweep_threads) {
   fleet::DiscoveryJob job;
   job.model = model;
   job.options.bench_threads = bench_threads;
   job.options.sweep_threads = sweep_threads;
   runtime::ScopedPChaseEngine scope(engine);
-  std::vector<TimedRun> all(static_cast<std::size_t>(runs));
-  for (TimedRun& run : all) {
-    const auto start = Clock::now();
-    run.report = fleet::run_job(job);
-    run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    run.json = core::to_json_string(run.report);
-  }
+  TimedRun run;
+  const auto start = Clock::now();
+  run.report = fleet::run_job(job);
+  run.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  run.json = core::to_json_string(run.report);
+  return run;
+}
+
+/// The run of median wall time among @p runs; its json is empty when the
+/// runs' reports differ.
+TimedRun median_run(std::vector<TimedRun> runs) {
   const bool repeatable =
-      std::all_of(all.begin(), all.end(), [&](const TimedRun& run) {
-        return run.json == all.front().json;
+      std::all_of(runs.begin(), runs.end(), [&](const TimedRun& run) {
+        return run.json == runs.front().json;
       });
-  std::sort(all.begin(), all.end(), [](const TimedRun& a, const TimedRun& b) {
+  std::sort(runs.begin(), runs.end(), [](const TimedRun& a, const TimedRun& b) {
     return a.seconds < b.seconds;
   });
-  TimedRun median = std::move(all[all.size() / 2]);
+  TimedRun median = std::move(runs[runs.size() / 2]);
   if (!repeatable) median.json.clear();
   return median;
 }
@@ -211,27 +215,35 @@ int main(int argc, char** argv) {
   for (const auto& model : models) {
     ModelResult r;
     r.model = model;
-    const TimedRun serial = timed_discovery(
-        model, runtime::PChaseEngine::kCompiled, 1, 1, kTimedRuns);
-    const exec::ExecutorStats exec_before = exec::shared_executor().stats();
-    const TimedRun parallel =
-        timed_discovery(model, runtime::PChaseEngine::kCompiled,
-                        bench_threads, sweep_threads, kTimedRuns);
-    const exec::ExecutorStats exec_after = exec::shared_executor().stats();
+    // Serial and parallel runs alternate; the executor stats cover the
+    // parallel runs only.
+    std::vector<TimedRun> serial_runs;
+    std::vector<TimedRun> parallel_runs;
+    std::uint64_t tasks = 0;
+    std::uint64_t caller_tasks = 0;
+    for (int run = 0; run < kTimedRuns; ++run) {
+      serial_runs.push_back(
+          timed_run(model, runtime::PChaseEngine::kCompiled, 1, 1));
+      const exec::ExecutorStats before = exec::shared_executor().stats();
+      parallel_runs.push_back(timed_run(model, runtime::PChaseEngine::kCompiled,
+                                        bench_threads, sweep_threads));
+      const exec::ExecutorStats after = exec::shared_executor().stats();
+      tasks += after.tasks - before.tasks;
+      caller_tasks += after.caller_tasks - before.caller_tasks;
+    }
+    const TimedRun serial = median_run(std::move(serial_runs));
+    const TimedRun parallel = median_run(std::move(parallel_runs));
     const core::TopologyReport& report = serial.report;
     r.serial_s = serial.seconds;
     r.parallel_s = parallel.seconds;
-    const std::uint64_t tasks = exec_after.tasks - exec_before.tasks;
     if (tasks > 0) {
       r.caller_share =
-          static_cast<double>(exec_after.caller_tasks -
-                              exec_before.caller_tasks) /
-          static_cast<double>(tasks);
+          static_cast<double>(caller_tasks) / static_cast<double>(tasks);
     }
     r.identical = !serial.json.empty() && serial.json == parallel.json;
     if (!skip_reference) {
       const TimedRun reference =
-          timed_discovery(model, runtime::PChaseEngine::kReference, 1, 1, 1);
+          timed_run(model, runtime::PChaseEngine::kReference, 1, 1);
       r.reference_s = reference.seconds;
       r.identical = r.identical && serial.json == reference.json;
     }
@@ -425,14 +437,14 @@ int main(int argc, char** argv) {
   if (max_seconds > 0.0 && slowest_serial > max_seconds) {
     std::fprintf(stderr,
                  "FAIL: slowest serial discovery (%s, %.3f s) exceeds the "
-                 "--max-seconds budget of %.1f s\n",
+                 "--max-seconds budget of %.3g s\n",
                  slowest_model.c_str(), slowest_serial, max_seconds);
     return 2;
   }
   if (max_total_seconds > 0.0 && total_serial > max_total_seconds) {
     std::fprintf(stderr,
                  "FAIL: total serial discovery (%.3f s) exceeds the "
-                 "--max-total-seconds budget of %.1f s\n",
+                 "--max-total-seconds budget of %.3g s\n",
                  total_serial, max_total_seconds);
     return 2;
   }

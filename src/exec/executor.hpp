@@ -80,7 +80,7 @@ class Executor {
   ///        that participate in their own parallel_for calls; 0 is valid
   ///        (every parallel_for then runs inline on the caller).
   explicit Executor(std::uint32_t pool_threads);
-  ~Executor();
+  virtual ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
@@ -92,9 +92,10 @@ class Executor {
   /// in index order — the serial reference mode. Tasks that throw do not
   /// abort the batch: every index still runs, and the exception of the
   /// lowest failing index is rethrown afterwards (lowest, not first, so the
-  /// error a caller observes is independent of scheduling).
-  void parallel_for(std::size_t count, std::uint32_t max_workers,
-                    const IndexedTask& task);
+  /// error a caller observes is independent of scheduling). Virtual so a
+  /// test can fix an order on a batch's tasks by wrapping them.
+  virtual void parallel_for(std::size_t count, std::uint32_t max_workers,
+                            const IndexedTask& task);
 
   /// Blocks until @p done returns true, running claimable tasks of queued
   /// batches meanwhile: the waiter joins a batch under the same joiner/slot

@@ -29,7 +29,9 @@ namespace {
 // v6: the Physical Sharing and CU-sharing chases record no latency, which
 // moves them onto other noise streams: a v5 entry's meta cycles are not
 // what this build reports for the same key.
-constexpr int kCacheFileVersion = 6;
+// v7: a timed pass's unrecorded loads count their mean noise instead of a
+// draw each, so a v6 entry's meta cycles differ for the same key.
+constexpr int kCacheFileVersion = 7;
 
 /// Advisory exclusive lock on `<target>.lock`, held for a whole load or
 /// save+merge cycle. The sidecar (not the target itself) carries the flock

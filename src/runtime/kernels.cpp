@@ -22,8 +22,7 @@ void validate(const PChaseConfig& config) {
 
 /// The path @p config's loads take, compiled once for every pass over its
 /// array (a path stays valid for its Gpu's lifetime), or none on the
-/// reference engine, which steps each load through Gpu::warm_access and
-/// Gpu::access_traced.
+/// reference engine, which steps each load on its own (see timed_pass).
 std::optional<sim::AccessPath> compiled_path(sim::Gpu& gpu,
                                              const PChaseConfig& config) {
   if (t_engine == PChaseEngine::kReference) return std::nullopt;
@@ -79,14 +78,18 @@ std::uint64_t whole_pass_cycles(std::uint64_t cycles, std::uint64_t steps,
 
 /// The timed pass, the last thing a chase runs: records the first
 /// record_count latencies, classifies every executed load by the level that
-/// served it, and flushes the Gpu's caches. max_timed_steps stops the walk
-/// early for record-only consumers (the recorded prefix is unaffected: each
-/// load depends only on the loads before it); the cycles still cover the
-/// whole pass the real tool would run. The executed loads are booked in
-/// `sim.timed_loads`, and those stepped one by one rather than decided by
-/// Gpu::run_last_pass in `sim.timed_loads_stepped`; the flush in
-/// `sim.flushed_caches`, `sim.flushed_sets`, `sim.pages_written` and
-/// `sim.fills_dropped`.
+/// served it, and flushes the Gpu's caches. Only the recorded loads draw
+/// their own noise; the others count at their base latencies plus their
+/// mean noise (NoiseModel::mean_noise), charged once. The reference engine
+/// times its recorded loads with Gpu::access_traced and steps the rest
+/// through the single-load Gpu::run_pass that access_traced wraps.
+/// max_timed_steps stops the walk early for record-only consumers (the
+/// recorded prefix is unaffected: each load depends only on the loads
+/// before it); the cycles still cover the whole pass the real tool would
+/// run. The executed loads are booked in `sim.timed_loads`, and those
+/// stepped one by one rather than decided by Gpu::run_last_pass in
+/// `sim.timed_loads_stepped`; the flush in `sim.flushed_caches`,
+/// `sim.flushed_sets`, `sim.pages_written` and `sim.fills_dropped`.
 void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                 const std::optional<sim::AccessPath>& path,
                 PChaseResult& result) {
@@ -106,13 +109,18 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
   const std::uint64_t dropped_before = gpu.fills_dropped();
   if (!path) {
     for (std::uint64_t i = 0; i < steps; ++i) {
-      const sim::AccessResult access = gpu.access_traced(
-          config.where, config.space, config.base + i * config.stride_bytes,
-          config.flags);
-      cycles += access.latency;
-      ++result.served_by[access.served_by];
+      const std::uint64_t address = config.base + i * config.stride_bytes;
       if (result.latencies.size() < config.record_count) {
+        const sim::AccessResult access =
+            gpu.access_traced(config.where, config.space, address,
+                              config.flags);
+        cycles += access.latency;
+        ++result.served_by[access.served_by];
         result.latencies.push_back(access.latency);
+      } else {
+        cycles += gpu.run_pass(
+            gpu.compile_path(config.where, config.space, config.flags),
+            address, /*stride_bytes=*/0, /*steps=*/1, &result.served_by);
       }
     }
     gpu.flush_caches();
@@ -121,6 +129,7 @@ void timed_pass(sim::Gpu& gpu, const PChaseConfig& config,
                                &result.served_by, &result.latencies,
                                config.record_count);
   }
+  cycles += gpu.noise().mean_noise(steps - result.latencies.size());
   book_loads("sim.timed_loads", "sim.timed_loads_stepped", steps,
              gpu.timed_loads_stepped() - stepped_before);
   if (obs::metrics_enabled()) {

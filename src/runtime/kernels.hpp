@@ -22,8 +22,9 @@ namespace mt4g::runtime {
 /// kCompiled is the production engine: each chase compiles one AccessPath
 /// per array, which that array's passes share, and runs them batched (zero
 /// per-load allocation): warm-ups through Gpu::run_warm_pass, timed passes
-/// through Gpu::run_last_pass. kReference keeps the per-load
-/// Gpu::warm_access and Gpu::access_traced loops; both
+/// through Gpu::run_last_pass. kReference keeps the per-load loops:
+/// Gpu::warm_access, then Gpu::access_traced for each recorded load and the
+/// single-load Gpu::run_pass it wraps for the rest; both
 /// must produce bit-identical results for the same seed, which the
 /// equivalence tests and bench/discovery_hotpath assert. Note the scope of
 /// that gate: it verifies the batched execution (pass splitting, counter
@@ -96,10 +97,13 @@ struct PChaseResult {
   /// so this must not be a node-based map.
   sim::ElementCounts served_by;
   /// Simulated GPU cycles the real tool's kernel would spend: its whole
-  /// warm-up plus its whole timed pass. A pass capped by max_timed_steps
-  /// adds its unexecuted tail at the executed loads' mean latency, in both
-  /// engines. A batch result (see run_chase_batch) carries exactly what a
-  /// cold run of its spec would, however the host produced it.
+  /// warm-up plus its whole timed pass. The timed pass's recorded loads
+  /// count their noisy latencies; its other executed loads count their base
+  /// latencies plus their mean noise (NoiseModel::mean_noise). A pass
+  /// capped by max_timed_steps adds its unexecuted tail at the executed
+  /// loads' mean latency, in both engines. A batch result (see
+  /// run_chase_batch) carries exactly what a cold run of its spec would,
+  /// however the host produced it.
   std::uint64_t total_cycles = 0;
   /// Warm-up portion of total_cycles. Warm-up is noise-free, so this is a
   /// pure function of the chase config and the replica's prior cache state.

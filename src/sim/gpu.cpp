@@ -208,7 +208,8 @@ namespace {
 /// The per-load body of a batched pass, specialised at compile time on
 /// whether served counters and latency recording are wanted, so the bulk of
 /// a pass (typically thousands of loads past the record limit) runs with no
-/// per-load capacity checks at all.
+/// per-load capacity checks and no noise draw: only a recorded load's
+/// latency is noisy, the others count at their base latency.
 template <bool kServed, bool kRecord>
 std::uint64_t pass_loop(const AccessPath& path, std::uint64_t base,
                         std::uint64_t stride_bytes, std::uint64_t first,
@@ -231,7 +232,8 @@ std::uint64_t pass_loop(const AccessPath& path, std::uint64_t base,
       }
     }
     if (!hit && path.terminal_is_dmem) ++dmem_accesses;
-    const std::uint32_t latency = noise.sample_rounded(base_latency);
+    const std::uint32_t latency =
+        kRecord ? noise.sample_rounded(base_latency) : base_latency;
     total_cycles += latency;
     if constexpr (kServed) ++(*served)[served_by];
     if constexpr (kRecord) record->push_back(latency);
@@ -378,9 +380,8 @@ std::uint64_t Gpu::run_last_pass(const AccessPath& path, std::uint64_t base,
     for (std::uint64_t j = 0; j < steps; ++j) ++total[level_of(j)];
   }
 
-  // The recorded prefix load by load, then the rest in bulk: its base
-  // latencies by level, and its noise drawn after the recorded loads', as
-  // the per-load loop draws it.
+  // The recorded prefix load by load, then the rest in bulk, at its base
+  // latencies by level.
   const std::uint64_t recorded = recorded_loads(record, record_limit, steps);
   const auto latency_of = [&](std::size_t level) {
     return level < depth ? path.levels[level].latency : path.terminal_latency;
@@ -394,7 +395,6 @@ std::uint64_t Gpu::run_last_pass(const AccessPath& path, std::uint64_t base,
     cycles += latency;
     record->push_back(latency);
   }
-  cycles += noise_.noise_sum(steps - recorded);
   std::uint64_t reaching = steps;
   for (std::size_t level = 0; level <= depth; ++level) {
     cycles += rest[level] * latency_of(level);
@@ -504,8 +504,8 @@ AccessResult Gpu::access_traced(const Placement& where, Space space,
   const AccessPath path = compile_path(where, space, flags);
   ElementCounts served;
   AccessResult result;
-  result.latency = static_cast<std::uint32_t>(
-      run_pass(path, address, /*stride_bytes=*/0, /*steps=*/1, &served));
+  result.latency = noise_.sample_rounded(static_cast<std::uint32_t>(
+      run_pass(path, address, /*stride_bytes=*/0, /*steps=*/1, &served)));
   for (std::size_t i = 0; i < kElementCount; ++i) {
     if (served.raw()[i] != 0) {
       result.served_by = static_cast<Element>(i);

@@ -114,7 +114,7 @@ class Gpu {
   /// Like access() but also reports which level served the load (noise-free
   /// classification for tests and the exact bisection predicates).
   /// Implemented as a thin wrapper over compile_path() + run_pass(): one
-  /// compiled-path load is observationally identical to one access().
+  /// compiled-path load, then its noise.
   AccessResult access_traced(const Placement& where, Space space,
                              std::uint64_t address, AccessFlags flags = {});
 
@@ -126,10 +126,11 @@ class Gpu {
                           AccessFlags flags = {});
 
   /// Executes @p steps loads at base, base + stride, ... through a compiled
-  /// path: the batched equivalent of calling access_traced() per address,
-  /// with identical cache-state, counter and noise-stream effects, but zero
-  /// heap allocation per load. Returns the summed noisy latency in cycles.
-  /// Every load is stepped.
+  /// path with the cache-state and counter effects of access_traced() per
+  /// address, but zero heap allocation per load. Only the recorded loads
+  /// draw noise; returns their noisy latencies plus every other load's base
+  /// latency, in cycles, whose noise is the caller's to charge
+  /// (NoiseModel::mean_noise). Every load is stepped.
   ///
   /// @param served    when non-null, the per-element served counters are
   ///                  accumulated into it (one increment per load).
@@ -159,10 +160,9 @@ class Gpu {
   ///     first, so they hit there when its first fill was this walk and it
   ///     holds every line, and reach the terminal on a one-level path.
   /// Only the recorded prefix is classified load by load; the rest is
-  /// counted (a sparse warm pass counts its fill's lines per set over one
-  /// period of the walk, on up to kCountedSets sets) and draws its noise in
-  /// bulk (NoiseModel::noise_sum).
-  /// Any other pass steps (run_pass).
+  /// counted at its base latencies (a sparse warm pass counts its fill's
+  /// lines per set over one period of the walk, on up to kCountedSets
+  /// sets). Any other pass steps (run_pass).
   std::uint64_t run_last_pass(const AccessPath& path, std::uint64_t base,
                               std::uint64_t stride_bytes, std::uint64_t steps,
                               ElementCounts* served = nullptr,

@@ -24,7 +24,7 @@ struct NoiseParams {
 
 /// Applies noise to a base latency. Deterministic given the RNG state.
 ///
-/// sample() sits on the simulator hot path (one call per simulated load), so
+/// sample() sits on the simulator hot path (one call per recorded load), so
 /// it is inline and burns exactly one RNG draw per load in the common case:
 /// the jitter comes from the draw's high bits via a multiply-shift range
 /// reduction and the spike decision from its low 32 bits, avoiding the
@@ -52,13 +52,22 @@ class NoiseModel {
     return base_cycles + draw();
   }
 
-  /// The noise @p count sample_rounded() calls add to their base
-  /// latencies, summed, with the same effect on the stream: a pass whose
-  /// base latencies are known in bulk draws its noise here.
-  std::uint64_t noise_sum(std::uint64_t count) {
-    std::uint64_t sum = 0;
-    for (std::uint64_t i = 0; i < count; ++i) sum += draw();
-    return sum;
+  /// The noise @p count loads add to their base latencies on average,
+  /// rounded half up to whole cycles: count times draw()'s exact mean, which
+  /// is jitter_max / 2 plus the rate draw() spikes at (spike_threshold_ /
+  /// 2^32) times the mean spike magnitude. A timed pass charges its
+  /// unrecorded loads here, once. It draws nothing, so the loads a pass
+  /// records read the same stream however many it leaves unrecorded.
+  std::uint64_t mean_noise(std::uint64_t count) const {
+    const double spike_rate =
+        static_cast<double>(spike_threshold_) * 0x1.0p-32;
+    const double per_load =
+        static_cast<double>(params_.jitter_max) / 2.0 +
+        spike_rate *
+            (static_cast<double>(params_.spike_min) + params_.spike_max) /
+            2.0;
+    return static_cast<std::uint64_t>(static_cast<double>(count) * per_load +
+                                      0.5);
   }
 
   std::uint32_t sample(double base_cycles) {

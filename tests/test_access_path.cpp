@@ -269,8 +269,8 @@ TEST(AccessPathAllocation, DecidedLastPassAllocatesNothingAndWritesNoPage) {
   // a last pass its fill decides reads none: neither allocates, and the
   // flush the pass ends with drops the fill unwritten. The passes: a full
   // one over a walk that overflows some sets, a capped one, a sparse one
-  // and a cold one, each drawing its unrecorded noise in bulk. A peek
-  // after a fill writes, and allocates, exactly the page it reads.
+  // and a cold one. A peek after a fill writes, and allocates, exactly the
+  // page it reads.
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 1);
   const std::uint64_t bytes = 48 * KiB;  // above the 32 KiB L2 segment
   const std::uint64_t base = gpu.alloc(bytes);

@@ -128,8 +128,8 @@ TEST(FleetCache, CorruptedFileRecoversEmpty) {
       "not json at all {{{",
       "[1, 2, 3]",
       R"({"version": 99, "entries": []})",
-      R"({"version": 6, "entries": [{"hash": "abc"}]})",
-      R"({"version": 6, "entries": [{"hash": "abc", "key": "k",
+      R"({"version": 7, "entries": [{"hash": "abc"}]})",
+      R"({"version": 7, "entries": [{"hash": "abc", "key": "k",
           "report": {"general": "truncated"}}]})",
   };
   for (const char* corruption : corruptions) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/units.hpp"
+#include "sim/noise.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::sim {
@@ -236,6 +241,125 @@ TEST(GpuSim, OutOfRangeSmThrows) {
   Gpu gpu = make_test_nv();
   EXPECT_THROW(gpu.access({99, 0}, Space::kGlobal, gpu.alloc(64)),
                std::out_of_range);
+}
+
+/// @p count access() latencies of one address, the first a cold miss.
+std::vector<std::uint32_t> next_latencies(Gpu& gpu, std::uint64_t address,
+                                          int count = 64) {
+  std::vector<std::uint32_t> latencies;
+  for (int i = 0; i < count; ++i) {
+    latencies.push_back(gpu.access({0, 0}, Space::kGlobal, address));
+  }
+  return latencies;
+}
+
+TEST(GpuSim, UnrecordedLoadsDrawNoNoise) {
+  // A pass draws noise only for the loads it records; the caller charges
+  // the others' mean (NoiseModel::mean_noise). So after a 100,000-load pass
+  // that records nothing, and after a decided last pass, the next loads
+  // read what they read on a fresh twin.
+  Gpu gpu = make_test_nv();
+  Gpu twin = make_test_nv();
+  const std::uint64_t bytes = 16 * KiB;
+  const std::uint64_t base = gpu.alloc(bytes);
+  const AccessPath path = gpu.compile_path({0, 0}, Space::kGlobal);
+  gpu.run_pass(path, base, 32, 100'000);
+  gpu.flush_caches();
+  EXPECT_EQ(next_latencies(gpu, base), next_latencies(twin, base));
+
+  AccessFlags cg;
+  cg.bypass_l1 = true;
+  const AccessPath l2 = gpu.compile_path({0, 0}, Space::kGlobal, cg);
+  gpu.flush_caches();
+  twin.flush_caches();
+  gpu.run_warm_pass(l2, base, 32, bytes / 32);
+  const std::uint64_t stepped = gpu.timed_loads_stepped();
+  ElementCounts served;
+  gpu.run_last_pass(l2, base, 32, bytes / 32, &served);
+  EXPECT_EQ(gpu.timed_loads_stepped(), stepped) << "the pass is decided";
+  EXPECT_EQ(served.at(Element::kL2), bytes / 32);
+  EXPECT_EQ(next_latencies(gpu, base), next_latencies(twin, base));
+}
+
+// --- NoiseModel::mean_noise ------------------------------------------------
+
+NoiseParams harsh_noise() {
+  NoiseParams noise;
+  noise.jitter_max = 6;
+  noise.spike_probability = 0.01;
+  noise.spike_min = 150;
+  noise.spike_max = 600;
+  return noise;
+}
+
+/// The exact mean and variance of one load's noise: jitter uniform on
+/// {0..jitter_max}, plus with the spike probability a magnitude uniform on
+/// {spike_min..spike_max}.
+struct DrawMoments {
+  double mean = 0.0;
+  double variance = 0.0;
+};
+
+DrawMoments draw_moments(const NoiseParams& params) {
+  const double p = params.spike_probability;
+  const double jitters = params.jitter_max + 1.0;
+  const double magnitudes = params.spike_max - params.spike_min + 1.0;
+  // (value, probability) of every outcome.
+  std::vector<std::pair<double, double>> outcomes;
+  for (std::uint32_t j = 0; j <= params.jitter_max; ++j) {
+    outcomes.emplace_back(j, (1.0 - p) / jitters);
+    for (std::uint32_t m = params.spike_min; m <= params.spike_max; ++m) {
+      outcomes.emplace_back(j + m, p / jitters / magnitudes);
+    }
+  }
+  DrawMoments moments;
+  for (const auto& [value, probability] : outcomes) {
+    moments.mean += probability * value;
+  }
+  for (const auto& [value, probability] : outcomes) {
+    const double d = value - moments.mean;
+    moments.variance += probability * d * d;
+  }
+  return moments;
+}
+
+TEST(MeanNoise, IsTheMeanOfTheDraws) {
+  // The charge for n loads is n times one load's exact mean noise, rounded
+  // (within a cycle: the model spikes at the probability rounded to 2^-32).
+  // And it is the mean of what the loads draw: a million sample_rounded(0)
+  // calls sum to within six standard errors of it. The jitter-only model
+  // checks the jitter's range, which the spikes' spread hides at the others.
+  constexpr std::uint64_t kDraws = 1'000'000;
+  const NoiseParams jitter_only{2, 0.0};
+  for (const NoiseParams& params :
+       {NoiseParams{}, harsh_noise(), jitter_only}) {
+    const DrawMoments draw = draw_moments(params);
+    const std::string where = "jitter " + std::to_string(params.jitter_max) +
+                              ", spikes " +
+                              std::to_string(params.spike_probability);
+    NoiseModel model(params, Xoshiro256(42));
+    for (const std::uint64_t n : {0ull, 1ull, 65ull, 224ull, 32768ull}) {
+      EXPECT_NEAR(static_cast<double>(model.mean_noise(n)),
+                  static_cast<double>(n) * draw.mean, 1.0)
+          << where << ", n " << n;
+    }
+    std::uint64_t drawn = 0;
+    for (std::uint64_t i = 0; i < kDraws; ++i) drawn += model.sample_rounded(0);
+    const double loads = static_cast<double>(kDraws);
+    EXPECT_NEAR(static_cast<double>(drawn),
+                static_cast<double>(model.mean_noise(kDraws)),
+                6.0 * std::sqrt(loads * draw.variance))
+        << where;
+  }
+}
+
+TEST(MeanNoise, SpikeProbabilityZeroAndOneAreExact) {
+  for (const std::uint64_t n : {0ull, 1ull, 3ull, 32768ull}) {
+    const NoiseModel calm({3, 0.0, 1000, 1000}, Xoshiro256(1));
+    EXPECT_EQ(calm.mean_noise(n), (3 * n + 1) / 2) << n << ": half up";
+    const NoiseModel spiky({3, 1.0, 1000, 2000}, Xoshiro256(1));
+    EXPECT_EQ(spiky.mean_noise(n), (3 * n + 1) / 2 + 1500 * n) << n;
+  }
 }
 
 }  // namespace

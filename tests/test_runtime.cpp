@@ -182,8 +182,10 @@ TEST(Kernels, RecordingChangesNothingElse) {
   // share one physical cache, and dual-CU chases on CUs that share an sL1d
   // (the timed pass steps) and on CUs that do not (the first level holds
   // the walk): recording 256 latencies or none, on Gpus reseeded alike and
-  // on either engine, the cycles and served counts agree, and a budget of
-  // 0 records and reserves nothing.
+  // on either engine, the served counts and timed loads agree, and a budget
+  // of 0 records and reserves nothing. The cycles agree on noiseless Gpus:
+  // under noise, a recorded load counts its own draw and an unrecorded one
+  // its mean noise (NoiseModel::mean_noise).
   struct Chase {
     const char* model;
     Space space_b;
@@ -208,8 +210,9 @@ TEST(Kernels, RecordingChangesNothingElse) {
        {PChaseEngine::kCompiled, PChaseEngine::kReference}) {
     const ScopedPChaseEngine scope(engine);
     for (const Chase& chase : chases) {
-      const auto run = [&](std::uint32_t record_count) {
-        sim::Gpu gpu(sim::registry_get(chase.model), 1);
+      const auto run = [&](std::uint32_t record_count,
+                           const sim::NoiseParams& noise) {
+        sim::Gpu gpu(sim::registry_get(chase.model), 1, std::nullopt, noise);
         PChaseConfig config;
         config.space = chase.space_b == Space::kScalar ? Space::kScalar
                                                        : Space::kGlobal;
@@ -224,14 +227,17 @@ TEST(Kernels, RecordingChangesNothingElse) {
         return chase.two_arrays ? run_two_array_pchase(gpu, config, config_b)
                                 : run_pchase(gpu, config);
       };
-      const PChaseResult none = run(0);
-      const PChaseResult some = run(256);
+      const PChaseResult none = run(0, {});
+      const PChaseResult some = run(256, {});
+      const sim::NoiseParams noiseless{0, 0.0};
       const std::string where =
           std::string(chase.model) + ", space " +
           std::to_string(static_cast<int>(chase.space_b)) + ", CU " +
           std::to_string(chase.where_b.sm) + ", engine " +
           std::to_string(static_cast<int>(engine));
-      EXPECT_EQ(none.total_cycles, some.total_cycles) << where;
+      EXPECT_EQ(run(0, noiseless).total_cycles,
+                run(256, noiseless).total_cycles)
+          << where;
       EXPECT_TRUE(none.served_by == some.served_by) << where;
       EXPECT_EQ(none.timed_loads, some.timed_loads) << where;
       EXPECT_EQ(some.served_by.at(chase.first_level) < some.timed_loads,

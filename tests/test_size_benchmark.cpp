@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "common/units.hpp"
@@ -138,18 +140,52 @@ TEST(SizeBenchmark, SerialAndParallelSweepEnginesAreByteIdentical) {
   }
 }
 
+/// An executor that runs the first task of each batch it fans out only
+/// after every other task of the batch has run. A run-ahead round's first
+/// task is the probe needed now, so every speculative probe of the round
+/// runs beside it, on any host.
+class FirstTaskLast : public exec::Executor {
+ public:
+  using Executor::Executor;
+
+  void parallel_for(std::size_t count, std::uint32_t max_workers,
+                    const exec::IndexedTask& task) override {
+    if (count < 2 || max_workers == 1 || pool_threads() == 0) {
+      Executor::parallel_for(count, max_workers, task);
+      return;
+    }
+    std::mutex mutex;
+    std::condition_variable others_ran;
+    std::size_t ran = 0;
+    Executor::parallel_for(
+        count, max_workers, [&](std::size_t index, std::uint32_t slot) {
+          if (index == 0) {
+            std::unique_lock<std::mutex> lock(mutex);
+            others_ran.wait(lock, [&] { return ran == count - 1; });
+          }
+          task(index, slot);
+          if (index != 0) {
+            {
+              const std::lock_guard<std::mutex> lock(mutex);
+              ++ran;
+            }
+            others_ran.notify_all();
+          }
+        });
+  }
+};
+
 TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
   // H100-80's segment search ends in a long chain of full-pass bisection
   // probes. At four sweep threads on a dedicated pool the chains run ahead
   // (midpoint plus both quarter points per round); committing in serial
   // order must leave every field, cycles included, and the pool's chase
-  // count as the serial search has them. A speculative probe runs
-  // only while the probe it follows is still running, so whether one is
-  // discarded depends on the host's scheduling: the run-ahead search
-  // repeats, each run checked against the serial one, until one discards.
-  constexpr int kMaxRuns = 10;
+  // count as the serial search has them. A speculative probe runs only
+  // while the probe it follows is still running, so the pool's executor
+  // runs each round's needed probe last: every speculative probe runs, and
+  // the quarter point the chain does not take is discarded.
   const sim::GpuSpec& spec = sim::registry_get("H100-80");
-  exec::Executor executor(3);
+  FirstTaskLast executor(3);
   const auto run = [&](std::uint32_t threads, runtime::ReplicaPool& pool) {
     sim::Gpu gpu(spec, 42);
     pool.threads = threads;
@@ -162,27 +198,20 @@ TEST(SizeBenchmark, RunAheadL2SegmentEqualsSerialFieldForField) {
   const L2SegmentResult serial = run(1, serial_pool);
   ASSERT_TRUE(serial.found);
   EXPECT_EQ(serial_pool.ahead_stats.ran, 0u);
-  bool discarded = false;
-  for (int attempt = 0; attempt < kMaxRuns && !discarded; ++attempt) {
-    runtime::ReplicaPool ahead_pool;
-    const L2SegmentResult ahead = run(4, ahead_pool);
-    const std::string at = "run " + std::to_string(attempt);
-    EXPECT_EQ(serial.segments, ahead.segments) << at;
-    EXPECT_EQ(serial.segment_bytes, ahead.segment_bytes) << at;
-    EXPECT_EQ(serial.measured_bytes, ahead.measured_bytes) << at;
-    EXPECT_EQ(serial.confidence, ahead.confidence) << at;
-    EXPECT_EQ(serial.cycles, ahead.cycles) << at;
-    EXPECT_EQ(serial.widenings, ahead.widenings) << at;
-    EXPECT_EQ(serial_pool.chases, ahead_pool.chases) << at;
-    EXPECT_GT(ahead_pool.ahead_stats.used, 0u) << at;
-    EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
-              ahead_pool.ahead_stats.ran)
-        << at;
-    EXPECT_TRUE(ahead_pool.ahead.empty()) << at << ": dropped at the end";
-    discarded = ahead_pool.ahead_stats.discarded > 0;
-  }
-  EXPECT_TRUE(discarded) << "no run-ahead probe was discarded in " << kMaxRuns
-                         << " runs";
+  runtime::ReplicaPool ahead_pool;
+  const L2SegmentResult ahead = run(4, ahead_pool);
+  EXPECT_EQ(serial.segments, ahead.segments);
+  EXPECT_EQ(serial.segment_bytes, ahead.segment_bytes);
+  EXPECT_EQ(serial.measured_bytes, ahead.measured_bytes);
+  EXPECT_EQ(serial.confidence, ahead.confidence);
+  EXPECT_EQ(serial.cycles, ahead.cycles);
+  EXPECT_EQ(serial.widenings, ahead.widenings);
+  EXPECT_EQ(serial_pool.chases, ahead_pool.chases);
+  EXPECT_GT(ahead_pool.ahead_stats.used, 0u);
+  EXPECT_GT(ahead_pool.ahead_stats.discarded, 0u);
+  EXPECT_EQ(ahead_pool.ahead_stats.used + ahead_pool.ahead_stats.discarded,
+            ahead_pool.ahead_stats.ran);
+  EXPECT_TRUE(ahead_pool.ahead.empty()) << "dropped at the end";
 }
 
 TEST(SizeBenchmark, IncrementalSweepMeasuresCleanPointsOnce) {
